@@ -38,6 +38,15 @@ def _check_domain(x: int, y: int) -> None:
         raise DrawingError("need 1 <= x <= y")
 
 
+def _general_cap(x: int, y: int) -> int:
+    """3n - 8 for even n other than 6, 3n - 9 for odd n or n = 6; x*y below n = 4."""
+    n = x + y
+    # The parity rule dips below the trivial caps for n = 3, so floor it there.
+    if n < 4:
+        return x * y
+    return 3 * n - 9 if (n % 2 == 1 or n == 6) else 3 * n - 8
+
+
 def upper_bound(x: int, y: int) -> int:
     """Smallest applicable proven upper bound on the edge count.
 
@@ -48,10 +57,7 @@ def upper_bound(x: int, y: int) -> int:
     """
     _check_domain(x, y)
     n = x + y
-    candidates = [x * y]
-    # The parity rule dips below the trivial caps for n = 3, so floor it there.
-    if n >= 4:
-        candidates.append(3 * n - 9 if (n % 2 == 1 or n == 6) else 3 * n - 8)
+    candidates = [x * y, _general_cap(x, y)]
     if x >= 2:
         candidates.append(2 * n + 6 * x - 16)
     if x == 1:
@@ -88,12 +94,11 @@ def size_bounds(x: int, y: int) -> SizeBounds:
     """All bound fields for (x, y); see :class:`SizeBounds`."""
     _check_domain(x, y)
     n = x + y
-    general = x * y if n < 4 else (3 * n - 9 if (n % 2 == 1 or n == 6) else 3 * n - 8)
     return SizeBounds(
         x=x,
         y=y,
         n=n,
-        upper_general=general,
+        upper_general=_general_cap(x, y),
         upper_unbalanced=2 * n + 6 * x - 16 if x >= 2 else None,
         upper_x3=2 * n if x == 3 else None,
         upper_final=upper_bound(x, y),

@@ -50,14 +50,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             return 2
         drawing = _FAMILIES[args.family](x, y)
         family = args.family
-    report = validate(drawing)
     info = {
         "family": family,
-        "x": report.x,
-        "y": report.y,
-        "n": report.vertices,
-        "edges": report.edges,
-        "crossings": report.crossings,
+        "x": drawing.x,
+        "y": drawing.y,
+        "n": drawing.vertex_count,
+        "edges": drawing.edge_count,
+        "crossings": len(drawing.crossings),
     }
     if args.out:
         provenance = {"generator": family, "params": {"x": x, "y": y}}

@@ -27,7 +27,6 @@ from .drawing import (
     augment_degree2,
     crossing_key,
     edge_key,
-    remove_graph_vertex,
 )
 from .plane_map import PlaneMap, trace_faces
 from .sketch import CompiledSketch, compile_sketch
@@ -63,8 +62,12 @@ _EXTRA_BLACKS = {
 
 
 @lru_cache(maxsize=None)
-def _face_pattern(extra_blacks: int) -> CompiledSketch:
-    """The white-triple pattern with ``extra_blacks`` added black vertices."""
+def _face_pattern(extra_blacks: int, whites: int = 3) -> CompiledSketch:
+    """The white-triple pattern with ``extra_blacks`` added black vertices.
+
+    Only the first ``whites`` of w1, w2, w3 are kept; every edge at a dropped
+    white goes with it, and so does every crossing on such an edge.
+    """
     points = dict(_CORNERS) | dict(_W3_POINTS)
     edges: list[tuple] = list(_BOUNDARY) + list(_W3_EDGES)
     crossings = list(_W3_CROSSINGS)
@@ -73,6 +76,10 @@ def _face_pattern(extra_blacks: int) -> CompiledSketch:
         points[name] = pt
         edges += [(name, "w1"), (name, "w2"), (name, "w3")]
         crossings += extra_cross
+    for name in list(_W3_POINTS)[whites:]:
+        del points[name]
+        edges = [e for e in edges if name not in e]
+        crossings = [c for c in crossings if name not in c[0] + c[1]]
     return compile_sketch(points, edges, crossings,
                           boundary=_BOUNDARY, corners=("A", "B", "C"))
 
@@ -142,11 +149,11 @@ class _Builder:
 
     def splice(self, sk: CompiledSketch, classes: Mapping[str, str],
                corner_map: Mapping[str, int] | None = None,
-               corner_darts: Mapping[str, tuple[int, int]] | None = None) -> dict[str, int]:
+               corner_darts: Mapping[str, tuple[int, int]] | None = None) -> None:
         """Add a compiled sketch; fragments splice into host corner wedges.
 
         ``corner_darts`` gives, per pattern corner, the host face walk's
-        (arriving, leaving) darts at that corner.  Returns the name-to-id map.
+        (arriving, leaving) darts at that corner.
         """
         corner_map = dict(corner_map or {})
         corner_darts = dict(corner_darts or {})
@@ -213,7 +220,6 @@ class _Builder:
         for fname, pair in sk.false_of.items():
             self.false_vertices[host[fname]] = crossing_key(gedge(*pair[0]),
                                                             gedge(*pair[1]))
-        return host
 
     def delete_map_edge(self, edge: int) -> None:
         darts = [d for d, e in self.dart_edge.items() if e == edge]
@@ -241,36 +247,12 @@ def _drawing_from_sketch(sk: CompiledSketch, classes: Mapping[str, str]) -> OneP
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Derived quantities for class sizes (x, y); recomputed, never stored."""
-
-    x: int
-    y: int
-
-    @property
-    def remainder(self) -> tuple[int, int]:
-        """(r, u) with y = 6r + u and 0 <= u < 6."""
-        return divmod(self.y, 6)[0], self.y % 6
-
-    @property
-    def split(self) -> tuple[int, int]:
-        """(s, t) with x = y'/6 + 2 + 3s + t for the padded multiple y'."""
-        yy = self.y if self.y % 6 == 0 else (self.y // 6 + 1) * 6
-        rem = self.x - (yy // 6 + 2)
-        if rem < 0:
-            raise DrawingError("class sizes outside the intermediate regime")
-        return rem // 3, rem % 3
-
-    @property
-    def half(self) -> int:
-        """k with x = 2k or x = 2k + 1."""
-        return self.x // 2
-
-    @property
-    def surplus(self) -> int:
-        """z = y - x."""
-        return self.y - self.x
+def _split(x: int, yy: int) -> tuple[int, int]:
+    """(s, t) with x = yy/6 + 2 + 3s + t, for ``yy`` a multiple of six."""
+    rem = x - (yy // 6 + 2)
+    if rem < 0:
+        raise DrawingError("class sizes outside the intermediate regime")
+    return rem // 3, rem % 3
 
 
 # --------------------------------------------------------------------------
@@ -297,31 +279,28 @@ def stacked_triangulation(x: int) -> PlaneMap:
     return m
 
 
-def _fill_triangulation(x_corners: int, kinds: list[int]) -> tuple[_Builder, list[list[int]]]:
+def _fill_triangulation(x_corners: int, faces: list[tuple[int, int]]) -> _Builder:
     """Splice one pattern per face of a stacked triangulation, then drop its edges.
 
-    ``kinds[i]`` is the number of extra black vertices in face ``i``.
-    Returns the builder and, per face, the ids of the three inserted whites.
+    ``faces[i]`` is the (extra blacks, whites) pair of the pattern in face ``i``.
     """
     tri = stacked_triangulation(x_corners)
     original_edges = list(tri.edge_darts)
-    faces = trace_faces(tri)
-    if len(kinds) != len(faces):
+    walks = trace_faces(tri)
+    if len(faces) != len(walks):
         raise DrawingError("one pattern kind per face required")
     builder = _Builder(tri, black=tri.rotations)
-    face_whites: list[list[int]] = []
-    for walk, extra in zip(faces, kinds):
-        pattern = _face_pattern(extra)
+    for walk, (extra, whites) in zip(walks, faces):
+        pattern = _face_pattern(extra, whites)
         corner_ids = [tri.dart_vertex[d] for d in walk]
         corner_map = dict(zip(pattern.corners, corner_ids))
         corner_darts = {
             pattern.corners[i]: (walk[i - 1], walk[i]) for i in range(3)
         }
-        host = builder.splice(pattern, _pattern_classes(extra), corner_map, corner_darts)
-        face_whites.append([host[w] for w in ("w1", "w2", "w3")])
+        builder.splice(pattern, _pattern_classes(extra), corner_map, corner_darts)
     for e in original_edges:
         builder.delete_map_edge(e)
-    return builder, face_whites
+    return builder
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +317,7 @@ def w3_family(x: int, y: int) -> OnePlanarDrawing:
     """
     if x < 3 or y < 6 * x - 12:
         raise DrawingError("w3 family needs x >= 3 and y >= 6x - 12")
-    builder, _ = _fill_triangulation(x, [0] * (2 * x - 4))
-    d = builder.finalize()
+    d = _fill_triangulation(x, [(0, 3)] * (2 * x - 4)).finalize()
     d = augment_degree2(d, y - (6 * x - 12), attach_class="black")
     assert d.edge_count == 2 * (x + y) + 4 * x - 12
     return d
@@ -356,53 +334,44 @@ def k36_family(y: int) -> OnePlanarDrawing:
     return w3_family(3, y)
 
 
-def _b_core(x: int, yy: int) -> tuple[OnePlanarDrawing, list[list[int]]]:
-    """Intermediate-regime core for y divisible by six."""
-    base = yy // 6 + 2
-    s, t = ConstructionParams(x, yy).split
-    n_faces = 2 * base - 4
-    if s + (1 if t else 0) > n_faces:
-        raise DrawingError("triangulation too small for the requested split")
-    kinds = [3] * s + ([t] if t else []) + [0] * (n_faces - s - (1 if t else 0))
-    builder, face_whites = _fill_triangulation(base, kinds)
-    d = builder.finalize()
-    plain = [ws for kind, ws in zip(kinds, face_whites) if kind == 0]
-    return d, plain
-
-
 def b_family(x: int, y: int) -> OnePlanarDrawing:
     """Intermediate regime: classes (x, y) with max(x, 6) <= y <= 6x - 12.
 
-    For y = 6r the edge count is 3(x + y - (y/6 + 2)); otherwise the graph is
-    built at the next multiple of six and 6 - u whites are removed from two
-    plain faces, giving (5(x+y) + x + u)/2 - 9 edges.  The pair (11, 11) is
-    the one size this construction cannot reach and is served by
-    :func:`balanced`.
+    For y = 6r the edge count is 3(x + y - (y/6 + 2)).  Otherwise, with
+    y = 6r + u, the faces are laid out as for the next multiple of six but
+    the first two plain faces keep only u whites between them (the first
+    keeps max(u - 3, 0), the second min(u, 3); w1 is kept first), giving
+    (5(x+y) + x + u)/2 - 9 edges.  The drawing is certified once.  The pair
+    (11, 11) is the one size this construction cannot reach and is served
+    by :func:`balanced`.
     """
     if x < 3 or y < max(x, 6) or y > 6 * x - 12:
         raise DrawingError("b family needs x >= 3 and max(x, 6) <= y <= 6x - 12")
     if (x, y) == (11, 11):
         return balanced(11)
     u = y % 6
+    yy = y - u + 6 if u else y
+    base = yy // 6 + 2
+    s, t = _split(x, yy)
+    faces = [(3, 3)] * s + ([(t, 3)] if t else [])
+    trimmed = [(0, max(u - 3, 0)), (0, min(u, 3))] if u else []
+    plain = 2 * base - 4 - len(faces)
+    if plain < len(trimmed):
+        raise DrawingError("triangulation too small for the requested split")
+    faces += trimmed + [(0, 3)] * (plain - len(trimmed))
+    d = _fill_triangulation(base, faces).finalize()
     if u == 0:
-        d, _ = _b_core(x, y)
         assert d.edge_count == 3 * (x + y - (y // 6 + 2))
-        return d
-    d, plain = _b_core(x, y - u + 6)
-    if len(plain) < 2:
-        raise DrawingError("fewer than two plain faces; cannot trim whites")
-    victims = sorted(plain[0], reverse=True) + sorted(plain[1], reverse=True)
-    for v in victims[: 6 - u]:
-        d = remove_graph_vertex(d, v)
-    assert d.edge_count == (5 * (x + y) + x + u) // 2 - 9
+    else:
+        assert d.edge_count == (5 * (x + y) + x + u) // 2 - 9
     return d
 
 
 # -- balanced families -------------------------------------------------------
 
 
-def _ring_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
-    """k nested 4-cycles with four crossings per consecutive pair."""
+def _ring_points(k: int) -> tuple[dict[str, tuple[float, float]], dict[str, str]]:
+    """Points and classes of k nested rings: blacks on the x axis, whites on the y axis."""
     points: dict[str, tuple[float, float]] = {}
     classes: dict[str, str] = {}
     for i in range(1, k + 1):
@@ -412,6 +381,12 @@ def _ring_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
         points[f"y2_{i}"] = (0.0, float(-i))
         classes[f"x1_{i}"] = classes[f"x2_{i}"] = "black"
         classes[f"y1_{i}"] = classes[f"y2_{i}"] = "white"
+    return points, classes
+
+
+def _ring_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
+    """k nested 4-cycles with four crossings per consecutive pair."""
+    points, classes = _ring_points(k)
     edges: list[tuple] = []
     crossings: list[tuple] = []
     for i in range(1, k + 1):
@@ -436,15 +411,7 @@ def _odd_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
     """
     if k < 3:
         raise DrawingError("odd balanced construction needs k >= 3")
-    points: dict[str, tuple[float, float]] = {}
-    classes: dict[str, str] = {}
-    for i in range(1, k + 1):
-        points[f"x1_{i}"] = (float(i), 0.0)
-        points[f"y1_{i}"] = (0.0, float(i))
-        points[f"x2_{i}"] = (float(-i), 0.0)
-        points[f"y2_{i}"] = (0.0, float(-i))
-        classes[f"x1_{i}"] = classes[f"x2_{i}"] = "black"
-        classes[f"y1_{i}"] = classes[f"y2_{i}"] = "white"
+    points, classes = _ring_points(k)
     points["ub"] = (0.1, 1.05)
     points["uw"] = (k - 0.6, 0.25)
     classes["ub"] = "black"
@@ -564,14 +531,10 @@ def _double_star(y: int) -> OnePlanarDrawing:
 def _complete_x3_small(y: int) -> OnePlanarDrawing:
     """Complete bipartite graph on classes (3, y) for y in 3..5.
 
-    Obtained from the (3, 6) core by deleting whites; each deletion heals the
-    crossings of its edges.
+    The (3, 6) core with its second face keeping only y - 3 whites, built in
+    one pass and certified once.
     """
-    d = k36_family(6)
-    whites = sorted(d.graph.white, reverse=True)
-    for v in whites[: 6 - y]:
-        d = remove_graph_vertex(d, v)
-    return d
+    return _fill_triangulation(3, [(0, 3), (0, y - 3)]).finalize()
 
 
 # -- dispatcher ---------------------------------------------------------------

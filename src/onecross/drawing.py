@@ -180,10 +180,6 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
             len(d.false_vertices) != len(d.crossings):
         failures.append("path/edge mismatch: false vertices do not enumerate crossings")
 
-    for w in sorted(false_set & map_vertices):
-        if m.degree(w) != 4:
-            failures.append(f"false vertex degree != 4: vertex {w}")
-
     # Edge paths partition the map edges: one per uncrossed edge, two per
     # crossed edge through its false vertex.
     crossed = {e for pair in d.crossings for e in pair}
@@ -222,6 +218,7 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
     for w in sorted(false_set & map_vertices):
         if m.degree(w) != 4:
+            failures.append(f"false vertex degree != 4: vertex {w}")
             continue
         owners = [used.get(m.dart_edge[dart]) for dart in m.rotations[w]]
         if None in owners or owners[0] != owners[2] or owners[1] != owners[3] \
@@ -322,20 +319,18 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
     return m
 
 
-def _first_anchor_pair(d: OnePlanarDrawing, attach_class: str | None,
-                       target_face: int | None) -> tuple[int, int]:
-    """First two distinct same-class true vertices on the first eligible face."""
+def _anchor_corners(d: OnePlanarDrawing,
+                    attach_class: str | None) -> tuple[tuple[int, ...], int, int]:
+    """The first face with two distinct same-class true corners, and their walk positions."""
     g = d.graph
     if isinstance(g, BipartiteGraph):
         classes = {v: "black" for v in g.black}
         classes.update({v: "white" for v in g.white})
     else:
         raise DrawingError("degree-2 augmentation needs a bipartite drawing")
-    faces = pm.trace_faces(d.planified)
-    indices = [target_face] if target_face is not None else range(len(faces))
-    for idx in indices:
-        walk = faces[idx]
-        corners = [d.planified.dart_vertex[dart] for dart in walk]
+    m = d.planified
+    for walk in pm.trace_faces(m):
+        corners = [m.dart_vertex[dart] for dart in walk]
         for j in range(len(corners)):
             for i in range(j):
                 a, b = corners[i], corners[j]
@@ -345,56 +340,64 @@ def _first_anchor_pair(d: OnePlanarDrawing, attach_class: str | None,
                     continue
                 if attach_class is not None and classes[a] != attach_class:
                     continue
-                return a, b
+                return walk, i, j
     raise DrawingError("no eligible face for degree-2 augmentation")
 
 
 def augment_degree2(d: OnePlanarDrawing, count: int,
-                    attach_class: str | None = None,
-                    target_face: int | None = None) -> OnePlanarDrawing:
+                    attach_class: str | None = None) -> OnePlanarDrawing:
     """Insert ``count`` degree-2 vertices joined to one same-class anchor pair.
 
     The anchors are the first two same-class true vertices on the first
-    eligible face in face-trace order (or on ``target_face``); every inserted
-    vertex joins the same pair without crossings and lands in the opposite
-    class.  Adds ``count`` vertices and ``2 * count`` edges.
+    eligible face in face-trace order; every inserted vertex joins the same
+    pair without crossings and lands in the opposite class.  The new vertices
+    nest inside that face, each later one between its predecessor and the
+    stretch of boundary that holds the face's first dart.  All spokes go into
+    the face's two anchor wedges in one map edit, in insertion order at one
+    anchor and reversed at the other.  Faces are traced once and the result
+    is certified once.  Adds ``count`` vertices and ``2 * count`` edges.
     """
     if count < 0:
         raise DrawingError("negative augmentation count")
     if count == 0:
         return d
     g = d.graph
-    v1, v2 = _first_anchor_pair(d, attach_class, target_face)
-    new_class_white = v1 in g.black
-
+    walk, i, j = _anchor_corners(d, attach_class)
     m = d.planified
+    anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
+    base_vertex, base_dart, base_edge = m.max_vertex() + 1, m.max_dart() + 1, m.max_edge() + 1
+    rotations = {v: list(rot) for v, rot in m.rotations.items()}
+    opposite = dict(m.opposite)
+    dart_edge = dict(m.dart_edge)
     edge_paths = dict(d.edge_paths)
-    black, white = set(g.black), set(g.white)
-    edges = set(g.edges)
-    for _ in range(count):
-        faces = pm.trace_faces(m)
-        face_idx = None
-        for idx, walk in enumerate(faces):
-            corners = [m.dart_vertex[dart] for dart in walk]
-            if v1 in corners and v2 in corners:
-                face_idx = idx
-                break
-        if face_idx is None:
-            raise DrawingError("anchor pair lost from every face")
-        walk = faces[face_idx]
-        corners = [m.dart_vertex[dart] for dart in walk]
-        first = corners.index(v1)
-        anchors = [v1, v2] if v2 in corners[first + 1:] else [v2, v1]
-        base_edge = m.max_edge() + 1
-        m, new_vertex = pm.insert_vertex_in_face(m, face_idx, anchors)
-        (white if new_class_white else black).add(new_vertex)
-        for offset, anchor in enumerate(anchors):
-            e = edge_key(new_vertex, anchor)
-            edges.add(e)
-            edge_paths[e] = (base_edge + offset,)
+    spokes: tuple[list[int], list[int]] = ([], [])
+    for k in range(count):
+        # Vertex k owns edges e0 (to anchors[0]) and e0 + 1, darts d0 .. d0 + 3;
+        # the even dart of each edge is its spoke at the anchor.
+        v, e0, d0 = base_vertex + k, base_edge + 2 * k, base_dart + 4 * k
+        for side, anchor in enumerate(anchors):
+            spoke = d0 + 2 * side
+            opposite[spoke], opposite[spoke + 1] = spoke + 1, spoke
+            dart_edge[spoke] = dart_edge[spoke + 1] = e0 + side
+            spokes[side].append(spoke)
+            edge_paths[edge_key(v, anchor)] = (e0 + side,)
+        rotations[v] = [d0 + 3, d0 + 1]
+    # Each anchor's spokes enter its wedge right after the dart arriving along
+    # the walk.  Later vertices nest toward walk[0], which reverses the order
+    # at anchors[0] unless it is the walk's first corner, else at anchors[1].
+    spokes[0 if i else 1].reverse()
+    for side, pos in enumerate((i, j)):
+        rot = rotations[anchors[side]]
+        at = rot.index(m.opposite[walk[pos - 1]]) + 1
+        rot[at:at] = spokes[side]
 
-    new_graph = BipartiteGraph.make(black, white, edges)
-    return assemble_drawing(new_graph, d.crossings, m, edge_paths, d.false_vertices)
+    new = set(range(base_vertex, base_vertex + count))
+    if anchors[0] in g.black:
+        new_graph = BipartiteGraph.make(g.black, g.white | new, edge_paths.keys())
+    else:
+        new_graph = BipartiteGraph.make(g.black | new, g.white, edge_paths.keys())
+    planified = pm._make(rotations, opposite, dart_edge)
+    return assemble_drawing(new_graph, d.crossings, planified, edge_paths, d.false_vertices)
 
 
 def remove_graph_edge(d: OnePlanarDrawing, u: int, v: int) -> OnePlanarDrawing:

@@ -2,7 +2,7 @@
 one crossing per edge?
 
 The decision procedure enumerates crossing assignments (sets of disjoint,
-non-adjacent edge pairs) in increasing size and lexicographic order, replaces
+non-adjacent edge pairs) in increasing size, replaces
 each chosen pair by a wheel gadget (a new degree-4 vertex plus the 4-cycle
 through the pair's endpoints, which any plane embedding must wrap around the
 hub, forcing the rotation to alternate), and tests planarity of the gadget
@@ -185,19 +185,15 @@ def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
     g.add_edges_from(graph.edges)
-    if not nx.is_bipartite(g):
+    try:
+        color = nx.bipartite.color(g)
+    except nx.NetworkXError:
         return None
-    a, b = nx.bipartite.sets(g) if nx.is_connected(g) else _bipartite_sets_disconnected(g)
-    a, b = frozenset(a), frozenset(b)
+    a = frozenset(v for v, c in color.items() if c == 0)
+    b = frozenset(graph.vertices) - a
     if (len(a), sorted(a)) > (len(b), sorted(b)):
         a, b = b, a
     return a, b
-
-
-def _bipartite_sets_disconnected(g: "nx.Graph") -> tuple[set[int], set[int]]:
-    color = nx.algorithms.bipartite.color(g)
-    return ({v for v, c in color.items() if c == 0},
-            {v for v, c in color.items() if c == 1})
 
 
 def _drawing_from_gadget(graph: Graph | BipartiteGraph,
@@ -230,16 +226,17 @@ def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
 
 def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                   timeout: float | None = None,
-                  checkpoint: str | Path | None = None,
-                  candidate_pairs: Sequence[tuple[Edge, Edge]] | None = None,
-                  exact_size: int | None = None) -> OneplanarResult:
+                  checkpoint: str | Path | None = None) -> OneplanarResult:
     """Decide drawability with at most ``max_crossings`` crossings.
 
-    Searches assignment sizes in increasing order, lexicographically within a
-    size.  ``yes`` returns a certified drawing; ``no`` is exhaustive within
-    the budget; ``unknown`` is only returned on timeout, with progress saved
-    to ``checkpoint`` (a JSON file recording the last fully explored
-    first-pair subtree per size) when given.
+    Searches assignment sizes in increasing order, so a ``yes`` uses the
+    fewest crossings possible.  Within a size, assignments are grouped by
+    their first candidate pair in increasing index order; inside a group the
+    depth-first stack pops the highest next pair index first.  ``yes``
+    returns a certified drawing; ``no`` is exhaustive within the budget;
+    ``unknown`` is only returned on timeout, with progress saved to
+    ``checkpoint`` (a JSON file recording the last fully explored first-pair
+    subtree per size) when given.
     """
     if max_crossings < 0:
         raise OracleError("budget must be nonnegative")
@@ -266,10 +263,9 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     def out_of_time() -> bool:
         return timeout is not None and time.monotonic() - start > timeout
 
-    sizes = [exact_size] if exact_size is not None else list(range(max_crossings + 1))
-    pairs = list(candidate_pairs) if candidate_pairs is not None else _candidate_pairs(edges)
+    pairs = _candidate_pairs(edges)
 
-    for size in sizes:
+    for size in range(max_crossings + 1):
         if size < resume_size:
             continue
         if size == 0:
@@ -281,7 +277,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                 return OneplanarResult("yes", d, 0, tested)
             continue
 
-        # Depth-first over lexicographic pair indices.
+        # Depth-first over increasing pair indices, one first pair at a time.
         root0 = resume_root if size == resume_size else 0
         for root in range(root0, len(pairs)):
             stack: list[tuple[list[int], set[Edge]]] = [
@@ -310,17 +306,18 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                 return OneplanarResult("unknown", None, None, tested)
         resume_root = 0
 
-    verdict = "no"
-    return OneplanarResult(verdict, None, None, tested)
+    return OneplanarResult("no", None, None, tested)
 
 
 def min_crossings(graph: Graph | BipartiteGraph, cap: int,
                   timeout: float | None = None) -> int | None:
-    """Least number of crossings over accepting assignments, or None beyond cap."""
-    for k in range(cap + 1):
-        res = is_one_planar(graph, cap, timeout=timeout, exact_size=k)
-        if res.verdict == "yes":
-            return k
-        if res.verdict == "unknown":
-            raise OracleError("timed out during exact-size search")
-    return None
+    """Least number of crossings over accepting assignments, or None beyond cap.
+
+    One :func:`is_one_planar` search with budget ``cap``: sizes are tried in
+    increasing order, so the first accepting size is the least.  ``timeout``
+    bounds the whole search; running out raises :class:`OracleError`.
+    """
+    res = is_one_planar(graph, cap, timeout=timeout)
+    if res.verdict == "unknown":
+        raise OracleError("timed out during the crossing search")
+    return res.crossings

@@ -1,8 +1,11 @@
 import pytest
 
 from onecross.bounds import upper_bound
+import onecross.drawing
+import onecross.plane_map
 from onecross.constructions import (
-    ConstructionParams,
+    _complete_x3_small,
+    _split,
     b_family,
     balanced,
     best_known,
@@ -211,8 +214,55 @@ def test_face_templates_declared_counts():
 
 
 def test_construction_params():
-    p = ConstructionParams(5, 14)
-    assert p.remainder == (2, 2)
-    assert p.surplus == 9
-    assert p.half == 2
-    assert ConstructionParams(5, 12).split == (0, 1)
+    assert _split(5, 12) == (0, 1)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count certifications and face traces made through the drawing module."""
+    counts = {"validate": 0, "trace_faces": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(onecross.drawing, "validate",
+                        counting("validate", onecross.drawing.validate))
+    monkeypatch.setattr(onecross.plane_map, "trace_faces",
+                        counting("trace_faces", onecross.plane_map.trace_faces))
+    return counts
+
+
+@pytest.mark.parametrize("y", range(24, 30))
+def test_b_family_certifies_once_per_residue(calls, y):
+    d = b_family(8, y)
+    assert classes(d) == (8, y)
+    assert calls["validate"] == 1
+
+
+@pytest.mark.parametrize("y", [3, 4, 5])
+def test_complete_x3_small_certifies_once(calls, y):
+    d = _complete_x3_small(y)
+    assert d.edge_count == 3 * y
+    assert calls["validate"] == 1
+
+
+def test_augment_degree2_traces_and_certifies_once(calls):
+    base = w3_family(4, 12)
+    calls.update(validate=0, trace_faces=0)
+    onecross.drawing.validate(base)
+    per_validate = calls["trace_faces"]
+    seen = []
+    for y in (13, 60):
+        calls.update(validate=0, trace_faces=0)
+        onecross.drawing.augment_degree2(base, y - 12, attach_class="black")
+        seen.append((calls["trace_faces"], calls["validate"]))
+    assert seen == [(1 + per_validate, 1)] * 2
+    for y in (13, 60):
+        calls.update(validate=0, trace_faces=0)
+        w3_family(4, y)
+        seen.append((calls["trace_faces"], calls["validate"]))
+    assert seen[2] == seen[3]
+    assert seen[2][1] == 2

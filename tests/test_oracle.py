@@ -239,6 +239,20 @@ def test_disconnected_graphs_supported():
     assert validate(document_to_drawing(drawing_to_document(res.drawing))).passed
 
 
+def test_disconnected_bipartite_graph_gets_bipartite_witness():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+    res = is_one_planar(Graph.make(range(8), edges), 0)
+    assert res.verdict == "yes"
+    g = res.drawing.graph
+    assert isinstance(g, BipartiteGraph)
+    assert (g.black, g.white) == (frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7}))
+
+
+def test_min_crossings_timeout_bounds_whole_search():
+    with pytest.raises(OracleError, match="timed out"):
+        min_crossings(complete_bipartite(3, 7), 6, timeout=0.2)
+
+
 def test_timeout_returns_unknown(tmp_path):
     k37 = complete_bipartite(3, 7)
     ck = tmp_path / "ck.json"
