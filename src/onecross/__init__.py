@@ -9,7 +9,6 @@ brute-force oracle for small instances.
 __version__ = "0.1.0"
 
 from .plane_map import (
-    Dart,
     EulerReport,
     MapError,
     PlaneMap,

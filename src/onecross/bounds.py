@@ -47,26 +47,30 @@ def _general_cap(x: int, y: int) -> int:
     return 3 * n - 9 if (n % 2 == 1 or n == 6) else 3 * n - 8
 
 
-def upper_bound(x: int, y: int) -> int:
-    """Smallest applicable proven upper bound on the edge count.
+def _upper_candidates(x: int, y: int) -> dict[str, int]:
+    """Every proven upper bound on the edge count that applies at (x, y).
 
-    Candidates: the complete bipartite count x*y; the general cap 3n - 8 for
-    even n other than 6 and 3n - 9 for odd n or n = 6; 2n + 6x - 16 for
-    x >= 2; the planar bipartite cap 2n - 4 for x = 2; 2n for x = 3; and y
-    for x = 1.
+    The complete bipartite count x*y; the general cap 3n - 8 for even n other
+    than 6 and 3n - 9 for odd n or n = 6; 2n + 6x - 16 for x >= 2; the planar
+    bipartite cap 2n - 4 for x = 2; 2n for x = 3; and y for x = 1.
     """
     _check_domain(x, y)
     n = x + y
-    candidates = [x * y, _general_cap(x, y)]
+    out = {"complete": x * y, "general": _general_cap(x, y)}
     if x >= 2:
-        candidates.append(2 * n + 6 * x - 16)
+        out["unbalanced"] = 2 * n + 6 * x - 16
     if x == 1:
-        candidates.append(y)
-    if x == 2 and n >= 3:
-        candidates.append(2 * n - 4)
+        out["star"] = y
+    if x == 2:
+        out["planar"] = 2 * n - 4
     if x == 3:
-        candidates.append(2 * n)
-    return min(candidates)
+        out["x3"] = 2 * n
+    return out
+
+
+def upper_bound(x: int, y: int) -> int:
+    """Smallest applicable proven upper bound on the edge count."""
+    return min(_upper_candidates(x, y).values())
 
 
 def lower_bound(x: int, y: int) -> int:
@@ -78,33 +82,38 @@ def lower_bound(x: int, y: int) -> int:
     return max(count for _, count in table)
 
 
+def _conjectured(x: int, y: int) -> int | None:
+    """The conjectured cap 2n + 4x - 12: the w3 family's count, where it applies."""
+    return dict(family_formulas(x, y)).get("w3")
+
+
 def _regime(x: int, y: int) -> str:
     if x <= 2:
         return "planar"
     if x == 3:
         return "x3"
-    if y >= 6 * x - 12:
+    if _conjectured(x, y) is not None:
         return "unbalanced"
-    if y <= 6 * x - 12 and y >= max(x, 6):
+    # With x >= 4 and y below 6x - 12, the intermediate regime starts at y = 6.
+    if y >= 6:
         return "intermediate"
     return "balanced-augmented"
 
 
 def size_bounds(x: int, y: int) -> SizeBounds:
     """All bound fields for (x, y); see :class:`SizeBounds`."""
-    _check_domain(x, y)
-    n = x + y
+    upper = _upper_candidates(x, y)
     return SizeBounds(
         x=x,
         y=y,
-        n=n,
-        upper_general=_general_cap(x, y),
-        upper_unbalanced=2 * n + 6 * x - 16 if x >= 2 else None,
-        upper_x3=2 * n if x == 3 else None,
-        upper_final=upper_bound(x, y),
+        n=x + y,
+        upper_general=upper["general"],
+        upper_unbalanced=upper.get("unbalanced"),
+        upper_x3=upper.get("x3"),
+        upper_final=min(upper.values()),
         lower_constructive=lower_bound(x, y),
         regime=_regime(x, y),
-        conjecture_bound=2 * n + 4 * x - 12 if (x >= 3 and y >= 6 * x - 12) else None,
+        conjecture_bound=_conjectured(x, y),
     )
 
 
@@ -128,10 +137,9 @@ def conjecture_gap(x: int, y: int) -> ConjectureGap:
     it never asserts the conjecture.
     """
     _check_domain(x, y)
-    if x < 3 or y < 6 * x - 12:
+    conjectured = _conjectured(x, y)
+    if conjectured is None:
         raise DrawingError("outside the conjecture regime (x >= 3, y >= 6x - 12)")
-    n = x + y
-    conjectured = 2 * n + 4 * x - 12
     proven = upper_bound(x, y)
     lower = lower_bound(x, y)
     return ConjectureGap(

@@ -17,14 +17,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import constructions as cons
 from .drawing import BipartiteGraph, DrawingError, Graph, validate
-from .formats import (
-    FormatError,
-    document_to_drawing,
-    drawing_to_document,
-    dumps_document,
-    export_dot,
-    export_svg,
-)
+from .formats import FormatError, export_dot, export_svg, load_drawing, save_drawing
 from .oracle import OracleError, is_one_planar
 
 _FAMILIES = {
@@ -59,8 +52,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "crossings": len(drawing.crossings),
     }
     if args.out:
-        provenance = {"generator": family, "params": {"x": x, "y": y}}
-        Path(args.out).write_text(dumps_document(drawing_to_document(drawing, provenance)))
+        save_drawing(drawing, args.out, {"generator": family, "params": {"x": x, "y": y}})
         info["out"] = args.out
     if args.json:
         print(json.dumps(info, sort_keys=True))
@@ -72,15 +64,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read document: {exc}", file=sys.stderr)
-        return 2
-    try:
-        drawing = document_to_drawing(doc)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        drawing = load_drawing(args.file)
     except DrawingError as exc:
         # Structured but invalid: emit a failing report.
         if args.json:
@@ -132,7 +116,7 @@ def _table_rows(xmax: int, ymax: int, conjecture: bool):
     for x in range(1, xmax + 1):
         for y in range(x, ymax + 1):
             if conjecture:
-                if x < 3 or y < 6 * x - 12:
+                if bounds_mod.size_bounds(x, y).conjecture_bound is None:
                     continue
                 gap = bounds_mod.conjecture_gap(x, y)
                 yield {
@@ -170,12 +154,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         graph: Graph | BipartiteGraph = BipartiteGraph.make(
             blacks, whites, [(i, j) for i in blacks for j in whites])
     elif args.file:
-        try:
-            drawing = document_to_drawing(json.loads(Path(args.file).read_text()))
-        except (OSError, json.JSONDecodeError, FormatError, DrawingError) as exc:
-            print(f"cannot load graph: {exc}", file=sys.stderr)
-            return 2
-        graph = drawing.graph
+        graph = load_drawing(args.file).graph
     else:
         print("oracle needs FILE or --complete-bipartite", file=sys.stderr)
         return 2
@@ -187,7 +166,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "assignments_tested": res.assignments_tested,
     }
     if args.out and res.drawing is not None:
-        Path(args.out).write_text(dumps_document(drawing_to_document(res.drawing)))
+        save_drawing(res.drawing, args.out)
         payload["out"] = args.out
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -198,11 +177,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        drawing = document_to_drawing(json.loads(Path(args.file).read_text()))
-    except (OSError, json.JSONDecodeError, FormatError, DrawingError) as exc:
-        print(f"cannot load drawing: {exc}", file=sys.stderr)
-        return 2
+    drawing = load_drawing(args.file)
     text = export_dot(drawing) if args.format == "dot" else export_svg(drawing)
     if args.out:
         Path(args.out).write_text(text)
@@ -272,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DrawingError, OracleError) as exc:
+    except (DrawingError, FormatError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

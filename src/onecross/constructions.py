@@ -1,10 +1,15 @@
 """Generators for extremal bipartite drawings with one crossing per edge.
 
-Every generator returns a certified :class:`~onecross.drawing.OnePlanarDrawing`
-whose vertex, edge and crossing counts match its closed form exactly.  The
-per-face insertion patterns and the nested-ring families are specified as
-geometric sketches (see :mod:`onecross.sketch`); small special cases ship as
-JSON templates under ``onecross/data``.
+Every generator returns a certified :class:`~onecross.drawing.OnePlanarDrawing`.
+:func:`family_formulas` is the one statement of each family's domain and
+edge count: a generator reads its count from that table, raises
+:class:`~onecross.drawing.DrawingError` where its family does not apply, and
+raises it again if the finished drawing misses the count.  The per-face
+insertion patterns, the nested-ring families and the one-crossing drawing of
+the complete (3, 3) graph are specified as geometric sketches (see
+:mod:`onecross.sketch`); the balanced (5, 5) drawing, found by the search in
+``scripts/find_balanced5.py``, ships as a JSON template under
+``onecross/data``.
 
 All generators are pure functions of their parameters.
 """
@@ -315,12 +320,10 @@ def w3_family(x: int, y: int) -> OnePlanarDrawing:
     in each of its 2x-4 faces and then loses its own edges; extra whites of
     degree 2 absorb any y beyond 6x - 12.
     """
-    if x < 3 or y < 6 * x - 12:
-        raise DrawingError("w3 family needs x >= 3 and y >= 6x - 12")
+    count = _table_edges("w3", x, y)
     d = _fill_triangulation(x, [(0, 3)] * (2 * x - 4)).finalize()
-    d = augment_degree2(d, y - (6 * x - 12), attach_class="black")
-    assert d.edge_count == 2 * (x + y) + 4 * x - 12
-    return d
+    d = augment_degree2(d, y - len(d.graph.white))
+    return _exact(d, "w3", count)
 
 
 def k36_family(y: int) -> OnePlanarDrawing:
@@ -329,8 +332,6 @@ def k36_family(y: int) -> OnePlanarDrawing:
     Realized as the x = 3 member of the unbalanced family, whose core is the
     complete bipartite graph on 3 + 6 vertices, plus y - 6 degree-2 whites.
     """
-    if y < 6:
-        raise DrawingError("the x = 3 family needs y >= 6")
     return w3_family(3, y)
 
 
@@ -345,10 +346,9 @@ def b_family(x: int, y: int) -> OnePlanarDrawing:
     (11, 11) is the one size this construction cannot reach and is served
     by :func:`balanced`.
     """
-    if x < 3 or y < max(x, 6) or y > 6 * x - 12:
-        raise DrawingError("b family needs x >= 3 and max(x, 6) <= y <= 6x - 12")
     if (x, y) == (11, 11):
         return balanced(11)
+    count = _table_edges("b", x, y)
     u = y % 6
     yy = y - u + 6 if u else y
     base = yy // 6 + 2
@@ -359,12 +359,7 @@ def b_family(x: int, y: int) -> OnePlanarDrawing:
     if plain < len(trimmed):
         raise DrawingError("triangulation too small for the requested split")
     faces += trimmed + [(0, 3)] * (plain - len(trimmed))
-    d = _fill_triangulation(base, faces).finalize()
-    if u == 0:
-        assert d.edge_count == 3 * (x + y - (y // 6 + 2))
-    else:
-        assert d.edge_count == (5 * (x + y) + x + u) // 2 - 9
-    return d
+    return _exact(_fill_triangulation(base, faces).finalize(), "b", count)
 
 
 # -- balanced families -------------------------------------------------------
@@ -456,6 +451,18 @@ def _odd_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
     return compile_sketch(points, edges, crossings), classes
 
 
+def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
+    """The complete (3, 3) graph drawn with a single crossing."""
+    points = {
+        "b1": (0.0, 0.0), "b2": (1.0, 0.0), "b3": (0.5, 1.0),
+        "w_in": (0.5, 0.33), "w_bot": (0.55, -0.5), "w_top": (0.5, 1.8),
+    }
+    classes = {n: ("black" if n.startswith("b") else "white") for n in points}
+    edges = [(b, w) for b in ("b1", "b2", "b3") for w in ("w_in", "w_bot", "w_top")]
+    crossings = [(("w_bot", "b3"), ("w_in", "b2"))]
+    return compile_sketch(points, edges, crossings), classes
+
+
 def _load_template(name: str) -> OnePlanarDrawing:
     from .formats import document_to_drawing
 
@@ -468,20 +475,20 @@ def balanced(x: int) -> OnePlanarDrawing:
     """Balanced family: classes (x, x) with 6x - 8 edges (9 when x = 3).
 
     Even sizes come from nested 4-cycles, odd sizes at least 7 from the
-    modified ring drawing, and x in {2, 3, 5} from stored templates.  The
-    size-6 graph caps at 9 edges, so x = 3 cannot reach 6x - 8 = 10.
+    modified ring drawing, x = 3 from the one-crossing drawing of the
+    complete (3, 3) graph, and x = 5 from the stored template.  The size-6
+    graph caps at 9 edges, so x = 3 cannot reach 6x - 8 = 10.
     """
-    if x < 2:
-        raise DrawingError("balanced family needs x >= 2")
-    if x in (2, 3, 5):
-        return _load_template(f"balanced{x}")
-    if x % 2 == 0:
+    count = _table_edges("balanced", x, x)
+    if x == 5:
+        return _exact(_load_template("balanced5"), "balanced", count)
+    if x == 3:
+        sk, classes = _k33_sketch()
+    elif x % 2 == 0:
         sk, classes = _ring_sketch(x // 2)
     else:
         sk, classes = _odd_sketch(x // 2)
-    d = _drawing_from_sketch(sk, classes)
-    assert d.edge_count == 6 * x - 8
-    return d
+    return _exact(_drawing_from_sketch(sk, classes), "balanced", count)
 
 
 def near_balanced(x: int, y: int) -> OnePlanarDrawing:
@@ -490,17 +497,16 @@ def near_balanced(x: int, y: int) -> OnePlanarDrawing:
     The balanced drawing on (x, x) gains z whites of degree 2.  Needs x >= 4:
     a balanced 6x - 8 edge base does not exist for x = 3.
     """
-    if x < 4 or y < x:
-        raise DrawingError("near-balanced family needs 4 <= x <= y")
-    d = augment_degree2(balanced(x), y - x, attach_class="black")
-    assert d.edge_count == 3 * (x + y) - 8 - (y - x)
-    return d
+    count = _table_edges("near", x, y)
+    return _exact(augment_degree2(balanced(x), y - x), "near", count)
 
 
 # -- trivial and fallback families ------------------------------------------
 
 
 def _star(y: int) -> OnePlanarDrawing:
+    """Star on classes (1, y); planar with y edges."""
+    count = _table_edges("star", 1, y)
     points = {"b": (0.0, 0.0)}
     classes = {"b": "black"}
     edges = []
@@ -511,11 +517,12 @@ def _star(y: int) -> OnePlanarDrawing:
         classes[name] = "white"
         edges.append(("b", name))
     sk = compile_sketch(points, edges)
-    return _drawing_from_sketch(sk, classes)
+    return _exact(_drawing_from_sketch(sk, classes), "star", count)
 
 
 def _double_star(y: int) -> OnePlanarDrawing:
     """Complete bipartite graph on classes (2, y); planar with 2y edges."""
+    count = _table_edges("double-star", 2, y)
     points = {"b0": (0.0, 1.0), "b1": (0.0, -1.0)}
     classes = {"b0": "black", "b1": "black"}
     edges = []
@@ -525,7 +532,7 @@ def _double_star(y: int) -> OnePlanarDrawing:
         classes[name] = "white"
         edges += [("b0", name), ("b1", name)]
     sk = compile_sketch(points, edges)
-    return _drawing_from_sketch(sk, classes)
+    return _exact(_drawing_from_sketch(sk, classes), "double-star", count)
 
 
 def _complete_x3_small(y: int) -> OnePlanarDrawing:
@@ -534,7 +541,9 @@ def _complete_x3_small(y: int) -> OnePlanarDrawing:
     The (3, 6) core with its second face keeping only y - 3 whites, built in
     one pass and certified once.
     """
-    return _fill_triangulation(3, [(0, 3), (0, y - 3)]).finalize()
+    count = _table_edges("complete-small", 3, y)
+    d = _fill_triangulation(3, [(0, 3), (0, y - 3)]).finalize()
+    return _exact(d, "complete-small", count)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -555,8 +564,10 @@ class BestKnown:
 def family_formulas(x: int, y: int) -> list[tuple[str, int]]:
     """Closed-form edge counts of every family applicable at (x, y).
 
-    This table drives both the constructive lower bound and the dispatcher,
-    so the two agree by construction.
+    This table is the only statement of each family's domain and count.  It
+    drives the constructive lower bound, the dispatcher (rows are listed in
+    tie-break order) and every generator's check of its own drawing, so all
+    three agree by construction.
     """
     if not 1 <= x <= y:
         raise DrawingError("need 1 <= x <= y")
@@ -583,6 +594,22 @@ def family_formulas(x: int, y: int) -> list[tuple[str, int]]:
     return out
 
 
+def _table_edges(family: str, x: int, y: int) -> int:
+    """The edge count :func:`family_formulas` gives ``family`` at (x, y)."""
+    for name, count in family_formulas(x, y):
+        if name == family:
+            return count
+    raise DrawingError(f"the {family} family does not apply to classes ({x}, {y})")
+
+
+def _exact(d: OnePlanarDrawing, family: str, count: int) -> OnePlanarDrawing:
+    """``d`` itself, once its edge count is the table's ``count``."""
+    if d.edge_count != count:
+        raise DrawingError(f"family {family} drew {d.edge_count} edges at "
+                           f"({d.x}, {d.y}); its closed form gives {count}")
+    return d
+
+
 _BUILDERS = {
     "star": lambda x, y: _star(y),
     "double-star": lambda x, y: _double_star(y),
@@ -593,17 +620,8 @@ _BUILDERS = {
     "near": near_balanced,
 }
 
-_PRIORITY = ["star", "double-star", "complete-small", "w3", "b", "balanced", "near"]
-
 
 def best_known(x: int, y: int) -> BestKnown:
-    """Build the applicable family with the most edges (ties: listed order)."""
-    table = family_formulas(x, y)
-    if not table:
-        raise DrawingError(f"no construction known for classes ({x}, {y})")
-    best_count = max(c for _, c in table)
-    family = min((f for f, c in table if c == best_count), key=_PRIORITY.index)
-    drawing = _BUILDERS[family](x, y)
-    if drawing.edge_count != best_count:
-        raise DrawingError(f"family {family} missed its closed form at ({x}, {y})")
-    return BestKnown(drawing=drawing, family=family)
+    """Build the applicable family with the most edges (ties: table order)."""
+    family, _ = max(family_formulas(x, y), key=lambda row: row[1])
+    return BestKnown(drawing=_BUILDERS[family](x, y), family=family)

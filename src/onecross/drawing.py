@@ -319,14 +319,10 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
     return m
 
 
-def _anchor_corners(d: OnePlanarDrawing,
-                    attach_class: str | None) -> tuple[tuple[int, ...], int, int]:
-    """The first face with two distinct same-class true corners, and their walk positions."""
+def _anchor_corners(d: OnePlanarDrawing) -> tuple[tuple[int, ...], int, int]:
+    """The first face with two distinct black corners, and their walk positions."""
     g = d.graph
-    if isinstance(g, BipartiteGraph):
-        classes = {v: "black" for v in g.black}
-        classes.update({v: "white" for v in g.white})
-    else:
+    if not isinstance(g, BipartiteGraph):
         raise DrawingError("degree-2 augmentation needs a bipartite drawing")
     m = d.planified
     for walk in pm.trace_faces(m):
@@ -334,23 +330,17 @@ def _anchor_corners(d: OnePlanarDrawing,
         for j in range(len(corners)):
             for i in range(j):
                 a, b = corners[i], corners[j]
-                if a == b or a not in classes or b not in classes:
-                    continue
-                if classes[a] != classes[b]:
-                    continue
-                if attach_class is not None and classes[a] != attach_class:
-                    continue
-                return walk, i, j
+                if a != b and a in g.black and b in g.black:
+                    return walk, i, j
     raise DrawingError("no eligible face for degree-2 augmentation")
 
 
-def augment_degree2(d: OnePlanarDrawing, count: int,
-                    attach_class: str | None = None) -> OnePlanarDrawing:
-    """Insert ``count`` degree-2 vertices joined to one same-class anchor pair.
+def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
+    """Insert ``count`` white degree-2 vertices joined to one black anchor pair.
 
-    The anchors are the first two same-class true vertices on the first
-    eligible face in face-trace order; every inserted vertex joins the same
-    pair without crossings and lands in the opposite class.  The new vertices
+    The anchors are the first two black vertices on the first eligible face
+    in face-trace order; every inserted vertex joins the same pair without
+    crossings.  The new vertices
     nest inside that face, each later one between its predecessor and the
     stretch of boundary that holds the face's first dart.  All spokes go into
     the face's two anchor wedges in one map edit, in insertion order at one
@@ -362,7 +352,7 @@ def augment_degree2(d: OnePlanarDrawing, count: int,
     if count == 0:
         return d
     g = d.graph
-    walk, i, j = _anchor_corners(d, attach_class)
+    walk, i, j = _anchor_corners(d)
     m = d.planified
     anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
     base_vertex, base_dart, base_edge = m.max_vertex() + 1, m.max_dart() + 1, m.max_edge() + 1
@@ -392,10 +382,7 @@ def augment_degree2(d: OnePlanarDrawing, count: int,
         rot[at:at] = spokes[side]
 
     new = set(range(base_vertex, base_vertex + count))
-    if anchors[0] in g.black:
-        new_graph = BipartiteGraph.make(g.black, g.white | new, edge_paths.keys())
-    else:
-        new_graph = BipartiteGraph.make(g.black | new, g.white, edge_paths.keys())
+    new_graph = BipartiteGraph.make(g.black, g.white | new, edge_paths.keys())
     planified = pm._make(rotations, opposite, dart_edge)
     return assemble_drawing(new_graph, d.crossings, planified, edge_paths, d.false_vertices)
 

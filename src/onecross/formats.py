@@ -13,8 +13,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import plane_map as pm
 from .drawing import (
     BipartiteGraph,
@@ -89,6 +87,8 @@ def drawing_to_document(d: OnePlanarDrawing,
 
 def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
     """Rebuild and re-certify a drawing from its document."""
+    if not isinstance(doc, dict):
+        raise FormatError("document is not a JSON object")
     try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
@@ -143,13 +143,16 @@ def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
                 return 2 * me + 1
             raise FormatError(f"rotation entry {entry} not incident to vertex {v}")
 
+        true_rot, false_rot = doc["rotations"]["true"], doc["rotations"]["false"]
+        if not isinstance(true_rot, dict) or not isinstance(false_rot, dict):
+            raise FormatError("rotations.true and rotations.false must be JSON objects")
         rotations: dict[int, list[int]] = {}
-        for key, entries in doc["rotations"]["true"].items():
+        for key, entries in true_rot.items():
             v = int(key)
             rotations[v] = [dart_for(v, entry) for entry in entries]
         for v in graph.vertices:
             rotations.setdefault(v, [])
-        for key, entries in doc["rotations"]["false"].items():
+        for key, entries in false_rot.items():
             w = false_ids[int(key)]
             rotations[w] = [dart_for(w, entry) for entry in entries]
         opposite = {}
@@ -174,7 +177,12 @@ def save_drawing(d: OnePlanarDrawing, path: str | Path,
 
 
 def load_drawing(path: str | Path) -> OnePlanarDrawing:
-    return document_to_drawing(json.loads(Path(path).read_text()))
+    """Read, parse and re-certify a document; unreadable files raise FormatError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"cannot read document: {exc}") from exc
+    return document_to_drawing(doc)
 
 
 def dumps_document(doc: dict[str, Any]) -> str:
@@ -207,6 +215,8 @@ def export_dot(d: OnePlanarDrawing) -> str:
 
 def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
     """Barycentric layout per component; the largest face becomes the hull."""
+    import numpy as np  # only the SVG layout needs it; keeps numpy off every other path
+
     pos: dict[int, tuple[float, float]] = {}
     remaining = set(m.rotations)
     offset = 0.0

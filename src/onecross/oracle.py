@@ -270,7 +270,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             continue
         if size == 0:
             tested += 1
-            res = planarity_test(edges)
+            res = planarity_test(edges, graph.vertices)
             if res.planar:
                 gadget = gadget_planarize(graph, CrossingAssignment(()))
                 d = _drawing_from_gadget(graph, gadget, res.witness)
@@ -291,7 +291,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                         return OneplanarResult("unknown", None, None, tested)
                     assignment = CrossingAssignment.make([pairs[i] for i in chosen])
                     gadget = gadget_planarize(graph, assignment)
-                    res = planarity_test(gadget.edges)
+                    res = planarity_test(gadget.edges, graph.vertices)
                     if res.planar:
                         d = _drawing_from_gadget(graph, gadget, res.witness)
                         return OneplanarResult("yes", d, size, tested)

@@ -27,15 +27,6 @@ class MapError(ValueError):
 
 
 @dataclass(frozen=True)
-class Dart:
-    """One end of an edge: its id, owning vertex, and owning edge."""
-
-    id: int
-    vertex: int
-    edge: int
-
-
-@dataclass(frozen=True)
 class EulerReport:
     """Outcome of an Euler-formula planarity check."""
 
@@ -106,9 +97,6 @@ class PlaneMap:
     def next_dart(self, dart: int) -> int:
         """The face-walk successor: rotation-successor of the opposite dart."""
         return self._successor[self.opposite[dart]]
-
-    def dart(self, dart_id: int) -> Dart:
-        return Dart(dart_id, self.dart_vertex[dart_id], self.dart_edge[dart_id])
 
     def max_dart(self) -> int:
         return max(self.dart_edge, default=-1)

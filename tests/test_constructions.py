@@ -1,6 +1,7 @@
 import pytest
 
 from onecross.bounds import upper_bound
+import onecross.constructions
 import onecross.drawing
 import onecross.plane_map
 from onecross.constructions import (
@@ -9,6 +10,7 @@ from onecross.constructions import (
     b_family,
     balanced,
     best_known,
+    family_formulas,
     k36_family,
     near_balanced,
     stacked_triangulation,
@@ -213,6 +215,47 @@ def test_face_templates_declared_counts():
     assert [t.crossings for t in templates] == [3, 3, 4, 6]
 
 
+# The grid points at which a generator's own arguments fix both class sizes;
+# the others take (x, y) and are tried everywhere.
+_FIXES = {
+    "star": lambda x, y: x == 1,
+    "double-star": lambda x, y: x == 2,
+    "complete-small": lambda x, y: x == 3,
+    "balanced": lambda x, y: x == y,
+    "b": lambda x, y: (x, y) != (11, 11),  # b_family hands (11, 11) to balanced
+}
+
+
+@pytest.mark.parametrize("family", sorted(onecross.constructions._BUILDERS))
+def test_generators_apply_exactly_where_the_table_lists_them(family):
+    build = onecross.constructions._BUILDERS[family]
+    fixes = _FIXES.get(family, lambda x, y: True)
+    for x in range(1, 16):
+        for y in range(x, 6 * x + 7):
+            if not fixes(x, y):
+                continue
+            counts = dict(family_formulas(x, y))
+            if family in counts:
+                d = build(x, y)
+                assert (classes(d), d.edge_count) == ((x, y), counts[family]), (x, y)
+            else:
+                with pytest.raises(DrawingError):
+                    build(x, y)
+
+
+@pytest.mark.parametrize("family,x,y", [
+    ("star", 1, 4), ("double-star", 2, 4), ("complete-small", 3, 4), ("w3", 4, 14),
+    ("b", 5, 13), ("balanced", 4, 4), ("balanced", 5, 5), ("near", 4, 6),
+])
+def test_generator_rejects_a_count_its_drawing_misses(monkeypatch, family, x, y):
+    table = onecross.constructions.family_formulas
+    monkeypatch.setattr(onecross.constructions, "family_formulas",
+                        lambda *size: [(f, c + (f == family)) for f, c in table(*size)])
+    balanced.cache_clear()
+    with pytest.raises(DrawingError, match="closed form"):
+        onecross.constructions._BUILDERS[family](x, y)
+
+
 def test_construction_params():
     assert _split(5, 12) == (0, 1)
 
@@ -257,7 +300,7 @@ def test_augment_degree2_traces_and_certifies_once(calls):
     seen = []
     for y in (13, 60):
         calls.update(validate=0, trace_faces=0)
-        onecross.drawing.augment_degree2(base, y - 12, attach_class="black")
+        onecross.drawing.augment_degree2(base, y - 12)
         seen.append((calls["trace_faces"], calls["validate"]))
     assert seen == [(1 + per_validate, 1)] * 2
     for y in (13, 60):

@@ -123,7 +123,7 @@ def test_augment_zero_is_identity():
 
 def test_augment_adds_degree2_vertices():
     d = four_cycle_drawing()
-    d2 = augment_degree2(d, 2, attach_class="black")
+    d2 = augment_degree2(d, 2)
     assert validate(d2).passed
     assert d2.vertex_count == 6
     assert d2.edge_count == 8
@@ -136,10 +136,10 @@ def test_augment_composition_matches_batch():
     import networkx as nx
 
     d = four_cycle_drawing()
-    batch = augment_degree2(d, 3, attach_class="black")
+    batch = augment_degree2(d, 3)
     steps = d
     for _ in range(3):
-        steps = augment_degree2(steps, 1, attach_class="black")
+        steps = augment_degree2(steps, 1)
 
     def to_nx(dr):
         G = nx.Graph()

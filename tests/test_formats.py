@@ -143,6 +143,24 @@ def test_cli_verify_rejects_corrupt(tmp_path, capsys):
     assert code == 2
 
 
+_C4_ROTATIONS_AS_LIST = json.dumps({
+    "format_version": 1, "black": [0, 2], "white": [1, 3],
+    "edges": [[0, 1], [0, 3], [1, 2], [2, 3]], "crossings": [],
+    "rotations": {"true": [], "false": {}},
+})
+
+
+@pytest.mark.parametrize("content", [b"[]", _C4_ROTATIONS_AS_LIST.encode(), b"\xff\xfe"],
+                         ids=["top-level-list", "rotations-true-list", "not-utf8"])
+def test_cli_malformed_document_is_a_parse_error(tmp_path, capsys, content):
+    f = tmp_path / "d.json"
+    f.write_bytes(content)
+    with pytest.raises(FormatError):
+        load_drawing(f)
+    assert run(["verify", str(f)], capsys)[0] == 2
+    assert run(["export", str(f), "--format", "svg"], capsys)[0] == 2
+
+
 def test_cli_bounds_json(capsys):
     code, out = run(["bounds", "--x", "3", "--y", "50", "--json"], capsys)
     assert code == 0

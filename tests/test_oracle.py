@@ -248,6 +248,20 @@ def test_disconnected_bipartite_graph_gets_bipartite_witness():
     assert (g.black, g.white) == (frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7}))
 
 
+def test_isolated_vertex_drawn_without_crossings():
+    res = is_one_planar(Graph.make([0, 1, 2], [(0, 1)]), 0)
+    assert (res.verdict, res.crossings) == ("yes", 0)
+    assert validate(res.drawing).passed
+
+
+def test_k33_plus_isolated_black_vertex_needs_one_crossing():
+    k33 = complete_bipartite(3, 3)
+    res = is_one_planar(BipartiteGraph.make(k33.black | {6}, k33.white, k33.edges), 1)
+    assert (res.verdict, res.crossings) == ("yes", 1)
+    assert validate(res.drawing).passed
+    assert res.drawing.graph.black == frozenset({0, 1, 2, 6})
+
+
 def test_min_crossings_timeout_bounds_whole_search():
     with pytest.raises(OracleError, match="timed out"):
         min_crossings(complete_bipartite(3, 7), 6, timeout=0.2)
