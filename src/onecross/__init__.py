@@ -35,8 +35,6 @@ from .drawing import (
     validate,
 )
 from .constructions import (
-    ConfigTemplate,
-    face_templates,
     b_family,
     balanced,
     best_known,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import cos, pi, sin
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -31,6 +31,7 @@ from .drawing import (
     assemble_drawing,
     augment_degree2,
     crossing_key,
+    degree2_edit,
     edge_key,
 )
 from .plane_map import PlaneMap, trace_faces
@@ -96,122 +97,53 @@ def _pattern_classes(extra_blacks: int) -> dict[str, str]:
     return classes
 
 
-@dataclass(frozen=True)
-class ConfigTemplate:
-    """A reusable face-insertion fragment with its declared counts."""
-
-    name: str
-    inserted_black: int
-    inserted_white: int
-    edges: int
-    crossings: int
-    fragment: CompiledSketch
-
-
-def face_templates() -> tuple[ConfigTemplate, ...]:
-    """The certified triangular-face fragments, W3 alias B0 through B3."""
-    out = []
-    for i in range(4):
-        sk = _face_pattern(i)
-        out.append(ConfigTemplate(
-            name="W3" if i == 0 else f"B{i}",
-            inserted_black=i,
-            inserted_white=3,
-            edges=len(sk.graph_edges),
-            crossings=len(sk.crossings),
-            fragment=sk,
-        ))
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
 # Drawing assembly
 # --------------------------------------------------------------------------
 
 
 class _Builder:
-    """Accumulates planified-map data plus graph bookkeeping, then certifies."""
+    """Graph bookkeeping over one map edit; ``finalize`` certifies once."""
 
-    def __init__(self, base: PlaneMap | None = None,
-                 black: Iterable[int] = (), white: Iterable[int] = ()):
-        if base is None:
-            self.rotations: dict[int, list[int]] = {}
-            self.opposite: dict[int, int] = {}
-            self.dart_edge: dict[int, int] = {}
-        else:
-            self.rotations = {v: list(rot) for v, rot in base.rotations.items()}
-            self.opposite = dict(base.opposite)
-            self.dart_edge = dict(base.dart_edge)
+    def __init__(self, base: PlaneMap | None = None, black: Iterable[int] = ()):
+        self.map = pm.MapEditor(base)
         self.black = set(black)
-        self.white = set(white)
+        self.white: set[int] = set()
         self.graph_edges: set[tuple[int, int]] = set()
         self.edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         self.crossings: set = set()
         self.false_vertices: dict[int, tuple] = {}
-        self._next_vertex = max(self.rotations, default=-1) + 1
-        self._next_dart = max(self.dart_edge, default=-1) + 1
-        self._next_edge = max(self.dart_edge.values(), default=-1) + 1
 
     def splice(self, sk: CompiledSketch, classes: Mapping[str, str],
-               corner_map: Mapping[str, int] | None = None,
-               corner_darts: Mapping[str, tuple[int, int]] | None = None) -> None:
-        """Add a compiled sketch; fragments splice into host corner wedges.
+               walk: Sequence[int] = ()) -> None:
+        """Add a compiled sketch; a fragment splices into the host face ``walk``.
 
-        ``corner_darts`` gives, per pattern corner, the host face walk's
-        (arriving, leaving) darts at that corner.
+        Pattern corner ``i`` is the host vertex at ``walk[i]``, and its wedge
+        goes into the corner the walk enters by ``walk[i - 1]``.
         """
-        corner_map = dict(corner_map or {})
-        corner_darts = dict(corner_darts or {})
-        host: dict[str, int] = dict(corner_map)
+        ed = self.map
+        dart_ids: dict[tuple[str, str], int] = {}
+
+        def dart(at: str, toward: str) -> int:
+            if (at, toward) not in dart_ids:
+                dart_ids[(at, toward)], dart_ids[(toward, at)] = ed.new_edge()
+            return dart_ids[(at, toward)]
+
+        host: dict[str, int] = {}
         for name in sk.true_names + sk.false_names:
-            if name in host:
+            if name in sk.corners:
                 continue
-            vid = self._next_vertex
-            self._next_vertex += 1
-            host[name] = vid
             cls = classes.get(name)
+            if cls is None and name not in sk.false_names:
+                raise DrawingError(f"sketch vertex {name} has no class")
+            vid = host[name] = ed.add_vertex(darts=[dart(name, t) for t in sk.rotations[name]])
             if cls == "black":
                 self.black.add(vid)
             elif cls == "white":
                 self.white.add(vid)
-            elif name not in sk.false_names:
-                raise DrawingError(f"sketch vertex {name} has no class")
-            self.rotations[vid] = []
-
-        def norm(a: str, b: str) -> tuple[str, str]:
-            return (a, b) if a <= b else (b, a)
-
-        map_edge_ids: dict[tuple[str, str], int] = {}
-        dart_ids: dict[tuple[str, str], int] = {}
-
-        def dart(at: str, toward: str) -> int:
-            key = (at, toward)
-            if key not in dart_ids:
-                dart_ids[key] = self._next_dart
-                self._next_dart += 1
-                e = norm(at, toward)
-                if e not in map_edge_ids:
-                    map_edge_ids[e] = self._next_edge
-                    self._next_edge += 1
-            return dart_ids[key]
-
-        for name in sk.true_names + sk.false_names:
-            if name in corner_map:
-                continue
-            self.rotations[host[name]] = [dart(name, t) for t in sk.rotations[name]]
-        for corner, wedge in sk.corner_wedges.items():
-            arrive, leave = corner_darts[corner]
-            rot = self.rotations[corner_map[corner]]
-            pos = rot.index(leave)
-            if rot[pos - 1] != self.opposite[arrive]:
-                raise DrawingError("host face walk out of sync with rotations")
-            rot[pos:pos] = [dart(corner, t) for t in wedge]
-
-        for (a, b) in dart_ids:
-            d1 = dart_ids[(a, b)]
-            d2 = dart(b, a)
-            self.opposite[d1], self.opposite[d2] = d2, d1
-            self.dart_edge[d1] = self.dart_edge[d2] = map_edge_ids[norm(a, b)]
+        for i, corner in enumerate(sk.corners):
+            wedge = [dart(corner, t) for t in sk.corner_wedges[corner]]
+            host[corner] = ed.insert_at_corner(walk[i - 1], walk[i], wedge)
 
         def gedge(u: str, v: str) -> tuple[int, int]:
             return edge_key(host[u], host[v])
@@ -219,25 +151,24 @@ class _Builder:
         for (u, v) in sk.graph_edges:
             e = gedge(u, v)
             self.graph_edges.add(e)
-            self.edge_paths[e] = tuple(map_edge_ids[p] for p in sk.edge_paths[(u, v)])
+            self.edge_paths[e] = tuple(ed.dart_edge[dart_ids[p]] for p in sk.edge_paths[(u, v)])
         for pair in sk.crossings:
             self.crossings.add(crossing_key(gedge(*pair[0]), gedge(*pair[1])))
         for fname, pair in sk.false_of.items():
             self.false_vertices[host[fname]] = crossing_key(gedge(*pair[0]),
                                                             gedge(*pair[1]))
 
-    def delete_map_edge(self, edge: int) -> None:
-        darts = [d for d, e in self.dart_edge.items() if e == edge]
-        for v in list(self.rotations):
-            self.rotations[v] = [d for d in self.rotations[v] if d not in darts]
-        for d in darts:
-            del self.opposite[d]
-            del self.dart_edge[d]
+    def add_degree2_whites(self, count: int) -> None:
+        """Join ``count`` new whites to one black pair, as :func:`augment_degree2` does."""
+        if count:
+            self.map, new, paths = degree2_edit(self.map.finish(), self.black, count)
+            self.white.update(new)
+            self.graph_edges.update(paths)
+            self.edge_paths.update(paths)
 
     def finalize(self) -> OnePlanarDrawing:
         graph = BipartiteGraph.make(self.black, self.white, self.graph_edges)
-        planified = pm._make(self.rotations, self.opposite, self.dart_edge)
-        return assemble_drawing(graph, self.crossings, planified,
+        return assemble_drawing(graph, self.crossings, self.map.finish(),
                                 self.edge_paths, self.false_vertices)
 
 
@@ -290,21 +221,14 @@ def _fill_triangulation(x_corners: int, faces: list[tuple[int, int]]) -> _Builde
     ``faces[i]`` is the (extra blacks, whites) pair of the pattern in face ``i``.
     """
     tri = stacked_triangulation(x_corners)
-    original_edges = list(tri.edge_darts)
     walks = trace_faces(tri)
     if len(faces) != len(walks):
         raise DrawingError("one pattern kind per face required")
     builder = _Builder(tri, black=tri.rotations)
     for walk, (extra, whites) in zip(walks, faces):
-        pattern = _face_pattern(extra, whites)
-        corner_ids = [tri.dart_vertex[d] for d in walk]
-        corner_map = dict(zip(pattern.corners, corner_ids))
-        corner_darts = {
-            pattern.corners[i]: (walk[i - 1], walk[i]) for i in range(3)
-        }
-        builder.splice(pattern, _pattern_classes(extra), corner_map, corner_darts)
-    for e in original_edges:
-        builder.delete_map_edge(e)
+        builder.splice(_face_pattern(extra, whites), _pattern_classes(extra), walk)
+    for e in tri.edge_darts:
+        builder.map.delete_edge(e)
     return builder
 
 
@@ -318,12 +242,12 @@ def w3_family(x: int, y: int) -> OnePlanarDrawing:
 
     A triangulation on the x black vertices receives the white-triple pattern
     in each of its 2x-4 faces and then loses its own edges; extra whites of
-    degree 2 absorb any y beyond 6x - 12.
+    degree 2 absorb any y beyond 6x - 12.  The drawing is certified once.
     """
     count = _table_edges("w3", x, y)
-    d = _fill_triangulation(x, [(0, 3)] * (2 * x - 4)).finalize()
-    d = augment_degree2(d, y - len(d.graph.white))
-    return _exact(d, "w3", count)
+    builder = _fill_triangulation(x, [(0, 3)] * (2 * x - 4))
+    builder.add_degree2_whites(y - len(builder.white))
+    return _exact(builder.finalize(), "w3", count)
 
 
 def k36_family(y: int) -> OnePlanarDrawing:

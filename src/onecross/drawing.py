@@ -14,7 +14,7 @@ Independent drawings may be validated concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from . import plane_map as pm
 from .plane_map import PlaneMap
@@ -294,6 +294,7 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
         raise DrawingError("black extension needs a bipartite drawing")
     black = d.graph.black
     m = d.planified
+    ed = pm.MapEditor(m)
     for w in sorted(d.false_vertices):
         rot = m.rotations[w]
         spoke_to = {dart: (set(m.edge_endpoints(m.dart_edge[dart])) - {w}).pop()
@@ -307,11 +308,10 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
         if m._successor[t_p] != t_q:
             raise DrawingError(f"black spokes not adjacent at false vertex {w}")
         p, q = spoke_to[t_p], spoke_to[t_q]
-        dart_p = m.opposite[t_p]
-        dart_q = m.opposite[t_q]
-        pos_p = m.rotations[p].index(dart_p)          # just before the segment
-        pos_q = m.rotations[q].index(dart_q) + 1      # just after the segment
-        m = pm.insert_edge(m, p, pos_p, q, pos_q)
+        at_p, at_q = ed.new_edge()
+        ed.insert_darts(p, ed.rotations[p].index(m.opposite[t_p]), [at_p])  # just before the segment
+        ed.insert_darts(q, ed.rotations[q].index(m.opposite[t_q]) + 1, [at_q])  # just after it
+    m = ed.finish()
     if len(m.edge_darts) != len(d.planified.edge_darts) + len(d.crossings):
         raise DrawingError("black extension produced a wrong edge count")
     if not pm.euler_check(m).planar:
@@ -319,72 +319,70 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
     return m
 
 
-def _anchor_corners(d: OnePlanarDrawing) -> tuple[tuple[int, ...], int, int]:
+def _anchor_corners(m: PlaneMap, black: AbstractSet[int]) -> tuple[tuple[int, ...], int, int]:
     """The first face with two distinct black corners, and their walk positions."""
-    g = d.graph
-    if not isinstance(g, BipartiteGraph):
-        raise DrawingError("degree-2 augmentation needs a bipartite drawing")
-    m = d.planified
     for walk in pm.trace_faces(m):
         corners = [m.dart_vertex[dart] for dart in walk]
         for j in range(len(corners)):
             for i in range(j):
                 a, b = corners[i], corners[j]
-                if a != b and a in g.black and b in g.black:
+                if a != b and a in black and b in black:
                     return walk, i, j
     raise DrawingError("no eligible face for degree-2 augmentation")
+
+
+def degree2_edit(m: PlaneMap, black: AbstractSet[int], count: int
+                 ) -> tuple[pm.MapEditor, list[int], dict[Edge, tuple[int, ...]]]:
+    """An edit of ``m`` adding ``count`` degree-2 vertices at one black anchor pair.
+
+    The anchors are the first two black vertices on the first eligible face
+    in face-trace order; every new vertex joins the same pair without
+    crossings.  The new vertices nest inside that face, each later one
+    between its predecessor and the stretch of boundary that holds the
+    face's first dart.  All spokes go into the face's two anchor corners, in
+    insertion order at one anchor and reversed at the other, so faces are
+    traced once.  Returns the open edit, the new vertices and their edge
+    paths.
+    """
+    walk, i, j = _anchor_corners(m, black)
+    anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
+    ed = pm.MapEditor(m)
+    new: list[int] = []
+    paths: dict[Edge, tuple[int, ...]] = {}
+    spokes: tuple[list[int], list[int]] = ([], [])
+    for _ in range(count):
+        # (dart at the anchor, dart at the new vertex) for each anchor.
+        darts = [ed.new_edge() for _ in anchors]
+        v = ed.add_vertex(darts=[darts[1][1], darts[0][1]])
+        for side, (spoke, _) in enumerate(darts):
+            spokes[side].append(spoke)
+            paths[edge_key(v, anchors[side])] = (ed.dart_edge[spoke],)
+        new.append(v)
+    # Later vertices nest toward walk[0], which reverses the order at
+    # anchors[0] unless it is the walk's first corner, else at anchors[1].
+    spokes[0 if i else 1].reverse()
+    for side, pos in enumerate((i, j)):
+        ed.insert_at_corner(walk[pos - 1], walk[pos], spokes[side])
+    return ed, new, paths
 
 
 def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
     """Insert ``count`` white degree-2 vertices joined to one black anchor pair.
 
-    The anchors are the first two black vertices on the first eligible face
-    in face-trace order; every inserted vertex joins the same pair without
-    crossings.  The new vertices
-    nest inside that face, each later one between its predecessor and the
-    stretch of boundary that holds the face's first dart.  All spokes go into
-    the face's two anchor wedges in one map edit, in insertion order at one
-    anchor and reversed at the other.  Faces are traced once and the result
-    is certified once.  Adds ``count`` vertices and ``2 * count`` edges.
+    The map edit is :func:`degree2_edit`; the result is certified once.
+    Adds ``count`` vertices and ``2 * count`` edges.
     """
     if count < 0:
         raise DrawingError("negative augmentation count")
     if count == 0:
         return d
     g = d.graph
-    walk, i, j = _anchor_corners(d)
-    m = d.planified
-    anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
-    base_vertex, base_dart, base_edge = m.max_vertex() + 1, m.max_dart() + 1, m.max_edge() + 1
-    rotations = {v: list(rot) for v, rot in m.rotations.items()}
-    opposite = dict(m.opposite)
-    dart_edge = dict(m.dart_edge)
-    edge_paths = dict(d.edge_paths)
-    spokes: tuple[list[int], list[int]] = ([], [])
-    for k in range(count):
-        # Vertex k owns edges e0 (to anchors[0]) and e0 + 1, darts d0 .. d0 + 3;
-        # the even dart of each edge is its spoke at the anchor.
-        v, e0, d0 = base_vertex + k, base_edge + 2 * k, base_dart + 4 * k
-        for side, anchor in enumerate(anchors):
-            spoke = d0 + 2 * side
-            opposite[spoke], opposite[spoke + 1] = spoke + 1, spoke
-            dart_edge[spoke] = dart_edge[spoke + 1] = e0 + side
-            spokes[side].append(spoke)
-            edge_paths[edge_key(v, anchor)] = (e0 + side,)
-        rotations[v] = [d0 + 3, d0 + 1]
-    # Each anchor's spokes enter its wedge right after the dart arriving along
-    # the walk.  Later vertices nest toward walk[0], which reverses the order
-    # at anchors[0] unless it is the walk's first corner, else at anchors[1].
-    spokes[0 if i else 1].reverse()
-    for side, pos in enumerate((i, j)):
-        rot = rotations[anchors[side]]
-        at = rot.index(m.opposite[walk[pos - 1]]) + 1
-        rot[at:at] = spokes[side]
-
-    new = set(range(base_vertex, base_vertex + count))
-    new_graph = BipartiteGraph.make(g.black, g.white | new, edge_paths.keys())
-    planified = pm._make(rotations, opposite, dart_edge)
-    return assemble_drawing(new_graph, d.crossings, planified, edge_paths, d.false_vertices)
+    if not isinstance(g, BipartiteGraph):
+        raise DrawingError("degree-2 augmentation needs a bipartite drawing")
+    ed, new, paths = degree2_edit(d.planified, g.black, count)
+    edge_paths = {**d.edge_paths, **paths}
+    new_graph = BipartiteGraph.make(g.black, g.white | set(new), edge_paths.keys())
+    return assemble_drawing(new_graph, d.crossings, ed.finish(), edge_paths, d.false_vertices)
 
 
 def remove_graph_edge(d: OnePlanarDrawing, u: int, v: int) -> OnePlanarDrawing:

@@ -85,6 +85,22 @@ def drawing_to_document(d: OnePlanarDrawing,
     return doc
 
 
+def _ints(value: Any, what: str, size: int | None = None) -> list[int]:
+    """``value``, once it is a list of JSON integers (not booleans), ``size`` long if given."""
+    if not isinstance(value, list) or not {int}.issuperset(map(type, value)) \
+            or size is not None and len(value) != size:
+        raise FormatError(f"{what} must be a list of {size or 'any number of'} integers, "
+                          f"got {value!r}")
+    return value
+
+
+def _vertex_key(key: str) -> int:
+    """A rotation key, which must be an integer written in canonical decimal."""
+    if str(int(key)) != key:
+        raise FormatError(f"rotation key {key!r} is not a canonical integer")
+    return int(key)
+
+
 def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
     """Rebuild and re-certify a drawing from its document."""
     if not isinstance(doc, dict):
@@ -92,16 +108,18 @@ def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
     try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
+        edge_list = [tuple(_ints(e, "an edge", 2)) for e in doc["edges"]]
         if "black" in doc or "white" in doc:
             graph: BipartiteGraph | Graph = BipartiteGraph.make(
-                doc["black"], doc["white"],
-                [tuple(e) for e in doc["edges"]])
+                _ints(doc["black"], "black"), _ints(doc["white"], "white"), edge_list)
         else:
-            graph = Graph.make(doc["vertices"], [tuple(e) for e in doc["edges"]])
-        edges = [edge_key(*e) for e in doc["edges"]]
+            graph = Graph.make(_ints(doc["vertices"], "vertices"), edge_list)
+        edges = [edge_key(*e) for e in edge_list]
         if sorted(set(edges)) != sorted(edges):
             raise FormatError("duplicate edges in document")
-        crossing_list = [tuple(c) for c in doc["crossings"]]
+        crossing_list = [tuple(_ints(c, "a crossing", 2)) for c in doc["crossings"]]
+        if any(not 0 <= i < len(edges) for c in crossing_list for i in c):
+            raise FormatError("crossing names an edge index out of range")
         crossings = [crossing_key(edges[i], edges[j]) for i, j in crossing_list]
 
         base = max(graph.vertices, default=-1) + 1
@@ -131,7 +149,9 @@ def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
                 edge_paths[e] = (plain_id[ei],)
 
         def dart_for(v: int, entry: list[int]) -> int:
-            ei, half = entry
+            ei, half = entry  # checked inline: this runs once per rotation entry
+            if type(ei) is not int or type(half) is not int:
+                raise FormatError(f"a rotation entry must be two integers, got {entry!r}")
             if ei in crossed_at:
                 me = seg_id[(ei, half)]
             else:
@@ -146,24 +166,20 @@ def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
         true_rot, false_rot = doc["rotations"]["true"], doc["rotations"]["false"]
         if not isinstance(true_rot, dict) or not isinstance(false_rot, dict):
             raise FormatError("rotations.true and rotations.false must be JSON objects")
-        rotations: dict[int, list[int]] = {}
+        ed = pm.MapEditor()
+        for _ in map_edges:
+            ed.new_edge()  # map edge me: dart 2me at its first end, 2me + 1 at its second
         for key, entries in true_rot.items():
-            v = int(key)
-            rotations[v] = [dart_for(v, entry) for entry in entries]
+            v = _vertex_key(key)
+            ed.add_vertex(v, [dart_for(v, entry) for entry in entries])
         for v in graph.vertices:
-            rotations.setdefault(v, [])
+            if v not in ed.rotations:
+                ed.add_vertex(v)
         for key, entries in false_rot.items():
-            w = false_ids[int(key)]
-            rotations[w] = [dart_for(w, entry) for entry in entries]
-        opposite = {}
-        dart_edge = {}
-        for me in range(len(map_edges)):
-            opposite[2 * me] = 2 * me + 1
-            opposite[2 * me + 1] = 2 * me
-            dart_edge[2 * me] = dart_edge[2 * me + 1] = me
-        planified = pm._make(rotations, opposite, dart_edge)
+            w = false_ids[_vertex_key(key)]
+            ed.add_vertex(w, [dart_for(w, entry) for entry in entries])
         false_vertices = {false_ids[k]: crossings[k] for k in range(len(crossings))}
-        return assemble_drawing(graph, crossings, planified, edge_paths, false_vertices)
+        return assemble_drawing(graph, crossings, ed.finish(), edge_paths, false_vertices)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, (FormatError, DrawingError)):
             raise

@@ -17,6 +17,7 @@ runs accept a timeout and write a coarse resumable checkpoint.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,22 +102,16 @@ def planarity_test(edges: Sequence[tuple[int, int]],
         return PlanarityResult(False, None)
 
     order = embedding.get_data()
-    rotations: dict[int, list[int]] = {v: [] for v in node_set}
+    ed = pm.MapEditor()
+    for _ in edges:
+        ed.new_edge()  # edge i: dart 2i at its first end, 2i + 1 at its second
     for v in node_set:
+        darts = []
         for w in order.get(v, []):
-            if w in mid_of:
-                i = mid_of[w]
-            else:
-                i = kept[(v, w) if v <= w else (w, v)]
-            u0, v0 = edges[i]
-            rotations[v].append(2 * i if v == u0 else 2 * i + 1)
-    opposite = {}
-    dart_edge = {}
-    for i in range(len(edges)):
-        opposite[2 * i] = 2 * i + 1
-        opposite[2 * i + 1] = 2 * i
-        dart_edge[2 * i] = dart_edge[2 * i + 1] = i
-    witness = pm._make(rotations, opposite, dart_edge)
+            i = mid_of[w] if w in mid_of else kept[(v, w) if v <= w else (w, v)]
+            darts.append(2 * i if v == edges[i][0] else 2 * i + 1)
+        ed.add_vertex(v, darts)
+    witness = ed.finish()
     if not pm.euler_check(witness).planar:
         raise OracleError("embedding witness failed the Euler audit")
     return PlanarityResult(True, witness)
@@ -198,9 +193,9 @@ def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset
 
 def _drawing_from_gadget(graph: Graph | BipartiteGraph,
                          gadget: GadgetGraph, witness: PlaneMap) -> OnePlanarDrawing:
-    m = witness
+    ed = pm.MapEditor(witness)
     for rim in gadget.rims:
-        m = pm.delete_edge(m, rim)
+        ed.delete_edge(rim)
     paths: dict[Edge, list[int]] = {}
     for idx, e in gadget.kept.items():
         paths[e] = [idx]
@@ -210,7 +205,7 @@ def _drawing_from_gadget(graph: Graph | BipartiteGraph,
     colored = _two_color(graph)
     if colored is not None and not isinstance(graph, BipartiteGraph):
         graph = BipartiteGraph.make(colored[0], colored[1], graph.edges)
-    return assemble_drawing(graph, crossings, m,
+    return assemble_drawing(graph, crossings, ed.finish(),
                             {e: tuple(p) for e, p in paths.items()},
                             dict(gadget.false_nodes))
 
@@ -222,6 +217,24 @@ def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
             if not set(e) & set(f):
                 out.append((e, f))
     return out
+
+
+def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, int]:
+    """Where a checkpoint of this search resumes: (size, first-pair index), or (0, 0)."""
+    if path is None or not Path(path).exists():
+        return 0, 0
+    try:
+        state = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise OracleError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(state, dict):
+        raise OracleError(f"checkpoint {path} is not a JSON object")
+    if state.get("fingerprint") != fingerprint:
+        return 0, 0
+    resume = state.get("size", 0), state.get("next_root", 0)
+    if any(type(v) is not int or v < 0 for v in resume):
+        raise OracleError(f"checkpoint {path}: size and next_root must be nonnegative integers")
+    return resume
 
 
 def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
@@ -244,21 +257,25 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     start = time.monotonic()
     tested = 0
 
-    resume_size, resume_root = 0, 0
     fingerprint = {"edges": [list(e) for e in edges], "budget": max_crossings}
-    if checkpoint is not None and Path(checkpoint).exists():
-        state = json.loads(Path(checkpoint).read_text())
-        if state.get("fingerprint") == fingerprint:
-            resume_size = state.get("size", 0)
-            resume_root = state.get("next_root", 0)
+    resume_size, resume_root = _read_checkpoint(checkpoint, fingerprint)
 
     def save_checkpoint(size: int, next_root: int) -> None:
-        if checkpoint is not None:
-            Path(checkpoint).write_text(json.dumps({
+        if checkpoint is None:
+            return
+        # Written beside the checkpoint and renamed over it, so a cut write
+        # leaves the previous checkpoint.
+        tmp = Path(checkpoint).with_name(f".{Path(checkpoint).name}.tmp")
+        try:
+            tmp.write_text(json.dumps({
                 "fingerprint": fingerprint,
                 "size": size,
                 "next_root": next_root,
             }, indent=1))
+            os.replace(tmp, checkpoint)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def out_of_time() -> bool:
         return timeout is not None and time.monotonic() - start > timeout

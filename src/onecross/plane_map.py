@@ -11,8 +11,9 @@ and Euler's formula applied per connected component (V - E + F = 2, where F
 counts face orbits of the component; a component without darts counts one
 face) certifies that the rotation system describes a plane embedding.
 
-Maps are immutable values; every mutating operation returns a new map.  They
-may contain parallel edges but never loops.
+Maps are immutable values; every mutating operation returns a new map, and
+every derived map is edited through a :class:`MapEditor`.  Maps may contain
+parallel edges but never loops.
 """
 
 from __future__ import annotations
@@ -97,15 +98,6 @@ class PlaneMap:
     def next_dart(self, dart: int) -> int:
         """The face-walk successor: rotation-successor of the opposite dart."""
         return self._successor[self.opposite[dart]]
-
-    def max_dart(self) -> int:
-        return max(self.dart_edge, default=-1)
-
-    def max_edge(self) -> int:
-        return max(self.edge_darts, default=-1)
-
-    def max_vertex(self) -> int:
-        return max(self.rotations, default=-1)
 
 
 def _check_structure(rotations: Mapping[int, Sequence[int]],
@@ -271,6 +263,105 @@ def _resolve_attachments(corners: Sequence[int],
     raise MapError("order not realizable on the walk")
 
 
+class MapEditor:
+    """A mutable working copy of a map; every derived map is built through one.
+
+    Starts as a copy of ``base``, or empty.  New vertex, dart and edge ids
+    are taken above every id in use, and the two darts of a new edge get
+    consecutive ids.  Read ``rotations``, ``opposite`` and ``dart_edge``
+    freely but change them only through the methods.  :meth:`finish` returns
+    the edited map after one structure check.
+    """
+
+    def __init__(self, base: PlaneMap | None = None):
+        base = base or PlaneMap({}, {}, {})
+        self.rotations = {v: list(rot) for v, rot in base.rotations.items()}
+        self.opposite = dict(base.opposite)
+        self.dart_edge = dict(base.dart_edge)
+        self._owner = dict(base.dart_vertex)
+        self._edge_darts = dict(base.edge_darts)
+        self._next_vertex = max(base.rotations, default=-1) + 1
+        self._next_dart = max(base.dart_edge, default=-1) + 1
+        self._next_edge = max(base.edge_darts, default=-1) + 1
+
+    def add_vertex(self, vertex: int | None = None, darts: Sequence[int] = ()) -> int:
+        """Add a vertex, with a new id unless ``vertex`` is given, rotating ``darts``."""
+        if vertex is None:
+            vertex = self._next_vertex
+        elif vertex in self.rotations:
+            raise MapError(f"duplicate vertex {vertex}")
+        if vertex >= self._next_vertex:
+            self._next_vertex = vertex + 1
+        self.rotations[vertex] = list(darts)
+        self._owner.update(dict.fromkeys(darts, vertex))
+        return vertex
+
+    def new_edge(self, darts: tuple[int, int] | None = None,
+                 edge: int | None = None) -> tuple[int, int]:
+        """Pair two darts (new ids unless given) as an edge; they are placed separately."""
+        if darts is None:
+            darts = (self._next_dart, self._next_dart + 1)
+        if edge is None:
+            edge = self._next_edge
+        d, o = darts
+        if d == o or d in self.opposite or o in self.opposite or edge in self._edge_darts:
+            raise MapError(f"duplicate dart {d} or {o}, or duplicate edge id {edge}")
+        self.opposite[d], self.opposite[o] = o, d
+        self.dart_edge[d] = self.dart_edge[o] = edge
+        self._edge_darts[edge] = darts
+        top = d if d > o else o
+        if top >= self._next_dart:
+            self._next_dart = top + 1
+        if edge >= self._next_edge:
+            self._next_edge = edge + 1
+        return darts
+
+    def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
+        """Put ``darts``, in order, before index ``pos`` of ``vertex``'s rotation."""
+        rot = self.rotations[vertex]
+        if not 0 <= pos <= len(rot):
+            raise MapError("rotation position out of range")
+        rot[pos:pos] = darts
+        self._owner.update(dict.fromkeys(darts, vertex))
+
+    def insert_at_corner(self, arriving: int, leaving: int, darts: Sequence[int]) -> int:
+        """Put ``darts`` into the face corner a walk enters by ``arriving``.
+
+        They go, in order, right after the opposite of ``arriving`` in the
+        corner vertex's rotation, which is returned.  ``leaving`` is the
+        walk's next dart; raises :class:`MapError` unless it follows that
+        opposite, i.e. when the walk is out of sync with the rotations.
+        """
+        anchor = self.opposite[arriving]
+        vertex = self._owner[anchor]
+        rot = self.rotations[vertex]
+        at = rot.index(anchor) + 1
+        if rot[at % len(rot)] != leaving:
+            raise MapError("face walk out of sync with rotations")
+        self.insert_darts(vertex, at, darts)
+        return vertex
+
+    def delete_edge(self, edge: int) -> None:
+        """Remove an edge, splicing both rotations; never increases genus."""
+        if edge not in self._edge_darts:
+            raise MapError(f"missing element: edge {edge}")
+        for d in self._edge_darts.pop(edge):
+            del self.opposite[d], self.dart_edge[d]
+            self.rotations[self._owner.pop(d)].remove(d)
+
+    def delete_vertex(self, vertex: int) -> None:
+        """Remove a vertex together with all incident edges."""
+        if vertex not in self.rotations:
+            raise MapError(f"missing element: vertex {vertex}")
+        for e in {self.dart_edge[d] for d in self.rotations[vertex]}:
+            self.delete_edge(e)
+        del self.rotations[vertex]
+
+    def finish(self) -> PlaneMap:
+        """The edited map, after one structure check."""
+        return _make(self.rotations, self.opposite, self.dart_edge)
+
+
 def insert_vertex_in_face(m: PlaneMap, face: int,
                           attachments: Sequence[int]) -> tuple[PlaneMap, int]:
     """Insert a new vertex inside a face, joined to boundary occurrences.
@@ -287,63 +378,29 @@ def insert_vertex_in_face(m: PlaneMap, face: int,
         raise MapError(f"no such face index {face}")
     walk = faces[face]
     corners = [m.dart_vertex[d] for d in walk]
-    positions = _resolve_attachments(corners, attachments)
-
-    new_vertex = m.max_vertex() + 1
-    base_dart = m.max_dart() + 1
-    base_edge = m.max_edge() + 1
-    rotations = {v: list(rot) for v, rot in m.rotations.items()}
-    opposite = dict(m.opposite)
-    dart_edge = dict(m.dart_edge)
-
-    hub_darts: list[int] = []
-    inserts: list[tuple[int, int, int]] = []  # (vertex, anchor dart, new dart)
-    for j, pos in enumerate(positions):
-        v = corners[pos]
-        d_in = walk[pos]
-        prev = walk[pos - 1]
-        anchor = m.opposite[prev]  # rotation predecessor of d_in on this face
-        spoke = base_dart + 2 * j       # dart at v
-        hub = base_dart + 2 * j + 1     # dart at the new vertex
-        opposite[spoke] = hub
-        opposite[hub] = spoke
-        dart_edge[spoke] = dart_edge[hub] = base_edge + j
-        hub_darts.append(hub)
-        inserts.append((v, anchor, spoke))
-        if m._successor[anchor] != d_in:  # sanity: corner wedge is intact
-            raise MapError("face walk inconsistent with rotations")
-
-    for v, anchor, spoke in inserts:
-        rot = rotations[v]
-        rot.insert(rot.index(anchor) + 1, spoke)
+    ed = MapEditor(m)
+    hubs: list[int] = []
+    for pos in _resolve_attachments(corners, attachments):
+        spoke, hub = ed.new_edge()
+        ed.insert_at_corner(walk[pos - 1], walk[pos], [spoke])
+        hubs.append(hub)
     # Reversed order closes each sub-face between consecutive attachments.
-    rotations[new_vertex] = list(reversed(hub_darts))
-    return _make(rotations, opposite, dart_edge), new_vertex
+    new_vertex = ed.add_vertex(darts=hubs[::-1])
+    return ed.finish(), new_vertex
 
 
 def delete_edge(m: PlaneMap, edge: int) -> PlaneMap:
     """Remove an edge, splicing both rotations; never increases genus."""
-    if edge not in m.edge_darts:
-        raise MapError(f"missing element: edge {edge}")
-    d, o = m.edge_darts[edge]
-    rotations = {v: [x for x in rot if x not in (d, o)]
-                 for v, rot in m.rotations.items()}
-    opposite = {k: v for k, v in m.opposite.items() if k not in (d, o)}
-    dart_edge = {k: v for k, v in m.dart_edge.items() if k not in (d, o)}
-    return _make(rotations, opposite, dart_edge)
+    ed = MapEditor(m)
+    ed.delete_edge(edge)
+    return ed.finish()
 
 
 def delete_vertex(m: PlaneMap, vertex: int) -> PlaneMap:
     """Remove a vertex together with all incident edges."""
-    if vertex not in m.rotations:
-        raise MapError(f"missing element: vertex {vertex}")
-    doomed_edges = {m.dart_edge[d] for d in m.rotations[vertex]}
-    doomed_darts = {d for e in doomed_edges for d in m.edge_darts[e]}
-    rotations = {v: [x for x in rot if x not in doomed_darts]
-                 for v, rot in m.rotations.items() if v != vertex}
-    opposite = {k: v for k, v in m.opposite.items() if k not in doomed_darts}
-    dart_edge = {k: v for k, v in m.dart_edge.items() if k not in doomed_darts}
-    return _make(rotations, opposite, dart_edge)
+    ed = MapEditor(m)
+    ed.delete_vertex(vertex)
+    return ed.finish()
 
 
 def insert_edge(m: PlaneMap, u: int, pos_u: int, v: int, pos_v: int,
@@ -357,24 +414,11 @@ def insert_edge(m: PlaneMap, u: int, pos_u: int, v: int, pos_v: int,
     """
     if u not in m.rotations or v not in m.rotations:
         raise MapError("missing element: endpoint vertex")
-    if u == v:
-        raise MapError("loop edge rejected")
-    du, dv = dart_ids if dart_ids else (m.max_dart() + 1, m.max_dart() + 2)
-    if du in m.dart_edge or dv in m.dart_edge or du == dv:
-        raise MapError(f"duplicate dart {du} or {dv}")
-    eid = edge_id if edge_id is not None else m.max_edge() + 1
-    if eid in m.edge_darts:
-        raise MapError(f"duplicate edge id {eid}")
-    rotations = {w: list(rot) for w, rot in m.rotations.items()}
-    if not (0 <= pos_u <= len(rotations[u]) and 0 <= pos_v <= len(rotations[v])):
-        raise MapError("rotation position out of range")
-    rotations[u].insert(pos_u, du)
-    rotations[v].insert(pos_v, dv)
-    opposite = dict(m.opposite)
-    opposite[du], opposite[dv] = dv, du
-    dart_edge = dict(m.dart_edge)
-    dart_edge[du] = dart_edge[dv] = eid
-    return _make(rotations, opposite, dart_edge)
+    ed = MapEditor(m)  # finish() rejects a loop
+    du, dv = ed.new_edge(dart_ids, edge_id)
+    ed.insert_darts(u, pos_u, [du])
+    ed.insert_darts(v, pos_v, [dv])
+    return ed.finish()
 
 
 def smooth_degree2(m: PlaneMap, vertex: int) -> PlaneMap:
@@ -390,22 +434,23 @@ def smooth_degree2(m: PlaneMap, vertex: int) -> PlaneMap:
         raise MapError(f"vertex {vertex} does not have degree 2")
     d1, d2 = rot
     a, b = m.opposite[d1], m.opposite[d2]  # darts at the two neighbours
-    if m.dart_vertex[a] == m.dart_vertex[b]:
+    va, vb = m.dart_vertex[a], m.dart_vertex[b]
+    if va == vb:
         raise MapError("smoothing would create a loop")
-    eid = min(m.dart_edge[d1], m.dart_edge[d2])
-    rotations = {v: list(r) for v, r in m.rotations.items() if v != vertex}
-    opposite = {k: v for k, v in m.opposite.items() if k not in (d1, d2, a, b)}
-    opposite[a], opposite[b] = b, a
-    dart_edge = {k: v for k, v in m.dart_edge.items() if k not in (d1, d2)}
-    dart_edge[a] = dart_edge[b] = eid
-    return _make(rotations, opposite, dart_edge)
+    pos_a, pos_b = m.rotations[va].index(a), m.rotations[vb].index(b)
+    ed = MapEditor(m)
+    ed.delete_vertex(vertex)
+    ed.new_edge((a, b), min(m.dart_edge[d1], m.dart_edge[d2]))
+    ed.insert_darts(va, pos_a, [a])
+    ed.insert_darts(vb, pos_b, [b])
+    return ed.finish()
 
 
 def map_from_rotation_lists(neighbour_orders: Mapping[int, Sequence[tuple[int, int]]]) -> PlaneMap:
     """Build a map from per-vertex cyclic lists of (neighbour, edge id) pairs.
 
-    Every edge id must occur exactly once at each endpoint.  Convenience
-    constructor used by the planarity witness and the serialization layer.
+    Every edge id must occur exactly once at each endpoint.  Dart ids are
+    dense, in vertex order; the sketch compiler builds its maps this way.
     """
     darts_at: dict[tuple[int, int], list[int]] = {}
     rotations: dict[int, list[int]] = {}

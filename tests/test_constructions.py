@@ -204,15 +204,13 @@ def test_best_known_monotone_in_y():
 
 
 def test_face_templates_declared_counts():
-    from onecross.constructions import face_templates
+    from onecross.constructions import _face_pattern
 
-    templates = face_templates()
-    assert [t.name for t in templates] == ["W3", "B1", "B2", "B3"]
-    for i, t in enumerate(templates):
-        assert (t.inserted_black, t.inserted_white) == (i, 3)
-        assert t.edges == 9 + 3 * i
-        assert len(t.fragment.graph_edges) == t.edges
-    assert [t.crossings for t in templates] == [3, 3, 4, 6]
+    for i in range(4):
+        pattern = _face_pattern(i)
+        assert len(pattern.graph_edges) == 9 + 3 * i
+        assert sum(n.startswith("w") for n in pattern.true_names) == 3
+    assert [len(_face_pattern(i).crossings) for i in range(4)] == [3, 3, 4, 6]
 
 
 # The grid points at which a generator's own arguments fix both class sizes;
@@ -308,4 +306,23 @@ def test_augment_degree2_traces_and_certifies_once(calls):
         w3_family(4, y)
         seen.append((calls["trace_faces"], calls["validate"]))
     assert seen[2] == seen[3]
-    assert seen[2][1] == 2
+    assert seen[2][1] == 1
+
+
+@pytest.mark.parametrize("make", [lambda: w3_family(4, 60), lambda: k36_family(7)],
+                         ids=["w3-4-60", "k36-7"])
+def test_w3_family_certifies_once(calls, make):
+    make()
+    assert calls["validate"] == 1
+
+
+def test_black_extension_is_one_map_edit(monkeypatch):
+    from onecross.drawing import black_extension
+
+    d = w3_family(4, 12)
+    made = []
+    make = onecross.plane_map._make
+    monkeypatch.setattr(onecross.plane_map, "_make", lambda *a: made.append(1) or make(*a))
+    m = black_extension(d)
+    assert (len(made), len(d.crossings)) == (1, 12)
+    assert len(m.edge_darts) == len(d.planified.edge_darts) + 12

@@ -180,7 +180,7 @@ def test_map_edge_budget_invariant():
 def test_validator_catches_field_mutations():
     from dataclasses import replace
 
-    from onecross.plane_map import _make
+    from onecross.plane_map import MapEditor, _make
 
     d = one_crossing_drawing()
 
@@ -212,11 +212,7 @@ def test_validator_catches_field_mutations():
     assert not validate(replace(d, graph=bad_graph)).passed
 
     # stray planified edge nothing refers to
-    m = d.planified
-    rot = {v: list(r) for v, r in m.rotations.items()}
-    nd = m.max_dart() + 1
-    rot[0].append(nd)
-    rot[2].append(nd + 1)
-    opp = dict(m.opposite) | {nd: nd + 1, nd + 1: nd}
-    de = dict(m.dart_edge) | {nd: m.max_edge() + 1, nd + 1: m.max_edge() + 1}
-    assert not validate(replace(d, planified=_make(rot, opp, de))).passed
+    ed = MapEditor(d.planified)
+    for v, dart in zip((0, 2), ed.new_edge()):
+        ed.insert_darts(v, len(ed.rotations[v]), [dart])
+    assert not validate(replace(d, planified=ed.finish())).passed

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import pytest
 
@@ -161,6 +163,37 @@ def test_cli_malformed_document_is_a_parse_error(tmp_path, capsys, content):
     assert run(["export", str(f), "--format", "svg"], capsys)[0] == 2
 
 
+# (balanced size, path to one id, replacement).  Each replacement equals the
+# id in Python (True == 1, 0.0 == 0, int("00") == 0) but is not a JSON integer
+# or a canonical rotation key; a string replaces the last key on the path.
+_ID_EDITS = {
+    "black-bool": (2, ["black", 1], True),
+    "black-float": (2, ["black", 0], 0.0),
+    "edge-float": (2, ["edges", 0, 1], 2.0),
+    "crossing-bool": (4, ["crossings", 0, 0], True),
+    "entry-bool": (2, ["rotations", "true", "0", 0, 1], True),
+    "entry-float": (2, ["rotations", "true", "0", 0, 0], 1.0),
+    "key-leading-zero": (2, ["rotations", "true", "0"], "00"),
+    "key-plus-sign": (4, ["rotations", "false", "1"], "+1"),
+}
+
+
+@pytest.mark.parametrize("x,path,value", _ID_EDITS.values(), ids=_ID_EDITS.keys())
+def test_document_ids_must_be_ints(tmp_path, capsys, x, path, value):
+    doc = drawing_to_document(balanced(x))
+    *outer, last = path
+    holder = functools.reduce(operator.getitem, outer, doc)
+    if isinstance(value, str):
+        holder[value] = holder.pop(last)
+    else:
+        holder[last] = value
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_drawing(f)
+    assert run(["verify", str(f)], capsys)[0] == 2
+
+
 def test_cli_bounds_json(capsys):
     code, out = run(["bounds", "--x", "3", "--y", "50", "--json"], capsys)
     assert code == 0
@@ -186,6 +219,15 @@ def test_cli_oracle_exit_codes(capsys, tmp_path):
                      "--timeout", "0.5", "--checkpoint", str(tmp_path / "ck.json")],
                     capsys)
     assert code == 3 and out.startswith("unknown")
+
+
+@pytest.mark.parametrize("content", ["{bad", "[]"], ids=["not-json", "not-an-object"])
+def test_cli_oracle_bad_checkpoint_is_an_input_error(tmp_path, capsys, content):
+    ck = tmp_path / "ck.json"
+    ck.write_text(content)
+    code, _ = run(["oracle", "--complete-bipartite", "2", "2", "--budget", "0",
+                   "--checkpoint", str(ck)], capsys)
+    assert code == 2
 
 
 def test_cli_export(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from onecross.oracle import (
     min_crossings,
     planarity_test,
 )
+import onecross.oracle
+import onecross.plane_map
 from onecross.plane_map import euler_check
 
 
@@ -276,3 +279,52 @@ def test_timeout_returns_unknown(tmp_path):
     # Resuming makes progress from the checkpoint without crashing.
     res2 = is_one_planar(k37, 6, timeout=0.5, checkpoint=ck)
     assert res2.verdict == "unknown"
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+
+# The K2,2 search at budget 0; "bad-size" matches its fingerprint.
+BAD_CHECKPOINTS = {
+    "not-json": "{bad",
+    "not-an-object": "[]",
+    "bad-size": json.dumps({"fingerprint": {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
+                                            "budget": 0}, "size": "0", "next_root": 0}),
+}
+
+
+@pytest.mark.parametrize("content", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
+def test_bad_checkpoint_raises_oracle_error(tmp_path, content):
+    ck = tmp_path / "ck.json"
+    ck.write_text(content)
+    with pytest.raises(OracleError, match="checkpoint"):
+        is_one_planar(complete_bipartite(2, 2), 0, checkpoint=ck)
+
+
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
+    k37 = complete_bipartite(3, 7)
+    ck = tmp_path / "ck.json"
+    is_one_planar(k37, 6, timeout=0.2, checkpoint=ck)
+    before = ck.read_text()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(onecross.oracle.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        is_one_planar(k37, 6, timeout=0.2, checkpoint=ck)
+    assert ck.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+
+def test_witness_rims_go_in_one_map_edit(monkeypatch):
+    from onecross.oracle import _drawing_from_gadget
+
+    k34 = complete_bipartite(3, 4)
+    crossings = is_one_planar(k34, 2).drawing.crossings
+    gadget = gadget_planarize(k34, crossings)
+    witness = planarity_test(gadget.edges, k34.vertices).witness
+    made = []
+    make = onecross.plane_map._make
+    monkeypatch.setattr(onecross.plane_map, "_make", lambda *a: made.append(1) or make(*a))
+    d = _drawing_from_gadget(k34, gadget, witness)
+    assert (len(gadget.rims), len(made)) == (8, 1)
+    assert validate(d).passed

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from onecross.plane_map import (
+    MapEditor,
     MapError,
     build_map,
     delete_edge,
@@ -249,3 +250,41 @@ def test_insertion_preserves_planarity_randomized():
                 break
         m, _ = insert_vertex_in_face(m, f, picks)
         assert euler_check(m).planar
+
+
+def test_editor_allocates_ids_above_every_id_in_use():
+    ed = MapEditor(k4())  # vertices 0..3, darts 0..11, edges 0..5
+    assert ed.new_edge() == (12, 13)
+    assert ed.dart_edge[12] == ed.dart_edge[13] == 6
+    assert ed.add_vertex() == 4
+    assert ed.add_vertex(9) == 9
+    assert ed.add_vertex() == 10
+    assert ed.new_edge((20, 30), 8) == (20, 30)
+    assert ed.new_edge() == (31, 32)
+    assert ed.dart_edge[31] == 9
+    with pytest.raises(MapError, match="duplicate dart"):
+        ed.new_edge((0, 40))
+    with pytest.raises(MapError, match="duplicate edge id"):
+        ed.new_edge(edge=3)
+    with pytest.raises(MapError, match="duplicate vertex"):
+        ed.add_vertex(2)
+    empty = MapEditor()
+    assert (empty.new_edge(), empty.add_vertex(), empty.add_vertex()) == ((0, 1), 0, 1)
+
+
+def test_editor_corner_insertion_and_sync_check():
+    m = triangle()
+    walk = trace_faces(m)[0]
+    ed = MapEditor(m)
+    spoke, hub = ed.new_edge()
+    corner = m.dart_vertex[walk[1]]
+    assert ed.insert_at_corner(walk[0], walk[1], [spoke]) == corner
+    rot = ed.rotations[corner]
+    assert rot[(rot.index(spoke) + 1) % len(rot)] == walk[1]
+    ed.add_vertex(darts=[hub])
+    assert euler_check(ed.finish()).planar
+    stale, _ = ed.new_edge()
+    with pytest.raises(MapError, match="out of sync"):
+        ed.insert_at_corner(walk[0], walk[1], [stale])  # the corner now holds the spoke
+    with pytest.raises(MapError, match="out of sync"):
+        ed.insert_at_corner(walk[1], walk[0], [stale])
