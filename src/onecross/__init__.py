@@ -16,7 +16,6 @@ from .plane_map import (
     delete_edge,
     delete_vertex,
     euler_check,
-    insert_edge,
     insert_vertex_in_face,
     smooth_degree2,
     trace_faces,
@@ -30,6 +29,7 @@ from .drawing import (
     assemble_drawing,
     augment_degree2,
     black_extension,
+    certify,
     crossing_count,
     recover_graph,
     validate,
@@ -64,5 +64,6 @@ from .formats import (
     export_dot,
     export_svg,
     load_drawing,
+    parse_document,
     save_drawing,
 )

@@ -17,7 +17,8 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import constructions as cons
 from .drawing import BipartiteGraph, DrawingError, Graph, validate
-from .formats import FormatError, export_dot, export_svg, load_drawing, save_drawing
+from .formats import (FormatError, export_dot, export_svg, load_drawing, parse_document,
+                      read_document, save_drawing)
 from .oracle import OracleError, is_one_planar
 
 _FAMILIES = {
@@ -63,16 +64,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        drawing = load_drawing(args.file)
-    except DrawingError as exc:
-        # Structured but invalid: emit a failing report.
-        if args.json:
-            print(json.dumps({"passed": False, "failures": [str(exc)]}))
-        else:
-            print(f"FAIL: {exc}")
-        return 1
-    report = validate(drawing)
+    # One validation lists every failure; an unparseable document exits 2.
+    report = validate(parse_document(read_document(args.file)))
     payload = {
         "passed": report.passed,
         "failures": list(report.failures),

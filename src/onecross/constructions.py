@@ -1,6 +1,9 @@
 """Generators for extremal bipartite drawings with one crossing per edge.
 
-Every generator returns a certified :class:`~onecross.drawing.OnePlanarDrawing`.
+Every generator returns a :class:`~onecross.drawing.OnePlanarDrawing` that
+was certified exactly once: its steps pass an uncertified draft, and the
+generator ends with :func:`~onecross.drawing.certify` or, for the families
+with degree-2 whites, :func:`~onecross.drawing.augment_degree2`.
 :func:`family_formulas` is the one statement of each family's domain and
 edge count: a generator reads its count from that table, raises
 :class:`~onecross.drawing.DrawingError` where its family does not apply, and
@@ -9,9 +12,9 @@ insertion patterns, the nested-ring families and the one-crossing drawing of
 the complete (3, 3) graph are specified as geometric sketches (see
 :mod:`onecross.sketch`); the balanced (5, 5) drawing, found by the search in
 ``scripts/find_balanced5.py``, ships as a JSON template under
-``onecross/data``.
+``onecross/data`` and is parsed without a certification of its own.
 
-All generators are pure functions of their parameters.
+All generators are pure functions of their parameters and cache no drawing.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from .drawing import (
     BipartiteGraph,
     DrawingError,
     OnePlanarDrawing,
-    assemble_drawing,
     augment_degree2,
+    certify,
     crossing_key,
-    degree2_edit,
     edge_key,
 )
-from .plane_map import PlaneMap, trace_faces
+from .plane_map import PlaneMap
 from .sketch import CompiledSketch, compile_sketch
 
 # --------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def _pattern_classes(extra_blacks: int) -> dict[str, str]:
 
 
 class _Builder:
-    """Graph bookkeeping over one map edit; ``finalize`` certifies once."""
+    """Graph bookkeeping over one map edit; ``draft`` ends the build."""
 
     def __init__(self, base: PlaneMap | None = None, black: Iterable[int] = ()):
         self.map = pm.MapEditor(base)
@@ -158,24 +160,17 @@ class _Builder:
             self.false_vertices[host[fname]] = crossing_key(gedge(*pair[0]),
                                                             gedge(*pair[1]))
 
-    def add_degree2_whites(self, count: int) -> None:
-        """Join ``count`` new whites to one black pair, as :func:`augment_degree2` does."""
-        if count:
-            self.map, new, paths = degree2_edit(self.map.finish(), self.black, count)
-            self.white.update(new)
-            self.graph_edges.update(paths)
-            self.edge_paths.update(paths)
-
-    def finalize(self) -> OnePlanarDrawing:
+    def draft(self) -> OnePlanarDrawing:
+        """The drawing built so far, not yet certified."""
         graph = BipartiteGraph.make(self.black, self.white, self.graph_edges)
-        return assemble_drawing(graph, self.crossings, self.map.finish(),
+        return OnePlanarDrawing(graph, frozenset(self.crossings), self.map.finish(),
                                 self.edge_paths, self.false_vertices)
 
 
-def _drawing_from_sketch(sk: CompiledSketch, classes: Mapping[str, str]) -> OnePlanarDrawing:
+def _sketch_draft(sk: CompiledSketch, classes: Mapping[str, str]) -> OnePlanarDrawing:
     builder = _Builder()
     builder.splice(sk, classes)
-    return builder.finalize()
+    return builder.draft()
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +204,7 @@ def stacked_triangulation(x: int) -> PlaneMap:
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
     )
     for _ in range(x - 3):
-        walk = trace_faces(m)[0]
+        walk = m.faces[0]
         corners = [m.dart_vertex[d] for d in walk]
         m, _ = pm.insert_vertex_in_face(m, 0, corners)
     return m
@@ -221,7 +216,7 @@ def _fill_triangulation(x_corners: int, faces: list[tuple[int, int]]) -> _Builde
     ``faces[i]`` is the (extra blacks, whites) pair of the pattern in face ``i``.
     """
     tri = stacked_triangulation(x_corners)
-    walks = trace_faces(tri)
+    walks = tri.faces
     if len(faces) != len(walks):
         raise DrawingError("one pattern kind per face required")
     builder = _Builder(tri, black=tri.rotations)
@@ -242,12 +237,12 @@ def w3_family(x: int, y: int) -> OnePlanarDrawing:
 
     A triangulation on the x black vertices receives the white-triple pattern
     in each of its 2x-4 faces and then loses its own edges; extra whites of
-    degree 2 absorb any y beyond 6x - 12.  The drawing is certified once.
+    degree 2 absorb any y beyond 6x - 12.  The drawing is certified once,
+    by :func:`~onecross.drawing.augment_degree2`.
     """
     count = _table_edges("w3", x, y)
     builder = _fill_triangulation(x, [(0, 3)] * (2 * x - 4))
-    builder.add_degree2_whites(y - len(builder.white))
-    return _exact(builder.finalize(), "w3", count)
+    return _exact(augment_degree2(builder.draft(), y - len(builder.white)), "w3", count)
 
 
 def k36_family(y: int) -> OnePlanarDrawing:
@@ -283,7 +278,7 @@ def b_family(x: int, y: int) -> OnePlanarDrawing:
     if plain < len(trimmed):
         raise DrawingError("triangulation too small for the requested split")
     faces += trimmed + [(0, 3)] * (plain - len(trimmed))
-    return _exact(_fill_triangulation(base, faces).finalize(), "b", count)
+    return _exact(certify(_fill_triangulation(base, faces).draft()), "b", count)
 
 
 # -- balanced families -------------------------------------------------------
@@ -303,6 +298,7 @@ def _ring_points(k: int) -> tuple[dict[str, tuple[float, float]], dict[str, str]
     return points, classes
 
 
+@lru_cache(maxsize=64)
 def _ring_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
     """k nested 4-cycles with four crossings per consecutive pair."""
     points, classes = _ring_points(k)
@@ -320,6 +316,7 @@ def _ring_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
     return compile_sketch(points, edges, crossings), classes
 
 
+@lru_cache(maxsize=64)
 def _odd_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
     """The 4k + 2 vertex balanced drawing with 12k - 2 edges, k >= 3.
 
@@ -387,42 +384,42 @@ def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
     return compile_sketch(points, edges, crossings), classes
 
 
-def _load_template(name: str) -> OnePlanarDrawing:
-    from .formats import document_to_drawing
+def _balanced_draft(x: int) -> OnePlanarDrawing:
+    """The uncertified balanced drawing on classes (x, x); x = 5 parses the template."""
+    if x == 5:
+        from .formats import parse_document
 
-    text = resources.files("onecross").joinpath(f"data/{name}.json").read_text()
-    return document_to_drawing(json.loads(text))
+        text = resources.files("onecross").joinpath("data/balanced5.json").read_text()
+        return parse_document(json.loads(text))
+    if x == 3:
+        return _sketch_draft(*_k33_sketch())
+    if x % 2 == 0:
+        return _sketch_draft(*_ring_sketch(x // 2))
+    return _sketch_draft(*_odd_sketch(x // 2))
 
 
-@lru_cache(maxsize=64)
 def balanced(x: int) -> OnePlanarDrawing:
     """Balanced family: classes (x, x) with 6x - 8 edges (9 when x = 3).
 
     Even sizes come from nested 4-cycles, odd sizes at least 7 from the
     modified ring drawing, x = 3 from the one-crossing drawing of the
     complete (3, 3) graph, and x = 5 from the stored template.  The size-6
-    graph caps at 9 edges, so x = 3 cannot reach 6x - 8 = 10.
+    graph caps at 9 edges, so x = 3 cannot reach 6x - 8 = 10.  The drawing
+    is certified once.
     """
     count = _table_edges("balanced", x, x)
-    if x == 5:
-        return _exact(_load_template("balanced5"), "balanced", count)
-    if x == 3:
-        sk, classes = _k33_sketch()
-    elif x % 2 == 0:
-        sk, classes = _ring_sketch(x // 2)
-    else:
-        sk, classes = _odd_sketch(x // 2)
-    return _exact(_drawing_from_sketch(sk, classes), "balanced", count)
+    return _exact(certify(_balanced_draft(x)), "balanced", count)
 
 
 def near_balanced(x: int, y: int) -> OnePlanarDrawing:
     """Almost balanced family: classes (x, y = x + z) and 3(x+y) - 8 - z edges.
 
-    The balanced drawing on (x, x) gains z whites of degree 2.  Needs x >= 4:
-    a balanced 6x - 8 edge base does not exist for x = 3.
+    The balanced drawing on (x, x) gains z whites of degree 2, and the
+    result is certified once.  Needs x >= 4: a balanced 6x - 8 edge base
+    does not exist for x = 3.
     """
     count = _table_edges("near", x, y)
-    return _exact(augment_degree2(balanced(x), y - x), "near", count)
+    return _exact(augment_degree2(_balanced_draft(x), y - x), "near", count)
 
 
 # -- trivial and fallback families ------------------------------------------
@@ -441,7 +438,7 @@ def _star(y: int) -> OnePlanarDrawing:
         classes[name] = "white"
         edges.append(("b", name))
     sk = compile_sketch(points, edges)
-    return _exact(_drawing_from_sketch(sk, classes), "star", count)
+    return _exact(certify(_sketch_draft(sk, classes)), "star", count)
 
 
 def _double_star(y: int) -> OnePlanarDrawing:
@@ -456,7 +453,7 @@ def _double_star(y: int) -> OnePlanarDrawing:
         classes[name] = "white"
         edges += [("b0", name), ("b1", name)]
     sk = compile_sketch(points, edges)
-    return _exact(_drawing_from_sketch(sk, classes), "double-star", count)
+    return _exact(certify(_sketch_draft(sk, classes)), "double-star", count)
 
 
 def _complete_x3_small(y: int) -> OnePlanarDrawing:
@@ -466,7 +463,7 @@ def _complete_x3_small(y: int) -> OnePlanarDrawing:
     one pass and certified once.
     """
     count = _table_edges("complete-small", 3, y)
-    d = _fill_triangulation(3, [(0, 3), (0, y - 3)]).finalize()
+    d = certify(_fill_triangulation(3, [(0, 3), (0, y - 3)]).draft())
     return _exact(d, "complete-small", count)
 
 

@@ -7,7 +7,10 @@ validator re-derives every invariant from scratch, so a drawing object that
 passes :func:`validate` is a self-contained certificate of a plane drawing
 with at most one crossing per edge.
 
-Drawings are immutable; operations return new certified drawings.
+Drawings are immutable; operations return new certified drawings.  Internal
+construction steps may pass an uncertified *draft*, a drawing built
+directly from its parts; :func:`certify` or :func:`augment_degree2` ends
+such a build with its one certification.
 Independent drawings may be validated concurrently.
 """
 
@@ -225,11 +228,10 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
                 or owners[0] == owners[1]:
             failures.append(f"non-alternating rotation at false vertex {w}")
 
-    euler = pm.euler_check(m)
-    if not euler.planar:
+    if not pm.euler_check(m).planar:
         failures.append("non-planar planified map")
 
-    for walk in pm.trace_faces(m):
+    for walk in m.faces:
         verts = [m.dart_vertex[dart] for dart in walk]
         if any(v in false_set for v in verts):
             if len(walk) < 3:
@@ -271,6 +273,12 @@ def assemble_drawing(graph: BipartiteGraph | Graph,
     if not report.passed:
         raise DrawingError(report.failures[0])
     return d
+
+
+def certify(draft: OnePlanarDrawing) -> OnePlanarDrawing:
+    """The drawing ``draft`` describes, certified by :func:`assemble_drawing`."""
+    return assemble_drawing(draft.graph, draft.crossings, draft.planified,
+                            draft.edge_paths, draft.false_vertices)
 
 
 def crossing_count(d: OnePlanarDrawing) -> int:
@@ -321,7 +329,7 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
 
 def _anchor_corners(m: PlaneMap, black: AbstractSet[int]) -> tuple[tuple[int, ...], int, int]:
     """The first face with two distinct black corners, and their walk positions."""
-    for walk in pm.trace_faces(m):
+    for walk in m.faces:
         corners = [m.dart_vertex[dart] for dart in walk]
         for j in range(len(corners)):
             for i in range(j):
@@ -331,9 +339,8 @@ def _anchor_corners(m: PlaneMap, black: AbstractSet[int]) -> tuple[tuple[int, ..
     raise DrawingError("no eligible face for degree-2 augmentation")
 
 
-def degree2_edit(m: PlaneMap, black: AbstractSet[int], count: int
-                 ) -> tuple[pm.MapEditor, list[int], dict[Edge, tuple[int, ...]]]:
-    """An edit of ``m`` adding ``count`` degree-2 vertices at one black anchor pair.
+def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
+    """Insert ``count`` white degree-2 vertices joined to one black anchor pair.
 
     The anchors are the first two black vertices on the first eligible face
     in face-trace order; every new vertex joins the same pair without
@@ -341,14 +348,24 @@ def degree2_edit(m: PlaneMap, black: AbstractSet[int], count: int
     between its predecessor and the stretch of boundary that holds the
     face's first dart.  All spokes go into the face's two anchor corners, in
     insertion order at one anchor and reversed at the other, so faces are
-    traced once.  Returns the open edit, the new vertices and their edge
-    paths.
+    traced once.  ``d`` may be an uncertified draft: the result, which is
+    ``d`` itself when ``count`` is 0, is certified once.  Adds ``count``
+    vertices and ``2 * count`` edges.
     """
-    walk, i, j = _anchor_corners(m, black)
+    if count < 0:
+        raise DrawingError("negative augmentation count")
+    if count == 0:
+        certify(d)
+        return d
+    g = d.graph
+    if not isinstance(g, BipartiteGraph):
+        raise DrawingError("degree-2 augmentation needs a bipartite drawing")
+    m = d.planified
+    walk, i, j = _anchor_corners(m, g.black)
     anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
     ed = pm.MapEditor(m)
     new: list[int] = []
-    paths: dict[Edge, tuple[int, ...]] = {}
+    edge_paths = dict(d.edge_paths)
     spokes: tuple[list[int], list[int]] = ([], [])
     for _ in range(count):
         # (dart at the anchor, dart at the new vertex) for each anchor.
@@ -356,31 +373,13 @@ def degree2_edit(m: PlaneMap, black: AbstractSet[int], count: int
         v = ed.add_vertex(darts=[darts[1][1], darts[0][1]])
         for side, (spoke, _) in enumerate(darts):
             spokes[side].append(spoke)
-            paths[edge_key(v, anchors[side])] = (ed.dart_edge[spoke],)
+            edge_paths[edge_key(v, anchors[side])] = (ed.dart_edge[spoke],)
         new.append(v)
     # Later vertices nest toward walk[0], which reverses the order at
     # anchors[0] unless it is the walk's first corner, else at anchors[1].
     spokes[0 if i else 1].reverse()
     for side, pos in enumerate((i, j)):
         ed.insert_at_corner(walk[pos - 1], walk[pos], spokes[side])
-    return ed, new, paths
-
-
-def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
-    """Insert ``count`` white degree-2 vertices joined to one black anchor pair.
-
-    The map edit is :func:`degree2_edit`; the result is certified once.
-    Adds ``count`` vertices and ``2 * count`` edges.
-    """
-    if count < 0:
-        raise DrawingError("negative augmentation count")
-    if count == 0:
-        return d
-    g = d.graph
-    if not isinstance(g, BipartiteGraph):
-        raise DrawingError("degree-2 augmentation needs a bipartite drawing")
-    ed, new, paths = degree2_edit(d.planified, g.black, count)
-    edge_paths = {**d.edge_paths, **paths}
     new_graph = BipartiteGraph.make(g.black, g.white | set(new), edge_paths.keys())
     return assemble_drawing(new_graph, d.crossings, ed.finish(), edge_paths, d.false_vertices)
 

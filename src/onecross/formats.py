@@ -4,7 +4,10 @@ The JSON document is the single canonical interchange format; DOT and SVG
 are export-only.  A document stores the abstract graph, the crossing pairs
 as edge-index pairs, and the planified rotation system, where every rotation
 entry ``[edge_index, half]`` names the segment of that edge pointing toward
-``edges[edge_index][half]``.  Loading always re-certifies the drawing.
+``edges[edge_index][half]``; on an uncrossed edge that is always the far
+end.  :func:`parse_document` rebuilds the drawing a document describes
+without certifying it; :func:`document_to_drawing` and :func:`load_drawing`
+add the one certification, so a loaded drawing is always certified.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from typing import Any
 from . import plane_map as pm
 from .drawing import (
     BipartiteGraph,
-    DrawingError,
     Graph,
     OnePlanarDrawing,
-    assemble_drawing,
+    certify,
     crossing_key,
     edge_key,
 )
@@ -101,22 +103,29 @@ def _vertex_key(key: str) -> int:
     return int(key)
 
 
-def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
-    """Rebuild and re-certify a drawing from its document."""
+def parse_document(doc: Any) -> OnePlanarDrawing:
+    """The drawing a document describes, not yet certified.
+
+    Raises :class:`FormatError` when the document cannot describe a drawing
+    (wrong shape or types, indices out of range, a self-edge, rotations that
+    do not pair up into a map); every other fault is left to
+    :func:`~onecross.drawing.validate`.
+    """
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
         edge_list = [tuple(_ints(e, "an edge", 2)) for e in doc["edges"]]
-        if "black" in doc or "white" in doc:
-            graph: BipartiteGraph | Graph = BipartiteGraph.make(
-                _ints(doc["black"], "black"), _ints(doc["white"], "white"), edge_list)
-        else:
-            graph = Graph.make(_ints(doc["vertices"], "vertices"), edge_list)
         edges = [edge_key(*e) for e in edge_list]
-        if sorted(set(edges)) != sorted(edges):
+        if len(set(edges)) != len(edges):
             raise FormatError("duplicate edges in document")
+        if "black" in doc or "white" in doc:
+            graph: BipartiteGraph | Graph = BipartiteGraph(
+                frozenset(_ints(doc["black"], "black")),
+                frozenset(_ints(doc["white"], "white")), frozenset(edges))
+        else:
+            graph = Graph(frozenset(_ints(doc["vertices"], "vertices")), frozenset(edges))
         crossing_list = [tuple(_ints(c, "a crossing", 2)) for c in doc["crossings"]]
         if any(not 0 <= i < len(edges) for c in crossing_list for i in c):
             raise FormatError("crossing names an edge index out of range")
@@ -156,6 +165,9 @@ def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
                 me = seg_id[(ei, half)]
             else:
                 me = plain_id[ei]
+                if half != (v == edges[ei][0]):  # 1 at edges[ei][0], 0 at edges[ei][1]
+                    raise FormatError(f"rotation entry {entry} at vertex {v} "
+                                      "does not name the far end of its edge")
             a, b = map_edges[me]
             if v == a:
                 return 2 * me
@@ -179,11 +191,17 @@ def document_to_drawing(doc: dict[str, Any]) -> OnePlanarDrawing:
             w = false_ids[_vertex_key(key)]
             ed.add_vertex(w, [dart_for(w, entry) for entry in entries])
         false_vertices = {false_ids[k]: crossings[k] for k in range(len(crossings))}
-        return assemble_drawing(graph, crossings, ed.finish(), edge_paths, false_vertices)
+        return OnePlanarDrawing(graph, frozenset(crossings), ed.finish(), edge_paths,
+                                false_vertices)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if isinstance(exc, (FormatError, DrawingError)):
+        if isinstance(exc, FormatError):
             raise
         raise FormatError(f"malformed document: {exc}") from exc
+
+
+def document_to_drawing(doc: Any) -> OnePlanarDrawing:
+    """Rebuild a drawing from its document and certify it once."""
+    return certify(parse_document(doc))
 
 
 def save_drawing(d: OnePlanarDrawing, path: str | Path,
@@ -192,13 +210,17 @@ def save_drawing(d: OnePlanarDrawing, path: str | Path,
     Path(path).write_text(dumps_document(doc))
 
 
-def load_drawing(path: str | Path) -> OnePlanarDrawing:
-    """Read, parse and re-certify a document; unreadable files raise FormatError."""
+def read_document(path: str | Path) -> Any:
+    """The JSON value in a file; unreadable files raise FormatError."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read document: {exc}") from exc
-    return document_to_drawing(doc)
+
+
+def load_drawing(path: str | Path) -> OnePlanarDrawing:
+    """Read, parse and certify a document; unreadable files raise FormatError."""
+    return document_to_drawing(read_document(path))
 
 
 def dumps_document(doc: dict[str, Any]) -> str:
@@ -247,7 +269,7 @@ def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
-        comp_faces = [walk for walk in pm.trace_faces(m)
+        comp_faces = [walk for walk in m.faces
                       if m.dart_vertex[walk[0]] in comp]
         if not comp_faces:
             for i, v in enumerate(sorted(comp)):

@@ -80,6 +80,11 @@ class PlaneMap:
                 succ[d] = rot[(i + 1) % n]
         return succ
 
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The face walks of :func:`trace_faces`, traced once per map."""
+        return trace_faces(self)
+
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.rotations))
@@ -211,8 +216,7 @@ def euler_check(m: PlaneMap) -> EulerReport:
         if d < o:
             r = roots[m.dart_vertex[d]]
             comp_e[r] = comp_e.get(r, 0) + 1
-    faces = trace_faces(m)
-    for walk in faces:
+    for walk in m.faces:
         r = roots[m.dart_vertex[walk[0]]]
         comp_f[r] = comp_f.get(r, 0) + 1
     planar = True
@@ -373,10 +377,9 @@ def insert_vertex_in_face(m: PlaneMap, face: int,
     """
     if not attachments:
         raise MapError("attachment not on face: empty attachment list")
-    faces = trace_faces(m)
-    if not 0 <= face < len(faces):
+    if not 0 <= face < len(m.faces):
         raise MapError(f"no such face index {face}")
-    walk = faces[face]
+    walk = m.faces[face]
     corners = [m.dart_vertex[d] for d in walk]
     ed = MapEditor(m)
     hubs: list[int] = []
@@ -400,24 +403,6 @@ def delete_vertex(m: PlaneMap, vertex: int) -> PlaneMap:
     """Remove a vertex together with all incident edges."""
     ed = MapEditor(m)
     ed.delete_vertex(vertex)
-    return ed.finish()
-
-
-def insert_edge(m: PlaneMap, u: int, pos_u: int, v: int, pos_v: int,
-                dart_ids: tuple[int, int] | None = None,
-                edge_id: int | None = None) -> PlaneMap:
-    """Insert an edge with darts at exact rotation positions.
-
-    ``pos_u``/``pos_v`` are indices into the stored rotation tuples where the
-    new darts are placed.  Supplying the old ids makes deletion followed by
-    re-insertion reproduce the original map exactly.
-    """
-    if u not in m.rotations or v not in m.rotations:
-        raise MapError("missing element: endpoint vertex")
-    ed = MapEditor(m)  # finish() rejects a loop
-    du, dv = ed.new_edge(dart_ids, edge_id)
-    ed.insert_darts(u, pos_u, [du])
-    ed.insert_darts(v, pos_v, [dv])
     return ed.finish()
 
 

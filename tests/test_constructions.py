@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from onecross.bounds import upper_bound
@@ -249,7 +251,6 @@ def test_generator_rejects_a_count_its_drawing_misses(monkeypatch, family, x, y)
     table = onecross.constructions.family_formulas
     monkeypatch.setattr(onecross.constructions, "family_formulas",
                         lambda *size: [(f, c + (f == family)) for f, c in table(*size)])
-    balanced.cache_clear()
     with pytest.raises(DrawingError, match="closed form"):
         onecross.constructions._BUILDERS[family](x, y)
 
@@ -309,11 +310,23 @@ def test_augment_degree2_traces_and_certifies_once(calls):
     assert seen[2][1] == 1
 
 
-@pytest.mark.parametrize("make", [lambda: w3_family(4, 60), lambda: k36_family(7)],
-                         ids=["w3-4-60", "k36-7"])
+@pytest.mark.parametrize("make", [
+    lambda: w3_family(4, 60), lambda: k36_family(7), lambda: near_balanced(5, 8),
+    lambda: near_balanced(7, 9), lambda: near_balanced(8, 12), lambda: balanced(5),
+], ids=["w3-4-60", "k36-7", "near-5-8", "near-7-9", "near-8-12", "balanced-5"])
 def test_w3_family_certifies_once(calls, make):
-    make()
-    assert calls["validate"] == 1
+    for _ in range(2):  # nothing is cached: a repeated call certifies once again
+        calls["validate"] = 0
+        make()
+        assert calls["validate"] == 1
+
+
+def test_validate_traces_a_fresh_map_once(calls):
+    d = w3_family(4, 12)
+    fresh = dataclasses.replace(d, planified=onecross.plane_map.MapEditor(d.planified).finish())
+    calls.update(validate=0, trace_faces=0)
+    assert onecross.drawing.validate(fresh).passed
+    assert (calls["validate"], calls["trace_faces"]) == (1, 1)
 
 
 def test_black_extension_is_one_map_edit(monkeypatch):

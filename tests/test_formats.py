@@ -1,12 +1,17 @@
+import contextlib
 import functools
+import io
 import json
 import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import onecross.cli
+import onecross.drawing
 from onecross.cli import main
 from onecross.constructions import b_family, balanced, best_known, w3_family
-from onecross.drawing import validate
+from onecross.drawing import DrawingError, validate
 from onecross.formats import (
     FormatError,
     document_to_drawing,
@@ -192,6 +197,106 @@ def test_document_ids_must_be_ints(tmp_path, capsys, x, path, value):
     with pytest.raises(FormatError):
         load_drawing(f)
     assert run(["verify", str(f)], capsys)[0] == 2
+
+
+# (path to one rotation entry's half, replacement) in a balanced(2) document,
+# whose entry [1, 1] at vertex 0 names the far end 3 of the uncrossed edge (0, 3).
+_HALF_EDITS = {
+    "out-of-range": (["rotations", "true", "0", 0, 1], 7),
+    "own-end": (["rotations", "true", "0", 0, 1], 0),
+}
+
+
+@pytest.mark.parametrize("path,value", _HALF_EDITS.values(), ids=_HALF_EDITS.keys())
+def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
+    doc = drawing_to_document(balanced(2))
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, doc)[last] = value
+    with pytest.raises(FormatError, match="far end"):
+        document_to_drawing(doc)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(doc))
+    assert run(["verify", str(f)], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cli_verify_lists_every_failure_after_one_validation(tmp_path, capsys, monkeypatch,
+                                                           as_json):
+    doc = drawing_to_document(balanced(4))
+    for key in ("0", "1"):  # false vertices 8 and 9 stop alternating
+        rot = doc["rotations"]["false"][key]
+        rot[0], rot[1] = rot[1], rot[0]
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(doc))
+    validations = []
+    original = onecross.drawing.validate
+
+    def counting(d):
+        validations.append(d)
+        return original(d)
+
+    monkeypatch.setattr(onecross.drawing, "validate", counting)
+    monkeypatch.setattr(onecross.cli, "validate", counting)
+    code, out = run(["verify", str(f)] + ["--json"] * as_json, capsys)
+    failures = ["non-alternating rotation at false vertex 8",
+                "non-alternating rotation at false vertex 9",
+                "non-planar planified map"]
+    assert (code, len(validations)) == (1, 1)
+    if as_json:
+        report = json.loads(out)
+        assert (report["passed"], report["failures"]) == (False, failures)
+    else:
+        assert out.splitlines() == ["FAIL n=8 edges=16 crossings=4"] + [
+            f"  - {failure}" for failure in failures]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 24) | st.floats(allow_nan=False,
+                                                                 allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=4),
+    max_leaves=10)
+
+
+def _paths(value, prefix=()):
+    """The path to every node below ``value`` in a JSON tree."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_VALID_TEXTS = [dumps_document(drawing_to_document(d))
+                for d in (balanced(2), balanced(4), w3_family(3, 7))]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with one field replaced by any JSON value, or removed."""
+    doc = json.loads(draw(st.sampled_from(_VALID_TEXTS)))
+    *outer, last = draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    holder = functools.reduce(operator.getitem, outer, doc)
+    value = draw(st.none() | st.integers(-2, 24) | _JSON_VALUES)
+    if value is None:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(doc=_JSON_VALUES | _mutated_documents())
+def test_any_document_is_loaded_or_rejected_without_a_traceback(tmp_path_factory, doc):
+    try:
+        document_to_drawing(doc)
+    except (FormatError, DrawingError):
+        pass
+    f = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    f.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", str(f), "--json"]) in (0, 1, 2)
 
 
 def test_cli_bounds_json(capsys):

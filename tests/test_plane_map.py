@@ -9,7 +9,6 @@ from onecross.plane_map import (
     delete_edge,
     delete_vertex,
     euler_check,
-    insert_edge,
     insert_vertex_in_face,
     map_from_rotation_lists,
     smooth_degree2,
@@ -205,17 +204,6 @@ def test_delete_outer_triangle_of_k4_gives_star():
         m = delete_edge(m, e)
     assert len(m.edges) == 3
     assert sorted(m.degree(v) for v in m.rotations) == [1, 1, 1, 3]
-
-
-def test_delete_then_reinsert_round_trip():
-    m = k4()
-    e = 4
-    d1, d2 = m.edge_darts[e]
-    u, v = m.dart_vertex[d1], m.dart_vertex[d2]
-    pu, pv = m.rotations[u].index(d1), m.rotations[v].index(d2)
-    m2 = delete_edge(m, e)
-    m3 = insert_edge(m2, u, pu, v, pv, dart_ids=(d1, d2), edge_id=e)
-    assert m3 == m
 
 
 def test_smooth_degree2_round_trip():
