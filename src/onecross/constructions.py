@@ -7,10 +7,11 @@ with degree-2 whites, :func:`~onecross.drawing.augment_degree2`.
 :func:`family_formulas` is the one statement of each family's domain and
 edge count: a generator reads its count from that table, raises
 :class:`~onecross.drawing.DrawingError` where its family does not apply, and
-raises it again if the finished drawing misses the count.  The per-face
-insertion patterns, the nested-ring families and the one-crossing drawing of
-the complete (3, 3) graph are specified as geometric sketches (see
-:mod:`onecross.sketch`); the balanced (5, 5) drawing, found by the search in
+raises it again if the finished drawing misses the count.  Each family is a
+host map without coordinates (a stacked triangulation, nested 4-cycles or a
+star) with geometric sketches of at most 7 points (see :mod:`onecross.sketch`)
+spliced into its faces.  The one-crossing drawing of the complete (3, 3)
+graph is a single sketch; the balanced (5, 5) drawing, found by the search in
 ``scripts/find_balanced5.py``, ships as a JSON template under
 ``onecross/data`` and is parsed without a certification of its own.
 
@@ -23,7 +24,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from math import cos, pi, sin
 from typing import Iterable, Mapping, Sequence
 
 from . import plane_map as pm
@@ -107,10 +107,11 @@ def _pattern_classes(extra_blacks: int) -> dict[str, str]:
 class _Builder:
     """Graph bookkeeping over one map edit; ``draft`` ends the build."""
 
-    def __init__(self, base: PlaneMap | None = None, black: Iterable[int] = ()):
+    def __init__(self, base: PlaneMap | None = None, black: Iterable[int] = (),
+                 white: Iterable[int] = ()):
         self.map = pm.MapEditor(base)
         self.black = set(black)
-        self.white: set[int] = set()
+        self.white = set(white)
         self.graph_edges: set[tuple[int, int]] = set()
         self.edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         self.crossings: set = set()
@@ -167,12 +168,6 @@ class _Builder:
                                 self.edge_paths, self.false_vertices)
 
 
-def _sketch_draft(sk: CompiledSketch, classes: Mapping[str, str]) -> OnePlanarDrawing:
-    builder = _Builder()
-    builder.splice(sk, classes)
-    return builder.draft()
-
-
 # --------------------------------------------------------------------------
 # Parameter arithmetic shared by generators and the bounds module
 # --------------------------------------------------------------------------
@@ -210,21 +205,38 @@ def stacked_triangulation(x: int) -> PlaneMap:
     return m
 
 
-def _fill_triangulation(x_corners: int, faces: list[tuple[int, int]]) -> _Builder:
-    """Splice one pattern per face of a stacked triangulation, then drop its edges.
+_Pattern = tuple[Sequence[int], CompiledSketch, Mapping[str, str]]
 
-    ``faces[i]`` is the (extra blacks, whites) pair of the pattern in face ``i``.
+
+def _fill(host: PlaneMap, white: Iterable[int], patterns: Iterable[_Pattern]) -> _Builder:
+    """Splice each (face walk, sketch, classes) pattern into ``host``.
+
+    The host's vertices are graph vertices: ``white`` are white, the rest
+    black.  A host edge between the two classes stays as an uncrossed graph
+    edge; a host edge inside one class is a helper and is deleted.
     """
-    tri = stacked_triangulation(x_corners)
-    walks = tri.faces
-    if len(faces) != len(walks):
-        raise DrawingError("one pattern kind per face required")
-    builder = _Builder(tri, black=tri.rotations)
-    for walk, (extra, whites) in zip(walks, faces):
-        builder.splice(_face_pattern(extra, whites), _pattern_classes(extra), walk)
-    for e in tri.edge_darts:
-        builder.map.delete_edge(e)
+    white = set(white)
+    builder = _Builder(host, black=set(host.rotations) - white, white=white)
+    for walk, sk, classes in patterns:
+        builder.splice(sk, classes, walk)
+    for e, (d, o) in host.edge_darts.items():
+        u, v = host.dart_vertex[d], host.dart_vertex[o]
+        if (u in white) == (v in white):
+            builder.map.delete_edge(e)
+        else:
+            builder.graph_edges.add(edge_key(u, v))
+            builder.edge_paths[edge_key(u, v)] = (e,)
     return builder
+
+
+def _fill_triangulation(x_corners: int, faces: list[tuple[int, int]]) -> _Builder:
+    """Fill each face ``i`` of a stacked triangulation with the ``faces[i]``
+    (extra blacks, whites) pattern; the all-black triangulation edges go."""
+    tri = stacked_triangulation(x_corners)
+    if len(faces) != len(tri.faces):
+        raise DrawingError("one pattern kind per face required")
+    return _fill(tri, (), [(walk, _face_pattern(extra, whites), _pattern_classes(extra))
+                           for walk, (extra, whites) in zip(tri.faces, faces)])
 
 
 # --------------------------------------------------------------------------
@@ -284,92 +296,71 @@ def b_family(x: int, y: int) -> OnePlanarDrawing:
 # -- balanced families -------------------------------------------------------
 
 
-def _ring_points(k: int) -> tuple[dict[str, tuple[float, float]], dict[str, str]]:
-    """Points and classes of k nested rings: blacks on the x axis, whites on the y axis."""
-    points: dict[str, tuple[float, float]] = {}
-    classes: dict[str, str] = {}
-    for i in range(1, k + 1):
-        points[f"x1_{i}"] = (float(i), 0.0)
-        points[f"y1_{i}"] = (0.0, float(i))
-        points[f"x2_{i}"] = (float(-i), 0.0)
-        points[f"y2_{i}"] = (0.0, float(-i))
-        classes[f"x1_{i}"] = classes[f"x2_{i}"] = "black"
-        classes[f"y1_{i}"] = classes[f"y2_{i}"] = "white"
-    return points, classes
+def _ring_vertex(axis: int, i: int) -> int:
+    """The host id of ring ``i``'s vertex on ``axis`` (0..3 for x1, y1, x2, y2)."""
+    return 4 * (i - 1) + axis
 
 
-@lru_cache(maxsize=64)
-def _ring_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
-    """k nested 4-cycles with four crossings per consecutive pair."""
-    points, classes = _ring_points(k)
-    edges: list[tuple] = []
-    crossings: list[tuple] = []
-    for i in range(1, k + 1):
-        edges += [(f"x1_{i}", f"y1_{i}"), (f"y1_{i}", f"x2_{i}"),
-                  (f"x2_{i}", f"y2_{i}"), (f"y2_{i}", f"x1_{i}")]
-    for i in range(1, k):
-        for a, b in (("x1", "y1"), ("x2", "y1"), ("x2", "y2"), ("x1", "y2")):
-            outward = (f"{a}_{i}", f"{b}_{i + 1}")
-            inward = (f"{a}_{i + 1}", f"{b}_{i}")
-            edges += [outward, inward]
-            crossings.append((outward, inward))
-    return compile_sketch(points, edges, crossings), classes
+def _web(k: int, odd: bool) -> PlaneMap:
+    """The ring host: k nested 4-cycles x1_i y1_i x2_i y2_i, ring 1 innermost.
 
-
-@lru_cache(maxsize=64)
-def _odd_sketch(k: int) -> tuple[CompiledSketch, dict[str, str]]:
-    """The 4k + 2 vertex balanced drawing with 12k - 2 edges, k >= 3.
-
-    Modifies the nested-ring drawing in one quadrant: the clockwise chords
-    and the middle ring edges there are dropped, longer chords are added, and
-    one black and one white vertex of degree 4 are attached, the white one
-    reaching around the outside to the far corner of the outer ring.
+    The axes x1, y1, x2, y2 run counterclockwise; x is black, y white.
+    Helper rungs join each axis's vertices on consecutive rings.  Built from
+    closed-form rotations: counterclockwise, each vertex sees its outward
+    rung, the next axis's vertex, its inward rung and the previous axis's
+    vertex.  When ``odd``, the (x1, y1) quadrant swaps its ring edges for the
+    chords x1_i y1_{i+2}.
     """
-    if k < 3:
-        raise DrawingError("odd balanced construction needs k >= 3")
-    points, classes = _ring_points(k)
-    points["ub"] = (0.1, 1.05)
-    points["uw"] = (k - 0.6, 0.25)
-    classes["ub"] = "black"
-    classes["uw"] = "white"
+    def at(axis: int, i: int) -> int | None:
+        return _ring_vertex(axis % 4, i) if 1 <= i <= k else None
 
-    edges: list[tuple] = []
-    crossings: list[tuple] = []
+    shift = 2 if odd else 0  # the (x1, y1) quadrant joins x1_i to y1_{i + shift}
+    edge_ids: dict[frozenset[int], int] = {}
+    lists = {}
     for i in range(1, k + 1):
-        edges += [(f"y1_{i}", f"x2_{i}"), (f"x2_{i}", f"y2_{i}"), (f"y2_{i}", f"x1_{i}")]
-        if i == 1 or i == k:
-            edges.append((f"x1_{i}", f"y1_{i}"))
-    for i in range(1, k):
-        edges.append((f"x1_{i}", f"y1_{i + 1}"))  # the surviving top chord
-        for a, b in (("x2", "y1"), ("x2", "y2"), ("x1", "y2")):
-            outward = (f"{a}_{i}", f"{b}_{i + 1}")
-            inward = (f"{a}_{i + 1}", f"{b}_{i}")
-            edges += [outward, inward]
-            crossings.append((outward, inward))
-    for i in range(1, k - 1):
-        edges.append((f"x1_{i}", f"y1_{i + 2}"))
-    for i in range(1, k - 2):
-        long = (f"x1_{i}", f"y1_{i + 3}")
-        edges.append(long)
-        crossings.append((long, (f"x1_{i + 1}", f"y1_{i + 2}")))
+        for axis in range(4):
+            v = _ring_vertex(axis, i)
+            around = [at(axis, i + 1), at(axis + 1, i + shift * (axis == 0)),
+                      at(axis, i - 1), at(axis - 1, i - shift * (axis == 1))]
+            lists[v] = [(w, edge_ids.setdefault(frozenset((v, w)), len(edge_ids)))
+                        for w in around if w is not None]
+    return pm.map_from_rotation_lists(lists)
 
-    edges += [("ub", "y1_1"), ("ub", "y1_2"), ("ub", "y1_3"), ("ub", "y2_1")]
-    crossings += [
-        (("ub", "y1_3"), ("x1_1", "y1_2")),
-        (("ub", "y2_1"), ("x1_1", "y1_1")),
-    ]
-    radius = k + 1.0
-    arc = [(radius * cos(a * pi / 180), radius * sin(a * pi / 180))
-           for a in range(30, 166, 15)]
-    edges += [
-        ("uw", f"x1_{k}"), ("uw", f"x1_{k - 1}"), ("uw", f"x1_{k - 2}"),
-        ("uw", f"x2_{k}", arc),
-    ]
-    crossings += [
-        (("uw", f"x1_{k - 2}"), (f"x1_{k - 1}", f"y1_{k}")),
-        (("uw", f"x2_{k}"), (f"x1_{k}", f"y1_{k}")),
-    ]
-    return compile_sketch(points, edges, crossings), classes
+
+def _walk(m: PlaneMap, u: int, v: int) -> tuple[int, ...]:
+    """The face walk that starts with the dart from ``u`` to ``v``."""
+    start = next(d for d in m.rotations[u] if m.dart_vertex[m.opposite[d]] == v)
+    walk = [start]
+    while (d := m.next_dart(walk[-1])) != start:
+        walk.append(d)
+    return tuple(walk)
+
+
+@lru_cache(maxsize=None)
+def _x_tile() -> CompiledSketch:
+    """The two diagonals of a 4-face, crossing once."""
+    points = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0), "d": (1.0, 0.0)}
+    boundary = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    return compile_sketch(points, boundary + [("a", "c"), ("b", "d")],
+                          [(("a", "c"), ("b", "d"))], boundary=boundary,
+                          corners=("a", "b", "c", "d"))
+
+
+@lru_cache(maxsize=None)
+def _cap() -> CompiledSketch:
+    """The 6-face cap of an odd ring drawing, corners c0..c5 in face-walk order.
+
+    Its vertex u joins c0, c1, c2 and c4; u c2 crosses the chord c1 c3 and
+    u c4 crosses the chord c0 c3.
+    """
+    points = {"c0": (0.0, 2.0), "c1": (2.0, 1.0), "c2": (2.0, -1.0), "c3": (0.0, -2.0),
+              "c4": (-2.0, -1.0), "c5": (-2.0, 1.0), "u": (0.6, 0.4)}
+    corners = tuple(points)[:6]
+    boundary = list(zip(corners, corners[1:] + corners[:1]))
+    edges = [("c0", "c3"), ("c1", "c3"), ("u", "c0"), ("u", "c1"), ("u", "c2"), ("u", "c4")]
+    crossings = [(("u", "c2"), ("c1", "c3")), (("u", "c4"), ("c0", "c3"))]
+    return compile_sketch(points, boundary + edges, crossings,
+                          boundary=boundary, corners=corners)
 
 
 def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
@@ -392,20 +383,36 @@ def _balanced_draft(x: int) -> OnePlanarDrawing:
         text = resources.files("onecross").joinpath("data/balanced5.json").read_text()
         return parse_document(json.loads(text))
     if x == 3:
-        return _sketch_draft(*_k33_sketch())
-    if x % 2 == 0:
-        return _sketch_draft(*_ring_sketch(x // 2))
-    return _sketch_draft(*_odd_sketch(x // 2))
+        builder = _Builder()
+        builder.splice(*_k33_sketch())
+        return builder.draft()
+    k, odd = divmod(x, 2)
+    host = _web(k, bool(odd))
+    v = _ring_vertex
+    # Every 4-face between two rings gets an X tile; odd sizes skip the
+    # (x1, y1) quadrant here and tile its 4-faces between chords below.
+    patterns: list[_Pattern] = [(_walk(host, v(axis, i), v((axis + 1) % 4, i)), _x_tile(), {})
+                               for axis in range(odd, 4) for i in range(1, k)]
+    if odd:
+        patterns += [(_walk(host, v(0, i), v(1, i + 2)), _x_tile(), {}) for i in range(1, k - 2)]
+        # One cap fits both 6-faces: the inner one from y1_1 with a black u,
+        # the outer one from x1_k with a white u.
+        patterns += [(_walk(host, v(1, 1), v(1, 2)), _cap(), {"u": "black"}),
+                     (_walk(host, v(0, k), v(0, k - 1)), _cap(), {"u": "white"})]
+    white = [v(axis, i) for axis in (1, 3) for i in range(1, k + 1)]
+    return _fill(host, white, patterns).draft()
 
 
 def balanced(x: int) -> OnePlanarDrawing:
     """Balanced family: classes (x, x) with 6x - 8 edges (9 when x = 3).
 
-    Even sizes come from nested 4-cycles, odd sizes at least 7 from the
-    modified ring drawing, x = 3 from the one-crossing drawing of the
-    complete (3, 3) graph, and x = 5 from the stored template.  The size-6
-    graph caps at 9 edges, so x = 3 cannot reach 6x - 8 = 10.  The drawing
-    is certified once.
+    Even sizes x = 2k fill the ring host :func:`_web` on k rings with one
+    X tile per 4-face between rings.  Odd sizes x = 2k + 1 >= 7 use the odd
+    host, whose (x1, y1) quadrant has the chords x1_i y1_{i+2}; its two
+    6-faces get a cap each, adding one black and one white vertex of degree
+    4.  x = 3 is the one-crossing drawing of the complete (3, 3) graph and
+    x = 5 the stored template.  The size-6 graph caps at 9 edges, so x = 3
+    cannot reach 6x - 8 = 10.  The drawing is certified once.
     """
     count = _table_edges("balanced", x, x)
     return _exact(certify(_balanced_draft(x)), "balanced", count)
@@ -428,32 +435,21 @@ def near_balanced(x: int, y: int) -> OnePlanarDrawing:
 def _star(y: int) -> OnePlanarDrawing:
     """Star on classes (1, y); planar with y edges."""
     count = _table_edges("star", 1, y)
-    points = {"b": (0.0, 0.0)}
-    classes = {"b": "black"}
-    edges = []
-    for j in range(y):
-        name = f"w{j}"
-        a = 2 * pi * j / max(y, 1)
-        points[name] = (cos(a), sin(a))
-        classes[name] = "white"
-        edges.append(("b", name))
-    sk = compile_sketch(points, edges)
-    return _exact(certify(_sketch_draft(sk, classes)), "star", count)
+    whites = range(1, y + 1)
+    host = pm.map_from_rotation_lists({0: [(w, w) for w in whites]}
+                                      | {w: [(0, w)] for w in whites})
+    return _exact(certify(_fill(host, whites, ()).draft()), "star", count)
 
 
 def _double_star(y: int) -> OnePlanarDrawing:
     """Complete bipartite graph on classes (2, y); planar with 2y edges."""
     count = _table_edges("double-star", 2, y)
-    points = {"b0": (0.0, 1.0), "b1": (0.0, -1.0)}
-    classes = {"b0": "black", "b1": "black"}
-    edges = []
-    for j in range(y):
-        name = f"w{j}"
-        points[name] = (float(j + 1), 0.0)
-        classes[name] = "white"
-        edges += [("b0", name), ("b1", name)]
-    sk = compile_sketch(points, edges)
-    return _exact(certify(_sketch_draft(sk, classes)), "double-star", count)
+    whites = range(2, y + 2)
+    # Blacks 0 and 1 see the whites in opposite cyclic orders.
+    lists = {0: [(w, 2 * w) for w in whites], 1: [(w, 2 * w + 1) for w in reversed(whites)]}
+    lists |= {w: [(0, 2 * w), (1, 2 * w + 1)] for w in whites}
+    host = pm.map_from_rotation_lists(lists)
+    return _exact(certify(_fill(host, whites, ()).draft()), "double-star", count)
 
 
 def _complete_x3_small(y: int) -> OnePlanarDrawing:

@@ -10,9 +10,9 @@ each point.  The output is purely combinatorial; coordinates never leave
 this module.
 
 A sketch may declare boundary edges and corner vertices, in which case it is
-a fragment meant to be spliced into a triangular face of a host map; the
-compiler then also extracts, for each corner, the fan of interior edge-ends
-lying between the two boundary edges, in splice order.
+a fragment meant to be spliced into a face of a host map; the compiler then
+also extracts, for each corner, the fan of interior edge-ends lying between
+the two boundary edges, in splice order.
 """
 
 from __future__ import annotations

@@ -111,22 +111,26 @@ def test_balanced_examples(x, verts, edges):
 
 def test_balanced_odd_modification_recipe():
     # The odd drawing is the even-ring drawing minus 2k-3 specific edges,
-    # plus the longer chords and two degree-4 vertices (2k+3 edges).
-    from onecross.constructions import _odd_sketch, _ring_sketch
+    # plus the longer chords and two degree-4 vertices (2k+3 edges).  Both
+    # share the ring host's vertex ids; ub and uw are the two extra vertices.
+    from onecross.constructions import _ring_vertex
 
     for k in (3, 5, 8):
-        sk, _ = _odd_sketch(k)
-        edges = {frozenset(e) for e in sk.graph_edges}
-        ring_edges = {frozenset(e) for e in _ring_sketch(k)[0].graph_edges}
+        odd, even = balanced(2 * k + 1), balanced(2 * k)
+        (ub,) = odd.graph.black - even.graph.black
+        (uw,) = odd.graph.white - even.graph.white
+        x1, y1, x2, y2 = ({i: _ring_vertex(axis, i) for i in range(1, k + 1)}
+                          for axis in range(4))
+        edges = {frozenset(e) for e in odd.graph.edges}
+        ring_edges = {frozenset(e) for e in even.graph.edges}
         for i in range(2, k + 1):
-            assert frozenset((f"x1_{i}", f"y1_{i - 1}")) not in edges
+            assert frozenset((x1[i], y1[i - 1])) not in edges
         for i in range(2, k):
-            assert frozenset((f"x1_{i}", f"y1_{i}")) not in edges
-        added = {frozenset((f"x1_{i}", f"y1_{i + 2}")) for i in range(1, k - 1)}
-        added |= {frozenset((f"x1_{i}", f"y1_{i + 3}")) for i in range(1, k - 2)}
-        added |= {frozenset(("ub", w)) for w in ("y1_1", "y1_2", "y1_3", "y2_1")}
-        added |= {frozenset(("uw", b))
-                  for b in (f"x1_{k}", f"x1_{k - 1}", f"x1_{k - 2}", f"x2_{k}")}
+            assert frozenset((x1[i], y1[i])) not in edges
+        added = {frozenset((x1[i], y1[i + 2])) for i in range(1, k - 1)}
+        added |= {frozenset((x1[i], y1[i + 3])) for i in range(1, k - 2)}
+        added |= {frozenset((ub, w)) for w in (y1[1], y1[2], y1[3], y2[1])}
+        added |= {frozenset((uw, b)) for b in (x1[k], x1[k - 1], x1[k - 2], x2[k])}
         assert added <= edges
         assert len(added) == 2 * k + 3
         core = edges - added
@@ -134,10 +138,39 @@ def test_balanced_odd_modification_recipe():
         assert len(ring_edges - core) == 2 * k - 3
 
 
-def test_balanced_even_crossing_count():
-    # Four crossings per consecutive ring pair.
-    for x in (4, 6, 10):
-        assert crossing_count(balanced(x)) == 4 * (x // 2 - 1)
+@pytest.mark.parametrize("x", [4, 6, 10, 40, 7, 9, 21, 41])
+def test_balanced_crossing_count(x):
+    # Four crossings per consecutive ring pair, two more at odd sizes; the
+    # degree-2 whites of near_balanced add none.
+    k = x // 2
+    expected = 4 * k - 4 if x % 2 == 0 else 4 * k - 2
+    assert crossing_count(balanced(x)) == expected
+    assert crossing_count(near_balanced(x, x + 3)) == expected
+
+
+def test_sketches_stay_constant_size(monkeypatch):
+    # With every sketch cache cleared, no build compiles a sketch of more
+    # than 7 points, and doubling the rings adds no compilation.
+    compiled = []
+    real = onecross.constructions.compile_sketch
+    monkeypatch.setattr(onecross.constructions, "compile_sketch",
+                        lambda points, *a, **kw: compiled.append(len(points)) or real(points, *a, **kw))
+
+    def cold_sizes(make):
+        for f in vars(onecross.constructions).values():
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+        compiled.clear()
+        make()
+        return list(compiled)
+
+    runs = {x: cold_sizes(lambda: balanced(x)) for x in (20, 21, 40, 41)}
+    runs["near"] = cold_sizes(lambda: near_balanced(41, 60))
+    runs["star"] = cold_sizes(lambda: onecross.constructions._star(300))
+    runs["double-star"] = cold_sizes(lambda: onecross.constructions._double_star(300))
+    assert all(n <= 7 for sizes in runs.values() for n in sizes), runs
+    assert len(runs[40]) <= len(runs[20])
+    assert len(runs[41]) <= len(runs[21])
 
 
 @pytest.mark.parametrize("x,y,verts,edges", [(4, 6, 10, 20), (5, 5, 10, 22), (7, 10, 17, 40)])
@@ -313,7 +346,10 @@ def test_augment_degree2_traces_and_certifies_once(calls):
 @pytest.mark.parametrize("make", [
     lambda: w3_family(4, 60), lambda: k36_family(7), lambda: near_balanced(5, 8),
     lambda: near_balanced(7, 9), lambda: near_balanced(8, 12), lambda: balanced(5),
-], ids=["w3-4-60", "k36-7", "near-5-8", "near-7-9", "near-8-12", "balanced-5"])
+    lambda: balanced(8), lambda: balanced(9),
+    lambda: onecross.constructions._star(40), lambda: onecross.constructions._double_star(40),
+], ids=["w3-4-60", "k36-7", "near-5-8", "near-7-9", "near-8-12", "balanced-5",
+        "balanced-8", "balanced-9", "star-40", "double-star-40"])
 def test_w3_family_certifies_once(calls, make):
     for _ in range(2):  # nothing is cached: a repeated call certifies once again
         calls["validate"] = 0
