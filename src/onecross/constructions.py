@@ -9,11 +9,12 @@ edge count: a generator reads its count from that table, raises
 :class:`~onecross.drawing.DrawingError` where its family does not apply, and
 raises it again if the finished drawing misses the count.  Each family is a
 host map without coordinates (a stacked triangulation, nested 4-cycles or a
-star) with geometric sketches of at most 7 points (see :mod:`onecross.sketch`)
-spliced into its faces.  The one-crossing drawing of the complete (3, 3)
-graph is a single sketch; the balanced (5, 5) drawing, found by the search in
-``scripts/find_balanced5.py``, ships as a JSON template under
-``onecross/data`` and is parsed without a certification of its own.
+star) with straight-line sketches of at most 9 points (see
+:mod:`onecross.sketch`) spliced into its faces.  The one-crossing drawing of
+the complete (3, 3) graph is a single sketch; the balanced (5, 5) drawing,
+found by the search in ``scripts/find_balanced5.py``, ships as a JSON
+template under ``onecross/data`` and is parsed without a certification of
+its own.
 
 All generators are pure functions of their parameters and cache no drawing.
 """
@@ -48,7 +49,6 @@ from .sketch import CompiledSketch, compile_sketch
 # --------------------------------------------------------------------------
 
 _CORNERS = {"A": (0.0, 2.0), "B": (-1.0, 0.0), "C": (1.0, 0.0)}
-_BOUNDARY = [("A", "B"), ("B", "C"), ("C", "A")]
 _W3_POINTS = {"w1": (0.0, 1.2), "w2": (-0.5, 0.35), "w3": (0.5, 0.35)}
 _W3_EDGES = [
     ("w1", "A"), ("w2", "B"), ("w3", "C"),
@@ -77,7 +77,7 @@ def _face_pattern(extra_blacks: int, whites: int = 3) -> CompiledSketch:
     white goes with it, and so does every crossing on such an edge.
     """
     points = dict(_CORNERS) | dict(_W3_POINTS)
-    edges: list[tuple] = list(_BOUNDARY) + list(_W3_EDGES)
+    edges = list(_W3_EDGES)
     crossings = list(_W3_CROSSINGS)
     for name in list(_EXTRA_BLACKS)[:extra_blacks]:
         pt, extra_cross = _EXTRA_BLACKS[name]
@@ -88,8 +88,7 @@ def _face_pattern(extra_blacks: int, whites: int = 3) -> CompiledSketch:
         del points[name]
         edges = [e for e in edges if name not in e]
         crossings = [c for c in crossings if name not in c[0] + c[1]]
-    return compile_sketch(points, edges, crossings,
-                          boundary=_BOUNDARY, corners=("A", "B", "C"))
+    return compile_sketch(points, edges, crossings, corners=("A", "B", "C"))
 
 
 def _pattern_classes(extra_blacks: int) -> dict[str, str]:
@@ -340,9 +339,7 @@ def _walk(m: PlaneMap, u: int, v: int) -> tuple[int, ...]:
 def _x_tile() -> CompiledSketch:
     """The two diagonals of a 4-face, crossing once."""
     points = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0), "d": (1.0, 0.0)}
-    boundary = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
-    return compile_sketch(points, boundary + [("a", "c"), ("b", "d")],
-                          [(("a", "c"), ("b", "d"))], boundary=boundary,
+    return compile_sketch(points, [("a", "c"), ("b", "d")], [(("a", "c"), ("b", "d"))],
                           corners=("a", "b", "c", "d"))
 
 
@@ -355,12 +352,9 @@ def _cap() -> CompiledSketch:
     """
     points = {"c0": (0.0, 2.0), "c1": (2.0, 1.0), "c2": (2.0, -1.0), "c3": (0.0, -2.0),
               "c4": (-2.0, -1.0), "c5": (-2.0, 1.0), "u": (0.6, 0.4)}
-    corners = tuple(points)[:6]
-    boundary = list(zip(corners, corners[1:] + corners[:1]))
     edges = [("c0", "c3"), ("c1", "c3"), ("u", "c0"), ("u", "c1"), ("u", "c2"), ("u", "c4")]
     crossings = [(("u", "c2"), ("c1", "c3")), (("u", "c4"), ("c0", "c3"))]
-    return compile_sketch(points, boundary + edges, crossings,
-                          boundary=boundary, corners=corners)
+    return compile_sketch(points, edges, crossings, corners=tuple(points)[:6])
 
 
 def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:

@@ -178,21 +178,22 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         true_rot, false_rot = doc["rotations"]["true"], doc["rotations"]["false"]
         if not isinstance(true_rot, dict) or not isinstance(false_rot, dict):
             raise FormatError("rotations.true and rotations.false must be JSON objects")
-        ed = pm.MapEditor()
-        for _ in map_edges:
-            ed.new_edge()  # map edge me: dart 2me at its first end, 2me + 1 at its second
+        # Map edge me owns dart 2me at its first end and 2me + 1 at its second.
+        rotations: dict[int, list[int]] = {}
         for key, entries in true_rot.items():
             v = _vertex_key(key)
-            ed.add_vertex(v, [dart_for(v, entry) for entry in entries])
+            rotations[v] = [dart_for(v, entry) for entry in entries]
         for v in graph.vertices:
-            if v not in ed.rotations:
-                ed.add_vertex(v)
+            rotations.setdefault(v, [])
         for key, entries in false_rot.items():
             w = false_ids[_vertex_key(key)]
-            ed.add_vertex(w, [dart_for(w, entry) for entry in entries])
+            if w in rotations:
+                raise FormatError(f"duplicate vertex {w}")
+            rotations[w] = [dart_for(w, entry) for entry in entries]
         false_vertices = {false_ids[k]: crossings[k] for k in range(len(crossings))}
-        return OnePlanarDrawing(graph, frozenset(crossings), ed.finish(), edge_paths,
-                                false_vertices)
+        return OnePlanarDrawing(graph, frozenset(crossings),
+                                pm.map_from_paired_darts(rotations, len(map_edges)),
+                                edge_paths, false_vertices)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise

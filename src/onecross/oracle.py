@@ -102,16 +102,14 @@ def planarity_test(edges: Sequence[tuple[int, int]],
         return PlanarityResult(False, None)
 
     order = embedding.get_data()
-    ed = pm.MapEditor()
-    for _ in edges:
-        ed.new_edge()  # edge i: dart 2i at its first end, 2i + 1 at its second
+    rotations: dict[int, list[int]] = {}
     for v in node_set:
         darts = []
         for w in order.get(v, []):
             i = mid_of[w] if w in mid_of else kept[(v, w) if v <= w else (w, v)]
             darts.append(2 * i if v == edges[i][0] else 2 * i + 1)
-        ed.add_vertex(v, darts)
-    witness = ed.finish()
+        rotations[v] = darts
+    witness = pm.map_from_paired_darts(rotations, len(edges))  # edge i: darts 2i, 2i + 1
     if not pm.euler_check(witness).planar:
         raise OracleError("embedding witness failed the Euler audit")
     return PlanarityResult(True, witness)

@@ -158,6 +158,17 @@ def _make(rotations: Mapping[int, Sequence[int]], opposite: Mapping[int, int],
     )
 
 
+def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) -> PlaneMap:
+    """Build a map whose edge ``i`` owns darts ``2i`` and ``2i + 1``, for i < ``edges``.
+
+    ``rotations`` gives each vertex's darts in rotation order.  Raises
+    :class:`MapError` when the darts are not exactly those of the edges,
+    each in one rotation, or an edge is a loop.
+    """
+    opposite = {d: d ^ 1 for d in range(2 * edges)}
+    return _make(rotations, opposite, {d: d // 2 for d in opposite})
+
+
 def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
     """Decompose the darts into face walks.
 
@@ -288,14 +299,10 @@ class MapEditor:
         self._next_dart = max(base.dart_edge, default=-1) + 1
         self._next_edge = max(base.edge_darts, default=-1) + 1
 
-    def add_vertex(self, vertex: int | None = None, darts: Sequence[int] = ()) -> int:
-        """Add a vertex, with a new id unless ``vertex`` is given, rotating ``darts``."""
-        if vertex is None:
-            vertex = self._next_vertex
-        elif vertex in self.rotations:
-            raise MapError(f"duplicate vertex {vertex}")
-        if vertex >= self._next_vertex:
-            self._next_vertex = vertex + 1
+    def add_vertex(self, darts: Sequence[int] = ()) -> int:
+        """Add a vertex with a new id, rotating ``darts``."""
+        vertex = self._next_vertex
+        self._next_vertex += 1
         self.rotations[vertex] = list(darts)
         self._owner.update(dict.fromkeys(darts, vertex))
         return vertex

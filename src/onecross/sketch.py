@@ -1,24 +1,25 @@
 """Compile coordinate sketches of drawings into combinatorial form.
 
-Construction templates are specified as straight-line (or polyline) sketches:
-named points, edges with optional waypoints, and the exact set of edge pairs
-meant to cross.  The compiler intersects all polylines, verifies that the
-realized crossing set equals the declared one (any other pair of edges must
-be disjoint except at shared endpoints), places one subdivision point per
-crossing, and reads off every rotation by sorting edge-end directions around
-each point.  The output is purely combinatorial; coordinates never leave
-this module.
+Construction patterns are specified as straight-line sketches: named points,
+edges that are single segments between two of them, and the exact set of
+edge pairs meant to cross.  The compiler intersects every pair of segments,
+verifies that the realized crossing set equals the declared one (any other
+pair of edges must be disjoint except at shared endpoints), places one
+subdivision point per crossing, and reads off every rotation by sorting the
+directions toward each point's neighbours.  The output is purely
+combinatorial; coordinates never leave this module.
 
-A sketch may declare boundary edges and corner vertices, in which case it is
-a fragment meant to be spliced into a face of a host map; the compiler then
-also extracts, for each corner, the fan of interior edge-ends lying between
-the two boundary edges, in splice order.
+A sketch that names corner vertices is a fragment meant to be spliced into a
+face of a host map.  Consecutive corners (last to first) are joined by
+boundary edges, which the compiler adds itself; it then also extracts, for
+each corner, the fan of interior edge-ends lying between its two boundary
+edges, in splice order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .plane_map import PlaneMap, euler_check, map_from_rotation_lists, trace_faces
@@ -58,7 +59,7 @@ def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
     interior_t = _EPS < t < 1 - _EPS
     interior_s = _EPS < s < 1 - _EPS
     if interior_t and interior_s:
-        return t, s, (p1[0] + t * d1[0], p1[1] + t * d1[1])
+        return p1[0] + t * d1[0], p1[1] + t * d1[1]
     if (interior_t or interior_s) and -_EPS <= t <= 1 + _EPS and -_EPS <= s <= 1 + _EPS:
         raise SketchError("segments touch without crossing cleanly")
     return None
@@ -83,114 +84,77 @@ class CompiledSketch:
     corners: tuple[Name, ...]
     corner_wedges: dict[Name, tuple[Name, ...]]
 
-    def to_plane_map(self) -> tuple[PlaneMap, dict[Name, int]]:
-        """Instantiate with dense integer ids (standalone sketches only)."""
-        ids = {n: i for i, n in enumerate(list(self.true_names) + list(self.false_names))}
+    def to_plane_map(self) -> PlaneMap:
+        """The sketch's map; vertex i is name i of ``true_names + false_names``."""
+        ids = {n: i for i, n in enumerate(self.true_names + self.false_names)}
         eids: dict[tuple[Name, Name], int] = {}
         for n in sorted(self.rotations):
             for t in self.rotations[n]:
                 eids.setdefault(_ekey(n, t), len(eids))
-        m = map_from_rotation_lists(
+        return map_from_rotation_lists(
             {ids[n]: [(ids[t], eids[_ekey(n, t)]) for t in self.rotations[n]]
              for n in self.rotations})
-        return m, ids
 
 
 def compile_sketch(points: Mapping[Name, Point],
-                   edges: Sequence[tuple],
+                   edges: Sequence[tuple[Name, Name]],
                    crossings: Sequence[tuple[tuple[Name, Name], tuple[Name, Name]]] = (),
-                   boundary: Sequence[tuple[Name, Name]] = (),
                    corners: Sequence[Name] = ()) -> CompiledSketch:
-    """Verify a sketch and extract its combinatorial structure.
+    """Verify a straight-line sketch and extract its combinatorial structure.
 
-    ``edges`` entries are ``(u, v)`` or ``(u, v, [waypoints])``.  Boundary
-    edges take part in the geometry but are excluded from the emitted graph;
-    they must form a cycle through ``corners``.
+    Each of ``edges`` is one ``(u, v)`` segment.  Given ``corners``, the
+    sketch is a fragment: the compiler adds the boundary edges joining
+    consecutive corners (last to first), which take part in the geometry but
+    are left out of the emitted graph.
     """
-    polylines: dict[EdgeKey, list[Point]] = {}
-    for item in edges:
-        u, v = item[0], item[1]
-        way = list(item[2]) if len(item) > 2 else []
-        key = _ekey(u, v)
-        if key in polylines:
-            raise SketchError(f"duplicate edge {key}")
-        if u <= v:
-            polylines[key] = [tuple(points[u]), *map(tuple, way), tuple(points[v])]
-        else:
-            polylines[key] = [tuple(points[v]), *map(tuple, reversed(way)), tuple(points[u])]
+    keys: list[EdgeKey] = []
+    for u, v in [*zip(corners, [*corners[1:], *corners[:1]]), *edges]:
+        if _ekey(u, v) in keys:
+            raise SketchError(f"duplicate edge {_ekey(u, v)}")
+        keys.append(_ekey(u, v))
+    boundary_keys = set(keys[:len(corners)])
+    keys.sort()
 
     declared = {frozenset((_ekey(*a), _ekey(*b))) for a, b in crossings}
-    boundary_keys = {_ekey(u, v) for u, v in boundary}
-
-    hits: dict[EdgeKey, tuple[float, Point, EdgeKey]] = {}
     found: set[frozenset[EdgeKey]] = set()
-    keys = sorted(polylines)
+    at: dict[EdgeKey, Point] = {}  # the crossing point on each crossed edge
     for i, e1 in enumerate(keys):
         for e2 in keys[i + 1:]:
-            pts1, pts2 = polylines[e1], polylines[e2]
-            cross_here = []
-            for a in range(len(pts1) - 1):
-                for b in range(len(pts2) - 1):
-                    got = _seg_intersection(pts1[a], pts1[a + 1], pts2[b], pts2[b + 1])
-                    if got is not None:
-                        cross_here.append((a, b, got))
-            if set(e1) & set(e2):
-                if cross_here:
-                    raise SketchError(f"edges {e1} and {e2} share an endpoint but intersect")
+            pt = _seg_intersection(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
+            if pt is None:
                 continue
-            if len(cross_here) > 1:
-                raise SketchError(f"edges {e1} and {e2} cross more than once")
-            if cross_here:
-                pair = frozenset((e1, e2))
-                if pair not in declared:
-                    raise SketchError(f"undeclared crossing between {e1} and {e2}")
-                if e1 in hits or e2 in hits:
-                    raise SketchError("an edge participates in two crossings")
-                a, b, (t, s, pt) = cross_here[0]
-                found.add(pair)
-                hits[e1] = (a + t, pt, e2)
-                hits[e2] = (b + s, pt, e1)
+            if frozenset((e1, e2)) not in declared:
+                raise SketchError(f"undeclared crossing between {e1} and {e2}")
+            if e1 in at or e2 in at:
+                raise SketchError("an edge participates in two crossings")
+            found.add(frozenset((e1, e2)))
+            at[e1] = at[e2] = pt
     if found != declared:
         missing = sorted(tuple(sorted(p)) for p in declared - found)
         raise SketchError(f"declared crossings not realized: {missing}")
 
-    false_names: list[Name] = []
-    false_of: dict[Name, tuple[EdgeKey, EdgeKey]] = {}
-    cross_name: dict[frozenset[EdgeKey], Name] = {}
-    for pair in sorted(tuple(sorted(p)) for p in declared):
-        name = f"#{len(false_names)}"
-        false_names.append(name)
-        false_of[name] = pair
-        cross_name[frozenset(pair)] = name
-
-    pieces: dict[tuple[Name, Name], list[Point]] = {}
-    edge_paths: dict[EdgeKey, tuple[tuple[Name, Name], ...]] = {}
-    for key in keys:
-        u, v = key
-        pts = polylines[key]
-        if key in hits:
-            pos, pt, other = hits[key]
-            seg = int(pos)
-            w = cross_name[frozenset((key, other))]
-            pieces[_ekey(u, w)] = pts[: seg + 1] + [pt]
-            pieces[_ekey(w, v)] = [pt] + pts[seg + 1:]
-            if key not in boundary_keys:
-                edge_paths[key] = (_ekey(u, w), _ekey(w, v))
-        else:
-            pieces[key] = pts
-            if key not in boundary_keys:
-                edge_paths[key] = (key,)
-
     coords: dict[Name, Point] = {n: tuple(p) for n, p in points.items()}
-    for name in false_names:
-        coords[name] = hits[false_of[name][0]][1]
+    false_of: dict[Name, tuple[EdgeKey, EdgeKey]] = {}
+    crossed_at: dict[EdgeKey, Name] = {}
+    for pair in sorted(tuple(sorted(p)) for p in declared):
+        name = f"#{len(false_of)}"
+        false_of[name] = pair
+        crossed_at[pair[0]] = crossed_at[pair[1]] = name
+        coords[name] = at[pair[0]]
+
+    # Each map edge is a whole segment or the half of a crossed one; every
+    # edge end points at the neighbour it leads to.
+    edge_paths: dict[EdgeKey, tuple[tuple[Name, Name], ...]] = {}
     incident: dict[Name, list[tuple[float, Name]]] = {n: [] for n in coords}
-    for (x, y), pts in pieces.items():
-        for here, there in ((x, y), (y, x)):
-            poly = pts if tuple(pts[0]) == coords[here] else list(reversed(pts))
-            dx = poly[1][0] - poly[0][0]
-            dy = poly[1][1] - poly[0][1]
-            incident[here].append((math.atan2(dy, dx), there))
+    for u, v in keys:
+        w = crossed_at.get((u, v))
+        path = ((u, v),) if w is None else (_ekey(u, w), _ekey(w, v))
+        if (u, v) not in boundary_keys:
+            edge_paths[(u, v)] = path
+        for a, b in path:
+            for here, there in ((a, b), (b, a)):
+                (x0, y0), (x1, y1) = coords[here], coords[there]
+                incident[here].append((math.atan2(y1 - y0, x1 - x0), there))
     rotations: dict[Name, tuple[Name, ...]] = {}
     for n, items in incident.items():
         items.sort()
@@ -199,27 +163,23 @@ def compile_sketch(points: Mapping[Name, Point],
                 raise SketchError(f"ambiguous rotation at {n}: near-parallel edge ends")
         rotations[n] = tuple(t for _, t in items)
 
-    for name in false_names:
-        rot = rotations[name]
-        if len(rot) != 4:
-            raise SketchError(f"crossing point {name} has degree {len(rot)}")
-        e1 = set(false_of[name][0])
-        if [t in e1 for t in rot] not in ([True, False, True, False],
-                                          [False, True, False, True]):
+    for name, (e1, _) in false_of.items():
+        if [t in e1 for t in rotations[name]] not in ([True, False, True, False],
+                                                      [False, True, False, True]):
             raise SketchError(f"crossing point {name} does not alternate")
 
     compiled = CompiledSketch(
         true_names=tuple(sorted(points)),
-        false_names=tuple(false_names),
+        false_names=tuple(false_of),
         rotations=rotations,
         graph_edges=tuple(k for k in keys if k not in boundary_keys),
-        crossings=tuple(sorted(tuple(sorted(p)) for p in declared)),
+        crossings=tuple(false_of.values()),
         edge_paths=edge_paths,
         false_of=false_of,
         corners=tuple(corners),
         corner_wedges={},
     )
-    m, _ = compiled.to_plane_map()
+    m = compiled.to_plane_map()
     if not euler_check(m).planar:
         raise SketchError("sketch does not assemble into a plane embedding")
     if corners:
@@ -230,25 +190,13 @@ def compile_sketch(points: Mapping[Name, Point],
 def _with_corner_wedges(c: CompiledSketch, boundary_keys: set[EdgeKey],
                         m: PlaneMap) -> CompiledSketch:
     """Compute each corner's interior fan and the fragment's corner order."""
-    corner_set = set(c.corners)
-    deg: dict[Name, int] = {x: 0 for x in corner_set}
-    for u, v in boundary_keys:
-        if u not in corner_set or v not in corner_set:
-            raise SketchError("boundary edge not between corners")
-        deg[u] += 1
-        deg[v] += 1
-    if any(d != 2 for d in deg.values()):
-        raise SketchError("corners must form a boundary cycle")
-
     # The face walked entirely along boundary edges fixes the outer corner
     # order; the fragment's interior order is its reverse.
-    ids = {n: i for i, n in enumerate(list(c.true_names) + list(c.false_names))}
-    names = {i: n for n, i in ids.items()}
-    boundary_ids = {frozenset((ids[u], ids[v])) for u, v in boundary_keys}
+    names = c.true_names + c.false_names  # indexed by vertex id, as in to_plane_map
     outer_order: tuple[Name, ...] | None = None
     for walk in trace_faces(m):
-        ends = [frozenset((m.dart_vertex[d], m.dart_vertex[m.opposite[d]])) for d in walk]
-        if all(e in boundary_ids for e in ends):
+        ends = {_ekey(names[m.dart_vertex[d]], names[m.dart_vertex[m.opposite[d]]]) for d in walk}
+        if ends <= boundary_keys:
             outer_order = tuple(names[m.dart_vertex[d]] for d in walk)
             break
     if outer_order is None:
@@ -257,30 +205,14 @@ def _with_corner_wedges(c: CompiledSketch, boundary_keys: set[EdgeKey],
     start = inner_order.index(c.corners[0])
     inner_order = inner_order[start:] + inner_order[:start]
 
+    # A corner's wedge: the ends strictly after its previous corner and
+    # before its next one in its rotation.
     wedges: dict[Name, tuple[Name, ...]] = {}
     k = len(inner_order)
     for i, x in enumerate(inner_order):
-        prev_c = inner_order[(i - 1) % k]
-        next_c = inner_order[(i + 1) % k]
         rot = c.rotations[x]
-        ip, id_ = rot.index(prev_c), rot.index(next_c)
-        if (id_ + 1) % len(rot) != ip:
+        ip = rot.index(inner_order[i - 1])
+        if rot[ip - 1] != inner_order[(i + 1) % k]:
             raise SketchError(f"interior edges on both sides of corner {x}")
-        run = []
-        j = (ip + 1) % len(rot)
-        while j != id_:
-            run.append(rot[j])
-            j = (j + 1) % len(rot)
-        wedges[x] = tuple(run)
-
-    return CompiledSketch(
-        true_names=c.true_names,
-        false_names=c.false_names,
-        rotations=c.rotations,
-        graph_edges=c.graph_edges,
-        crossings=c.crossings,
-        edge_paths=c.edge_paths,
-        false_of=c.false_of,
-        corners=inner_order,
-        corner_wedges=wedges,
-    )
+        wedges[x] = (rot[ip + 1:] + rot[:ip])[:-1]
+    return replace(c, corners=inner_order, corner_wedges=wedges)

@@ -150,7 +150,8 @@ def test_balanced_crossing_count(x):
 
 def test_sketches_stay_constant_size(monkeypatch):
     # With every sketch cache cleared, no build compiles a sketch of more
-    # than 7 points, and doubling the rings adds no compilation.
+    # than 9 points (the face pattern with three extra blacks), and doubling
+    # x adds no compilation.
     compiled = []
     real = onecross.constructions.compile_sketch
     monkeypatch.setattr(onecross.constructions, "compile_sketch",
@@ -168,9 +169,20 @@ def test_sketches_stay_constant_size(monkeypatch):
     runs["near"] = cold_sizes(lambda: near_balanced(41, 60))
     runs["star"] = cold_sizes(lambda: onecross.constructions._star(300))
     runs["double-star"] = cold_sizes(lambda: onecross.constructions._double_star(300))
-    assert all(n <= 7 for sizes in runs.values() for n in sizes), runs
+    runs["w3-12"] = cold_sizes(lambda: w3_family(12, 80))
+    runs["w3-24"] = cold_sizes(lambda: w3_family(24, 160))
+    # One b size per residue of y mod 6; y + 18 keeps the residue and the
+    # split's remainder t at twice the x, so the same face kinds occur.
+    for y in range(30, 36):
+        runs[f"b-12-{y}"] = cold_sizes(lambda: b_family(12, y))
+        runs[f"b-24-{y}"] = cold_sizes(lambda: b_family(24, y + 18))
+    assert all(n <= 9 for sizes in runs.values() for n in sizes), runs
+    assert max(n for sizes in runs.values() for n in sizes) == 9
     assert len(runs[40]) <= len(runs[20])
     assert len(runs[41]) <= len(runs[21])
+    assert len(runs["w3-24"]) <= len(runs["w3-12"])
+    for y in range(30, 36):
+        assert len(runs[f"b-24-{y}"]) <= len(runs[f"b-12-{y}"])
 
 
 @pytest.mark.parametrize("x,y,verts,edges", [(4, 6, 10, 20), (5, 5, 10, 22), (7, 10, 17, 40)])

@@ -219,6 +219,17 @@ def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
     assert run(["verify", str(f)], capsys)[0] == 2
 
 
+def test_true_rotation_at_a_crossing_point_id_is_a_duplicate_vertex(tmp_path, capsys):
+    # Crossing point 0 takes the id one above every graph vertex.
+    doc = drawing_to_document(balanced(4))
+    doc["rotations"]["true"][str(max(doc["black"] + doc["white"]) + 1)] = []
+    with pytest.raises(FormatError, match="duplicate vertex"):
+        document_to_drawing(doc)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(doc))
+    assert run(["verify", str(f)], capsys)[0] == 2
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_cli_verify_lists_every_failure_after_one_validation(tmp_path, capsys, monkeypatch,
                                                            as_json):

@@ -10,6 +10,7 @@ from onecross.plane_map import (
     delete_vertex,
     euler_check,
     insert_vertex_in_face,
+    map_from_paired_darts,
     map_from_rotation_lists,
     smooth_degree2,
     trace_faces,
@@ -59,6 +60,18 @@ def test_dart_in_two_rotations_rejected():
 def test_loop_rejected():
     with pytest.raises(MapError, match="loop"):
         build_map({0: [0, 1]}, {0: 1, 1: 0})
+
+
+def test_paired_darts_map_matches_build_map():
+    # Edge i owns darts 2i and 2i + 1: the triangle with edges {0,1}, {1,2}, {0,2}.
+    m = map_from_paired_darts({0: [0, 5], 1: [1, 2], 2: [3, 4]}, 3)
+    assert m == build_map({0: [0, 5], 1: [1, 2], 2: [3, 4]},
+                          {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
+    assert euler_check(m).planar
+    with pytest.raises(MapError, match="unpaired dart"):
+        map_from_paired_darts({0: [0], 1: [1, 2]}, 1)
+    with pytest.raises(MapError, match="loop"):
+        map_from_paired_darts({0: [0, 1]}, 1)
 
 
 def test_triangle_faces():
@@ -245,8 +258,7 @@ def test_editor_allocates_ids_above_every_id_in_use():
     assert ed.new_edge() == (12, 13)
     assert ed.dart_edge[12] == ed.dart_edge[13] == 6
     assert ed.add_vertex() == 4
-    assert ed.add_vertex(9) == 9
-    assert ed.add_vertex() == 10
+    assert ed.add_vertex() == 5
     assert ed.new_edge((20, 30), 8) == (20, 30)
     assert ed.new_edge() == (31, 32)
     assert ed.dart_edge[31] == 9
@@ -254,8 +266,6 @@ def test_editor_allocates_ids_above_every_id_in_use():
         ed.new_edge((0, 40))
     with pytest.raises(MapError, match="duplicate edge id"):
         ed.new_edge(edge=3)
-    with pytest.raises(MapError, match="duplicate vertex"):
-        ed.add_vertex(2)
     empty = MapEditor()
     assert (empty.new_edge(), empty.add_vertex(), empty.add_vertex()) == ((0, 1), 0, 1)
 
