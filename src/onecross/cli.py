@@ -157,6 +157,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "verdict": res.verdict,
         "crossings": res.crossings,
         "assignments_tested": res.assignments_tested,
+        "stats": res.stats.to_json(),
     }
     if args.out and res.drawing is not None:
         save_drawing(res.drawing, args.out)

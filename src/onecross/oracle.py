@@ -1,17 +1,34 @@
 """Exhaustive ground truth for small graphs: can they be drawn with at most
 one crossing per edge?
 
-The decision procedure enumerates crossing assignments (sets of disjoint,
-non-adjacent edge pairs) in increasing size, replaces
-each chosen pair by a wheel gadget (a new degree-4 vertex plus the 4-cycle
-through the pair's endpoints, which any plane embedding must wrap around the
-hub, forcing the rotation to alternate), and tests planarity of the gadget
-multigraph.  A planar gadget embedding is converted back into a certified
-drawing, so every ``yes`` is independently validated; ``no`` means the whole
-space up to the crossing budget was exhausted.
+The decision procedure searches crossing assignments (sets of disjoint,
+non-adjacent edge pairs) in increasing size, replaces each chosen pair by a
+wheel gadget (a new degree-4 vertex plus the 4-cycle through the pair's
+endpoints, which any plane embedding must wrap around the hub, forcing the
+rotation to alternate), and tests planarity of the gadget multigraph.  A
+planar gadget embedding is converted back into a certified drawing, so every
+``yes`` is independently validated; ``no`` means no assignment up to the
+crossing budget has a planar gadget graph.
 
-This is desk-scale tooling: the default guideline is at most 14 edges.  Long
-runs accept a timeout and write a coarse resumable checkpoint.
+Three pruning rules keep that exhaustive; each is proved where it is coded:
+
+- counting bound (``_counting_bound``): deleting one edge per crossing
+  leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
+  crossings when the graph two-colours and |E| - (3n - 6) otherwise; the
+  smaller sizes are skipped, and a bound above the budget answers ``no``
+  without a planarity test;
+- twin symmetry (``_twin_classes``, ``_Search.orbits``, ``_Search.expand``):
+  permuting vertices with equal open or closed neighbourhoods is an
+  automorphism, so each node branches only on one representative pair per
+  orbit of the twin group fixing the chosen endpoints;
+- forced uncrossed (``_Search.forced_planar``): an edge that no pair still
+  allowed below a node contains stays uncrossed in every leaf below it, so
+  a non-planar gadget graph of the chosen pairs plus those edges cuts the
+  subtree.
+
+``is_one_planar`` reports what each size cost in ``SearchStats``.  Long runs
+accept a timeout, checked before every planarity test, and write a coarse
+resumable checkpoint.
 """
 
 from __future__ import annotations
@@ -19,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,42 +89,36 @@ def planarity_test(edges: Sequence[tuple[int, int]],
                    nodes: Iterable[int] = ()) -> PlanarityResult:
     """Planarity of a multigraph, with an embedding witness when planar.
 
-    Parallel copies are subdivided before the test (subdivision preserves
-    planarity both ways) and contracted back in the witness.  Every witness
-    is audited with the Euler face count; map edge ids equal input indices.
+    Parallel copies do not change planarity, so only the first copy of each
+    edge is tested.  In the witness the copies of an edge are stacked beside
+    it, in one order around one end and the reverse order around the other,
+    so consecutive copies bound a digon face.  Every witness is audited with
+    the Euler face count; map edge ids equal input indices.
     """
-    node_set = set(nodes)
-    for u, v in edges:
+    first: dict[tuple[int, int], int] = {}
+    copies: dict[int, list[int]] = {}
+    for i, (u, v) in enumerate(edges):
         if u == v:
             raise OracleError("loops are not supported")
-        node_set.update((u, v))
-    fresh = max(node_set, default=-1) + 1
+        j = first.setdefault((u, v) if u <= v else (v, u), i)
+        if j != i:
+            copies.setdefault(j, []).append(i)
     g = nx.Graph()
-    g.add_nodes_from(node_set)
-    kept: dict[tuple[int, int], int] = {}
-    mid_of: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        key = (u, v) if u <= v else (v, u)
-        if key not in kept and not g.has_edge(*key):
-            kept[key] = i
-            g.add_edge(*key)
-        else:
-            mid = fresh
-            fresh += 1
-            mid_of[mid] = i
-            g.add_edge(u, mid)
-            g.add_edge(mid, v)
+    g.add_nodes_from(nodes)
+    g.add_edges_from(first)
     ok, embedding = nx.check_planarity(g, counterexample=False)
     if not ok:
         return PlanarityResult(False, None)
 
     order = embedding.get_data()
     rotations: dict[int, list[int]] = {}
-    for v in node_set:
+    for v in g:
         darts = []
         for w in order.get(v, []):
-            i = mid_of[w] if w in mid_of else kept[(v, w) if v <= w else (w, v)]
-            darts.append(2 * i if v == edges[i][0] else 2 * i + 1)
+            i = first[(v, w) if v <= w else (w, v)]
+            stack = [i, *copies.get(i, ())]
+            for j in (stack if v < w else reversed(stack)):
+                darts.append(2 * j if v == edges[j][0] else 2 * j + 1)
         rotations[v] = darts
     witness = pm.map_from_paired_darts(rotations, len(edges))  # edge i: darts 2i, 2i + 1
     if not pm.euler_check(witness).planar:
@@ -164,12 +175,41 @@ def gadget_planarize(graph: Graph | BipartiteGraph,
     return GadgetGraph(tuple(out), kept, spokes, tuple(rims), false_nodes)
 
 
+@dataclass
+class SizeStats:
+    """What the search did at one assignment size."""
+
+    size: int
+    skipped: bool = False     # below the counting bound: nothing of this size was tried
+    leaves: int = 0           # full assignments sent to the planarity test
+    forced_tests: int = 0     # inner nodes sent to the planarity test (forced-uncrossed rule)
+    forced_cuts: int = 0      # of those, subtrees cut because the test failed
+    planarity_calls: int = 0  # leaves + forced_tests
+    planarity_s: float = 0.0
+    witnesses: int = 0        # planar leaves converted into certified drawings
+
+
+@dataclass
+class SearchStats:
+    """Per-size counters of one :func:`is_one_planar` run."""
+
+    lower_bound: int  # the counting bound on the number of crossings
+    sizes: list[SizeStats] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {"lower_bound": self.lower_bound, "sizes": [asdict(s) for s in self.sizes]}
+
+
 @dataclass(frozen=True)
 class OneplanarResult:
     verdict: str  # "yes" | "no" | "unknown"
     drawing: OnePlanarDrawing | None
     crossings: int | None
-    assignments_tested: int
+    stats: SearchStats
+
+    @property
+    def assignments_tested(self) -> int:
+        return sum(s.leaves for s in self.stats.sizes)
 
 
 def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -208,6 +248,11 @@ def _drawing_from_gadget(graph: Graph | BipartiteGraph,
                             dict(gadget.false_nodes))
 
 
+# Recorded in every checkpoint: a checkpoint written under another rule set
+# indexes other subtrees, so it must not be resumed.
+RULES = ("count", "twins", "forced")
+
+
 def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
     out = []
     for i, e in enumerate(edges):
@@ -217,8 +262,186 @@ def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
     return out
 
 
+def _counting_bound(graph: Graph | BipartiteGraph) -> int:
+    """Fewest crossings any drawing of ``graph`` can have, by counting edges.
+
+    Lemma (counting bound).  Delete one edge from each crossing of a drawing
+    with k crossings: what is left is a plane drawing of a simple subgraph
+    with at least |E| - k edges on the n vertices that have an edge (isolated
+    vertices change no drawing).  For n >= 3 a simple planar graph has at
+    most 3n - 6 edges, and at most 2n - 4 if it is two-coloured, as every
+    subgraph of a two-coloured graph is.  So k >= |E| - (2n - 4) when
+    ``graph`` two-colours and k >= |E| - (3n - 6) otherwise.
+    """
+    n = len({v for e in graph.edges for v in e})
+    if n < 3:
+        return 0
+    planar_edges = 2 * n - 4 if _two_color(graph) is not None else 3 * n - 6
+    return max(0, len(graph.edges) - planar_edges)
+
+
+def _twin_classes(graph: Graph | BipartiteGraph) -> list[int]:
+    """The twin class of each vertex, in sorted vertex order.
+
+    Lemma (twins).  If u and v have the same open neighbourhood, or the same
+    closed one, swapping them maps edges onto edges; so every permutation
+    inside a class of such vertices is an automorphism, and the product of
+    the symmetric groups on the classes is a subgroup of Aut(G).  No vertex
+    has both kinds of twin: if N(u) = N(v) and N[u] = N[w], then w lies in
+    N(u) = N(v), so v lies in N[w] = N[u] and is adjacent to u, while
+    N(u) = N(v) makes u and v non-adjacent.  A class is named by the
+    position of its least vertex.
+    """
+    order = sorted(graph.vertices)
+    nbrs: dict[int, set[int]] = {v: set() for v in order}
+    for u, v in graph.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    cls: dict[int, int] = {}
+    for closed in (False, True):
+        groups: dict[frozenset[int], list[int]] = {}
+        for i, v in enumerate(order):
+            if v not in cls:
+                groups.setdefault(frozenset(nbrs[v] | {v} if closed else nbrs[v]), []).append(i)
+        for members in groups.values():
+            if closed or len(members) > 1:
+                for i in members:
+                    cls[order[i]] = members[0]
+    return [cls[v] for v in order]
+
+
+class _OutOfTime(Exception):
+    """The time limit passed before a planarity call."""
+
+
+_Found = tuple[GadgetGraph, PlaneMap]
+
+
+class _Search:
+    """Depth-first search over crossing assignments of one size at a time.
+
+    A node is a list of chosen pair indices (increasing), the pair indices
+    still allowed below it (increasing), and a twin partition ``cls``: a
+    class number per vertex, in sorted vertex order, whose group of
+    permutations inside the classes fixes every chosen endpoint.
+    """
+
+    def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
+        self.graph = graph
+        self.deadline = deadline
+        self.edges = sorted(graph.edges)
+        self.pairs = _candidate_pairs(self.edges)
+        edge_index = {e: i for i, e in enumerate(self.edges)}
+        self.pair_edges = [(edge_index[e], edge_index[f]) for e, f in self.pairs]
+        position = {v: i for i, v in enumerate(sorted(graph.vertices))}
+        self.pair_ends = [tuple(position[v] for v in e + f) for e, f in self.pairs]
+        self.classes = _twin_classes(graph)
+        self.stats = SizeStats(0)
+
+    def planar(self, edges: Sequence[tuple[int, int]]) -> PlanarityResult:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _OutOfTime
+        t = time.perf_counter()
+        res = planarity_test(edges, self.graph.vertices)
+        self.stats.planarity_s += time.perf_counter() - t
+        self.stats.planarity_calls += 1
+        return res
+
+    def orbits(self, allowed: Sequence[int], cls: list[int]) -> tuple[list[int], list[int]]:
+        """The orbit number of each allowed pair, and each orbit's representative.
+
+        Lemma (twin orbits).  Under the permutations inside the classes of
+        ``cls``, two candidate pairs lie in one orbit exactly when they have
+        the same key: the multiset, over the pair's two edges, of the
+        multiset of the edge's endpoint classes.  Equal keys give a
+        class-preserving matching of the four endpoints, which are distinct,
+        and such a map extends to a permutation inside every class.  Orbits
+        are numbered by their least pair, which is their representative.
+        """
+        number: dict[tuple, int] = {}
+        labels: list[int] = []
+        reps: list[int] = []
+        for p in allowed:
+            a, b, c, d = (cls[v] for v in self.pair_ends[p])
+            e = (a, b) if a <= b else (b, a)
+            f = (c, d) if c <= d else (d, c)
+            key = (e, f) if e <= f else (f, e)
+            j = number.get(key)
+            if j is None:
+                j = number[key] = len(reps)
+                reps.append(p)
+            labels.append(j)
+        return labels, reps
+
+    def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
+               left: int) -> _Found | None:
+        """Choose ``left`` more pairs below a node: a planar leaf, or None.
+
+        Lemma (orbit branching).  Let H, the group of ``cls``, fix every
+        chosen endpoint and leave ``allowed`` invariant.  Every set S of
+        ``left`` edge-disjoint allowed pairs has an image under H that the
+        search visits.  Let j be the least orbit meeting S and h in H map
+        S's pair in orbit j onto r_j.  h(S) contains r_j, its other pairs
+        lie in orbits >= j and share no edge with r_j, so they are allowed
+        in r_j's child; the child's group, H's pointwise stabiliser of r_j's
+        endpoints, fixes r_j, so it leaves that set invariant; and induction
+        covers h(S) minus r_j.  h fixes the chosen pairs, so the image is an
+        assignment of the same graph, with a planar gadget exactly when S
+        has one.
+        """
+        labels, reps = self.orbits(allowed, cls)
+        for j, r in enumerate(reps):
+            found = self.branch(chosen, allowed, labels, cls, j, r, left)
+            if found is not None:
+                return found
+        return None
+
+    def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
+               cls: list[int], j: int, r: int, left: int) -> _Found | None:
+        """Choose ``r``, the representative of orbit ``j``, below a node; search below it."""
+        chosen = chosen + [r]
+        if left == 1:
+            return self.leaf(chosen)
+        e, f = self.pair_edges[r]
+        below = [p for p, k in zip(allowed, labels)
+                 if k >= j and e not in self.pair_edges[p] and f not in self.pair_edges[p]]
+        if len(below) < left - 1 or not self.forced_planar(chosen, below):
+            return None
+        n = len(cls)
+        fixed = list(cls)
+        for v in self.pair_ends[r]:
+            fixed[v] = n + v  # a class of its own: class names below n are taken
+        return self.expand(chosen, below, fixed, left - 1)
+
+    def forced_planar(self, chosen: list[int], below: list[int]) -> bool:
+        """Whether the gadget graph of ``chosen`` plus the forced edges is planar.
+
+        Lemma (forced uncrossed).  An edge that is not chosen and lies in no
+        allowed pair is uncrossed in every leaf below the node, so every
+        leaf's gadget graph contains this one as a subgraph; if this one is
+        not planar, no leaf below is.
+        """
+        crossable = {i for p in chosen + below for i in self.pair_edges[p]}
+        forced = [e for i, e in enumerate(self.edges) if i not in crossable]
+        chosen_pairs = [self.pairs[p] for p in chosen]
+        sub = Graph(self.graph.vertices,
+                    frozenset(forced + [e for pair in chosen_pairs for e in pair]))
+        gadget = gadget_planarize(sub, CrossingAssignment.make(chosen_pairs))
+        planar = self.planar(gadget.edges).planar
+        self.stats.forced_tests += 1
+        self.stats.forced_cuts += not planar
+        return planar
+
+    def leaf(self, chosen: list[int]) -> _Found | None:
+        assignment = CrossingAssignment.make(self.pairs[p] for p in chosen)
+        gadget = gadget_planarize(self.graph, assignment)
+        res = self.planar(gadget.edges)
+        self.stats.leaves += 1
+        return (gadget, res.witness) if res.planar else None
+
+
 def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, int]:
-    """Where a checkpoint of this search resumes: (size, first-pair index), or (0, 0)."""
+    """Where a checkpoint of this search resumes: (size, first-level orbit), or (0, 0)."""
     if path is None or not Path(path).exists():
         return 0, 0
     try:
@@ -241,21 +464,20 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     """Decide drawability with at most ``max_crossings`` crossings.
 
     Searches assignment sizes in increasing order, so a ``yes`` uses the
-    fewest crossings possible.  Within a size, assignments are grouped by
-    their first candidate pair in increasing index order; inside a group the
-    depth-first stack pops the highest next pair index first.  ``yes``
-    returns a certified drawing; ``no`` is exhaustive within the budget;
-    ``unknown`` is only returned on timeout, with progress saved to
-    ``checkpoint`` (a JSON file recording the last fully explored first-pair
-    subtree per size) when given.
+    fewest crossings possible; sizes below the counting bound are skipped.
+    Within a size, the first level branches on the orbit representatives of
+    all candidate pairs under the twin group, in order of least member.
+    ``yes`` returns a certified drawing; ``no`` is exhaustive within the
+    budget; ``unknown`` is only returned when ``timeout`` seconds pass
+    before a planarity call, with progress saved to ``checkpoint`` (a JSON
+    file recording the size and the first orbit of the first level not yet
+    fully explored) when given.  ``stats`` counts the work at each size.
     """
     if max_crossings < 0:
         raise OracleError("budget must be nonnegative")
-    edges = sorted(graph.edges)
-    start = time.monotonic()
-    tested = 0
-
-    fingerprint = {"edges": [list(e) for e in edges], "budget": max_crossings}
+    search = _Search(graph, None if timeout is None else time.monotonic() + timeout)
+    fingerprint = {"edges": [list(e) for e in search.edges], "budget": max_crossings,
+                   "rules": list(RULES)}
     resume_size, resume_root = _read_checkpoint(checkpoint, fingerprint)
 
     def save_checkpoint(size: int, next_root: int) -> None:
@@ -275,53 +497,36 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             tmp.unlink(missing_ok=True)
             raise
 
-    def out_of_time() -> bool:
-        return timeout is not None and time.monotonic() - start > timeout
-
-    pairs = _candidate_pairs(edges)
-
-    for size in range(max_crossings + 1):
-        if size < resume_size:
+    stats = SearchStats(_counting_bound(graph))
+    everything = range(len(search.pairs))
+    for size in range(resume_size, max_crossings + 1):
+        search.stats = SizeStats(size, skipped=size < stats.lower_bound)
+        stats.sizes.append(search.stats)
+        if search.stats.skipped:
             continue
-        if size == 0:
-            tested += 1
-            res = planarity_test(edges, graph.vertices)
-            if res.planar:
-                gadget = gadget_planarize(graph, CrossingAssignment(()))
-                d = _drawing_from_gadget(graph, gadget, res.witness)
-                return OneplanarResult("yes", d, 0, tested)
-            continue
-
-        # Depth-first over increasing pair indices, one first pair at a time.
-        root0 = resume_root if size == resume_size else 0
-        for root in range(root0, len(pairs)):
-            stack: list[tuple[list[int], set[Edge]]] = [
-                ([root], {pairs[root][0], pairs[root][1]})]
-            while stack:
-                chosen, used = stack.pop()
-                if len(chosen) == size:
-                    tested += 1
-                    if tested % 64 == 0 and out_of_time():
+        root = resume_root if size == resume_size else 0
+        try:
+            if size == 0:
+                found = search.leaf([])
+            else:
+                labels, reps = search.orbits(everything, search.classes)
+                found = None
+                while found is None and root < len(reps):
+                    found = search.branch([], everything, labels, search.classes,
+                                          root, reps[root], size)
+                    if found is None:
+                        root += 1
                         save_checkpoint(size, root)
-                        return OneplanarResult("unknown", None, None, tested)
-                    assignment = CrossingAssignment.make([pairs[i] for i in chosen])
-                    gadget = gadget_planarize(graph, assignment)
-                    res = planarity_test(gadget.edges, graph.vertices)
-                    if res.planar:
-                        d = _drawing_from_gadget(graph, gadget, res.witness)
-                        return OneplanarResult("yes", d, size, tested)
-                    continue
-                for nxt in range(chosen[-1] + 1, len(pairs)):
-                    e, f = pairs[nxt]
-                    if e in used or f in used:
-                        continue
-                    stack.append((chosen + [nxt], used | {e, f}))
-            save_checkpoint(size, root + 1)
-            if out_of_time():
-                return OneplanarResult("unknown", None, None, tested)
-        resume_root = 0
+        except _OutOfTime:
+            save_checkpoint(size, root)
+            return OneplanarResult("unknown", None, None, stats)
+        if found is not None:
+            gadget, witness = found
+            d = _drawing_from_gadget(graph, gadget, witness)
+            search.stats.witnesses += 1
+            return OneplanarResult("yes", d, size, stats)
 
-    return OneplanarResult("no", None, None, tested)
+    return OneplanarResult("no", None, None, stats)
 
 
 def min_crossings(graph: Graph | BipartiteGraph, cap: int,

@@ -337,6 +337,18 @@ def test_cli_oracle_exit_codes(capsys, tmp_path):
     assert code == 3 and out.startswith("unknown")
 
 
+def test_cli_oracle_json_reports_search_stats(capsys):
+    code, out = run(["oracle", "--complete-bipartite", "3", "4", "--budget", "2", "--json"],
+                    capsys)
+    report = json.loads(out)
+    stats = report["stats"]
+    assert (code, report["verdict"], report["crossings"], stats["lower_bound"]) == (0, "yes", 2, 2)
+    assert [s["size"] for s in stats["sizes"]] == [0, 1, 2]
+    assert [s["skipped"] for s in stats["sizes"]] == [True, True, False]
+    assert report["assignments_tested"] == stats["sizes"][2]["leaves"] > 0
+    assert stats["sizes"][2]["witnesses"] == 1
+
+
 @pytest.mark.parametrize("content", ["{bad", "[]"], ids=["not-json", "not-an-object"])
 def test_cli_oracle_bad_checkpoint_is_an_input_error(tmp_path, capsys, content):
     ck = tmp_path / "ck.json"

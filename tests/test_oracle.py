@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from onecross.drawing import BipartiteGraph, Graph, crossing_count, recover_grap
 from onecross.oracle import (
     CrossingAssignment,
     OracleError,
+    _candidate_pairs,
     gadget_planarize,
     is_one_planar,
     min_crossings,
@@ -207,6 +209,17 @@ def test_subgraph_monotonicity_random():
         assert is_one_planar(sub, 1).verdict == "yes"
 
 
+def test_planarity_witness_stacks_parallel_copies():
+    # Each pair of vertices carries two or three copies; the witness embeds
+    # every copy, and the Euler audit inside planarity_test accepts it.
+    edges = [(0, 1), (1, 0), (1, 2), (2, 1), (1, 2), (2, 0), (0, 2), (2, 3)]
+    res = planarity_test(edges)
+    assert res.planar
+    assert len(res.witness.edge_darts) == len(edges)
+    assert euler_check(res.witness).planar
+    assert not planarity_test(list(complete(5).edges) * 2).planar
+
+
 def test_balanced4_graph_needs_exactly_four_crossings():
     # The 4+4 ring construction uses 4 crossings; exhaustion shows none fewer
     # suffice, so the bracket [1, 4] closes at 4.
@@ -216,9 +229,7 @@ def test_balanced4_graph_needs_exactly_four_crossings():
 
 def test_agreement_with_constructions_small():
     for d in (balanced(2), balanced(3), best_known(1, 5).drawing,
-              best_known(2, 6).drawing):
-        if d.edge_count > 14:
-            continue
+              best_known(2, 6).drawing, best_known(3, 5).drawing, best_known(4, 5).drawing):
         res = is_one_planar(recover_graph(d), crossing_count(d))
         assert res.verdict == "yes"
         assert res.crossings <= crossing_count(d)
@@ -270,6 +281,13 @@ def test_min_crossings_timeout_bounds_whole_search():
         min_crossings(complete_bipartite(3, 7), 6, timeout=0.2)
 
 
+def test_timeout_is_checked_before_every_planarity_call():
+    start = time.monotonic()
+    res = is_one_planar(complete_bipartite(3, 7), 6, timeout=0.2)
+    assert res.verdict == "unknown"
+    assert time.monotonic() - start < 1.5
+
+
 def test_timeout_returns_unknown(tmp_path):
     k37 = complete_bipartite(3, 7)
     ck = tmp_path / "ck.json"
@@ -287,7 +305,9 @@ BAD_CHECKPOINTS = {
     "not-json": "{bad",
     "not-an-object": "[]",
     "bad-size": json.dumps({"fingerprint": {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
-                                            "budget": 0}, "size": "0", "next_root": 0}),
+                                            "budget": 0,
+                                            "rules": ["count", "twins", "forced"]},
+                            "size": "0", "next_root": 0}),
 }
 
 
@@ -297,6 +317,22 @@ def test_bad_checkpoint_raises_oracle_error(tmp_path, content):
     ck.write_text(content)
     with pytest.raises(OracleError, match="checkpoint"):
         is_one_planar(complete_bipartite(2, 2), 0, checkpoint=ck)
+
+
+def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
+    # A checkpoint claiming every first-level subtree of size 2 is done.
+    k34 = complete_bipartite(3, 4)
+    edges = [list(e) for e in sorted(k34.edges)]
+    ck = tmp_path / "ck.json"
+
+    def write(fingerprint):
+        ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 999}))
+
+    write({"edges": edges, "budget": 2, "rules": ["count", "twins", "forced"]})
+    assert is_one_planar(k34, 2, checkpoint=ck).verdict == "no"
+    write({"edges": edges, "budget": 2})  # written before the rule set was recorded
+    res = is_one_planar(k34, 2, checkpoint=ck)
+    assert (res.verdict, res.crossings) == ("yes", 2)
 
 
 def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -328,3 +364,119 @@ def test_witness_rims_go_in_one_map_edit(monkeypatch):
     d = _drawing_from_gadget(k34, gadget, witness)
     assert (len(gadget.rims), len(made)) == (8, 1)
     assert validate(d).passed
+
+
+# -- pruning rules -------------------------------------------------------------
+
+
+def plain_search(graph, budget):
+    """Reference: the least size of an assignment with a planar gadget graph
+    (at most ``budget``), trying every assignment; None if there is none."""
+    pairs = _candidate_pairs(sorted(graph.edges))
+
+    def assignments(size, start, used):
+        if size == 0:
+            yield []
+            return
+        for i in range(start, len(pairs)):
+            e, f = pairs[i]
+            if e not in used and f not in used:
+                for rest in assignments(size - 1, i + 1, used | {e, f}):
+                    yield [pairs[i]] + rest
+
+    for size in range(budget + 1):
+        for chosen in assignments(size, 0, frozenset()):
+            if planarity_test(gadget_planarize(graph, chosen).edges, graph.vertices).planar:
+                return size
+    return None
+
+
+def random_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(6, 8)
+    pool = list(itertools.combinations(range(n), 2))
+    edges = rng.sample(pool, rng.randint(2 * n, min(16, len(pool))))
+    return Graph.make(range(n), edges)
+
+
+DIFFERENTIAL = (
+    [(f"K{n}", complete(n), 3) for n in range(3, 7)]
+    + [(f"K{a},{b}", complete_bipartite(a, b), 2)
+       for a in range(1, 4) for b in range(a, 8 - a)]
+    + [("K6-b2", complete(6), 2), ("K3,4-b1", complete_bipartite(3, 4), 1),
+       ("K3,3-b0", complete_bipartite(3, 3), 0)]
+    + [(f"random{seed}", random_graph(seed), 1 + seed % 3) for seed in range(40)]
+)
+
+
+def test_pruned_search_agrees_with_plain_search():
+    nos = 0
+    for name, graph, budget in DIFFERENTIAL:
+        want = plain_search(graph, budget)
+        res = is_one_planar(graph, budget)
+        assert res.crossings == want, name
+        assert res.verdict == ("no" if want is None else "yes"), name
+        nos += want is None
+        if res.verdict == "yes":
+            assert validate(res.drawing).passed, name
+            assert recover_graph(res.drawing).edges == graph.edges, name
+    assert nos >= 3
+
+
+@pytest.mark.parametrize("graph,budget", [(complete_bipartite(3, 4), 2), (complete(6), 3),
+                                          (complete_bipartite(3, 5), 3)],
+                         ids=["K3,4", "K6", "K3,5"])
+def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatch):
+    calls = []
+    test = onecross.oracle.planarity_test
+    monkeypatch.setattr(onecross.oracle, "planarity_test",
+                        lambda *a: calls.append(1) or test(*a))
+    res = is_one_planar(graph, budget)
+    stats = res.stats
+    assert [s.size for s in stats.sizes] == list(range(budget + 1))
+    for s in stats.sizes:
+        assert s.planarity_calls == s.leaves + s.forced_tests
+        assert s.forced_cuts <= s.forced_tests
+        assert s.skipped == (s.size < stats.lower_bound)
+        if s.skipped:
+            assert s.planarity_calls == 0
+    assert sum(s.planarity_calls for s in stats.sizes) == len(calls)
+    assert res.assignments_tested == sum(s.leaves for s in stats.sizes)
+    assert sum(s.witnesses for s in stats.sizes) == (res.verdict == "yes")
+
+
+def test_counting_bound_answers_no_without_planarity_calls(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("planarity test called")
+
+    monkeypatch.setattr(onecross.oracle, "planarity_test", forbidden)
+    res = is_one_planar(complete_bipartite(3, 7), 4)  # 21 - (2 * 10 - 4) = 5 > 4
+    assert res.verdict == "no"
+    assert res.stats.lower_bound == 5
+    assert all(s.skipped and s.planarity_calls == 0 for s in res.stats.sizes)
+
+
+def test_counting_bound_skips_sizes_below_it(monkeypatch):
+    k44 = complete_bipartite(4, 4)  # 16 - (2 * 8 - 4) = 4
+    sizes = []
+    planarize = onecross.oracle.gadget_planarize
+
+    def recording(graph, assignment):
+        if graph is k44:
+            sizes.append(len(assignment.pairs))
+        return planarize(graph, assignment)
+
+    monkeypatch.setattr(onecross.oracle, "gadget_planarize", recording)
+    assert min_crossings(k44, 4) == 4
+    assert sizes and set(sizes) == {4}
+
+
+def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
+    from onecross.oracle import _counting_bound
+
+    k5 = complete(5)
+    assert _counting_bound(k5) == 10 - 9
+    assert _counting_bound(Graph.make(range(9), k5.edges)) == 1
+    assert _counting_bound(complete(6)) == 15 - 12
+    assert _counting_bound(complete_bipartite(3, 5)) == 15 - 12
+    assert _counting_bound(Graph.make(range(2), [(0, 1)])) == 0
