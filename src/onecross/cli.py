@@ -142,6 +142,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.complete_bipartite:
         a, b = args.complete_bipartite
+        if a < 0 or b < 0:
+            raise OracleError("--complete-bipartite sizes must be nonnegative")
         blacks = list(range(a))
         whites = list(range(a, a + b))
         graph: Graph | BipartiteGraph = BipartiteGraph.make(

@@ -20,15 +20,22 @@ Three pruning rules keep that exhaustive; each is proved where it is coded:
 - twin symmetry (``_twin_classes``, ``_Search.orbits``, ``_Search.expand``):
   permuting vertices with equal open or closed neighbourhoods is an
   automorphism, so each node branches only on one representative pair per
-  orbit of the twin group fixing the chosen endpoints;
+  orbit of the twin group fixing the chosen endpoints.  A node's orbits are
+  branched on smallest first, then by the sorted class sizes of the
+  representative's endpoints, then by least pair: the order depends on the
+  vertex labels only to break ties, and the large orbits, branched last,
+  are left with few pairs below them;
 - forced uncrossed (``_Search.forced_planar``): an edge that no pair still
   allowed below a node contains stays uncrossed in every leaf below it, so
   a non-planar gadget graph of the chosen pairs plus those edges cuts the
   subtree.
 
-``is_one_planar`` reports what each size cost in ``SearchStats``.  Long runs
-accept a timeout, checked before every planarity test, and write a coarse
-resumable checkpoint.
+``planarity_test`` answers "not planar" without networkx when the simple
+graph has more than 3N - 6 edges on its N >= 3 non-isolated vertices (the
+counting bound's lemma); about half of the K3,7 tests end there.
+``is_one_planar`` reports what each size cost in ``SearchStats``.  Long
+runs accept a timeout, checked before every planarity test, and write a
+coarse resumable checkpoint.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -83,6 +91,7 @@ class CrossingAssignment:
 class PlanarityResult:
     planar: bool
     witness: PlaneMap | None
+    edge_bound: bool = False  # rejected by the edge bound, without networkx
 
 
 def planarity_test(edges: Sequence[tuple[int, int]],
@@ -90,9 +99,12 @@ def planarity_test(edges: Sequence[tuple[int, int]],
     """Planarity of a multigraph, with an embedding witness when planar.
 
     Parallel copies do not change planarity, so only the first copy of each
-    edge is tested.  In the witness the copies of an edge are stacked beside
-    it, in one order around one end and the reverse order around the other,
-    so consecutive copies bound a digon face.  Every witness is audited with
+    edge is tested.  A simple graph with more than 3N - 6 edges on the
+    N >= 3 vertices that have one is not planar (see ``_counting_bound``);
+    that is answered before any networkx graph is built.  In the witness
+    the copies of an edge are stacked beside it, in one order around one
+    end and the reverse order around the other, so consecutive copies
+    bound a digon face.  Every witness is audited with
     the Euler face count; map edge ids equal input indices.
     """
     first: dict[tuple[int, int], int] = {}
@@ -103,6 +115,9 @@ def planarity_test(edges: Sequence[tuple[int, int]],
         j = first.setdefault((u, v) if u <= v else (v, u), i)
         if j != i:
             copies.setdefault(j, []).append(i)
+    n = len({v for e in first for v in e})
+    if n >= 3 and len(first) > 3 * n - 6:
+        return PlanarityResult(False, None, edge_bound=True)
     g = nx.Graph()
     g.add_nodes_from(nodes)
     g.add_edges_from(first)
@@ -185,6 +200,7 @@ class SizeStats:
     forced_tests: int = 0     # inner nodes sent to the planarity test (forced-uncrossed rule)
     forced_cuts: int = 0      # of those, subtrees cut because the test failed
     planarity_calls: int = 0  # leaves + forced_tests
+    edge_bound_rejects: int = 0  # of those, answered by the edge bound without networkx
     planarity_s: float = 0.0
     witnesses: int = 0        # planar leaves converted into certified drawings
 
@@ -250,7 +266,7 @@ def _drawing_from_gadget(graph: Graph | BipartiteGraph,
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
 # indexes other subtrees, so it must not be resumed.
-RULES = ("count", "twins", "forced")
+RULES = ("count", "twins", "forced", "small-orbits-first")
 
 
 def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
@@ -345,6 +361,7 @@ class _Search:
         res = planarity_test(edges, self.graph.vertices)
         self.stats.planarity_s += time.perf_counter() - t
         self.stats.planarity_calls += 1
+        self.stats.edge_bound_rejects += res.edge_bound
         return res
 
     def orbits(self, allowed: Sequence[int], cls: list[int]) -> tuple[list[int], list[int]]:
@@ -355,39 +372,48 @@ class _Search:
         the same key: the multiset, over the pair's two edges, of the
         multiset of the edge's endpoint classes.  Equal keys give a
         class-preserving matching of the four endpoints, which are distinct,
-        and such a map extends to a permutation inside every class.  Orbits
-        are numbered by their least pair, which is their representative.
+        and such a map extends to a permutation inside every class.  Each
+        orbit's representative is its least pair.
+
+        Orbits are numbered in increasing order of (orbit size, the sorted
+        class sizes of the representative's four endpoints, least pair).
+        Orbit branching holds for any fixed total order of a node's orbits;
+        this one puts the small orbits first, so that the large ones, which
+        ``branch`` may only combine with orbits numbered after them, have
+        few pairs left below them, and it uses the labels only to break ties.
         """
-        number: dict[tuple, int] = {}
-        labels: list[int] = []
-        reps: list[int] = []
+        members: dict[tuple, list[int]] = {}
+        keys: list[tuple] = []
         for p in allowed:
             a, b, c, d = (cls[v] for v in self.pair_ends[p])
             e = (a, b) if a <= b else (b, a)
             f = (c, d) if c <= d else (d, c)
             key = (e, f) if e <= f else (f, e)
-            j = number.get(key)
-            if j is None:
-                j = number[key] = len(reps)
-                reps.append(p)
-            labels.append(j)
-        return labels, reps
+            members.setdefault(key, []).append(p)
+            keys.append(key)
+        class_size = Counter(cls)
+        ranked = sorted(members, key=lambda k: (
+            len(members[k]), sorted(class_size[c] for edge in k for c in edge), members[k][0]))
+        number = {k: j for j, k in enumerate(ranked)}
+        return [number[k] for k in keys], [members[k][0] for k in ranked]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
                left: int) -> _Found | None:
         """Choose ``left`` more pairs below a node: a planar leaf, or None.
 
         Lemma (orbit branching).  Let H, the group of ``cls``, fix every
-        chosen endpoint and leave ``allowed`` invariant.  Every set S of
-        ``left`` edge-disjoint allowed pairs has an image under H that the
-        search visits.  Let j be the least orbit meeting S and h in H map
-        S's pair in orbit j onto r_j.  h(S) contains r_j, its other pairs
-        lie in orbits >= j and share no edge with r_j, so they are allowed
-        in r_j's child; the child's group, H's pointwise stabiliser of r_j's
-        endpoints, fixes r_j, so it leaves that set invariant; and induction
-        covers h(S) minus r_j.  h fixes the chosen pairs, so the image is an
-        assignment of the same graph, with a planar gadget exactly when S
-        has one.
+        chosen endpoint and leave ``allowed`` invariant, and number H's
+        orbits on ``allowed`` in any fixed total order (``orbits`` gives
+        the one used).  Every set S of ``left`` edge-disjoint allowed pairs
+        has an image under H that the search visits.  Let j be the orbit
+        meeting S that comes first in that order, and h in H map S's pair
+        in orbit j onto r_j.  h(S) contains r_j, its other pairs lie in
+        orbits numbered >= j and share no edge with r_j, so they are
+        allowed in r_j's child; the child's group, H's pointwise stabiliser
+        of r_j's endpoints, fixes r_j and keeps every H-orbit, so it leaves
+        that set invariant; and induction covers h(S) minus r_j.  h fixes
+        the chosen pairs, so the image is an assignment of the same graph,
+        with a planar gadget exactly when S has one.
         """
         labels, reps = self.orbits(allowed, cls)
         for j, r in enumerate(reps):
@@ -466,7 +492,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     Searches assignment sizes in increasing order, so a ``yes`` uses the
     fewest crossings possible; sizes below the counting bound are skipped.
     Within a size, the first level branches on the orbit representatives of
-    all candidate pairs under the twin group, in order of least member.
+    all candidate pairs under the twin group, in the order of
+    ``_Search.orbits``.
     ``yes`` returns a certified drawing; ``no`` is exhaustive within the
     budget; ``unknown`` is only returned when ``timeout`` seconds pass
     before a planarity call, with progress saved to ``checkpoint`` (a JSON

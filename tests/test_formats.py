@@ -331,10 +331,21 @@ def test_cli_oracle_exit_codes(capsys, tmp_path):
     assert code == 0 and out.startswith("yes")
     code, out = run(["oracle", "--complete-bipartite", "3", "3", "--budget", "0"], capsys)
     assert code == 1 and out.startswith("no")
-    code, out = run(["oracle", "--complete-bipartite", "3", "7", "--budget", "6",
+    # best_known(4, 6) at budget 6 searches for tens of seconds.
+    slow = tmp_path / "best46.json"
+    save_drawing(best_known(4, 6).drawing, slow)
+    code, out = run(["oracle", str(slow), "--budget", "6",
                      "--timeout", "0.5", "--checkpoint", str(tmp_path / "ck.json")],
                     capsys)
     assert code == 3 and out.startswith("unknown")
+
+
+def test_cli_oracle_rejects_negative_class_sizes(capsys):
+    for a, b in (("-2", "3"), ("3", "-1")):
+        code = main(["oracle", "--complete-bipartite", a, b, "--budget", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "nonnegative" in captured.err
 
 
 def test_cli_oracle_json_reports_search_stats(capsys):

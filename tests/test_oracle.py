@@ -2,7 +2,9 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from onecross.constructions import balanced, best_known
@@ -11,6 +13,7 @@ from onecross.oracle import (
     CrossingAssignment,
     OracleError,
     _candidate_pairs,
+    _Search,
     gadget_planarize,
     is_one_planar,
     min_crossings,
@@ -35,6 +38,23 @@ def cycle(n):
     return Graph.make(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
+def relabel(graph, seed):
+    """``graph`` with its vertex ids permuted by a seeded shuffle."""
+    vertices = sorted(graph.vertices)
+    to = dict(zip(vertices, random.Random(seed).sample(vertices, len(vertices))))
+    edges = [(to[u], to[v]) for u, v in graph.edges]
+    if isinstance(graph, BipartiteGraph):
+        return BipartiteGraph.make({to[v] for v in graph.black}, {to[v] for v in graph.white},
+                                   edges)
+    return Graph.make(to.values(), edges)
+
+
+def slow_instance():
+    """A search far longer than any time limit below: best_known(4, 6) at
+    budget 6 runs for tens of seconds before it finds its 6 crossings."""
+    return best_known(4, 6).drawing.graph
+
+
 # -- planarity test ----------------------------------------------------------
 
 
@@ -53,6 +73,28 @@ def test_planarity_handles_parallel_edges():
     res = planarity_test([(0, 1), (0, 1), (1, 2)])
     assert res.planar
     assert len(res.witness.edge_darts) == 3
+
+
+def forbid_nx_planarity(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nx.check_planarity called")
+
+    monkeypatch.setattr(onecross.oracle.nx, "check_planarity", forbidden)
+
+
+def test_edge_bound_rejects_k5_without_networkx(monkeypatch):
+    forbid_nx_planarity(monkeypatch)
+    res = planarity_test(list(complete(5).edges))  # 10 > 3 * 5 - 6
+    assert (res.planar, res.edge_bound) == (False, True)
+
+
+def test_edge_bound_counts_neither_parallel_copies_nor_isolated_vertices():
+    doubled = planarity_test(list(complete(4).edges) * 2)  # 12 edges, 6 of them simple
+    assert doubled.planar and not doubled.edge_bound
+    assert euler_check(doubled.witness).planar
+    assert planarity_test(list(complete(4).edges), range(9)).planar
+    k33 = planarity_test(list(complete_bipartite(3, 3).edges), range(9))
+    assert not k33.planar and not k33.edge_bound  # 9 <= 3 * 6 - 6: networkx decides
 
 
 # -- gadget ------------------------------------------------------------------
@@ -278,24 +320,25 @@ def test_k33_plus_isolated_black_vertex_needs_one_crossing():
 
 def test_min_crossings_timeout_bounds_whole_search():
     with pytest.raises(OracleError, match="timed out"):
-        min_crossings(complete_bipartite(3, 7), 6, timeout=0.2)
+        min_crossings(slow_instance(), 6, timeout=0.2)
 
 
 def test_timeout_is_checked_before_every_planarity_call():
+    graph = slow_instance()
     start = time.monotonic()
-    res = is_one_planar(complete_bipartite(3, 7), 6, timeout=0.2)
+    res = is_one_planar(graph, 6, timeout=0.2)
     assert res.verdict == "unknown"
     assert time.monotonic() - start < 1.5
 
 
 def test_timeout_returns_unknown(tmp_path):
-    k37 = complete_bipartite(3, 7)
+    graph = slow_instance()
     ck = tmp_path / "ck.json"
-    res = is_one_planar(k37, 6, timeout=0.5, checkpoint=ck)
+    res = is_one_planar(graph, 6, timeout=0.5, checkpoint=ck)
     assert res.verdict == "unknown"
     assert ck.exists()
     # Resuming makes progress from the checkpoint without crashing.
-    res2 = is_one_planar(k37, 6, timeout=0.5, checkpoint=ck)
+    res2 = is_one_planar(graph, 6, timeout=0.5, checkpoint=ck)
     assert res2.verdict == "unknown"
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
@@ -306,7 +349,8 @@ BAD_CHECKPOINTS = {
     "not-an-object": "[]",
     "bad-size": json.dumps({"fingerprint": {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
                                             "budget": 0,
-                                            "rules": ["count", "twins", "forced"]},
+                                            "rules": ["count", "twins", "forced",
+                                                      "small-orbits-first"]},
                             "size": "0", "next_root": 0}),
 }
 
@@ -328,17 +372,23 @@ def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
     def write(fingerprint):
         ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 999}))
 
-    write({"edges": edges, "budget": 2, "rules": ["count", "twins", "forced"]})
+    rules = ["count", "twins", "forced", "small-orbits-first"]
+    write({"edges": edges, "budget": 2, "rules": rules})
     assert is_one_planar(k34, 2, checkpoint=ck).verdict == "no"
     write({"edges": edges, "budget": 2})  # written before the rule set was recorded
+    res = is_one_planar(k34, 2, checkpoint=ck)
+    assert (res.verdict, res.crossings) == ("yes", 2)
+    # Written before orbits were ordered smallest first: its next_root
+    # indexes orbits in another order.
+    write({"edges": edges, "budget": 2, "rules": ["count", "twins", "forced"]})
     res = is_one_planar(k34, 2, checkpoint=ck)
     assert (res.verdict, res.crossings) == ("yes", 2)
 
 
 def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
-    k37 = complete_bipartite(3, 7)
+    graph = slow_instance()
     ck = tmp_path / "ck.json"
-    is_one_planar(k37, 6, timeout=0.2, checkpoint=ck)
+    is_one_planar(graph, 6, timeout=0.2, checkpoint=ck)
     before = ck.read_text()
 
     def fail(*args):
@@ -346,7 +396,7 @@ def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(onecross.oracle.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        is_one_planar(k37, 6, timeout=0.2, checkpoint=ck)
+        is_one_planar(graph, 6, timeout=0.2, checkpoint=ck)
     assert ck.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
@@ -413,14 +463,35 @@ def test_pruned_search_agrees_with_plain_search():
     nos = 0
     for name, graph, budget in DIFFERENTIAL:
         want = plain_search(graph, budget)
-        res = is_one_planar(graph, budget)
-        assert res.crossings == want, name
-        assert res.verdict == ("no" if want is None else "yes"), name
         nos += want is None
-        if res.verdict == "yes":
-            assert validate(res.drawing).passed, name
-            assert recover_graph(res.drawing).edges == graph.edges, name
+        for g in (graph, relabel(graph, 7)):
+            res = is_one_planar(g, budget)
+            assert res.crossings == want, name
+            assert res.verdict == ("no" if want is None else "yes"), name
+            if res.verdict == "yes":
+                assert validate(res.drawing).passed, name
+                assert recover_graph(res.drawing).edges == g.edges, name
     assert nos >= 3
+
+
+def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
+    rng = random.Random(11)
+    verdicts = Counter()
+    for name, graph, budget in DIFFERENTIAL:
+        pairs = _candidate_pairs(sorted(graph.edges))
+        for _ in range(4):
+            size, chosen, used = rng.randint(0, budget), [], set()
+            for e, f in rng.sample(pairs, len(pairs)):
+                if len(chosen) < size and not {e, f} & used:
+                    chosen.append((e, f))
+                    used |= {e, f}
+            gadget = gadget_planarize(graph, chosen)
+            res = planarity_test(gadget.edges, graph.vertices)
+            g = nx.Graph(list(gadget.edges))
+            g.add_nodes_from(graph.vertices)
+            assert res.planar == nx.check_planarity(g)[0], (name, chosen)
+            verdicts[res.planar, res.edge_bound] += 1
+    assert set(verdicts) == {(True, False), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize("graph,budget", [(complete_bipartite(3, 4), 2), (complete(6), 3),
@@ -431,16 +502,22 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     test = onecross.oracle.planarity_test
     monkeypatch.setattr(onecross.oracle, "planarity_test",
                         lambda *a: calls.append(1) or test(*a))
+    nx_calls = []
+    check = onecross.oracle.nx.check_planarity
+    monkeypatch.setattr(onecross.oracle.nx, "check_planarity",
+                        lambda *a, **k: nx_calls.append(1) or check(*a, **k))
     res = is_one_planar(graph, budget)
     stats = res.stats
     assert [s.size for s in stats.sizes] == list(range(budget + 1))
     for s in stats.sizes:
         assert s.planarity_calls == s.leaves + s.forced_tests
         assert s.forced_cuts <= s.forced_tests
+        assert s.edge_bound_rejects <= s.planarity_calls
         assert s.skipped == (s.size < stats.lower_bound)
         if s.skipped:
             assert s.planarity_calls == 0
     assert sum(s.planarity_calls for s in stats.sizes) == len(calls)
+    assert len(calls) == sum(s.edge_bound_rejects for s in stats.sizes) + len(nx_calls)
     assert res.assignments_tested == sum(s.leaves for s in stats.sizes)
     assert sum(s.witnesses for s in stats.sizes) == (res.verdict == "yes")
 
@@ -480,3 +557,32 @@ def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
     assert _counting_bound(complete(6)) == 15 - 12
     assert _counting_bound(complete_bipartite(3, 5)) == 15 - 12
     assert _counting_bound(Graph.make(range(2), [(0, 1)])) == 0
+
+
+# -- orbit order -----------------------------------------------------------------
+
+
+def test_k37_search_is_small_for_its_plain_labels():
+    # 13,590 planarity calls when orbits were numbered by their least pair.
+    res = is_one_planar(complete_bipartite(3, 7), 6)
+    assert res.verdict == "no"
+    assert sum(s.planarity_calls for s in res.stats.sizes) <= 3000
+
+
+def root_orbit_shapes(graph):
+    """(orbit size, sorted endpoint class sizes) of each first-level orbit, in order."""
+    search = _Search(graph, None)
+    labels, reps = search.orbits(range(len(search.pairs)), search.classes)
+    sizes = Counter(labels)
+    class_size = Counter(search.classes)
+    return [(sizes[j], sorted(class_size[search.classes[v]] for v in search.pair_ends[r]))
+            for j, r in enumerate(reps)]
+
+
+@pytest.mark.parametrize("graph", [complete_bipartite(3, 7), complete_bipartite(4, 4),
+                                   slow_instance()], ids=["K3,7", "K4,4", "best46"])
+def test_root_orbit_order_does_not_depend_on_labels(graph):
+    shapes = root_orbit_shapes(graph)
+    assert [size for size, _ in shapes] == sorted(size for size, _ in shapes)
+    for seed in (1, 2, 3):
+        assert root_orbit_shapes(relabel(graph, seed)) == shapes
