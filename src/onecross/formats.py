@@ -224,8 +224,30 @@ def load_drawing(path: str | Path) -> OnePlanarDrawing:
     return document_to_drawing(read_document(path))
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _layout(value: Any, depth: int, pad: str) -> str:
+    """``value`` as JSON, one key per line in the top ``depth`` levels of objects."""
+    if depth == 0 or not isinstance(value, dict) or not value:
+        return _encode(value)
+    inner = pad + " "
+    items = ",\n".join(f"{inner}{_encode(k)}: {_layout(value[k], depth - 1, inner)}"
+                       for k in sorted(value))
+    return f"{{\n{items}\n{pad}}}"
+
+
 def dumps_document(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """A document as JSON text, the same bytes for the same document.
+
+    Keys are sorted at every level and written one top-level key per line,
+    with one line per vertex under ``rotations.true`` and
+    ``rotations.false``; every other value (an edge list, a class list, a
+    rotation) is one compact line, written by json's C encoder.
+    """
+    lines = ",\n".join(f" {_encode(k)}: {_layout(doc[k], 2 if k == 'rotations' else 0, ' ')}"
+                        for k in sorted(doc))
+    return f"{{\n{lines}\n}}\n"
 
 
 # --------------------------------------------------------------------------

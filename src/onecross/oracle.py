@@ -36,19 +36,30 @@ counting bound's lemma); about half of the K3,7 tests end there.
 ``is_one_planar`` reports what each size cost in ``SearchStats``.  Long
 runs accept a timeout, checked before every planarity test, and write a
 coarse resumable checkpoint.
+
+networkx is the only dependency the oracle adds, and nothing outside the
+oracle uses it, so ``nx`` is bound lazily: importing the package puts a
+lazy module into ``sys.modules`` and networkx runs its own ``__init__`` on
+the first attribute read (``nx.Graph``, ``nx.check_planarity``).  ``nx``
+stays a module-level name that is the very object in
+``sys.modules["networkx"]``, so code that reaches networkx through this
+module's ``nx`` (the benchmark's ``check_planarity`` span, tests that
+monkeypatch ``nx.check_planarity``) sees the same module as
+``import networkx`` does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import ModuleType
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from . import plane_map as pm
 from .drawing import (
@@ -62,6 +73,29 @@ from .drawing import (
     edge_key,
 )
 from .plane_map import PlaneMap
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """``sys.modules[name]``, put there as a lazy module if not yet imported.
+
+    importlib's ``LazyLoader`` recipe: the module's code runs on its first
+    attribute read.  A module that is not installed raises
+    ``ModuleNotFoundError`` here, as an eager import would.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+nx = _lazy_module("networkx")
 
 
 class OracleError(ValueError):
@@ -496,12 +530,15 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     ``_Search.orbits``.
     ``yes`` returns a certified drawing; ``no`` is exhaustive within the
     budget; ``unknown`` is only returned when ``timeout`` seconds pass
-    before a planarity call, with progress saved to ``checkpoint`` (a JSON
+    before a planarity call (a negative or NaN ``timeout`` raises
+    :class:`OracleError`), with progress saved to ``checkpoint`` (a JSON
     file recording the size and the first orbit of the first level not yet
     fully explored) when given.  ``stats`` counts the work at each size.
     """
     if max_crossings < 0:
         raise OracleError("budget must be nonnegative")
+    if timeout is not None and not timeout >= 0:
+        raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout}")
     search = _Search(graph, None if timeout is None else time.monotonic() + timeout)
     fingerprint = {"edges": [list(e) for e in search.edges], "budget": max_crossings,
                    "rules": list(RULES)}

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onecross.cli
+import onecross.constructions
 import onecross.drawing
 from onecross.cli import main
-from onecross.constructions import b_family, balanced, best_known, w3_family
+from onecross.constructions import b_family, balanced, best_known, family_formulas, w3_family
 from onecross.drawing import DrawingError, validate
 from onecross.formats import (
     FormatError,
@@ -41,6 +42,48 @@ def test_round_trip(make):
     assert d2.vertex_count == d.vertex_count
     # A second round trip is bit-exact.
     assert dumps_document(drawing_to_document(d2)) == dumps_document(doc)
+
+
+_ROUND_TRIP_SIZES = sorted({(x, y) for x in range(1, 7)
+                            for y in (x, x + 2, 6 * x - 12, 6 * x - 9) if y >= x})
+
+
+@pytest.mark.parametrize("x,y", _ROUND_TRIP_SIZES)
+def test_every_family_row_round_trips_byte_for_byte(tmp_path, x, y):
+    for family, count in family_formulas(x, y):
+        d = onecross.constructions._BUILDERS[family](x, y)
+        provenance = {"generator": family, "params": {"x": x, "y": y}}
+        doc = drawing_to_document(d, provenance)
+        assert json.loads(dumps_document(doc)) == doc, family
+        first, second = tmp_path / f"{family}.json", tmp_path / f"{family}-again.json"
+        save_drawing(d, first)
+        loaded = load_drawing(first)
+        save_drawing(loaded, second)
+        assert second.read_bytes() == first.read_bytes(), family
+        assert (loaded.x, loaded.y, loaded.edge_count, len(loaded.crossings)) == \
+            (x, y, count, len(d.crossings)), family
+
+
+def test_document_layout():
+    text = dumps_document(drawing_to_document(balanced(2), {"generator": "balanced"}))
+    assert text == """{
+ "black": [0,2],
+ "crossings": [],
+ "edges": [[0,1],[0,3],[1,2],[2,3]],
+ "format_version": 1,
+ "provenance": {"generator":"balanced"},
+ "rotations": {
+  "false": {},
+  "true": {
+   "0": [[0,1],[1,1]],
+   "1": [[2,1],[0,0]],
+   "2": [[3,1],[2,0]],
+   "3": [[1,0],[3,0]]
+  }
+ },
+ "white": [1,3]
+}
+"""
 
 
 def test_save_load(tmp_path):
@@ -346,6 +389,15 @@ def test_cli_oracle_rejects_negative_class_sizes(capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("timeout", ["-1", "nan"])
+def test_cli_oracle_rejects_a_negative_or_nan_timeout(capsys, timeout):
+    code = main(["oracle", "--complete-bipartite", "3", "3", "--budget", "1",
+                 "--timeout", timeout])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "timeout" in captured.err
 
 
 def test_cli_oracle_json_reports_search_stats(capsys):

@@ -1,0 +1,71 @@
+"""What a command loads: networkx only for the oracle, numpy only for SVG.
+
+Each check runs in a fresh interpreter, because this test process has
+already imported networkx.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_oracle_loads_networkx(tmp_path):
+    run_fresh(f"""
+        import contextlib, io, sys
+
+        import onecross
+        from onecross.cli import main
+
+        def heavy():
+            return [m for m in ("networkx.classes", "numpy") if m in sys.modules]
+
+        assert heavy() == [], heavy()
+        doc = {str(tmp_path / "d.json")!r}
+        for argv in (["construct", "--x", "4", "--y", "9", "--out", doc],
+                     ["verify", doc],
+                     ["export", doc, "--format", "dot"],
+                     ["bounds", "--x", "4", "--y", "9"],
+                     ["table", "--xmax", "3", "--ymax", "5"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert heavy() == [], (argv, heavy())
+
+        from onecross.drawing import BipartiteGraph, validate
+        from onecross.oracle import is_one_planar
+        k33 = BipartiteGraph.make([0, 1, 2], [3, 4, 5],
+                                  [(b, w) for b in range(3) for w in range(3, 6)])
+        res = is_one_planar(k33, 1)
+        assert (res.verdict, res.crossings) == ("yes", 1)
+        assert validate(res.drawing).passed
+        assert "networkx.classes" in sys.modules
+    """)
+
+
+@pytest.mark.parametrize("first", ["networkx", "onecross"])
+def test_oracle_nx_is_the_networkx_module(first):
+    run_fresh(f"""
+        import importlib, sys
+
+        importlib.import_module({first!r})
+        import onecross.oracle
+        assert onecross.oracle.nx is sys.modules["networkx"]
+        assert ("networkx.classes" in sys.modules) == ({first!r} == "networkx")
+
+        from networkx.algorithms.planarity import check_planarity
+        assert onecross.oracle.nx is sys.modules["networkx"]
+        assert onecross.oracle.nx.check_planarity is check_planarity
+    """)

@@ -323,6 +323,21 @@ def test_min_crossings_timeout_bounds_whole_search():
         min_crossings(slow_instance(), 6, timeout=0.2)
 
 
+@pytest.mark.parametrize("timeout", [-1, -0.5, float("nan")])
+def test_negative_or_nan_timeout_is_rejected(timeout):
+    with pytest.raises(OracleError, match="timeout"):
+        min_crossings(complete_bipartite(3, 3), 1, timeout=timeout)
+
+
+def test_zero_timeout_is_accepted():
+    assert is_one_planar(complete_bipartite(3, 3), 0, timeout=0).verdict == "no"
+
+
+def test_a_missing_module_is_not_found_at_import():
+    with pytest.raises(ModuleNotFoundError):
+        onecross.oracle._lazy_module("onecross_no_such_module")
+
+
 def test_timeout_is_checked_before_every_planarity_call():
     graph = slow_instance()
     start = time.monotonic()
