@@ -30,12 +30,20 @@ Three pruning rules keep that exhaustive; each is proved where it is coded:
   a non-planar gadget graph of the chosen pairs plus those edges cuts the
   subtree.
 
+The sizes are searched one after another (iterative deepening), so a size
+meets again every inner node that the sizes before it reached.  A node's
+allowed set depends only on its chosen pairs, so its forced verdict does
+too (``_Search.forced_planar``, forced reuse): each verdict is computed
+once per search and looked up at the larger sizes.  On K3,7 at budget 6
+this answers 777 of size 6's 1,206 inner nodes, which takes the search
+from 2,541 planarity calls to 1,764.
+
 ``planarity_test`` answers "not planar" without networkx when the simple
 graph has more than 3N - 6 edges on its N >= 3 non-isolated vertices (the
 counting bound's lemma); about half of the K3,7 tests end there.
-``is_one_planar`` reports what each size cost in ``SearchStats``.  Long
-runs accept a timeout, checked before every planarity test, and write a
-coarse resumable checkpoint.
+``is_one_planar`` reports what each size cost in ``SearchStats``, including
+the forced verdicts it reused.  Long runs accept a timeout, checked before
+every planarity test, and write a coarse resumable checkpoint.
 
 networkx is the only dependency the oracle adds, and nothing outside the
 oracle uses it, so ``nx`` is bound lazily: importing the package puts a
@@ -233,6 +241,7 @@ class SizeStats:
     leaves: int = 0           # full assignments sent to the planarity test
     forced_tests: int = 0     # inner nodes sent to the planarity test (forced-uncrossed rule)
     forced_cuts: int = 0      # of those, subtrees cut because the test failed
+    forced_reused: int = 0    # inner nodes whose verdict a smaller size had decided
     planarity_calls: int = 0  # leaves + forced_tests
     edge_bound_rejects: int = 0  # of those, answered by the edge bound without networkx
     planarity_s: float = 0.0
@@ -370,10 +379,12 @@ _Found = tuple[GadgetGraph, PlaneMap]
 class _Search:
     """Depth-first search over crossing assignments of one size at a time.
 
-    A node is a list of chosen pair indices (increasing), the pair indices
-    still allowed below it (increasing), and a twin partition ``cls``: a
-    class number per vertex, in sorted vertex order, whose group of
-    permutations inside the classes fixes every chosen endpoint.
+    A node is a list of chosen pair indices, in the order chosen (orbit
+    order, not index order), the pair indices still allowed below it
+    (increasing), and a twin partition ``cls``: a class number per vertex,
+    in sorted vertex order, whose group of permutations inside the classes
+    fixes every chosen endpoint.  ``forced`` maps a node's chosen pairs to
+    its forced verdict, for one :func:`is_one_planar` call.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -387,6 +398,7 @@ class _Search:
         self.pair_ends = [tuple(position[v] for v in e + f) for e, f in self.pairs]
         self.classes = _twin_classes(graph)
         self.stats = SizeStats(0)
+        self.forced: dict[tuple[int, ...], bool] = {}  # chosen -> forced verdict
 
     def planar(self, edges: Sequence[tuple[int, int]]) -> PlanarityResult:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -480,7 +492,21 @@ class _Search:
         allowed pair is uncrossed in every leaf below the node, so every
         leaf's gadget graph contains this one as a subgraph; if this one is
         not planar, no leaf below is.
+
+        Lemma (forced reuse).  A node's allowed set and partition are
+        functions of its chosen sequence: the root's are fixed, and
+        ``orbits`` and ``branch`` compute a child's from its parent's and
+        the representative chosen, whatever the size being searched.  So
+        the forced graph of a node, and its verdict, are the same at every
+        size, and ``forced`` answers a node decided at a smaller size.
+        Only the check that enough pairs are left depends on the size, and
+        ``branch`` makes it before calling here.  Leaves are not stored: a
+        leaf's graph depends on the size.
         """
+        key = tuple(chosen)
+        if key in self.forced:
+            self.stats.forced_reused += 1
+            return self.forced[key]
         crossable = {i for p in chosen + below for i in self.pair_edges[p]}
         forced = [e for i, e in enumerate(self.edges) if i not in crossable]
         chosen_pairs = [self.pairs[p] for p in chosen]
@@ -490,6 +516,7 @@ class _Search:
         planar = self.planar(gadget.edges).planar
         self.stats.forced_tests += 1
         self.stats.forced_cuts += not planar
+        self.forced[key] = planar
         return planar
 
     def leaf(self, chosen: list[int]) -> _Found | None:
@@ -515,6 +542,10 @@ def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, i
     resume = state.get("size", 0), state.get("next_root", 0)
     if any(type(v) is not int or v < 0 for v in resume):
         raise OracleError(f"checkpoint {path}: size and next_root must be nonnegative integers")
+    if resume[0] > fingerprint["budget"]:
+        # Resuming would search no size at all and answer "no" unsearched.
+        raise OracleError(f"checkpoint {path}: size {resume[0]} is above the budget "
+                          f"{fingerprint['budget']}")
     return resume
 
 

@@ -23,6 +23,7 @@ from onecross.formats import (
     load_drawing,
     save_drawing,
 )
+from onecross.oracle import RULES
 
 
 @pytest.mark.parametrize("make", [
@@ -410,6 +411,7 @@ def test_cli_oracle_json_reports_search_stats(capsys):
     assert [s["skipped"] for s in stats["sizes"]] == [True, True, False]
     assert report["assignments_tested"] == stats["sizes"][2]["leaves"] > 0
     assert stats["sizes"][2]["witnesses"] == 1
+    assert stats["sizes"][2]["forced_reused"] == 0  # no smaller size was searched
 
 
 @pytest.mark.parametrize("content", ["{bad", "[]"], ids=["not-json", "not-an-object"])
@@ -419,6 +421,18 @@ def test_cli_oracle_bad_checkpoint_is_an_input_error(tmp_path, capsys, content):
     code, _ = run(["oracle", "--complete-bipartite", "2", "2", "--budget", "0",
                    "--checkpoint", str(ck)], capsys)
     assert code == 2
+
+
+def test_cli_oracle_checkpoint_beyond_the_budget_is_an_input_error(tmp_path, capsys):
+    # Resumed, it would search no size and answer "no" for a graph that is "yes".
+    ck = tmp_path / "ck.json"
+    edges = [[i, j] for i in range(3) for j in range(3, 6)]
+    ck.write_text(json.dumps({"fingerprint": {"edges": edges, "budget": 1,
+                                              "rules": list(RULES)},
+                              "size": 5, "next_root": 0}))
+    args = ["oracle", "--complete-bipartite", "3", "3", "--budget", "1"]
+    assert run(args + ["--checkpoint", str(ck)], capsys)[0] == 2
+    assert run(args, capsys)[0] == 0
 
 
 def test_cli_export(tmp_path, capsys):

@@ -358,15 +358,16 @@ def test_timeout_returns_unknown(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
-# The K2,2 search at budget 0; "bad-size" matches its fingerprint.
+# The K2,2 search at budget 0; "bad-size" and "beyond-budget" match its
+# fingerprint.  A size above the budget would resume past every size and
+# answer "no" for a planar graph.
+K22_FINGERPRINT = {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]], "budget": 0,
+                   "rules": ["count", "twins", "forced", "small-orbits-first"]}
 BAD_CHECKPOINTS = {
     "not-json": "{bad",
     "not-an-object": "[]",
-    "bad-size": json.dumps({"fingerprint": {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
-                                            "budget": 0,
-                                            "rules": ["count", "twins", "forced",
-                                                      "small-orbits-first"]},
-                            "size": "0", "next_root": 0}),
+    "bad-size": json.dumps({"fingerprint": K22_FINGERPRINT, "size": "0", "next_root": 0}),
+    "beyond-budget": json.dumps({"fingerprint": K22_FINGERPRINT, "size": 1, "next_root": 0}),
 }
 
 
@@ -471,22 +472,26 @@ DIFFERENTIAL = (
     + [("K6-b2", complete(6), 2), ("K3,4-b1", complete_bipartite(3, 4), 1),
        ("K3,3-b0", complete_bipartite(3, 3), 0)]
     + [(f"random{seed}", random_graph(seed), 1 + seed % 3) for seed in range(40)]
+    # Counting bound 1, least size 3: size 3 reuses verdicts that size 2 decided.
+    + [("K6+pendant-b3", Graph.make(range(7), list(complete(6).edges) + [(0, 6)]), 3)]
 )
 
 
 def test_pruned_search_agrees_with_plain_search():
-    nos = 0
+    nos = reusing = 0
     for name, graph, budget in DIFFERENTIAL:
         want = plain_search(graph, budget)
         nos += want is None
         for g in (graph, relabel(graph, 7)):
             res = is_one_planar(g, budget)
+            reusing += any(s.forced_reused for s in res.stats.sizes)
             assert res.crossings == want, name
             assert res.verdict == ("no" if want is None else "yes"), name
             if res.verdict == "yes":
                 assert validate(res.drawing).passed, name
                 assert recover_graph(res.drawing).edges == g.edges, name
     assert nos >= 3
+    assert reusing >= 1  # the comparison covers verdicts reused across sizes
 
 
 def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
@@ -510,8 +515,9 @@ def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
 
 
 @pytest.mark.parametrize("graph,budget", [(complete_bipartite(3, 4), 2), (complete(6), 3),
-                                          (complete_bipartite(3, 5), 3)],
-                         ids=["K3,4", "K6", "K3,5"])
+                                          (complete_bipartite(3, 5), 3),
+                                          (complete_bipartite(3, 7), 6)],
+                         ids=["K3,4", "K6", "K3,5", "K3,7"])
 def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatch):
     calls = []
     test = onecross.oracle.planarity_test
@@ -530,7 +536,10 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
         assert s.edge_bound_rejects <= s.planarity_calls
         assert s.skipped == (s.size < stats.lower_bound)
         if s.skipped:
-            assert s.planarity_calls == 0
+            assert s.planarity_calls == s.forced_reused == 0
+    # Verdicts are reused from smaller sizes only: K3,7 searches sizes 5 and 6.
+    searched = [s.forced_reused for s in stats.sizes if not s.skipped]
+    assert searched[0] == 0 and all(searched[1:])
     assert sum(s.planarity_calls for s in stats.sizes) == len(calls)
     assert len(calls) == sum(s.edge_bound_rejects for s in stats.sizes) + len(nx_calls)
     assert res.assignments_tested == sum(s.leaves for s in stats.sizes)
@@ -578,10 +587,55 @@ def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
 
 
 def test_k37_search_is_small_for_its_plain_labels():
-    # 13,590 planarity calls when orbits were numbered by their least pair.
+    # 13,590 planarity calls when orbits were numbered by their least pair,
+    # 2,541 when each size decided its forced verdicts afresh; 1,764 now.
     res = is_one_planar(complete_bipartite(3, 7), 6)
     assert res.verdict == "no"
-    assert sum(s.planarity_calls for s in res.stats.sizes) <= 3000
+    assert sum(s.planarity_calls for s in res.stats.sizes) <= 1800
+
+
+def test_every_forced_verdict_equals_a_fresh_test(monkeypatch):
+    # K3,6 minus an edge at budget 4 searches sizes 3 and 4 from several
+    # first-level orbits, and size 4 meets size-3 nodes of both verdicts.
+    k36 = complete_bipartite(3, 6)
+    graph = BipartiteGraph.make(k36.black, k36.white, k36.edges - {(0, 3)})
+    calls = []
+    forced_planar = _Search.forced_planar
+
+    def recording(self, chosen, below):
+        planar = forced_planar(self, chosen, below)
+        calls.append((tuple(chosen), list(below), planar))
+        return planar
+
+    monkeypatch.setattr(_Search, "forced_planar", recording)
+    assert is_one_planar(graph, 4).crossings == 4
+    monkeypatch.undo()
+    fresh = {}
+    repeated = set()
+    for chosen, below, planar in calls:
+        if chosen in fresh:
+            repeated.add(planar)
+        else:
+            fresh[chosen] = _Search(graph, None).forced_planar(list(chosen), below)
+        assert planar == fresh[chosen], chosen
+    assert repeated == {True, False}
+
+
+def test_k37_planarizes_each_forced_subgraph_once(monkeypatch):
+    k37 = complete_bipartite(3, 7)
+    forced = Counter()
+    planarize = onecross.oracle.gadget_planarize
+
+    def recording(graph, assignment):
+        if graph is not k37:  # a forced test's subgraph, not a leaf
+            forced[graph.edges, assignment.pairs] += 1
+        return planarize(graph, assignment)
+
+    monkeypatch.setattr(onecross.oracle, "gadget_planarize", recording)
+    res = is_one_planar(k37, 6)
+    assert res.verdict == "no"
+    assert forced and max(forced.values()) == 1
+    assert sum(forced.values()) == sum(s.forced_tests for s in res.stats.sizes)
 
 
 def root_orbit_shapes(graph):
