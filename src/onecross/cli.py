@@ -1,7 +1,11 @@
 """Command-line surface: construct, verify, bounds, table, oracle, export.
 
-Exit codes: 0 success/pass/yes, 1 failure/no, 2 usage or parse error,
-3 budget exhausted / unknown.
+Exit codes: 0 success/pass/yes, 1 failure/no, 2 input error, 3 budget
+exhausted / unknown.  Exit 2 covers a usage error, an unreadable or
+unparseable document, invalid arguments (such as a negative budget or
+timeout), an unreadable checkpoint or one the search could not have
+written, and an output file or checkpoint that cannot be written.  Each
+prints a message on standard error and no traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,6 +33,19 @@ _FAMILIES = {
     "near": lambda x, y: cons.near_balanced(x, y),
     "k36": lambda x, y: cons.k36_family(y),
 }
+
+
+class _CannotWrite(Exception):
+    """An output file or checkpoint could not be written (exit 2)."""
+
+
+@contextmanager
+def _writing(path: str | None):
+    """Report an ``OSError`` raised inside the block as a failed write of ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -53,7 +71,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "crossings": len(drawing.crossings),
     }
     if args.out:
-        save_drawing(drawing, args.out, {"generator": family, "params": {"x": x, "y": y}})
+        with _writing(args.out):
+            save_drawing(drawing, args.out, {"generator": family, "params": {"x": x, "y": y}})
         info["out"] = args.out
     if args.json:
         print(json.dumps(info, sort_keys=True))
@@ -153,8 +172,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         print("oracle needs FILE or --complete-bipartite", file=sys.stderr)
         return 2
-    res = is_one_planar(graph, args.budget, timeout=args.timeout,
-                        checkpoint=args.checkpoint)
+    with _writing(args.checkpoint):
+        res = is_one_planar(graph, args.budget, timeout=args.timeout,
+                            checkpoint=args.checkpoint)
     payload = {
         "verdict": res.verdict,
         "crossings": res.crossings,
@@ -162,7 +182,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "stats": res.stats.to_json(),
     }
     if args.out and res.drawing is not None:
-        save_drawing(res.drawing, args.out)
+        with _writing(args.out):
+            save_drawing(res.drawing, args.out)
         payload["out"] = args.out
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -176,7 +197,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     drawing = load_drawing(args.file)
     text = export_dot(drawing) if args.format == "dot" else export_svg(drawing)
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -235,15 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    Every call parses with the one parser built when this module is
+    imported: ``parse_args`` does not change the parser and returns a fresh
+    namespace each time, so no call sees another's arguments.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DrawingError, FormatError, OracleError) as exc:
+    except (DrawingError, FormatError, OracleError, _CannotWrite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

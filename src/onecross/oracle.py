@@ -564,7 +564,9 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     before a planarity call (a negative or NaN ``timeout`` raises
     :class:`OracleError`), with progress saved to ``checkpoint`` (a JSON
     file recording the size and the first orbit of the first level not yet
-    fully explored) when given.  ``stats`` counts the work at each size.
+    fully explored) when given; a checkpoint the search could not have
+    written raises :class:`OracleError`.  ``stats`` counts the work at each
+    size.
     """
     if max_crossings < 0:
         raise OracleError("budget must be nonnegative")
@@ -602,9 +604,17 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
         root = resume_root if size == resume_size else 0
         try:
             if size == 0:
+                if root:
+                    raise OracleError(f"checkpoint {checkpoint}: next_root {root} at size 0, "
+                                      "which has no first-level orbits")
                 found = search.leaf([])
             else:
                 labels, reps = search.orbits(everything, search.classes)
+                if root > len(reps):
+                    # A finished size records len(reps); more would skip the
+                    # size unsearched and could answer "no".
+                    raise OracleError(f"checkpoint {checkpoint}: next_root {root} is above "
+                                      f"the {len(reps)} first-level orbits of size {size}")
                 found = None
                 while found is None and root < len(reps):
                     found = search.branch([], everything, labels, search.classes,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -423,16 +424,80 @@ def test_cli_oracle_bad_checkpoint_is_an_input_error(tmp_path, capsys, content):
     assert code == 2
 
 
-def test_cli_oracle_checkpoint_beyond_the_budget_is_an_input_error(tmp_path, capsys):
-    # Resumed, it would search no size and answer "no" for a graph that is "yes".
+@pytest.mark.parametrize("b, budget, size, next_root", [(3, 1, 5, 0), (4, 2, 2, 999)],
+                         ids=["beyond-budget", "beyond-orbits"])
+def test_cli_oracle_unreachable_checkpoint_is_an_input_error(tmp_path, capsys, b, budget,
+                                                             size, next_root):
+    # The search records neither checkpoint: K3,4 has one first-level orbit at
+    # size 2.  Resumed, either would leave a size unsearched and answer "no"
+    # for a graph that is "yes" within the budget.
     ck = tmp_path / "ck.json"
-    edges = [[i, j] for i in range(3) for j in range(3, 6)]
-    ck.write_text(json.dumps({"fingerprint": {"edges": edges, "budget": 1,
+    edges = [[i, j] for i in range(3) for j in range(3, 3 + b)]
+    ck.write_text(json.dumps({"fingerprint": {"edges": edges, "budget": budget,
                                               "rules": list(RULES)},
-                              "size": 5, "next_root": 0}))
-    args = ["oracle", "--complete-bipartite", "3", "3", "--budget", "1"]
-    assert run(args + ["--checkpoint", str(ck)], capsys)[0] == 2
+                              "size": size, "next_root": next_root}))
+    args = ["oracle", "--complete-bipartite", "3", str(b), "--budget", str(budget)]
+    code = main(args + ["--checkpoint", str(ck)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: checkpoint {ck}: ")
     assert run(args, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--x", "3", "--y", "6", "--out", "{missing}/d.json"],
+    ["export", "{doc}", "--format", "svg", "--out", "{missing}/x.svg"],
+    ["oracle", "--complete-bipartite", "3", "3", "--budget", "1", "--out", "{missing}/w.json"],
+    ["oracle", "--complete-bipartite", "3", "5", "--budget", "3",
+     "--checkpoint", "{missing}/ck.json"],
+], ids=["construct", "export", "oracle-witness", "oracle-checkpoint"])
+def test_cli_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    # Exit 1 would read as "failure / no"; a failed write is exit 2, one line.
+    doc = tmp_path / "d.json"
+    save_drawing(w3_family(3, 6), doc)
+    missing = tmp_path / "missing"
+    argv = [a.format(doc=doc, missing=missing) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {missing}/")
+    assert captured.err.count("\n") == 1
+    assert not missing.exists()
+
+
+def test_cli_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    doc = tmp_path / "d.json"
+    codes = [main(argv) for argv in (["construct", "--x", "3", "--y", "6", "--out", str(doc)],
+                                     ["verify", str(doc), "--json"],
+                                     ["bounds", "--x", "3", "--y", "6"],
+                                     ["construct", "--x", "3"])]
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 2]
+    assert built == []
+    onecross.cli.build_parser()  # the spy sees a build
+    assert built
+
+
+def test_cli_calls_share_no_arguments(capsys):
+    construct = ["construct", "--x", "3", "--y", "6"]
+    code, out = run(construct + ["--json"], capsys)
+    assert code == 0 and json.loads(out)["edges"] == 18
+    code, out = run(construct, capsys)
+    assert code == 0 and out.startswith("family=w3 ")
+    assert main(["construct", "--x", "3"]) == 2
+    assert "required" in capsys.readouterr().err
+    assert run(construct, capsys)[0] == 0
+    for _ in range(2):
+        code, out = run(["--help"], capsys)
+        assert code == 0 and out.startswith("usage: onecross")
 
 
 def test_cli_export(tmp_path, capsys):

@@ -368,6 +368,8 @@ BAD_CHECKPOINTS = {
     "not-an-object": "[]",
     "bad-size": json.dumps({"fingerprint": K22_FINGERPRINT, "size": "0", "next_root": 0}),
     "beyond-budget": json.dumps({"fingerprint": K22_FINGERPRINT, "size": 1, "next_root": 0}),
+    # Size 0 searches one leaf and the search records no next_root there.
+    "beyond-orbits": json.dumps({"fingerprint": K22_FINGERPRINT, "size": 0, "next_root": 1}),
 }
 
 
@@ -380,13 +382,14 @@ def test_bad_checkpoint_raises_oracle_error(tmp_path, content):
 
 
 def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
-    # A checkpoint claiming every first-level subtree of size 2 is done.
+    # A checkpoint claiming every first-level subtree of size 2 is done:
+    # K3,4 has one first-level orbit there, so a finished size 2 records 1.
     k34 = complete_bipartite(3, 4)
     edges = [list(e) for e in sorted(k34.edges)]
     ck = tmp_path / "ck.json"
 
     def write(fingerprint):
-        ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 999}))
+        ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 1}))
 
     rules = ["count", "twins", "forced", "small-orbits-first"]
     write({"edges": edges, "budget": 2, "rules": rules})
