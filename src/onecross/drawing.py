@@ -145,7 +145,9 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
     The ``6x - 12`` crossing ceiling applies only to crossing-minimal
     drawings, so exceeding it is reported as an advisory flag, never as a
-    failure.
+    failure.  Every check runs on every call; the only thing shared with
+    other calls is the planified map's derived views (dart owners, edge
+    darts, faces), which the map builds once from its own data.
     """
     failures: list[str] = []
     g = d.graph
@@ -190,40 +192,65 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     path_ok = set(d.edge_paths) == set(g.edges)
     if not path_ok:
         failures.append("path/edge mismatch: edge_paths keys differ from graph edges")
-    for e in sorted(d.edge_paths):
-        path = d.edge_paths[e]
-        if any(me not in m.edge_darts for me in path):
+    edge_darts, owner, paths, false_vertices = m.edge_darts, m.dart_vertex, d.edge_paths, \
+        d.false_vertices
+    for e in sorted(paths):
+        path = paths[e]
+        if len(path) == 1:
+            me = path[0]
+            if me not in edge_darts:
+                failures.append(f"path/edge mismatch: unknown map edge in path of {e}")
+                continue
+            if me in used:
+                failures.append(f"path/edge mismatch: map edge {me} reused")
+            used[me] = e
+            a, b = edge_darts[me]
+            ends = (owner[a], owner[b])
+            if ends != e and ends[::-1] != e and set(ends) != set(e):
+                failures.append(f"path/edge mismatch: wrong endpoints for {e}")
+            if e in crossed:
+                failures.append(f"path/edge mismatch: crossed edge {e} has a direct path")
+            continue
+        if not all(map(edge_darts.__contains__, path)):
             failures.append(f"path/edge mismatch: unknown map edge in path of {e}")
             continue
         for me in path:
             if me in used:
                 failures.append(f"path/edge mismatch: map edge {me} reused")
             used[me] = e
-        if len(path) == 1:
-            if set(m.edge_endpoints(path[0])) != set(e):
-                failures.append(f"path/edge mismatch: wrong endpoints for {e}")
-            if e in crossed:
-                failures.append(f"path/edge mismatch: crossed edge {e} has a direct path")
-        elif len(path) == 2:
-            ends0, ends1 = map(set, (m.edge_endpoints(path[0]), m.edge_endpoints(path[1])))
-            middle = ends0 & ends1
-            if len(middle) != 1 or (ends0 | ends1) - middle != set(e):
-                failures.append(f"path/edge mismatch: segments of {e} do not chain")
-            else:
-                w = next(iter(middle))
-                if w not in d.false_vertices or e not in d.false_vertices.get(w, ()):
-                    failures.append(
-                        f"path/edge mismatch: edge {e} routed through foreign vertex {w}")
-        else:
+        if len(path) != 2:
             failures.append(f"path/edge mismatch: path of {e} has length {len(path)}")
-    if len(used) != len(m.edge_darts):
+            continue
+        # The segments must share exactly one end w; their far ends are e's.
+        a, b = edge_darts[path[0]]
+        a0, b0 = owner[a], owner[b]
+        a, b = edge_darts[path[1]]
+        a1, b1 = owner[a], owner[b]
+        if a0 == a1 or a0 == b1:
+            w, far0 = a0, b0
+        elif b0 == a1 or b0 == b1:
+            w, far0 = b0, a0
+        else:
+            failures.append(f"path/edge mismatch: segments of {e} do not chain")
+            continue
+        far1 = b1 if a1 == w else a1
+        if far0 == far1 or \
+                (far0, far1) != e and (far1, far0) != e and {far0, far1} != set(e):
+            failures.append(f"path/edge mismatch: segments of {e} do not chain")
+        elif w not in false_vertices or e not in false_vertices.get(w, ()):
+            failures.append(f"path/edge mismatch: edge {e} routed through foreign vertex {w}")
+    if len(used) != len(edge_darts):
         failures.append("path/edge mismatch: planified map has unused edges")
 
+    rotations, dart_edge = m.rotations, m.dart_edge
+    false_darts: set[int] = set()
     for w in sorted(false_set & map_vertices):
-        if m.degree(w) != 4:
+        rot = rotations[w]
+        false_darts.update(rot)
+        if len(rot) != 4:
             failures.append(f"false vertex degree != 4: vertex {w}")
             continue
-        owners = [used.get(m.dart_edge[dart]) for dart in m.rotations[w]]
+        owners = [used.get(dart_edge[dart]) for dart in rot]
         if None in owners or owners[0] != owners[2] or owners[1] != owners[3] \
                 or owners[0] == owners[1]:
             failures.append(f"non-alternating rotation at false vertex {w}")
@@ -231,15 +258,20 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     if not pm.euler_check(m).planar:
         failures.append("non-planar planified map")
 
+    # A walk steps from each dart's vertex to the far end of its edge, so a
+    # face has consecutive false vertices only if a map edge joins two.
+    opp = m.opposite
+    joined = any(opp[dart] in false_darts for dart in false_darts)
     for walk in m.faces:
-        verts = [m.dart_vertex[dart] for dart in walk]
-        if any(v in false_set for v in verts):
-            if len(walk) < 3:
-                failures.append("face of size < 3 at a false vertex")
-            for a, b in zip(verts, verts[1:] + verts[:1]):
-                if a in false_set and b in false_set:
-                    failures.append(f"consecutive false vertices {a},{b} on a face")
-                    break
+        if len(walk) >= 3 and not joined or false_darts.isdisjoint(walk):
+            continue
+        if len(walk) < 3:
+            failures.append("face of size < 3 at a false vertex")
+        verts = [owner[dart] for dart in walk]
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            if a in false_set and b in false_set:
+                failures.append(f"consecutive false vertices {a},{b} on a face")
+                break
 
     x = d.x if bip else None
     ceiling = crossing_ceiling(x) if bip and x is not None and x >= 2 else None

@@ -103,6 +103,24 @@ def _vertex_key(key: str) -> int:
     return int(key)
 
 
+def _edge_list(value: Any) -> list[tuple[int, int]]:
+    """The document's edges as :func:`~onecross.drawing.edge_key` pairs.
+
+    The checks of :func:`_ints` and ``edge_key`` run inline; at the first
+    edge that fails one, both run over the whole list, as they did before
+    any of them was inlined, to raise the error they always raised.
+    """
+    edges = []
+    for e in value:
+        if type(e) is list and len(e) == 2:
+            u, v = e
+            if type(u) is int and type(v) is int and u != v:
+                edges.append((u, v) if u < v else (v, u))
+                continue
+        return [edge_key(*pair) for pair in [tuple(_ints(e, "an edge", 2)) for e in value]]
+    return edges
+
+
 def parse_document(doc: Any) -> OnePlanarDrawing:
     """The drawing a document describes, not yet certified.
 
@@ -116,8 +134,7 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
     try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
-        edge_list = [tuple(_ints(e, "an edge", 2)) for e in doc["edges"]]
-        edges = [edge_key(*e) for e in edge_list]
+        edges = _edge_list(doc["edges"])
         if len(set(edges)) != len(edges):
             raise FormatError("duplicate edges in document")
         if "black" in doc or "white" in doc:
@@ -141,24 +158,37 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
                 crossed_at[e] = k
 
         # Map edges in document order: toward end 0 first for crossed edges.
+        # Map edge me owns dart 2me at its first end and 2me + 1 at its second.
+        # Rotation entry [ei, half] fills slot 2 ei + half; a slot's seat is
+        # the one vertex whose rotation may hold it, true or a crossing point,
+        # and its dart is the dart the entry names there.
         map_edges: list[tuple[int, int]] = []
         seg_id: dict[tuple[int, int], int] = {}  # (edge index, half) -> map edge
         plain_id: dict[int, int] = {}
         edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        true_seat: list[int | None] = [None] * (2 * len(edges))
+        false_seat = true_seat.copy()
+        true_dart, false_dart = [0] * len(true_seat), [0] * len(true_seat)
         for ei, e in enumerate(edges):
+            me = len(map_edges)
             if ei in crossed_at:
                 w = false_ids[crossed_at[ei]]
                 for half in (0, 1):
-                    seg_id[(ei, half)] = len(map_edges)
+                    seg_id[(ei, half)] = me + half
                     map_edges.append((e[half], w))
-                edge_paths[e] = (seg_id[(ei, 0)], seg_id[(ei, 1)])
+                    true_seat[2 * ei + half], true_dart[2 * ei + half] = e[half], 2 * (me + half)
+                    false_seat[2 * ei + half], false_dart[2 * ei + half] = w, 2 * (me + half) + 1
+                edge_paths[e] = (me, me + 1)
             else:
-                plain_id[ei] = len(map_edges)
+                plain_id[ei] = me
                 map_edges.append(e)
-                edge_paths[e] = (plain_id[ei],)
+                edge_paths[e] = (me,)
+                true_seat[2 * ei], true_dart[2 * ei] = e[1], 2 * me + 1
+                true_seat[2 * ei + 1], true_dart[2 * ei + 1] = e[0], 2 * me
 
         def dart_for(v: int, entry: list[int]) -> int:
-            ei, half = entry  # checked inline: this runs once per rotation entry
+            """The dart of one entry, or the error that describes it."""
+            ei, half = entry
             if type(ei) is not int or type(half) is not int:
                 raise FormatError(f"a rotation entry must be two integers, got {entry!r}")
             if ei in crossed_at:
@@ -175,21 +205,41 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
                 return 2 * me + 1
             raise FormatError(f"rotation entry {entry} not incident to vertex {v}")
 
+        def rotation(v: int, entries: Any, seat: list, dart: list) -> list[int]:
+            """The darts of ``v``'s entries: each entry must be seated at ``v``.
+
+            An entry that is not is passed, with all of ``v``'s, to
+            ``dart_for``, which finds its dart or phrases its error.
+            """
+            try:
+                out = []
+                for ei, half in entries:
+                    if type(ei) is not int or type(half) is not int or not 0 <= half <= 1:
+                        break
+                    slot = ei + ei + half
+                    if slot < 0 or seat[slot] != v:
+                        break
+                    out.append(dart[slot])
+                else:
+                    return out
+            except (TypeError, ValueError, IndexError):
+                pass
+            return [dart_for(v, entry) for entry in entries]
+
         true_rot, false_rot = doc["rotations"]["true"], doc["rotations"]["false"]
         if not isinstance(true_rot, dict) or not isinstance(false_rot, dict):
             raise FormatError("rotations.true and rotations.false must be JSON objects")
-        # Map edge me owns dart 2me at its first end and 2me + 1 at its second.
         rotations: dict[int, list[int]] = {}
         for key, entries in true_rot.items():
             v = _vertex_key(key)
-            rotations[v] = [dart_for(v, entry) for entry in entries]
+            rotations[v] = rotation(v, entries, true_seat, true_dart)
         for v in graph.vertices:
             rotations.setdefault(v, [])
         for key, entries in false_rot.items():
             w = false_ids[_vertex_key(key)]
             if w in rotations:
                 raise FormatError(f"duplicate vertex {w}")
-            rotations[w] = [dart_for(w, entry) for entry in entries]
+            rotations[w] = rotation(w, entries, false_seat, false_dart)
         false_vertices = {false_ids[k]: crossings[k] for k in range(len(crossings))}
         return OnePlanarDrawing(graph, frozenset(crossings),
                                 pm.map_from_paired_darts(rotations, len(map_edges)),
@@ -275,9 +325,14 @@ def export_dot(d: OnePlanarDrawing) -> str:
 
 
 def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
-    """Barycentric layout per component; the largest face becomes the hull."""
+    """Barycentric layout per component; the largest face becomes the hull.
+
+    Coordinates are Python floats, which format several times faster than
+    numpy scalars; they hold the same values.
+    """
     import numpy as np  # only the SVG layout needs it; keeps numpy off every other path
 
+    owner, opp = m.dart_vertex, m.opposite
     pos: dict[int, tuple[float, float]] = {}
     remaining = set(m.rotations)
     offset = 0.0
@@ -288,12 +343,11 @@ def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
         while stack:
             v = stack.pop()
             for dart in m.rotations[v]:
-                w = m.dart_vertex[m.opposite[dart]]
+                w = owner[opp[dart]]
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
-        comp_faces = [walk for walk in m.faces
-                      if m.dart_vertex[walk[0]] in comp]
+        comp_faces = [walk for walk in m.faces if owner[walk[0]] in comp]
         if not comp_faces:
             for i, v in enumerate(sorted(comp)):
                 pos[v] = (offset + 30.0 * i, 0.0)
@@ -301,31 +355,35 @@ def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
             remaining -= comp
             continue
         outer = max(comp_faces, key=len)
-        ring = []
-        for dart in outer:
-            v = m.dart_vertex[dart]
-            if v not in ring:
-                ring.append(v)
+        ring = list(dict.fromkeys(owner[dart] for dart in outer))
         radius = 100.0
         fixed: dict[int, tuple[float, float]] = {}
         for i, v in enumerate(ring):
             a = 2 * np.pi * i / len(ring)
-            fixed[v] = (offset + radius * np.cos(a), radius * np.sin(a))
+            fixed[v] = (offset + radius * float(np.cos(a)), radius * float(np.sin(a)))
         interior = sorted(comp - set(fixed))
         if interior:
             index = {v: i for i, v in enumerate(interior)}
             a_mat = np.zeros((len(interior), len(interior)))
-            b_vec = np.zeros((len(interior), 2))
+            b_rows = []
+            rows: list[int] = []
+            cols: list[int] = []
             for v in interior:
                 i = index[v]
-                nbrs = [m.dart_vertex[m.opposite[dart]] for dart in m.rotations[v]]
+                nbrs = [owner[opp[dart]] for dart in m.rotations[v]]
                 a_mat[i, i] = max(len(nbrs), 1)
+                bx = by = 0.0  # summed in rotation order; the SVG bytes depend on it
                 for w in nbrs:
                     if w in index:
-                        a_mat[i, index[w]] -= 1.0
+                        rows.append(i)
+                        cols.append(index[w])
                     else:
-                        b_vec[i] += fixed[w]
-            sol = np.linalg.solve(a_mat, b_vec)
+                        x, y = fixed[w]
+                        bx += x
+                        by += y
+                b_rows.append((bx, by))
+            np.add.at(a_mat, (rows, cols), -1.0)
+            sol = np.linalg.solve(a_mat, np.array(b_rows)).tolist()
             for v in interior:
                 pos[v] = tuple(sol[index[v]])
         pos.update(fixed)
@@ -350,10 +408,7 @@ def export_svg(d: OnePlanarDrawing) -> str:
     width = max(xs) - min(xs) + 2 * pad
     height = max(ys) - min(ys) + 2 * pad
 
-    def pt(v: int) -> str:
-        x, y = pos[v]
-        return f"{x - minx:.2f},{y - miny:.2f}"
-
+    pt = {v: f"{x - minx:.2f},{y - miny:.2f}" for v, (x, y) in pos.items()}
     g = d.graph
     black = g.black if isinstance(g, BipartiteGraph) else frozenset()
     lines = [
@@ -368,7 +423,7 @@ def export_svg(d: OnePlanarDrawing) -> str:
             ends0 = set(m.edge_endpoints(path[0]))
             w = (ends0 - set(e)).pop()
             through = [e[0], w, e[1]]
-        points = " ".join(pt(v) for v in through)
+        points = " ".join([pt[v] for v in through])
         cls = "crossed" if len(through) == 3 else "plain"
         lines.append(f'  <polyline class="edge {cls}" points="{points}" '
                      'fill="none" stroke="#333" stroke-width="1.2"/>')

@@ -13,7 +13,10 @@ face) certifies that the rotation system describes a plane embedding.
 
 Maps are immutable values; every mutating operation returns a new map, and
 every derived map is edited through a :class:`MapEditor`.  Maps may contain
-parallel edges but never loops.
+parallel edges but never loops.  The derived views of a map (dart owners,
+edge darts, rotation successors, faces) are built at most once per map: the
+dart owners by the structure check that admits the map, the edge darts of a
+map of paired darts by its builder, and the rest on first use.
 """
 
 from __future__ import annotations
@@ -105,24 +108,35 @@ class PlaneMap:
         return self._successor[self.opposite[dart]]
 
 
-def _check_structure(rotations: Mapping[int, Sequence[int]],
-                     opposite: Mapping[int, int]) -> None:
+def _raise_duplicate_dart(rotations: Mapping[int, Sequence[int]]) -> None:
+    """Raise :class:`MapError` for the first dart met in a second rotation."""
     seen: set[int] = set()
-    owner: dict[int, int] = {}
-    for v, rot in rotations.items():
+    for rot in rotations.values():
         for d in rot:
             if d in seen:
                 raise MapError(f"duplicate dart {d} (dart in two rotations)")
             seen.add(d)
-            owner[d] = v
-    if set(opposite) != seen:
-        missing = seen.symmetric_difference(opposite)
+
+
+def _check_structure(rotations: Mapping[int, Sequence[int]],
+                     opposite: Mapping[int, int]) -> dict[int, int]:
+    """Raise :class:`MapError` unless the data form a loopless map; return its dart owners."""
+    owner: dict[int, int] = {}
+    for v, rot in rotations.items():
+        size = len(owner)
+        owner.update(dict.fromkeys(rot, v))
+        if len(owner) != size + len(rot):
+            _raise_duplicate_dart(rotations)
+    if opposite.keys() != owner.keys():
+        missing = set(owner).symmetric_difference(opposite)
         raise MapError(f"unpaired dart: pairing domain mismatch {sorted(missing)[:4]}")
+    partner = opposite.get
     for d, o in opposite.items():
-        if o == d or o not in owner or opposite.get(o) != d:
+        if partner(o) != d or o == d:
             raise MapError(f"unpaired dart {d}: opposite is not a fixed-point-free involution")
         if owner[o] == owner[d]:
             raise MapError(f"loop edge at vertex {owner[d]} (darts {d},{o})")
+    return owner
 
 
 def build_map(vertex_rotations: Mapping[int, Sequence[int]],
@@ -133,29 +147,33 @@ def build_map(vertex_rotations: Mapping[int, Sequence[int]],
     dart id, so construction is reproducible.  Raises :class:`MapError` on a
     duplicate dart, an unpaired dart, a dart in two rotations, or a loop.
     """
-    _check_structure(vertex_rotations, opposite)
+    owner = _check_structure(vertex_rotations, opposite)
     dart_edge: dict[int, int] = {}
     eid = 0
     for d in sorted(opposite):
         if d < opposite[d]:
             dart_edge[d] = dart_edge[opposite[d]] = eid
             eid += 1
-    return PlaneMap(
-        rotations={v: tuple(rot) for v, rot in vertex_rotations.items()},
-        opposite=dict(opposite),
-        dart_edge=dart_edge,
-    )
+    return _admitted(vertex_rotations, dict(opposite), dart_edge, owner)
+
+
+def _admitted(rotations: Mapping[int, Sequence[int]], opposite: dict[int, int],
+              dart_edge: dict[int, int], owner: dict[int, int]) -> PlaneMap:
+    """The map of fresh dicts whose structure check returned ``owner``.
+
+    ``owner`` becomes the map's ``dart_vertex``, the value that cached
+    property would derive, so the map does not derive it a second time.
+    """
+    m = PlaneMap({v: tuple(rot) for v, rot in rotations.items()}, opposite, dart_edge)
+    m.__dict__["dart_vertex"] = owner
+    return m
 
 
 def _make(rotations: Mapping[int, Sequence[int]], opposite: Mapping[int, int],
           dart_edge: Mapping[int, int]) -> PlaneMap:
     """Internal constructor preserving explicit edge ids; still validates."""
-    _check_structure(rotations, opposite)
-    return PlaneMap(
-        rotations={v: tuple(rot) for v, rot in rotations.items()},
-        opposite=dict(opposite),
-        dart_edge=dict(dart_edge),
-    )
+    owner = _check_structure(rotations, opposite)
+    return _admitted(rotations, dict(opposite), dict(dart_edge), owner)
 
 
 def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) -> PlaneMap:
@@ -166,7 +184,10 @@ def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) ->
     each in one rotation, or an edge is a loop.
     """
     opposite = {d: d ^ 1 for d in range(2 * edges)}
-    return _make(rotations, opposite, {d: d // 2 for d in opposite})
+    m = _admitted(rotations, opposite, {d: d >> 1 for d in opposite},
+                  _check_structure(rotations, opposite))
+    m.__dict__["edge_darts"] = {e: (2 * e, 2 * e + 1) for e in range(edges)}
+    return m
 
 
 def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
@@ -176,38 +197,44 @@ def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
     ``next = rotation-successor of opposite(dart)``.  Faces are listed in
     increasing order of their smallest dart, each walk starting there.
     """
-    unseen = set(m.dart_edge)
+    opp = m.opposite
+    step: dict[int, int] = {}  # dart -> its face-walk successor, until walked
+    for rot in m.rotations.values():
+        if rot:
+            prev = rot[-1]
+            for d in rot:
+                step[opp[prev]] = d
+                prev = d
+    pop = step.pop
     faces: list[tuple[int, ...]] = []
-    for start in sorted(m.dart_edge):
-        if start not in unseen:
+    for start in sorted(opp):
+        if start not in step:
             continue
         walk = [start]
-        unseen.discard(start)
-        d = m.next_dart(start)
+        d = pop(start)
         while d != start:
             walk.append(d)
-            unseen.discard(d)
-            d = m.next_dart(d)
+            d = pop(d)
         faces.append(tuple(walk))
     return tuple(faces)
 
 
 def _components(m: PlaneMap) -> dict[int, int]:
-    """Union-find over vertices joined by edges; returns vertex -> root."""
-    parent = {v: v for v in m.rotations}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for d, o in m.opposite.items():
-        if d < o:
-            a, b = find(m.dart_vertex[d]), find(m.dart_vertex[o])
-            if a != b:
-                parent[a] = b
-    return {v: find(v) for v in m.rotations}
+    """Depth-first search over the rotations; maps each vertex to its component's first vertex."""
+    rotations, owner, opp = m.rotations, m.dart_vertex, m.opposite
+    root: dict[int, int] = {}
+    for s in rotations:
+        if s in root:
+            continue
+        root[s] = s
+        stack = [s]
+        while stack:
+            for d in rotations[stack.pop()]:
+                w = owner[opp[d]]
+                if w not in root:
+                    root[w] = s
+                    stack.append(w)
+    return root
 
 
 def euler_check(m: PlaneMap) -> EulerReport:
@@ -218,22 +245,20 @@ def euler_check(m: PlaneMap) -> EulerReport:
     component (a dartless component contributes its single surrounding face).
     """
     roots = _components(m)
+    rotations, owner = m.rotations, m.dart_vertex
     comp_v: dict[int, int] = {}
-    comp_e: dict[int, int] = {}
+    comp_d: dict[int, int] = {}
     comp_f: dict[int, int] = {}
     for v, r in roots.items():
         comp_v[r] = comp_v.get(r, 0) + 1
-    for d, o in m.opposite.items():
-        if d < o:
-            r = roots[m.dart_vertex[d]]
-            comp_e[r] = comp_e.get(r, 0) + 1
+        comp_d[r] = comp_d.get(r, 0) + len(rotations[v])
     for walk in m.faces:
-        r = roots[m.dart_vertex[walk[0]]]
+        r = roots[owner[walk[0]]]
         comp_f[r] = comp_f.get(r, 0) + 1
     planar = True
     total_faces = 0
     for r, nv in comp_v.items():
-        ne = comp_e.get(r, 0)
+        ne = comp_d[r] // 2
         nf = comp_f.get(r, 0) if ne else 1
         total_faces += nf
         if nv - ne + nf != 2:

@@ -177,42 +177,99 @@ def test_map_edge_budget_invariant():
         assert len(d.planified.edge_darts) == d.edge_count + 2 * crossing_count(d)
 
 
-def test_validator_catches_field_mutations():
+def _field_mutations():
+    """Corruptions of small drawings, each with the failures ``validate`` reports."""
     from dataclasses import replace
 
     from onecross.plane_map import MapEditor, _make
 
     d = one_crossing_drawing()
+    g = d.graph
+    cases = {}
 
-    # crossing dropped while the false vertex stays
-    bad = replace(d, crossings=frozenset())
-    assert not validate(bad).passed
+    cases["crossing dropped while the false vertex stays"] = (
+        replace(d, crossings=frozenset()),
+        ("path/edge mismatch: false vertices do not enumerate crossings",))
 
-    # non-alternating rotation at the false vertex
     rot = dict(d.planified.rotations)
     rot[4] = (rot[4][1], rot[4][0], rot[4][2], rot[4][3])
-    bad = replace(d, planified=_make(rot, d.planified.opposite, d.planified.dart_edge))
-    rep = validate(bad)
-    assert not rep.passed
-    assert any("non-alternating" in f or "non-planar" in f for f in rep.failures)
+    cases["non-alternating rotation at the false vertex"] = (
+        replace(d, planified=_make(rot, d.planified.opposite, d.planified.dart_edge)),
+        ("non-alternating rotation at false vertex 4",))
 
-    # edge path removed
     paths = dict(d.edge_paths)
     del paths[(0, 1)]
-    assert not validate(replace(d, edge_paths=paths)).passed
+    cases["edge path removed"] = (
+        replace(d, edge_paths=paths),
+        ("path/edge mismatch: edge_paths keys differ from graph edges",
+         "path/edge mismatch: planified map has unused edges",
+         "non-alternating rotation at false vertex 4"))
 
-    # path pointing at the wrong map edge
     paths = dict(d.edge_paths)
     paths[(0, 1)] = (paths[(2, 3)][0], paths[(0, 1)][1])
-    assert not validate(replace(d, edge_paths=paths)).passed
+    cases["path pointing at the wrong map edge"] = (
+        replace(d, edge_paths=paths),
+        ("path/edge mismatch: segments of (0, 1) do not chain",
+         "path/edge mismatch: map edge 2 reused",
+         "path/edge mismatch: planified map has unused edges",
+         "non-alternating rotation at false vertex 4"))
 
-    # graph edge missing entirely
-    g = d.graph
-    bad_graph = BipartiteGraph(g.black, g.white, g.edges - {(0, 1)})
-    assert not validate(replace(d, graph=bad_graph)).passed
+    cases["graph edge missing entirely"] = (
+        replace(d, graph=BipartiteGraph(g.black, g.white, g.edges - {(0, 1)})),
+        ("path/edge mismatch: crossing names unknown edge (0, 1)",
+         "path/edge mismatch: edge_paths keys differ from graph edges"))
 
-    # stray planified edge nothing refers to
     ed = MapEditor(d.planified)
     for v, dart in zip((0, 2), ed.new_edge()):
         ed.insert_darts(v, len(ed.rotations[v]), [dart])
-    assert not validate(replace(d, planified=ed.finish())).passed
+    cases["stray planified edge nothing refers to"] = (
+        replace(d, planified=ed.finish()),
+        ("path/edge mismatch: planified map has unused edges",))
+
+    # Edges 0-1 and 0-3 cross at false vertex 4, whose two segments to 0
+    # bound a face of two darts.
+    digon = build_map({0: [0, 4], 1: [2], 3: [6], 4: [1, 5, 3, 7]},
+                      {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6})
+    cases["digon at a false vertex"] = (
+        OnePlanarDrawing(BipartiteGraph.make([0], [1, 3], [(0, 1), (0, 3)]),
+                         frozenset({((0, 1), (0, 3))}), digon,
+                         {(0, 1): (0, 1), (0, 3): (2, 3)}, {4: ((0, 1), (0, 3))}),
+        ("adjacent crossing pair: (0, 1) x (0, 3)",
+         "face of size < 3 at a false vertex"))
+
+    # Crossings 0-1 x 2-3 at 8 and 4-5 x 6-7 at 9, with the segments 8-3 and
+    # 6-9 rewired to 8-9 and 6-3: the two false vertices become adjacent.
+    black, white = [0, 2, 4, 6], [1, 3, 5, 7]
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    ends = [(0, 8), (8, 1), (2, 8), (8, 9), (4, 9), (9, 5), (6, 3), (9, 7)]
+    rotations = {v: [] for v in range(10)}
+    for me, (a, b) in enumerate(ends):
+        rotations[a].append(2 * me)
+        rotations[b].append(2 * me + 1)
+    rotations[8] = [1, 5, 2, 6]
+    rotations[9] = [9, 7, 10, 14]
+    adjacent = build_map(rotations, {d: d ^ 1 for d in range(16)})
+    cases["two adjacent false vertices"] = (
+        OnePlanarDrawing(BipartiteGraph.make(black, white, edges),
+                         frozenset({((0, 1), (2, 3)), ((4, 5), (6, 7))}), adjacent,
+                         {e: (2 * i, 2 * i + 1) for i, e in enumerate(edges)},
+                         {8: ((0, 1), (2, 3)), 9: ((4, 5), (6, 7))}),
+        ("path/edge mismatch: segments of (2, 3) do not chain",
+         "path/edge mismatch: segments of (6, 7) do not chain",
+         "non-alternating rotation at false vertex 9",
+         "consecutive false vertices 8,9 on a face"))
+
+    c4 = four_cycle_drawing()
+    ed = MapEditor(c4.planified)
+    for v, pos, dart in zip((0, 1), (1, 0), ed.new_edge()):
+        ed.insert_darts(v, pos, [dart])  # beside the path edge 0-1, bounding a digon
+    cases["unused map edge parallel to a path"] = (
+        replace(c4, planified=ed.finish()),
+        ("path/edge mismatch: planified map has unused edges",))
+    return cases
+
+
+def test_validator_catches_field_mutations():
+    for name, (drawing, failures) in _field_mutations().items():
+        rep = validate(drawing)
+        assert (rep.passed, rep.failures) == (False, failures), name

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import onecross.cli
 import onecross.constructions
 import onecross.drawing
+import onecross.plane_map
 from onecross.cli import main
 from onecross.constructions import b_family, balanced, best_known, family_formulas, w3_family
 from onecross.drawing import DrawingError, validate
@@ -264,6 +266,52 @@ def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
     assert run(["verify", str(f)], capsys)[0] == 2
 
 
+# (path to the edited node, replacement, the error) in a balanced(4) document.
+# Entry 1 at vertex 0 is [0, 1], naming the far end 1 of the uncrossed edge
+# (0, 1); entry 0 at crossing point 0 is [2, 0], on the crossed edge (0, 5);
+# edge 9 is the crossed edge (2, 7) and edge 4 the uncrossed edge (1, 2).  A
+# string replaces the last key on the path.
+_ENTRY_EDITS = {
+    "bool-edge-index": (["rotations", "true", "0", 1], [True, 1],
+                        "a rotation entry must be two integers, got [True, 1]"),
+    "one-element": (["rotations", "true", "0", 1], [0],
+                    "malformed document: not enough values to unpack (expected 2, got 1)"),
+    "three-element": (["rotations", "true", "0", 1], [0, 1, 0],
+                      "malformed document: too many values to unpack (expected 2)"),
+    "half-not-far-end": (["rotations", "true", "0", 1], [0, 0],
+                         "rotation entry [0, 0] at vertex 0 does not name the far end "
+                         "of its edge"),
+    "crossed-half-out-of-range": (["rotations", "false", "0", 0], [2, 7],
+                                  "malformed document: (2, 7)"),
+    "not-incident-crossed": (["rotations", "true", "0", 1], [9, 0],
+                             "rotation entry [9, 0] not incident to vertex 0"),
+    "not-incident-uncrossed": (["rotations", "true", "0", 1], [4, 0],
+                               "rotation entry [4, 0] not incident to vertex 0"),
+    "edge-index-out-of-range": (["rotations", "false", "0", 0], [16, 0],
+                                "malformed document: 16"),
+    "key-not-an-integer": (["rotations", "true", "0"], "a",
+                           "malformed document: invalid literal for int() with base 10: 'a'"),
+}
+
+
+@pytest.mark.parametrize("path,value,message", _ENTRY_EDITS.values(), ids=_ENTRY_EDITS.keys())
+def test_malformed_rotation_entry_error_text(tmp_path, capsys, path, value, message):
+    doc = drawing_to_document(balanced(4))
+    *outer, last = path
+    holder = functools.reduce(operator.getitem, outer, doc)
+    if isinstance(value, str):
+        holder[value] = holder.pop(last)
+    else:
+        holder[last] = value
+    with pytest.raises(FormatError) as caught:
+        document_to_drawing(doc)
+    assert str(caught.value) == message
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(doc))
+    code = main(["verify", str(f)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
 def test_true_rotation_at_a_crossing_point_id_is_a_duplicate_vertex(tmp_path, capsys):
     # Crossing point 0 takes the id one above every graph vertex.
     doc = drawing_to_document(balanced(4))
@@ -353,6 +401,51 @@ def test_any_document_is_loaded_or_rejected_without_a_traceback(tmp_path_factory
     f.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["verify", str(f), "--json"]) in (0, 1, 2)
+
+
+# sha256 of export_svg's output, recorded before its layout returned Python
+# floats instead of numpy scalars; the bytes must not change.
+_SVG_SHA256 = {
+    "w3_family(3, 6)": (lambda: w3_family(3, 6),
+                        "b7e487fc0fa35df2954fd2abadcb5edfcf60290162f7b8d335cd727e7ea43b2f"),
+    "balanced(4)": (lambda: balanced(4),
+                    "b16a57929a7b87f46f22c546407605bf003f2c5b16495225e7caae30f1746e83"),
+    "b_family(20, 103)": (lambda: b_family(20, 103),
+                          "51b757146ee8a518495bf77111603178c06aea1e52050baf1574fc08f9a5fd49"),
+    "balanced(200)": (lambda: balanced(200),
+                      "589cb64bdd794642781ca156940848fccbd5b7408cad9b312d18a23b4bb81bfd"),
+}
+
+
+@pytest.mark.parametrize("make,sha256", _SVG_SHA256.values(), ids=_SVG_SHA256.keys())
+def test_export_svg_bytes_are_unchanged(make, sha256):
+    assert hashlib.sha256(export_svg(make()).encode()).hexdigest() == sha256
+
+
+def test_cli_caches_nothing_between_commands(tmp_path, capsys, monkeypatch):
+    # Every load parses and certifies from scratch: verify, then export of
+    # the same file, validate twice and trace faces twice, round after round.
+    doc = tmp_path / "d.json"
+    save_drawing(w3_family(3, 6), doc)
+    calls = {"validate": 0, "trace_faces": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    validate_spy = counting("validate", onecross.drawing.validate)
+    monkeypatch.setattr(onecross.drawing, "validate", validate_spy)
+    monkeypatch.setattr(onecross.cli, "validate", validate_spy)
+    monkeypatch.setattr(onecross.plane_map, "trace_faces",
+                        counting("trace_faces", onecross.plane_map.trace_faces))
+    for _ in range(2):
+        calls.update(validate=0, trace_faces=0)
+        assert main(["verify", str(doc), "--json"]) == 0
+        assert main(["export", str(doc), "--format", "svg"]) == 0
+        capsys.readouterr()
+        assert calls == {"validate": 2, "trace_faces": 2}
 
 
 def test_cli_bounds_json(capsys):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onecross.plane_map import (
+    EulerReport,
     MapEditor,
     MapError,
     build_map,
@@ -286,3 +288,104 @@ def test_editor_corner_insertion_and_sync_check():
         ed.insert_at_corner(walk[0], walk[1], [stale])  # the corner now holds the spoke
     with pytest.raises(MapError, match="out of sync"):
         ed.insert_at_corner(walk[1], walk[0], [stale])
+
+
+# -- map kernels against plain references -------------------------------------
+
+
+def _reference_faces(m):
+    """The face walks by definition: each dart's successor is the rotation
+    successor of its opposite; walks start at their least dart, in order."""
+    succ = {}
+    for rot in m.rotations.values():
+        for i, d in enumerate(rot):
+            succ[d] = rot[(i + 1) % len(rot)]
+    faces, seen = [], set()
+    for start in sorted(m.opposite):
+        if start in seen:
+            continue
+        walk, d = [], start
+        while not walk or d != start:
+            walk.append(d)
+            seen.add(d)
+            d = succ[m.opposite[d]]
+        faces.append(tuple(walk))
+    return tuple(faces)
+
+
+def _reference_euler(m):
+    """V - E + F = 2 on every component, components found by breadth-first search."""
+    owner = {d: v for v, rot in m.rotations.items() for d in rot}
+    neighbours = {v: [owner[m.opposite[d]] for d in rot] for v, rot in m.rotations.items()}
+    component = {}
+    for s in sorted(m.rotations):
+        if s not in component:
+            component[s] = s
+            queue = [s]
+            for v in queue:
+                for w in neighbours[v]:
+                    if w not in component:
+                        component[w] = s
+                        queue.append(w)
+    faces = _reference_faces(m)
+    planar, total_faces = True, 0
+    roots = set(component.values())
+    for root in roots:
+        vs = [v for v in component if component[v] == root]
+        darts = sum(len(m.rotations[v]) for v in vs)
+        nf = sum(component[owner[w[0]]] == root for w in faces) if darts else 1
+        total_faces += nf
+        planar &= len(vs) - darts // 2 + nf == 2
+    return EulerReport(planar=planar, vertices=len(m.rotations), edges=len(m.opposite) // 2,
+                       faces=total_faces, components=len(roots))
+
+
+@st.composite
+def _rotation_systems(draw):
+    """Any rotation system: several components, isolated vertices, parallel
+    edges, non-planar rotations, and vertex and dart ids with gaps."""
+    n = draw(st.integers(1, 9))
+    names = draw(st.permutations(range(n + 4)))[:n]
+    ends = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1])
+    pairs = draw(st.lists(ends, max_size=14)) if n > 1 else []
+    darts = draw(st.permutations(range(2 * len(pairs) + 6)))
+    rotations = {v: [] for v in names}
+    opposite = {}
+    for i, (u, v) in enumerate(pairs):
+        a, b = darts[2 * i], darts[2 * i + 1]
+        rotations[u].append(a)
+        rotations[v].append(b)
+        opposite[a], opposite[b] = b, a
+    return build_map({v: draw(st.permutations(rot)) for v, rot in rotations.items()},
+                     opposite)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(m=_rotation_systems())
+def test_map_kernels_match_plain_references(m):
+    assert trace_faces(m) == _reference_faces(m)
+    assert euler_check(m) == _reference_euler(m)
+
+
+def test_euler_check_on_disconnected_maps():
+    two_triangles = build_map(
+        {0: [0, 4], 1: [1, 2], 2: [3, 5], 3: [6, 10], 4: [7, 8], 5: [9, 11]},
+        {d: d ^ 1 for d in range(12)})
+    assert euler_check(two_triangles) == EulerReport(True, 6, 6, 4, 2)
+    with_isolated = build_map({0: [0, 4], 1: [1, 2], 2: [3, 5], 7: [], 9: []},
+                              {d: d ^ 1 for d in range(6)})
+    assert euler_check(with_isolated) == EulerReport(True, 5, 3, 4, 3)
+    assert euler_check(build_map({0: [], 1: []}, {})) == EulerReport(True, 2, 0, 2, 2)
+    # One toroidal K5 beside a planar triangle: only the K5 breaks Euler.
+    toroidal = _k5_map({v: [(v + k) % 5 for k in range(1, 5)] for v in range(5)})
+    ed = MapEditor(toroidal)
+    a, b, c = (ed.add_vertex() for _ in range(3))
+    for u, v in ((a, b), (b, c), (c, a)):
+        du, dv = ed.new_edge()
+        ed.insert_darts(u, 0, [du])
+        ed.insert_darts(v, 0, [dv])
+    report = euler_check(ed.finish())
+    assert (report.planar, report.vertices, report.edges, report.components) == \
+        (False, 8, 13, 2)
+    assert report == _reference_euler(ed.finish())
