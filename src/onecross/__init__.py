@@ -13,8 +13,6 @@ from .plane_map import (
     MapError,
     PlaneMap,
     build_map,
-    delete_edge,
-    delete_vertex,
     euler_check,
     insert_vertex_in_face,
     smooth_degree2,

@@ -10,8 +10,8 @@ with at most one crossing per edge.
 Drawings are immutable; operations return new certified drawings.  Internal
 construction steps may pass an uncertified *draft*, a drawing built
 directly from its parts; :func:`certify` or :func:`augment_degree2` ends
-such a build with its one certification.
-Independent drawings may be validated concurrently.
+such a build with its one certification, as each surgery ends its one map
+edit.  Independent drawings may be validated concurrently.
 """
 
 from __future__ import annotations
@@ -40,6 +40,17 @@ def crossing_key(e: Edge, f: Edge) -> Crossing:
     return (e, f) if e <= f else (f, e)
 
 
+def _edge_keys(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
+    """The :func:`edge_key` of every edge; ``edges`` is read again to name a non-pair."""
+    try:
+        return frozenset(edge_key(u, v) for u, v in edges)
+    except DrawingError:
+        raise
+    except ValueError:
+        bad = next(e for e in edges if len(e) != 2)
+        raise DrawingError(f"non-bipartite or non-simple graph: edge {bad} is not a vertex pair")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A plain simple graph; the oracle certifies non-bipartite inputs too."""
@@ -50,7 +61,7 @@ class Graph:
     @staticmethod
     def make(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
         vs = frozenset(vertices)
-        es = frozenset(edge_key(u, v) for u, v in edges)
+        es = _edge_keys(edges)
         for u, v in es:
             if u not in vs or v not in vs:
                 raise DrawingError(f"edge ({u},{v}) leaves the vertex set")
@@ -71,7 +82,7 @@ class BipartiteGraph:
         b, w = frozenset(black), frozenset(white)
         if b & w:
             raise DrawingError("non-bipartite or non-simple graph: classes overlap")
-        es = frozenset(edge_key(u, v) for u, v in edges)
+        es = _edge_keys(edges)
         for u, v in es:
             if not ((u in b and v in w) or (u in w and v in b)):
                 raise DrawingError(
@@ -421,43 +432,40 @@ def remove_graph_edge(d: OnePlanarDrawing, u: int, v: int) -> OnePlanarDrawing:
     e = edge_key(u, v)
     if e not in d.graph.edges:
         raise DrawingError(f"missing element: edge {e}")
-    m = d.planified
-    edge_paths = dict(d.edge_paths)
-    crossings = set(d.crossings)
-    false_vertices = dict(d.false_vertices)
-    path = edge_paths.pop(e)
-    for me in path:
-        m = pm.delete_edge(m, me)
-    hit = [c for c in crossings if e in c]
-    if hit:
-        (c,) = hit
-        partner = c[0] if c[1] == e else c[1]
-        w = next(wv for wv, cc in false_vertices.items() if cc == c)
-        seg1, seg2 = edge_paths[partner]
-        m = pm.smooth_degree2(m, w)
-        edge_paths[partner] = (min(seg1, seg2),)
-        crossings.remove(c)
-        del false_vertices[w]
-    g = d.graph
-    edges = g.edges - {e}
-    if isinstance(g, BipartiteGraph):
-        new_graph: BipartiteGraph | Graph = BipartiteGraph(g.black, g.white, edges)
-    else:
-        new_graph = Graph(g.vertices, edges)
-    return assemble_drawing(new_graph, crossings, m, edge_paths, false_vertices)
+    return _remove(d, {e}, set())
 
 
 def remove_graph_vertex(d: OnePlanarDrawing, v: int) -> OnePlanarDrawing:
     """Delete a vertex with all incident edges, healing crossings en route."""
     if v not in d.graph.vertices:
         raise DrawingError(f"missing element: vertex {v}")
-    for e in sorted(e for e in d.graph.edges if v in e):
-        d = remove_graph_edge(d, *e)
-    m = pm.delete_vertex(d.planified, v)
+    return _remove(d, {e for e in d.graph.edges if v in e}, {v})
+
+
+def _remove(d: OnePlanarDrawing, edges: set[Edge], vertices: set[int]) -> OnePlanarDrawing:
+    """``d`` without ``edges``, then ``vertices``, in one map edit and one certification.
+
+    Each crossing that loses an edge is smoothed into its partner's new path;
+    adjacent edges never cross in the certified ``d``, so none loses both.
+    """
+    ed = pm.MapEditor(d.planified)
+    edge_paths = dict(d.edge_paths)
+    for e in edges:
+        for me in edge_paths.pop(e):
+            ed.delete_edge(me)
+    false_vertices = {}
+    for w, (e, f) in d.false_vertices.items():
+        if e in edges or f in edges:
+            edge_paths[f if e in edges else e] = (ed.smooth(w),)
+        else:
+            false_vertices[w] = (e, f)
+    for v in vertices:
+        ed.delete_vertex(v)
     g = d.graph
     if isinstance(g, BipartiteGraph):
         new_graph: BipartiteGraph | Graph = BipartiteGraph(
-            g.black - {v}, g.white - {v}, g.edges)
+            g.black - vertices, g.white - vertices, g.edges - edges)
     else:
-        new_graph = Graph(g.vertices - {v}, g.edges)
-    return assemble_drawing(new_graph, d.crossings, m, d.edge_paths, d.false_vertices)
+        new_graph = Graph(g.vertices - vertices, g.edges - edges)
+    return assemble_drawing(new_graph, false_vertices.values(), ed.finish(), edge_paths,
+                            false_vertices)

@@ -11,8 +11,8 @@ and Euler's formula applied per connected component (V - E + F = 2, where F
 counts face orbits of the component; a component without darts counts one
 face) certifies that the rotation system describes a plane embedding.
 
-Maps are immutable values; every mutating operation returns a new map, and
-every derived map is edited through a :class:`MapEditor`.  Maps may contain
+Maps are immutable values; every derived map, surgery included, is edited
+through one :class:`MapEditor` session and checked once.  Maps may contain
 parallel edges but never loops.  The derived views of a map (dart owners,
 edge darts, rotation successors, faces) are built at most once per map: the
 dart owners by the structure check that admits the map, the edge darts of a
@@ -308,9 +308,9 @@ class MapEditor:
 
     Starts as a copy of ``base``, or empty.  New vertex, dart and edge ids
     are taken above every id in use, and the two darts of a new edge get
-    consecutive ids.  Read ``rotations``, ``opposite`` and ``dart_edge``
-    freely but change them only through the methods.  :meth:`finish` returns
-    the edited map after one structure check.
+    consecutive ids; deletion and smoothing hand out none.  Read ``rotations``,
+    ``opposite`` and ``dart_edge`` freely but change them only through the
+    methods.  :meth:`finish` returns the edited map after one structure check.
     """
 
     def __init__(self, base: PlaneMap | None = None):
@@ -332,25 +332,15 @@ class MapEditor:
         self._owner.update(dict.fromkeys(darts, vertex))
         return vertex
 
-    def new_edge(self, darts: tuple[int, int] | None = None,
-                 edge: int | None = None) -> tuple[int, int]:
-        """Pair two darts (new ids unless given) as an edge; they are placed separately."""
-        if darts is None:
-            darts = (self._next_dart, self._next_dart + 1)
-        if edge is None:
-            edge = self._next_edge
-        d, o = darts
-        if d == o or d in self.opposite or o in self.opposite or edge in self._edge_darts:
-            raise MapError(f"duplicate dart {d} or {o}, or duplicate edge id {edge}")
-        self.opposite[d], self.opposite[o] = o, d
-        self.dart_edge[d] = self.dart_edge[o] = edge
-        self._edge_darts[edge] = darts
-        top = d if d > o else o
-        if top >= self._next_dart:
-            self._next_dart = top + 1
-        if edge >= self._next_edge:
-            self._next_edge = edge + 1
-        return darts
+    def new_edge(self) -> tuple[int, int]:
+        """Pair two new darts as a new edge; they are placed separately."""
+        d, edge = self._next_dart, self._next_edge
+        self._next_dart += 2
+        self._next_edge += 1
+        self.opposite[d], self.opposite[d + 1] = d + 1, d
+        self.dart_edge[d] = self.dart_edge[d + 1] = edge
+        self._edge_darts[edge] = (d, d + 1)
+        return d, d + 1
 
     def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
         """Put ``darts``, in order, before index ``pos`` of ``vertex``'s rotation."""
@@ -393,6 +383,28 @@ class MapEditor:
             self.delete_edge(e)
         del self.rotations[vertex]
 
+    def smooth(self, vertex: int) -> int:
+        """Replace a degree-2 vertex by one edge joining its neighbours; return its id.
+
+        The far darts keep their ids and rotation positions; the merged edge
+        takes the smaller of the two old edge ids.
+        """
+        if vertex not in self.rotations:
+            raise MapError(f"missing element: vertex {vertex}")
+        rot = self.rotations[vertex]
+        if len(rot) != 2:
+            raise MapError(f"vertex {vertex} does not have degree 2")
+        a, b = (self.opposite[d] for d in rot)  # darts at the two neighbours
+        if self._owner[a] == self._owner[b]:
+            raise MapError("smoothing would create a loop")
+        edge = min(self.dart_edge[a], self.dart_edge[b])
+        for d in self.rotations.pop(vertex):
+            del self._edge_darts[self.dart_edge.pop(d)], self.opposite[d], self._owner[d]
+        self.opposite[a], self.opposite[b] = b, a
+        self.dart_edge[a] = self.dart_edge[b] = edge
+        self._edge_darts[edge] = (a, b)
+        return edge
+
     def finish(self) -> PlaneMap:
         """The edited map, after one structure check."""
         return _make(self.rotations, self.opposite, self.dart_edge)
@@ -424,42 +436,10 @@ def insert_vertex_in_face(m: PlaneMap, face: int,
     return ed.finish(), new_vertex
 
 
-def delete_edge(m: PlaneMap, edge: int) -> PlaneMap:
-    """Remove an edge, splicing both rotations; never increases genus."""
-    ed = MapEditor(m)
-    ed.delete_edge(edge)
-    return ed.finish()
-
-
-def delete_vertex(m: PlaneMap, vertex: int) -> PlaneMap:
-    """Remove a vertex together with all incident edges."""
-    ed = MapEditor(m)
-    ed.delete_vertex(vertex)
-    return ed.finish()
-
-
 def smooth_degree2(m: PlaneMap, vertex: int) -> PlaneMap:
-    """Replace a degree-2 vertex by a single edge joining its neighbours.
-
-    The surviving darts keep their ids and rotation positions; the merged
-    edge takes the smaller of the two old edge ids.
-    """
-    if vertex not in m.rotations:
-        raise MapError(f"missing element: vertex {vertex}")
-    rot = m.rotations[vertex]
-    if len(rot) != 2:
-        raise MapError(f"vertex {vertex} does not have degree 2")
-    d1, d2 = rot
-    a, b = m.opposite[d1], m.opposite[d2]  # darts at the two neighbours
-    va, vb = m.dart_vertex[a], m.dart_vertex[b]
-    if va == vb:
-        raise MapError("smoothing would create a loop")
-    pos_a, pos_b = m.rotations[va].index(a), m.rotations[vb].index(b)
+    """The map ``m`` after :meth:`MapEditor.smooth` of ``vertex``."""
     ed = MapEditor(m)
-    ed.delete_vertex(vertex)
-    ed.new_edge((a, b), min(m.dart_edge[d1], m.dart_edge[d2]))
-    ed.insert_darts(va, pos_a, [a])
-    ed.insert_darts(vb, pos_b, [b])
+    ed.smooth(vertex)
     return ed.finish()
 
 

@@ -1,11 +1,14 @@
-"""The benchmark's span table names functions that exist in the program.
+"""The benchmark's span table and probes name functions that exist in the program.
 
 ``bench/layers.py`` wraps each ``Span.source`` when the benchmark runs with
 tracing; a source that no longer resolves breaks ``bench/run.py --trace 1``.
-The file is read and executed here without being imported, so no bytecode
-is written next to it.
+``bench/selftest.py`` checks that the wrappers replaced the bindings its
+``probes`` name; a probe that no longer resolves breaks that check.  Both
+files are read here without being imported, so no bytecode is written next
+to them.
 """
 
+import ast
 import importlib
 import sys
 import types
@@ -13,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAYERS = BENCH / "layers.py"
 
 
 def _load_layers() -> types.ModuleType:
@@ -46,3 +50,24 @@ def test_span_source_is_a_callable_of_the_program(span):
     assert callable(_resolve(span.source)), span.source
     if span.only_in is not None:
         importlib.import_module(span.only_in)
+
+
+def _selftest_probes() -> dict[str, str]:
+    """The ``probes`` dict of ``bench/selftest.py``: each key with its value's source."""
+    source = (BENCH / "selftest.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "probes":
+            return {ast.literal_eval(k): ast.get_source_segment(source, v)
+                    for k, v in zip(node.value.keys, node.value.values)}
+    raise AssertionError("bench/selftest.py has no probes dict")
+
+
+PROBES = _selftest_probes()
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_selftest_probe_is_a_callable_of_the_program(name):
+    from onecross import cli, constructions, oracle, sketch
+
+    scope = {"cli": cli, "constructions": constructions, "oracle": oracle, "sketch": sketch}
+    assert callable(eval(PROBES[name], scope)), PROBES[name]

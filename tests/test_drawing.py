@@ -1,5 +1,9 @@
+import hashlib
+import re
+
 import pytest
 
+import onecross.drawing
 from onecross.drawing import (
     BipartiteGraph,
     DrawingError,
@@ -172,6 +176,44 @@ def test_remove_graph_vertex():
     assert d2.edge_count == 1
 
 
+SURGERY_SIZES = [(3, 4), (3, 6), (4, 7), (5, 5), (6, 6), (4, 12)]
+
+
+def test_surgery_documents_are_unchanged():
+    """Every single-vertex and single-edge removal from six best drawings,
+    written as documents, hashes to the digest recorded for them."""
+    from onecross.constructions import best_known
+    from onecross.formats import drawing_to_document, dumps_document
+
+    digest, count = hashlib.sha256(), 0
+    for x, y in SURGERY_SIZES:
+        d = best_known(x, y).drawing
+        results = [remove_graph_vertex(d, v) for v in sorted(d.graph.vertices)]
+        results += [remove_graph_edge(d, *e) for e in sorted(d.graph.edges)]
+        for r in results:
+            digest.update(dumps_document(drawing_to_document(r)).encode())
+        count += len(results)
+    assert count == 203
+    assert digest.hexdigest() == \
+        "34ca914a29fa31351e3b1e558b18617d9ddcab59c121052f0237b294f437256a"
+
+
+def test_surgery_certifies_once(monkeypatch):
+    from onecross.constructions import best_known
+
+    d = best_known(4, 12).drawing
+    hub = next(v for v in sorted(d.graph.vertices)
+               if sum(v in e for e in d.graph.edges) == 9)
+    crossed = min(e for pair in d.crossings for e in pair)
+    calls = []
+    check = onecross.drawing.validate
+    monkeypatch.setattr(onecross.drawing, "validate", lambda x: calls.append(1) or check(x))
+    remove_graph_vertex(d, hub)
+    assert len(calls) == 1
+    remove_graph_edge(d, *crossed)
+    assert len(calls) == 2
+
+
 def test_map_edge_budget_invariant():
     for d in (four_cycle_drawing(), one_crossing_drawing()):
         assert len(d.planified.edge_darts) == d.edge_count + 2 * crossing_count(d)
@@ -273,3 +315,20 @@ def test_validator_catches_field_mutations():
     for name, (drawing, failures) in _field_mutations().items():
         rep = validate(drawing)
         assert (rep.passed, rep.failures) == (False, failures), name
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(frozenset({0, 1, 2}), frozenset({(0, 1, 2)})),
+    BipartiteGraph(frozenset({0}), frozenset({1, 2}), frozenset({(0, 1, 2)})),
+], ids=["plain", "bipartite"])
+def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
+    message = "non-bipartite or non-simple graph: edge (0, 1, 2) is not a vertex pair"
+    m = build_map({0: [0], 1: [1], 2: []}, {0: 1, 1: 0})
+    rep = validate(OnePlanarDrawing(graph, frozenset(), m, {(0, 1, 2): (0,)}, {}))
+    assert not rep.passed
+    assert rep.failures[0] == message
+    with pytest.raises(DrawingError, match=re.escape(message)):
+        if isinstance(graph, BipartiteGraph):
+            BipartiteGraph.make(graph.black, graph.white, graph.edges)
+        else:
+            Graph.make(graph.vertices, graph.edges)

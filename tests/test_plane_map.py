@@ -8,8 +8,6 @@ from onecross.plane_map import (
     MapEditor,
     MapError,
     build_map,
-    delete_edge,
-    delete_vertex,
     euler_check,
     insert_vertex_in_face,
     map_from_paired_darts,
@@ -201,35 +199,70 @@ def test_insert_order_not_realizable():
 
 
 def test_delete_edge_of_triangle_gives_path():
-    m = delete_edge(triangle(), 0)
+    ed = MapEditor(triangle())
+    ed.delete_edge(0)
+    m = ed.finish()
     assert len(m.edges) == 2
     assert len(trace_faces(m)) == 1
 
 
 def test_delete_hub_of_wheel_gives_cycle():
-    m = k4()  # vertex 3 is the hub inserted into a triangle face
-    m2 = delete_vertex(m, 3)
+    ed = MapEditor(k4())  # vertex 3 is the hub inserted into a triangle face
+    ed.delete_vertex(3)
+    m2 = ed.finish()
     assert len(m2.edges) == 3
     assert len(trace_faces(m2)) == 2
 
 
 def test_delete_outer_triangle_of_k4_gives_star():
-    m = k4()
+    ed = MapEditor(k4())
     for e in (0, 1, 2):
-        m = delete_edge(m, e)
+        ed.delete_edge(e)
+    m = ed.finish()
     assert len(m.edges) == 3
     assert sorted(m.degree(v) for v in m.rotations) == [1, 1, 1, 3]
 
 
-def test_smooth_degree2_round_trip():
+def square_with_hat():
+    """A 4-cycle and a degree-2 vertex 4 in one of its faces, joined to 0 and 2."""
     m = build_map(
         {0: [0, 7], 1: [1, 2], 2: [3, 4], 3: [5, 6]},
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
     m2, v = insert_vertex_in_face(m, 0, [0, 2])
-    m3 = smooth_degree2(m2, v)
+    assert (v, m2.rotations[0], m2.rotations[2], m2.rotations[4]) == \
+        (4, (0, 7, 8), (3, 10, 4), (11, 9))
+    return m2
+
+
+def test_smooth_degree2_round_trip():
+    m3 = smooth_degree2(square_with_hat(), 4)
     assert len(m3.edges) == 5
     assert euler_check(m3).planar
+
+
+def test_smooth_keeps_far_darts_in_place_and_the_smaller_edge_id():
+    m = square_with_hat()  # vertex 4 owns dart 9 of edge 4 and dart 11 of edge 5
+    ed = MapEditor(m)
+    assert ed.smooth(4) == 4
+    for s in (ed.finish(), smooth_degree2(m, 4)):
+        assert s.rotations == {0: (0, 7, 8), 1: (1, 2), 2: (3, 10, 4), 3: (5, 6)}
+        assert (s.opposite[8], s.dart_edge[8], s.dart_edge[10]) == (10, 4, 4)
+        assert s.edge_darts == {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (6, 7), 4: (8, 10)}
+
+
+@pytest.mark.parametrize("m, vertex, message", [
+    (single_edge(), 7, "missing element: vertex 7"),
+    (single_edge(), 0, "vertex 0 does not have degree 2"),
+    # two parallel edges between 0 and 1
+    (build_map({0: [0, 2], 1: [1, 3]}, {0: 1, 1: 0, 2: 3, 3: 2}), 1,
+     "smoothing would create a loop"),
+])
+def test_smooth_rejects(m, vertex, message):
+    with pytest.raises(MapError, match=message):
+        MapEditor(m).smooth(vertex)
+    with pytest.raises(MapError, match=message):
+        smooth_degree2(m, vertex)
 
 
 def test_insertion_preserves_planarity_randomized():
@@ -261,13 +294,8 @@ def test_editor_allocates_ids_above_every_id_in_use():
     assert ed.dart_edge[12] == ed.dart_edge[13] == 6
     assert ed.add_vertex() == 4
     assert ed.add_vertex() == 5
-    assert ed.new_edge((20, 30), 8) == (20, 30)
-    assert ed.new_edge() == (31, 32)
-    assert ed.dart_edge[31] == 9
-    with pytest.raises(MapError, match="duplicate dart"):
-        ed.new_edge((0, 40))
-    with pytest.raises(MapError, match="duplicate edge id"):
-        ed.new_edge(edge=3)
+    assert ed.new_edge() == (14, 15)
+    assert ed.dart_edge[14] == 7
     empty = MapEditor()
     assert (empty.new_edge(), empty.add_vertex(), empty.add_vertex()) == ((0, 1), 0, 1)
 
