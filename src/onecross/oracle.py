@@ -38,22 +38,28 @@ once per search and looked up at the larger sizes.  On K3,7 at budget 6
 this answers 777 of size 6's 1,206 inner nodes, which takes the search
 from 2,541 planarity calls to 1,764.
 
-``planarity_test`` answers "not planar" without networkx when the simple
-graph has more than 3N - 6 edges on its N >= 3 non-isolated vertices (the
-counting bound's lemma); about half of the K3,7 tests end there.
-``is_one_planar`` reports what each size cost in ``SearchStats``, including
-the forced verdicts it reused.  Long runs accept a timeout, checked before
-every planarity test, and write a coarse resumable checkpoint.
+Every verdict the search asks for (``_Search.planar``) is a yes/no: the
+simple graph is rejected when it has more than 3N - 6 edges on its N >= 3
+non-isolated vertices (the counting bound's lemma; about half of the K3,7
+tests end there), and otherwise decided by the left-right test of
+``planarity.is_planar``, which builds no embedding.  ``planarity_test`` is
+the one witness producer: it runs the same two tests and embeds only a
+planar graph.  ``is_one_planar`` calls it once, on the leaf it accepts,
+and reports what each size cost in ``SearchStats``, including the forced
+verdicts it reused.  Long runs accept a timeout, checked before every
+planarity test, and write a coarse resumable checkpoint.
 
-networkx is the only dependency the oracle adds, and nothing outside the
-oracle uses it, so ``nx`` is bound lazily: importing the package puts a
-lazy module into ``sys.modules`` and networkx runs its own ``__init__`` on
-the first attribute read (``nx.Graph``, ``nx.check_planarity``).  ``nx``
-stays a module-level name that is the very object in
-``sys.modules["networkx"]``, so code that reaches networkx through this
-module's ``nx`` (the benchmark's ``check_planarity`` span, tests that
-monkeypatch ``nx.check_planarity``) sees the same module as
-``import networkx`` does.
+networkx is the only dependency the oracle adds, and it is used for two
+things only: the embedding of an accepted leaf (``planarity_test``) and
+the two-colouring of a ``Graph`` that is not a ``BipartiteGraph``
+(``_two_color``).  A "no" on a ``BipartiteGraph`` never loads it.  So
+``nx`` is bound lazily: importing the package puts a lazy module into
+``sys.modules`` and networkx runs its own ``__init__`` on the first
+attribute read (``nx.Graph``, ``nx.check_planarity``).  ``nx`` stays a
+module-level name that is the very object in ``sys.modules["networkx"]``,
+so code that reaches networkx through this module's ``nx`` (the
+benchmark's ``check_planarity`` span, tests that monkeypatch
+``nx.check_planarity``) sees the same module as ``import networkx`` does.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import ModuleType
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -81,6 +87,7 @@ from .drawing import (
     edge_key,
 )
 from .plane_map import PlaneMap
+from .planarity import is_planar
 
 
 def _lazy_module(name: str) -> ModuleType:
@@ -133,7 +140,14 @@ class CrossingAssignment:
 class PlanarityResult:
     planar: bool
     witness: PlaneMap | None
-    edge_bound: bool = False  # rejected by the edge bound, without networkx
+    edge_bound: bool = False  # rejected by the edge bound, before the left-right test
+
+
+def _over_edge_bound(simple: Collection[tuple[int, int]]) -> bool:
+    """Whether a simple graph has more than 3N - 6 edges on the N >= 3
+    vertices that have one, which makes it non-planar (see ``_counting_bound``)."""
+    n = len({v for e in simple for v in e})
+    return n >= 3 and len(simple) > 3 * n - 6
 
 
 def planarity_test(edges: Sequence[tuple[int, int]],
@@ -141,13 +155,14 @@ def planarity_test(edges: Sequence[tuple[int, int]],
     """Planarity of a multigraph, with an embedding witness when planar.
 
     Parallel copies do not change planarity, so only the first copy of each
-    edge is tested.  A simple graph with more than 3N - 6 edges on the
-    N >= 3 vertices that have one is not planar (see ``_counting_bound``);
-    that is answered before any networkx graph is built.  In the witness
-    the copies of an edge are stacked beside it, in one order around one
-    end and the reverse order around the other, so consecutive copies
-    bound a digon face.  Every witness is audited with
-    the Euler face count; map edge ids equal input indices.
+    edge is tested: first by the edge bound (``_over_edge_bound``), then by
+    the left-right test (``planarity.is_planar``).  Only a planar graph is
+    handed to networkx, for its embedding; if networkx finds none, the two
+    tests disagree and :class:`OracleError` is raised.  In the witness the
+    copies of an edge are stacked beside it, in one order around one end
+    and the reverse order around the other, so consecutive copies bound a
+    digon face.  Every witness is audited with the Euler face count; map
+    edge ids equal input indices.
     """
     first: dict[tuple[int, int], int] = {}
     copies: dict[int, list[int]] = {}
@@ -157,15 +172,17 @@ def planarity_test(edges: Sequence[tuple[int, int]],
         j = first.setdefault((u, v) if u <= v else (v, u), i)
         if j != i:
             copies.setdefault(j, []).append(i)
-    n = len({v for e in first for v in e})
-    if n >= 3 and len(first) > 3 * n - 6:
+    if _over_edge_bound(first):
         return PlanarityResult(False, None, edge_bound=True)
+    if not is_planar(first):
+        return PlanarityResult(False, None)
     g = nx.Graph()
     g.add_nodes_from(nodes)
     g.add_edges_from(first)
     ok, embedding = nx.check_planarity(g, counterexample=False)
     if not ok:
-        return PlanarityResult(False, None)
+        raise OracleError("networkx found no embedding of a graph the left-right test "
+                          "calls planar")
 
     order = embedding.get_data()
     rotations: dict[int, list[int]] = {}
@@ -243,7 +260,7 @@ class SizeStats:
     forced_cuts: int = 0      # of those, subtrees cut because the test failed
     forced_reused: int = 0    # inner nodes whose verdict a smaller size had decided
     planarity_calls: int = 0  # leaves + forced_tests
-    edge_bound_rejects: int = 0  # of those, answered by the edge bound without networkx
+    edge_bound_rejects: int = 0  # of those, answered by the edge bound alone
     planarity_s: float = 0.0
     witnesses: int = 0        # planar leaves converted into certified drawings
 
@@ -373,9 +390,6 @@ class _OutOfTime(Exception):
     """The time limit passed before a planarity call."""
 
 
-_Found = tuple[GadgetGraph, PlaneMap]
-
-
 class _Search:
     """Depth-first search over crossing assignments of one size at a time.
 
@@ -400,15 +414,19 @@ class _Search:
         self.stats = SizeStats(0)
         self.forced: dict[tuple[int, ...], bool] = {}  # chosen -> forced verdict
 
-    def planar(self, edges: Sequence[tuple[int, int]]) -> PlanarityResult:
+    def planar(self, edges: Sequence[tuple[int, int]]) -> bool:
+        """The planarity verdict on a gadget graph, by the edge bound and
+        then the left-right test; no embedding is built."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfTime
         t = time.perf_counter()
-        res = planarity_test(edges, self.graph.vertices)
+        simple = {(u, v) if u <= v else (v, u) for u, v in edges}
+        bounded = _over_edge_bound(simple)
+        planar = not bounded and is_planar(simple)
         self.stats.planarity_s += time.perf_counter() - t
         self.stats.planarity_calls += 1
-        self.stats.edge_bound_rejects += res.edge_bound
-        return res
+        self.stats.edge_bound_rejects += bounded
+        return planar
 
     def orbits(self, allowed: Sequence[int], cls: list[int]) -> tuple[list[int], list[int]]:
         """The orbit number of each allowed pair, and each orbit's representative.
@@ -444,7 +462,7 @@ class _Search:
         return [number[k] for k in keys], [members[k][0] for k in ranked]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
-               left: int) -> _Found | None:
+               left: int) -> GadgetGraph | None:
         """Choose ``left`` more pairs below a node: a planar leaf, or None.
 
         Lemma (orbit branching).  Let H, the group of ``cls``, fix every
@@ -469,7 +487,7 @@ class _Search:
         return None
 
     def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
-               cls: list[int], j: int, r: int, left: int) -> _Found | None:
+               cls: list[int], j: int, r: int, left: int) -> GadgetGraph | None:
         """Choose ``r``, the representative of orbit ``j``, below a node; search below it."""
         chosen = chosen + [r]
         if left == 1:
@@ -513,18 +531,18 @@ class _Search:
         sub = Graph(self.graph.vertices,
                     frozenset(forced + [e for pair in chosen_pairs for e in pair]))
         gadget = gadget_planarize(sub, CrossingAssignment.make(chosen_pairs))
-        planar = self.planar(gadget.edges).planar
+        planar = self.planar(gadget.edges)
         self.stats.forced_tests += 1
         self.stats.forced_cuts += not planar
         self.forced[key] = planar
         return planar
 
-    def leaf(self, chosen: list[int]) -> _Found | None:
+    def leaf(self, chosen: list[int]) -> GadgetGraph | None:
         assignment = CrossingAssignment.make(self.pairs[p] for p in chosen)
         gadget = gadget_planarize(self.graph, assignment)
-        res = self.planar(gadget.edges)
+        planar = self.planar(gadget.edges)
         self.stats.leaves += 1
-        return (gadget, res.witness) if res.planar else None
+        return gadget if planar else None
 
 
 def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, int]:
@@ -626,8 +644,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             save_checkpoint(size, root)
             return OneplanarResult("unknown", None, None, stats)
         if found is not None:
-            gadget, witness = found
-            d = _drawing_from_gadget(graph, gadget, witness)
+            witness = planarity_test(found.edges, graph.vertices).witness
+            d = _drawing_from_gadget(graph, found, witness)
             search.stats.witnesses += 1
             return OneplanarResult("yes", d, size, stats)
 

@@ -1,4 +1,5 @@
-"""What a command loads: networkx only for the oracle, numpy only for SVG.
+"""What a command loads: networkx only to embed an oracle witness or to
+two-colour a non-bipartite ``Graph``, numpy only for SVG.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported networkx.
@@ -52,6 +53,23 @@ def test_only_the_oracle_loads_networkx(tmp_path):
         assert (res.verdict, res.crossings) == ("yes", 1)
         assert validate(res.drawing).passed
         assert "networkx.classes" in sys.modules
+    """)
+
+
+def test_an_oracle_no_does_not_load_networkx():
+    # The left-right test decides every search graph; networkx would only
+    # embed an accepted leaf, and K3,5 has none at budget 3.
+    run_fresh("""
+        import sys
+
+        from onecross.drawing import BipartiteGraph
+        from onecross.oracle import is_one_planar
+        k35 = BipartiteGraph.make([0, 1, 2], range(3, 8),
+                                  [(b, w) for b in range(3) for w in range(3, 8)])
+        res = is_one_planar(k35, 3)
+        assert res.verdict == "no"
+        assert sum(s.planarity_calls for s in res.stats.sizes) > 0
+        assert "networkx.classes" not in sys.modules
     """)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,9 +7,11 @@ from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onecross.constructions import balanced, best_known
 from onecross.drawing import BipartiteGraph, Graph, crossing_count, recover_graph, validate
+from onecross.formats import drawing_to_document, dumps_document
 from onecross.oracle import (
     CrossingAssignment,
     OracleError,
@@ -21,6 +24,7 @@ from onecross.oracle import (
 )
 import onecross.oracle
 import onecross.plane_map
+from onecross.planarity import is_planar
 from onecross.plane_map import euler_check
 
 
@@ -94,7 +98,94 @@ def test_edge_bound_counts_neither_parallel_copies_nor_isolated_vertices():
     assert euler_check(doubled.witness).planar
     assert planarity_test(list(complete(4).edges), range(9)).planar
     k33 = planarity_test(list(complete_bipartite(3, 3).edges), range(9))
-    assert not k33.planar and not k33.edge_bound  # 9 <= 3 * 6 - 6: networkx decides
+    assert not k33.planar and not k33.edge_bound  # 9 <= 3 * 6 - 6: the left-right test decides
+
+
+def test_networkx_disagreeing_with_the_left_right_test_raises(monkeypatch):
+    monkeypatch.setattr(onecross.oracle.nx, "check_planarity", lambda *a, **k: (False, None))
+    edges = list(complete(4).edges)
+    assert is_planar(edges)
+    with pytest.raises(OracleError, match="left-right"):
+        planarity_test(edges)
+
+
+def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
+    # Every graph that passes the edge bound, and so reaches the left-right
+    # test, in two searches: K3,7 at budget 6, a "no", and K4,4 up to its
+    # least size, 4, with the accepted leaf's witness test.
+    graphs = []
+    kernel = onecross.oracle.is_planar
+    monkeypatch.setattr(onecross.oracle, "is_planar",
+                        lambda edges: graphs.append(list(edges)) or kernel(edges))
+    assert is_one_planar(complete_bipartite(3, 7), 6).verdict == "no"
+    assert min_crossings(complete_bipartite(4, 4), 4) == 4
+    verdicts = Counter()
+    for edges in graphs:
+        want = nx.check_planarity(nx.Graph(edges))[0]
+        assert kernel(edges) == want, edges
+        verdicts[want] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 500
+
+
+K5_EDGES = list(itertools.combinations(range(5), 2))
+K33_EDGES = [(b, w) for b in range(3) for w in range(3, 6)]
+
+
+@st.composite
+def multigraphs(draw):
+    """(vertices, edges) of a small multigraph whose parts are random
+    graphs, triangulations with a few edges moved, or subdivisions of K5
+    or K3,3 (less one edge, sometimes); with parallel copies, isolated
+    vertices and shuffled labels."""
+    edges = []
+    n = 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "dense", "kuratowski"]))
+        if kind == "random":
+            k = draw(st.integers(2, 9))
+            part = draw(st.lists(st.sampled_from(list(itertools.combinations(range(k), 2))),
+                                 max_size=3 * k))
+        elif kind == "dense":
+            # A stacked triangulation has 3k - 6 edges: drop and add up to two.
+            k = draw(st.integers(3, 12))
+            faces, part = [(0, 1, 2), (0, 2, 1)], [(0, 1), (1, 2), (0, 2)]
+            for v in range(3, k):
+                a, b, c = faces.pop(draw(st.integers(0, len(faces) - 1)))
+                faces += [(a, b, v), (b, c, v), (c, a, v)]
+                part += [(a, v), (b, v), (c, v)]
+            for _ in range(draw(st.integers(0, 2))):
+                part.pop(draw(st.integers(0, len(part) - 1)))
+            part += draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                                  .filter(lambda e: e[0] != e[1]), max_size=2))
+        else:
+            base = draw(st.sampled_from([K5_EDGES, K33_EDGES]))
+            k = 6
+            part = []
+            for u, v in base:
+                path = [u, *range(k, k + draw(st.integers(0, 2))), v]
+                k += len(path) - 2
+                part += zip(path, path[1:])
+            if draw(st.booleans()):
+                part.pop(draw(st.integers(0, len(part) - 1)))
+        edges += [(u + n, v + n) for u, v in part]
+        n += k
+    n += draw(st.integers(0, 2))  # isolated vertices
+    if edges:
+        for i in draw(st.lists(st.integers(0, len(edges) - 1), max_size=4)):
+            edges.append(edges[i][::-1])  # a parallel copy
+    to = draw(st.permutations(range(n)))
+    return list(range(n)), [(to[u], to[v]) for u, v in edges]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(graph=multigraphs())
+def test_left_right_test_agrees_with_networkx_on_random_graphs(graph):
+    vertices, edges = graph
+    g = nx.Graph(edges)
+    g.add_nodes_from(vertices)
+    want = nx.check_planarity(g)[0]
+    assert is_planar(edges) == want
+    assert planarity_test(edges, vertices).planar == want
 
 
 # -- gadget ------------------------------------------------------------------
@@ -435,6 +526,31 @@ def test_witness_rims_go_in_one_map_edit(monkeypatch):
     assert validate(d).passed
 
 
+# Each graph is searched as given and relabelled.  The digest holds every
+# verdict, least crossing number, per-size search counter (planarity_s
+# aside) and witness document: the counters depend on every planarity
+# verdict the search saw, so an unchanged digest means unchanged answers
+# from every planarity test, not just from the final ones.
+OUTPUTS_CORPUS = [(complete_bipartite(3, 4), 2), (complete(6), 3), (complete_bipartite(4, 4), 4),
+                  (complete_bipartite(3, 5), 3), (complete_bipartite(3, 7), 6)]
+OUTPUTS_DIGEST = "d1423a9ee76b07a571b8219a3b05c2ab54d92f43446505a0395f4b83c3a1f871"
+
+
+def test_oracle_outputs_are_unchanged():
+    digest = hashlib.sha256()
+    for graph, budget in OUTPUTS_CORPUS:
+        for g in (graph, relabel(graph, 7)):
+            res = is_one_planar(g, budget)
+            sizes = res.stats.to_json()["sizes"]
+            for size in sizes:
+                del size["planarity_s"]
+            digest.update(json.dumps([res.verdict, res.crossings, res.stats.lower_bound,
+                                      sizes]).encode())
+            if res.drawing is not None:
+                digest.update(dumps_document(drawing_to_document(res.drawing)).encode())
+    assert digest.hexdigest() == OUTPUTS_DIGEST
+
+
 # -- pruning rules -------------------------------------------------------------
 
 
@@ -512,7 +628,9 @@ def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
             res = planarity_test(gadget.edges, graph.vertices)
             g = nx.Graph(list(gadget.edges))
             g.add_nodes_from(graph.vertices)
-            assert res.planar == nx.check_planarity(g)[0], (name, chosen)
+            want = nx.check_planarity(g)[0]
+            assert res.planar == want, (name, chosen)
+            assert is_planar(gadget.edges) == want, (name, chosen)
             verdicts[res.planar, res.edge_bound] += 1
     assert set(verdicts) == {(True, False), (False, False), (False, True)}
 
@@ -523,9 +641,8 @@ def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
                          ids=["K3,4", "K6", "K3,5", "K3,7"])
 def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatch):
     calls = []
-    test = onecross.oracle.planarity_test
-    monkeypatch.setattr(onecross.oracle, "planarity_test",
-                        lambda *a: calls.append(1) or test(*a))
+    planar = _Search.planar
+    monkeypatch.setattr(_Search, "planar", lambda *a: calls.append(1) or planar(*a))
     nx_calls = []
     check = onecross.oracle.nx.check_planarity
     monkeypatch.setattr(onecross.oracle.nx, "check_planarity",
@@ -544,7 +661,8 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     searched = [s.forced_reused for s in stats.sizes if not s.skipped]
     assert searched[0] == 0 and all(searched[1:])
     assert sum(s.planarity_calls for s in stats.sizes) == len(calls)
-    assert len(calls) == sum(s.edge_bound_rejects for s in stats.sizes) + len(nx_calls)
+    # networkx only embeds the accepted leaf: never during a "no".
+    assert len(nx_calls) == sum(s.witnesses for s in stats.sizes)
     assert res.assignments_tested == sum(s.leaves for s in stats.sizes)
     assert sum(s.witnesses for s in stats.sizes) == (res.verdict == "yes")
 
