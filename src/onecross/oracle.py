@@ -10,7 +10,7 @@ planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
 
-Three pruning rules keep that exhaustive; each is proved where it is coded:
+Four pruning rules keep that exhaustive; each is proved where it is coded:
 
 - counting bound (``_counting_bound``): deleting one edge per crossing
   leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
@@ -25,6 +25,12 @@ Three pruning rules keep that exhaustive; each is proved where it is coded:
   representative's endpoints, then by least pair: the order depends on the
   vertex labels only to break ties, and the large orbits, branched last,
   are left with few pairs below them;
+- rim bound (``_Search.rim_cut``): a leaf's gadget graph has more than
+  3N - 6 edges exactly when its chosen pairs have more than
+  3n' - 6 - |E| + s rims (4-cycle edges of the gadgets that are not
+  uncrossed edges), and that count never falls down the tree, so it cuts
+  inner nodes before their forced test and leaves before any gadget is
+  built.  ``_Search.branch`` carries the count down incrementally;
 - forced uncrossed (``_Search.forced_planar``): an edge that no pair still
   allowed below a node contains stays uncrossed in every leaf below it, so
   a non-planar gadget graph of the chosen pairs plus those edges cuts the
@@ -34,20 +40,23 @@ The sizes are searched one after another (iterative deepening), so a size
 meets again every inner node that the sizes before it reached.  A node's
 allowed set depends only on its chosen pairs, so its forced verdict does
 too (``_Search.forced_planar``, forced reuse): each verdict is computed
-once per search and looked up at the larger sizes.  On K3,7 at budget 6
-this answers 777 of size 6's 1,206 inner nodes, which takes the search
-from 2,541 planarity calls to 1,764.
+once per search and looked up at the larger sizes.  The rim cut depends
+on the size, so it is decided afresh at every size.  On K3,7 at budget 6
+the reuse answers 338 of the 604 forced verdicts that size 6 asks for,
+which takes the search from 973 planarity calls to 635 (1,764 before the
+rim bound).
 
 Every verdict the search asks for (``_Search.planar``) is a yes/no: the
 simple graph is rejected when it has more than 3N - 6 edges on its N >= 3
-non-isolated vertices (the counting bound's lemma; about half of the K3,7
-tests end there), and otherwise decided by the left-right test of
+non-isolated vertices (the counting bound's lemma; at a leaf the rim bound
+has already answered this, so only forced tests end there, 111 of the 635
+K3,7 tests), and otherwise decided by the left-right test of
 ``planarity.is_planar``, which builds no embedding.  ``planarity_test`` is
 the one witness producer: it runs the same two tests and embeds only a
 planar graph.  ``is_one_planar`` calls it once, on the leaf it accepts,
 and reports what each size cost in ``SearchStats``, including the forced
-verdicts it reused.  Long runs accept a timeout, checked before every
-planarity test, and write a coarse resumable checkpoint.
+verdicts it reused and the rim cuts.  Long runs accept a timeout, checked
+before every planarity test, and write a coarse resumable checkpoint.
 
 networkx is the only dependency the oracle adds, and it is used for two
 things only: the embedding of an accepted leaf (``planarity_test``) and
@@ -263,6 +272,7 @@ class SizeStats:
     edge_bound_rejects: int = 0  # of those, answered by the edge bound alone
     planarity_s: float = 0.0
     witnesses: int = 0        # planar leaves converted into certified drawings
+    rim_cuts: int = 0         # nodes, leaves included, cut by the rim bound before any test
 
 
 @dataclass
@@ -326,7 +336,7 @@ def _drawing_from_gadget(graph: Graph | BipartiteGraph,
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
 # indexes other subtrees, so it must not be resumed.
-RULES = ("count", "twins", "forced", "small-orbits-first")
+RULES = ("count", "twins", "forced", "small-orbits-first", "rims")
 
 
 def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
@@ -398,7 +408,10 @@ class _Search:
     (increasing), and a twin partition ``cls``: a class number per vertex,
     in sorted vertex order, whose group of permutations inside the classes
     fixes every chosen endpoint.  ``forced`` maps a node's chosen pairs to
-    its forced verdict, for one :func:`is_one_planar` call.
+    its forced verdict, for one :func:`is_one_planar` call.  ``rim_count``
+    and ``uncrossed`` describe the chosen pairs of the node being searched
+    (``rim_cut``): ``branch`` updates them for the pair it chooses and
+    restores them when it returns.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -413,6 +426,22 @@ class _Search:
         self.classes = _twin_classes(graph)
         self.stats = SizeStats(0)
         self.forced: dict[tuple[int, ...], bool] = {}  # chosen -> forced verdict
+        # Edges and rims are named by the vertex pair they join: u * n + v
+        # for vertex positions u < v.  See ``rim_cut``.
+        n = len(position)
+
+        def joint(u: int, v: int) -> int:
+            return u * n + v if u < v else v * n + u
+
+        self.edge_rim = [joint(position[u], position[v]) for u, v in self.edges]
+        self.pair_rims = [(joint(a, c), joint(c, b), joint(b, d), joint(d, a))
+                          for a, b, c, d in self.pair_ends]
+        self.rim_count = [0] * (n * n)     # chosen pairs having each rim
+        self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
+        for k in self.edge_rim:
+            self.uncrossed[k] = 1
+        touched = len({v for e in self.edges for v in e})
+        self.rim_room = 3 * touched - 6 - len(self.edges)
 
     def planar(self, edges: Sequence[tuple[int, int]]) -> bool:
         """The planarity verdict on a gadget graph, by the edge bound and
@@ -462,8 +491,9 @@ class _Search:
         return [number[k] for k in keys], [members[k][0] for k in ranked]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
-               left: int) -> GadgetGraph | None:
-        """Choose ``left`` more pairs below a node: a planar leaf, or None.
+               left: int, rims: int) -> GadgetGraph | None:
+        """Choose ``left`` more pairs below a node with ``rims`` rims: a
+        planar leaf, or None.
 
         Lemma (orbit branching).  Let H, the group of ``cls``, fix every
         chosen endpoint and leave ``allowed`` invariant, and number H's
@@ -481,27 +511,74 @@ class _Search:
         """
         labels, reps = self.orbits(allowed, cls)
         for j, r in enumerate(reps):
-            found = self.branch(chosen, allowed, labels, cls, j, r, left)
+            found = self.branch(chosen, allowed, labels, cls, j, r, left, rims)
             if found is not None:
                 return found
         return None
 
     def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
-               cls: list[int], j: int, r: int, left: int) -> GadgetGraph | None:
-        """Choose ``r``, the representative of orbit ``j``, below a node; search below it."""
+               cls: list[int], j: int, r: int, left: int, rims: int) -> GadgetGraph | None:
+        """Choose ``r``, the representative of orbit ``j``, below a node
+        whose chosen pairs have ``rims`` rims; search below it."""
         chosen = chosen + [r]
-        if left == 1:
-            return self.leaf(chosen)
         e, f = self.pair_edges[r]
-        below = [p for p, k in zip(allowed, labels)
-                 if k >= j and e not in self.pair_edges[p] and f not in self.pair_edges[p]]
-        if len(below) < left - 1 or not self.forced_planar(chosen, below):
-            return None
-        n = len(cls)
-        fixed = list(cls)
-        for v in self.pair_ends[r]:
-            fixed[v] = n + v  # a class of its own: class names below n are taken
-        return self.expand(chosen, below, fixed, left - 1)
+        count, uncrossed = self.rim_count, self.uncrossed
+        # The two edges r crosses leave the uncrossed edges: a rim on
+        # either starts to count.  Then r's own rims, none of which is e
+        # or f, count where they are new and not uncrossed edges.
+        for k in (self.edge_rim[e], self.edge_rim[f]):
+            uncrossed[k] = 0
+            rims += count[k] > 0
+        for k in self.pair_rims[r]:
+            count[k] += 1
+            rims += count[k] == 1 and not uncrossed[k]
+        try:
+            if self.rim_cut(chosen, rims, left - 1):
+                return None
+            if left == 1:
+                return self.leaf(chosen)
+            below = [p for p, k in zip(allowed, labels)
+                     if k >= j and e not in self.pair_edges[p] and f not in self.pair_edges[p]]
+            if len(below) < left - 1 or not self.forced_planar(chosen, below):
+                return None
+            n = len(cls)
+            fixed = list(cls)
+            for v in self.pair_ends[r]:
+                fixed[v] = n + v  # a class of its own: class names below n are taken
+            return self.expand(chosen, below, fixed, left - 1, rims)
+        finally:
+            for k in self.pair_rims[r]:
+                count[k] -= 1
+            uncrossed[self.edge_rim[e]] = uncrossed[self.edge_rim[f]] = 1
+
+    def rim_cut(self, chosen: list[int], rims: int, more: int) -> bool:
+        """Whether no leaf that chooses ``more`` pairs below the node
+        ``chosen`` can be planar.
+
+        ``rims`` is the node's R: the number of distinct rims (a-c, c-b,
+        b-d and d-a of a chosen pair (ab, cd)) that are not uncrossed
+        edges of the graph.
+
+        Lemma (rim bound).  Let the graph have |E| edges on n' non-isolated
+        vertices, and let a leaf have s >= 1 pairs.
+        Count: n' >= 4, as a pair has four distinct endpoints.  The leaf's
+        gadget graph has N = n' + s vertices, the n' and a hub per pair,
+        none isolated.  Its simple edges are the |E| - 2s uncrossed edges,
+        the 4s spokes (each meets its own hub) and R rims: a rim that is an
+        uncrossed edge only adds a parallel copy.  So the graph has more
+        than 3N - 6 edges, and is not planar (``_counting_bound``), exactly
+        when R > 3n' - 6 - |E| + s.
+        Monotone: a child's chosen pairs are its parent's plus one, so it
+        has every rim of its parent and a subset of its uncrossed edges;
+        R never falls down the tree.
+        Cut: a node with R > 3n' - 6 - |E| + s has no planar leaf of size
+        s below it.  The cut depends on s, so unlike the forced verdict it
+        is not kept across sizes.  At a leaf it is exactly the edge bound,
+        decided before any gadget is built.
+        """
+        cut = rims > self.rim_room + len(chosen) + more
+        self.stats.rim_cuts += cut
+        return cut
 
     def forced_planar(self, chosen: list[int], below: list[int]) -> bool:
         """Whether the gadget graph of ``chosen`` plus the forced edges is planar.
@@ -636,7 +713,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                 found = None
                 while found is None and root < len(reps):
                     found = search.branch([], everything, labels, search.classes,
-                                          root, reps[root], size)
+                                          root, reps[root], size, 0)
                     if found is None:
                         root += 1
                         save_checkpoint(size, root)

@@ -469,9 +469,10 @@ def test_cli_oracle_exit_codes(capsys, tmp_path):
     assert code == 0 and out.startswith("yes")
     code, out = run(["oracle", "--complete-bipartite", "3", "3", "--budget", "0"], capsys)
     assert code == 1 and out.startswith("no")
-    # best_known(4, 6) at budget 6 searches for tens of seconds.
-    slow = tmp_path / "best46.json"
-    save_drawing(best_known(4, 6).drawing, slow)
+    # best_known(5, 5) at budget 6 finds its 6 crossings after about
+    # 134,000 planarity calls, over 30 s on a 2-CPU host.
+    slow = tmp_path / "best55.json"
+    save_drawing(best_known(5, 5).drawing, slow)
     code, out = run(["oracle", str(slow), "--budget", "6",
                      "--timeout", "0.5", "--checkpoint", str(tmp_path / "ck.json")],
                     capsys)
@@ -506,6 +507,7 @@ def test_cli_oracle_json_reports_search_stats(capsys):
     assert report["assignments_tested"] == stats["sizes"][2]["leaves"] > 0
     assert stats["sizes"][2]["witnesses"] == 1
     assert stats["sizes"][2]["forced_reused"] == 0  # no smaller size was searched
+    assert stats["sizes"][2]["rim_cuts"] > 0
 
 
 @pytest.mark.parametrize("content", ["{bad", "[]"], ids=["not-json", "not-an-object"])

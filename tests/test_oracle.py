@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onecross.constructions import balanced, best_known
-from onecross.drawing import BipartiteGraph, Graph, crossing_count, recover_graph, validate
+from onecross.drawing import (
+    BipartiteGraph,
+    Graph,
+    crossing_count,
+    edge_key,
+    recover_graph,
+    validate,
+)
 from onecross.formats import drawing_to_document, dumps_document
 from onecross.oracle import (
     CrossingAssignment,
     OracleError,
     _candidate_pairs,
+    _over_edge_bound,
     _Search,
     gadget_planarize,
     is_one_planar,
@@ -54,9 +62,14 @@ def relabel(graph, seed):
 
 
 def slow_instance():
-    """A search far longer than any time limit below: best_known(4, 6) at
-    budget 6 runs for tens of seconds before it finds its 6 crossings."""
-    return best_known(4, 6).drawing.graph
+    """A search far longer than any time limit below: K4,6 less two disjoint
+    edges, 22 edges, at budget SLOW_BUDGET is a "no" after 77,931 planarity
+    calls, about 20 s on a 2-CPU host, forty times the longest limit."""
+    k46 = complete_bipartite(4, 6)
+    return BipartiteGraph.make(k46.black, k46.white, k46.edges - {(0, 4), (1, 5)})
+
+
+SLOW_BUDGET = 8
 
 
 # -- planarity test ----------------------------------------------------------
@@ -112,7 +125,11 @@ def test_networkx_disagreeing_with_the_left_right_test_raises(monkeypatch):
 def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
     # Every graph that passes the edge bound, and so reaches the left-right
     # test, in two searches: K3,7 at budget 6, a "no", and K4,4 up to its
-    # least size, 4, with the accepted leaf's witness test.
+    # least size, 4, with the accepted leaf's witness test.  The rim bound
+    # is switched off: it cuts most subtrees before their graphs are built,
+    # and without it the searches test every graph they test with it, and
+    # the graphs of the leaves and inner nodes below its cuts besides.
+    monkeypatch.setattr(_Search, "rim_cut", lambda *a: False)
     graphs = []
     kernel = onecross.oracle.is_planar
     monkeypatch.setattr(onecross.oracle, "is_planar",
@@ -411,7 +428,7 @@ def test_k33_plus_isolated_black_vertex_needs_one_crossing():
 
 def test_min_crossings_timeout_bounds_whole_search():
     with pytest.raises(OracleError, match="timed out"):
-        min_crossings(slow_instance(), 6, timeout=0.2)
+        min_crossings(slow_instance(), SLOW_BUDGET, timeout=0.2)
 
 
 @pytest.mark.parametrize("timeout", [-1, -0.5, float("nan")])
@@ -432,7 +449,7 @@ def test_a_missing_module_is_not_found_at_import():
 def test_timeout_is_checked_before_every_planarity_call():
     graph = slow_instance()
     start = time.monotonic()
-    res = is_one_planar(graph, 6, timeout=0.2)
+    res = is_one_planar(graph, SLOW_BUDGET, timeout=0.2)
     assert res.verdict == "unknown"
     assert time.monotonic() - start < 1.5
 
@@ -440,11 +457,11 @@ def test_timeout_is_checked_before_every_planarity_call():
 def test_timeout_returns_unknown(tmp_path):
     graph = slow_instance()
     ck = tmp_path / "ck.json"
-    res = is_one_planar(graph, 6, timeout=0.5, checkpoint=ck)
+    res = is_one_planar(graph, SLOW_BUDGET, timeout=0.5, checkpoint=ck)
     assert res.verdict == "unknown"
     assert ck.exists()
     # Resuming makes progress from the checkpoint without crashing.
-    res2 = is_one_planar(graph, 6, timeout=0.5, checkpoint=ck)
+    res2 = is_one_planar(graph, SLOW_BUDGET, timeout=0.5, checkpoint=ck)
     assert res2.verdict == "unknown"
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
@@ -453,7 +470,7 @@ def test_timeout_returns_unknown(tmp_path):
 # fingerprint.  A size above the budget would resume past every size and
 # answer "no" for a planar graph.
 K22_FINGERPRINT = {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]], "budget": 0,
-                   "rules": ["count", "twins", "forced", "small-orbits-first"]}
+                   "rules": ["count", "twins", "forced", "small-orbits-first", "rims"]}
 BAD_CHECKPOINTS = {
     "not-json": "{bad",
     "not-an-object": "[]",
@@ -482,15 +499,19 @@ def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
     def write(fingerprint):
         ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 1}))
 
-    rules = ["count", "twins", "forced", "small-orbits-first"]
+    rules = ["count", "twins", "forced", "small-orbits-first", "rims"]
     write({"edges": edges, "budget": 2, "rules": rules})
     assert is_one_planar(k34, 2, checkpoint=ck).verdict == "no"
+    # Written before the rim bound: its subtrees were cut by other rules.
+    write({"edges": edges, "budget": 2, "rules": rules[:-1]})
+    res = is_one_planar(k34, 2, checkpoint=ck)
+    assert (res.verdict, res.crossings) == ("yes", 2)
     write({"edges": edges, "budget": 2})  # written before the rule set was recorded
     res = is_one_planar(k34, 2, checkpoint=ck)
     assert (res.verdict, res.crossings) == ("yes", 2)
     # Written before orbits were ordered smallest first: its next_root
     # indexes orbits in another order.
-    write({"edges": edges, "budget": 2, "rules": ["count", "twins", "forced"]})
+    write({"edges": edges, "budget": 2, "rules": rules[:3]})
     res = is_one_planar(k34, 2, checkpoint=ck)
     assert (res.verdict, res.crossings) == ("yes", 2)
 
@@ -498,7 +519,7 @@ def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
 def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
     graph = slow_instance()
     ck = tmp_path / "ck.json"
-    is_one_planar(graph, 6, timeout=0.2, checkpoint=ck)
+    is_one_planar(graph, SLOW_BUDGET, timeout=0.2, checkpoint=ck)
     before = ck.read_text()
 
     def fail(*args):
@@ -506,7 +527,7 @@ def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(onecross.oracle.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        is_one_planar(graph, 6, timeout=0.2, checkpoint=ck)
+        is_one_planar(graph, SLOW_BUDGET, timeout=0.2, checkpoint=ck)
     assert ck.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
@@ -526,29 +547,34 @@ def test_witness_rims_go_in_one_map_edit(monkeypatch):
     assert validate(d).passed
 
 
-# Each graph is searched as given and relabelled.  The digest holds every
-# verdict, least crossing number, per-size search counter (planarity_s
-# aside) and witness document: the counters depend on every planarity
-# verdict the search saw, so an unchanged digest means unchanged answers
-# from every planarity test, not just from the final ones.
+# Each graph is searched as given and relabelled.  The outputs digest holds
+# every verdict, least crossing number, counting bound and witness
+# document: what a caller sees, which no pruning rule may change.  The
+# counters digest holds the per-size search counters (planarity_s aside):
+# they depend on every planarity verdict the search saw, so an unchanged
+# digest means unchanged answers from every planarity test, not just from
+# the final ones, and a new pruning rule changes it by design.
 OUTPUTS_CORPUS = [(complete_bipartite(3, 4), 2), (complete(6), 3), (complete_bipartite(4, 4), 4),
                   (complete_bipartite(3, 5), 3), (complete_bipartite(3, 7), 6)]
-OUTPUTS_DIGEST = "d1423a9ee76b07a571b8219a3b05c2ab54d92f43446505a0395f4b83c3a1f871"
+OUTPUTS_DIGEST = "690ac9960e6834cc23e613e10ec7c19788a28c06998c414ffd6b0001adbd3ea1"
+COUNTERS_DIGEST = "95e5165ab5ad44dd1a8d2ed74c72b34527ab8429fdb1b97d2ac7a7b5a6faf8ca"
 
 
 def test_oracle_outputs_are_unchanged():
-    digest = hashlib.sha256()
+    outputs, counters = hashlib.sha256(), hashlib.sha256()
     for graph, budget in OUTPUTS_CORPUS:
         for g in (graph, relabel(graph, 7)):
             res = is_one_planar(g, budget)
+            outputs.update(json.dumps([res.verdict, res.crossings,
+                                       res.stats.lower_bound]).encode())
+            if res.drawing is not None:
+                outputs.update(dumps_document(drawing_to_document(res.drawing)).encode())
             sizes = res.stats.to_json()["sizes"]
             for size in sizes:
                 del size["planarity_s"]
-            digest.update(json.dumps([res.verdict, res.crossings, res.stats.lower_bound,
-                                      sizes]).encode())
-            if res.drawing is not None:
-                digest.update(dumps_document(drawing_to_document(res.drawing)).encode())
-    assert digest.hexdigest() == OUTPUTS_DIGEST
+            counters.update(json.dumps(sizes).encode())
+    assert outputs.hexdigest() == OUTPUTS_DIGEST
+    assert counters.hexdigest() == COUNTERS_DIGEST
 
 
 # -- pruning rules -------------------------------------------------------------
@@ -596,7 +622,23 @@ DIFFERENTIAL = (
 )
 
 
-def test_pruned_search_agrees_with_plain_search():
+def record_nodes(monkeypatch):
+    """Every node that the searches meet from now on, as (search, chosen,
+    R, size, cut), recorded by wrapping ``_Search.rim_cut``."""
+    nodes = []
+    rim_cut = _Search.rim_cut
+
+    def recording(self, chosen, rims, more):
+        cut = rim_cut(self, chosen, rims, more)
+        nodes.append((self, tuple(chosen), rims, len(chosen) + more, cut))
+        return cut
+
+    monkeypatch.setattr(_Search, "rim_cut", recording)
+    return nodes
+
+
+def test_pruned_search_agrees_with_plain_search(monkeypatch):
+    nodes = record_nodes(monkeypatch)
     nos = reusing = 0
     for name, graph, budget in DIFFERENTIAL:
         want = plain_search(graph, budget)
@@ -611,6 +653,40 @@ def test_pruned_search_agrees_with_plain_search():
                 assert recover_graph(res.drawing).edges == g.edges, name
     assert nos >= 3
     assert reusing >= 1  # the comparison covers verdicts reused across sizes
+    # ... and subtrees that the rim bound cut above their leaves.
+    assert sum(cut and len(chosen) < size for _, chosen, _, size, cut in nodes) >= 1
+
+
+def rims_from_scratch(search, chosen):
+    """R of a node by its definition: the distinct rims of its chosen pairs
+    that are not uncrossed edges of the graph."""
+    pairs = [search.pairs[p] for p in chosen]
+    uncrossed = set(search.edges) - {e for pair in pairs for e in pair}
+    rims = {edge_key(*rim) for (a, b), (c, d) in pairs for rim in ((a, c), (c, b), (b, d), (d, a))}
+    return len(rims - uncrossed)
+
+
+@pytest.mark.parametrize("graph,budget", [(complete_bipartite(3, 7), 6),
+                                          (complete_bipartite(4, 4), 4)], ids=["K3,7", "K4,4"])
+def test_incremental_rim_count_equals_a_fresh_count(graph, budget, monkeypatch):
+    nodes = record_nodes(monkeypatch)
+    is_one_planar(graph, budget)
+    seen = {}
+    leaves = Counter()
+    for search, chosen, rims, size, cut in nodes:
+        assert rims == rims_from_scratch(search, chosen), chosen
+        assert rims >= seen.get(chosen[:-1], 0), chosen  # R never falls down the tree
+        seen[chosen] = rims
+        if len(chosen) == size:
+            # At a leaf the cut is exactly the edge bound on its gadget graph.
+            gadget = gadget_planarize(graph, [search.pairs[p] for p in chosen])
+            assert cut == _over_edge_bound({edge_key(*e) for e in gadget.edges}), chosen
+            leaves[cut] += 1
+    assert leaves[True] and leaves[False]
+    for search in {node[0] for node in nodes}:  # every count is undone on the way up
+        assert not any(search.rim_count)
+        assert sorted(k for k, flag in enumerate(search.uncrossed) if flag) == \
+            sorted(search.edge_rim)
 
 
 def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
@@ -643,6 +719,7 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     calls = []
     planar = _Search.planar
     monkeypatch.setattr(_Search, "planar", lambda *a: calls.append(1) or planar(*a))
+    nodes = record_nodes(monkeypatch)
     nx_calls = []
     check = onecross.oracle.nx.check_planarity
     monkeypatch.setattr(onecross.oracle.nx, "check_planarity",
@@ -653,10 +730,12 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     for s in stats.sizes:
         assert s.planarity_calls == s.leaves + s.forced_tests
         assert s.forced_cuts <= s.forced_tests
-        assert s.edge_bound_rejects <= s.planarity_calls
+        # The rim bound answers every leaf that the edge bound would.
+        assert s.edge_bound_rejects <= s.forced_tests
         assert s.skipped == (s.size < stats.lower_bound)
         if s.skipped:
-            assert s.planarity_calls == s.forced_reused == 0
+            assert s.planarity_calls == s.forced_reused == s.rim_cuts == 0
+    assert sum(s.rim_cuts for s in stats.sizes) == sum(node[-1] for node in nodes)
     # Verdicts are reused from smaller sizes only: K3,7 searches sizes 5 and 6.
     searched = [s.forced_reused for s in stats.sizes if not s.skipped]
     assert searched[0] == 0 and all(searched[1:])
@@ -709,10 +788,20 @@ def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
 
 def test_k37_search_is_small_for_its_plain_labels():
     # 13,590 planarity calls when orbits were numbered by their least pair,
-    # 2,541 when each size decided its forced verdicts afresh; 1,764 now.
+    # 2,541 when each size decided its forced verdicts afresh, 1,764 before
+    # the rim bound; 635 now.
     res = is_one_planar(complete_bipartite(3, 7), 6)
     assert res.verdict == "no"
-    assert sum(s.planarity_calls for s in res.stats.sizes) <= 1800
+    assert sum(s.planarity_calls for s in res.stats.sizes) <= 700
+
+
+def test_best46_search_is_small():
+    # best_known(4, 6): twin classes of sizes 3, 3, 3 and 1 leave the orbit
+    # branching with little symmetry.  138,425 planarity calls before the
+    # rim bound, 7,900 now.
+    res = is_one_planar(best_known(4, 6).drawing.graph, 6)
+    assert (res.verdict, res.crossings) == ("yes", 6)
+    assert sum(s.planarity_calls for s in res.stats.sizes) <= 10_000
 
 
 def test_every_forced_verdict_equals_a_fresh_test(monkeypatch):
@@ -770,7 +859,8 @@ def root_orbit_shapes(graph):
 
 
 @pytest.mark.parametrize("graph", [complete_bipartite(3, 7), complete_bipartite(4, 4),
-                                   slow_instance()], ids=["K3,7", "K4,4", "best46"])
+                                   best_known(4, 6).drawing.graph],
+                         ids=["K3,7", "K4,4", "best46"])
 def test_root_orbit_order_does_not_depend_on_labels(graph):
     shapes = root_orbit_shapes(graph)
     assert [size for size, _ in shapes] == sorted(size for size, _ in shapes)
