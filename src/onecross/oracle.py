@@ -46,29 +46,36 @@ the reuse answers 338 of the 604 forced verdicts that size 6 asks for,
 which takes the search from 973 planarity calls to 635 (1,764 before the
 rim bound).
 
-Every verdict the search asks for (``_Search.planar``) is a yes/no: the
-simple graph is rejected when it has more than 3N - 6 edges on its N >= 3
-non-isolated vertices (the counting bound's lemma; at a leaf the rim bound
-has already answered this, so only forced tests end there, 111 of the 635
-K3,7 tests), and otherwise decided by the left-right test of
-``planarity.is_planar``, which builds no embedding.  ``planarity_test`` is
-the one witness producer: it runs the same two tests and embeds only a
-planar graph.  ``is_one_planar`` calls it once, on the leaf it accepts,
-and reports what each size cost in ``SearchStats``, including the forced
-verdicts it reused and the rim cuts.  Long runs accept a timeout, checked
-before every planarity test, and write a coarse resumable checkpoint.
+The search works on integers throughout.  A vertex is named by its
+position in sorted order and the hub of the i-th chosen pair by n + i, so
+a gadget graph (``_Search.gadget``) is a set of position pairs, built from
+the chosen pairs with no ``Graph``, ``CrossingAssignment`` or
+``GadgetGraph`` and handed to the left-right test as it is.  Every verdict
+the search asks for (``_Search.planar``) is a yes/no: the simple graph is
+rejected when it has more than 3N - 6 edges on its N >= 3 non-isolated
+vertices (``_over_edge_bound``, the counting bound's lemma; at a leaf the
+rim bound has already answered this, so only forced tests end there, 111
+of the 635 K3,7 tests), and otherwise decided by ``planarity.lr_planar``,
+which builds no embedding.  Only the leaf that tests planar goes through
+``gadget_planarize``, once, for its labelled ``GadgetGraph``.
+``planarity_test`` is the one witness producer: it runs the same two
+tests and embeds only a planar graph.  ``is_one_planar`` calls it once,
+on the leaf it accepts, and reports what each size cost in
+``SearchStats``, including the forced verdicts it reused and the rim cuts.
+Long runs accept a timeout, checked before every planarity test, and write
+a coarse resumable checkpoint.
 
-networkx is the only dependency the oracle adds, and it is used for two
-things only: the embedding of an accepted leaf (``planarity_test``) and
-the two-colouring of a ``Graph`` that is not a ``BipartiteGraph``
-(``_two_color``).  A "no" on a ``BipartiteGraph`` never loads it.  So
-``nx`` is bound lazily: importing the package puts a lazy module into
-``sys.modules`` and networkx runs its own ``__init__`` on the first
-attribute read (``nx.Graph``, ``nx.check_planarity``).  ``nx`` stays a
-module-level name that is the very object in ``sys.modules["networkx"]``,
-so code that reaches networkx through this module's ``nx`` (the
-benchmark's ``check_planarity`` span, tests that monkeypatch
-``nx.check_planarity``) sees the same module as ``import networkx`` does.
+networkx is the only dependency the oracle adds, and it is used for one
+thing only: the embedding of an accepted leaf (``planarity_test``).  A
+"no" never loads it, and neither does two-colouring a ``Graph``
+(``_two_color`` has its own search).  So ``nx`` is bound lazily:
+importing the package puts a lazy module into ``sys.modules`` and
+networkx runs its own ``__init__`` on the first attribute read
+(``nx.Graph``, ``nx.check_planarity``).  ``nx`` stays a module-level name
+that is the very object in ``sys.modules["networkx"]``, so code that
+reaches networkx through this module's ``nx`` (the benchmark's
+``check_planarity`` span, tests that monkeypatch ``nx.check_planarity``)
+sees the same module as ``import networkx`` does.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ from .drawing import (
     edge_key,
 )
 from .plane_map import PlaneMap
-from .planarity import is_planar
+from .planarity import lr_planar
 
 
 def _lazy_module(name: str) -> ModuleType:
@@ -165,7 +172,7 @@ def planarity_test(edges: Sequence[tuple[int, int]],
 
     Parallel copies do not change planarity, so only the first copy of each
     edge is tested: first by the edge bound (``_over_edge_bound``), then by
-    the left-right test (``planarity.is_planar``).  Only a planar graph is
+    the left-right test (``planarity.lr_planar``).  Only a planar graph is
     handed to networkx, for its embedding; if networkx finds none, the two
     tests disagree and :class:`OracleError` is raised.  In the witness the
     copies of an edge are stacked beside it, in one order around one end
@@ -175,15 +182,19 @@ def planarity_test(edges: Sequence[tuple[int, int]],
     """
     first: dict[tuple[int, int], int] = {}
     copies: dict[int, list[int]] = {}
+    index: dict[int, int] = {}  # the first copies on vertices 0, 1, ... for lr_planar
+    dense: list[tuple[int, int]] = []
     for i, (u, v) in enumerate(edges):
         if u == v:
             raise OracleError("loops are not supported")
         j = first.setdefault((u, v) if u <= v else (v, u), i)
         if j != i:
             copies.setdefault(j, []).append(i)
+        else:
+            dense.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
     if _over_edge_bound(first):
         return PlanarityResult(False, None, edge_bound=True)
-    if not is_planar(first):
+    if not lr_planar(len(index), dense):
         return PlanarityResult(False, None)
     g = nx.Graph()
     g.add_nodes_from(nodes)
@@ -299,15 +310,38 @@ class OneplanarResult:
 
 
 def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The two colour classes of ``graph``, the black one first; None when
+    it has an odd cycle.
+
+    A ``BipartiteGraph`` keeps its own classes.  Otherwise each component
+    is coloured from its first vertex in ``graph.vertices``, which gets
+    colour 1, by a depth-first search that takes the next vertex off a
+    stack; isolated vertices get colour 0.  That is the colouring of
+    ``networkx.bipartite.color`` on the graph with the vertices added in
+    that order.  The black class is the smaller one, or on a tie the one
+    whose sorted vertices come first.
+    """
     if isinstance(graph, BipartiteGraph):
         return graph.black, graph.white
-    g = nx.Graph()
-    g.add_nodes_from(graph.vertices)
-    g.add_edges_from(graph.edges)
-    try:
-        color = nx.bipartite.color(g)
-    except nx.NetworkXError:
-        return None
+    nbrs: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    color: dict[int, int] = {}
+    for root in graph.vertices:
+        if root in color:
+            continue
+        color[root] = 1 if nbrs[root] else 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            c = 1 - color[v]
+            for w in nbrs[v]:
+                if w not in color:
+                    color[w] = c
+                    stack.append(w)
+                elif color[w] != c:
+                    return None
     a = frozenset(v for v, c in color.items() if c == 0)
     b = frozenset(graph.vertices) - a
     if (len(a), sorted(a)) > (len(b), sorted(b)):
@@ -407,11 +441,15 @@ class _Search:
     order, not index order), the pair indices still allowed below it
     (increasing), and a twin partition ``cls``: a class number per vertex,
     in sorted vertex order, whose group of permutations inside the classes
-    fixes every chosen endpoint.  ``forced`` maps a node's chosen pairs to
-    its forced verdict, for one :func:`is_one_planar` call.  ``rim_count``
-    and ``uncrossed`` describe the chosen pairs of the node being searched
-    (``rim_cut``): ``branch`` updates them for the pair it chooses and
-    restores them when it returns.
+    fixes every chosen endpoint.  Vertices are named by that position, 0 to
+    n - 1, and the hub of the i-th chosen pair by n + i: the gadget graphs
+    of forced tests and leaves are sets of such pairs (``gadget``), and a
+    ``GadgetGraph`` is built only for a leaf that tests planar.  ``forced``
+    maps a node's chosen pairs to its forced verdict, for one
+    :func:`is_one_planar` call.  ``rim_count`` and ``uncrossed`` describe
+    the chosen pairs of the node being searched (``rim_cut``): ``branch``
+    updates them for the pair it chooses and restores them when it
+    returns.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -422,20 +460,25 @@ class _Search:
         edge_index = {e: i for i, e in enumerate(self.edges)}
         self.pair_edges = [(edge_index[e], edge_index[f]) for e, f in self.pairs]
         position = {v: i for i, v in enumerate(sorted(graph.vertices))}
+        self.n = len(position)
+        self.edge_ends = [(position[u], position[v]) for u, v in self.edges]  # u < v
         self.pair_ends = [tuple(position[v] for v in e + f) for e, f in self.pairs]
+        self.meets: list[set[int]] = [set() for _ in self.edges]  # the pairs containing each edge
+        for p, (e, f) in enumerate(self.pair_edges):
+            self.meets[e].add(p)
+            self.meets[f].add(p)
         self.classes = _twin_classes(graph)
         self.stats = SizeStats(0)
         self.forced: dict[tuple[int, ...], bool] = {}  # chosen -> forced verdict
-        # Edges and rims are named by the vertex pair they join: u * n + v
-        # for vertex positions u < v.  See ``rim_cut``.
-        n = len(position)
-
-        def joint(u: int, v: int) -> int:
-            return u * n + v if u < v else v * n + u
-
-        self.edge_rim = [joint(position[u], position[v]) for u, v in self.edges]
-        self.pair_rims = [(joint(a, c), joint(c, b), joint(b, d), joint(d, a))
-                          for a, b, c, d in self.pair_ends]
+        # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as (u, v), u < v.
+        self.rim_ends = [tuple((u, v) if u < v else (v, u)
+                               for u, v in ((a, c), (c, b), (b, d), (d, a)))
+                         for a, b, c, d in self.pair_ends]
+        # For ``rim_cut``, edges and rims are also named by one number:
+        # u * n + v for the vertex positions u < v they join.
+        n = self.n
+        self.edge_rim = [u * n + v for u, v in self.edge_ends]
+        self.pair_rims = [tuple(u * n + v for u, v in rims) for rims in self.rim_ends]
         self.rim_count = [0] * (n * n)     # chosen pairs having each rim
         self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
         for k in self.edge_rim:
@@ -443,15 +486,33 @@ class _Search:
         touched = len({v for e in self.edges for v in e})
         self.rim_room = 3 * touched - 6 - len(self.edges)
 
-    def planar(self, edges: Sequence[tuple[int, int]]) -> bool:
-        """The planarity verdict on a gadget graph, by the edge bound and
-        then the left-right test; no embedding is built."""
+    def gadget(self, chosen: list[int], crossable: Collection[int]) -> set[tuple[int, int]]:
+        """The simple edge set of a gadget graph, on vertex positions.
+
+        The graph's edges whose index is not in ``crossable``, plus, for
+        the i-th chosen pair (ab, cd), the hub ``n + i`` with its spokes to
+        a, b, c and d and the rims a-c, c-b, b-d and d-a.  ``crossable``
+        holds at least the chosen pairs' edges: a leaf passes exactly those,
+        a forced test those of its allowed pairs too.  A rim that is also a
+        kept edge is one pair of the set, as parallel copies change no
+        planarity verdict.  Every pair is (u, v) with u < v.
+        """
+        simple = {e for i, e in enumerate(self.edge_ends) if i not in crossable}
+        for h, p in enumerate(chosen, self.n):
+            a, b, c, d = self.pair_ends[p]
+            simple.update(((a, h), (b, h), (c, h), (d, h)))
+            simple.update(self.rim_ends[p])
+        return simple
+
+    def planar(self, simple: Collection[tuple[int, int]], hubs: int) -> bool:
+        """The planarity verdict on a gadget graph from ``gadget`` with
+        ``hubs`` hubs, by the edge bound and then the left-right test on
+        vertices ``range(n + hubs)``; no embedding is built."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfTime
         t = time.perf_counter()
-        simple = {(u, v) if u <= v else (v, u) for u, v in edges}
         bounded = _over_edge_bound(simple)
-        planar = not bounded and is_planar(simple)
+        planar = not bounded and lr_planar(self.n + hubs, simple)
         self.stats.planarity_s += time.perf_counter() - t
         self.stats.planarity_calls += 1
         self.stats.edge_bound_rejects += bounded
@@ -477,8 +538,10 @@ class _Search:
         """
         members: dict[tuple, list[int]] = {}
         keys: list[tuple] = []
+        ends = self.pair_ends
         for p in allowed:
-            a, b, c, d = (cls[v] for v in self.pair_ends[p])
+            a, b, c, d = ends[p]
+            a, b, c, d = cls[a], cls[b], cls[c], cls[d]
             e = (a, b) if a <= b else (b, a)
             f = (c, d) if c <= d else (d, c)
             key = (e, f) if e <= f else (f, e)
@@ -537,8 +600,8 @@ class _Search:
                 return None
             if left == 1:
                 return self.leaf(chosen)
-            below = [p for p, k in zip(allowed, labels)
-                     if k >= j and e not in self.pair_edges[p] and f not in self.pair_edges[p]]
+            clash = self.meets[e] | self.meets[f]
+            below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
             if len(below) < left - 1 or not self.forced_planar(chosen, below):
                 return None
             n = len(cls)
@@ -603,23 +666,21 @@ class _Search:
             self.stats.forced_reused += 1
             return self.forced[key]
         crossable = {i for p in chosen + below for i in self.pair_edges[p]}
-        forced = [e for i, e in enumerate(self.edges) if i not in crossable]
-        chosen_pairs = [self.pairs[p] for p in chosen]
-        sub = Graph(self.graph.vertices,
-                    frozenset(forced + [e for pair in chosen_pairs for e in pair]))
-        gadget = gadget_planarize(sub, CrossingAssignment.make(chosen_pairs))
-        planar = self.planar(gadget.edges)
+        planar = self.planar(self.gadget(chosen, crossable), len(chosen))
         self.stats.forced_tests += 1
         self.stats.forced_cuts += not planar
         self.forced[key] = planar
         return planar
 
     def leaf(self, chosen: list[int]) -> GadgetGraph | None:
-        assignment = CrossingAssignment.make(self.pairs[p] for p in chosen)
-        gadget = gadget_planarize(self.graph, assignment)
-        planar = self.planar(gadget.edges)
+        """The gadget graph of the assignment ``chosen`` if it is planar,
+        built as a ``GadgetGraph`` only then; None otherwise."""
+        crossable = {i for p in chosen for i in self.pair_edges[p]}
+        planar = self.planar(self.gadget(chosen, crossable), len(chosen))
         self.stats.leaves += 1
-        return gadget if planar else None
+        if not planar:
+            return None
+        return gadget_planarize(self.graph, CrossingAssignment.make(self.pairs[p] for p in chosen))
 
 
 def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, int]:

@@ -16,11 +16,17 @@ because ``remove_back_edges`` follows it to trim an interval.  Both passes
 are iterative, over integer adjacency lists: vertices and edges are indices
 into flat lists, and a conflict pair is a list ``[left.low, left.high,
 right.low, right.high]`` of edge indices, with None for an empty end.
+
+``lr_planar`` is the test itself, on vertices that are already ``range(n)``
+and edges that are already distinct; the oracle's search builds its graphs
+that way and calls it directly.  ``is_planar`` takes any edge list: it
+renames the vertices densely, drops parallel copies and calls
+``lr_planar``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 
 def is_planar(edges: Iterable[tuple[int, int]]) -> bool:
@@ -28,33 +34,39 @@ def is_planar(edges: Iterable[tuple[int, int]]) -> bool:
 
     Isolated vertices never change planarity, so only the edges are given.
     A repeated pair, in either order, is one edge: parallel copies do not
-    change planarity either.  Loops raise ``ValueError``.
+    change planarity either.  Loops raise ``ValueError``.  The vertices are
+    renamed 0, 1, ... in order of first appearance, and the distinct pairs
+    go to :func:`lr_planar`.
     """
     index: dict[int, int] = {}
-    incident: list[list[int]] = []  # edge indices at each vertex
-    ends: list[int] = []            # sum of an edge's two ends: the other end is ends[e] - v
-    seen: set[tuple[int, int]] = set()
+    pairs: set[tuple[int, int]] = set()
     for u, v in edges:
         if u == v:
             raise ValueError("loops are not supported")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        a = index.get(u)
-        if a is None:
-            a = index[u] = len(incident)
-            incident.append([])
-        b = index.get(v)
-        if b is None:
-            b = index[v] = len(incident)
-            incident.append([])
-        incident[a].append(len(ends))
-        incident[b].append(len(ends))
-        ends.append(a + b)
-    n, m = len(incident), len(ends)
+        a = index.setdefault(u, len(index))
+        b = index.setdefault(v, len(index))
+        pairs.add((a, b) if a < b else (b, a))
+    return lr_planar(len(index), pairs)
+
+
+def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
+    """Whether the graph on vertices ``range(n)`` with these edges has a
+    plane embedding.
+
+    ``edges`` are distinct pairs of distinct vertices: the caller has
+    already named the vertices densely and dropped loops and parallel
+    copies, so nothing is relabelled here.  Vertices in no edge are roots
+    of one-vertex trees and change nothing.
+    """
+    m = len(edges)
     if n >= 3 and m > 3 * n - 6:
         return False
+    incident: list[list[int]] = [[] for _ in range(n)]  # edge indices at each vertex
+    ends: list[int] = []  # sum of an edge's two ends: the other end is ends[e] - v
+    for u, v in edges:
+        incident[u].append(len(ends))
+        incident[v].append(len(ends))
+        ends.append(u + v)
 
     # -- orientation: a DFS orients every edge, tree edges down and back
     # edges up, and computes lowpoints and the nesting depth of each edge.

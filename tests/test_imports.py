@@ -1,5 +1,5 @@
-"""What a command loads: networkx only to embed an oracle witness or to
-two-colour a non-bipartite ``Graph``, numpy only for SVG.
+"""What a command loads: networkx only to embed an oracle witness, numpy
+only for SVG.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported networkx.
@@ -67,6 +67,23 @@ def test_an_oracle_no_does_not_load_networkx():
         k35 = BipartiteGraph.make([0, 1, 2], range(3, 8),
                                   [(b, w) for b in range(3) for w in range(3, 8)])
         res = is_one_planar(k35, 3)
+        assert res.verdict == "no"
+        assert sum(s.planarity_calls for s in res.stats.sizes) > 0
+        assert "networkx.classes" not in sys.modules
+    """)
+
+
+def test_an_oracle_no_on_a_plain_graph_does_not_load_networkx():
+    # K6 plus a pendant edge does not two-colour; the oracle's own
+    # two-colouring finds that without networkx, and there is no drawing
+    # with 2 crossings to embed.
+    run_fresh("""
+        import itertools, sys
+
+        from onecross.drawing import Graph
+        from onecross.oracle import is_one_planar
+        g = Graph.make(range(7), list(itertools.combinations(range(6), 2)) + [(0, 6)])
+        res = is_one_planar(g, 2)
         assert res.verdict == "no"
         assert sum(s.planarity_calls for s in res.stats.sizes) > 0
         assert "networkx.classes" not in sys.modules

@@ -14,6 +14,7 @@ from onecross.drawing import (
     BipartiteGraph,
     Graph,
     crossing_count,
+    crossing_key,
     edge_key,
     recover_graph,
     validate,
@@ -25,6 +26,7 @@ from onecross.oracle import (
     _candidate_pairs,
     _over_edge_bound,
     _Search,
+    _two_color,
     gadget_planarize,
     is_one_planar,
     min_crossings,
@@ -131,15 +133,17 @@ def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
     # the graphs of the leaves and inner nodes below its cuts besides.
     monkeypatch.setattr(_Search, "rim_cut", lambda *a: False)
     graphs = []
-    kernel = onecross.oracle.is_planar
-    monkeypatch.setattr(onecross.oracle, "is_planar",
-                        lambda edges: graphs.append(list(edges)) or kernel(edges))
+    kernel = onecross.oracle.lr_planar
+    monkeypatch.setattr(onecross.oracle, "lr_planar",
+                        lambda n, edges: graphs.append((n, list(edges))) or kernel(n, edges))
     assert is_one_planar(complete_bipartite(3, 7), 6).verdict == "no"
     assert min_crossings(complete_bipartite(4, 4), 4) == 4
     verdicts = Counter()
-    for edges in graphs:
-        want = nx.check_planarity(nx.Graph(edges))[0]
-        assert kernel(edges) == want, edges
+    for n, edges in graphs:
+        g = nx.Graph(edges)
+        g.add_nodes_from(range(n))
+        want = nx.check_planarity(g)[0]
+        assert kernel(n, edges) == want, edges
         verdicts[want] += 1
     assert verdicts[True] >= 100 and verdicts[False] >= 500
 
@@ -689,6 +693,86 @@ def test_incremental_rim_count_equals_a_fresh_count(graph, budget, monkeypatch):
             sorted(search.edge_rim)
 
 
+def spread(graph):
+    """``graph`` with vertex v renamed 3v + 2, so that positions and labels differ."""
+    edges = [(3 * u + 2, 3 * v + 2) for u, v in graph.edges]
+    if isinstance(graph, BipartiteGraph):
+        return BipartiteGraph.make({3 * v + 2 for v in graph.black},
+                                   {3 * v + 2 for v in graph.white}, edges)
+    return Graph.make({3 * v + 2 for v in graph.vertices}, edges)
+
+
+def test_integer_gadget_graphs_equal_the_labelled_ones(monkeypatch):
+    # At every forced test and leaf, the position-pair graph the search
+    # tests is the simple graph of gadget_planarize on the same pairs, with
+    # each vertex renamed by its position and the false node of the i-th
+    # chosen pair by n + i, and the search's verdict is planarity_test's.
+    tested = []
+    gadget, planar = _Search.gadget, _Search.planar
+
+    def building(self, chosen, crossable):
+        simple = gadget(self, chosen, crossable)
+        tested.append([self, list(chosen), set(crossable), simple])
+        return simple
+
+    def deciding(self, simple, hubs):
+        verdict = planar(self, simple, hubs)
+        assert simple is tested[-1][3] and hubs == len(tested[-1][1])
+        tested[-1].append(verdict)
+        return verdict
+
+    monkeypatch.setattr(_Search, "gadget", building)
+    monkeypatch.setattr(_Search, "planar", deciding)
+    assert is_one_planar(complete_bipartite(3, 7), 6).verdict == "no"
+    assert min_crossings(spread(complete_bipartite(4, 4)), 4) == 4
+    for _, graph, budget in DIFFERENTIAL:
+        is_one_planar(spread(graph), budget)
+    kinds = Counter()
+    for search, chosen, crossable, simple, verdict in tested:
+        pairs = [search.pairs[p] for p in chosen]
+        kept = [e for i, e in enumerate(search.edges) if i not in crossable]
+        sub = Graph(search.graph.vertices, frozenset(kept + [e for pair in pairs for e in pair]))
+        labelled = gadget_planarize(sub, pairs)
+        name = {v: i for i, v in enumerate(sorted(search.graph.vertices))}
+        for w, pair in labelled.false_nodes.items():
+            name[w] = len(search.graph.vertices) + [crossing_key(*q) for q in pairs].index(pair)
+        assert simple == {edge_key(name[u], name[v]) for u, v in labelled.edges}, chosen
+        assert verdict == planarity_test(labelled.edges, search.graph.vertices).planar, chosen
+        kinds[len(crossable) > 2 * len(chosen), verdict] += 1
+    assert set(kinds) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_two_colouring_equals_networkx():
+    def nx_two_color(graph):
+        g = nx.Graph()
+        g.add_nodes_from(graph.vertices)
+        g.add_edges_from(graph.edges)
+        try:
+            color = nx.bipartite.color(g)
+        except nx.NetworkXError:
+            return None
+        a = frozenset(v for v, c in color.items() if c == 0)
+        b = frozenset(graph.vertices) - a
+        return (a, b) if (len(a), sorted(a)) <= (len(b), sorted(b)) else (b, a)
+
+    disconnected = [
+        Graph.make(range(12), [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8),
+                               (8, 9), (9, 5), (10, 11)]),  # C4, isolated 4, C5, K2
+        Graph.make(range(11), [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8),
+                               (8, 5), (9, 10)]),
+        Graph.make(range(9), [(1, 2), (2, 3), (6, 7)]),
+        Graph.make(range(4), []),
+    ]
+    graphs = [Graph.make(g.vertices, g.edges) for _, g, _ in DIFFERENTIAL] + disconnected
+    answers = Counter()
+    for graph in graphs:
+        for g in (graph, relabel(graph, 7), spread(graph)):
+            want = nx_two_color(g)
+            assert _two_color(g) == want, g.edges
+            answers[want is None] += 1
+    assert answers[True] and answers[False]
+
+
 def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
     rng = random.Random(11)
     verdicts = Counter()
@@ -760,14 +844,13 @@ def test_counting_bound_answers_no_without_planarity_calls(monkeypatch):
 def test_counting_bound_skips_sizes_below_it(monkeypatch):
     k44 = complete_bipartite(4, 4)  # 16 - (2 * 8 - 4) = 4
     sizes = []
-    planarize = onecross.oracle.gadget_planarize
+    leaf = _Search.leaf
 
-    def recording(graph, assignment):
-        if graph is k44:
-            sizes.append(len(assignment.pairs))
-        return planarize(graph, assignment)
+    def recording(self, chosen):
+        sizes.append(len(chosen))
+        return leaf(self, chosen)
 
-    monkeypatch.setattr(onecross.oracle, "gadget_planarize", recording)
+    monkeypatch.setattr(_Search, "leaf", recording)
     assert min_crossings(k44, 4) == 4
     assert sizes and set(sizes) == {4}
 
@@ -834,14 +917,14 @@ def test_every_forced_verdict_equals_a_fresh_test(monkeypatch):
 def test_k37_planarizes_each_forced_subgraph_once(monkeypatch):
     k37 = complete_bipartite(3, 7)
     forced = Counter()
-    planarize = onecross.oracle.gadget_planarize
+    gadget = _Search.gadget
 
-    def recording(graph, assignment):
-        if graph is not k37:  # a forced test's subgraph, not a leaf
-            forced[graph.edges, assignment.pairs] += 1
-        return planarize(graph, assignment)
+    def recording(self, chosen, crossable):
+        if len(crossable) > 2 * len(chosen):  # a forced test, not a leaf
+            forced[tuple(chosen)] += 1
+        return gadget(self, chosen, crossable)
 
-    monkeypatch.setattr(onecross.oracle, "gadget_planarize", recording)
+    monkeypatch.setattr(_Search, "gadget", recording)
     res = is_one_planar(k37, 6)
     assert res.verdict == "no"
     assert forced and max(forced.values()) == 1
