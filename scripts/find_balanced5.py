@@ -24,12 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from onecross.drawing import BipartiteGraph, validate  # noqa: E402
 from onecross.formats import drawing_to_document, dumps_document  # noqa: E402
-from onecross.oracle import (  # noqa: E402
-    CrossingAssignment,
-    _drawing_from_gadget,
-    gadget_planarize,
-    planarity_test,
-)
+from onecross.oracle import _witness  # noqa: E402
 from onecross.plane_map import trace_faces  # noqa: E402
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "onecross" / "data"
@@ -73,13 +68,7 @@ def search(g: BipartiteGraph, size: int = 6):
         nonlocal tested
         if len(chosen) == size:
             tested += 1
-            assignment = CrossingAssignment.make(
-                [(cands[i][0], cands[i][1]) for i in chosen])
-            gadget = gadget_planarize(g, assignment)
-            res = planarity_test(gadget.edges)
-            if res.planar:
-                return _drawing_from_gadget(g, gadget, res.witness)
-            return None
+            return _witness(g, [(cands[i][0], cands[i][1]) for i in chosen])
         for idx in range(start, len(cands)):
             e, f, br, bp, wp = cands[idx]
             if e in crossed or f in crossed or e in braces or f in braces:

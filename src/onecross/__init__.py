@@ -50,7 +50,6 @@ from .bounds import (
     upper_bound,
 )
 from .oracle import (
-    CrossingAssignment,
     gadget_planarize,
     is_one_planar,
     min_crossings,

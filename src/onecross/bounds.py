@@ -148,7 +148,7 @@ def conjecture_gap(x: int, y: int) -> ConjectureGap:
         conjectured_upper=conjectured,
         proven_upper=proven,
         constructive_lower=lower,
-        open_interval=(lower, min(proven, conjectured) if conjectured <= proven else proven),
+        open_interval=(lower, min(proven, conjectured)),
         conjecture_tight=lower == conjectured and proven == conjectured,
     )
 

@@ -49,19 +49,21 @@ rim bound).
 The search works on integers throughout.  A vertex is named by its
 position in sorted order and the hub of the i-th chosen pair by n + i, so
 a gadget graph (``_Search.gadget``) is a set of position pairs, built from
-the chosen pairs with no ``Graph``, ``CrossingAssignment`` or
-``GadgetGraph`` and handed to the left-right test as it is.  Every verdict
-the search asks for (``_Search.planar``) is a yes/no: the simple graph is
-rejected when it has more than 3N - 6 edges on its N >= 3 non-isolated
-vertices (``_over_edge_bound``, the counting bound's lemma; at a leaf the
-rim bound has already answered this, so only forced tests end there, 111
-of the 635 K3,7 tests), and otherwise decided by ``planarity.lr_planar``,
-which builds no embedding.  Only the leaf that tests planar goes through
-``gadget_planarize``, once, for its labelled ``GadgetGraph``.
-``planarity_test`` is the one witness producer: it runs the same two
-tests and embeds only a planar graph.  ``is_one_planar`` calls it once,
-on the leaf it accepts, and reports what each size cost in
-``SearchStats``, including the forced verdicts it reused and the rim cuts.
+the chosen pairs with no ``Graph`` or ``GadgetGraph`` and handed to the
+left-right test as it is.  Every verdict the search asks for
+(``_Search.planar``) is a yes/no: the simple graph is rejected when it has
+more than 3N - 6 edges on its N >= 3 non-isolated vertices
+(``_over_edge_bound``, the counting bound's lemma and the one place the
+bound is coded; at a leaf the rim bound has already answered this, so only
+forced tests end there, 111 of the 635 K3,7 tests), and otherwise decided
+by ``planarity.lr_planar``, which builds no embedding.  The search returns
+the labelled pairs of the leaf it accepts, and ``_witness`` is the one
+route from pairs to a drawing: ``gadget_planarize`` (which normalises and
+checks the pairs), ``planarity_test`` (the same two tests, then an
+embedding of a planar graph only), the rims deleted in one map edit, and
+``assemble_drawing``.  ``is_one_planar`` calls it once, on the leaf it
+accepts, and reports what each size cost in ``SearchStats``, including the
+forced verdicts it reused and the rim cuts.
 Long runs accept a timeout, checked before every planarity test, and write
 a coarse resumable checkpoint.
 
@@ -94,7 +96,7 @@ from typing import Collection, Iterable, Sequence
 from . import plane_map as pm
 from .drawing import (
     BipartiteGraph,
-    DrawingError,
+    Crossing,
     Edge,
     Graph,
     OnePlanarDrawing,
@@ -131,25 +133,6 @@ nx = _lazy_module("networkx")
 
 class OracleError(ValueError):
     """Raised for invalid oracle inputs or internal contradictions."""
-
-
-@dataclass(frozen=True)
-class CrossingAssignment:
-    """Disjoint, non-adjacent edge pairs proposed to cross."""
-
-    pairs: tuple[tuple[Edge, Edge], ...]
-
-    @staticmethod
-    def make(pairs: Iterable[tuple[Edge, Edge]]) -> "CrossingAssignment":
-        norm = tuple(sorted(crossing_key(edge_key(*e), edge_key(*f)) for e, f in pairs))
-        used: set[Edge] = set()
-        for e, f in norm:
-            if e in used or f in used or e == f:
-                raise OracleError("assignment pairs are not disjoint")
-            if set(e) & set(f):
-                raise OracleError(f"adjacent edges may not cross: {e} x {f}")
-            used.update((e, f))
-        return CrossingAssignment(norm)
 
 
 @dataclass(frozen=True)
@@ -232,20 +215,27 @@ class GadgetGraph:
 
 
 def gadget_planarize(graph: Graph | BipartiteGraph,
-                     assignment: CrossingAssignment | Iterable[tuple[Edge, Edge]]) -> GadgetGraph:
+                     pairs: Iterable[tuple[Edge, Edge]]) -> GadgetGraph:
     """Replace each crossing pair by the alternation-forcing wheel gadget.
 
-    The pair (ab, cd) becomes a new vertex joined to a, b, c, d plus the
-    4-cycle a-c-b-d-a routed alongside the segments; unpaired edges remain.
-    The result may contain parallel edges.
+    The pairs are normalised (``edge_key`` on each edge, ``crossing_key`` on
+    each pair, then sorted) and must be disjoint, non-adjacent edges of
+    ``graph``; otherwise :class:`OracleError` is raised.  The pair (ab, cd)
+    becomes a new vertex joined to a, b, c, d plus the 4-cycle a-c-b-d-a
+    routed alongside the segments; unpaired edges remain.  The result may
+    contain parallel edges.
     """
-    if not isinstance(assignment, CrossingAssignment):
-        assignment = CrossingAssignment.make(assignment)
+    pairs = sorted(crossing_key(edge_key(*e), edge_key(*f)) for e, f in pairs)
+    crossed: set[Edge] = set()
+    for e, f in pairs:
+        if e in crossed or f in crossed or e == f:
+            raise OracleError("assignment pairs are not disjoint")
+        if set(e) & set(f):
+            raise OracleError(f"adjacent edges may not cross: {e} x {f}")
+        crossed.update((e, f))
     edge_set = set(graph.edges)
-    for e, f in assignment.pairs:
-        if e not in edge_set or f not in edge_set:
-            raise OracleError("assignment names an edge outside the graph")
-    crossed = {e for pair in assignment.pairs for e in pair}
+    if not crossed <= edge_set:
+        raise OracleError("assignment names an edge outside the graph")
     out: list[tuple[int, int]] = []
     kept: dict[int, Edge] = {}
     spokes: dict[int, tuple[int, Edge]] = {}
@@ -255,7 +245,7 @@ def gadget_planarize(graph: Graph | BipartiteGraph,
     for e in sorted(edge_set - crossed):
         kept[len(out)] = e
         out.append(e)
-    for e, f in assignment.pairs:
+    for e, f in pairs:
         w = nxt
         nxt += 1
         false_nodes[w] = (e, f)
@@ -349,8 +339,19 @@ def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset
     return a, b
 
 
-def _drawing_from_gadget(graph: Graph | BipartiteGraph,
-                         gadget: GadgetGraph, witness: PlaneMap) -> OnePlanarDrawing:
+def _witness(graph: Graph | BipartiteGraph,
+             pairs: Iterable[tuple[Edge, Edge]]) -> OnePlanarDrawing | None:
+    """The certified drawing of ``graph`` whose crossings are ``pairs``, or
+    None when their gadget graph is not planar.
+
+    The one route from an assignment to a drawing: ``gadget_planarize``,
+    ``planarity_test`` for the embedding, the rims deleted in one
+    ``MapEditor`` session, then ``assemble_drawing``.
+    """
+    gadget = gadget_planarize(graph, pairs)
+    witness = planarity_test(gadget.edges, graph.vertices).witness
+    if witness is None:
+        return None
     ed = pm.MapEditor(witness)
     for rim in gadget.rims:
         ed.delete_edge(rim)
@@ -443,8 +444,9 @@ class _Search:
     in sorted vertex order, whose group of permutations inside the classes
     fixes every chosen endpoint.  Vertices are named by that position, 0 to
     n - 1, and the hub of the i-th chosen pair by n + i: the gadget graphs
-    of forced tests and leaves are sets of such pairs (``gadget``), and a
-    ``GadgetGraph`` is built only for a leaf that tests planar.  ``forced``
+    of forced tests and leaves are sets of such pairs (``gadget``).  The
+    search returns the labelled pairs of the first leaf that tests planar,
+    for ``_witness`` to draw; nothing labelled is built before.  ``forced``
     maps a node's chosen pairs to its forced verdict, for one
     :func:`is_one_planar` call.  ``rim_count`` and ``uncrossed`` describe
     the chosen pairs of the node being searched (``rim_cut``): ``branch``
@@ -554,9 +556,9 @@ class _Search:
         return [number[k] for k in keys], [members[k][0] for k in ranked]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
-               left: int, rims: int) -> GadgetGraph | None:
-        """Choose ``left`` more pairs below a node with ``rims`` rims: a
-        planar leaf, or None.
+               left: int, rims: int) -> list[Crossing] | None:
+        """Choose ``left`` more pairs below a node with ``rims`` rims: the
+        pairs of a planar leaf, or None.
 
         Lemma (orbit branching).  Let H, the group of ``cls``, fix every
         chosen endpoint and leave ``allowed`` invariant, and number H's
@@ -580,7 +582,7 @@ class _Search:
         return None
 
     def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
-               cls: list[int], j: int, r: int, left: int, rims: int) -> GadgetGraph | None:
+               cls: list[int], j: int, r: int, left: int, rims: int) -> list[Crossing] | None:
         """Choose ``r``, the representative of orbit ``j``, below a node
         whose chosen pairs have ``rims`` rims; search below it."""
         chosen = chosen + [r]
@@ -672,15 +674,13 @@ class _Search:
         self.forced[key] = planar
         return planar
 
-    def leaf(self, chosen: list[int]) -> GadgetGraph | None:
-        """The gadget graph of the assignment ``chosen`` if it is planar,
-        built as a ``GadgetGraph`` only then; None otherwise."""
+    def leaf(self, chosen: list[int]) -> list[Crossing] | None:
+        """The labelled pairs of the assignment ``chosen`` if its gadget
+        graph is planar; None otherwise."""
         crossable = {i for p in chosen for i in self.pair_edges[p]}
         planar = self.planar(self.gadget(chosen, crossable), len(chosen))
         self.stats.leaves += 1
-        if not planar:
-            return None
-        return gadget_planarize(self.graph, CrossingAssignment.make(self.pairs[p] for p in chosen))
+        return [self.pairs[p] for p in chosen] if planar else None
 
 
 def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, int]:
@@ -755,14 +755,16 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     for size in range(resume_size, max_crossings + 1):
         search.stats = SizeStats(size, skipped=size < stats.lower_bound)
         stats.sizes.append(search.stats)
+        root = resume_root if size == resume_size else 0
+        if root and (size == 0 or search.stats.skipped):
+            # Size 0 is one leaf and a skipped size is not searched: the
+            # search records no first-level orbit at either.
+            raise OracleError(f"checkpoint {checkpoint}: next_root {root} at size {size}, "
+                              "which branches on no first-level orbit")
         if search.stats.skipped:
             continue
-        root = resume_root if size == resume_size else 0
         try:
             if size == 0:
-                if root:
-                    raise OracleError(f"checkpoint {checkpoint}: next_root {root} at size 0, "
-                                      "which has no first-level orbits")
                 found = search.leaf([])
             else:
                 labels, reps = search.orbits(everything, search.classes)
@@ -782,8 +784,10 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             save_checkpoint(size, root)
             return OneplanarResult("unknown", None, None, stats)
         if found is not None:
-            witness = planarity_test(found.edges, graph.vertices).witness
-            d = _drawing_from_gadget(graph, found, witness)
+            d = _witness(graph, found)
+            if d is None:
+                raise OracleError("the search accepted an assignment whose gadget graph "
+                                  "planarity_test rejects")
             search.stats.witnesses += 1
             return OneplanarResult("yes", d, size, stats)
 

@@ -17,36 +17,15 @@ are iterative, over integer adjacency lists: vertices and edges are indices
 into flat lists, and a conflict pair is a list ``[left.low, left.high,
 right.low, right.high]`` of edge indices, with None for an empty end.
 
-``lr_planar`` is the test itself, on vertices that are already ``range(n)``
-and edges that are already distinct; the oracle's search builds its graphs
-that way and calls it directly.  ``is_planar`` takes any edge list: it
-renames the vertices densely, drops parallel copies and calls
-``lr_planar``.
+``lr_planar`` is the one kernel, on vertices that are already ``range(n)``
+and edges that are already distinct.  Its callers, the oracle's search and
+``oracle.planarity_test``, name the vertices densely and apply the 3N - 6
+edge bound (``oracle._over_edge_bound``) before calling it.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
-
-
-def is_planar(edges: Iterable[tuple[int, int]]) -> bool:
-    """Whether the graph with these edges has a plane embedding.
-
-    Isolated vertices never change planarity, so only the edges are given.
-    A repeated pair, in either order, is one edge: parallel copies do not
-    change planarity either.  Loops raise ``ValueError``.  The vertices are
-    renamed 0, 1, ... in order of first appearance, and the distinct pairs
-    go to :func:`lr_planar`.
-    """
-    index: dict[int, int] = {}
-    pairs: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError("loops are not supported")
-        a = index.setdefault(u, len(index))
-        b = index.setdefault(v, len(index))
-        pairs.add((a, b) if a < b else (b, a))
-    return lr_planar(len(index), pairs)
+from typing import Collection
 
 
 def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
@@ -56,11 +35,11 @@ def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
     ``edges`` are distinct pairs of distinct vertices: the caller has
     already named the vertices densely and dropped loops and parallel
     copies, so nothing is relabelled here.  Vertices in no edge are roots
-    of one-vertex trees and change nothing.
+    of one-vertex trees and change nothing.  The test is right on any such
+    graph, but the callers reject one with more than 3N - 6 edges before
+    calling it, so no edge count is compared here.
     """
     m = len(edges)
-    if n >= 3 and m > 3 * n - 6:
-        return False
     incident: list[list[int]] = [[] for _ in range(n)]  # edge indices at each vertex
     ends: list[int] = []  # sum of an edge's two ends: the other end is ends[e] - v
     for u, v in edges:

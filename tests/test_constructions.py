@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from onecross.constructions import (
     w3_family,
 )
 from onecross.drawing import DrawingError, crossing_count, validate
+from onecross.formats import drawing_to_document
 from onecross.plane_map import euler_check, trace_faces
 
 
@@ -146,6 +151,27 @@ def test_balanced_crossing_count(x):
     expected = 4 * k - 4 if x % 2 == 0 else 4 * k - 2
     assert crossing_count(balanced(x)) == expected
     assert crossing_count(near_balanced(x, x + 3)) == expected
+
+
+def test_find_balanced5_script_finds_the_shipped_template(capsys, monkeypatch):
+    # The search only: main() would rewrite the data file.  A rotation may
+    # start at another dart and still be the same embedding.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("find_balanced5",
+                                                  root / "scripts" / "find_balanced5.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    found = drawing_to_document(script.search(script.target_graph()))
+    capsys.readouterr()
+    shipped = json.loads((root / "src" / "onecross" / "data" / "balanced5.json").read_text())
+    for key in ("black", "white", "edges", "crossings"):
+        assert found[key] == shipped[key], key
+    for kind, rotations in shipped["rotations"].items():
+        assert found["rotations"][kind].keys() == rotations.keys(), kind
+        for v, rotation in rotations.items():
+            got = found["rotations"][kind][v]
+            assert any(got[i:] + got[:i] == rotation for i in range(len(got))), (kind, v)
 
 
 def test_sketches_stay_constant_size(monkeypatch):

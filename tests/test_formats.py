@@ -519,13 +519,14 @@ def test_cli_oracle_bad_checkpoint_is_an_input_error(tmp_path, capsys, content):
     assert code == 2
 
 
-@pytest.mark.parametrize("b, budget, size, next_root", [(3, 1, 5, 0), (4, 2, 2, 999)],
-                         ids=["beyond-budget", "beyond-orbits"])
+@pytest.mark.parametrize("b, budget, size, next_root", [(3, 1, 5, 0), (4, 2, 2, 999),
+                                                      (4, 2, 1, 5)],
+                         ids=["beyond-budget", "beyond-orbits", "skipped-size"])
 def test_cli_oracle_unreachable_checkpoint_is_an_input_error(tmp_path, capsys, b, budget,
                                                              size, next_root):
-    # The search records neither checkpoint: K3,4 has one first-level orbit at
-    # size 2.  Resumed, either would leave a size unsearched and answer "no"
-    # for a graph that is "yes" within the budget.
+    # The search records none of these checkpoints: K3,4 has one first-level
+    # orbit at size 2, and its counting bound, 2, skips sizes 0 and 1, where
+    # nothing is recorded.  Each is an input error, not a resumed search.
     ck = tmp_path / "ck.json"
     edges = [[i, j] for i in range(3) for j in range(3, 3 + b)]
     ck.write_text(json.dumps({"fingerprint": {"edges": edges, "budget": budget,

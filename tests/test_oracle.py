@@ -7,7 +7,7 @@ from collections import Counter
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onecross.constructions import balanced, best_known
 from onecross.drawing import (
@@ -21,12 +21,13 @@ from onecross.drawing import (
 )
 from onecross.formats import drawing_to_document, dumps_document
 from onecross.oracle import (
-    CrossingAssignment,
     OracleError,
+    PlanarityResult,
     _candidate_pairs,
     _over_edge_bound,
     _Search,
     _two_color,
+    _witness,
     gadget_planarize,
     is_one_planar,
     min_crossings,
@@ -34,7 +35,7 @@ from onecross.oracle import (
 )
 import onecross.oracle
 import onecross.plane_map
-from onecross.planarity import is_planar
+from onecross.planarity import lr_planar
 from onecross.plane_map import euler_check
 
 
@@ -119,7 +120,7 @@ def test_edge_bound_counts_neither_parallel_copies_nor_isolated_vertices():
 def test_networkx_disagreeing_with_the_left_right_test_raises(monkeypatch):
     monkeypatch.setattr(onecross.oracle.nx, "check_planarity", lambda *a, **k: (False, None))
     edges = list(complete(4).edges)
-    assert is_planar(edges)
+    assert lr_planar(4, edges)
     with pytest.raises(OracleError, match="left-right"):
         planarity_test(edges)
 
@@ -198,15 +199,28 @@ def multigraphs(draw):
     return list(range(n)), [(to[u], to[v]) for u, v in edges]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(graph=multigraphs())
-def test_left_right_test_agrees_with_networkx_on_random_graphs(graph):
-    vertices, edges = graph
-    g = nx.Graph(edges)
-    g.add_nodes_from(vertices)
-    want = nx.check_planarity(g)[0]
-    assert is_planar(edges) == want
-    assert planarity_test(edges, vertices).planar == want
+def test_left_right_test_agrees_with_networkx_on_random_graphs():
+    # The kernel is also asked about graphs above the 3N - 6 edge bound,
+    # which its callers reject before calling it: K5 and K6, and whatever
+    # the strategy draws (one of the 150 examples).
+    above = []
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(graph=multigraphs())
+    @example(graph=(list(range(5)), K5_EDGES))
+    @example(graph=(list(range(6)), list(itertools.combinations(range(6), 2))))
+    def agree(graph):
+        vertices, edges = graph
+        g = nx.Graph(edges)
+        g.add_nodes_from(vertices)
+        want = nx.check_planarity(g)[0]
+        simple = {edge_key(u, v) for u, v in edges}
+        above.append(_over_edge_bound(simple))
+        assert lr_planar(len(vertices), simple) == want
+        assert planarity_test(edges, vertices).planar == want
+
+    agree()
+    assert any(above)
 
 
 # -- gadget ------------------------------------------------------------------
@@ -218,10 +232,14 @@ def test_gadget_empty_assignment_is_identity():
     assert sorted(gg.edges) == sorted(g.edges)
 
 
-def test_gadget_rejects_adjacent_pair():
-    g = cycle(4)
-    with pytest.raises(OracleError, match="adjacent"):
-        CrossingAssignment.make([(((0, 1)), ((1, 2)))])
+@pytest.mark.parametrize("graph,pairs,message", [
+    (cycle(4), [((0, 1), (1, 2))], "adjacent edges may not cross"),
+    (complete(5), [((0, 1), (2, 3)), ((3, 4), (0, 1))], "not disjoint"),
+    (cycle(4), [((0, 2), (1, 3))], "outside the graph"),
+], ids=["adjacent", "not-disjoint", "outside-graph"])
+def test_gadget_rejects_invalid_pairs(graph, pairs, message):
+    with pytest.raises(OracleError, match=message):
+        gadget_planarize(graph, pairs)
 
 
 def test_gadget_k5_single_pair_planar():
@@ -537,18 +555,22 @@ def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 def test_witness_rims_go_in_one_map_edit(monkeypatch):
-    from onecross.oracle import _drawing_from_gadget
-
     k34 = complete_bipartite(3, 4)
     crossings = is_one_planar(k34, 2).drawing.crossings
-    gadget = gadget_planarize(k34, crossings)
-    witness = planarity_test(gadget.edges, k34.vertices).witness
     made = []
     make = onecross.plane_map._make
     monkeypatch.setattr(onecross.plane_map, "_make", lambda *a: made.append(1) or make(*a))
-    d = _drawing_from_gadget(k34, gadget, witness)
-    assert (len(gadget.rims), len(made)) == (8, 1)
+    d = _witness(k34, crossings)
+    assert (len(gadget_planarize(k34, crossings).rims), len(made)) == (8, 1)
     assert validate(d).passed
+
+
+def test_a_leaf_that_planarity_test_rejects_raises(monkeypatch):
+    # The search and the witness path test the same gadget graph; if they
+    # ever disagreed, the oracle would say so rather than answer.
+    monkeypatch.setattr(onecross.oracle, "planarity_test", lambda *a: PlanarityResult(False, None))
+    with pytest.raises(OracleError, match="planarity_test rejects"):
+        is_one_planar(complete_bipartite(3, 3), 1)
 
 
 # Each graph is searched as given and relabelled.  The outputs digest holds
@@ -790,7 +812,6 @@ def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
             g.add_nodes_from(graph.vertices)
             want = nx.check_planarity(g)[0]
             assert res.planar == want, (name, chosen)
-            assert is_planar(gadget.edges) == want, (name, chosen)
             verdicts[res.planar, res.edge_bound] += 1
     assert set(verdicts) == {(True, False), (False, False), (False, True)}
 
