@@ -10,7 +10,7 @@ planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
 
-Four pruning rules keep that exhaustive; each is proved where it is coded:
+Three pruning rules keep that exhaustive; each is proved where it is coded:
 
 - counting bound (``_counting_bound``): deleting one edge per crossing
   leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
@@ -25,47 +25,32 @@ Four pruning rules keep that exhaustive; each is proved where it is coded:
   representative's endpoints, then by least pair: the order depends on the
   vertex labels only to break ties, and the large orbits, branched last,
   are left with few pairs below them;
-- rim bound (``_Search.rim_cut``): a leaf's gadget graph has more than
+- rim bound (``_Search.viable``): a leaf's gadget graph has more than
   3N - 6 edges exactly when its chosen pairs have more than
   3n' - 6 - |E| + s rims (4-cycle edges of the gadgets that are not
-  uncrossed edges), and that count never falls down the tree, so it cuts
-  inner nodes before their forced test and leaves before any gadget is
-  built.  ``_Search.branch`` carries the count down incrementally;
-- forced uncrossed (``_Search.forced_planar``): an edge that no pair still
-  allowed below a node contains stays uncrossed in every leaf below it, so
-  a non-planar gadget graph of the chosen pairs plus those edges cuts the
-  subtree.
+  uncrossed edges), and that count never falls as pairs are added, so
+  every node drops from its allowed set each pair that would take it over,
+  before its orbits are numbered.  Whole orbits go, and the leaves left
+  are those within the edge bound.  ``_Search.branch`` carries the count
+  down incrementally.
 
-The sizes are searched one after another (iterative deepening), so a size
-meets again every inner node that the sizes before it reached.  A node's
-allowed set depends only on its chosen pairs, so its forced verdict does
-too (``_Search.forced_planar``, forced reuse): each verdict is computed
-once per search and looked up at the larger sizes.  The rim cut depends
-on the size, so it is decided afresh at every size.  On K3,7 at budget 6
-the reuse answers 338 of the 604 forced verdicts that size 6 asks for,
-which takes the search from 973 planarity calls to 635 (1,764 before the
-rim bound).
+So only leaves are tested, and most subtrees end by counting alone: K3,7
+at budget 6 is a ``no`` after 1,992 nodes and 93 leaf tests.
 
 The search works on integers throughout.  A vertex is named by its
 position in sorted order and the hub of the i-th chosen pair by n + i, so
-a gadget graph (``_Search.gadget``) is a set of position pairs, built from
-the chosen pairs with no ``Graph`` or ``GadgetGraph`` and handed to the
-left-right test as it is.  Every verdict the search asks for
-(``_Search.planar``) is a yes/no: the simple graph is rejected when it has
-more than 3N - 6 edges on its N >= 3 non-isolated vertices
-(``_over_edge_bound``, the counting bound's lemma and the one place the
-bound is coded; at a leaf the rim bound has already answered this, so only
-forced tests end there, 111 of the 635 K3,7 tests), and otherwise decided
-by ``planarity.lr_planar``, which builds no embedding.  The search returns
-the labelled pairs of the leaf it accepts, and ``_witness`` is the one
-route from pairs to a drawing: ``gadget_planarize`` (which normalises and
-checks the pairs), ``planarity_test`` (the same two tests, then an
-embedding of a planar graph only), the rims deleted in one map edit, and
-``assemble_drawing``.  ``is_one_planar`` calls it once, on the leaf it
-accepts, and reports what each size cost in ``SearchStats``, including the
-forced verdicts it reused and the rim cuts.
-Long runs accept a timeout, checked before every planarity test, and write
-a coarse resumable checkpoint.
+a leaf's gadget graph (``_Search.gadget``) is a set of position pairs,
+built from the chosen pairs with no ``Graph`` or ``GadgetGraph`` and
+handed to ``planarity.lr_planar``, which builds no embedding, as it is
+(``_Search.planar``).  The search returns the labelled pairs of the leaf
+it accepts, and ``_witness`` is the one route from pairs to a drawing:
+``gadget_planarize`` (which normalises and checks the pairs),
+``planarity_test`` (the 3N - 6 edge bound of ``_over_edge_bound``, the
+left-right test, then an embedding of a planar graph only), the rims
+deleted in one map edit, and ``assemble_drawing``.  ``is_one_planar``
+calls it once, on the leaf it accepts, and reports what each size cost in
+``SearchStats``.  Long runs accept a timeout, checked at every node the
+search enters, and write a coarse resumable checkpoint.
 
 networkx is the only dependency the oracle adds, and it is used for one
 thing only: the embedding of an accepted leaf (``planarity_test``).  A
@@ -87,7 +72,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import ModuleType
@@ -266,14 +250,11 @@ class SizeStats:
     size: int
     skipped: bool = False     # below the counting bound: nothing of this size was tried
     leaves: int = 0           # full assignments sent to the planarity test
-    forced_tests: int = 0     # inner nodes sent to the planarity test (forced-uncrossed rule)
-    forced_cuts: int = 0      # of those, subtrees cut because the test failed
-    forced_reused: int = 0    # inner nodes whose verdict a smaller size had decided
-    planarity_calls: int = 0  # leaves + forced_tests
-    edge_bound_rejects: int = 0  # of those, answered by the edge bound alone
+    planarity_calls: int = 0  # one per leaf
     planarity_s: float = 0.0
     witnesses: int = 0        # planar leaves converted into certified drawings
-    rim_cuts: int = 0         # nodes, leaves included, cut by the rim bound before any test
+    nodes: int = 0            # inner nodes expanded, the root included
+    rim_cuts: int = 0         # allowed pairs the rim bound dropped, each a subtree cut
 
 
 @dataclass
@@ -371,7 +352,7 @@ def _witness(graph: Graph | BipartiteGraph,
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
 # indexes other subtrees, so it must not be resumed.
-RULES = ("count", "twins", "forced", "small-orbits-first", "rims")
+RULES = ("count", "twins", "small-orbits-first", "rims")
 
 
 def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
@@ -432,7 +413,7 @@ def _twin_classes(graph: Graph | BipartiteGraph) -> list[int]:
 
 
 class _OutOfTime(Exception):
-    """The time limit passed before a planarity call."""
+    """The time limit passed before the search entered a node."""
 
 
 class _Search:
@@ -443,15 +424,13 @@ class _Search:
     (increasing), and a twin partition ``cls``: a class number per vertex,
     in sorted vertex order, whose group of permutations inside the classes
     fixes every chosen endpoint.  Vertices are named by that position, 0 to
-    n - 1, and the hub of the i-th chosen pair by n + i: the gadget graphs
-    of forced tests and leaves are sets of such pairs (``gadget``).  The
-    search returns the labelled pairs of the first leaf that tests planar,
-    for ``_witness`` to draw; nothing labelled is built before.  ``forced``
-    maps a node's chosen pairs to its forced verdict, for one
-    :func:`is_one_planar` call.  ``rim_count`` and ``uncrossed`` describe
-    the chosen pairs of the node being searched (``rim_cut``): ``branch``
-    updates them for the pair it chooses and restores them when it
-    returns.
+    n - 1, and the hub of the i-th chosen pair by n + i: a leaf's gadget
+    graph is a set of such pairs (``gadget``).  The search returns the
+    labelled pairs of the first leaf that tests planar, for ``_witness`` to
+    draw; nothing labelled is built before.  ``rim_count`` and
+    ``uncrossed`` describe the chosen pairs of the node being searched
+    (``viable``): ``branch`` updates them for the pair it chooses and
+    restores them when it returns.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -471,16 +450,18 @@ class _Search:
             self.meets[f].add(p)
         self.classes = _twin_classes(graph)
         self.stats = SizeStats(0)
-        self.forced: dict[tuple[int, ...], bool] = {}  # chosen -> forced verdict
         # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as (u, v), u < v.
         self.rim_ends = [tuple((u, v) if u < v else (v, u)
                                for u, v in ((a, c), (c, b), (b, d), (d, a)))
                          for a, b, c, d in self.pair_ends]
-        # For ``rim_cut``, edges and rims are also named by one number:
+        # For ``viable``, edges and rims are also named by one number:
         # u * n + v for the vertex positions u < v they join.
         n = self.n
         self.edge_rim = [u * n + v for u, v in self.edge_ends]
         self.pair_rims = [tuple(u * n + v for u, v in rims) for rims in self.rim_ends]
+        # What choosing each pair can add to R: its two edges, then its rims.
+        self.pair_keys = [(self.edge_rim[e], self.edge_rim[f], *rims)
+                          for (e, f), rims in zip(self.pair_edges, self.pair_rims)]
         self.rim_count = [0] * (n * n)     # chosen pairs having each rim
         self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
         for k in self.edge_rim:
@@ -488,18 +469,18 @@ class _Search:
         touched = len({v for e in self.edges for v in e})
         self.rim_room = 3 * touched - 6 - len(self.edges)
 
-    def gadget(self, chosen: list[int], crossable: Collection[int]) -> set[tuple[int, int]]:
-        """The simple edge set of a gadget graph, on vertex positions.
+    def gadget(self, chosen: list[int]) -> set[tuple[int, int]]:
+        """The simple edge set of the gadget graph of ``chosen``, on vertex
+        positions.
 
-        The graph's edges whose index is not in ``crossable``, plus, for
-        the i-th chosen pair (ab, cd), the hub ``n + i`` with its spokes to
-        a, b, c and d and the rims a-c, c-b, b-d and d-a.  ``crossable``
-        holds at least the chosen pairs' edges: a leaf passes exactly those,
-        a forced test those of its allowed pairs too.  A rim that is also a
+        The graph's edges that no chosen pair contains, plus, for the i-th
+        chosen pair (ab, cd), the hub ``n + i`` with its spokes to a, b, c
+        and d and the rims a-c, c-b, b-d and d-a.  A rim that is also a
         kept edge is one pair of the set, as parallel copies change no
         planarity verdict.  Every pair is (u, v) with u < v.
         """
-        simple = {e for i, e in enumerate(self.edge_ends) if i not in crossable}
+        crossed = {i for p in chosen for i in self.pair_edges[p]}
+        simple = {e for i, e in enumerate(self.edge_ends) if i not in crossed}
         for h, p in enumerate(chosen, self.n):
             a, b, c, d = self.pair_ends[p]
             simple.update(((a, h), (b, h), (c, h), (d, h)))
@@ -507,18 +488,63 @@ class _Search:
         return simple
 
     def planar(self, simple: Collection[tuple[int, int]], hubs: int) -> bool:
-        """The planarity verdict on a gadget graph from ``gadget`` with
-        ``hubs`` hubs, by the edge bound and then the left-right test on
-        vertices ``range(n + hubs)``; no embedding is built."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _OutOfTime
+        """The left-right verdict on a gadget graph from ``gadget`` with
+        ``hubs`` hubs, on vertices ``range(n + hubs)``; no embedding is
+        built.  The graph is within the 3N - 6 edge bound: ``viable`` kept
+        no leaf above it, and size 0 is searched only when the counting
+        bound is 0."""
         t = time.perf_counter()
-        bounded = _over_edge_bound(simple)
-        planar = not bounded and lr_planar(self.n + hubs, simple)
+        planar = lr_planar(self.n + hubs, simple)
         self.stats.planarity_s += time.perf_counter() - t
         self.stats.planarity_calls += 1
-        self.stats.edge_bound_rejects += bounded
         return planar
+
+    def viable(self, chosen: list[int], allowed: Sequence[int], left: int,
+               rims: int) -> Sequence[int]:
+        """The pairs of ``allowed`` that some planar leaf choosing ``left``
+        more pairs below the node ``chosen`` may contain, by the rim bound.
+
+        ``rims`` is the node's R: the number of distinct rims (a-c, c-b,
+        b-d and d-a of a chosen pair (ab, cd)) that are not uncrossed
+        edges of the graph.
+
+        Lemma (rim bound).  Let the graph have |E| edges on n' non-isolated
+        vertices, and let a leaf have s >= 1 pairs.
+        Count: n' >= 4, as a pair has four distinct endpoints.  The leaf's
+        gadget graph has N = n' + s vertices, the n' and a hub per pair,
+        none isolated.  Its simple edges are the |E| - 2s uncrossed edges,
+        the 4s spokes (each meets its own hub) and R rims: a rim that is an
+        uncrossed edge only adds a parallel copy.  So the graph has more
+        than 3N - 6 edges, and is not planar (``_counting_bound``), exactly
+        when R > 3n' - 6 - |E| + s.
+        Monotone: if S is a subset of T, then T has every rim of S and a
+        subset of its uncrossed edges, so R(S) <= R(T).
+        Filter: a pair p with R(chosen + p) > 3n' - 6 - |E| + s lies in no
+        planar leaf of size s below the node, so it is dropped.  The node's
+        group fixes every chosen pair and maps the graph onto itself, so it
+        keeps R(chosen + p): whole orbits are dropped, the kept set stays
+        invariant, as orbit branching needs, and the orbits kept keep their
+        order.  At a leaf the filter is exactly the edge bound.
+        A pair p adds to R one for each of its two edges that is a chosen
+        rim, and one for each of its rims that is new and not an uncrossed
+        edge (none is an edge of p), so at most six.
+        """
+        slack = self.rim_room + len(chosen) + left - rims
+        self.stats.nodes += 1
+        if slack >= 6:
+            return allowed
+        count, uncrossed = self.rim_count, self.uncrossed
+        kept = []
+        keys = self.pair_keys
+        for p in allowed:
+            e, f, k1, k2, k3, k4 = keys[p]
+            if ((count[e] > 0) + (count[f] > 0)
+                    + (not (count[k1] or uncrossed[k1])) + (not (count[k2] or uncrossed[k2]))
+                    + (not (count[k3] or uncrossed[k3])) + (not (count[k4] or uncrossed[k4]))
+                    <= slack):
+                kept.append(p)
+        self.stats.rim_cuts += len(allowed) - len(kept)
+        return kept
 
     def orbits(self, allowed: Sequence[int], cls: list[int]) -> tuple[list[int], list[int]]:
         """The orbit number of each allowed pair, and each orbit's representative.
@@ -549,9 +575,12 @@ class _Search:
             key = (e, f) if e <= f else (f, e)
             members.setdefault(key, []).append(p)
             keys.append(key)
-        class_size = Counter(cls)
+        size = [0] * (2 * len(cls))  # class names run below 2n (see ``branch``)
+        for c in cls:
+            size[c] += 1
         ranked = sorted(members, key=lambda k: (
-            len(members[k]), sorted(class_size[c] for edge in k for c in edge), members[k][0]))
+            len(members[k]), sorted((size[k[0][0]], size[k[0][1]], size[k[1][0]], size[k[1][1]])),
+            members[k][0]))
         number = {k: j for j, k in enumerate(ranked)}
         return [number[k] for k in keys], [members[k][0] for k in ranked]
 
@@ -574,6 +603,9 @@ class _Search:
         the chosen pairs, so the image is an assignment of the same graph,
         with a planar gadget exactly when S has one.
         """
+        allowed = self.viable(chosen, allowed, left, rims)
+        if len(allowed) < left:
+            return None
         labels, reps = self.orbits(allowed, cls)
         for j, r in enumerate(reps):
             found = self.branch(chosen, allowed, labels, cls, j, r, left, rims)
@@ -585,8 +617,18 @@ class _Search:
                cls: list[int], j: int, r: int, left: int, rims: int) -> list[Crossing] | None:
         """Choose ``r``, the representative of orbit ``j``, below a node
         whose chosen pairs have ``rims`` rims; search below it."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _OutOfTime
         chosen = chosen + [r]
+        if left == 1:
+            return self.leaf(chosen)
         e, f = self.pair_edges[r]
+        clash = self.meets[e] | self.meets[f]
+        below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
+        n = len(cls)
+        fixed = list(cls)
+        for v in self.pair_ends[r]:
+            fixed[v] = n + v  # a class of its own: class names below n are taken
         count, uncrossed = self.rim_count, self.uncrossed
         # The two edges r crosses leave the uncrossed edges: a rim on
         # either starts to count.  Then r's own rims, none of which is e
@@ -598,87 +640,16 @@ class _Search:
             count[k] += 1
             rims += count[k] == 1 and not uncrossed[k]
         try:
-            if self.rim_cut(chosen, rims, left - 1):
-                return None
-            if left == 1:
-                return self.leaf(chosen)
-            clash = self.meets[e] | self.meets[f]
-            below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
-            if len(below) < left - 1 or not self.forced_planar(chosen, below):
-                return None
-            n = len(cls)
-            fixed = list(cls)
-            for v in self.pair_ends[r]:
-                fixed[v] = n + v  # a class of its own: class names below n are taken
             return self.expand(chosen, below, fixed, left - 1, rims)
         finally:
             for k in self.pair_rims[r]:
                 count[k] -= 1
             uncrossed[self.edge_rim[e]] = uncrossed[self.edge_rim[f]] = 1
 
-    def rim_cut(self, chosen: list[int], rims: int, more: int) -> bool:
-        """Whether no leaf that chooses ``more`` pairs below the node
-        ``chosen`` can be planar.
-
-        ``rims`` is the node's R: the number of distinct rims (a-c, c-b,
-        b-d and d-a of a chosen pair (ab, cd)) that are not uncrossed
-        edges of the graph.
-
-        Lemma (rim bound).  Let the graph have |E| edges on n' non-isolated
-        vertices, and let a leaf have s >= 1 pairs.
-        Count: n' >= 4, as a pair has four distinct endpoints.  The leaf's
-        gadget graph has N = n' + s vertices, the n' and a hub per pair,
-        none isolated.  Its simple edges are the |E| - 2s uncrossed edges,
-        the 4s spokes (each meets its own hub) and R rims: a rim that is an
-        uncrossed edge only adds a parallel copy.  So the graph has more
-        than 3N - 6 edges, and is not planar (``_counting_bound``), exactly
-        when R > 3n' - 6 - |E| + s.
-        Monotone: a child's chosen pairs are its parent's plus one, so it
-        has every rim of its parent and a subset of its uncrossed edges;
-        R never falls down the tree.
-        Cut: a node with R > 3n' - 6 - |E| + s has no planar leaf of size
-        s below it.  The cut depends on s, so unlike the forced verdict it
-        is not kept across sizes.  At a leaf it is exactly the edge bound,
-        decided before any gadget is built.
-        """
-        cut = rims > self.rim_room + len(chosen) + more
-        self.stats.rim_cuts += cut
-        return cut
-
-    def forced_planar(self, chosen: list[int], below: list[int]) -> bool:
-        """Whether the gadget graph of ``chosen`` plus the forced edges is planar.
-
-        Lemma (forced uncrossed).  An edge that is not chosen and lies in no
-        allowed pair is uncrossed in every leaf below the node, so every
-        leaf's gadget graph contains this one as a subgraph; if this one is
-        not planar, no leaf below is.
-
-        Lemma (forced reuse).  A node's allowed set and partition are
-        functions of its chosen sequence: the root's are fixed, and
-        ``orbits`` and ``branch`` compute a child's from its parent's and
-        the representative chosen, whatever the size being searched.  So
-        the forced graph of a node, and its verdict, are the same at every
-        size, and ``forced`` answers a node decided at a smaller size.
-        Only the check that enough pairs are left depends on the size, and
-        ``branch`` makes it before calling here.  Leaves are not stored: a
-        leaf's graph depends on the size.
-        """
-        key = tuple(chosen)
-        if key in self.forced:
-            self.stats.forced_reused += 1
-            return self.forced[key]
-        crossable = {i for p in chosen + below for i in self.pair_edges[p]}
-        planar = self.planar(self.gadget(chosen, crossable), len(chosen))
-        self.stats.forced_tests += 1
-        self.stats.forced_cuts += not planar
-        self.forced[key] = planar
-        return planar
-
     def leaf(self, chosen: list[int]) -> list[Crossing] | None:
         """The labelled pairs of the assignment ``chosen`` if its gadget
         graph is planar; None otherwise."""
-        crossable = {i for p in chosen for i in self.pair_edges[p]}
-        planar = self.planar(self.gadget(chosen, crossable), len(chosen))
+        planar = self.planar(self.gadget(chosen), len(chosen))
         self.stats.leaves += 1
         return [self.pairs[p] for p in chosen] if planar else None
 
@@ -712,12 +683,12 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
 
     Searches assignment sizes in increasing order, so a ``yes`` uses the
     fewest crossings possible; sizes below the counting bound are skipped.
-    Within a size, the first level branches on the orbit representatives of
-    all candidate pairs under the twin group, in the order of
-    ``_Search.orbits``.
+    Within a size, the first level branches on the orbit representatives,
+    under the twin group, of the candidate pairs that the rim bound keeps,
+    in the order of ``_Search.orbits``.
     ``yes`` returns a certified drawing; ``no`` is exhaustive within the
     budget; ``unknown`` is only returned when ``timeout`` seconds pass
-    before a planarity call (a negative or NaN ``timeout`` raises
+    before the search enters a node (a negative or NaN ``timeout`` raises
     :class:`OracleError`), with progress saved to ``checkpoint`` (a JSON
     file recording the size and the first orbit of the first level not yet
     fully explored) when given; a checkpoint the search could not have
@@ -751,7 +722,6 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             raise
 
     stats = SearchStats(_counting_bound(graph))
-    everything = range(len(search.pairs))
     for size in range(resume_size, max_crossings + 1):
         search.stats = SizeStats(size, skipped=size < stats.lower_bound)
         stats.sizes.append(search.stats)
@@ -767,7 +737,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             if size == 0:
                 found = search.leaf([])
             else:
-                labels, reps = search.orbits(everything, search.classes)
+                allowed = search.viable([], range(len(search.pairs)), size, 0)
+                labels, reps = search.orbits(allowed, search.classes)
                 if root > len(reps):
                     # A finished size records len(reps); more would skip the
                     # size unsearched and could answer "no".
@@ -775,7 +746,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                                       f"the {len(reps)} first-level orbits of size {size}")
                 found = None
                 while found is None and root < len(reps):
-                    found = search.branch([], everything, labels, search.classes,
+                    found = search.branch([], allowed, labels, search.classes,
                                           root, reps[root], size, 0)
                     if found is None:
                         root += 1
