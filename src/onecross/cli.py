@@ -19,12 +19,14 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from . import bounds as bounds_mod
+# bounds and the oracle are imported inside the commands that run them.
+# constructions and formats stay here: bench/worker.py clears, before each
+# item, the functools caches of the modules loaded when it starts, so a
+# cached module first imported by a command would keep its cache.
 from . import constructions as cons
 from .drawing import BipartiteGraph, DrawingError, Graph, validate
 from .formats import (FormatError, export_dot, export_svg, load_drawing, parse_document,
                       read_document, save_drawing)
-from .oracle import OracleError, is_one_planar
 
 _FAMILIES = {
     "w3": lambda x, y: cons.w3_family(x, y),
@@ -37,6 +39,12 @@ _FAMILIES = {
 
 class _CannotWrite(Exception):
     """An output file or checkpoint could not be written (exit 2)."""
+
+
+def _error(message: object) -> int:
+    """Print ``message`` as an input error and return its exit code, 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 @contextmanager
@@ -108,6 +116,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import bounds as bounds_mod
+
     sb = bounds_mod.size_bounds(args.x, args.y)
     if args.json:
         print(json.dumps(asdict(sb), sort_keys=True))
@@ -125,6 +135,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _table_rows(xmax: int, ymax: int, conjecture: bool):
+    from . import bounds as bounds_mod
+
     for x in range(1, xmax + 1):
         for y in range(x, ymax + 1):
             if conjecture:
@@ -159,10 +171,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import OracleError, is_one_planar
+
     if args.complete_bipartite:
         a, b = args.complete_bipartite
         if a < 0 or b < 0:
-            raise OracleError("--complete-bipartite sizes must be nonnegative")
+            return _error("--complete-bipartite sizes must be nonnegative")
         blacks = list(range(a))
         whites = list(range(a, a + b))
         graph: Graph | BipartiteGraph = BipartiteGraph.make(
@@ -172,9 +186,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         print("oracle needs FILE or --complete-bipartite", file=sys.stderr)
         return 2
-    with _writing(args.checkpoint):
-        res = is_one_planar(graph, args.budget, timeout=args.timeout,
-                            checkpoint=args.checkpoint)
+    try:
+        with _writing(args.checkpoint):
+            res = is_one_planar(graph, args.budget, timeout=args.timeout,
+                                checkpoint=args.checkpoint)
+    except OracleError as exc:  # invalid arguments or checkpoint
+        return _error(exc)
     payload = {
         "verdict": res.verdict,
         "crossings": res.crossings,
@@ -273,9 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DrawingError, FormatError, OracleError, _CannotWrite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (DrawingError, FormatError, _CannotWrite) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

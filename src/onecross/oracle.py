@@ -56,13 +56,15 @@ networkx is the only dependency the oracle adds, and it is used for one
 thing only: the embedding of an accepted leaf (``planarity_test``).  A
 "no" never loads it, and neither does two-colouring a ``Graph``
 (``_two_color`` has its own search).  So ``nx`` is bound lazily:
-importing the package puts a lazy module into ``sys.modules`` and
+importing this module puts a lazy module into ``sys.modules`` and
 networkx runs its own ``__init__`` on the first attribute read
 (``nx.Graph``, ``nx.check_planarity``).  ``nx`` stays a module-level name
 that is the very object in ``sys.modules["networkx"]``, so code that
 reaches networkx through this module's ``nx`` (the benchmark's
 ``check_planarity`` span, tests that monkeypatch ``nx.check_planarity``)
-sees the same module as ``import networkx`` does.
+sees the same module as ``import networkx`` does.  This module is itself
+loaded on demand: ``import onecross`` imports it on the first read of one
+of its exported names, and the command line only for ``oracle``.
 """
 
 from __future__ import annotations

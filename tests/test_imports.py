@@ -1,8 +1,12 @@
-"""What a command loads: networkx only to embed an oracle witness, numpy
-only for SVG.
+"""What an import or a command loads.
+
+``import onecross`` loads the certifier alone (``plane_map``, ``drawing``);
+every other public name is imported from its module on first access.  A
+command loads the modules it runs: the oracle and the bounds only for their
+own commands, networkx only to embed an oracle witness, numpy only for SVG.
 
 Each check runs in a fresh interpreter, because this test process has
-already imported networkx.
+already imported all of them.
 """
 
 import os
@@ -24,6 +28,79 @@ def run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+# The names the package exported when every module was imported eagerly.
+EXPORTS = {
+    "plane_map": ["EulerReport", "MapError", "PlaneMap", "build_map", "euler_check",
+                  "insert_vertex_in_face", "smooth_degree2", "trace_faces"],
+    "drawing": ["BipartiteGraph", "DrawingError", "Graph", "OnePlanarDrawing",
+                "ValidationReport", "assemble_drawing", "augment_degree2", "black_extension",
+                "certify", "crossing_count", "recover_graph", "validate"],
+    "constructions": ["b_family", "balanced", "best_known", "k36_family", "near_balanced",
+                      "stacked_triangulation", "w3_family"],
+    "bounds": ["SizeBounds", "conjecture_gap", "lower_bound", "ratio_table", "size_bounds",
+               "upper_bound"],
+    "oracle": ["gadget_planarize", "is_one_planar", "min_crossings", "planarity_test"],
+    "formats": ["document_to_drawing", "drawing_to_document", "export_dot", "export_svg",
+                "load_drawing", "parse_document", "save_drawing"],
+}
+
+
+def test_importing_the_package_loads_only_the_certifier():
+    run_fresh("""
+        import sys
+
+        import onecross
+        lazy = [m for m in ("formats", "constructions", "sketch", "bounds", "oracle",
+                            "planarity", "cli") if f"onecross.{m}" in sys.modules]
+        assert lazy == [], lazy
+        assert "onecross.drawing" in sys.modules
+    """)
+
+
+def test_every_export_is_its_modules_object():
+    # Each name is read through the package first, so a lazy name's module
+    # is imported by that read.
+    run_fresh(f"""
+        import importlib
+
+        import onecross
+        exports = {EXPORTS!r}
+        names = [name for group in exports.values() for name in group]
+        assert sorted(onecross.__all__) == sorted(names)
+        assert set(names) <= set(dir(onecross))
+        for module, group in exports.items():
+            for name in group:
+                value = getattr(onecross, name)
+                home = importlib.import_module(f"onecross.{{module}}")
+                assert value is getattr(home, name), name
+                assert name not in vars(onecross) or module in ("plane_map", "drawing"), name
+    """)
+
+
+def test_star_import_binds_every_export():
+    run_fresh("""
+        import onecross
+
+        space = {}
+        exec("from onecross import *", space)
+        missing = [n for n in onecross.__all__ if space.get(n) is not getattr(onecross, n)]
+        assert missing == [], missing
+    """)
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    run_fresh("""
+        import onecross
+
+        try:
+            onecross.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("no AttributeError")
+    """)
+
+
 def test_only_the_oracle_loads_networkx(tmp_path):
     run_fresh(f"""
         import contextlib, io, sys
@@ -31,19 +108,24 @@ def test_only_the_oracle_loads_networkx(tmp_path):
         import onecross
         from onecross.cli import main
 
-        def heavy():
-            return [m for m in ("networkx.classes", "numpy") if m in sys.modules]
+        HEAVY = ("networkx.classes", "numpy")
+        UNUSED = ("onecross.oracle", "onecross.planarity", "onecross.bounds")
 
-        assert heavy() == [], heavy()
+        def loaded(names):
+            return [m for m in names if m in sys.modules]
+
+        assert loaded(HEAVY + UNUSED) == [], loaded(HEAVY + UNUSED)
         doc = {str(tmp_path / "d.json")!r}
-        for argv in (["construct", "--x", "4", "--y", "9", "--out", doc],
-                     ["verify", doc],
-                     ["export", doc, "--format", "dot"],
-                     ["bounds", "--x", "4", "--y", "9"],
-                     ["table", "--xmax", "3", "--ymax", "5"]):
+        # construct, verify and export load neither the oracle nor the bounds.
+        for argv, absent in ((["construct", "--x", "4", "--y", "9", "--out", doc], HEAVY + UNUSED),
+                             (["verify", doc], HEAVY + UNUSED),
+                             (["export", doc, "--format", "dot"], HEAVY + UNUSED),
+                             (["bounds", "--x", "4", "--y", "9"], HEAVY),
+                             (["table", "--xmax", "3", "--ymax", "5"], HEAVY)):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
-            assert heavy() == [], (argv, heavy())
+            assert loaded(absent) == [], (argv, loaded(absent))
+        assert "onecross.bounds" in sys.modules
 
         from onecross.drawing import BipartiteGraph, validate
         from onecross.oracle import is_one_planar
