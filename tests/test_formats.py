@@ -14,7 +14,14 @@ import onecross.constructions
 import onecross.drawing
 import onecross.plane_map
 from onecross.cli import main
-from onecross.constructions import b_family, balanced, best_known, family_formulas, w3_family
+from onecross.constructions import (
+    b_family,
+    balanced,
+    best_known,
+    family_formulas,
+    near_balanced,
+    w3_family,
+)
 from onecross.drawing import DrawingError, validate
 from onecross.formats import (
     FormatError,
@@ -403,8 +410,19 @@ def test_any_document_is_loaded_or_rejected_without_a_traceback(tmp_path_factory
         assert main(["verify", str(f), "--json"]) in (0, 1, 2)
 
 
-# sha256 of export_svg's output, recorded before its layout returned Python
-# floats instead of numpy scalars; the bytes must not change.
+# A forest: two edge components and an isolated vertex, so the layout takes
+# both its no-face branch and its per-component offsets.
+_FOREST = {
+    "format_version": 1, "black": [0, 1, 5], "white": [2, 3, 4, 6],
+    "edges": [[0, 2], [1, 2], [1, 3], [5, 6]], "crossings": [],
+    "rotations": {"true": {"0": [[0, 1]], "1": [[1, 1], [2, 1]], "2": [[0, 0], [1, 0]],
+                           "3": [[2, 0]], "4": [], "5": [[3, 1]], "6": [[3, 0]]},
+                  "false": {}},
+}
+
+# sha256 of export_svg's output, every one recorded while the layout was
+# still numpy's dense solve (with OPENBLAS_NUM_THREADS=1).  The sparse
+# elimination that replaced it must reproduce these bytes exactly.
 _SVG_SHA256 = {
     "w3_family(3, 6)": (lambda: w3_family(3, 6),
                         "b7e487fc0fa35df2954fd2abadcb5edfcf60290162f7b8d335cd727e7ea43b2f"),
@@ -414,6 +432,13 @@ _SVG_SHA256 = {
                           "51b757146ee8a518495bf77111603178c06aea1e52050baf1574fc08f9a5fd49"),
     "balanced(200)": (lambda: balanced(200),
                       "589cb64bdd794642781ca156940848fccbd5b7408cad9b312d18a23b4bb81bfd"),
+    # two interior hubs of degree about 570
+    "w3_family(12, 600)": (lambda: w3_family(12, 600),
+                           "77294d31237910c623e79a95985a053f6fff03849b9ddb285139dbf9bbe103f4"),
+    "near_balanced(15, 200)": (lambda: near_balanced(15, 200),
+                               "bcbe60cc04f602bc071f564beec4fd6f03adfea4fc8a0723163b7e826344df9a"),
+    "forest": (lambda: document_to_drawing(_FOREST),
+               "1de5c7e0cf08565e080056bf8a85786084974145fb8fdee3363332919654c2b6"),
 }
 
 
