@@ -13,6 +13,7 @@ add the one certification, so a loaded drawing is always certified.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -324,71 +325,102 @@ def export_dot(d: OnePlanarDrawing) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _solve(rows: list[dict[int, float]],
+           rhs: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Solve ``A p = rhs`` for points ``p``; ``rows[i]`` maps column j to ``A[i][j]``.
+
+    Gaussian elimination on the sparse rows, which it consumes, in one fixed
+    order: fewest initial entries first, ties by position (the minimum
+    degree idea of George and Liu, *The evolution of the minimum degree
+    ordering algorithm*, SIAM Review 1989); then back-substitution.  There
+    is no pivoting.
+
+    Lemma: on the system :func:`_tutte_positions` builds, every pivot is
+    positive.  A component's interior matrix is symmetric with nonpositive
+    off-diagonal entries.  It is weakly diagonally dominant, since a row's
+    diagonal is its vertex's degree and its other entries count only the
+    darts to interior vertices.  Every connected piece of interior vertices
+    has an edge to the pinned ring, where its row is strictly dominant, so
+    each block is irreducibly diagonally dominant: a nonsingular M-matrix.
+    Eliminating one variable of a nonsingular M-matrix leaves a Schur
+    complement that is again one, in any symmetric order, so every pivot is
+    positive.  The pattern stays symmetric too, so the rows holding column
+    k are the other columns of row k.
+    """
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    pivots = [0.0] * len(rows)
+    for k in order:
+        row = rows[k]
+        pivot = pivots[k] = row.pop(k)
+        bx, by = rhs[k]
+        for j in row:
+            other = rows[j]
+            f = other.pop(k) / pivot
+            for i, a in row.items():
+                other[i] = other.get(i, 0.0) - f * a
+            x, y = rhs[j]
+            rhs[j] = (x - f * bx, y - f * by)
+    points: list[tuple[float, float]] = [(0.0, 0.0)] * len(rows)
+    for k in reversed(order):
+        bx, by = rhs[k]
+        for i, a in rows[k].items():
+            x, y = points[i]
+            bx -= a * x
+            by -= a * y
+        points[k] = (bx / pivots[k], by / pivots[k])
+    return points
+
+
 def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
     """Barycentric layout per component; the largest face becomes the hull.
 
-    Coordinates are Python floats, which format several times faster than
-    numpy scalars; they hold the same values.
+    Components are laid side by side in order of their least vertex.  A
+    component with edges pins its largest face's ring to a circle and places
+    every other vertex at the mean of its neighbours (W. T. Tutte, *How to
+    draw a graph*, Proc. London Math. Soc. 1963), by :func:`_solve`.
     """
-    import numpy as np  # only the SVG layout needs it; keeps numpy off every other path
-
-    owner, opp = m.dart_vertex, m.opposite
+    rotations, owner, opp = m.rotations, m.dart_vertex, m.opposite
+    roots = pm._components(m)
+    comps: dict[int, list[int]] = {}
+    for v in sorted(roots):
+        comps.setdefault(roots[v], []).append(v)
+    faces: dict[int, list[list[int]]] = {}
+    for walk in m.faces:
+        faces.setdefault(roots[owner[walk[0]]], []).append(walk)
     pos: dict[int, tuple[float, float]] = {}
-    remaining = set(m.rotations)
     offset = 0.0
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for dart in m.rotations[v]:
-                w = owner[opp[dart]]
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comp_faces = [walk for walk in m.faces if owner[walk[0]] in comp]
-        if not comp_faces:
-            for i, v in enumerate(sorted(comp)):
+    for root, comp in comps.items():
+        if root not in faces:
+            for i, v in enumerate(comp):
                 pos[v] = (offset + 30.0 * i, 0.0)
             offset += 30.0 * len(comp) + 60.0
-            remaining -= comp
             continue
-        outer = max(comp_faces, key=len)
+        outer = max(faces[root], key=len)
         ring = list(dict.fromkeys(owner[dart] for dart in outer))
         radius = 100.0
-        fixed: dict[int, tuple[float, float]] = {}
         for i, v in enumerate(ring):
-            a = 2 * np.pi * i / len(ring)
-            fixed[v] = (offset + radius * float(np.cos(a)), radius * float(np.sin(a)))
-        interior = sorted(comp - set(fixed))
-        if interior:
-            index = {v: i for i, v in enumerate(interior)}
-            a_mat = np.zeros((len(interior), len(interior)))
-            b_rows = []
-            rows: list[int] = []
-            cols: list[int] = []
-            for v in interior:
-                i = index[v]
-                nbrs = [owner[opp[dart]] for dart in m.rotations[v]]
-                a_mat[i, i] = max(len(nbrs), 1)
-                bx = by = 0.0  # summed in rotation order; the SVG bytes depend on it
-                for w in nbrs:
-                    if w in index:
-                        rows.append(i)
-                        cols.append(index[w])
-                    else:
-                        x, y = fixed[w]
-                        bx += x
-                        by += y
-                b_rows.append((bx, by))
-            np.add.at(a_mat, (rows, cols), -1.0)
-            sol = np.linalg.solve(a_mat, np.array(b_rows)).tolist()
-            for v in interior:
-                pos[v] = tuple(sol[index[v]])
-        pos.update(fixed)
+            a = 2 * math.pi * i / len(ring)
+            pos[v] = (offset + radius * math.cos(a), radius * math.sin(a))
+        interior = [v for v in comp if v not in pos]
+        index = {v: i for i, v in enumerate(interior)}
+        rows: list[dict[int, float]] = []
+        rhs: list[tuple[float, float]] = []
+        for i, v in enumerate(interior):
+            row = {i: max(len(rotations[v]), 1)}
+            bx = by = 0.0  # summed in rotation order; the SVG bytes depend on it
+            for dart in rotations[v]:
+                w = owner[opp[dart]]
+                j = index.get(w)
+                if j is None:
+                    x, y = pos[w]
+                    bx += x
+                    by += y
+                else:
+                    row[j] = row.get(j, 0) - 1
+            rows.append(row)
+            rhs.append((bx, by))
+        pos.update(zip(interior, _solve(rows, rhs)))
         offset += 2 * radius + 60.0
-        remaining -= comp
     return pos
 
 

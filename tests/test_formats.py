@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import onecross.cli
 import onecross.constructions
 import onecross.drawing
+import onecross.formats
 import onecross.plane_map
 from onecross.cli import main
 from onecross.constructions import (
@@ -445,6 +446,42 @@ _SVG_SHA256 = {
 @pytest.mark.parametrize("make,sha256", _SVG_SHA256.values(), ids=_SVG_SHA256.keys())
 def test_export_svg_bytes_are_unchanged(make, sha256):
     assert hashlib.sha256(export_svg(make()).encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("make", [
+    lambda: onecross.constructions._BUILDERS["star"](1, 4),
+    lambda: onecross.constructions._BUILDERS["double-star"](2, 4),
+    lambda: onecross.constructions._BUILDERS["complete-small"](3, 4),
+    lambda: w3_family(4, 14),
+    lambda: b_family(5, 13),
+    lambda: balanced(4),
+    lambda: balanced(5),
+    lambda: near_balanced(4, 6),
+    lambda: balanced(200),
+    lambda: w3_family(12, 600),
+    lambda: document_to_drawing(_FOREST),
+], ids=["star", "double-star", "complete-small", "w3", "b", "balanced4", "balanced5", "near",
+        "balanced200", "w3-600", "forest"])
+def test_tutte_layout_puts_each_interior_vertex_at_its_neighbours_mean(make):
+    # Each component pins the vertices of its first longest face; every other
+    # vertex is the mean of its neighbours, a neighbour counted once per dart.
+    m = make().planified
+    pos = onecross.formats._tutte_positions(m)
+    assert pos.keys() == m.rotations.keys()
+    owner, roots = m.dart_vertex, onecross.plane_map._components(m)
+    outer = {}
+    for walk in m.faces:
+        root = roots[owner[walk[0]]]
+        if len(walk) > len(outer.get(root, ())):
+            outer[root] = walk
+    pinned = {owner[dart] for walk in outer.values() for dart in walk}
+    for v, rotation in m.rotations.items():
+        if v in pinned or not rotation:
+            continue
+        nbrs = [pos[owner[m.opposite[dart]]] for dart in rotation]
+        for axis in (0, 1):
+            mean = sum(p[axis] for p in nbrs) / len(nbrs)
+            assert abs(pos[v][axis] - mean) <= 1e-9, (v, axis)
 
 
 def test_cli_caches_nothing_between_commands(tmp_path, capsys, monkeypatch):

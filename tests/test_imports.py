@@ -3,7 +3,8 @@
 ``import onecross`` loads the certifier alone (``plane_map``, ``drawing``);
 every other public name is imported from its module on first access.  A
 command loads the modules it runs: the oracle and the bounds only for their
-own commands, networkx only to embed an oracle witness, numpy only for SVG.
+own commands, networkx only to embed an oracle witness.  No command loads
+numpy; the SVG layout solves its system in plain Python.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported all of them.
@@ -120,6 +121,7 @@ def test_only_the_oracle_loads_networkx(tmp_path):
         for argv, absent in ((["construct", "--x", "4", "--y", "9", "--out", doc], HEAVY + UNUSED),
                              (["verify", doc], HEAVY + UNUSED),
                              (["export", doc, "--format", "dot"], HEAVY + UNUSED),
+                             (["export", doc, "--format", "svg"], HEAVY + UNUSED),
                              (["bounds", "--x", "4", "--y", "9"], HEAVY),
                              (["table", "--xmax", "3", "--ymax", "5"], HEAVY)):
             with contextlib.redirect_stdout(io.StringIO()):
@@ -135,6 +137,23 @@ def test_only_the_oracle_loads_networkx(tmp_path):
         assert (res.verdict, res.crossings) == ("yes", 1)
         assert validate(res.drawing).passed
         assert "networkx.classes" in sys.modules
+    """)
+
+
+def test_svg_export_runs_without_numpy(tmp_path):
+    # An import of numpy raises ImportError once its sys.modules entry is None.
+    run_fresh(f"""
+        import contextlib, io, sys
+
+        sys.modules["numpy"] = None
+        from onecross.cli import main
+
+        doc = {str(tmp_path / "d.json")!r}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["construct", "--x", "5", "--y", "13", "--out", doc]) == 0
+            assert main(["export", doc, "--format", "svg"]) == 0
+        assert "</svg>" in out.getvalue()
     """)
 
 
