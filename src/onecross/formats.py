@@ -384,19 +384,20 @@ def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
     comps: dict[int, list[int]] = {}
     for v in sorted(roots):
         comps.setdefault(roots[v], []).append(v)
-    faces: dict[int, list[list[int]]] = {}
+    outer: dict[int, list[int]] = {}  # each component's first longest face
     for walk in m.faces:
-        faces.setdefault(roots[owner[walk[0]]], []).append(walk)
+        root = roots[owner[walk[0]]]
+        if len(walk) > len(outer.get(root, ())):
+            outer[root] = walk
     pos: dict[int, tuple[float, float]] = {}
     offset = 0.0
     for root, comp in comps.items():
-        if root not in faces:
+        if root not in outer:
             for i, v in enumerate(comp):
                 pos[v] = (offset + 30.0 * i, 0.0)
             offset += 30.0 * len(comp) + 60.0
             continue
-        outer = max(faces[root], key=len)
-        ring = list(dict.fromkeys(owner[dart] for dart in outer))
+        ring = list(dict.fromkeys(owner[dart] for dart in outer[root]))
         radius = 100.0
         for i, v in enumerate(ring):
             a = 2 * math.pi * i / len(ring)
