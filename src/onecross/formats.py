@@ -380,7 +380,7 @@ def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
     draw a graph*, Proc. London Math. Soc. 1963), by :func:`_solve`.
     """
     rotations, owner, opp = m.rotations, m.dart_vertex, m.opposite
-    roots = pm._components(m)
+    roots = m.components
     comps: dict[int, list[int]] = {}
     for v in sorted(roots):
         comps.setdefault(roots[v], []).append(v)

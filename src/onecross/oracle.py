@@ -45,26 +45,25 @@ handed to ``planarity.lr_planar``, which builds no embedding, as it is
 (``_Search.planar``).  The search returns the labelled pairs of the leaf
 it accepts, and ``_witness`` is the one route from pairs to a drawing:
 ``gadget_planarize`` (which normalises and checks the pairs),
-``planarity_test`` (the 3N - 6 edge bound of ``_over_edge_bound``, the
-left-right test, then an embedding of a planar graph only), the rims
+``planarity_test`` (the 3N - 6 edge bound of ``_over_edge_bound``, then
+``planarity.lr_embedding``, the same left-right test with its embedding
+phase), the rims
 deleted in one map edit, and ``assemble_drawing``.  ``is_one_planar``
 calls it once, on the leaf it accepts, and reports what each size cost in
 ``SearchStats``.  Long runs accept a timeout, checked at every node the
 search enters, and write a coarse resumable checkpoint.
 
-networkx is the only dependency the oracle adds, and it is used for one
-thing only: the embedding of an accepted leaf (``planarity_test``).  A
-"no" never loads it, and neither does two-colouring a ``Graph``
-(``_two_color`` has its own search).  So ``nx`` is bound lazily:
-importing this module puts a lazy module into ``sys.modules`` and
-networkx runs its own ``__init__`` on the first attribute read
-(``nx.Graph``, ``nx.check_planarity``).  ``nx`` stays a module-level name
-that is the very object in ``sys.modules["networkx"]``, so code that
-reaches networkx through this module's ``nx`` (the benchmark's
-``check_planarity`` span, tests that monkeypatch ``nx.check_planarity``)
-sees the same module as ``import networkx`` does.  This module is itself
-loaded on demand: ``import onecross`` imports it on the first read of one
-of its exported names, and the command line only for ``oracle``.
+No run of the oracle reads networkx: the left-right test, its embedding
+and the two-colouring of a ``Graph`` (``_two_color``) are all in-house.
+``nx`` is still bound, lazily, so that importing this module runs none of
+networkx: it puts a lazy module into ``sys.modules``, and networkx runs
+its own ``__init__`` only on a first attribute read.  The binding stays
+only because the benchmark's ``oracle.nx_check_planarity`` span finds
+``networkx.check_planarity`` through it; tests that reach networkx
+through ``nx`` see the very object in ``sys.modules["networkx"]``.  This
+module is itself loaded on demand: ``import onecross`` imports it on the
+first read of one of its exported names, and the command line only for
+``oracle``.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ from .drawing import (
     edge_key,
 )
 from .plane_map import PlaneMap
-from .planarity import lr_planar
+from .planarity import lr_embedding, lr_planar
 
 
 def _lazy_module(name: str) -> ModuleType:
@@ -114,6 +113,7 @@ def _lazy_module(name: str) -> ModuleType:
     return module
 
 
+# No run reads nx; the benchmark's oracle.nx_check_planarity span resolves through it.
 nx = _lazy_module("networkx")
 
 
@@ -141,43 +141,40 @@ def planarity_test(edges: Sequence[tuple[int, int]],
 
     Parallel copies do not change planarity, so only the first copy of each
     edge is tested: first by the edge bound (``_over_edge_bound``), then by
-    the left-right test (``planarity.lr_planar``).  Only a planar graph is
-    handed to networkx, for its embedding; if networkx finds none, the two
-    tests disagree and :class:`OracleError` is raised.  In the witness the
-    copies of an edge are stacked beside it, in one order around one end
-    and the reverse order around the other, so consecutive copies bound a
-    digon face.  Every witness is audited with the Euler face count; map
-    edge ids equal input indices.
+    ``planarity.lr_embedding``, which gives the verdict and, for a planar
+    graph, the rotations in one call.  It sees the vertices numbered as
+    networkx's ``check_planarity`` would copy them (``nodes`` first, then
+    new endpoints in edge order) and the edges node-major, in the order of
+    that copy's edge list, so the rotations, and every witness, are the
+    ones networkx gives.  In the witness the copies of an edge are stacked
+    beside it, in one order around one end and the reverse order around
+    the other, so consecutive copies bound a digon face.  Every witness is
+    audited with the Euler face count; map edge ids equal input indices.
     """
     first: dict[tuple[int, int], int] = {}
     copies: dict[int, list[int]] = {}
-    index: dict[int, int] = {}  # the first copies on vertices 0, 1, ... for lr_planar
-    dense: list[tuple[int, int]] = []
     for i, (u, v) in enumerate(edges):
         if u == v:
             raise OracleError("loops are not supported")
         j = first.setdefault((u, v) if u <= v else (v, u), i)
         if j != i:
             copies.setdefault(j, []).append(i)
-        else:
-            dense.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
     if _over_edge_bound(first):
         return PlanarityResult(False, None, edge_bound=True)
-    if not lr_planar(len(index), dense):
+    label = list(dict.fromkeys([*nodes, *(v for e in first for v in e)]))  # networkx's node order
+    index = {v: a for a, v in enumerate(label)}
+    adj: list[list[int]] = [[] for _ in label]
+    for u, v in first:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    order = lr_embedding(len(label), [(a, b) for a in range(len(label)) for b in adj[a] if b > a])
+    if order is None:
         return PlanarityResult(False, None)
-    g = nx.Graph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(first)
-    ok, embedding = nx.check_planarity(g, counterexample=False)
-    if not ok:
-        raise OracleError("networkx found no embedding of a graph the left-right test "
-                          "calls planar")
 
-    order = embedding.get_data()
     rotations: dict[int, list[int]] = {}
-    for v in g:
+    for v, nbrs in zip(label, order):
         darts = []
-        for w in order.get(v, []):
+        for w in map(label.__getitem__, nbrs):
             i = first[(v, w) if v <= w else (w, v)]
             stack = [i, *copies.get(i, ())]
             for j in (stack if v < w else reversed(stack)):

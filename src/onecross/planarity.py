@@ -1,4 +1,4 @@
-"""Planarity as a yes/no answer: the left-right test, without an embedding.
+"""Planarity by the left-right test, as a yes/no answer or with an embedding.
 
 The left-right criterion (de Fraysseix, Ossona de Mendez and Rosenstiehl,
 *Trémaux trees and planarity*, 2006) decides planarity from one depth-first
@@ -7,20 +7,24 @@ into a left and a right class under the constraints that the orientation
 imposes.  Brandes (*The Left-Right Planarity Test*, 2009) turns it into a
 linear-time test with a stack of conflict pairs of return-edge intervals.
 
-This module is a port of the orientation and testing phases of the
-``LRPlanarity`` class in networkx 3.6.1
+This module is a port of the ``LRPlanarity`` class in networkx 3.6.1
 (``networkx/algorithms/planarity.py``, BSD licence, Copyright (C) NetworkX
-Developers).  Everything only the embedding needs is dropped: edge sides,
-signs, the embedding pass and the ``PlanarEmbedding``.  ``ref`` stays,
-because ``remove_back_edges`` follows it to trim an interval.  Both passes
-are iterative, over integer adjacency lists: vertices and edges are indices
-into flat lists, and a conflict pair is a list ``[left.low, left.high,
-right.low, right.high]`` of edge indices, with None for an empty end.
+Developers): its orientation and testing phases in ``_lr_test``, and its
+sign and embedding phases in ``lr_embedding``.  Every pass is iterative,
+over integer adjacency lists: vertices and edges are indices into flat
+lists, and a conflict pair is a list ``[left.low, left.high, right.low,
+right.high]`` of edge indices, with None for an empty end.  networkx's
+``PlanarEmbedding`` becomes clockwise and counter-clockwise links between
+the darts at each vertex, plus the vertex's leftmost dart, updated by the
+rules of ``PlanarEmbedding.add_half_edge``; so the rotations are
+networkx's, in its order and from its first neighbour.
 
-``lr_planar`` is the one kernel, on vertices that are already ``range(n)``
-and edges that are already distinct.  Its callers, the oracle's search and
-``oracle.planarity_test``, name the vertices densely and apply the 3N - 6
-edge bound (``oracle._over_edge_bound``) before calling it.
+One testing pass serves two entry points.  ``lr_planar`` is the yes/no
+kernel of the oracle's search; ``lr_embedding`` also resolves each edge's
+side and builds the rotations, for the witness of an accepted leaf
+(``oracle.planarity_test``).  Both take vertices that are already
+``range(n)`` and edges that are already distinct, and their callers apply
+the 3N - 6 edge bound (``oracle._over_edge_bound``) first.
 """
 
 from __future__ import annotations
@@ -38,6 +42,116 @@ def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
     of one-vertex trees and change nothing.  The test is right on any such
     graph, but the callers reject one with more than 3N - 6 edges before
     calling it, so no edge count is compared here.
+    """
+    return _lr_test(n, edges) is not None
+
+
+def lr_embedding(n: int, edges: Collection[tuple[int, int]]) -> list[list[int]] | None:
+    """The neighbours of each vertex in ``range(n)`` in clockwise order, in a
+    plane embedding of the graph; None when it has none.
+
+    ``edges`` are as for :func:`lr_planar`.  The rotations are those of
+    ``networkx.check_planarity(g).get_data()``, each from networkx's leftmost
+    neighbour, for the ``networkx.Graph`` ``g`` that holds the vertices
+    ``range(n)`` in order and then receives ``edges`` in their order.
+    """
+    state = _lr_test(n, edges)
+    if state is None:
+        return None
+    ends, head, parent, depth, oriented, roots, ref, side = state
+
+    # -- sign: a side relative to ref becomes absolute, the product of the
+    # sides along the ref chain; each chain is resolved once.
+    chain: list[int] = []
+    for e in oriented:
+        while ref[e] is not None:
+            chain.append(e)
+            f = ref[e]
+            ref[e] = None
+            e = f
+        s = side[e]
+        while chain:
+            f = chain.pop()
+            s = side[f] = side[f] * s
+    ordered: list[list[int]] = [[] for _ in range(n)]
+    for ei in sorted(oriented, key=lambda e: side[e] * depth[e]):  # ties in orientation order
+        ordered[ends[ei] - head[ei]].append(ei)
+
+    # -- embedding.  Edge e's dart at its tail is 2e and at its head 2e + 1;
+    # cw and ccw link the darts around a vertex, and leftmost[v] is the dart
+    # networkx's get_data starts from, -1 while v has none.
+    cw = [0] * (2 * len(head))
+    ccw = [0] * (2 * len(head))
+    leftmost = [-1] * n
+
+    def after(d: int, r: int) -> None:
+        # add_half_edge(ccw=r): d just clockwise of r; leftmost stays
+        c = cw[r]
+        cw[r], ccw[d], cw[d], ccw[c] = d, r, c, d
+
+    def before(v: int, d: int, r: int) -> None:
+        # add_half_edge(cw=r): d just counter-clockwise of r, and leftmost if r was
+        c = ccw[r]
+        ccw[r], cw[d], ccw[d], cw[c] = d, r, c, d
+        if leftmost[v] == r:
+            leftmost[v] = d
+
+    for v, out in enumerate(ordered):  # each vertex's out-edges, clockwise
+        if out:
+            first = prev = 2 * out[0]
+            cw[first] = ccw[first] = first
+            leftmost[v] = first
+            for ei in out[1:]:
+                after(2 * ei, prev)
+                prev = 2 * ei
+    left_ref = [0] * n
+    right_ref = [0] * n
+    todo = [iter(out) for out in ordered]
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            for ei in todo[v]:
+                w = head[ei]
+                d = 2 * ei + 1  # the dart at w
+                if parent[w] == ei:  # tree edge: add_half_edge_first
+                    if leftmost[w] < 0:
+                        cw[d] = ccw[d] = leftmost[w] = d
+                    else:
+                        before(w, d, leftmost[w])
+                    left_ref[v] = right_ref[v] = 2 * ei
+                    stack.append(w)
+                    break
+                if side[ei] == 1:  # back edge
+                    after(d, right_ref[w])
+                else:
+                    before(w, d, left_ref[w])
+                    left_ref[w] = d
+            else:
+                stack.pop()
+
+    rotations: list[list[int]] = []
+    for v in range(n):
+        nbrs = []
+        start = d = leftmost[v]
+        if start >= 0:
+            while True:
+                nbrs.append(ends[d >> 1] - v)
+                d = cw[d]
+                if d == start:
+                    break
+        rotations.append(nbrs)
+    return rotations
+
+
+def _lr_test(n: int, edges: Collection[tuple[int, int]]) -> tuple | None:
+    """The orientation and testing phases of the left-right test; None when
+    the graph is not planar.
+
+    On a planar graph, returns what the embedding phase needs: ``(ends,
+    head, parent, depth, oriented, roots, ref, side)``, with ``side`` set to
+    -1 where networkx's ``remove_back_edges`` sets it and ``ref`` as the
+    testing phase left it.
     """
     m = len(edges)
     incident: list[list[int]] = [[] for _ in range(n)]  # edge indices at each vertex
@@ -111,6 +225,7 @@ def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
         ordered[ends[ei] - head[ei]].append(ei)
     S: list[list] = []
     ref: list[int | None] = [None] * m
+    side = [1] * m  # relative to ref: -1 where the testing phase puts an edge on the other side
     lowpt_edge: list[int | None] = [None] * m
     bottom: list[list | None] = [None] * m  # top of S when an edge is entered
 
@@ -179,18 +294,22 @@ def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
         hu = height[u]
         # drop the conflict pairs whose lowest return edge ends at u
         while S and lowest(S[-1]) == hu:
-            S.pop()
+            low = S.pop()[0]
+            if low is not None:
+                side[low] = -1
         if S:  # trim the intervals of one more pair
             p = S[-1]
             while p[1] is not None and head[p[1]] == u:
                 p[1] = ref[p[1]]
             if p[1] is None and p[0] is not None:  # just emptied
                 ref[p[0]] = p[2]
+                side[p[0]] = -1
                 p[0] = None
             while p[3] is not None and head[p[3]] == u:
                 p[3] = ref[p[3]]
             if p[3] is None and p[2] is not None:  # just emptied
                 ref[p[2]] = p[0]
+                side[p[2]] = -1
                 p[2] = None
         if lowpt[e] < hu:  # e has a return edge: ref(e) is a highest one
             hl, hr = S[-1][1], S[-1][3]
@@ -212,13 +331,13 @@ def lr_planar(n: int, edges: Collection[tuple[int, int]]) -> bool:
                 lowpt_edge[ei] = ei  # back edge
                 S.append([None, None, ei, ei])
                 if not integrate(ei, v):
-                    return False
+                    return None
             else:
                 stack.pop()
                 ei = parent[v]
                 if ei >= 0:
                     remove_back_edges(ei)
                     if not integrate(ei, ends[ei] - v):
-                        return False
-    return True
+                        return None
+    return ends, head, parent, depth, oriented, roots, ref, side
 

@@ -14,9 +14,10 @@ face) certifies that the rotation system describes a plane embedding.
 Maps are immutable values; every derived map, surgery included, is edited
 through one :class:`MapEditor` session and checked once.  Maps may contain
 parallel edges but never loops.  The derived views of a map (dart owners,
-edge darts, rotation successors, faces) are built at most once per map: the
-dart owners by the structure check that admits the map, the edge darts of a
-map of paired darts by its builder, and the rest on first use.
+edge darts, rotation successors, faces, components) are built at most once
+per map: the dart owners by the structure check that admits the map, the
+edge darts of a map of paired darts by its builder, and the rest on first
+use.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class PlaneMap:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The face walks of :func:`trace_faces`, traced once per map."""
         return trace_faces(self)
+
+    @cached_property
+    def components(self) -> dict[int, int]:
+        """Each vertex's component root, from :func:`_components`, found once per map."""
+        return _components(self)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -244,7 +250,7 @@ def euler_check(m: PlaneMap) -> EulerReport:
     V - E + F = 2, where F counts the face orbits whose darts lie in the
     component (a dartless component contributes its single surrounding face).
     """
-    roots = _components(m)
+    roots = m.components
     rotations, owner = m.rotations, m.dart_vertex
     comp_v: dict[int, int] = {}
     comp_d: dict[int, int] = {}

@@ -3,8 +3,9 @@
 ``import onecross`` loads the certifier alone (``plane_map``, ``drawing``);
 every other public name is imported from its module on first access.  A
 command loads the modules it runs: the oracle and the bounds only for their
-own commands, networkx only to embed an oracle witness.  No command loads
-numpy; the SVG layout solves its system in plain Python.
+own commands.  No command loads networkx or numpy: the oracle's planarity
+test embeds its witness itself, and the SVG layout solves its system in
+plain Python.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported all of them.
@@ -102,7 +103,7 @@ def test_an_unknown_attribute_is_an_attribute_error():
     """)
 
 
-def test_only_the_oracle_loads_networkx(tmp_path):
+def test_no_command_loads_networkx(tmp_path):
     run_fresh(f"""
         import contextlib, io, sys
 
@@ -123,7 +124,9 @@ def test_only_the_oracle_loads_networkx(tmp_path):
                              (["export", doc, "--format", "dot"], HEAVY + UNUSED),
                              (["export", doc, "--format", "svg"], HEAVY + UNUSED),
                              (["bounds", "--x", "4", "--y", "9"], HEAVY),
-                             (["table", "--xmax", "3", "--ymax", "5"], HEAVY)):
+                             (["table", "--xmax", "3", "--ymax", "5"], HEAVY),
+                             (["oracle", "--complete-bipartite", "3", "4", "--budget", "2"],
+                              HEAVY)):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
             assert loaded(absent) == [], (argv, loaded(absent))
@@ -136,7 +139,23 @@ def test_only_the_oracle_loads_networkx(tmp_path):
         res = is_one_planar(k33, 1)
         assert (res.verdict, res.crossings) == ("yes", 1)
         assert validate(res.drawing).passed
-        assert "networkx.classes" in sys.modules
+        assert "networkx.classes" not in sys.modules
+    """)
+
+
+def test_an_oracle_yes_runs_without_networkx():
+    # An import of networkx raises ImportError once its sys.modules entry is None.
+    run_fresh("""
+        import sys
+
+        sys.modules["networkx"] = None
+        from onecross.drawing import BipartiteGraph, validate
+        from onecross.oracle import is_one_planar
+        k33 = BipartiteGraph.make([0, 1, 2], [3, 4, 5],
+                                  [(b, w) for b in range(3) for w in range(3, 6)])
+        res = is_one_planar(k33, 1)
+        assert (res.verdict, res.crossings) == ("yes", 1)
+        assert validate(res.drawing).passed
     """)
 
 
@@ -158,8 +177,8 @@ def test_svg_export_runs_without_numpy(tmp_path):
 
 
 def test_an_oracle_no_does_not_load_networkx():
-    # The left-right test decides every search graph; networkx would only
-    # embed an accepted leaf, and K3,5 has none at budget 3.
+    # The left-right test decides every search graph, and K3,5 has no
+    # accepted leaf at budget 3.
     run_fresh("""
         import sys
 

@@ -35,7 +35,7 @@ from onecross.oracle import (
 )
 import onecross.oracle
 import onecross.plane_map
-from onecross.planarity import lr_planar
+from onecross.planarity import lr_embedding, lr_planar
 from onecross.plane_map import euler_check
 
 
@@ -117,11 +117,18 @@ def test_edge_bound_counts_neither_parallel_copies_nor_isolated_vertices():
     assert not k33.planar and not k33.edge_bound  # 9 <= 3 * 6 - 6: the left-right test decides
 
 
-def test_networkx_disagreeing_with_the_left_right_test_raises(monkeypatch):
-    monkeypatch.setattr(onecross.oracle.nx, "check_planarity", lambda *a, **k: (False, None))
+def test_an_embedding_failing_the_euler_audit_raises(monkeypatch):
+    embed = onecross.oracle.lr_embedding
+
+    def swapped(n, edges):
+        order = embed(n, edges)
+        order[0][:2] = order[0][1::-1]  # two neighbours of one vertex swapped
+        return order
+
     edges = list(complete(4).edges)
-    assert lr_planar(4, edges)
-    with pytest.raises(OracleError, match="left-right"):
+    assert planarity_test(edges).planar
+    monkeypatch.setattr(onecross.oracle, "lr_embedding", swapped)
+    with pytest.raises(OracleError, match="Euler audit"):
         planarity_test(edges)
 
 
@@ -220,6 +227,63 @@ def test_left_right_test_agrees_with_networkx_on_random_graphs():
 
     agree()
     assert any(above)
+
+
+def assert_embeds_as_networkx(nodes, edges, monkeypatch):
+    """Whether the multigraph is planar, after checking that ``planarity_test``
+    hands ``lr_embedding`` the graph as networkx's ``check_planarity`` copies
+    it, and that ``lr_embedding`` returns networkx's rotations there: each
+    vertex's neighbours, in order, from the same first one."""
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edge_key(u, v) for u, v in edges)
+    label = list(g)
+    index = {v: i for i, v in enumerate(label)}
+    simple = [(index[u], index[v]) for u, v in g.edges]
+    ok, embedding = nx.check_planarity(g)
+    got = lr_embedding(len(label), simple)
+    assert (got is not None) == ok == lr_planar(len(label), simple)
+    if ok:
+        assert [(label[a], [label[b] for b in nbrs]) for a, nbrs in enumerate(got)] == \
+            list(embedding.get_data().items())
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(onecross.oracle, "lr_embedding", lambda *a: calls.append(a) or lr_embedding(*a))
+        res = planarity_test(edges, nodes)
+    assert res.planar == ok
+    assert calls == ([] if res.edge_bound else [(len(label), simple)])
+    return ok
+
+
+def test_embedding_equals_networkx(monkeypatch):
+    verdicts = Counter()
+    graphs = [(g.vertices, list(g.edges)) for _, g, _ in DIFFERENTIAL]
+    graphs += [(g.vertices, list(g.edges)) for g in (complete(4), complete(5),
+                                                    complete_bipartite(3, 3))]
+    accepted = []  # the gadget graphs of the leaves the outputs corpus accepts
+    with monkeypatch.context() as m:
+        m.setattr(onecross.oracle, "planarity_test", lambda edges, nodes:
+                  accepted.append((nodes, edges)) or planarity_test(edges, nodes))
+        for graph, budget in OUTPUTS_CORPUS:
+            is_one_planar(graph, budget)
+    assert len(accepted) == 3
+    graphs += accepted
+    for nodes, edges in graphs:
+        verdicts[assert_embeds_as_networkx(nodes, edges, monkeypatch)] += 1
+    assert verdicts[True] >= 25 and verdicts[False] >= 30
+
+    # Labels, node order and edge order all shuffled; isolated vertices and
+    # several components.
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(graph=multigraphs(), seed=st.integers(0, 2**16))
+    def agree(graph, seed):
+        rng = random.Random(seed)
+        vertices, edges = graph
+        verdicts[assert_embeds_as_networkx(rng.sample(vertices, len(vertices)),
+                                           rng.sample(edges, len(edges)), monkeypatch)] += 1
+
+    agree()
+    assert verdicts[True] >= 100 and verdicts[False] >= 80
 
 
 # -- gadget ------------------------------------------------------------------
@@ -858,10 +922,9 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     planar = _Search.planar
     monkeypatch.setattr(_Search, "planar", lambda *a: calls.append(1) or planar(*a))
     nodes = record_nodes(monkeypatch)
-    nx_calls = []
-    check = onecross.oracle.nx.check_planarity
-    monkeypatch.setattr(onecross.oracle.nx, "check_planarity",
-                        lambda *a, **k: nx_calls.append(1) or check(*a, **k))
+    embeds = []
+    embed = onecross.oracle.lr_embedding
+    monkeypatch.setattr(onecross.oracle, "lr_embedding", lambda *a: embeds.append(1) or embed(*a))
     res = is_one_planar(graph, budget)
     stats = res.stats
     assert [s.size for s in stats.sizes] == list(range(budget + 1))
@@ -874,8 +937,8 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     assert sum(s.rim_cuts for s in stats.sizes) == \
         sum(len(node[2]) - len(node[-1]) for node in nodes)
     assert sum(s.planarity_calls for s in stats.sizes) == len(calls)
-    # networkx only embeds the accepted leaf: never during a "no".
-    assert len(nx_calls) == sum(s.witnesses for s in stats.sizes)
+    # Only the accepted leaf is embedded: never one during a "no".
+    assert len(embeds) == sum(s.witnesses for s in stats.sizes)
     assert res.assignments_tested == sum(s.leaves for s in stats.sizes)
     assert sum(s.witnesses for s in stats.sizes) == (res.verdict == "yes")
 
