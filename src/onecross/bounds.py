@@ -8,17 +8,15 @@ by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Literal, NamedTuple
 
 from .constructions import family_formulas
 from .drawing import DrawingError
 
 
-@dataclass(frozen=True)
-class SizeBounds:
+class SizeBounds(NamedTuple):
     """Every bound evaluation for class sizes (x, y), all recomputed."""
 
     x: int
@@ -117,8 +115,7 @@ def size_bounds(x: int, y: int) -> SizeBounds:
     )
 
 
-@dataclass(frozen=True)
-class ConjectureGap:
+class ConjectureGap(NamedTuple):
     """The open interval between construction and proof in the sparse regime."""
 
     x: int
@@ -156,8 +153,7 @@ def conjecture_gap(x: int, y: int) -> ConjectureGap:
 RatioRule = Literal["fixed", "alpha", "sqrt"]
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     y: int
     x: int
     n: int

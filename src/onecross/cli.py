@@ -16,7 +16,6 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 # bounds and the oracle are imported inside the commands that run them.
@@ -63,11 +62,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         drawing, family = best.drawing, best.family
     else:
         if args.family == "balanced" and x != y:
-            print("balanced family needs x == y", file=sys.stderr)
-            return 2
+            return _error("balanced family needs x == y")
         if args.family == "k36" and x != 3:
-            print("the k36 family fixes x = 3", file=sys.stderr)
-            return 2
+            return _error("the k36 family fixes x = 3")
         drawing = _FAMILIES[args.family](x, y)
         family = args.family
     info = {
@@ -120,16 +117,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     sb = bounds_mod.size_bounds(args.x, args.y)
     if args.json:
-        print(json.dumps(asdict(sb), sort_keys=True))
+        print(json.dumps(sb._asdict(), sort_keys=True))
     elif args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        data = asdict(sb)
+        data = sb._asdict()
         writer.writerow(data.keys())
         writer.writerow(data.values())
         sys.stdout.write(buf.getvalue())
     else:
-        for k, v in asdict(sb).items():
+        for k, v in sb._asdict().items():
             print(f"{k}={v}")
     return 0
 
@@ -184,8 +181,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     elif args.file:
         graph = load_drawing(args.file).graph
     else:
-        print("oracle needs FILE or --complete-bipartite", file=sys.stderr)
-        return 2
+        return _error("oracle needs FILE or --complete-bipartite")
     try:
         with _writing(args.checkpoint):
             res = is_one_planar(graph, args.budget, timeout=args.timeout,

@@ -22,10 +22,9 @@ All generators are pure functions of their parameters and cache no drawing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -260,8 +259,11 @@ def k36_family(y: int) -> OnePlanarDrawing:
     """Tight x = 3 family: classes (3, y), exactly 2(3 + y) edges.
 
     Realized as the x = 3 member of the unbalanced family, whose core is the
-    complete bipartite graph on 3 + 6 vertices, plus y - 6 degree-2 whites.
+    complete bipartite graph on 3 + 6 vertices, plus y - 6 degree-2 whites;
+    so y >= 6, the w3 domain y >= 6x - 12 at x = 3.
     """
+    if y < 6:
+        raise DrawingError(f"the k36 family does not apply to classes (3, {y}): it needs y >= 6")
     return w3_family(3, y)
 
 
@@ -460,8 +462,7 @@ def _complete_x3_small(y: int) -> OnePlanarDrawing:
 # -- dispatcher ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BestKnown:
+class BestKnown(NamedTuple):
     """Best construction for given class sizes, with the winning family name."""
 
     drawing: OnePlanarDrawing

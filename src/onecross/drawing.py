@@ -16,8 +16,7 @@ edit.  Independent drawings may be validated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from . import plane_map as pm
 from .plane_map import PlaneMap
@@ -51,8 +50,7 @@ def _edge_keys(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
         raise DrawingError(f"non-bipartite or non-simple graph: edge {bad} is not a vertex pair")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """A plain simple graph; the oracle certifies non-bipartite inputs too."""
 
     vertices: frozenset[int]
@@ -68,8 +66,7 @@ class Graph:
         return Graph(vs, es)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     """A simple bipartite graph with black (smaller) and white vertex classes."""
 
     black: frozenset[int]
@@ -94,8 +91,7 @@ class BipartiteGraph:
         return self.black | self.white
 
 
-@dataclass(frozen=True)
-class OnePlanarDrawing:
+class OnePlanarDrawing(NamedTuple):
     """An abstract graph, its crossing pairs, and the planified map.
 
     ``edge_paths`` realizes every graph edge as one map edge or as two map
@@ -128,8 +124,7 @@ class OnePlanarDrawing:
         return len(self.graph.edges)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Per-invariant outcome of validating a drawing."""
 
     passed: bool

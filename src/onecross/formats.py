@@ -45,30 +45,27 @@ def drawing_to_document(d: OnePlanarDrawing,
     m = d.planified
     false_to_cross = {w: tuple(sorted((eidx[e], eidx[f])))
                       for w, (e, f) in d.false_vertices.items()}
-    seg_owner: dict[int, tuple[int, int]] = {}
+    # Each dart's rotation entry [edge index, half].  An uncrossed edge's
+    # dart names the end it points to.  Both darts of a segment of a crossed
+    # edge name the segment's true end: seen from the crossing that is the
+    # end it points to, and at the true endpoint it is the vertex itself.
+    owner, edge_darts = m.dart_vertex, m.edge_darts
+    entry: dict[int, list[int]] = {}
     for e, path in d.edge_paths.items():
+        ei = eidx[e]
         if len(path) == 1:
-            seg_owner[path[0]] = (eidx[e], -1)
+            d0, d1 = edge_darts[path[0]]
+            entry[d0] = [ei, e.index(owner[d1])]
+            entry[d1] = [ei, e.index(owner[d0])]
         else:
             for me in path:
-                ends = set(m.edge_endpoints(me))
-                true_end = (ends & set(e)).pop()
-                seg_owner[me] = (eidx[e], e.index(true_end))
+                d0, d1 = edge_darts[me]
+                half = e.index(owner[d0] if owner[d0] in e else owner[d1])
+                entry[d0] = [ei, half]
+                entry[d1] = [ei, half]
 
     def rotation_entries(v: int) -> list[list[int]]:
-        out = []
-        for dart in m.rotations[v]:
-            me = m.dart_edge[dart]
-            ei, half = seg_owner[me]
-            if half == -1:
-                other = m.dart_vertex[m.opposite[dart]]
-                half = edges[ei].index(other)
-            elif v not in false_to_cross:
-                # At a true endpoint the segment points back to the crossing;
-                # record the end the vertex itself occupies.
-                half = edges[ei].index(v)
-            out.append([ei, half])
-        return out
+        return [entry[dart] for dart in m.rotations[v]]
 
     doc: dict[str, Any] = {"format_version": FORMAT_VERSION}
     if isinstance(d.graph, BipartiteGraph):

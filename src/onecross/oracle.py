@@ -73,10 +73,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import ModuleType
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -121,8 +120,7 @@ class OracleError(ValueError):
     """Raised for invalid oracle inputs or internal contradictions."""
 
 
-@dataclass(frozen=True)
-class PlanarityResult:
+class PlanarityResult(NamedTuple):
     planar: bool
     witness: PlaneMap | None
     edge_bound: bool = False  # rejected by the edge bound, before the left-right test
@@ -186,8 +184,7 @@ def planarity_test(edges: Sequence[tuple[int, int]],
     return PlanarityResult(True, witness)
 
 
-@dataclass(frozen=True)
-class GadgetGraph:
+class GadgetGraph(NamedTuple):
     """Planarization of a graph under a crossing assignment."""
 
     edges: tuple[tuple[int, int], ...]
@@ -242,33 +239,63 @@ def gadget_planarize(graph: Graph | BipartiteGraph,
     return GadgetGraph(tuple(out), kept, spokes, tuple(rims), false_nodes)
 
 
-@dataclass
-class SizeStats:
+class _Counters:
+    """A mutable record whose ``_fields`` are its ``__slots__``, in order.
+
+    ``_fields`` and ``_asdict`` read as a ``NamedTuple``'s do; two records
+    are equal when their classes and fields are.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class SizeStats(_Counters):
     """What the search did at one assignment size."""
 
-    size: int
-    skipped: bool = False     # below the counting bound: nothing of this size was tried
-    leaves: int = 0           # full assignments sent to the planarity test
-    planarity_calls: int = 0  # one per leaf
-    planarity_s: float = 0.0
-    witnesses: int = 0        # planar leaves converted into certified drawings
-    nodes: int = 0            # inner nodes expanded, the root included
-    rim_cuts: int = 0         # allowed pairs the rim bound dropped, each a subtree cut
+    __slots__ = _fields = ("size", "skipped", "leaves", "planarity_calls", "planarity_s",
+                           "witnesses", "nodes", "rim_cuts")
+
+    def __init__(self, size: int, skipped: bool = False, leaves: int = 0,
+                 planarity_calls: int = 0, planarity_s: float = 0.0, witnesses: int = 0,
+                 nodes: int = 0, rim_cuts: int = 0) -> None:
+        self.size = size
+        self.skipped = skipped  # below the counting bound: nothing of this size was tried
+        self.leaves = leaves  # full assignments sent to the planarity test
+        self.planarity_calls = planarity_calls  # one per leaf
+        self.planarity_s = planarity_s
+        self.witnesses = witnesses  # planar leaves converted into certified drawings
+        self.nodes = nodes  # inner nodes expanded, the root included
+        self.rim_cuts = rim_cuts  # allowed pairs the rim bound dropped, each a subtree cut
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Counters):
     """Per-size counters of one :func:`is_one_planar` run."""
 
-    lower_bound: int  # the counting bound on the number of crossings
-    sizes: list[SizeStats] = field(default_factory=list)
+    __slots__ = _fields = ("lower_bound", "sizes")
+
+    def __init__(self, lower_bound: int, sizes: list[SizeStats] | None = None) -> None:
+        self.lower_bound = lower_bound  # the counting bound on the number of crossings
+        self.sizes = [] if sizes is None else sizes
 
     def to_json(self) -> dict:
-        return {"lower_bound": self.lower_bound, "sizes": [asdict(s) for s in self.sizes]}
+        return {"lower_bound": self.lower_bound, "sizes": [s._asdict() for s in self.sizes]}
 
 
-@dataclass(frozen=True)
-class OneplanarResult:
+class OneplanarResult(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     drawing: OnePlanarDrawing | None
     crossings: int | None

@@ -22,17 +22,15 @@ use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class MapError(ValueError):
     """Raised when map data violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     """Outcome of an Euler-formula planarity check."""
 
     planar: bool
@@ -42,7 +40,6 @@ class EulerReport:
     components: int
 
 
-@dataclass(frozen=True)
 class PlaneMap:
     """An embedded multigraph given by vertex rotations and a dart pairing.
 
@@ -50,11 +47,38 @@ class PlaneMap:
     ``opposite`` pairs the two darts of each edge, and ``dart_edge`` names the
     edge owning each dart.  Instances should be built via :func:`build_map`
     or the operations in this module, which validate all invariants.
+
+    A plain class rather than a tuple, because the cached views below live
+    in the instance ``__dict__``.  Its fields cannot be reassigned, two maps
+    are equal when their fields are, and a map is unhashable.
     """
 
+    _fields = ("rotations", "opposite", "dart_edge")
     rotations: dict[int, tuple[int, ...]]
     opposite: dict[int, int]
     dart_edge: dict[int, int]
+
+    def __init__(self, rotations: dict[int, tuple[int, ...]], opposite: dict[int, int],
+                 dart_edge: dict[int, int]) -> None:
+        vars(self).update(rotations=rotations, opposite=opposite, dart_edge=dart_edge)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable PlaneMap")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable PlaneMap")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rotations == other.rotations and self.opposite == other.opposite
+                and self.dart_edge == other.dart_edge)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"PlaneMap(rotations={self.rotations!r}, opposite={self.opposite!r}, "
+                f"dart_edge={self.dart_edge!r})")
 
     # -- derived views -----------------------------------------------------
 

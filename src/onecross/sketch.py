@@ -19,8 +19,7 @@ edges, in splice order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .plane_map import PlaneMap, euler_check, map_from_rotation_lists, trace_faces
 
@@ -65,8 +64,7 @@ def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
     return None
 
 
-@dataclass(frozen=True)
-class CompiledSketch:
+class CompiledSketch(NamedTuple):
     """Combinatorial content of a verified sketch.
 
     Rotations list, for every planified vertex, the cyclic sequence of its
@@ -215,4 +213,4 @@ def _with_corner_wedges(c: CompiledSketch, boundary_keys: set[EdgeKey],
         if rot[ip - 1] != inner_order[(i + 1) % k]:
             raise SketchError(f"interior edges on both sides of corner {x}")
         wedges[x] = (rot[ip + 1:] + rot[:ip])[:-1]
-    return replace(c, corners=inner_order, corner_wedges=wedges)
+    return c._replace(corners=inner_order, corner_wedges=wedges)

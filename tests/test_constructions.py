@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -224,7 +223,8 @@ def test_near_balanced_rejects_x3():
 
 
 def test_k36_rejects_small_y():
-    with pytest.raises(DrawingError):
+    with pytest.raises(DrawingError, match=r"^the k36 family does not apply to classes "
+                                           r"\(3, 5\): it needs y >= 6$"):
         k36_family(5)
 
 
@@ -397,7 +397,7 @@ def test_w3_family_certifies_once(calls, make):
 
 def test_validate_traces_a_fresh_map_once(calls):
     d = w3_family(4, 12)
-    fresh = dataclasses.replace(d, planified=onecross.plane_map.MapEditor(d.planified).finish())
+    fresh = d._replace(planified=onecross.plane_map.MapEditor(d.planified).finish())
     calls.update(validate=0, trace_faces=0)
     assert onecross.drawing.validate(fresh).passed
     assert (calls["validate"], calls["trace_faces"]) == (1, 1)

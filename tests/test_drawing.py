@@ -221,8 +221,6 @@ def test_map_edge_budget_invariant():
 
 def _field_mutations():
     """Corruptions of small drawings, each with the failures ``validate`` reports."""
-    from dataclasses import replace
-
     from onecross.plane_map import MapEditor, _make
 
     d = one_crossing_drawing()
@@ -230,19 +228,19 @@ def _field_mutations():
     cases = {}
 
     cases["crossing dropped while the false vertex stays"] = (
-        replace(d, crossings=frozenset()),
+        d._replace(crossings=frozenset()),
         ("path/edge mismatch: false vertices do not enumerate crossings",))
 
     rot = dict(d.planified.rotations)
     rot[4] = (rot[4][1], rot[4][0], rot[4][2], rot[4][3])
     cases["non-alternating rotation at the false vertex"] = (
-        replace(d, planified=_make(rot, d.planified.opposite, d.planified.dart_edge)),
+        d._replace(planified=_make(rot, d.planified.opposite, d.planified.dart_edge)),
         ("non-alternating rotation at false vertex 4",))
 
     paths = dict(d.edge_paths)
     del paths[(0, 1)]
     cases["edge path removed"] = (
-        replace(d, edge_paths=paths),
+        d._replace(edge_paths=paths),
         ("path/edge mismatch: edge_paths keys differ from graph edges",
          "path/edge mismatch: planified map has unused edges",
          "non-alternating rotation at false vertex 4"))
@@ -250,14 +248,14 @@ def _field_mutations():
     paths = dict(d.edge_paths)
     paths[(0, 1)] = (paths[(2, 3)][0], paths[(0, 1)][1])
     cases["path pointing at the wrong map edge"] = (
-        replace(d, edge_paths=paths),
+        d._replace(edge_paths=paths),
         ("path/edge mismatch: segments of (0, 1) do not chain",
          "path/edge mismatch: map edge 2 reused",
          "path/edge mismatch: planified map has unused edges",
          "non-alternating rotation at false vertex 4"))
 
     cases["graph edge missing entirely"] = (
-        replace(d, graph=BipartiteGraph(g.black, g.white, g.edges - {(0, 1)})),
+        d._replace(graph=BipartiteGraph(g.black, g.white, g.edges - {(0, 1)})),
         ("path/edge mismatch: crossing names unknown edge (0, 1)",
          "path/edge mismatch: edge_paths keys differ from graph edges"))
 
@@ -265,7 +263,7 @@ def _field_mutations():
     for v, dart in zip((0, 2), ed.new_edge()):
         ed.insert_darts(v, len(ed.rotations[v]), [dart])
     cases["stray planified edge nothing refers to"] = (
-        replace(d, planified=ed.finish()),
+        d._replace(planified=ed.finish()),
         ("path/edge mismatch: planified map has unused edges",))
 
     # Edges 0-1 and 0-3 cross at false vertex 4, whose two segments to 0
@@ -306,7 +304,7 @@ def _field_mutations():
     for v, pos, dart in zip((0, 1), (1, 0), ed.new_edge()):
         ed.insert_darts(v, pos, [dart])  # beside the path edge 0-1, bounding a digon
     cases["unused map edge parallel to a path"] = (
-        replace(c4, planified=ed.finish()),
+        c4._replace(planified=ed.finish()),
         ("path/edge mismatch: planified map has unused edges",))
     return cases
 

@@ -183,6 +183,20 @@ def test_cli_construct_families(tmp_path, capsys):
         assert json.loads(out)["family"] == fam
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--x", "3", "--y", "4", "--family", "balanced"],
+     "balanced family needs x == y"),
+    (["construct", "--x", "4", "--y", "9", "--family", "k36"],
+     "the k36 family fixes x = 3"),
+    (["construct", "--x", "3", "--y", "5", "--family", "k36"],
+     "the k36 family does not apply to classes (3, 5): it needs y >= 6"),
+    (["oracle"], "oracle needs FILE or --complete-bipartite"),
+], ids=["balanced-unequal", "k36-x-not-3", "k36-small-y", "oracle-no-graph"])
+def test_cli_input_errors_print_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_verify_rejects_corrupt(tmp_path, capsys):
     out_file = tmp_path / "d.json"
     assert run(["construct", "--x", "2", "--y", "2", "--out", str(out_file)], capsys)[0] == 0

@@ -5,7 +5,7 @@ every other public name is imported from its module on first access.  A
 command loads the modules it runs: the oracle and the bounds only for their
 own commands.  No command loads networkx or numpy: the oracle's planarity
 test embeds its witness itself, and the SVG layout solves its system in
-plain Python.
+plain Python.  Nothing loads ``dataclasses`` (and with it ``inspect``).
 
 Each check runs in a fresh interpreter, because this test process has
 already imported all of them.
@@ -56,6 +56,35 @@ def test_importing_the_package_loads_only_the_certifier():
                             "planarity", "cli") if f"onecross.{m}" in sys.modules]
         assert lazy == [], lazy
         assert "onecross.drawing" in sys.modules
+    """)
+
+
+def test_no_import_or_command_loads_dataclasses(tmp_path):
+    # The records are NamedTuples and plain classes; dataclasses would also
+    # load inspect, which costs about as much again.
+    run_fresh(f"""
+        import contextlib, io, sys
+
+        SLOW = ("dataclasses", "inspect")
+
+        def loaded():
+            return [m for m in SLOW if m in sys.modules]
+
+        import onecross
+        assert loaded() == [], loaded()
+        from onecross.cli import main
+
+        doc = {str(tmp_path / "d.json")!r}
+        for argv in (["construct", "--x", "4", "--y", "9", "--out", doc],
+                     ["verify", doc],
+                     ["export", doc, "--format", "dot"],
+                     ["export", doc, "--format", "svg"],
+                     ["bounds", "--x", "4", "--y", "9"],
+                     ["table", "--xmax", "3", "--ymax", "5"],
+                     ["oracle", "--complete-bipartite", "3", "4", "--budget", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert loaded() == [], (argv, loaded())
     """)
 
 
