@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Run the oracle searches of ROADMAP.md's "Oracle at HEAD" table.
+
+    python3 scripts/oracle_table.py
+
+prints one Markdown row per search: its verdict, least crossing number,
+the nodes it expanded, the leaves it tested and its wall seconds.  All ten
+searches take about 15 s on a 2-CPU host.  The script is opt-in: neither
+the tests nor the benchmark run it.  The last four searches answer "no" by
+Zarankiewicz's crossing number, so their verdicts do not rest on the
+oracle.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from onecross.constructions import best_known  # noqa: E402
+from onecross.drawing import BipartiteGraph  # noqa: E402
+from onecross.oracle import is_one_planar  # noqa: E402
+
+
+def complete_bipartite(a: int, b: int, missing: tuple = ()) -> BipartiteGraph:
+    """K_{a,b} on blacks 0..a-1 and whites a..a+b-1, less the ``missing`` edges."""
+    edges = [(u, w) for u in range(a) for w in range(a, a + b) if (u, w) not in missing]
+    return BipartiteGraph.make(range(a), range(a, a + b), edges)
+
+
+def searches() -> list[tuple[str, BipartiteGraph, int]]:
+    return [
+        ("K3,7 at budget 6", complete_bipartite(3, 7), 6),
+        ("`best_known(4, 6)` at 6", best_known(4, 6).drawing.graph, 6),
+        ("K4,6 less two edges sharing a white vertex, at 8",
+         complete_bipartite(4, 6, ((0, 4), (1, 4))), 8),
+        ("K4,6 less two edges sharing a black vertex, at 8",
+         complete_bipartite(4, 6, ((0, 4), (0, 5))), 8),
+        ("K4,6 less two disjoint edges, at 8", complete_bipartite(4, 6, ((0, 4), (1, 5))), 8),
+        ("`best_known(5, 5)` at 6", best_known(5, 5).drawing.graph, 6),
+        ("K3,8 at 8", complete_bipartite(3, 8), 8),
+        ("K5,5 at 10", complete_bipartite(5, 5), 10),
+        ("K3,8 at 11", complete_bipartite(3, 8), 11),
+        ("K3,9 at 11", complete_bipartite(3, 9), 11),
+    ]
+
+
+def main() -> None:
+    print("| search | verdict | nodes | leaves | s |")
+    print("|---|---|---|---|---|")
+    for name, graph, budget in searches():
+        start = time.perf_counter()
+        res = is_one_planar(graph, budget)
+        seconds = time.perf_counter() - start
+        verdict = res.verdict if res.crossings is None else f"{res.verdict}, {res.crossings}"
+        nodes = sum(s.nodes for s in res.stats.sizes)
+        leaves = sum(s.leaves for s in res.stats.sizes)
+        print(f"| {name} | {verdict} | {nodes:,} | {leaves:,} | {seconds:.2f} |", flush=True)
+
+
+if __name__ == "__main__":
+    main()

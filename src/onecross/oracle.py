@@ -10,7 +10,7 @@ planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
 
-Three pruning rules keep that exhaustive; each is proved where it is coded:
+Four pruning rules keep that exhaustive; each is proved where it is coded:
 
 - counting bound (``_counting_bound``): deleting one edge per crossing
   leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
@@ -20,11 +20,12 @@ Three pruning rules keep that exhaustive; each is proved where it is coded:
 - twin symmetry (``_twin_classes``, ``_Search.orbits``, ``_Search.expand``):
   permuting vertices with equal open or closed neighbourhoods is an
   automorphism, so each node branches only on one representative pair per
-  orbit of the twin group fixing the chosen endpoints.  A node's orbits are
-  branched on smallest first, then by the sorted class sizes of the
-  representative's endpoints, then by least pair: the order depends on the
-  vertex labels only to break ties, and the large orbits, branched last,
-  are left with few pairs below them;
+  orbit of its group: the twin group fixing the chosen endpoints, extended
+  by the pair swaps below.  A node's orbits are branched on smallest
+  first, then by the sorted class sizes of the representative's endpoints,
+  then by least pair: the order depends on the vertex labels only to break
+  ties, and the large orbits, branched last, are left with few pairs below
+  them;
 - rim bound (``_Search.viable``): a leaf's gadget graph has more than
   3N - 6 edges exactly when its chosen pairs have more than
   3n' - 6 - |E| + s rims (4-cycle edges of the gadgets that are not
@@ -32,10 +33,15 @@ Three pruning rules keep that exhaustive; each is proved where it is coded:
   every node drops from its allowed set each pair that would take it over,
   before its orbits are numbered.  Whole orbits go, and the leaves left
   are those within the edge bound.  ``_Search.branch`` carries the count
-  down incrementally.
+  down incrementally;
+- pair swaps (``_Search.stabilizer``): a child's group keeps the
+  permutations of the node's group that map its chosen pair (ab, cd) onto
+  itself without fixing its endpoints, such as (a c)(b d) when a, c and
+  b, d are twins, and ``orbits`` merges the twin orbits that they
+  exchange, so the search stops visiting mirrored children.
 
 So only leaves are tested, and most subtrees end by counting alone: K3,7
-at budget 6 is a ``no`` after 1,992 nodes and 93 leaf tests.
+at budget 6 is a ``no`` after 1,244 nodes and 68 leaf tests.
 
 The search works on integers throughout.  A vertex is named by its
 position in sorted order and the hub of the i-th chosen pair by n + i, so
@@ -266,17 +272,16 @@ class _Counters:
 class SizeStats(_Counters):
     """What the search did at one assignment size."""
 
-    __slots__ = _fields = ("size", "skipped", "leaves", "planarity_calls", "planarity_s",
-                           "witnesses", "nodes", "rim_cuts")
+    __slots__ = _fields = ("size", "skipped", "leaves", "planarity_s", "witnesses", "nodes",
+                           "rim_cuts")
 
     def __init__(self, size: int, skipped: bool = False, leaves: int = 0,
-                 planarity_calls: int = 0, planarity_s: float = 0.0, witnesses: int = 0,
-                 nodes: int = 0, rim_cuts: int = 0) -> None:
+                 planarity_s: float = 0.0, witnesses: int = 0, nodes: int = 0,
+                 rim_cuts: int = 0) -> None:
         self.size = size
         self.skipped = skipped  # below the counting bound: nothing of this size was tried
-        self.leaves = leaves  # full assignments sent to the planarity test
-        self.planarity_calls = planarity_calls  # one per leaf
-        self.planarity_s = planarity_s
+        self.leaves = leaves  # full assignments sent to the planarity test, one call each
+        self.planarity_s = planarity_s  # the time of those calls
         self.witnesses = witnesses  # planar leaves converted into certified drawings
         self.nodes = nodes  # inner nodes expanded, the root included
         self.rim_cuts = rim_cuts  # allowed pairs the rim bound dropped, each a subtree cut
@@ -378,16 +383,7 @@ def _witness(graph: Graph | BipartiteGraph,
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
 # indexes other subtrees, so it must not be resumed.
-RULES = ("count", "twins", "small-orbits-first", "rims")
-
-
-def _candidate_pairs(edges: list[Edge]) -> list[tuple[Edge, Edge]]:
-    out = []
-    for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
-            if not set(e) & set(f):
-                out.append((e, f))
-    return out
+RULES = ("count", "twins", "small-orbits-first", "rims", "pair-swaps")
 
 
 def _counting_bound(graph: Graph | BipartiteGraph) -> int:
@@ -447,9 +443,11 @@ class _Search:
 
     A node is a list of chosen pair indices, in the order chosen (orbit
     order, not index order), the pair indices still allowed below it
-    (increasing), and a twin partition ``cls``: a class number per vertex,
-    in sorted vertex order, whose group of permutations inside the classes
-    fixes every chosen endpoint.  Vertices are named by that position, 0 to
+    (increasing), and its group: a twin partition ``cls``, a class number
+    per vertex, in sorted vertex order, whose permutations inside the
+    classes fix every chosen endpoint, and ``swaps``, permutations of the
+    chosen endpoints that map every chosen pair onto itself
+    (``stabilizer``).  Vertices are named by that position, 0 to
     n - 1, and the hub of the i-th chosen pair by n + i: a leaf's gadget
     graph is a set of such pairs (``gadget``).  The search returns the
     labelled pairs of the first leaf that tests planar, for ``_witness`` to
@@ -462,38 +460,48 @@ class _Search:
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
         self.graph = graph
         self.deadline = deadline
-        self.edges = sorted(graph.edges)
-        self.pairs = _candidate_pairs(self.edges)
-        edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.pair_edges = [(edge_index[e], edge_index[f]) for e, f in self.pairs]
+        self.edges = edges = sorted(graph.edges)
         position = {v: i for i, v in enumerate(sorted(graph.vertices))}
-        self.n = len(position)
-        self.edge_ends = [(position[u], position[v]) for u, v in self.edges]  # u < v
-        self.pair_ends = [tuple(position[v] for v in e + f) for e, f in self.pairs]
-        self.meets: list[set[int]] = [set() for _ in self.edges]  # the pairs containing each edge
-        for p, (e, f) in enumerate(self.pair_edges):
-            self.meets[e].add(p)
-            self.meets[f].add(p)
-        self.classes = _twin_classes(graph)
-        self.stats = SizeStats(0)
-        # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as (u, v), u < v.
-        self.rim_ends = [tuple((u, v) if u < v else (v, u)
-                               for u, v in ((a, c), (c, b), (b, d), (d, a)))
-                         for a, b, c, d in self.pair_ends]
+        self.n = n = len(position)
+        self.edge_ends = ends = [(position[u], position[v]) for u, v in edges]  # u < v
         # For ``viable``, edges and rims are also named by one number:
         # u * n + v for the vertex positions u < v they join.
-        n = self.n
-        self.edge_rim = [u * n + v for u, v in self.edge_ends]
-        self.pair_rims = [tuple(u * n + v for u, v in rims) for rims in self.rim_ends]
+        self.edge_rim = edge_rim = [u * n + v for u, v in ends]
+        self.pairs: list[tuple[Edge, Edge]] = []  # (e, f), e before f, with no common end
+        self.pair_edges: list[tuple[int, int]] = []  # the indices of each pair's edges
+        self.pair_ends: list[tuple[int, int, int, int]] = []  # a, b, c, d of each (ab, cd)
+        # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as (u, v), u < v.
+        self.rim_ends: list[tuple[tuple[int, int], ...]] = []
+        self.pair_rims: list[tuple[int, ...]] = []  # the same rims as numbers
         # What choosing each pair can add to R: its two edges, then its rims.
-        self.pair_keys = [(self.edge_rim[e], self.edge_rim[f], *rims)
-                          for (e, f), rims in zip(self.pair_edges, self.pair_rims)]
+        self.pair_keys: list[tuple[int, ...]] = []
+        self.meets: list[set[int]] = [set() for _ in edges]  # the pairs containing each edge
+        # Edges are sorted, so in a pair (ab, cd) of ends with no common
+        # vertex a < c < d: the rims a-c and d-a need no ordering.
+        for i, (a, b) in enumerate(ends):
+            for j in range(i + 1, len(ends)):
+                c, d = ends[j]
+                if c == b or d == b or c == a:
+                    continue
+                cb = (c, b) if c < b else (b, c)
+                bd = (b, d) if b < d else (d, b)
+                rims = (a * n + c, cb[0] * n + cb[1], bd[0] * n + bd[1], a * n + d)
+                self.meets[i].add(len(self.pairs))
+                self.meets[j].add(len(self.pairs))
+                self.pairs.append((edges[i], edges[j]))
+                self.pair_edges.append((i, j))
+                self.pair_ends.append((a, b, c, d))
+                self.rim_ends.append(((a, c), cb, bd, (a, d)))
+                self.pair_rims.append(rims)
+                self.pair_keys.append((edge_rim[i], edge_rim[j], *rims))
+        self.classes = _twin_classes(graph)
+        self.stats = SizeStats(0)
         self.rim_count = [0] * (n * n)     # chosen pairs having each rim
         self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
-        for k in self.edge_rim:
+        for k in edge_rim:
             self.uncrossed[k] = 1
-        touched = len({v for e in self.edges for v in e})
-        self.rim_room = 3 * touched - 6 - len(self.edges)
+        touched = len({v for e in edges for v in e})
+        self.rim_room = 3 * touched - 6 - len(edges)
 
     def gadget(self, chosen: list[int]) -> set[tuple[int, int]]:
         """The simple edge set of the gadget graph of ``chosen``, on vertex
@@ -522,7 +530,6 @@ class _Search:
         t = time.perf_counter()
         planar = lr_planar(self.n + hubs, simple)
         self.stats.planarity_s += time.perf_counter() - t
-        self.stats.planarity_calls += 1
         return planar
 
     def viable(self, chosen: list[int], allowed: Sequence[int], left: int,
@@ -572,19 +579,34 @@ class _Search:
         self.stats.rim_cuts += len(allowed) - len(kept)
         return kept
 
-    def orbits(self, allowed: Sequence[int], cls: list[int]) -> tuple[list[int], list[int]]:
-        """The orbit number of each allowed pair, and each orbit's representative.
+    def orbits(self, allowed: Sequence[int], cls: list[int],
+               swaps: Sequence[dict[int, int]] = ()) -> tuple[list[int], list[int]]:
+        """The orbit number of each allowed pair, and each orbit's
+        representative, under the node's group: the permutations inside the
+        classes of ``cls``, extended by ``swaps`` (see ``stabilizer``).
 
         Lemma (twin orbits).  Under the permutations inside the classes of
         ``cls``, two candidate pairs lie in one orbit exactly when they have
         the same key: the multiset, over the pair's two edges, of the
         multiset of the edge's endpoint classes.  Equal keys give a
         class-preserving matching of the four endpoints, which are distinct,
-        and such a map extends to a permutation inside every class.  Each
-        orbit's representative is its least pair.
+        and such a map extends to a permutation inside every class.
+
+        Lemma (swap orbits).  A swap moves only vertices in classes of their
+        own, onto such vertices, so it maps every class onto a class: it
+        normalises the group of the classes, and maps the twin orbit of a
+        key onto the twin orbit of that key with its class names renamed by
+        the swap.  So the node's group is the group of the classes times
+        the group of the swaps, and its orbits are the unions of twin
+        orbits that the swaps join: union-find over the keys, joining each
+        key k to s(k) for every swap s.  ``allowed`` is invariant under the
+        group, so s(k) is the key of an allowed pair.  Each orbit's
+        representative is its least pair.
 
         Orbits are numbered in increasing order of (orbit size, the sorted
         class sizes of the representative's four endpoints, least pair).
+        A swap maps classes of one vertex onto classes of one vertex, so
+        the twin orbits it joins have the same class sizes.
         Orbit branching holds for any fixed total order of a node's orbits;
         this one puts the small orbits first, so that the large ones, which
         ``branch`` may only combine with orbits numbered after them, have
@@ -601,7 +623,32 @@ class _Search:
             key = (e, f) if e <= f else (f, e)
             members.setdefault(key, []).append(p)
             keys.append(key)
-        size = [0] * (2 * len(cls))  # class names run below 2n (see ``branch``)
+        if swaps:
+            root = {k: k for k in members}
+
+            def find(k: tuple) -> tuple:
+                while root[k] != k:
+                    k = root[k]
+                return k
+
+            for swap in swaps:
+                get = swap.get
+                for key in members:
+                    (a, b), (c, d) = key
+                    a, b, c, d = get(a, a), get(b, b), get(c, c), get(d, d)
+                    e = (a, b) if a <= b else (b, a)
+                    f = (c, d) if c <= d else (d, c)
+                    u, v = find(key), find((e, f) if e <= f else (f, e))
+                    if u != v:
+                        root[v] = u
+            top = {k: find(k) for k in members}
+            joined: dict[tuple, list[int]] = {}
+            for key, pairs in members.items():
+                joined.setdefault(top[key], []).extend(pairs)
+            for pairs in joined.values():
+                pairs.sort()
+            members, keys = joined, [top[k] for k in keys]
+        size = [0] * (2 * len(cls))  # class names run below 2n (see ``stabilizer``)
         for c in cls:
             size[c] += 1
         ranked = sorted(members, key=lambda k: (
@@ -611,38 +658,45 @@ class _Search:
         return [number[k] for k in keys], [members[k][0] for k in ranked]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
-               left: int, rims: int) -> list[Crossing] | None:
-        """Choose ``left`` more pairs below a node with ``rims`` rims: the
-        pairs of a planar leaf, or None.
+               swaps: Sequence[dict[int, int]], left: int, rims: int) -> list[Crossing] | None:
+        """Choose ``left`` more pairs below the node ``chosen``, which has
+        ``rims`` rims and was entered by choosing its last pair at a node
+        whose group is given by ``cls`` and ``swaps``: the pairs of a
+        planar leaf, or None.
 
-        Lemma (orbit branching).  Let H, the group of ``cls``, fix every
-        chosen endpoint and leave ``allowed`` invariant, and number H's
-        orbits on ``allowed`` in any fixed total order (``orbits`` gives
-        the one used).  Every set S of ``left`` edge-disjoint allowed pairs
-        has an image under H that the search visits.  Let j be the orbit
-        meeting S that comes first in that order, and h in H map S's pair
-        in orbit j onto r_j.  h(S) contains r_j, its other pairs lie in
-        orbits numbered >= j and share no edge with r_j, so they are
-        allowed in r_j's child; the child's group, H's pointwise stabiliser
-        of r_j's endpoints, fixes r_j and keeps every H-orbit, so it leaves
-        that set invariant; and induction covers h(S) minus r_j.  h fixes
-        the chosen pairs, so the image is an assignment of the same graph,
-        with a planar gadget exactly when S has one.
+        Lemma (orbit branching).  Let H, the node's group (``stabilizer``),
+        map every chosen pair onto itself and leave ``allowed`` invariant,
+        and number H's orbits on ``allowed`` in any fixed total order
+        (``orbits`` gives the one used).  Every set S of ``left``
+        edge-disjoint allowed pairs has an image under H that the search
+        visits.  Let j be the orbit meeting S that comes first in that
+        order, and h in H map S's pair in orbit j onto r_j.  h(S) contains
+        r_j, its other pairs lie in orbits numbered >= j and share no edge
+        with r_j, so they are allowed in r_j's child (``branch``); the
+        child's group is a subgroup of H that maps r_j and every chosen pair
+        onto itself and leaves that set invariant (``stabilizer``); and
+        induction covers h(S) minus r_j.  h maps the chosen pairs onto
+        themselves, so the image is an assignment of the same graph, with a
+        planar gadget exactly when S has one.  The group is built only at
+        nodes that the rim bound leaves enough pairs to branch on.
         """
         allowed = self.viable(chosen, allowed, left, rims)
         if len(allowed) < left:
             return None
-        labels, reps = self.orbits(allowed, cls)
+        cls, swaps = self.stabilizer(cls, swaps, chosen[-1])
+        labels, reps = self.orbits(allowed, cls, swaps)
         for j, r in enumerate(reps):
-            found = self.branch(chosen, allowed, labels, cls, j, r, left, rims)
+            found = self.branch(chosen, allowed, labels, cls, swaps, j, r, left, rims)
             if found is not None:
                 return found
         return None
 
     def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
-               cls: list[int], j: int, r: int, left: int, rims: int) -> list[Crossing] | None:
+               cls: list[int], swaps: Sequence[dict[int, int]], j: int, r: int, left: int,
+               rims: int) -> list[Crossing] | None:
         """Choose ``r``, the representative of orbit ``j``, below a node
-        whose chosen pairs have ``rims`` rims; search below it."""
+        whose group is given by ``cls`` and ``swaps`` and whose chosen pairs
+        have ``rims`` rims; search below it."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfTime
         chosen = chosen + [r]
@@ -651,10 +705,6 @@ class _Search:
         e, f = self.pair_edges[r]
         clash = self.meets[e] | self.meets[f]
         below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
-        n = len(cls)
-        fixed = list(cls)
-        for v in self.pair_ends[r]:
-            fixed[v] = n + v  # a class of its own: class names below n are taken
         count, uncrossed = self.rim_count, self.uncrossed
         # The two edges r crosses leave the uncrossed edges: a rim on
         # either starts to count.  Then r's own rims, none of which is e
@@ -666,11 +716,66 @@ class _Search:
             count[k] += 1
             rims += count[k] == 1 and not uncrossed[k]
         try:
-            return self.expand(chosen, below, fixed, left - 1, rims)
+            return self.expand(chosen, below, cls, swaps, left - 1, rims)
         finally:
             for k in self.pair_rims[r]:
                 count[k] -= 1
             uncrossed[self.edge_rim[e]] = uncrossed[self.edge_rim[f]] = 1
+
+    def stabilizer(self, cls: list[int], swaps: Sequence[dict[int, int]],
+                   r: int) -> tuple[list[int], list[dict[int, int]]]:
+        """The group of the child that chooses ``r`` at a node whose group
+        is given by ``cls`` and ``swaps``, as its classes and its swaps.
+
+        Lemma (pair swaps).  Let r = (ab, cd), and let H be the node's
+        group.  Below r, a, b, c and d get classes of their own, the class
+        of v named n + v, and a swap is an involution of such names: it
+        stands for the vertex permutation moving v to w when it maps n + v
+        to n + w.  The child's group K is generated by the permutations
+        inside the new classes and by the child's swaps: each of
+        (a c)(b d), (a d)(b c), (a b) and (c d) that maps every vertex to
+        one of its class in ``cls`` (these generate every class-preserving
+        permutation of a, b, c and d that maps r onto itself), and each
+        swap of the node that maps r onto itself.  K is a child's group as
+        ``expand`` needs it:
+        - K lies in H: a class-preserving permutation is in the group of
+          ``cls``, and the carried swaps are H's;
+        - K maps r and every earlier chosen pair onto itself: a new swap
+          moves only endpoints of r that share a class with another vertex,
+          which no chosen endpoint does, and a carried swap mapped the
+          earlier pairs onto themselves at the node;
+        - so K leaves the child's allowed pairs invariant: it keeps every
+          H-orbit, and maps the pairs sharing an edge with r onto such
+          pairs;
+        - every swap moves only vertices in classes of their own onto such
+          vertices, as ``orbits`` needs: a new swap's vertices are split off
+          here, and a carried swap's were at the node.
+        The root has no swaps, so its orbits, which checkpoints count, are
+        the twin orbits.
+        """
+        a, b, c, d = self.pair_ends[r]
+        n = len(cls)
+        A, B, C, D = n + a, n + b, n + c, n + d  # class names below n are taken
+        fixed = list(cls)
+        fixed[a], fixed[b], fixed[c], fixed[d] = A, B, C, D
+        kept = []
+        for swap in swaps:
+            get = swap.get
+            w, x, y, z = get(A, A), get(B, B), get(C, C), get(D, D)
+            g = (w, x) if w < x else (x, w)
+            h = (y, z) if y < z else (z, y)
+            if g == (A, B) and h == (C, D) or g == (C, D) and h == (A, B):
+                kept.append(swap)
+        ca, cb, cc, cd = cls[a], cls[b], cls[c], cls[d]
+        if ca == cc and cb == cd:
+            kept.append({A: C, C: A, B: D, D: B})
+        if ca == cd and cb == cc:
+            kept.append({A: D, D: A, B: C, C: B})
+        if ca == cb:
+            kept.append({A: B, B: A})
+        if cc == cd:
+            kept.append({C: D, D: C})
+        return fixed, kept
 
     def leaf(self, chosen: list[int]) -> list[Crossing] | None:
         """The labelled pairs of the assignment ``chosen`` if its gadget
@@ -772,7 +877,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
                                       f"the {len(reps)} first-level orbits of size {size}")
                 found = None
                 while found is None and root < len(reps):
-                    found = search.branch([], allowed, labels, search.classes,
+                    found = search.branch([], allowed, labels, search.classes, (),
                                           root, reps[root], size, 0)
                     if found is None:
                         root += 1

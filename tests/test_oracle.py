@@ -23,7 +23,6 @@ from onecross.formats import drawing_to_document, dumps_document
 from onecross.oracle import (
     OracleError,
     PlanarityResult,
-    _candidate_pairs,
     _over_edge_bound,
     _Search,
     _two_color,
@@ -555,7 +554,7 @@ def test_timeout_returns_unknown(tmp_path):
 # fingerprint.  A size above the budget would resume past every size and
 # answer "no" for a planar graph.
 K22_FINGERPRINT = {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]], "budget": 0,
-                   "rules": ["count", "twins", "small-orbits-first", "rims"]}
+                   "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps"]}
 BAD_CHECKPOINTS = {
     "not-json": "{bad",
     "not-an-object": "[]",
@@ -584,13 +583,16 @@ def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
     def write(fingerprint):
         ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 1}))
 
-    write({"edges": edges, "budget": 2, "rules": ["count", "twins", "small-orbits-first", "rims"]})
+    write({"edges": edges, "budget": 2,
+           "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps"]})
     assert is_one_planar(k34, 2, checkpoint=ck).verdict == "no"
-    # Written when inner nodes were also cut by a forced-uncrossed test,
+    # Written before children kept the swaps that map their pair onto
+    # itself, when inner nodes were also cut by a forced-uncrossed test,
     # before the rim bound, before orbits were ordered smallest first (its
     # next_root indexes orbits in another order), and before the rule set
     # was recorded: each cut other subtrees.
-    for older in (["count", "twins", "forced", "small-orbits-first", "rims"],
+    for older in (["count", "twins", "small-orbits-first", "rims"],
+                  ["count", "twins", "forced", "small-orbits-first", "rims"],
                   ["count", "twins", "forced", "small-orbits-first"],
                   ["count", "twins", "forced"], None):
         write({"edges": edges, "budget": 2} | ({} if older is None else {"rules": older}))
@@ -643,7 +645,7 @@ def test_a_leaf_that_planarity_test_rejects_raises(monkeypatch):
 OUTPUTS_CORPUS = [(complete_bipartite(3, 4), 2), (complete(6), 3), (complete_bipartite(4, 4), 4),
                   (complete_bipartite(3, 5), 3), (complete_bipartite(3, 7), 6)]
 OUTPUTS_DIGEST = "690ac9960e6834cc23e613e10ec7c19788a28c06998c414ffd6b0001adbd3ea1"
-COUNTERS_DIGEST = "6ae5483a71710c15181e25053318a6bdba478ffbec6ccc742caa08db1a8372b3"
+COUNTERS_DIGEST = "377ec9aaa5315c1432035a6ae0eefa6376e1464ef857915508b1c2206e55ef6d"
 
 
 def test_oracle_outputs_are_unchanged():
@@ -666,10 +668,21 @@ def test_oracle_outputs_are_unchanged():
 # -- pruning rules -------------------------------------------------------------
 
 
+def candidate_pairs(edges):
+    """Reference: the pairs (e, f), e before f in ``edges``, of edges with
+    no common end."""
+    out = []
+    for i, e in enumerate(edges):
+        for f in edges[i + 1:]:
+            if not set(e) & set(f):
+                out.append((e, f))
+    return out
+
+
 def plain_search(graph, budget):
     """Reference: the least size of an assignment with a planar gadget graph
     (at most ``budget``), trying every assignment; None if there is none."""
-    pairs = _candidate_pairs(sorted(graph.edges))
+    pairs = candidate_pairs(sorted(graph.edges))
 
     def assignments(size, start, used):
         if size == 0:
@@ -723,6 +736,115 @@ def record_nodes(monkeypatch):
     return nodes
 
 
+def record_groups(monkeypatch):
+    """Every node that ``record_nodes`` records from now on, with its
+    group, as ``(nodes, groups)``: ``groups[i]`` is the twin partition,
+    the swaps and the orbit labels of ``nodes[i]``, the labels None when
+    the node numbered no orbits."""
+    nodes = record_nodes(monkeypatch)
+    groups = {}
+    expand, orbits = _Search.expand, _Search.orbits
+
+    def expanding(self, chosen, allowed, cls, swaps, left, rims):
+        # The node's group, which expand builds only if the rim bound
+        # leaves it pairs enough; expand's first call records the node.
+        groups[len(nodes)] = [*self.stabilizer(cls, swaps, chosen[-1]), None]
+        return expand(self, chosen, allowed, cls, swaps, left, rims)
+
+    def numbering(self, allowed, cls, swaps=()):
+        labels, reps = orbits(self, allowed, cls, swaps)
+        # Called right after the node's viable; the root has no expand.
+        group = groups.setdefault(len(nodes) - 1, [cls, swaps, None])
+        assert (group[0], list(group[1])) == (cls, list(swaps))
+        group[2] = labels
+        return labels, reps
+
+    monkeypatch.setattr(_Search, "expand", expanding)
+    monkeypatch.setattr(_Search, "orbits", numbering)
+    return nodes, groups
+
+
+def node_generators(search, chosen, swaps):
+    """Vertex permutations generating the group of a node: the
+    transpositions inside each twin class with the chosen endpoints taken
+    out, and each swap, which moves v to w when it maps n + v to n + w."""
+    fixed = {v for p in chosen for v in search.pair_ends[p]}
+    members = {}
+    for v, c in enumerate(search.classes):
+        if v not in fixed:
+            members.setdefault(c, []).append(v)
+    generators = []
+    for group in members.values():
+        for u, v in zip(group, group[1:]):
+            perm = list(range(search.n))
+            perm[u], perm[v] = v, u
+            generators.append(perm)
+    for swap in swaps:
+        perm = list(range(search.n))
+        for x, y in swap.items():
+            perm[x - search.n] = y - search.n
+        generators.append(perm)
+    return generators
+
+
+def pair_image(search, perm, p):
+    """The candidate pair that the vertex permutation ``perm`` maps ``p`` onto."""
+    a, b, c, d = (perm[x] for x in search.pair_ends[p])
+    ends = (*edge_key(a, b), *edge_key(c, d))
+    return search.pair_ends.index(ends if ends[:2] < ends[2:] else ends[2:] + ends[:2])
+
+
+GROUP_CASES = {"K3,7": [(complete_bipartite(3, 7), 6)], "K4,4": [(complete_bipartite(4, 4), 4)],
+               "K6": [(complete(6), 3)], "K3,5": [(complete_bipartite(3, 5), 3)],
+               "differential": [(graph, budget) for _, graph, budget in DIFFERENTIAL]}
+
+
+@pytest.mark.parametrize("searches", GROUP_CASES.values(), ids=GROUP_CASES.keys())
+def test_every_node_group_is_a_group_of_the_node(searches, monkeypatch):
+    # At every node: each generator of its group (the transpositions inside
+    # its classes, and its swaps) is an automorphism of the graph that maps
+    # every chosen pair onto itself, the allowed and kept sets are closed
+    # under every generator, and the orbit labels are the classes of a
+    # brute-force union-find closure of the generators over the kept pairs.
+    nodes, groups = record_groups(monkeypatch)
+    for graph, budget in searches:
+        for g in (graph, relabel(graph, 7)):
+            is_one_planar(g, budget)
+    swapped = Counter()
+    for i, (search, chosen, allowed, left, rims, kept) in enumerate(nodes):
+        cls, swaps, labels = groups[i]
+        fixed = {v for p in chosen for v in search.pair_ends[p]}
+        assert cls == [search.n + v if v in fixed else c
+                       for v, c in enumerate(search.classes)], chosen
+        edges = set(search.edge_ends)
+        generators = node_generators(search, chosen, swaps)
+        for perm in generators:
+            assert {edge_key(perm[u], perm[v]) for u, v in edges} == edges, chosen
+            assert all(pair_image(search, perm, p) == p for p in chosen), (chosen, perm)
+            assert {pair_image(search, perm, p) for p in allowed} == set(allowed), chosen
+            assert {pair_image(search, perm, p) for p in kept} == set(kept), chosen
+        swapped[bool(swaps)] += 1
+        if labels is None:
+            continue
+        root = {p: p for p in kept}
+
+        def find(p):
+            while root[p] != p:
+                p = root[p]
+            return p
+
+        for perm in generators:
+            for p in kept:
+                root[find(p)] = find(pair_image(search, perm, p))
+        closure, numbered = {}, {}
+        for p, label in zip(kept, labels):
+            closure.setdefault(find(p), set()).add(p)
+            numbered.setdefault(label, set()).add(p)
+        assert sorted(map(sorted, closure.values())) == sorted(map(sorted, numbered.values())), \
+            chosen
+    assert swapped[True] and swapped[False], swapped
+
+
 def test_pruned_search_agrees_with_plain_search(monkeypatch):
     nodes = record_nodes(monkeypatch)
     nos = 0
@@ -754,12 +876,13 @@ def rims_from_scratch(search, chosen):
                                           (complete_bipartite(4, 4), 4)], ids=["K3,7", "K4,4"])
 def test_rim_filter_keeps_exactly_the_pairs_within_the_bound(graph, budget, monkeypatch):
     # At every node, the kept set is {p : R(chosen + p) <= 3n' - 6 - |E| + s},
-    # by a fresh count, and it is closed under the permutations inside the
-    # twin classes that fix the chosen endpoints, the node's group.
-    nodes = record_nodes(monkeypatch)
+    # by a fresh count, and it is closed under the node's group: the
+    # permutations inside the twin classes that fix the chosen endpoints,
+    # and the node's swaps.
+    nodes, groups = record_groups(monkeypatch)
     is_one_planar(graph, budget)
     drops = Counter()
-    for search, chosen, allowed, left, rims, kept in nodes:
+    for i, (search, chosen, allowed, left, rims, kept) in enumerate(nodes):
         assert rims == rims_from_scratch(search, chosen), chosen
         room = 3 * len({v for e in search.edges for v in e}) - 6 - len(search.edges)
         want = [p for p in allowed
@@ -768,22 +891,9 @@ def test_rim_filter_keeps_exactly_the_pairs_within_the_bound(graph, budget, monk
         if left == 1:  # a leaf is kept exactly when its gadget graph is within the edge bound
             assert kept == [p for p in allowed
                             if not _over_edge_bound(search.gadget([*chosen, p]))], chosen
-        index = {frozenset((search.edge_ends.index(ends[:2]), search.edge_ends.index(ends[2:]))): p
-                 for p, ends in enumerate(search.pair_ends)}
-        fixed = {v for p in chosen for v in search.pair_ends[p]}
-        members = {}
-        for v, c in enumerate(search.classes):
-            if v not in fixed:
-                members.setdefault(c, []).append(v)
-        for group in members.values():
-            for u, v in zip(group, group[1:]):
-                swap = list(range(search.n))
-                swap[u], swap[v] = v, u
-                for p in kept:
-                    a, b, c, d = (swap[x] for x in search.pair_ends[p])
-                    image = index[frozenset((search.edge_ends.index(edge_key(a, b)),
-                                             search.edge_ends.index(edge_key(c, d))))]
-                    assert image in kept, (chosen, p)
+        for perm in node_generators(search, chosen, groups[i][1]):
+            for p in kept:
+                assert pair_image(search, perm, p) in kept, (chosen, p)
         drops[left == 1] += len(allowed) - len(kept)
     assert drops[True] and drops[False]  # at the leaves' parents and above them
     for search in {node[0] for node in nodes}:  # every count is undone on the way up
@@ -821,6 +931,36 @@ def spread(graph):
         return BipartiteGraph.make({3 * v + 2 for v in graph.black},
                                    {3 * v + 2 for v in graph.white}, edges)
     return Graph.make({3 * v + 2 for v in graph.vertices}, edges)
+
+
+def test_search_tables_equal_their_definitions():
+    # _Search builds its pair tables in one pass over the edge positions;
+    # each equals its definition on the labelled edges.
+    for _, graph, _ in DIFFERENTIAL:
+        for g in (graph, relabel(graph, 7), spread(graph)):
+            search = _Search(g, None)
+            edges = sorted(g.edges)
+            pairs = candidate_pairs(edges)
+            edge_index = {e: i for i, e in enumerate(edges)}
+            position = {v: i for i, v in enumerate(sorted(g.vertices))}
+            n = len(position)
+            pair_edges = [(edge_index[e], edge_index[f]) for e, f in pairs]
+            pair_ends = [tuple(position[v] for v in e + f) for e, f in pairs]
+            rim_ends = [tuple((u, v) if u < v else (v, u)
+                              for u, v in ((a, c), (c, b), (b, d), (d, a)))
+                        for a, b, c, d in pair_ends]
+            pair_rims = [tuple(u * n + v for u, v in rims) for rims in rim_ends]
+            edge_rim = [position[u] * n + position[v] for u, v in edges]
+            meets = [{p for p, pe in enumerate(pair_edges) if i in pe} for i in range(len(edges))]
+            assert search.pairs == pairs
+            assert search.pair_edges == pair_edges
+            assert search.pair_ends == pair_ends
+            assert search.rim_ends == rim_ends
+            assert search.pair_rims == pair_rims
+            assert search.edge_rim == edge_rim
+            assert search.pair_keys == [(edge_rim[e], edge_rim[f], *rims)
+                                        for (e, f), rims in zip(pair_edges, pair_rims)]
+            assert search.meets == meets
 
 
 def test_integer_gadget_graphs_equal_the_labelled_ones(monkeypatch):
@@ -896,7 +1036,7 @@ def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
     rng = random.Random(11)
     verdicts = Counter()
     for name, graph, budget in DIFFERENTIAL:
-        pairs = _candidate_pairs(sorted(graph.edges))
+        pairs = candidate_pairs(sorted(graph.edges))
         for _ in range(4):
             size, chosen, used = rng.randint(0, budget), [], set()
             for e, f in rng.sample(pairs, len(pairs)):
@@ -929,17 +1069,15 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     stats = res.stats
     assert [s.size for s in stats.sizes] == list(range(budget + 1))
     for s in stats.sizes:
-        assert s.planarity_calls == s.leaves
         assert s.skipped == (s.size < stats.lower_bound)
         if s.skipped:
-            assert s.planarity_calls == s.nodes == s.rim_cuts == 0
+            assert s.leaves == s.nodes == s.rim_cuts == 0
     assert sum(s.nodes for s in stats.sizes) == len(nodes)
     assert sum(s.rim_cuts for s in stats.sizes) == \
         sum(len(node[2]) - len(node[-1]) for node in nodes)
-    assert sum(s.planarity_calls for s in stats.sizes) == len(calls)
+    assert sum(s.leaves for s in stats.sizes) == len(calls) == res.assignments_tested
     # Only the accepted leaf is embedded: never one during a "no".
     assert len(embeds) == sum(s.witnesses for s in stats.sizes)
-    assert res.assignments_tested == sum(s.leaves for s in stats.sizes)
     assert sum(s.witnesses for s in stats.sizes) == (res.verdict == "yes")
 
 
@@ -951,7 +1089,7 @@ def test_counting_bound_answers_no_without_planarity_calls(monkeypatch):
     res = is_one_planar(complete_bipartite(3, 7), 4)  # 21 - (2 * 10 - 4) = 5 > 4
     assert res.verdict == "no"
     assert res.stats.lower_bound == 5
-    assert all(s.skipped and s.planarity_calls == 0 for s in res.stats.sizes)
+    assert all(s.skipped and s.leaves == 0 for s in res.stats.sizes)
 
 
 def test_counting_bound_skips_sizes_below_it(monkeypatch):
@@ -986,10 +1124,20 @@ def test_k37_search_is_small_for_its_plain_labels():
     # 13,590 planarity calls when orbits were numbered by their least pair,
     # 2,541 when each size decided its forced-uncrossed verdicts afresh,
     # 1,764 before the rim bound, 635 before it filtered the allowed sets
-    # (when inner nodes were tested too); 93 now, all of them leaves.
+    # (when inner nodes were tested too), 93 leaves and 1,992 nodes before
+    # children kept their pair's swaps; 68 leaves and 1,244 nodes now.
     res = is_one_planar(complete_bipartite(3, 7), 6)
     assert res.verdict == "no"
-    assert sum(s.planarity_calls for s in res.stats.sizes) <= 100
+    assert sum(s.leaves for s in res.stats.sizes) <= 70
+    assert sum(s.nodes for s in res.stats.sizes) <= 1300
+
+
+def test_k38_search_is_small():
+    # "no" by Zarankiewicz's crossing number 12 of K3,8: 20,223 nodes
+    # before children kept their pair's swaps, 12,695 now.
+    res = is_one_planar(complete_bipartite(3, 8), 8)
+    assert res.verdict == "no"
+    assert sum(s.nodes for s in res.stats.sizes) <= 13000
 
 
 def test_best46_search_is_small():
@@ -998,7 +1146,7 @@ def test_best46_search_is_small():
     # rim bound, 7,900 before it filtered the allowed sets, 261 now.
     res = is_one_planar(best_known(4, 6).drawing.graph, 6)
     assert (res.verdict, res.crossings) == ("yes", 6)
-    assert sum(s.planarity_calls for s in res.stats.sizes) <= 300
+    assert sum(s.leaves for s in res.stats.sizes) <= 300
 
 
 def test_k46_sharing_a_white_vertex_is_no_through_budget_8():
@@ -1011,7 +1159,7 @@ def test_k46_sharing_a_white_vertex_is_no_through_budget_8():
     graph = BipartiteGraph.make(k46.black, k46.white, k46.edges - {(0, 4), (1, 4)})
     res = is_one_planar(graph, 8)
     assert (res.verdict, res.stats.lower_bound) == ("no", 6)
-    assert sum(s.planarity_calls for s in res.stats.sizes) <= 50
+    assert sum(s.leaves for s in res.stats.sizes) <= 50
 
 
 def root_orbit_shapes(graph):

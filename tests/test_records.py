@@ -72,8 +72,8 @@ FIELDS = {
     "RatioRow": ("y", "x", "n", "lower", "upper", "lower_ratio", "upper_ratio"),
     "PlanarityResult": ("planar", "witness", "edge_bound"),
     "GadgetGraph": ("edges", "kept", "spokes", "rims", "false_nodes"),
-    "SizeStats": ("size", "skipped", "leaves", "planarity_calls", "planarity_s", "witnesses",
-                  "nodes", "rim_cuts"),
+    "SizeStats": ("size", "skipped", "leaves", "planarity_s", "witnesses", "nodes",
+                  "rim_cuts"),
     "SearchStats": ("lower_bound", "sizes"),
     "OneplanarResult": ("verdict", "drawing", "crossings", "stats"),
 }
@@ -116,14 +116,14 @@ def test_search_counters_stay_mutable(name):
 
 def test_search_counters_keep_their_defaults():
     assert SizeStats(4)._asdict() == {
-        "size": 4, "skipped": False, "leaves": 0, "planarity_calls": 0, "planarity_s": 0.0,
-        "witnesses": 0, "nodes": 0, "rim_cuts": 0}
+        "size": 4, "skipped": False, "leaves": 0, "planarity_s": 0.0, "witnesses": 0,
+        "nodes": 0, "rim_cuts": 0}
     assert SearchStats(2)._asdict() == {"lower_bound": 2, "sizes": []}
     assert SearchStats(2).sizes is not SearchStats(2).sizes
     assert SizeStats(1, leaves=2) == SizeStats(1, leaves=2) != SizeStats(1, leaves=3)
     assert repr(SearchStats(1, [SizeStats(0)])) == (
         "SearchStats(lower_bound=1, sizes=[SizeStats(size=0, skipped=False, leaves=0, "
-        "planarity_calls=0, planarity_s=0.0, witnesses=0, nodes=0, rim_cuts=0)])")
+        "planarity_s=0.0, witnesses=0, nodes=0, rim_cuts=0)])")
 
 
 def test_plane_maps_compare_by_fields_and_are_unhashable():
@@ -165,6 +165,5 @@ def test_oracle_json_key_order_is_pinned():
     assert list(doc) == ["assignments_tested", "crossings", "stats", "verdict"]
     assert list(doc["stats"]) == ["lower_bound", "sizes"]
     assert [list(s) for s in doc["stats"]["sizes"]] == [
-        ["leaves", "nodes", "planarity_calls", "planarity_s", "rim_cuts", "size", "skipped",
-         "witnesses"]] * 3
-    assert (doc["verdict"], doc["crossings"], doc["assignments_tested"]) == ("yes", 2, 11)
+        ["leaves", "nodes", "planarity_s", "rim_cuts", "size", "skipped", "witnesses"]] * 3
+    assert (doc["verdict"], doc["crossings"], doc["assignments_tested"]) == ("yes", 2, 2)
