@@ -275,11 +275,10 @@ def b_family(x: int, y: int) -> OnePlanarDrawing:
     the first two plain faces keep only u whites between them (the first
     keeps max(u - 3, 0), the second min(u, 3); w1 is kept first), giving
     (5(x+y) + x + u)/2 - 9 edges.  The drawing is certified once.  The pair
-    (11, 11) is the one size this construction cannot reach and is served
-    by :func:`balanced`.
+    (11, 11) is the one size in that range this construction cannot reach,
+    so :func:`family_formulas` leaves it out and it raises
+    :class:`~onecross.drawing.DrawingError`; :func:`balanced` draws it.
     """
-    if (x, y) == (11, 11):
-        return balanced(11)
     count = _table_edges("b", x, y)
     u = y % 6
     yy = y - u + 6 if u else y

@@ -5,7 +5,7 @@ The decision procedure searches crossing assignments (sets of disjoint,
 non-adjacent edge pairs) in increasing size, replaces each chosen pair by a
 wheel gadget (a new degree-4 vertex plus the 4-cycle through the pair's
 endpoints, which any plane embedding must wrap around the hub, forcing the
-rotation to alternate), and tests planarity of the gadget multigraph.  A
+rotation to alternate), and tests planarity of the simple gadget graph.  A
 planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
@@ -43,21 +43,20 @@ Four pruning rules keep that exhaustive; each is proved where it is coded:
 So only leaves are tested, and most subtrees end by counting alone: K3,7
 at budget 6 is a ``no`` after 1,244 nodes and 68 leaf tests.
 
-The search works on integers throughout.  A vertex is named by its
-position in sorted order and the hub of the i-th chosen pair by n + i, so
-a leaf's gadget graph (``_Search.gadget``) is a set of position pairs,
-built from the chosen pairs with no ``Graph`` or ``GadgetGraph`` and
-handed to ``planarity.lr_planar``, which builds no embedding, as it is
-(``_Search.planar``).  The search returns the labelled pairs of the leaf
-it accepts, and ``_witness`` is the one route from pairs to a drawing:
-``gadget_planarize`` (which normalises and checks the pairs),
-``planarity_test`` (the 3N - 6 edge bound of ``_over_edge_bound``, then
-``planarity.lr_embedding``, the same left-right test with its embedding
-phase), the rims
-deleted in one map edit, and ``assemble_drawing``.  ``is_one_planar``
-calls it once, on the leaf it accepts, and reports what each size cost in
-``SearchStats``.  Long runs accept a timeout, checked at every node the
-search enters, and write a coarse resumable checkpoint.
+One builder, ``_gadget``, makes every gadget graph, simple and on
+integers: a vertex is named by its position in sorted order and the hub
+of the i-th chosen pair by n + i.  The search hands a leaf's graph
+(``_Search.gadget``) to ``planarity.lr_planar``, which builds no
+embedding, as it is (``_Search.planar``), and returns the labelled pairs
+of the leaf it accepts.  ``_witness`` is the one route from pairs to a
+drawing: ``gadget_planarize`` (which checks the pairs and names
+``_gadget``'s graph by labels), ``planarity_test`` (the 3N - 6 edge bound
+of ``_over_edge_bound``, then ``planarity.lr_embedding``, the same
+left-right test with its embedding phase), the rims deleted in one map
+edit, and ``assemble_drawing``.  ``is_one_planar`` calls it once, on the
+leaf it accepts, and reports what each size cost in ``SearchStats``.
+Long runs accept a timeout, checked at every node the search enters, and
+write a coarse resumable checkpoint.
 
 No run of the oracle reads networkx: the left-right test, its embedding
 and the two-colouring of a ``Graph`` (``_two_color``) are all in-house.
@@ -81,7 +80,7 @@ import sys
 import time
 from pathlib import Path
 from types import ModuleType
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, KeysView, NamedTuple, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -141,63 +140,67 @@ def _over_edge_bound(simple: Collection[tuple[int, int]]) -> bool:
 
 def planarity_test(edges: Sequence[tuple[int, int]],
                    nodes: Iterable[int] = ()) -> PlanarityResult:
-    """Planarity of a multigraph, with an embedding witness when planar.
+    """Planarity of a simple graph, with an embedding witness when planar.
 
-    Parallel copies do not change planarity, so only the first copy of each
-    edge is tested: first by the edge bound (``_over_edge_bound``), then by
-    ``planarity.lr_embedding``, which gives the verdict and, for a planar
-    graph, the rotations in one call.  It sees the vertices numbered as
-    networkx's ``check_planarity`` would copy them (``nodes`` first, then
-    new endpoints in edge order) and the edges node-major, in the order of
-    that copy's edge list, so the rotations, and every witness, are the
-    ones networkx gives.  In the witness the copies of an edge are stacked
-    beside it, in one order around one end and the reverse order around
-    the other, so consecutive copies bound a digon face.  Every witness is
-    audited with the Euler face count; map edge ids equal input indices.
+    A loop or a parallel copy raises :class:`OracleError`: the left-right
+    test embeds simple graphs only.  The graph is tested first by the edge
+    bound (``_over_edge_bound``), then by ``planarity.lr_embedding``, which
+    gives the verdict and, for a planar graph, the rotations in one call.
+    It sees the vertices numbered as networkx's ``check_planarity`` would
+    copy them (``nodes`` first, then new endpoints in edge order) and the
+    edges node-major, in the order of that copy's edge list, so the
+    rotations, and every witness, are the ones networkx gives.  Every
+    witness is audited with the Euler face count; map edge ids equal input
+    indices.
     """
-    first: dict[tuple[int, int], int] = {}
-    copies: dict[int, list[int]] = {}
+    index: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(edges):
         if u == v:
             raise OracleError("loops are not supported")
-        j = first.setdefault((u, v) if u <= v else (v, u), i)
-        if j != i:
-            copies.setdefault(j, []).append(i)
-    if _over_edge_bound(first):
+        if index.setdefault((u, v) if u < v else (v, u), i) != i:
+            raise OracleError(f"parallel edges are not supported: {u}-{v}")
+    if _over_edge_bound(index):
         return PlanarityResult(False, None, edge_bound=True)
-    label = list(dict.fromkeys([*nodes, *(v for e in first for v in e)]))  # networkx's node order
-    index = {v: a for a, v in enumerate(label)}
-    adj: list[list[int]] = [[] for _ in label]
-    for u, v in first:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    order = lr_embedding(len(label), [(a, b) for a in range(len(label)) for b in adj[a] if b > a])
+    label = list(dict.fromkeys([*nodes, *(v for e in index for v in e)]))  # networkx's node order
+    position = {v: a for a, v in enumerate(label)}
+    ends = [tuple(sorted((position[u], position[v]))) for u, v in index]
+    order = lr_embedding(len(label), sorted(ends, key=lambda e: e[0]))  # node-major, stably
     if order is None:
         return PlanarityResult(False, None)
 
     rotations: dict[int, list[int]] = {}
     for v, nbrs in zip(label, order):
-        darts = []
-        for w in map(label.__getitem__, nbrs):
-            i = first[(v, w) if v <= w else (w, v)]
-            stack = [i, *copies.get(i, ())]
-            for j in (stack if v < w else reversed(stack)):
-                darts.append(2 * j if v == edges[j][0] else 2 * j + 1)
-        rotations[v] = darts
+        ids = [index[(v, w) if v < w else (w, v)] for w in map(label.__getitem__, nbrs)]
+        rotations[v] = [2 * i if v == edges[i][0] else 2 * i + 1 for i in ids]
     witness = pm.map_from_paired_darts(rotations, len(edges))  # edge i: darts 2i, 2i + 1
     if not pm.euler_check(witness).planar:
         raise OracleError("embedding witness failed the Euler audit")
     return PlanarityResult(True, witness)
 
 
+def _gadget(n: int, kept: Iterable[tuple[int, int]],
+            quads: Iterable[tuple[int, int, int, int]]) -> KeysView[tuple[int, int]]:
+    """The simple gadget graph, on vertex positions below ``n``, of the pairs
+    (ab, cd) with ends ``quads``, each with a < b, c < d and a < c: the
+    uncrossed edges ``kept``, then for the i-th pair its hub ``n + i``, the
+    spokes from a, b, c and d and the rims a-c, c-b, b-d and d-a, each edge
+    a pair (u, v) with u < v.  A rim that repeats a kept edge or another
+    rim is kept once, at its first place: a copy changes no verdict, and
+    the witness deletes every rim.  The edges are a dict's keys: so
+    ordered, and equal to the set of the same pairs.
+    """
+    edges = list(kept)
+    for h, (a, b, c, d) in enumerate(quads, n):
+        edges += ((a, h), (b, h), (c, h), (d, h), (a, c), (c, b) if c < b else (b, c),
+                  (b, d) if b < d else (d, b), (a, d))
+    return dict.fromkeys(edges).keys()
+
+
 class GadgetGraph(NamedTuple):
     """Planarization of a graph under a crossing assignment."""
 
     edges: tuple[tuple[int, int], ...]
-    kept: dict[int, Edge]             # multigraph index -> original edge
-    spokes: dict[int, tuple[int, Edge]]  # index -> (false node, original edge)
-    rims: tuple[int, ...]
-    false_nodes: dict[int, tuple[Edge, Edge]]
+    false_nodes: dict[int, tuple[Edge, Edge]]  # hub -> the pair it stands for
 
 
 def gadget_planarize(graph: Graph | BipartiteGraph,
@@ -208,8 +211,9 @@ def gadget_planarize(graph: Graph | BipartiteGraph,
     each pair, then sorted) and must be disjoint, non-adjacent edges of
     ``graph``; otherwise :class:`OracleError` is raised.  The pair (ab, cd)
     becomes a new vertex joined to a, b, c, d plus the 4-cycle a-c-b-d-a
-    routed alongside the segments; unpaired edges remain.  The result may
-    contain parallel edges.
+    routed alongside the segments; unpaired edges remain.  The graph is
+    ``_gadget``'s on the vertices numbered in sorted order, named back by
+    their labels, with the hub of the i-th pair named ``max + 1 + i``.
     """
     pairs = sorted(crossing_key(edge_key(*e), edge_key(*f)) for e, f in pairs)
     crossed: set[Edge] = set()
@@ -219,30 +223,16 @@ def gadget_planarize(graph: Graph | BipartiteGraph,
         if set(e) & set(f):
             raise OracleError(f"adjacent edges may not cross: {e} x {f}")
         crossed.update((e, f))
-    edge_set = set(graph.edges)
-    if not crossed <= edge_set:
+    if not crossed <= graph.edges:
         raise OracleError("assignment names an edge outside the graph")
-    out: list[tuple[int, int]] = []
-    kept: dict[int, Edge] = {}
-    spokes: dict[int, tuple[int, Edge]] = {}
-    rims: list[int] = []
-    false_nodes: dict[int, tuple[Edge, Edge]] = {}
-    nxt = max(graph.vertices, default=-1) + 1
-    for e in sorted(edge_set - crossed):
-        kept[len(out)] = e
-        out.append(e)
-    for e, f in pairs:
-        w = nxt
-        nxt += 1
-        false_nodes[w] = (e, f)
-        (a, b), (c, d) = e, f
-        for end, owner in ((a, e), (b, e), (c, f), (d, f)):
-            spokes[len(out)] = (w, owner)
-            out.append((end, w))
-        for rim in ((a, c), (c, b), (b, d), (d, a)):
-            rims.append(len(out))
-            out.append(rim)
-    return GadgetGraph(tuple(out), kept, spokes, tuple(rims), false_nodes)
+    label = sorted(graph.vertices)
+    position = {v: i for i, v in enumerate(label)}
+    label += [max(position, default=-1) + 1 + i for i in range(len(pairs))]
+    simple = _gadget(len(position),
+                     [(position[u], position[v]) for u, v in sorted(graph.edges - crossed)],
+                     [tuple(map(position.__getitem__, e + f)) for e, f in pairs])
+    return GadgetGraph(tuple((label[u], label[v]) for u, v in simple),
+                       dict(zip(label[len(position):], pairs)))
 
 
 class _Counters:
@@ -316,12 +306,12 @@ def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset
     it has an odd cycle.
 
     A ``BipartiteGraph`` keeps its own classes.  Otherwise each component
-    is coloured from its first vertex in ``graph.vertices``, which gets
-    colour 1, by a depth-first search that takes the next vertex off a
-    stack; isolated vertices get colour 0.  That is the colouring of
+    is coloured from its least vertex, which gets colour 1, by a
+    depth-first search that takes the next vertex off a stack; isolated
+    vertices get colour 0.  That is the colouring of
     ``networkx.bipartite.color`` on the graph with the vertices added in
-    that order.  The black class is the smaller one, or on a tie the one
-    whose sorted vertices come first.
+    sorted order, however the vertex set was built.  The black class is
+    the smaller one, or on a tie the one whose sorted vertices come first.
     """
     if isinstance(graph, BipartiteGraph):
         return graph.black, graph.white
@@ -330,7 +320,7 @@ def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset
         nbrs[u].append(v)
         nbrs[v].append(u)
     color: dict[int, int] = {}
-    for root in graph.vertices:
+    for root in sorted(graph.vertices):
         if root in color:
             continue
         color[root] = 1 if nbrs[root] else 0
@@ -358,27 +348,30 @@ def _witness(graph: Graph | BipartiteGraph,
 
     The one route from an assignment to a drawing: ``gadget_planarize``,
     ``planarity_test`` for the embedding, the rims deleted in one
-    ``MapEditor`` session, then ``assemble_drawing``.
+    ``MapEditor`` session, then ``assemble_drawing``.  A map edge at a hub
+    is a spoke of the pair's edge that holds its other end, an uncrossed
+    edge of ``graph`` is kept, and any other edge is a rim.
     """
     gadget = gadget_planarize(graph, pairs)
-    witness = planarity_test(gadget.edges, graph.vertices).witness
+    witness = planarity_test(gadget.edges, sorted(graph.vertices)).witness
     if witness is None:
         return None
+    hubs = gadget.false_nodes
+    crossed = {e for pair in hubs.values() for e in pair}
     ed = pm.MapEditor(witness)
-    for rim in gadget.rims:
-        ed.delete_edge(rim)
     paths: dict[Edge, list[int]] = {}
-    for idx, e in gadget.kept.items():
-        paths[e] = [idx]
-    for idx, (w, e) in sorted(gadget.spokes.items()):
-        paths.setdefault(e, []).append(idx)
-    crossings = [crossing_key(e, f) for e, f in gadget.false_nodes.values()]
+    for i, (u, v) in enumerate(gadget.edges):
+        if v in hubs:  # hubs are named above every vertex, and u < v
+            e, f = hubs[v]
+            paths.setdefault(e if u in e else f, []).append(i)
+        elif (u, v) in graph.edges and (u, v) not in crossed:
+            paths[u, v] = [i]
+        else:
+            ed.delete_edge(i)
     colored = _two_color(graph)
     if colored is not None and not isinstance(graph, BipartiteGraph):
         graph = BipartiteGraph.make(colored[0], colored[1], graph.edges)
-    return assemble_drawing(graph, crossings, ed.finish(),
-                            {e: tuple(p) for e, p in paths.items()},
-                            dict(gadget.false_nodes))
+    return assemble_drawing(graph, hubs.values(), ed.finish(), paths, hubs)
 
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
@@ -449,7 +442,7 @@ class _Search:
     chosen endpoints that map every chosen pair onto itself
     (``stabilizer``).  Vertices are named by that position, 0 to
     n - 1, and the hub of the i-th chosen pair by n + i: a leaf's gadget
-    graph is a set of such pairs (``gadget``).  The search returns the
+    graph is a collection of such pairs (``gadget``).  The search returns the
     labelled pairs of the first leaf that tests planar, for ``_witness`` to
     draw; nothing labelled is built before.  ``rim_count`` and
     ``uncrossed`` describe the chosen pairs of the node being searched
@@ -470,9 +463,9 @@ class _Search:
         self.pairs: list[tuple[Edge, Edge]] = []  # (e, f), e before f, with no common end
         self.pair_edges: list[tuple[int, int]] = []  # the indices of each pair's edges
         self.pair_ends: list[tuple[int, int, int, int]] = []  # a, b, c, d of each (ab, cd)
-        # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as (u, v), u < v.
-        self.rim_ends: list[tuple[tuple[int, int], ...]] = []
-        self.pair_rims: list[tuple[int, ...]] = []  # the same rims as numbers
+        # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as the
+        # number u * n + v of its ends u < v.
+        self.pair_rims: list[tuple[int, ...]] = []
         # What choosing each pair can add to R: its two edges, then its rims.
         self.pair_keys: list[tuple[int, ...]] = []
         self.meets: list[set[int]] = [set() for _ in edges]  # the pairs containing each edge
@@ -483,15 +476,13 @@ class _Search:
                 c, d = ends[j]
                 if c == b or d == b or c == a:
                     continue
-                cb = (c, b) if c < b else (b, c)
-                bd = (b, d) if b < d else (d, b)
-                rims = (a * n + c, cb[0] * n + cb[1], bd[0] * n + bd[1], a * n + d)
+                rims = (a * n + c, c * n + b if c < b else b * n + c,
+                        b * n + d if b < d else d * n + b, a * n + d)
                 self.meets[i].add(len(self.pairs))
                 self.meets[j].add(len(self.pairs))
                 self.pairs.append((edges[i], edges[j]))
                 self.pair_edges.append((i, j))
                 self.pair_ends.append((a, b, c, d))
-                self.rim_ends.append(((a, c), cb, bd, (a, d)))
                 self.pair_rims.append(rims)
                 self.pair_keys.append((edge_rim[i], edge_rim[j], *rims))
         self.classes = _twin_classes(graph)
@@ -503,23 +494,12 @@ class _Search:
         touched = len({v for e in edges for v in e})
         self.rim_room = 3 * touched - 6 - len(edges)
 
-    def gadget(self, chosen: list[int]) -> set[tuple[int, int]]:
-        """The simple edge set of the gadget graph of ``chosen``, on vertex
-        positions.
-
-        The graph's edges that no chosen pair contains, plus, for the i-th
-        chosen pair (ab, cd), the hub ``n + i`` with its spokes to a, b, c
-        and d and the rims a-c, c-b, b-d and d-a.  A rim that is also a
-        kept edge is one pair of the set, as parallel copies change no
-        planarity verdict.  Every pair is (u, v) with u < v.
-        """
+    def gadget(self, chosen: list[int]) -> KeysView[tuple[int, int]]:
+        """``_gadget`` of the graph's edges that no pair of ``chosen`` crosses
+        and of the chosen pairs, the i-th with the hub ``n + i``."""
         crossed = {i for p in chosen for i in self.pair_edges[p]}
-        simple = {e for i, e in enumerate(self.edge_ends) if i not in crossed}
-        for h, p in enumerate(chosen, self.n):
-            a, b, c, d = self.pair_ends[p]
-            simple.update(((a, h), (b, h), (c, h), (d, h)))
-            simple.update(self.rim_ends[p])
-        return simple
+        return _gadget(self.n, [e for i, e in enumerate(self.edge_ends) if i not in crossed],
+                       [self.pair_ends[p] for p in chosen])
 
     def planar(self, simple: Collection[tuple[int, int]], hubs: int) -> bool:
         """The left-right verdict on a gadget graph from ``gadget`` with

@@ -24,6 +24,7 @@ from onecross.oracle import (
     OracleError,
     PlanarityResult,
     _over_edge_bound,
+    _gadget,
     _Search,
     _two_color,
     _witness,
@@ -89,9 +90,22 @@ def test_planarity_k5_k33_nonplanar():
 
 
 def test_planarity_handles_parallel_edges():
-    res = planarity_test([(0, 1), (0, 1), (1, 2)])
-    assert res.planar
-    assert len(res.witness.edge_darts) == 3
+    # The left-right test embeds simple graphs only: a parallel copy, in
+    # either direction, is refused as a loop is, before the edge bound.
+    for edges in ([(0, 1), (0, 1), (1, 2)], [(0, 1), (1, 2), (1, 0)],
+                  list(complete(5).edges) * 2):
+        with pytest.raises(OracleError, match="parallel edges"):
+            planarity_test(edges)
+    with pytest.raises(OracleError, match="loops"):
+        planarity_test([(0, 1), (1, 1)])
+
+
+def first_copies(edges):
+    """``edges`` with only the first copy of each edge, in either direction."""
+    first = {}
+    for u, v in edges:
+        first.setdefault(edge_key(u, v), (u, v))
+    return list(first.values())
 
 
 def forbid_nx_planarity(monkeypatch):
@@ -107,10 +121,7 @@ def test_edge_bound_rejects_k5_without_networkx(monkeypatch):
     assert (res.planar, res.edge_bound) == (False, True)
 
 
-def test_edge_bound_counts_neither_parallel_copies_nor_isolated_vertices():
-    doubled = planarity_test(list(complete(4).edges) * 2)  # 12 edges, 6 of them simple
-    assert doubled.planar and not doubled.edge_bound
-    assert euler_check(doubled.witness).planar
+def test_edge_bound_does_not_count_isolated_vertices():
     assert planarity_test(list(complete(4).edges), range(9)).planar
     k33 = planarity_test(list(complete_bipartite(3, 3).edges), range(9))
     assert not k33.planar and not k33.edge_bound  # 9 <= 3 * 6 - 6: the left-right test decides
@@ -222,17 +233,18 @@ def test_left_right_test_agrees_with_networkx_on_random_graphs():
         simple = {edge_key(u, v) for u, v in edges}
         above.append(_over_edge_bound(simple))
         assert lr_planar(len(vertices), simple) == want
-        assert planarity_test(edges, vertices).planar == want
+        assert planarity_test(first_copies(edges), vertices).planar == want
 
     agree()
     assert any(above)
 
 
 def assert_embeds_as_networkx(nodes, edges, monkeypatch):
-    """Whether the multigraph is planar, after checking that ``planarity_test``
-    hands ``lr_embedding`` the graph as networkx's ``check_planarity`` copies
-    it, and that ``lr_embedding`` returns networkx's rotations there: each
-    vertex's neighbours, in order, from the same first one."""
+    """Whether the multigraph is planar, after checking that ``planarity_test``,
+    given the first copy of each edge, hands ``lr_embedding`` the graph as
+    networkx's ``check_planarity`` copies it, and that ``lr_embedding``
+    returns networkx's rotations there: each vertex's neighbours, in order,
+    from the same first one."""
     g = nx.Graph()
     g.add_nodes_from(nodes)
     g.add_edges_from(edge_key(u, v) for u, v in edges)
@@ -248,7 +260,7 @@ def assert_embeds_as_networkx(nodes, edges, monkeypatch):
     calls = []
     with monkeypatch.context() as m:
         m.setattr(onecross.oracle, "lr_embedding", lambda *a: calls.append(a) or lr_embedding(*a))
-        res = planarity_test(edges, nodes)
+        res = planarity_test(first_copies(edges), nodes)
     assert res.planar == ok
     assert calls == ([] if res.edge_bound else [(len(label), simple)])
     return ok
@@ -302,6 +314,14 @@ def test_gadget_empty_assignment_is_identity():
 def test_gadget_rejects_invalid_pairs(graph, pairs, message):
     with pytest.raises(OracleError, match=message):
         gadget_planarize(graph, pairs)
+
+
+def test_gadget_keeps_each_repeated_rim_once_at_its_first_place():
+    # The rim 0-2 repeats the kept edge and comes again in the second pair.
+    assert list(_gadget(6, [(0, 2)], [(0, 1, 2, 3), (0, 4, 2, 5)])) == [
+        (0, 2),
+        (0, 6), (1, 6), (2, 6), (3, 6), (1, 2), (1, 3), (0, 3),
+        (0, 7), (4, 7), (2, 7), (5, 7), (2, 4), (4, 5), (0, 5)]
 
 
 def test_gadget_k5_single_pair_planar():
@@ -443,17 +463,6 @@ def test_subgraph_monotonicity_random():
         assert is_one_planar(sub, 1).verdict == "yes"
 
 
-def test_planarity_witness_stacks_parallel_copies():
-    # Each pair of vertices carries two or three copies; the witness embeds
-    # every copy, and the Euler audit inside planarity_test accepts it.
-    edges = [(0, 1), (1, 0), (1, 2), (2, 1), (1, 2), (2, 0), (0, 2), (2, 3)]
-    res = planarity_test(edges)
-    assert res.planar
-    assert len(res.witness.edge_darts) == len(edges)
-    assert euler_check(res.witness).planar
-    assert not planarity_test(list(complete(5).edges) * 2).planar
-
-
 def test_balanced4_graph_needs_exactly_four_crossings():
     # The 4+4 ring construction uses 4 crossings; exhaustion shows none fewer
     # suffice, so the bracket [1, 4] closes at 4.
@@ -494,6 +503,25 @@ def test_disconnected_bipartite_graph_gets_bipartite_witness():
     g = res.drawing.graph
     assert isinstance(g, BipartiteGraph)
     assert (g.black, g.white) == (frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7}))
+
+
+def test_equal_graphs_get_the_same_witness():
+    # A frozenset's iteration order depends on how it was built: these
+    # pairs of equal graphs list their vertices in different orders, and
+    # the witness is numbered, and a plain graph's components coloured, in
+    # sorted vertex order, not in that one.
+    blacks, whites = [0, 32, 64], [8, 40, 72, 104]
+    k34 = [(b, w) for b in blacks for w in whites]
+    two_c4 = [(0, 32), (32, 64), (64, 96), (96, 0), (8, 40), (40, 72), (72, 104), (104, 8)]
+    cases = [(BipartiteGraph.make(blacks, whites, k34),
+              BipartiteGraph.make(blacks[::-1], whites[::-1], k34[::-1]), 2),
+             (Graph.make([0, 32, 64, 96, 8, 40, 72, 104], two_c4),
+              Graph.make([0, 32, 64, 96, 40, 104, 72, 8], two_c4), 0)]
+    for g, h, budget in cases:
+        assert g == h and list(g.vertices) != list(h.vertices)
+        docs = [dumps_document(drawing_to_document(is_one_planar(x, budget).drawing))
+                for x in (g, h)]
+        assert docs[0] == docs[1]
 
 
 def test_isolated_vertex_drawn_without_crossings():
@@ -623,8 +651,23 @@ def test_witness_rims_go_in_one_map_edit(monkeypatch):
     make = onecross.plane_map._make
     monkeypatch.setattr(onecross.plane_map, "_make", lambda *a: made.append(1) or make(*a))
     d = _witness(k34, crossings)
-    assert (len(gadget_planarize(k34, crossings).rims), len(made)) == (8, 1)
+    gadget = gadget_planarize(k34, crossings)
+    # The crossings are 03 x 14 and 05 x 16: of their eight rims, four are
+    # uncrossed edges and 0-1 is shared, so three map edges are rims.
+    rims = [e for e in gadget.edges if e[1] not in gadget.false_nodes and e not in k34.edges]
+    assert (sorted(rims), len(made)) == ([(0, 1), (3, 4), (5, 6)], 1)
     assert validate(d).passed
+
+
+def test_witness_deletes_a_rim_that_is_a_crossed_edge():
+    # The rim 3-5 of 13 x 45 is the edge 35, which 24 x 35 crosses: in the
+    # gadget graph it is a rim, deleted like the others, and 35 is drawn
+    # through its crossing.
+    graph = Graph.make(range(1, 6), [(1, 3), (1, 5), (2, 4), (3, 5), (4, 5)])
+    pairs = [((2, 4), (3, 5)), ((1, 3), (4, 5))]
+    d = _witness(graph, pairs)
+    assert validate(d).passed and d.crossings == frozenset(pairs)
+    assert [len(d.edge_paths[e]) for e in sorted(graph.edges)] == [2, 1, 2, 2, 2]
 
 
 def test_a_leaf_that_planarity_test_rejects_raises(monkeypatch):
@@ -955,7 +998,6 @@ def test_search_tables_equal_their_definitions():
             assert search.pairs == pairs
             assert search.pair_edges == pair_edges
             assert search.pair_ends == pair_ends
-            assert search.rim_ends == rim_ends
             assert search.pair_rims == pair_rims
             assert search.edge_rim == edge_rim
             assert search.pair_keys == [(edge_rim[e], edge_rim[f], *rims)
@@ -1004,7 +1046,7 @@ def test_integer_gadget_graphs_equal_the_labelled_ones(monkeypatch):
 def test_two_colouring_equals_networkx():
     def nx_two_color(graph):
         g = nx.Graph()
-        g.add_nodes_from(graph.vertices)
+        g.add_nodes_from(sorted(graph.vertices))
         g.add_edges_from(graph.edges)
         try:
             color = nx.bipartite.color(g)
@@ -1065,7 +1107,22 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     embeds = []
     embed = onecross.oracle.lr_embedding
     monkeypatch.setattr(onecross.oracle, "lr_embedding", lambda *a: embeds.append(1) or embed(*a))
+    # The witness path, which the benchmark's oracle spans time: each step
+    # once on a "yes", never on a "no".  The gadget graph it embeds is simple.
+    witness = {name: [] for name in ("gadget_planarize", "planarity_test", "assemble_drawing")}
+
+    def recording(name, real):
+        def call(*args):
+            witness[name].append(real(*args))
+            return witness[name][-1]
+        return call
+
+    for name in witness:
+        monkeypatch.setattr(onecross.oracle, name, recording(name, getattr(onecross.oracle, name)))
     res = is_one_planar(graph, budget)
+    assert [len(results) for results in witness.values()] == [res.verdict == "yes"] * 3
+    for gadget in witness["gadget_planarize"]:
+        assert len({edge_key(*e) for e in gadget.edges}) == len(gadget.edges)
     stats = res.stats
     assert [s.size for s in stats.sizes] == list(range(budget + 1))
     for s in stats.sizes:

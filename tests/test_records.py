@@ -71,7 +71,7 @@ FIELDS = {
                       "open_interval", "conjecture_tight"),
     "RatioRow": ("y", "x", "n", "lower", "upper", "lower_ratio", "upper_ratio"),
     "PlanarityResult": ("planar", "witness", "edge_bound"),
-    "GadgetGraph": ("edges", "kept", "spokes", "rims", "false_nodes"),
+    "GadgetGraph": ("edges", "false_nodes"),
     "SizeStats": ("size", "skipped", "leaves", "planarity_s", "witnesses", "nodes",
                   "rim_cuts"),
     "SearchStats": ("lower_bound", "sizes"),
