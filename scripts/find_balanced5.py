@@ -49,7 +49,6 @@ def braced_pairs(g: BipartiteGraph):
             if f <= e or set(e) & set(f):
                 continue
             (i, k), (j, l) = e, f
-            braces = (min((i, l), (l, i)), min((j, k), (k, j)))
             braces = (tuple(sorted((i, l))), tuple(sorted((j, k))))
             if braces[0] in edges and braces[1] in edges:
                 bp = tuple(sorted((i, j)))

@@ -41,14 +41,18 @@ Four pruning rules keep that exhaustive; each is proved where it is coded:
   exchange, so the search stops visiting mirrored children.
 
 So only leaves are tested, and most subtrees end by counting alone: K3,7
-at budget 6 is a ``no`` after 1,244 nodes and 68 leaf tests.
+at budget 6 is a ``no`` after 1,244 nodes and 68 leaf tests.  Those 68
+leaves all sit on the 3N - 6 edge bound, where a planar graph is a
+triangulation: the triangle count (``_short_of_triangles``) rejects 57 of
+them, and only 11 reach the left-right test.
 
 One builder, ``_gadget``, makes every gadget graph, simple and on
 integers: a vertex is named by its position in sorted order and the hub
 of the i-th chosen pair by n + i.  The search hands a leaf's graph
-(``_Search.gadget``) to ``planarity.lr_planar``, which builds no
-embedding, as it is (``_Search.planar``), and returns the labelled pairs
-of the leaf it accepts.  ``_witness`` is the one route from pairs to a
+(``_Search.gadget``), as it is, to the triangle count and then, unless
+that rejects it, to ``planarity.lr_planar``, which builds no embedding
+(``_Search.planar``); it returns the labelled pairs of the leaf it
+accepts.  ``_witness`` is the one route from pairs to a
 drawing: ``gadget_planarize`` (which checks the pairs and names
 ``_gadget``'s graph by labels), ``planarity_test`` (the 3N - 6 edge bound
 of ``_over_edge_bound``, then ``planarity.lr_embedding``, the same
@@ -136,6 +140,38 @@ def _over_edge_bound(simple: Collection[tuple[int, int]]) -> bool:
     vertices that have one, which makes it non-planar (see ``_counting_bound``)."""
     n = len({v for e in simple for v in e})
     return n >= 3 and len(simple) > 3 * n - 6
+
+
+def _short_of_triangles(n: int, simple: Collection[tuple[int, int]], touched: int) -> bool:
+    """Whether a simple graph on vertices ``range(n)``, ``touched`` of them
+    non-isolated, has too many edges on fewer than two triangles to be
+    planar, by the lemma below.
+
+    Lemma (triangle count).  Let H be a simple plane graph with N' >= 4
+    non-isolated vertices and E edges.  Then at most 4(3N' - 6 - E) edges
+    uv have |N(u) & N(v)| < 2.
+    Proof.  With c components, Euler gives sum over faces f of
+    (len f - 3) = 3N' - 3 - 3c - E <= s := 3N' - 6 - E, where len f is the
+    total length of f's boundary walks.  Each walk has length >= 2, so a
+    face of length 3 is bounded by one triangle.  Take an edge with both
+    sides on triangular faces.  Its two apexes are distinct unless H = K3.
+    So each deficient edge has a side on a face of length >= 4.
+    Those faces hold at most sum len f <= 4 sum (len f - 3) <= 4s
+    edge-sides.
+    """
+    if touched < 4:
+        return False
+    room = 4 * (3 * touched - 6 - len(simple))
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in simple:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for u, v in simple:
+        if len(nbrs[u] & nbrs[v]) < 2:
+            room -= 1
+            if room < 0:
+                return True
+    return False
 
 
 def planarity_test(edges: Sequence[tuple[int, int]],
@@ -270,8 +306,8 @@ class SizeStats(_Counters):
                  rim_cuts: int = 0) -> None:
         self.size = size
         self.skipped = skipped  # below the counting bound: nothing of this size was tried
-        self.leaves = leaves  # full assignments sent to the planarity test, one call each
-        self.planarity_s = planarity_s  # the time of those calls
+        self.leaves = leaves  # full assignments given a verdict, by triangles or left-right
+        self.planarity_s = planarity_s  # the time of those verdicts, both tests
         self.witnesses = witnesses  # planar leaves converted into certified drawings
         self.nodes = nodes  # inner nodes expanded, the root included
         self.rim_cuts = rim_cuts  # allowed pairs the rim bound dropped, each a subtree cut
@@ -491,7 +527,7 @@ class _Search:
         self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
         for k in edge_rim:
             self.uncrossed[k] = 1
-        touched = len({v for e in edges for v in e})
+        self.touched = touched = len({v for e in edges for v in e})  # non-isolated vertices
         self.rim_room = 3 * touched - 6 - len(edges)
 
     def gadget(self, chosen: list[int]) -> KeysView[tuple[int, int]]:
@@ -502,13 +538,18 @@ class _Search:
                        [self.pair_ends[p] for p in chosen])
 
     def planar(self, simple: Collection[tuple[int, int]], hubs: int) -> bool:
-        """The left-right verdict on a gadget graph from ``gadget`` with
-        ``hubs`` hubs, on vertices ``range(n + hubs)``; no embedding is
-        built.  The graph is within the 3N - 6 edge bound: ``viable`` kept
-        no leaf above it, and size 0 is searched only when the counting
-        bound is 0."""
+        """The verdict on a gadget graph from ``gadget`` with ``hubs`` hubs,
+        on vertices ``range(n + hubs)``; no embedding is built.  The graph
+        is within the 3N - 6 edge bound: ``viable`` kept no leaf above it,
+        and size 0 is searched only when the counting bound is 0.  At
+        3N - 6 edges a planar graph is a triangulation, so the triangle
+        count (``_short_of_triangles``, on the N' = ``touched`` + ``hubs``
+        non-isolated vertices: every hub has spokes, and every touched
+        vertex keeps an uncrossed edge or a spoke) rejects most such
+        leaves; the left-right test decides the rest."""
         t = time.perf_counter()
-        planar = lr_planar(self.n + hubs, simple)
+        planar = (not _short_of_triangles(self.n + hubs, simple, self.touched + hubs)
+                  and lr_planar(self.n + hubs, simple))
         self.stats.planarity_s += time.perf_counter() - t
         return planar
 

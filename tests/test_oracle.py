@@ -26,6 +26,7 @@ from onecross.oracle import (
     _over_edge_bound,
     _gadget,
     _Search,
+    _short_of_triangles,
     _two_color,
     _witness,
     gadget_planarize,
@@ -142,11 +143,19 @@ def test_an_embedding_failing_the_euler_audit_raises(monkeypatch):
         planarity_test(edges)
 
 
+def short_of_triangles(n, simple):
+    """``_short_of_triangles`` on a simple graph within the 3N - 6 edge
+    bound, with its non-isolated vertices counted from the edges."""
+    return _short_of_triangles(n, simple, len({v for e in simple for v in e}))
+
+
 def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
     # The gadget graph of every leaf of three searches, run to the end: no
     # leaf is accepted, and the rim bound is switched off, so the leaves
     # above the 3N - 6 edge bound are built too.  The search sends the
-    # kernel only those within the bound; the floors count them.
+    # kernel only those within the bound; the floors count them.  The
+    # triangle count, which the search applies first, rejects only
+    # non-planar leaves, and some of them.
     monkeypatch.setattr(_Search, "viable", lambda self, chosen, allowed, left, rims: allowed)
     graphs = []
     monkeypatch.setattr(_Search, "leaf", lambda self, chosen: graphs.append(
@@ -155,14 +164,19 @@ def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
                           (complete_bipartite(3, 4), 3)):
         assert is_one_planar(graph, budget).verdict == "no"
     verdicts = Counter()
+    short = 0
     for n, edges in graphs:
         g = nx.Graph(list(edges))
         g.add_nodes_from(range(n))
         want = nx.check_planarity(g)[0]
         assert lr_planar(n, edges) == want, edges
         verdicts[want, _over_edge_bound(edges)] += 1
+        if not _over_edge_bound(edges) and short_of_triangles(n, edges):
+            assert not want, edges
+            short += 1
     assert verdicts[True, False] >= 100 and verdicts[False, False] >= 500
     assert verdicts[False, True] and not verdicts[True, True]
+    assert short >= 500
 
 
 K5_EDGES = list(itertools.combinations(range(5), 2))
@@ -218,8 +232,11 @@ def multigraphs(draw):
 def test_left_right_test_agrees_with_networkx_on_random_graphs():
     # The kernel is also asked about graphs above the 3N - 6 edge bound,
     # which its callers reject before calling it: K5 and K6, and whatever
-    # the strategy draws (one of the 150 examples).
+    # the strategy draws (one of the 150 examples).  The triangle count is
+    # asked about those within the bound: it rejects only non-planar
+    # graphs, and some of them.
     above = []
+    short = []
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(graph=multigraphs())
@@ -234,9 +251,13 @@ def test_left_right_test_agrees_with_networkx_on_random_graphs():
         above.append(_over_edge_bound(simple))
         assert lr_planar(len(vertices), simple) == want
         assert planarity_test(first_copies(edges), vertices).planar == want
+        if not above[-1] and short_of_triangles(len(vertices), simple):
+            assert not want
+            short.append(simple)
 
     agree()
     assert any(above)
+    assert short
 
 
 def assert_embeds_as_networkx(nodes, edges, monkeypatch):
@@ -420,6 +441,17 @@ def test_c4_yes_zero():
 def test_k4_yes_zero():
     res = is_one_planar(complete(4), 0)
     assert res.verdict == "yes" and res.crossings == 0
+
+
+@pytest.mark.parametrize("graph", [
+    complete(3),  # three edges on one triangle each: the count needs N' >= 4
+    Graph.make(range(4), complete(3).edges),  # N' counts only non-isolated vertices
+    Graph.make(range(4), complete(4).edges - {(0, 1)}),  # 4 = 4(3N' - 6 - E) deficient edges
+], ids=["K3", "K3+isolated", "K4-e"])
+def test_triangle_count_limits_yes_zero(graph):
+    res = is_one_planar(graph, 0)
+    assert res.verdict == "yes" and res.crossings == 0
+    assert validate(res.drawing).passed
 
 
 def test_k5_min_one():
@@ -1177,16 +1209,25 @@ def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
 # -- orbit order -----------------------------------------------------------------
 
 
-def test_k37_search_is_small_for_its_plain_labels():
+def test_k37_search_is_small_for_its_plain_labels(monkeypatch):
     # 13,590 planarity calls when orbits were numbered by their least pair,
     # 2,541 when each size decided its forced-uncrossed verdicts afresh,
     # 1,764 before the rim bound, 635 before it filtered the allowed sets
     # (when inner nodes were tested too), 93 leaves and 1,992 nodes before
     # children kept their pair's swaps; 68 leaves and 1,244 nodes now.
-    res = is_one_planar(complete_bipartite(3, 7), 6)
-    assert res.verdict == "no"
-    assert sum(s.leaves for s in res.stats.sizes) <= 70
-    assert sum(s.nodes for s in res.stats.sizes) <= 1300
+    # Every leaf went to the left-right test before the triangle count,
+    # which rejects 57 of the 68; 11 reach it now, also with an isolated
+    # vertex, which the count's N' leaves out.
+    calls = []
+    monkeypatch.setattr(onecross.oracle, "lr_planar", lambda *a: calls.append(1) or lr_planar(*a))
+    k37 = complete_bipartite(3, 7)
+    for graph in (k37, BipartiteGraph.make(k37.black, k37.white | {10}, k37.edges)):
+        calls.clear()
+        res = is_one_planar(graph, 6)
+        assert res.verdict == "no"
+        assert sum(s.leaves for s in res.stats.sizes) <= 70
+        assert sum(s.nodes for s in res.stats.sizes) <= 1300
+        assert len(calls) <= 11
 
 
 def test_k38_search_is_small():
