@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustively decide 1-crossing drawability")
     p.add_argument("file", nargs="?")
     p.add_argument("--complete-bipartite", nargs=2, type=int, metavar=("A", "B"))
-    p.add_argument("--budget", type=int, default=6)
+    p.add_argument("--budget", type=int,
+                   help="most crossings to try (default: the crossing cap, two less "
+                        "than the number of vertices with an edge)")
     p.add_argument("--timeout", type=float)
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="write the witness drawing here")

@@ -12,9 +12,9 @@ host map without coordinates (a stacked triangulation, nested 4-cycles or a
 star) with straight-line sketches of at most 9 points (see
 :mod:`onecross.sketch`) spliced into its faces.  The one-crossing drawing of
 the complete (3, 3) graph is a single sketch; the balanced (5, 5) drawing,
-found by the search in ``scripts/find_balanced5.py``, ships as a JSON
-template under ``onecross/data`` and is parsed without a certification of
-its own.
+the oracle's witness at budget 6 (``scripts/find_balanced5.py`` regenerates
+it), ships as a JSON template under ``onecross/data`` and is parsed without
+a certification of its own.
 
 All generators are pure functions of their parameters and cache no drawing.
 """

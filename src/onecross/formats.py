@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -368,33 +368,53 @@ def _solve(rows: list[dict[int, float]],
     return points
 
 
-def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
-    """Barycentric layout per component; the largest face becomes the hull.
+def _tutte_positions(m: pm.PlaneMap, order: Sequence[int]) -> dict[int, tuple[float, float]]:
+    """Barycentric layout per component; a longest face becomes the hull.
 
-    Components are laid side by side in order of their least vertex.  A
-    component with edges pins its largest face's ring to a circle and places
-    every other vertex at the mean of its neighbours (W. T. Tutte, *How to
-    draw a graph*, Proc. London Math. Soc. 1963), by :func:`_solve`.
+    Components are laid side by side.  A component with edges pins its
+    hull's ring to a circle and places every other vertex at the mean of
+    its neighbours (W. T. Tutte, *How to draw a graph*, Proc. London Math.
+    Soc. 1963), by :func:`_solve`.
+
+    No choice depends on a dart id, only on ``order``, the map's vertices
+    in a total order, and on where each rotation starts, which a saved
+    document keeps: a drawing and its document get one picture.  Read a
+    face walk from one of its darts as the ranks (positions in ``order``)
+    of the vertices it passes: the hull is the least reading of a longest
+    face, and its ring starts where that reading starts.  Components, by
+    their first vertex, and the rows of each interior go in ``order``.
     """
     rotations, owner, opp = m.rotations, m.dart_vertex, m.opposite
     roots = m.components
+    rank = dict(zip(order, range(len(order))))
     comps: dict[int, list[int]] = {}
-    for v in sorted(roots):
+    for v in order:
         comps.setdefault(roots[v], []).append(v)
-    outer: dict[int, list[int]] = {}  # each component's first longest face
+    longest: dict[int, list[tuple[int, ...]]] = {}  # each component's longest faces
     for walk in m.faces:
         root = roots[owner[walk[0]]]
-        if len(walk) > len(outer.get(root, ())):
-            outer[root] = walk
+        tied = longest.get(root)
+        if tied is None or len(walk) > len(tied[0]):
+            longest[root] = [walk]
+        elif len(walk) == len(tied[0]):
+            tied.append(walk)
     pos: dict[int, tuple[float, float]] = {}
     offset = 0.0
     for root, comp in comps.items():
-        if root not in outer:
+        if root not in longest:
             for i, v in enumerate(comp):
                 pos[v] = (offset + 30.0 * i, 0.0)
             offset += 30.0 * len(comp) + 60.0
             continue
-        ring = list(dict.fromkeys(owner[dart] for dart in outer[root]))
+        # The least reading starts at the least-ranked vertex on a tied
+        # face: only the tied faces through it are read.
+        tied = longest[root]
+        on_tied = set().union(*tied)
+        first = next(set(rotations[v]) for v in comp if not on_tied.isdisjoint(rotations[v]))
+        readings = [walk[i:] + walk[:i] for walk in tied if not first.isdisjoint(walk)
+                    for i, dart in enumerate(walk) if dart in first]
+        hull = min(readings, key=lambda walk: [rank[owner[dart]] for dart in walk])
+        ring = list(dict.fromkeys(owner[dart] for dart in hull))
         radius = 100.0
         for i, v in enumerate(ring):
             a = 2 * math.pi * i / len(ring)
@@ -425,12 +445,16 @@ def _tutte_positions(m: pm.PlaneMap) -> dict[int, tuple[float, float]]:
 def export_svg(d: OnePlanarDrawing) -> str:
     """A plane picture of the drawing; crossed edges stay visually continuous.
 
-    Coordinates come from a barycentric layout of the planified map with its
-    largest face pinned as the outer polygon.  The layout is presentation
-    only and carries no certification weight.
+    Coordinates come from a barycentric layout of the planified map with a
+    largest face pinned as the outer polygon, chosen by vertex ids (see
+    :func:`_tutte_positions`): a drawing and its saved document give the
+    same picture.  The layout is presentation only and carries no
+    certification weight.
     """
     m = d.planified
-    pos = _tutte_positions(m)
+    # True vertices by id, then false vertices by their crossing: no map id.
+    false = d.false_vertices
+    pos = _tutte_positions(m, [*sorted(d.graph.vertices), *sorted(false, key=false.__getitem__)])
     xs = [p[0] for p in pos.values()] or [0.0]
     ys = [p[1] for p in pos.values()] or [0.0]
     pad = 20.0

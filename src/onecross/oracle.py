@@ -10,7 +10,7 @@ planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
 
-Four pruning rules keep that exhaustive; each is proved where it is coded:
+Five pruning rules keep that exhaustive; each is proved where it is coded:
 
 - counting bound (``_counting_bound``): deleting one edge per crossing
   leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
@@ -38,7 +38,12 @@ Four pruning rules keep that exhaustive; each is proved where it is coded:
   permutations of the node's group that map its chosen pair (ab, cd) onto
   itself without fixing its endpoints, such as (a c)(b d) when a, c and
   b, d are twins, and ``orbits`` merges the twin orbits that they
-  exchange, so the search stops visiting mirrored children.
+  exchange, so the search stops visiting mirrored children;
+- crossing cap (``_crossing_cap``): a drawing with k >= 1 crossings has
+  k <= n' - 2, where n' counts the vertices that have an edge, so no size
+  above the cap is searched, and a counting bound above the cap answers
+  ``no`` for every budget, with no search.  Without a budget the search
+  runs up to the cap and so decides drawability outright.
 
 So only leaves are tested, and most subtrees end by counting alone: K3,7
 at budget 6 is a ``no`` after 1,244 nodes and 68 leaf tests.  Those 68
@@ -316,14 +321,16 @@ class SizeStats(_Counters):
 class SearchStats(_Counters):
     """Per-size counters of one :func:`is_one_planar` run."""
 
-    __slots__ = _fields = ("lower_bound", "sizes")
+    __slots__ = _fields = ("lower_bound", "cap", "sizes")
 
-    def __init__(self, lower_bound: int, sizes: list[SizeStats] | None = None) -> None:
+    def __init__(self, lower_bound: int, cap: int, sizes: list[SizeStats] | None = None) -> None:
         self.lower_bound = lower_bound  # the counting bound on the number of crossings
+        self.cap = cap  # the crossing cap: no size above it is searched
         self.sizes = [] if sizes is None else sizes
 
     def to_json(self) -> dict:
-        return {"lower_bound": self.lower_bound, "sizes": [s._asdict() for s in self.sizes]}
+        return {"lower_bound": self.lower_bound, "cap": self.cap,
+                "sizes": [s._asdict() for s in self.sizes]}
 
 
 class OneplanarResult(NamedTuple):
@@ -412,7 +419,7 @@ def _witness(graph: Graph | BipartiteGraph,
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
 # indexes other subtrees, so it must not be resumed.
-RULES = ("count", "twins", "small-orbits-first", "rims", "pair-swaps")
+RULES = ("count", "twins", "small-orbits-first", "rims", "pair-swaps", "crossing-cap")
 
 
 def _counting_bound(graph: Graph | BipartiteGraph) -> int:
@@ -431,6 +438,28 @@ def _counting_bound(graph: Graph | BipartiteGraph) -> int:
         return 0
     planar_edges = 2 * n - 4 if _two_color(graph) is not None else 3 * n - 6
     return max(0, len(graph.edges) - planar_edges)
+
+
+def _crossing_cap(touched: int) -> int:
+    """Most crossings any drawing can have, on ``touched`` vertices that have
+    an edge: assignments above it need no search.
+
+    Lemma (crossing cap; Czap and Hudák, *1-planarity of complete
+    multipartite graphs*, Discrete Appl. Math. 2012).  Take a drawing with
+    k >= 1 crossings, each edge crossed at most once and no two adjacent
+    edges crossing (the oracle's pairs are never adjacent).  Let H have as
+    vertices the n_X endpoints of crossed edges and the k crossing points,
+    and as edges the 4k half-edges from a crossing point to an endpoint.
+    H is part of the planarization, so it is plane.  It is simple, since a
+    crossing point meets four distinct endpoints, each by the one crossing
+    of its edge.  It is bipartite: endpoints against crossing points.  A
+    simple bipartite plane graph on N >= 3 vertices has at most 2N - 4
+    edges (``_counting_bound``), so 4k <= 2(n_X + k) - 4, that is
+    k <= n_X - 2 <= touched - 2.  An assignment with a planar gadget graph
+    is the crossing set of such a drawing (``_witness``), so no assignment
+    of more than ``touched`` - 2 pairs has one; size 0 stays allowed.
+    """
+    return max(0, touched - 2)
 
 
 def _twin_classes(graph: Graph | BipartiteGraph) -> list[int]:
@@ -823,36 +852,42 @@ def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, i
         raise OracleError(f"checkpoint {path}: size and next_root must be nonnegative integers")
     if resume[0] > fingerprint["budget"]:
         # Resuming would search no size at all and answer "no" unsearched.
-        raise OracleError(f"checkpoint {path}: size {resume[0]} is above the budget "
-                          f"{fingerprint['budget']}")
+        raise OracleError(f"checkpoint {path}: size {resume[0]} is above the largest size "
+                          f"searched, {fingerprint['budget']}")
     return resume
 
 
-def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
+def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = None,
                   timeout: float | None = None,
                   checkpoint: str | Path | None = None) -> OneplanarResult:
-    """Decide drawability with at most ``max_crossings`` crossings.
+    """Decide drawability with at most ``max_crossings`` crossings, or with
+    any number when it is None.
 
     Searches assignment sizes in increasing order, so a ``yes`` uses the
-    fewest crossings possible; sizes below the counting bound are skipped.
+    fewest crossings possible; sizes below the counting bound are skipped,
+    and none above the crossing cap is searched.
     Within a size, the first level branches on the orbit representatives,
     under the twin group, of the candidate pairs that the rim bound keeps,
     in the order of ``_Search.orbits``.
     ``yes`` returns a certified drawing; ``no`` is exhaustive within the
-    budget; ``unknown`` is only returned when ``timeout`` seconds pass
-    before the search enters a node (a negative or NaN ``timeout`` raises
-    :class:`OracleError`), with progress saved to ``checkpoint`` (a JSON
-    file recording the size and the first orbit of the first level not yet
-    fully explored) when given; a checkpoint the search could not have
-    written raises :class:`OracleError`.  ``stats`` counts the work at each
-    size.
+    budget, and without a budget means that no drawing exists; ``unknown``
+    is only returned when ``timeout`` seconds pass before the search enters
+    a node (a negative or NaN ``timeout`` raises :class:`OracleError`), with
+    progress saved to ``checkpoint`` (a JSON file recording the size and the
+    first orbit of the first level not yet fully explored) when given; a
+    checkpoint the search could not have written raises
+    :class:`OracleError`.  ``stats`` counts the work at each size.
     """
-    if max_crossings < 0:
+    if max_crossings is not None and max_crossings < 0:
         raise OracleError("budget must be nonnegative")
     if timeout is not None and not timeout >= 0:
         raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout}")
     search = _Search(graph, None if timeout is None else time.monotonic() + timeout)
-    fingerprint = {"edges": [list(e) for e in search.edges], "budget": max_crossings,
+    stats = SearchStats(_counting_bound(graph), _crossing_cap(search.touched))
+    top = stats.cap if max_crossings is None else min(max_crossings, stats.cap)
+    # The budget recorded is the largest size searched: budgets above the
+    # cap search the same sizes, and so share a checkpoint.
+    fingerprint = {"edges": [list(e) for e in search.edges], "budget": top,
                    "rules": list(RULES)}
     resume_size, resume_root = _read_checkpoint(checkpoint, fingerprint)
 
@@ -873,8 +908,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
             tmp.unlink(missing_ok=True)
             raise
 
-    stats = SearchStats(_counting_bound(graph))
-    for size in range(resume_size, max_crossings + 1):
+    for size in range(resume_size, top + 1):
         search.stats = SizeStats(size, skipped=size < stats.lower_bound)
         stats.sizes.append(search.stats)
         root = resume_root if size == resume_size else 0
@@ -917,15 +951,16 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int,
     return OneplanarResult("no", None, None, stats)
 
 
-def min_crossings(graph: Graph | BipartiteGraph, cap: int,
+def min_crossings(graph: Graph | BipartiteGraph, max_crossings: int | None,
                   timeout: float | None = None) -> int | None:
-    """Least number of crossings over accepting assignments, or None beyond cap.
+    """Least number of crossings over accepting assignments, or None beyond
+    ``max_crossings``.
 
-    One :func:`is_one_planar` search with budget ``cap``: sizes are tried in
+    One :func:`is_one_planar` search with that budget: sizes are tried in
     increasing order, so the first accepting size is the least.  ``timeout``
     bounds the whole search; running out raises :class:`OracleError`.
     """
-    res = is_one_planar(graph, cap, timeout=timeout)
+    res = is_one_planar(graph, max_crossings, timeout=timeout)
     if res.verdict == "unknown":
         raise OracleError("timed out during the crossing search")
     return res.crossings

@@ -10,6 +10,7 @@ from onecross.bounds import upper_bound
 from onecross.cli import main
 import onecross.constructions
 import onecross.drawing
+import onecross.oracle
 import onecross.plane_map
 from onecross.constructions import (
     _complete_x3_small,
@@ -25,6 +26,7 @@ from onecross.constructions import (
 )
 from onecross.drawing import DrawingError, crossing_count, validate
 from onecross.formats import drawing_to_document, parse_document
+from onecross.oracle import _witness
 from onecross.plane_map import euler_check, trace_faces
 
 
@@ -158,8 +160,8 @@ BALANCED5 = ROOT / "src" / "onecross" / "data" / "balanced5.json"
 
 
 def find_balanced5_script(monkeypatch):
-    """``scripts/find_balanced5.py`` as a module; its ``main`` is not run,
-    as it would rewrite the data file."""
+    """``scripts/find_balanced5.py`` as a module; its ``main`` is not run on
+    import."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec = importlib.util.spec_from_file_location("find_balanced5",
                                                   ROOT / "scripts" / "find_balanced5.py")
@@ -169,36 +171,42 @@ def find_balanced5_script(monkeypatch):
 
 
 def test_find_balanced5_script_targets_the_template_graph(monkeypatch):
-    # The script's one call into the oracle is ``_witness``: on the shipped
-    # template's crossings it draws the script's target graph with exactly
-    # those crossings, in about 0.7 ms on a 2-CPU Xeon host; the bound
-    # below only says that no search runs.
+    # ``_witness`` on the shipped template's crossings draws the script's
+    # target graph with exactly those crossings, in about 0.7 ms on a 2-CPU
+    # Xeon host; the bound below only says that no search runs.
     script = find_balanced5_script(monkeypatch)
     template = parse_document(json.loads(BALANCED5.read_text()))
     assert script.target_graph() == template.graph
+    assert len(template.graph.edges) == 22
     times = []
     for _ in range(5):
         start = time.perf_counter()
-        d = script._witness(script.target_graph(), template.crossings)
+        d = _witness(script.target_graph(), template.crossings)
         times.append(time.perf_counter() - start)
     assert validate(d).passed and d.crossings == template.crossings
     assert min(times) < 0.01
 
 
-def test_find_balanced5_script_finds_the_shipped_template(capsys, monkeypatch):
-    # The search only.  A rotation may start at another dart and still be
-    # the same embedding.
+def test_find_balanced5_script_finds_the_shipped_template(tmp_path, capsys, monkeypatch):
+    # The oracle's run at budget 6, about 1 s: its witness's document equals
+    # the shipped one in every key, so ``main`` leaves the file's bytes.
     script = find_balanced5_script(monkeypatch)
-    found = drawing_to_document(script.search(script.target_graph()))
-    capsys.readouterr()
+    results = []
+    search = onecross.oracle.is_one_planar
+    monkeypatch.setattr(script, "is_one_planar",
+                        lambda *a: results.append(search(*a)) or results[-1])
+    monkeypatch.setattr(script, "TEMPLATE", tmp_path / BALANCED5.name)
+    script.TEMPLATE.write_bytes(BALANCED5.read_bytes())
+    script.main()
+    assert capsys.readouterr().out == "balanced5.json is unchanged\n"
+    assert script.TEMPLATE.read_bytes() == BALANCED5.read_bytes()
+    [res] = results
+    assert (res.verdict, res.crossings) == ("yes", 6)
+    found = drawing_to_document(res.drawing, {"generator": "balanced", "params": {"x": 5}})
     shipped = json.loads(BALANCED5.read_text())
-    for key in ("black", "white", "edges", "crossings"):
+    assert found.keys() == shipped.keys()
+    for key in shipped:
         assert found[key] == shipped[key], key
-    for kind, rotations in shipped["rotations"].items():
-        assert found["rotations"][kind].keys() == rotations.keys(), kind
-        for v, rotation in rotations.items():
-            got = found["rotations"][kind][v]
-            assert any(got[i:] + got[:i] == rotation for i in range(len(got))), (kind, v)
 
 
 def test_sketches_stay_constant_size(monkeypatch):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import operator
 
 import pytest
@@ -74,6 +75,8 @@ def test_every_family_row_round_trips_byte_for_byte(tmp_path, x, y):
         assert second.read_bytes() == first.read_bytes(), family
         assert (loaded.x, loaded.y, loaded.edge_count, len(loaded.crossings)) == \
             (x, y, count, len(d.crossings)), family
+        # The picture depends on no map id: the saved document draws the same.
+        assert export_svg(loaded) == export_svg(d), family
 
 
 def test_document_layout():
@@ -435,12 +438,15 @@ _FOREST = {
                   "false": {}},
 }
 
-# sha256 of export_svg's output, every one recorded while the layout was
-# still numpy's dense solve (with OPENBLAS_NUM_THREADS=1).  The sparse
-# elimination that replaced it must reproduce these bytes exactly.
+# sha256 of export_svg's output.  Four were recorded while the layout was
+# still numpy's dense solve (with OPENBLAS_NUM_THREADS=1), and the sparse
+# elimination that replaced it reproduces their bytes exactly.  Three were
+# re-recorded when the hull and its ring start came to be chosen by vertex
+# ids: the rings of both w3 drawings start at another vertex of the same
+# face, and near_balanced(15, 200) takes another of its 213 longest faces.
 _SVG_SHA256 = {
     "w3_family(3, 6)": (lambda: w3_family(3, 6),
-                        "b7e487fc0fa35df2954fd2abadcb5edfcf60290162f7b8d335cd727e7ea43b2f"),
+                        "335657118215c83265c660a33c8459a6e1435ad9a9cea3721b9fb118d7ba61b4"),
     "balanced(4)": (lambda: balanced(4),
                     "b16a57929a7b87f46f22c546407605bf003f2c5b16495225e7caae30f1746e83"),
     "b_family(20, 103)": (lambda: b_family(20, 103),
@@ -449,9 +455,9 @@ _SVG_SHA256 = {
                       "589cb64bdd794642781ca156940848fccbd5b7408cad9b312d18a23b4bb81bfd"),
     # two interior hubs of degree about 570
     "w3_family(12, 600)": (lambda: w3_family(12, 600),
-                           "77294d31237910c623e79a95985a053f6fff03849b9ddb285139dbf9bbe103f4"),
+                           "586dd79dec14c9594d3d4a4815c2fce1275ea30932c67150823b23216d27e3cd"),
     "near_balanced(15, 200)": (lambda: near_balanced(15, 200),
-                               "bcbe60cc04f602bc071f564beec4fd6f03adfea4fc8a0723163b7e826344df9a"),
+                               "f039b25b19d565edf824fd34c46a84cef5578cace5b79ac0909ac73af65bcd3c"),
     "forest": (lambda: document_to_drawing(_FOREST),
                "1de5c7e0cf08565e080056bf8a85786084974145fb8fdee3363332919654c2b6"),
 }
@@ -477,18 +483,35 @@ def test_export_svg_bytes_are_unchanged(make, sha256):
 ], ids=["star", "double-star", "complete-small", "w3", "b", "balanced4", "balanced5", "near",
         "balanced200", "w3-600", "forest"])
 def test_tutte_layout_puts_each_interior_vertex_at_its_neighbours_mean(make):
-    # Each component pins the vertices of its first longest face; every other
-    # vertex is the mean of its neighbours, a neighbour counted once per dart.
-    m = make().planified
-    pos = onecross.formats._tutte_positions(m)
+    # Each component pins the ring of its hull to a circle, from angle 0:
+    # the hull is read from the dart that makes the ranks of the vertices it
+    # passes least, over the longest faces.  Every other vertex is the mean
+    # of its neighbours, a neighbour counted once per dart.
+    d = make()
+    m = d.planified
+    order = [*sorted(d.graph.vertices),
+             *sorted(d.false_vertices, key=d.false_vertices.__getitem__)]
+    pos = onecross.formats._tutte_positions(m, order)
     assert pos.keys() == m.rotations.keys()
+    rank = {v: i for i, v in enumerate(order)}
     owner, roots = m.dart_vertex, onecross.plane_map._components(m)
-    outer = {}
+    hulls = {}
     for walk in m.faces:
         root = roots[owner[walk[0]]]
-        if len(walk) > len(outer.get(root, ())):
-            outer[root] = walk
-    pinned = {owner[dart] for walk in outer.values() for dart in walk}
+        for i in range(len(walk)):
+            darts = walk[i:] + walk[:i]
+            reading = (-len(darts), [rank[owner[x]] for x in darts])
+            if root not in hulls or reading < hulls[root][0]:
+                hulls[root] = (reading, darts)
+    pinned = set()
+    for _, darts in hulls.values():
+        ring = list(dict.fromkeys(owner[x] for x in darts))
+        pinned.update(ring)
+        centre = pos[ring[0]][0] - 100.0
+        for i, v in enumerate(ring):
+            a = 2 * math.pi * i / len(ring)
+            assert abs(pos[v][0] - centre - 100.0 * math.cos(a)) <= 1e-9, v
+            assert abs(pos[v][1] - 100.0 * math.sin(a)) <= 1e-9, v
     for v, rotation in m.rotations.items():
         if v in pinned or not rotation:
             continue
@@ -553,6 +576,16 @@ def test_cli_oracle_exit_codes(capsys, tmp_path):
                      "--timeout", "0.5", "--checkpoint", str(tmp_path / "ck.json")],
                     capsys)
     assert code == 3 and out.startswith("unknown")
+
+
+def test_cli_oracle_searches_up_to_the_crossing_cap_without_a_budget(capsys):
+    # K5,5 needs 9 crossings and has room for at most 8: "no", unsearched.
+    code, out = run(["oracle", "--complete-bipartite", "5", "5", "--json"], capsys)
+    stats = json.loads(out)["stats"]
+    assert (code, stats["lower_bound"], stats["cap"], len(stats["sizes"])) == (1, 9, 8, 9)
+    assert sum(s["nodes"] for s in stats["sizes"]) == 0
+    code, out = run(["oracle", "--complete-bipartite", "3", "4"], capsys)
+    assert (code, out) == (0, "yes crossings=2 (assignments tested: 2)\n")
 
 
 def test_cli_oracle_rejects_negative_class_sizes(capsys):

@@ -614,7 +614,8 @@ def test_timeout_returns_unknown(tmp_path):
 # fingerprint.  A size above the budget would resume past every size and
 # answer "no" for a planar graph.
 K22_FINGERPRINT = {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]], "budget": 0,
-                   "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps"]}
+                   "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps",
+                             "crossing-cap"]}
 BAD_CHECKPOINTS = {
     "not-json": "{bad",
     "not-an-object": "[]",
@@ -644,14 +645,16 @@ def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
         ck.write_text(json.dumps({"fingerprint": fingerprint, "size": 2, "next_root": 1}))
 
     write({"edges": edges, "budget": 2,
-           "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps"]})
+           "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps",
+                     "crossing-cap"]})
     assert is_one_planar(k34, 2, checkpoint=ck).verdict == "no"
-    # Written before children kept the swaps that map their pair onto
-    # itself, when inner nodes were also cut by a forced-uncrossed test,
-    # before the rim bound, before orbits were ordered smallest first (its
-    # next_root indexes orbits in another order), and before the rule set
-    # was recorded: each cut other subtrees.
-    for older in (["count", "twins", "small-orbits-first", "rims"],
+    # Written before sizes stopped at the crossing cap, before children kept
+    # the swaps that map their pair onto itself, when inner nodes were also
+    # cut by a forced-uncrossed test, before the rim bound, before orbits
+    # were ordered smallest first (its next_root indexes orbits in another
+    # order), and before the rule set was recorded: each cut other subtrees.
+    for older in (["count", "twins", "small-orbits-first", "rims", "pair-swaps"],
+                  ["count", "twins", "small-orbits-first", "rims"],
                   ["count", "twins", "forced", "small-orbits-first", "rims"],
                   ["count", "twins", "forced", "small-orbits-first"],
                   ["count", "twins", "forced"], None):
@@ -754,23 +757,25 @@ def candidate_pairs(edges):
     return out
 
 
+def assignments(pairs, size, start=0, used=frozenset()):
+    """Reference: every set of ``size`` edge-disjoint pairs of ``pairs``, as
+    lists in index order."""
+    if size == 0:
+        yield []
+        return
+    for i in range(start, len(pairs)):
+        e, f = pairs[i]
+        if e not in used and f not in used:
+            for rest in assignments(pairs, size - 1, i + 1, used | {e, f}):
+                yield [pairs[i]] + rest
+
+
 def plain_search(graph, budget):
     """Reference: the least size of an assignment with a planar gadget graph
     (at most ``budget``), trying every assignment; None if there is none."""
     pairs = candidate_pairs(sorted(graph.edges))
-
-    def assignments(size, start, used):
-        if size == 0:
-            yield []
-            return
-        for i in range(start, len(pairs)):
-            e, f = pairs[i]
-            if e not in used and f not in used:
-                for rest in assignments(size - 1, i + 1, used | {e, f}):
-                    yield [pairs[i]] + rest
-
     for size in range(budget + 1):
-        for chosen in assignments(size, 0, frozenset()):
+        for chosen in assignments(pairs, size):
             if planarity_test(gadget_planarize(graph, chosen).edges, graph.vertices).planar:
                 return size
     return None
@@ -1204,6 +1209,41 @@ def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
     assert _counting_bound(complete(6)) == 15 - 12
     assert _counting_bound(complete_bipartite(3, 5)) == 15 - 12
     assert _counting_bound(Graph.make(range(2), [(0, 1)])) == 0
+
+
+@pytest.mark.parametrize("graph", [complete(5), complete_bipartite(3, 4)], ids=["K5", "K3,4"])
+def test_plain_search_finds_no_planar_gadget_graph_above_the_crossing_cap(graph):
+    # The crossing cap lemma, checked by trying every assignment above the
+    # cap, n' - 2: 3 on K5, 5 on K3,4.
+    cap = len({v for e in graph.edges for v in e}) - 2
+    pairs = candidate_pairs(sorted(graph.edges))
+    tried = 0
+    for size in range(cap + 1, len(graph.edges) // 2 + 1):
+        for chosen in assignments(pairs, size):
+            tried += 1
+            assert not planarity_test(gadget_planarize(graph, chosen).edges,
+                                      graph.vertices).planar, chosen
+    assert tried > 0
+    assert is_one_planar(graph, cap + 2).stats.cap == cap
+
+
+def test_crossing_cap_bounds_the_sizes_searched():
+    # A budget above the cap searches the same sizes as the cap, and no
+    # budget at all means the cap.
+    k37 = complete_bipartite(3, 7)
+    runs = [is_one_planar(k37, budget) for budget in (8, 20, None)]
+    assert [(r.verdict, r.stats.cap, len(r.stats.sizes)) for r in runs] == [("no", 8, 9)] * 3
+    counts = [[(s.size, s.nodes, s.leaves) for s in r.stats.sizes] for r in runs]
+    assert counts[0] == counts[1] == counts[2]
+    assert is_one_planar(Graph.make(range(3), [])).crossings == 0  # size 0 needs no cap
+
+
+def test_counting_bound_above_the_crossing_cap_answers_no_without_a_search():
+    # K5,5: 25 - (2 * 10 - 4) = 9 crossings needed, at most 10 - 2 = 8 possible.
+    res = is_one_planar(complete_bipartite(5, 5), 10)
+    assert (res.verdict, res.stats.lower_bound, res.stats.cap) == ("no", 9, 8)
+    assert [s.size for s in res.stats.sizes] == list(range(9))
+    assert all(s.skipped and s.nodes == s.leaves == 0 for s in res.stats.sizes)
 
 
 # -- orbit order -----------------------------------------------------------------

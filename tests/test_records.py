@@ -74,7 +74,7 @@ FIELDS = {
     "GadgetGraph": ("edges", "false_nodes"),
     "SizeStats": ("size", "skipped", "leaves", "planarity_s", "witnesses", "nodes",
                   "rim_cuts"),
-    "SearchStats": ("lower_bound", "sizes"),
+    "SearchStats": ("lower_bound", "cap", "sizes"),
     "OneplanarResult": ("verdict", "drawing", "crossings", "stats"),
 }
 MUTABLE = {"SizeStats", "SearchStats"}
@@ -118,11 +118,11 @@ def test_search_counters_keep_their_defaults():
     assert SizeStats(4)._asdict() == {
         "size": 4, "skipped": False, "leaves": 0, "planarity_s": 0.0, "witnesses": 0,
         "nodes": 0, "rim_cuts": 0}
-    assert SearchStats(2)._asdict() == {"lower_bound": 2, "sizes": []}
-    assert SearchStats(2).sizes is not SearchStats(2).sizes
+    assert SearchStats(2, 4)._asdict() == {"lower_bound": 2, "cap": 4, "sizes": []}
+    assert SearchStats(2, 4).sizes is not SearchStats(2, 4).sizes
     assert SizeStats(1, leaves=2) == SizeStats(1, leaves=2) != SizeStats(1, leaves=3)
-    assert repr(SearchStats(1, [SizeStats(0)])) == (
-        "SearchStats(lower_bound=1, sizes=[SizeStats(size=0, skipped=False, leaves=0, "
+    assert repr(SearchStats(1, 3, [SizeStats(0)])) == (
+        "SearchStats(lower_bound=1, cap=3, sizes=[SizeStats(size=0, skipped=False, leaves=0, "
         "planarity_s=0.0, witnesses=0, nodes=0, rim_cuts=0)])")
 
 
@@ -163,7 +163,8 @@ def test_oracle_json_key_order_is_pinned():
     doc = json.loads(_cli(["oracle", "--complete-bipartite", "3", "4", "--budget", "2",
                            "--json"]))
     assert list(doc) == ["assignments_tested", "crossings", "stats", "verdict"]
-    assert list(doc["stats"]) == ["lower_bound", "sizes"]
+    assert list(doc["stats"]) == ["cap", "lower_bound", "sizes"]
+    assert doc["stats"]["cap"] == 5
     assert [list(s) for s in doc["stats"]["sizes"]] == [
         ["leaves", "nodes", "planarity_s", "rim_cuts", "size", "skipped", "witnesses"]] * 3
     assert (doc["verdict"], doc["crossings"], doc["assignments_tested"]) == ("yes", 2, 2)
