@@ -40,7 +40,8 @@ def searches() -> list[tuple[str, BipartiteGraph, int]]:
         ("K4,6 less two edges sharing a black vertex, at 8",
          complete_bipartite(4, 6, ((0, 4), (0, 5))), 8),
         ("K4,6 less two disjoint edges, at 8", complete_bipartite(4, 6, ((0, 4), (1, 5))), 8),
-        ("`best_known(5, 5)` at 6", best_known(5, 5).drawing.graph, 6),
+        ("K5,5 less three independent edges, at 6",
+         complete_bipartite(5, 5, ((0, 5), (1, 6), (2, 7))), 6),
         ("K3,8 at 8", complete_bipartite(3, 8), 8),
         ("K5,5 at 10", complete_bipartite(5, 5), 10),
         ("K3,8 at 11", complete_bipartite(3, 8), 11),

@@ -10,20 +10,16 @@ edge count: a generator reads its count from that table, raises
 raises it again if the finished drawing misses the count.  Each family is a
 host map without coordinates (a stacked triangulation, nested 4-cycles or a
 star) with straight-line sketches of at most 9 points (see
-:mod:`onecross.sketch`) spliced into its faces.  The one-crossing drawing of
-the complete (3, 3) graph is a single sketch; the balanced (5, 5) drawing,
-the oracle's witness at budget 6 (``scripts/find_balanced5.py`` regenerates
-it), ships as a JSON template under ``onecross/data`` and is parsed without
-a certification of its own.
+:mod:`onecross.sketch`) spliced into its faces.  Two small drawings are a
+single standalone sketch each: the one-crossing drawing of the complete
+(3, 3) graph and the balanced (5, 5) drawing with 22 edges and 6 crossings.
 
 All generators are pure functions of their parameters and cache no drawing.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from importlib import resources
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import plane_map as pm
@@ -370,16 +366,30 @@ def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
     return compile_sketch(points, edges, crossings), classes
 
 
-def _balanced_draft(x: int) -> OnePlanarDrawing:
-    """The uncertified balanced drawing on classes (x, x); x = 5 parses the template."""
-    if x == 5:
-        from .formats import parse_document
+def _k55_sketch() -> tuple[CompiledSketch, dict[str, str]]:
+    """The (5, 5) graph with 22 edges, drawn with 6 crossings.
 
-        text = resources.files("onecross").joinpath("data/balanced5.json").read_text()
-        return parse_document(json.loads(text))
-    if x == 3:
+    It is the only such graph: the complete (5, 5) graph less three
+    independent edges (here b1 w1, b2 w2 and b3 w3), since removing a star
+    or a path leaves a subgraph that exceeds the known caps on nine vertices.
+    """
+    points = {
+        "b1": (62, -24), "b2": (258, 117), "b3": (105, -9), "b4": (127, 46), "b5": (48, -183),
+        "w1": (142, 37), "w2": (81, -28), "w3": (-4, 169), "w4": (34, 114), "w5": (99, -38),
+    }
+    classes = {n: ("black" if n.startswith("b") else "white") for n in points}
+    edges = [(f"b{i}", f"w{j}") for i in range(1, 6) for j in range(1, 6) if i != j or i > 3]
+    crossings = [(("b1", "w3"), ("b5", "w4")), (("b1", "w5"), ("b5", "w2")),
+                 (("b2", "w4"), ("b4", "w3")), (("b2", "w5"), ("b5", "w1")),
+                 (("b3", "w1"), ("b4", "w5")), (("b3", "w4"), ("b4", "w2"))]
+    return compile_sketch(points, edges, crossings), classes
+
+
+def _balanced_draft(x: int) -> OnePlanarDrawing:
+    """The uncertified balanced drawing on classes (x, x)."""
+    if x in (3, 5):
         builder = _Builder()
-        builder.splice(*_k33_sketch())
+        builder.splice(*(_k33_sketch() if x == 3 else _k55_sketch()))
         return builder.draft()
     k, odd = divmod(x, 2)
     host = _web(k, bool(odd))
@@ -405,9 +415,8 @@ def balanced(x: int) -> OnePlanarDrawing:
     X tile per 4-face between rings.  Odd sizes x = 2k + 1 >= 7 use the odd
     host, whose (x1, y1) quadrant has the chords x1_i y1_{i+2}; its two
     6-faces get a cap each, adding one black and one white vertex of degree
-    4.  x = 3 is the one-crossing drawing of the complete (3, 3) graph and
-    x = 5 the stored template.  The size-6 graph caps at 9 edges, so x = 3
-    cannot reach 6x - 8 = 10.  The drawing is certified once.
+    4.  x = 3 and x = 5 are one sketch each.  The size-6 graph caps at 9
+    edges, so x = 3 cannot reach 6x - 8 = 10.  The drawing is certified once.
     """
     count = _table_edges("balanced", x, x)
     return _exact(certify(_balanced_draft(x)), "balanced", count)

@@ -1,16 +1,9 @@
-import importlib.util
-import json
-import sys
-import time
-from pathlib import Path
-
 import pytest
 
 from onecross.bounds import upper_bound
 from onecross.cli import main
 import onecross.constructions
 import onecross.drawing
-import onecross.oracle
 import onecross.plane_map
 from onecross.constructions import (
     _complete_x3_small,
@@ -25,8 +18,6 @@ from onecross.constructions import (
     w3_family,
 )
 from onecross.drawing import DrawingError, crossing_count, validate
-from onecross.formats import drawing_to_document, parse_document
-from onecross.oracle import _witness
 from onecross.plane_map import euler_check, trace_faces
 
 
@@ -153,60 +144,6 @@ def test_balanced_crossing_count(x):
     expected = 4 * k - 4 if x % 2 == 0 else 4 * k - 2
     assert crossing_count(balanced(x)) == expected
     assert crossing_count(near_balanced(x, x + 3)) == expected
-
-
-ROOT = Path(__file__).resolve().parents[1]
-BALANCED5 = ROOT / "src" / "onecross" / "data" / "balanced5.json"
-
-
-def find_balanced5_script(monkeypatch):
-    """``scripts/find_balanced5.py`` as a module; its ``main`` is not run on
-    import."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    spec = importlib.util.spec_from_file_location("find_balanced5",
-                                                  ROOT / "scripts" / "find_balanced5.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
-def test_find_balanced5_script_targets_the_template_graph(monkeypatch):
-    # ``_witness`` on the shipped template's crossings draws the script's
-    # target graph with exactly those crossings, in about 0.7 ms on a 2-CPU
-    # Xeon host; the bound below only says that no search runs.
-    script = find_balanced5_script(monkeypatch)
-    template = parse_document(json.loads(BALANCED5.read_text()))
-    assert script.target_graph() == template.graph
-    assert len(template.graph.edges) == 22
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        d = _witness(script.target_graph(), template.crossings)
-        times.append(time.perf_counter() - start)
-    assert validate(d).passed and d.crossings == template.crossings
-    assert min(times) < 0.01
-
-
-def test_find_balanced5_script_finds_the_shipped_template(tmp_path, capsys, monkeypatch):
-    # The oracle's run at budget 6, about 1 s: its witness's document equals
-    # the shipped one in every key, so ``main`` leaves the file's bytes.
-    script = find_balanced5_script(monkeypatch)
-    results = []
-    search = onecross.oracle.is_one_planar
-    monkeypatch.setattr(script, "is_one_planar",
-                        lambda *a: results.append(search(*a)) or results[-1])
-    monkeypatch.setattr(script, "TEMPLATE", tmp_path / BALANCED5.name)
-    script.TEMPLATE.write_bytes(BALANCED5.read_bytes())
-    script.main()
-    assert capsys.readouterr().out == "balanced5.json is unchanged\n"
-    assert script.TEMPLATE.read_bytes() == BALANCED5.read_bytes()
-    [res] = results
-    assert (res.verdict, res.crossings) == ("yes", 6)
-    found = drawing_to_document(res.drawing, {"generator": "balanced", "params": {"x": 5}})
-    shipped = json.loads(BALANCED5.read_text())
-    assert found.keys() == shipped.keys()
-    for key in shipped:
-        assert found[key] == shipped[key], key
 
 
 def test_sketches_stay_constant_size(monkeypatch):

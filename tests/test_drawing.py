@@ -195,7 +195,7 @@ def test_surgery_documents_are_unchanged():
         count += len(results)
     assert count == 203
     assert digest.hexdigest() == \
-        "34ca914a29fa31351e3b1e558b18617d9ddcab59c121052f0237b294f437256a"
+        "205aad3057826a61f09cde9cefdde3f0f5a43b84d7c7553801afde0e9e110067"
 
 
 def test_surgery_certifies_once(monkeypatch):

@@ -36,6 +36,7 @@ from onecross.formats import (
     save_drawing,
 )
 from onecross.oracle import RULES
+from test_oracle import SLOW_BUDGET, slow_instance
 
 
 @pytest.mark.parametrize("make", [
@@ -99,6 +100,17 @@ def test_document_layout():
  "white": [1,3]
 }
 """
+
+
+def test_an_indented_document_loads_unchanged(tmp_path):
+    # The loader accepts any JSON whitespace: a document written by
+    # json.dumps with one-space indents loads to the same drawing.
+    provenance = {"generator": "balanced", "params": {"x": 5}}
+    doc = drawing_to_document(balanced(5), provenance)
+    path = tmp_path / "balanced5.json"
+    path.write_text(json.dumps(doc, indent=1))
+    assert path.read_text() != dumps_document(doc)
+    assert drawing_to_document(load_drawing(path), provenance) == doc
 
 
 def test_save_load(tmp_path):
@@ -568,11 +580,10 @@ def test_cli_oracle_exit_codes(capsys, tmp_path):
     assert code == 0 and out.startswith("yes")
     code, out = run(["oracle", "--complete-bipartite", "3", "3", "--budget", "0"], capsys)
     assert code == 1 and out.startswith("no")
-    # best_known(5, 5) at budget 6 finds its 6 crossings after about
-    # 134,000 planarity calls, over 30 s on a 2-CPU host.
-    slow = tmp_path / "best55.json"
-    save_drawing(best_known(5, 5).drawing, slow)
-    code, out = run(["oracle", str(slow), "--budget", "6",
+    slow = tmp_path / "slow.json"
+    save_drawing(best_known(4, 8).drawing, slow)
+    assert load_drawing(slow).graph == slow_instance()
+    code, out = run(["oracle", str(slow), "--budget", str(SLOW_BUDGET),
                      "--timeout", "0.5", "--checkpoint", str(tmp_path / "ck.json")],
                     capsys)
     assert code == 3 and out.startswith("unknown")

@@ -3,9 +3,9 @@
 ``import onecross`` loads the certifier alone (``plane_map``, ``drawing``);
 every other public name is imported from its module on first access.  A
 command loads the modules it runs: the oracle and the bounds only for their
-own commands.  No command loads networkx or numpy: the oracle's planarity
-test embeds its witness itself, and the SVG layout solves its system in
-plain Python.  Nothing loads ``dataclasses`` (and with it ``inspect``).
+own commands, and no construction loads the document format.  No command
+loads networkx or numpy: the oracle's planarity test embeds its witness
+itself, and the SVG layout solves its system in plain Python.  Nothing loads ``dataclasses`` (and with it ``inspect``).
 
 Each check runs in a fresh interpreter, because this test process has
 already imported all of them.
@@ -56,6 +56,19 @@ def test_importing_the_package_loads_only_the_certifier():
                             "planarity", "cli") if f"onecross.{m}" in sys.modules]
         assert lazy == [], lazy
         assert "onecross.drawing" in sys.modules
+    """)
+
+
+def test_no_construction_loads_the_document_format():
+    # Every drawing is built from sketches and host maps; none is parsed.
+    run_fresh("""
+        import sys
+
+        from onecross.constructions import best_known
+        for x in range(1, 7):
+            for y in range(x, 6 * x + 1):
+                best_known(x, y)
+        assert "onecross.formats" not in sys.modules
     """)
 
 

@@ -67,9 +67,9 @@ def relabel(graph, seed):
 
 def slow_instance():
     """A search far longer than any time limit below: best_known(4, 8), 24
-    edges, at budget SLOW_BUDGET is still "unknown" after 60 s and over
-    300,000 planarity calls on a 2-CPU host, over a hundred times the
-    longest limit."""
+    edges, at budget SLOW_BUDGET answers "yes, 7" only after about 17 s and
+    1,502,975 nodes on a 2-CPU Xeon host, about 34 times the longest limit
+    (0.5 s)."""
     return best_known(4, 8).drawing.graph
 
 
@@ -500,6 +500,28 @@ def test_balanced4_graph_needs_exactly_four_crossings():
     # suffice, so the bracket [1, 4] closes at 4.
     g = balanced(4).graph
     assert min_crossings(g, 4) == 4
+
+
+def test_balanced5_graph_is_one_planar_with_six_crossings():
+    # 22 edges need at least 6 crossings; the search finds a witness at
+    # exactly 6 in about 1 s (170,579 nodes, 1 leaf).
+    res = is_one_planar(balanced(5).graph, 6)
+    assert (res.verdict, res.crossings) == ("yes", 6)
+    assert validate(res.drawing).passed and res.drawing.graph == balanced(5).graph
+
+
+def test_witness_draws_the_balanced5_crossings_without_a_search():
+    # ``_witness`` on the construction's own crossings takes under 1 ms on a
+    # 2-CPU Xeon host; the bound below only says that no search runs.
+    d = balanced(5)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        w = _witness(d.graph, d.crossings)
+        times.append(time.perf_counter() - start)
+    assert validate(w).passed
+    assert (w.graph, w.crossings) == (d.graph, d.crossings)
+    assert min(times) < 0.01
 
 
 def test_agreement_with_constructions_small():
