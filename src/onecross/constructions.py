@@ -13,8 +13,15 @@ star) with straight-line sketches of at most 9 points (see
 :mod:`onecross.sketch`) spliced into its faces.  Two small drawings are a
 single standalone sketch each: the one-crossing drawing of the complete
 (3, 3) graph and the balanced (5, 5) drawing with 22 edges and 6 crossings.
+A splice places a sketch through its integer
+:class:`~onecross.sketch.SpliceTemplate`: the map edges it adds are taken
+in one block, and its darts, edges and vertices are offsets from the
+first new ids.  Each draft's graph is made of the edge keys the splices
+and the host already hold, unchecked until the one certification.
 
-All generators are pure functions of their parameters and cache no drawing.
+All generators are pure functions of their parameters and cache no
+drawing; each compiled sketch, the two standalone ones included, is
+compiled once and cached.
 """
 
 from __future__ import annotations
@@ -116,48 +123,43 @@ class _Builder:
         """Add a compiled sketch; a fragment splices into the host face ``walk``.
 
         Pattern corner ``i`` is the host vertex at ``walk[i]``, and its wedge
-        goes into the corner the walk enters by ``walk[i - 1]``.
+        goes into the corner the walk enters by ``walk[i - 1]``.  The sketch's
+        :class:`~onecross.sketch.SpliceTemplate` gets the next free ids: its
+        local darts and map edges are offsets from the first new ones.
         """
+        t = sk.template
+        kinds = [classes.get(name) for name in t.names]
+        if None in kinds:
+            raise DrawingError(f"sketch vertex {t.names[kinds.index(None)]} has no class")
         ed = self.map
-        dart_ids: dict[tuple[str, str], int] = {}
-
-        def dart(at: str, toward: str) -> int:
-            if (at, toward) not in dart_ids:
-                dart_ids[(at, toward)], dart_ids[(toward, at)] = ed.new_edge()
-            return dart_ids[(at, toward)]
-
-        host: dict[str, int] = {}
-        for name in sk.true_names + sk.false_names:
-            if name in sk.corners:
-                continue
-            cls = classes.get(name)
-            if cls is None and name not in sk.false_names:
-                raise DrawingError(f"sketch vertex {name} has no class")
-            vid = host[name] = ed.add_vertex(darts=[dart(name, t) for t in sk.rotations[name]])
-            if cls == "black":
+        dart0, edge0 = ed.new_edges(t.edges)
+        host = [ed.add_vertex([dart0 + d for d in rot]) for rot in t.rotations]
+        for vid, kind in zip(host, kinds):
+            if kind == "black":
                 self.black.add(vid)
-            elif cls == "white":
+            elif kind == "white":
                 self.white.add(vid)
-        for i, corner in enumerate(sk.corners):
-            wedge = [dart(corner, t) for t in sk.corner_wedges[corner]]
-            host[corner] = ed.insert_at_corner(walk[i - 1], walk[i], wedge)
-
-        def gedge(u: str, v: str) -> tuple[int, int]:
-            return edge_key(host[u], host[v])
-
-        for (u, v) in sk.graph_edges:
-            e = gedge(u, v)
-            self.graph_edges.add(e)
-            self.edge_paths[e] = tuple(ed.dart_edge[dart_ids[p]] for p in sk.edge_paths[(u, v)])
-        for pair in sk.crossings:
-            self.crossings.add(crossing_key(gedge(*pair[0]), gedge(*pair[1])))
-        for fname, pair in sk.false_of.items():
-            self.false_vertices[host[fname]] = crossing_key(gedge(*pair[0]),
-                                                            gedge(*pair[1]))
+        host += [ed.insert_at_corner(walk[i - 1], walk[i], [dart0 + d for d in wedge])
+                 for i, wedge in enumerate(t.wedges)]
+        keys = []
+        for u, v, path in t.graph_edges:
+            e = edge_key(host[u], host[v])
+            keys.append(e)
+            self.edge_paths[e] = tuple([edge0 + j for j in path])
+        self.graph_edges.update(keys)
+        for w, a, b in t.crossings:
+            pair = crossing_key(keys[a], keys[b])
+            self.crossings.add(pair)
+            self.false_vertices[host[w]] = pair
 
     def draft(self) -> OnePlanarDrawing:
-        """The drawing built so far, not yet certified."""
-        graph = BipartiteGraph.make(self.black, self.white, self.graph_edges)
+        """The drawing built so far, not yet certified.
+
+        Its edges were keyed as they were added; the certification checks
+        the graph, as it checks everything else.
+        """
+        graph = BipartiteGraph(frozenset(self.black), frozenset(self.white),
+                               frozenset(self.graph_edges))
         return OnePlanarDrawing(graph, frozenset(self.crossings), self.map.finish(),
                                 self.edge_paths, self.false_vertices)
 
@@ -354,6 +356,7 @@ def _cap() -> CompiledSketch:
     return compile_sketch(points, edges, crossings, corners=tuple(points)[:6])
 
 
+@lru_cache(maxsize=None)
 def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
     """The complete (3, 3) graph drawn with a single crossing."""
     points = {
@@ -366,6 +369,7 @@ def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
     return compile_sketch(points, edges, crossings), classes
 
 
+@lru_cache(maxsize=None)
 def _k55_sketch() -> tuple[CompiledSketch, dict[str, str]]:
     """The (5, 5) graph with 22 edges, drawn with 6 crossings.
 

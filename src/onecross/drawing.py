@@ -387,8 +387,8 @@ def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
     face's first dart.  All spokes go into the face's two anchor corners, in
     insertion order at one anchor and reversed at the other, so faces are
     traced once.  ``d`` may be an uncertified draft: the result, which is
-    ``d`` itself when ``count`` is 0, is certified once.  Adds ``count``
-    vertices and ``2 * count`` edges.
+    ``d`` itself when ``count`` is 0, is certified once, and that checks
+    the new graph too.  Adds ``count`` vertices and ``2 * count`` edges.
     """
     if count < 0:
         raise DrawingError("negative augmentation count")
@@ -402,23 +402,21 @@ def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
     walk, i, j = _anchor_corners(m, g.black)
     anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
     ed = pm.MapEditor(m)
-    new: list[int] = []
+    # New vertex k joins anchors[0] by edge e + 2k and anchors[1] by edge
+    # e + 2k + 1; the first dart of each lies at its anchor.
+    dart, e = ed.new_edges(2 * count)
+    new = [ed.add_vertex(darts=[dart + 4 * k + 3, dart + 4 * k + 1]) for k in range(count)]
     edge_paths = dict(d.edge_paths)
-    spokes: tuple[list[int], list[int]] = ([], [])
-    for _ in range(count):
-        # (dart at the anchor, dart at the new vertex) for each anchor.
-        darts = [ed.new_edge() for _ in anchors]
-        v = ed.add_vertex(darts=[darts[1][1], darts[0][1]])
-        for side, (spoke, _) in enumerate(darts):
-            spokes[side].append(spoke)
-            edge_paths[edge_key(v, anchors[side])] = (ed.dart_edge[spoke],)
-        new.append(v)
+    for k, v in enumerate(new):
+        edge_paths[edge_key(v, anchors[0])] = (e + 2 * k,)
+        edge_paths[edge_key(v, anchors[1])] = (e + 2 * k + 1,)
+    spokes = [list(range(dart + 2 * side, dart + 4 * count, 4)) for side in (0, 1)]
     # Later vertices nest toward walk[0], which reverses the order at
     # anchors[0] unless it is the walk's first corner, else at anchors[1].
     spokes[0 if i else 1].reverse()
     for side, pos in enumerate((i, j)):
         ed.insert_at_corner(walk[pos - 1], walk[pos], spokes[side])
-    new_graph = BipartiteGraph.make(g.black, g.white | set(new), edge_paths.keys())
+    new_graph = BipartiteGraph(g.black, g.white | frozenset(new), frozenset(edge_paths))
     return assemble_drawing(new_graph, d.crossings, ed.finish(), edge_paths, d.false_vertices)
 
 

@@ -260,10 +260,15 @@ def save_drawing(d: OnePlanarDrawing, path: str | Path,
 
 
 def read_document(path: str | Path) -> Any:
-    """The JSON value in a file; unreadable files raise FormatError."""
+    """The JSON value in a file; unreadable files raise FormatError.
+
+    Unreadable covers bytes that are not UTF-8 or not JSON, an integer
+    literal longer than ``int`` converts (a ``ValueError``, as those are)
+    and arrays or objects nested deeper than the recursion limit.
+    """
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read document: {exc}") from exc
 
 
@@ -276,10 +281,20 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _layout(value: Any, depth: int, pad: str) -> str:
-    """``value`` as JSON, one key per line in the top ``depth`` levels of objects."""
+    """``value`` as JSON, one key per line in the top ``depth`` levels of objects.
+
+    An object at the last such level whose keys are digit strings, such as
+    a rotation table, takes one encoder call; its line breaks go in after
+    the commas and colons next to a quote, when it has no other quotes.
+    """
     if depth == 0 or not isinstance(value, dict) or not value:
         return _encode(value)
     inner = pad + " "
+    if depth == 1 and all(type(k) is str and k.isdigit() for k in value):
+        text = _encode(value)
+        if text.count('"') == 2 * len(value):
+            body = text[1:-1].replace(',"', f',\n{inner}"').replace('":', '": ')
+            return f"{{\n{inner}{body}\n{pad}}}"
     items = ",\n".join(f"{inner}{_encode(k)}: {_layout(value[k], depth - 1, inner)}"
                        for k in sorted(value))
     return f"{{\n{items}\n{pad}}}"

@@ -841,7 +841,7 @@ def _read_checkpoint(path: str | Path | None, fingerprint: dict) -> tuple[int, i
         return 0, 0
     try:
         state = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # as in formats.read_document
         raise OracleError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(state, dict):
         raise OracleError(f"checkpoint {path} is not a JSON object")

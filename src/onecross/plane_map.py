@@ -364,13 +364,20 @@ class MapEditor:
 
     def new_edge(self) -> tuple[int, int]:
         """Pair two new darts as a new edge; they are placed separately."""
-        d, edge = self._next_dart, self._next_edge
-        self._next_dart += 2
-        self._next_edge += 1
-        self.opposite[d], self.opposite[d + 1] = d + 1, d
-        self.dart_edge[d] = self.dart_edge[d + 1] = edge
-        self._edge_darts[edge] = (d, d + 1)
+        d, _ = self.new_edges(1)
         return d, d + 1
+
+    def new_edges(self, count: int) -> tuple[int, int]:
+        """The first dart and edge of ``count`` edges made as by :meth:`new_edge` calls."""
+        d, edge = self._next_dart, self._next_edge
+        self._next_dart += 2 * count
+        self._next_edge += count
+        opposite, dart_edge, edge_darts = self.opposite, self.dart_edge, self._edge_darts
+        for a, e in zip(range(d, d + 2 * count, 2), range(edge, edge + count)):
+            opposite[a], opposite[a + 1] = a + 1, a
+            dart_edge[a] = dart_edge[a + 1] = e
+            edge_darts[e] = (a, a + 1)
+        return d, edge
 
     def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
         """Put ``darts``, in order, before index ``pos`` of ``vertex``'s rotation."""

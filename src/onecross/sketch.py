@@ -14,6 +14,10 @@ face of a host map.  Consecutive corners (last to first) are joined by
 boundary edges, which the compiler adds itself; it then also extracts, for
 each corner, the fan of interior edge-ends lying between its two boundary
 edges, in splice order.
+
+Every compiled sketch also carries its :class:`SpliceTemplate`: the same
+content in local integer ids, so that splicing it into a host map is
+offset arithmetic rather than a lookup by name per dart.
 """
 
 from __future__ import annotations
@@ -64,12 +68,34 @@ def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
     return None
 
 
+class SpliceTemplate(NamedTuple):
+    """A compiled sketch in local integer ids, ready to splice into a host map.
+
+    The splice adds ``edges`` new map edges; local map edge ``j`` owns the
+    local darts ``2j`` and ``2j + 1``.  It places one vertex per slot: slot
+    ``i`` is the ``i``-th non-corner name of ``true_names + false_names``,
+    then come the corners in ``corners`` order.  Local ids follow a walk
+    that numbers each map edge at its first end met, over the interior
+    rotations in slot order and then the corner wedges, so a splice adding
+    them to the host's next free ids hands out the ids a name-by-name
+    splice in that order would.
+    """
+
+    edges: int
+    names: tuple[Name, ...]  # the true interior vertices, at slots 0, 1, ...
+    rotations: tuple[tuple[int, ...], ...]  # local darts around each interior slot
+    wedges: tuple[tuple[int, ...], ...]  # local darts going into each corner
+    graph_edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # slots and local map-edge path
+    crossings: tuple[tuple[int, int, int], ...]  # false vertex slot, two graph edge indices
+
+
 class CompiledSketch(NamedTuple):
     """Combinatorial content of a verified sketch.
 
     Rotations list, for every planified vertex, the cyclic sequence of its
     neighbours; each map edge is identified by its endpoint-name pair.
     False vertices are named ``#0``, ``#1``, ... and carry their crossing.
+    ``template`` holds the same content in local integer ids.
     """
 
     true_names: tuple[Name, ...]
@@ -81,6 +107,7 @@ class CompiledSketch(NamedTuple):
     false_of: dict[Name, tuple[EdgeKey, EdgeKey]]
     corners: tuple[Name, ...]
     corner_wedges: dict[Name, tuple[Name, ...]]
+    template: SpliceTemplate
 
     def to_plane_map(self) -> PlaneMap:
         """The sketch's map; vertex i is name i of ``true_names + false_names``."""
@@ -103,7 +130,8 @@ def compile_sketch(points: Mapping[Name, Point],
     Each of ``edges`` is one ``(u, v)`` segment.  Given ``corners``, the
     sketch is a fragment: the compiler adds the boundary edges joining
     consecutive corners (last to first), which take part in the geometry but
-    are left out of the emitted graph.
+    are left out of the emitted graph.  The result carries its
+    :class:`SpliceTemplate`.
     """
     keys: list[EdgeKey] = []
     for u, v in [*zip(corners, [*corners[1:], *corners[:1]]), *edges]:
@@ -176,13 +204,14 @@ def compile_sketch(points: Mapping[Name, Point],
         false_of=false_of,
         corners=tuple(corners),
         corner_wedges={},
+        template=None,  # derived last, from the finished fields
     )
     m = compiled.to_plane_map()
     if not euler_check(m).planar:
         raise SketchError("sketch does not assemble into a plane embedding")
     if corners:
-        return _with_corner_wedges(compiled, boundary_keys, m)
-    return compiled
+        compiled = _with_corner_wedges(compiled, boundary_keys, m)
+    return compiled._replace(template=_splice_template(compiled))
 
 
 def _with_corner_wedges(c: CompiledSketch, boundary_keys: set[EdgeKey],
@@ -214,3 +243,36 @@ def _with_corner_wedges(c: CompiledSketch, boundary_keys: set[EdgeKey],
             raise SketchError(f"interior edges on both sides of corner {x}")
         wedges[x] = (rot[ip + 1:] + rot[:ip])[:-1]
     return c._replace(corners=inner_order, corner_wedges=wedges)
+
+
+def _splice_template(c: CompiledSketch) -> SpliceTemplate:
+    """The sketch in local ids; see :class:`SpliceTemplate`."""
+    interior = [n for n in c.true_names if n not in c.corners]
+    names = tuple(interior)
+    interior += c.false_names
+    slot = {n: i for i, n in enumerate(interior + list(c.corners))}
+    darts: dict[tuple[Name, Name], int] = {}
+
+    def local(at: Name, towards: Sequence[Name]) -> tuple[int, ...]:
+        """The local darts at ``at`` toward each of ``towards``."""
+        out = []
+        for t in towards:
+            d = darts.get((at, t))
+            if d is None:  # a new map edge: its first end met takes the even dart
+                d = darts[(at, t)] = len(darts)
+                darts[(t, at)] = d + 1
+            out.append(d)
+        return tuple(out)
+
+    rotations = tuple([local(n, c.rotations[n]) for n in interior])
+    wedges = tuple([local(x, c.corner_wedges[x]) for x in c.corners])
+    index = {e: i for i, e in enumerate(c.graph_edges)}
+    return SpliceTemplate(
+        edges=len(darts) // 2,
+        names=names,
+        rotations=rotations,
+        wedges=wedges,
+        graph_edges=tuple([(slot[u], slot[v], tuple([darts[p] >> 1 for p in c.edge_paths[(u, v)]]))
+                           for u, v in c.graph_edges]),
+        crossings=tuple([(slot[w], index[e], index[f]) for w, (e, f) in c.false_of.items()]),
+    )

@@ -146,6 +146,91 @@ def test_balanced_crossing_count(x):
     assert crossing_count(near_balanced(x, x + 3)) == expected
 
 
+def _splice_by_name(builder, sk, classes, walk=()):
+    """The builder's splice as it was before templates: every dart by its name pair."""
+    ed = builder.map
+    dart_ids = {}
+
+    def dart(at, toward):
+        if (at, toward) not in dart_ids:
+            dart_ids[(at, toward)], dart_ids[(toward, at)] = ed.new_edge()
+        return dart_ids[(at, toward)]
+
+    host = {}
+    for name in sk.true_names + sk.false_names:
+        if name in sk.corners:
+            continue
+        cls = classes.get(name)
+        if cls is None and name not in sk.false_names:
+            raise DrawingError(f"sketch vertex {name} has no class")
+        vid = host[name] = ed.add_vertex(darts=[dart(name, t) for t in sk.rotations[name]])
+        if cls == "black":
+            builder.black.add(vid)
+        elif cls == "white":
+            builder.white.add(vid)
+    for i, corner in enumerate(sk.corners):
+        wedge = [dart(corner, t) for t in sk.corner_wedges[corner]]
+        host[corner] = ed.insert_at_corner(walk[i - 1], walk[i], wedge)
+
+    def gedge(u, v):
+        return onecross.drawing.edge_key(host[u], host[v])
+
+    for (u, v) in sk.graph_edges:
+        e = gedge(u, v)
+        builder.graph_edges.add(e)
+        builder.edge_paths[e] = tuple(ed.dart_edge[dart_ids[p]] for p in sk.edge_paths[(u, v)])
+    for pair in sk.crossings:
+        builder.crossings.add(onecross.drawing.crossing_key(gedge(*pair[0]), gedge(*pair[1])))
+    for fname, pair in sk.false_of.items():
+        builder.false_vertices[host[fname]] = onecross.drawing.crossing_key(gedge(*pair[0]),
+                                                                            gedge(*pair[1]))
+
+
+def _cycle(k, first_dart):
+    """A k-cycle whose darts are numbered from ``first_dart``."""
+    rotations = {i: [first_dart + 2 * i, first_dart + 2 * ((i - 1) % k) + 1] for i in range(k)}
+    opposite = {}
+    for i in range(k):
+        opposite[first_dart + 2 * i], opposite[first_dart + 2 * i + 1] = \
+            first_dart + 2 * i + 1, first_dart + 2 * i
+    return onecross.plane_map.build_map(rotations, opposite)
+
+
+_C = onecross.constructions
+_CACHED_PATTERNS = {
+    **{f"face-{extra}-{whites}": (lambda e=extra, w=whites: _C._face_pattern(e, w),
+                                  _C._pattern_classes(extra))
+       for extra in range(4) for whites in range(4)},
+    "x-tile": (_C._x_tile, {}),
+    "cap": (_C._cap, {"u": "black"}),
+    "k33": (lambda: _C._k33_sketch()[0], _C._k33_sketch()[1]),
+    "k55": (lambda: _C._k55_sketch()[0], _C._k55_sketch()[1]),
+}
+
+
+@pytest.mark.parametrize("first_dart", [0, 1], ids=["even-next-dart", "odd-next-dart"])
+@pytest.mark.parametrize("make,classes", _CACHED_PATTERNS.values(), ids=_CACHED_PATTERNS.keys())
+def test_template_splice_matches_a_splice_by_name(make, classes, first_dart):
+    sk = make()
+    host = _cycle(len(sk.corners), first_dart) if sk.corners else None
+    walk = host.faces[0] if host else ()
+    by_template, by_name = _C._Builder(host), _C._Builder(host)
+    by_template.splice(sk, classes, walk)
+    _splice_by_name(by_name, sk, classes, walk)
+    assert by_template.map.finish() == by_name.map.finish()
+    for field in ("edge_paths", "false_vertices"):
+        assert list(getattr(by_template, field).items()) == list(getattr(by_name, field).items())
+    for field in ("graph_edges", "crossings", "black", "white"):
+        assert getattr(by_template, field) == getattr(by_name, field)
+
+
+def test_splice_refuses_a_sketch_vertex_without_a_class():
+    builder = _C._Builder(_cycle(3, 0))
+    with pytest.raises(DrawingError, match="sketch vertex u1 has no class"):
+        builder.splice(_C._face_pattern(1, 3), {"w1": "white", "w2": "white", "w3": "white"},
+                       builder.map.finish().faces[0])
+
+
 def test_sketches_stay_constant_size(monkeypatch):
     # With every sketch cache cleared, no build compiles a sketch of more
     # than 9 points (the face pattern with three extra blacks), and doubling

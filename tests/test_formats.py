@@ -252,6 +252,31 @@ def test_cli_malformed_document_is_a_parse_error(tmp_path, capsys, content):
     assert run(["export", str(f), "--format", "svg"], capsys)[0] == 2
 
 
+# Text json.loads refuses with an error other than JSONDecodeError: nesting
+# past the recursion limit (RecursionError) and an integer literal longer
+# than int() converts (ValueError).
+_UNLOADABLE = {
+    "deep-nesting": "[" * 200_000,
+    "huge-integer": '{"format_version": 1, "black": [0], "white": [1], "edges": [[0, '
+                    + "9" * 5000 + ']], "crossings": [], "rotations": {"true": {}, "false": {}}}',
+}
+
+
+@pytest.mark.parametrize("content", _UNLOADABLE.values(), ids=_UNLOADABLE.keys())
+def test_cli_unloadable_json_is_an_input_error(tmp_path, capsys, content):
+    f = tmp_path / "d.json"
+    f.write_text(content)
+    with pytest.raises(FormatError, match="cannot read document"):
+        load_drawing(f)
+    for argv, message in [(["verify", str(f)], "cannot read document"),
+                          (["export", str(f), "--format", "svg"], "cannot read document"),
+                          (["oracle", str(f)], "cannot read document"),
+                          (["oracle", "--complete-bipartite", "2", "2", "--budget", "0",
+                            "--checkpoint", str(f)], "cannot read checkpoint")]:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 # (balanced size, path to one id, replacement).  Each replacement equals the
 # id in Python (True == 1, 0.0 == 0, int("00") == 0) but is not a JSON integer
 # or a canonical rotation key; a string replaces the last key on the path.
@@ -478,6 +503,27 @@ _SVG_SHA256 = {
 @pytest.mark.parametrize("make,sha256", _SVG_SHA256.values(), ids=_SVG_SHA256.keys())
 def test_export_svg_bytes_are_unchanged(make, sha256):
     assert hashlib.sha256(export_svg(make()).encode()).hexdigest() == sha256
+
+
+# sha256 over the concatenated documents, in list order, recorded before the
+# builder spliced sketches through integer templates: every vertex, dart and
+# edge id a construction hands out shows in its document's bytes.
+_DOCUMENT_SHA256 = {
+    "bench-fixed": (lambda: [w3_family(12, 600), b_family(20, 103), balanced(200),
+                             near_balanced(15, 200)],
+                    "87ddc19f5ef1f581a0adafda2ebbc373efa8f58bb8c7aa7ddff8414ed138a06d"),
+    "best-known-x-le-8": (lambda: [best_known(x, y).drawing for x in range(1, 9)
+                                   for y in range(x, 6 * x + 14)],
+                          "31d0763d4c6d9c810707a775a1f46723bb9563f41de6b6dceba8138e334ca14a"),
+}
+
+
+@pytest.mark.parametrize("make,sha256", _DOCUMENT_SHA256.values(), ids=_DOCUMENT_SHA256.keys())
+def test_construct_document_bytes_are_unchanged(make, sha256):
+    digest = hashlib.sha256()
+    for d in make():
+        digest.update(dumps_document(drawing_to_document(d)).encode())
+    assert digest.hexdigest() == sha256
 
 
 @pytest.mark.parametrize("make", [

@@ -300,6 +300,23 @@ def test_editor_allocates_ids_above_every_id_in_use():
     assert (empty.new_edge(), empty.add_vertex(), empty.add_vertex()) == ((0, 1), 0, 1)
 
 
+@pytest.mark.parametrize("base", [None, k4(), build_map({0: [1], 1: [2]}, {1: 2, 2: 1})],
+                         ids=["empty", "k4", "odd-next-dart"])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
+    # The third base's largest dart is 2, so its next dart id, 3, is odd.
+    one_by_one, at_once = MapEditor(base), MapEditor(base)
+    ids = [one_by_one.new_edge() for _ in range(count)]
+    dart, edge = at_once.new_edges(count)
+    if base is not None:
+        assert (dart, edge) == (max(base.dart_edge) + 1, max(base.edge_darts) + 1)
+    assert ids == [(dart + 2 * j, dart + 2 * j + 1) for j in range(count)]
+    assert [one_by_one.dart_edge[d] for d, _ in ids] == list(range(edge, edge + count))
+    for field in ("opposite", "dart_edge", "_edge_darts", "_next_dart", "_next_edge"):
+        assert getattr(at_once, field) == getattr(one_by_one, field), field
+    assert at_once.new_edge() == one_by_one.new_edge()
+
+
 def test_editor_corner_insertion_and_sync_check():
     m = triangle()
     walk = trace_faces(m)[0]
