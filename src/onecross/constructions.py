@@ -13,11 +13,12 @@ star) with straight-line sketches of at most 9 points (see
 :mod:`onecross.sketch`) spliced into its faces.  Two small drawings are a
 single standalone sketch each: the one-crossing drawing of the complete
 (3, 3) graph and the balanced (5, 5) drawing with 22 edges and 6 crossings.
-A splice places a sketch through its integer
-:class:`~onecross.sketch.SpliceTemplate`: the map edges it adds are taken
-in one block, and its darts, edges and vertices are offsets from the
-first new ids.  Each draft's graph is made of the edge keys the splices
-and the host already hold, unchecked until the one certification.
+A compiled sketch holds local integer ids
+(:class:`~onecross.sketch.CompiledSketch`), so a splice takes the map
+edges it adds in one block, and its darts, edges and vertices are offsets
+from the first new ids.  Each draft's graph is made of the edge keys the
+splices and the host already hold, and its crossings are those of its
+false vertices, unchecked until the one certification.
 
 All generators are pure functions of their parameters and cache no
 drawing; each compiled sketch, the two standalone ones included, is
@@ -115,7 +116,6 @@ class _Builder:
         self.white = set(white)
         self.graph_edges: set[tuple[int, int]] = set()
         self.edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.crossings: set = set()
         self.false_vertices: dict[int, tuple] = {}
 
     def splice(self, sk: CompiledSketch, classes: Mapping[str, str],
@@ -124,33 +124,30 @@ class _Builder:
 
         Pattern corner ``i`` is the host vertex at ``walk[i]``, and its wedge
         goes into the corner the walk enters by ``walk[i - 1]``.  The sketch's
-        :class:`~onecross.sketch.SpliceTemplate` gets the next free ids: its
-        local darts and map edges are offsets from the first new ones.
+        local darts and map edges get the next free ids, as offsets from the
+        first new ones.
         """
-        t = sk.template
-        kinds = [classes.get(name) for name in t.names]
+        kinds = [classes.get(name) for name in sk.names]
         if None in kinds:
-            raise DrawingError(f"sketch vertex {t.names[kinds.index(None)]} has no class")
+            raise DrawingError(f"sketch vertex {sk.names[kinds.index(None)]} has no class")
         ed = self.map
-        dart0, edge0 = ed.new_edges(t.edges)
-        host = [ed.add_vertex([dart0 + d for d in rot]) for rot in t.rotations]
+        dart0, edge0 = ed.new_edges(sk.edges)
+        host = [ed.add_vertex([dart0 + d for d in rot]) for rot in sk.rotations]
         for vid, kind in zip(host, kinds):
             if kind == "black":
                 self.black.add(vid)
             elif kind == "white":
                 self.white.add(vid)
         host += [ed.insert_at_corner(walk[i - 1], walk[i], [dart0 + d for d in wedge])
-                 for i, wedge in enumerate(t.wedges)]
+                 for i, wedge in enumerate(sk.wedges)]
         keys = []
-        for u, v, path in t.graph_edges:
+        for u, v, path in sk.graph_edges:
             e = edge_key(host[u], host[v])
             keys.append(e)
             self.edge_paths[e] = tuple([edge0 + j for j in path])
         self.graph_edges.update(keys)
-        for w, a, b in t.crossings:
-            pair = crossing_key(keys[a], keys[b])
-            self.crossings.add(pair)
-            self.false_vertices[host[w]] = pair
+        for w, a, b in sk.crossings:
+            self.false_vertices[host[w]] = crossing_key(keys[a], keys[b])
 
     def draft(self) -> OnePlanarDrawing:
         """The drawing built so far, not yet certified.
@@ -160,7 +157,7 @@ class _Builder:
         """
         graph = BipartiteGraph(frozenset(self.black), frozenset(self.white),
                                frozenset(self.graph_edges))
-        return OnePlanarDrawing(graph, frozenset(self.crossings), self.map.finish(),
+        return OnePlanarDrawing(graph, frozenset(self.false_vertices.values()), self.map.finish(),
                                 self.edge_paths, self.false_vertices)
 
 

@@ -118,20 +118,9 @@ class PlaneMap:
         """Each vertex's component root, from :func:`_components`, found once per map."""
         return _components(self)
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rotations))
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edge_darts))
-
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         d, o = self.edge_darts[edge]
         return self.dart_vertex[d], self.dart_vertex[o]
-
-    def degree(self, vertex: int) -> int:
-        return len(self.rotations[vertex])
 
     def next_dart(self, dart: int) -> int:
         """The face-walk successor: rotation-successor of the opposite dart."""

@@ -15,9 +15,9 @@ boundary edges, which the compiler adds itself; it then also extracts, for
 each corner, the fan of interior edge-ends lying between its two boundary
 edges, in splice order.
 
-Every compiled sketch also carries its :class:`SpliceTemplate`: the same
-content in local integer ids, so that splicing it into a host map is
-offset arithmetic rather than a lookup by name per dart.
+Names are the compiler's input only.  Its result, a :class:`CompiledSketch`,
+holds the sketch in local integer ids, so that splicing it into a host map
+is offset arithmetic rather than a lookup by name per dart.
 """
 
 from __future__ import annotations
@@ -68,17 +68,16 @@ def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
     return None
 
 
-class SpliceTemplate(NamedTuple):
-    """A compiled sketch in local integer ids, ready to splice into a host map.
+class CompiledSketch(NamedTuple):
+    """A verified sketch in local integer ids, ready to splice into a host map.
 
     The splice adds ``edges`` new map edges; local map edge ``j`` owns the
-    local darts ``2j`` and ``2j + 1``.  It places one vertex per slot: slot
-    ``i`` is the ``i``-th non-corner name of ``true_names + false_names``,
-    then come the corners in ``corners`` order.  Local ids follow a walk
-    that numbers each map edge at its first end met, over the interior
-    rotations in slot order and then the corner wedges, so a splice adding
-    them to the host's next free ids hands out the ids a name-by-name
-    splice in that order would.
+    local darts ``2j`` and ``2j + 1``.  It places one vertex per slot: first
+    the true interior vertices ``names``, then the false vertex of each of
+    ``crossings`` in order, then the corners in splice order.  A walk over
+    the interior rotations in slot order, then the corner wedges, numbers
+    each map edge at its first end met, which takes the even dart; a splice
+    adds the host's next free ids to these numbers.
     """
 
     edges: int
@@ -89,49 +88,16 @@ class SpliceTemplate(NamedTuple):
     crossings: tuple[tuple[int, int, int], ...]  # false vertex slot, two graph edge indices
 
 
-class CompiledSketch(NamedTuple):
-    """Combinatorial content of a verified sketch.
-
-    Rotations list, for every planified vertex, the cyclic sequence of its
-    neighbours; each map edge is identified by its endpoint-name pair.
-    False vertices are named ``#0``, ``#1``, ... and carry their crossing.
-    ``template`` holds the same content in local integer ids.
-    """
-
-    true_names: tuple[Name, ...]
-    false_names: tuple[Name, ...]
-    rotations: dict[Name, tuple[Name, ...]]
-    graph_edges: tuple[EdgeKey, ...]
-    crossings: tuple[tuple[EdgeKey, EdgeKey], ...]
-    edge_paths: dict[EdgeKey, tuple[tuple[Name, Name], ...]]
-    false_of: dict[Name, tuple[EdgeKey, EdgeKey]]
-    corners: tuple[Name, ...]
-    corner_wedges: dict[Name, tuple[Name, ...]]
-    template: SpliceTemplate
-
-    def to_plane_map(self) -> PlaneMap:
-        """The sketch's map; vertex i is name i of ``true_names + false_names``."""
-        ids = {n: i for i, n in enumerate(self.true_names + self.false_names)}
-        eids: dict[tuple[Name, Name], int] = {}
-        for n in sorted(self.rotations):
-            for t in self.rotations[n]:
-                eids.setdefault(_ekey(n, t), len(eids))
-        return map_from_rotation_lists(
-            {ids[n]: [(ids[t], eids[_ekey(n, t)]) for t in self.rotations[n]]
-             for n in self.rotations})
-
-
 def compile_sketch(points: Mapping[Name, Point],
                    edges: Sequence[tuple[Name, Name]],
                    crossings: Sequence[tuple[tuple[Name, Name], tuple[Name, Name]]] = (),
                    corners: Sequence[Name] = ()) -> CompiledSketch:
-    """Verify a straight-line sketch and extract its combinatorial structure.
+    """Verify a straight-line sketch and compile it to local ids.
 
     Each of ``edges`` is one ``(u, v)`` segment.  Given ``corners``, the
     sketch is a fragment: the compiler adds the boundary edges joining
     consecutive corners (last to first), which take part in the geometry but
-    are left out of the emitted graph.  The result carries its
-    :class:`SpliceTemplate`.
+    are left out of the emitted graph.
     """
     keys: list[EdgeKey] = []
     for u, v in [*zip(corners, [*corners[1:], *corners[:1]]), *edges]:
@@ -170,14 +136,12 @@ def compile_sketch(points: Mapping[Name, Point],
 
     # Each map edge is a whole segment or the half of a crossed one; every
     # edge end points at the neighbour it leads to.
-    edge_paths: dict[EdgeKey, tuple[tuple[Name, Name], ...]] = {}
+    paths: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
     incident: dict[Name, list[tuple[float, Name]]] = {n: [] for n in coords}
     for u, v in keys:
         w = crossed_at.get((u, v))
-        path = ((u, v),) if w is None else (_ekey(u, w), _ekey(w, v))
-        if (u, v) not in boundary_keys:
-            edge_paths[(u, v)] = path
-        for a, b in path:
+        paths[(u, v)] = ((u, v),) if w is None else (_ekey(u, w), _ekey(w, v))
+        for a, b in paths[(u, v)]:
             for here, there in ((a, b), (b, a)):
                 (x0, y0), (x1, y1) = coords[here], coords[there]
                 incident[here].append((math.atan2(y1 - y0, x1 - x0), there))
@@ -194,63 +158,22 @@ def compile_sketch(points: Mapping[Name, Point],
                                                       [False, True, False, True]):
             raise SketchError(f"crossing point {name} does not alternate")
 
-    compiled = CompiledSketch(
-        true_names=tuple(sorted(points)),
-        false_names=tuple(false_of),
-        rotations=rotations,
-        graph_edges=tuple(k for k in keys if k not in boundary_keys),
-        crossings=tuple(false_of.values()),
-        edge_paths=edge_paths,
-        false_of=false_of,
-        corners=tuple(corners),
-        corner_wedges={},
-        template=None,  # derived last, from the finished fields
-    )
-    m = compiled.to_plane_map()
+    # The whole sketch, boundary included, as a map; vertex i is order[i].
+    order = (*sorted(points), *false_of)
+    ids = {n: i for i, n in enumerate(order)}
+    eids: dict[EdgeKey, int] = {}
+    for n in sorted(rotations):
+        for t in rotations[n]:
+            eids.setdefault(_ekey(n, t), len(eids))
+    m = map_from_rotation_lists(
+        {ids[n]: [(ids[t], eids[_ekey(n, t)]) for t in rotations[n]] for n in rotations})
     if not euler_check(m).planar:
         raise SketchError("sketch does not assemble into a plane embedding")
-    if corners:
-        compiled = _with_corner_wedges(compiled, boundary_keys, m)
-    return compiled._replace(template=_splice_template(compiled))
+    wedges = _corner_wedges(corners, rotations, boundary_keys, m, order) if corners else {}
 
-
-def _with_corner_wedges(c: CompiledSketch, boundary_keys: set[EdgeKey],
-                        m: PlaneMap) -> CompiledSketch:
-    """Compute each corner's interior fan and the fragment's corner order."""
-    # The face walked entirely along boundary edges fixes the outer corner
-    # order; the fragment's interior order is its reverse.
-    names = c.true_names + c.false_names  # indexed by vertex id, as in to_plane_map
-    outer_order: tuple[Name, ...] | None = None
-    for walk in trace_faces(m):
-        ends = {_ekey(names[m.dart_vertex[d]], names[m.dart_vertex[m.opposite[d]]]) for d in walk}
-        if ends <= boundary_keys:
-            outer_order = tuple(names[m.dart_vertex[d]] for d in walk)
-            break
-    if outer_order is None:
-        raise SketchError("no pure-boundary face; corners do not bound the fragment")
-    inner_order = tuple(reversed(outer_order))
-    start = inner_order.index(c.corners[0])
-    inner_order = inner_order[start:] + inner_order[:start]
-
-    # A corner's wedge: the ends strictly after its previous corner and
-    # before its next one in its rotation.
-    wedges: dict[Name, tuple[Name, ...]] = {}
-    k = len(inner_order)
-    for i, x in enumerate(inner_order):
-        rot = c.rotations[x]
-        ip = rot.index(inner_order[i - 1])
-        if rot[ip - 1] != inner_order[(i + 1) % k]:
-            raise SketchError(f"interior edges on both sides of corner {x}")
-        wedges[x] = (rot[ip + 1:] + rot[:ip])[:-1]
-    return c._replace(corners=inner_order, corner_wedges=wedges)
-
-
-def _splice_template(c: CompiledSketch) -> SpliceTemplate:
-    """The sketch in local ids; see :class:`SpliceTemplate`."""
-    interior = [n for n in c.true_names if n not in c.corners]
-    names = tuple(interior)
-    interior += c.false_names
-    slot = {n: i for i, n in enumerate(interior + list(c.corners))}
+    names = tuple(n for n in sorted(points) if n not in wedges)
+    interior = (*names, *false_of)
+    slot = {n: i for i, n in enumerate((*interior, *wedges))}
     darts: dict[tuple[Name, Name], int] = {}
 
     def local(at: Name, towards: Sequence[Name]) -> tuple[int, ...]:
@@ -264,15 +187,50 @@ def _splice_template(c: CompiledSketch) -> SpliceTemplate:
             out.append(d)
         return tuple(out)
 
-    rotations = tuple([local(n, c.rotations[n]) for n in interior])
-    wedges = tuple([local(x, c.corner_wedges[x]) for x in c.corners])
-    index = {e: i for i, e in enumerate(c.graph_edges)}
-    return SpliceTemplate(
+    local_rotations = tuple([local(n, rotations[n]) for n in interior])
+    local_wedges = tuple([local(x, wedge) for x, wedge in wedges.items()])
+    graph_edges = [k for k in keys if k not in boundary_keys]
+    index = {e: i for i, e in enumerate(graph_edges)}
+    return CompiledSketch(
         edges=len(darts) // 2,
         names=names,
-        rotations=rotations,
-        wedges=wedges,
-        graph_edges=tuple([(slot[u], slot[v], tuple([darts[p] >> 1 for p in c.edge_paths[(u, v)]]))
-                           for u, v in c.graph_edges]),
-        crossings=tuple([(slot[w], index[e], index[f]) for w, (e, f) in c.false_of.items()]),
+        rotations=local_rotations,
+        wedges=local_wedges,
+        graph_edges=tuple([(slot[u], slot[v], tuple([darts[p] >> 1 for p in paths[(u, v)]]))
+                           for u, v in graph_edges]),
+        crossings=tuple([(slot[w], index[e], index[f]) for w, (e, f) in false_of.items()]),
     )
+
+
+def _corner_wedges(corners: Sequence[Name], rotations: Mapping[Name, tuple[Name, ...]],
+                   boundary_keys: set[EdgeKey], m: PlaneMap,
+                   order: Sequence[Name]) -> dict[Name, tuple[Name, ...]]:
+    """Each corner's interior fan, keyed in the fragment's corner order.
+
+    Vertex ``i`` of the sketch's map ``m`` is ``order[i]``.
+    """
+    # The face walked entirely along boundary edges fixes the outer corner
+    # order; the fragment's interior order is its reverse.
+    outer_order: tuple[Name, ...] | None = None
+    for walk in trace_faces(m):
+        ends = {_ekey(order[m.dart_vertex[d]], order[m.dart_vertex[m.opposite[d]]]) for d in walk}
+        if ends <= boundary_keys:
+            outer_order = tuple(order[m.dart_vertex[d]] for d in walk)
+            break
+    if outer_order is None:
+        raise SketchError("no pure-boundary face; corners do not bound the fragment")
+    inner_order = tuple(reversed(outer_order))
+    start = inner_order.index(corners[0])
+    inner_order = inner_order[start:] + inner_order[:start]
+
+    # A corner's wedge: the ends strictly after its previous corner and
+    # before its next one in its rotation.
+    wedges: dict[Name, tuple[Name, ...]] = {}
+    k = len(inner_order)
+    for i, x in enumerate(inner_order):
+        rot = rotations[x]
+        ip = rot.index(inner_order[i - 1])
+        if rot[ip - 1] != inner_order[(i + 1) % k]:
+            raise SketchError(f"interior edges on both sides of corner {x}")
+        wedges[x] = (rot[ip + 1:] + rot[:ip])[:-1]
+    return wedges

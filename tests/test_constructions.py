@@ -146,46 +146,6 @@ def test_balanced_crossing_count(x):
     assert crossing_count(near_balanced(x, x + 3)) == expected
 
 
-def _splice_by_name(builder, sk, classes, walk=()):
-    """The builder's splice as it was before templates: every dart by its name pair."""
-    ed = builder.map
-    dart_ids = {}
-
-    def dart(at, toward):
-        if (at, toward) not in dart_ids:
-            dart_ids[(at, toward)], dart_ids[(toward, at)] = ed.new_edge()
-        return dart_ids[(at, toward)]
-
-    host = {}
-    for name in sk.true_names + sk.false_names:
-        if name in sk.corners:
-            continue
-        cls = classes.get(name)
-        if cls is None and name not in sk.false_names:
-            raise DrawingError(f"sketch vertex {name} has no class")
-        vid = host[name] = ed.add_vertex(darts=[dart(name, t) for t in sk.rotations[name]])
-        if cls == "black":
-            builder.black.add(vid)
-        elif cls == "white":
-            builder.white.add(vid)
-    for i, corner in enumerate(sk.corners):
-        wedge = [dart(corner, t) for t in sk.corner_wedges[corner]]
-        host[corner] = ed.insert_at_corner(walk[i - 1], walk[i], wedge)
-
-    def gedge(u, v):
-        return onecross.drawing.edge_key(host[u], host[v])
-
-    for (u, v) in sk.graph_edges:
-        e = gedge(u, v)
-        builder.graph_edges.add(e)
-        builder.edge_paths[e] = tuple(ed.dart_edge[dart_ids[p]] for p in sk.edge_paths[(u, v)])
-    for pair in sk.crossings:
-        builder.crossings.add(onecross.drawing.crossing_key(gedge(*pair[0]), gedge(*pair[1])))
-    for fname, pair in sk.false_of.items():
-        builder.false_vertices[host[fname]] = onecross.drawing.crossing_key(gedge(*pair[0]),
-                                                                            gedge(*pair[1]))
-
-
 def _cycle(k, first_dart):
     """A k-cycle whose darts are numbered from ``first_dart``."""
     rotations = {i: [first_dart + 2 * i, first_dart + 2 * ((i - 1) % k) + 1] for i in range(k)}
@@ -211,17 +171,19 @@ _CACHED_PATTERNS = {
 @pytest.mark.parametrize("first_dart", [0, 1], ids=["even-next-dart", "odd-next-dart"])
 @pytest.mark.parametrize("make,classes", _CACHED_PATTERNS.values(), ids=_CACHED_PATTERNS.keys())
 def test_template_splice_matches_a_splice_by_name(make, classes, first_dart):
+    """Each local dart is placed once, and the splice adds exactly its map edges."""
     sk = make()
-    host = _cycle(len(sk.corners), first_dart) if sk.corners else None
-    walk = host.faces[0] if host else ()
-    by_template, by_name = _C._Builder(host), _C._Builder(host)
-    by_template.splice(sk, classes, walk)
-    _splice_by_name(by_name, sk, classes, walk)
-    assert by_template.map.finish() == by_name.map.finish()
-    for field in ("edge_paths", "false_vertices"):
-        assert list(getattr(by_template, field).items()) == list(getattr(by_name, field).items())
-    for field in ("graph_edges", "crossings", "black", "white"):
-        assert getattr(by_template, field) == getattr(by_name, field)
+    local = sorted(d for darts in (*sk.rotations, *sk.wedges) for d in darts)
+    assert local == list(range(2 * sk.edges))
+    host = _cycle(len(sk.wedges), first_dart) if sk.wedges else None
+    host_edges = set(host.edge_darts) if host else set()
+    builder = _C._Builder(host)
+    builder.splice(sk, classes, host.faces[0] if host else ())
+    m = builder.map.finish()
+    assert euler_check(m).planar
+    assert len(m.edge_darts) == len(host_edges) + sk.edges
+    assert sorted(e for path in builder.edge_paths.values() for e in path) == \
+        sorted(set(m.edge_darts) - host_edges)
 
 
 def test_splice_refuses_a_sketch_vertex_without_a_class():
@@ -340,7 +302,7 @@ def test_face_templates_declared_counts():
     for i in range(4):
         pattern = _face_pattern(i)
         assert len(pattern.graph_edges) == 9 + 3 * i
-        assert sum(n.startswith("w") for n in pattern.true_names) == 3
+        assert sum(n.startswith("w") for n in pattern.names) == 3
     assert [len(_face_pattern(i).crossings) for i in range(4)] == [3, 3, 4, 6]
 
 

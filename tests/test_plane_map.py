@@ -37,13 +37,13 @@ def single_edge():
 
 def test_triangle_builds_with_three_edges():
     m = triangle()
-    assert len(m.edges) == 3
-    assert sorted(m.edge_endpoints(e) for e in m.edges) == [(0, 1), (0, 2), (1, 2)]
+    assert len(m.edge_darts) == 3
+    assert sorted(m.edge_endpoints(e) for e in m.edge_darts) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_single_edge_map():
     m = single_edge()
-    assert len(m.edges) == 1
+    assert len(m.edge_darts) == 1
     assert len(m.opposite) == 2
 
 
@@ -101,7 +101,7 @@ def test_path_single_face():
 
 def test_face_sizes_sum_to_twice_edges():
     for m in (triangle(), k4()):
-        assert sum(len(w) for w in trace_faces(m)) == 2 * len(m.edges)
+        assert sum(len(w) for w in trace_faces(m)) == 2 * len(m.edge_darts)
 
 
 def test_triangle_euler():
@@ -159,14 +159,14 @@ def test_insert_degree2_vertex_in_four_cycle():
     m2, v = insert_vertex_in_face(m, 0, [0, 2])
     assert v == 4
     assert len(m2.rotations) == 5
-    assert len(m2.edges) == 6
+    assert len(m2.edge_darts) == 6
     assert euler_check(m2).planar
 
 
 def test_insert_degree3_vertex_in_triangle_gives_k4():
     m = k4()
     assert len(m.rotations) == 4
-    assert len(m.edges) == 6
+    assert len(m.edge_darts) == 6
     assert {len(w) for w in trace_faces(m)} == {3}
 
 
@@ -178,7 +178,7 @@ def test_insert_degree4_vertex_in_outer_face():
     m2, _ = insert_vertex_in_face(m, 1, [0, 1, 2, 3][::-1])
     # attachments must be given in that face's walk order; try both
     assert euler_check(m2).planar
-    assert len(m2.edges) == 8
+    assert len(m2.edge_darts) == 8
 
 
 def test_insert_attachment_not_on_face():
@@ -202,7 +202,7 @@ def test_delete_edge_of_triangle_gives_path():
     ed = MapEditor(triangle())
     ed.delete_edge(0)
     m = ed.finish()
-    assert len(m.edges) == 2
+    assert len(m.edge_darts) == 2
     assert len(trace_faces(m)) == 1
 
 
@@ -210,7 +210,7 @@ def test_delete_hub_of_wheel_gives_cycle():
     ed = MapEditor(k4())  # vertex 3 is the hub inserted into a triangle face
     ed.delete_vertex(3)
     m2 = ed.finish()
-    assert len(m2.edges) == 3
+    assert len(m2.edge_darts) == 3
     assert len(trace_faces(m2)) == 2
 
 
@@ -219,8 +219,8 @@ def test_delete_outer_triangle_of_k4_gives_star():
     for e in (0, 1, 2):
         ed.delete_edge(e)
     m = ed.finish()
-    assert len(m.edges) == 3
-    assert sorted(m.degree(v) for v in m.rotations) == [1, 1, 1, 3]
+    assert len(m.edge_darts) == 3
+    assert sorted(len(rot) for rot in m.rotations.values()) == [1, 1, 1, 3]
 
 
 def square_with_hat():
@@ -237,7 +237,7 @@ def square_with_hat():
 
 def test_smooth_degree2_round_trip():
     m3 = smooth_degree2(square_with_hat(), 4)
-    assert len(m3.edges) == 5
+    assert len(m3.edge_darts) == 5
     assert euler_check(m3).planar
 
 

@@ -33,7 +33,6 @@ def _records() -> dict:
     best = best_known(3, 6)
     result = is_one_planar(_k33(), 1)
     m = build_map({0: [0], 1: [1]}, {0: 1, 1: 0})
-    sketch = compile_sketch({"a": (0, 0), "b": (1, 0)}, [("a", "b")])
     return {
         "EulerReport": euler_check(m),
         "PlaneMap": m,
@@ -41,8 +40,7 @@ def _records() -> dict:
         "BipartiteGraph": _k33(),
         "OnePlanarDrawing": best.drawing,
         "ValidationReport": validate(best.drawing),
-        "CompiledSketch": sketch,
-        "SpliceTemplate": sketch.template,
+        "CompiledSketch": compile_sketch({"a": (0, 0), "b": (1, 0)}, [("a", "b")]),
         "BestKnown": best,
         "SizeBounds": size_bounds(3, 50),
         "ConjectureGap": conjecture_gap(3, 50),
@@ -64,9 +62,7 @@ FIELDS = {
     "OnePlanarDrawing": ("graph", "crossings", "planified", "edge_paths", "false_vertices"),
     "ValidationReport": ("passed", "failures", "x", "y", "vertices", "edges", "crossings",
                          "crossing_ceiling", "exceeds_minimal_bound"),
-    "CompiledSketch": ("true_names", "false_names", "rotations", "graph_edges", "crossings",
-                       "edge_paths", "false_of", "corners", "corner_wedges", "template"),
-    "SpliceTemplate": ("edges", "names", "rotations", "wedges", "graph_edges", "crossings"),
+    "CompiledSketch": ("edges", "names", "rotations", "wedges", "graph_edges", "crossings"),
     "BestKnown": ("drawing", "family"),
     "SizeBounds": ("x", "y", "n", "upper_general", "upper_unbalanced", "upper_x3",
                    "upper_final", "lower_constructive", "regime", "conjecture_bound"),

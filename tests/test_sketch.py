@@ -1,13 +1,18 @@
 import pytest
 
-from onecross.plane_map import euler_check, trace_faces
+from onecross.plane_map import build_map, euler_check, trace_faces
 from onecross.sketch import SketchError, compile_sketch
+
+
+def _standalone_map(sk):
+    """The map of a sketch without corners, in its local ids."""
+    return build_map(dict(enumerate(sk.rotations)), {d: d ^ 1 for d in range(2 * sk.edges)})
 
 
 def test_plain_square_compiles():
     pts = {"a": (0, 0), "b": (1, 0), "c": (1, 1), "d": (0, 1)}
     sk = compile_sketch(pts, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    m = sk.to_plane_map()
+    m = _standalone_map(sk)
     assert euler_check(m).planar
     assert len(trace_faces(m)) == 2
 
@@ -16,10 +21,10 @@ def test_declared_crossing_found():
     pts = {"a": (0, 0), "b": (1, 1), "c": (0, 1), "d": (1, 0)}
     sk = compile_sketch(pts, [("a", "b"), ("c", "d")],
                         crossings=[(("a", "b"), ("c", "d"))])
-    assert len(sk.false_names) == 1
-    assert len(sk.edge_paths[("a", "b")]) == 2
-    m = sk.to_plane_map()
-    assert euler_check(m).planar
+    assert sk.names == ("a", "b", "c", "d")
+    assert sk.crossings == ((4, 0, 1),)
+    assert [len(path) for _, _, path in sk.graph_edges] == [2, 2]
+    assert euler_check(_standalone_map(sk)).planar
 
 
 def test_undeclared_crossing_rejected():
@@ -48,10 +53,13 @@ _TRIANGLE = {"A": (0.0, 2.0), "B": (-1.0, 0.0), "C": (1.0, 0.0)}
 def test_fragment_corner_wedges():
     pts = _TRIANGLE | {"m": (0.0, 0.7)}
     sk = compile_sketch(pts, [("m", "A"), ("m", "B"), ("m", "C")], corners=("A", "B", "C"))
-    assert set(sk.corners) == {"A", "B", "C"}
-    assert all(sk.corner_wedges[c] == ("m",) for c in "ABC")
-    assert ("A", "B") not in sk.graph_edges and ("A", "B") not in sk.edge_paths
-    assert "B" in sk.rotations["A"]
+    # m sits at slot 0 and the corners at slots 1-3; no boundary edge is a
+    # graph edge or a map edge of the splice.
+    assert sk.names == ("m",) and sk.edges == 3
+    assert sorted((u, v) for u, v, _ in sk.graph_edges) == [(1, 0), (2, 0), (3, 0)]
+    # Each corner's wedge is the one end of its edge to m.
+    assert [len(w) for w in sk.wedges] == [1, 1, 1]
+    assert sorted(w[0] ^ 1 for w in sk.wedges) == sorted(sk.rotations[0])
 
 
 def test_fragment_corners_imply_the_boundary():
