@@ -114,7 +114,6 @@ class _Builder:
         self.map = pm.MapEditor(base)
         self.black = set(black)
         self.white = set(white)
-        self.graph_edges: set[tuple[int, int]] = set()
         self.edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         self.false_vertices: dict[int, tuple] = {}
 
@@ -145,7 +144,6 @@ class _Builder:
             e = edge_key(host[u], host[v])
             keys.append(e)
             self.edge_paths[e] = tuple([edge0 + j for j in path])
-        self.graph_edges.update(keys)
         for w, a, b in sk.crossings:
             self.false_vertices[host[w]] = crossing_key(keys[a], keys[b])
 
@@ -156,7 +154,7 @@ class _Builder:
         the graph, as it checks everything else.
         """
         graph = BipartiteGraph(frozenset(self.black), frozenset(self.white),
-                               frozenset(self.graph_edges))
+                               frozenset(self.edge_paths))
         return OnePlanarDrawing(graph, frozenset(self.false_vertices.values()), self.map.finish(),
                                 self.edge_paths, self.false_vertices)
 
@@ -217,7 +215,6 @@ def _fill(host: PlaneMap, white: Iterable[int], patterns: Iterable[_Pattern]) ->
         if (u in white) == (v in white):
             builder.map.delete_edge(e)
         else:
-            builder.graph_edges.add(edge_key(u, v))
             builder.edge_paths[edge_key(u, v)] = (e,)
     return builder
 

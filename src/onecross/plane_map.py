@@ -473,7 +473,8 @@ def map_from_rotation_lists(neighbour_orders: Mapping[int, Sequence[tuple[int, i
     """Build a map from per-vertex cyclic lists of (neighbour, edge id) pairs.
 
     Every edge id must occur exactly once at each endpoint.  Dart ids are
-    dense, in vertex order; the sketch compiler builds its maps this way.
+    dense, in vertex order; the host maps of the constructions (``_web``,
+    ``_star``, ``_double_star``) are built this way.
     """
     darts_at: dict[tuple[int, int], list[int]] = {}
     rotations: dict[int, list[int]] = {}

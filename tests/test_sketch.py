@@ -1,7 +1,7 @@
 import pytest
 
 from onecross.plane_map import build_map, euler_check, trace_faces
-from onecross.sketch import SketchError, compile_sketch
+from onecross.sketch import CompiledSketch, SketchError, compile_sketch
 
 
 def _standalone_map(sk):
@@ -74,3 +74,59 @@ def test_fragment_with_content_outside_its_corners_rejected():
     with pytest.raises(SketchError, match="no pure-boundary face"):
         compile_sketch(pts, [("m", "A"), ("m", "B"), ("m", "C"), ("o", "B")],
                        corners=("A", "B", "C"))
+
+
+def test_fragment_with_a_crossed_boundary_edge_rejected():
+    # m-o crosses B-C, so B and C do not end at each other in any rotation.
+    pts = _TRIANGLE | {"m": (0.0, 0.7), "o": (0.0, -1.0)}
+    with pytest.raises(SketchError, match="no pure-boundary face"):
+        compile_sketch(pts, [("m", "A"), ("m", "o")], [(("m", "o"), ("B", "C"))],
+                       corners=("A", "B", "C"))
+
+
+def test_fragment_with_content_outside_all_its_corners_rejected():
+    # m above A joins every corner, so the corner triangle bounds a face of
+    # the sketch, but every wedge would open outside the triangle.
+    pts = _TRIANGLE | {"m": (0.0, 5.0)}
+    with pytest.raises(SketchError, match="interior edges on both sides of corner A"):
+        compile_sketch(pts, [("m", "A"), ("m", "B"), ("m", "C")], corners=("A", "B", "C"))
+
+
+_PENTAGON = {"a": (0.0, 0.0), "b": (2.0, 0.0), "c": (2.5, 1.5), "d": (1.0, 3.0), "e": (-0.5, 1.5)}
+
+
+@pytest.mark.parametrize("corners", [("a", "b", "c", "d", "e"), ("a", "e", "d", "c", "b")])
+def test_fragment_splice_order_is_clockwise_whichever_way_corners_are_given(corners):
+    # Two uncrossed chords between corners: the splice order a e d c b
+    # fixes which corner's wedge numbers each chord first.
+    sk = compile_sketch(_PENTAGON, [("b", "e"), ("c", "e")], corners=corners)
+    assert sk == CompiledSketch(edges=2, names=(), rotations=(),
+                                wedges=((), (0, 2), (), (3,), (1,)),
+                                graph_edges=((4, 1, (0,)), (3, 1, (1,))), crossings=())
+
+
+def _cached_patterns():
+    """Each cached pattern's uncached builder and arguments."""
+    from onecross import constructions as c
+
+    faces = [pytest.param(c._face_pattern.__wrapped__, (e, w), id=f"face_pattern({e},{w})")
+             for e in range(4) for w in range(4)]
+    return faces + [pytest.param(fn.__wrapped__, (), id=fn.__name__)
+                    for fn in (c._x_tile, c._cap, c._k33_sketch, c._k55_sketch)]
+
+
+@pytest.mark.parametrize("build, args", _cached_patterns())
+def test_a_cold_compile_traces_faces_once(monkeypatch, build, args):
+    import onecross.plane_map as pm
+    import onecross.sketch as sketch
+
+    traced, real = [], pm.trace_faces
+
+    def counted(m):
+        traced.append(m)
+        return real(m)
+
+    monkeypatch.setattr(pm, "trace_faces", counted)
+    monkeypatch.setattr(sketch, "trace_faces", counted)
+    build(*args)
+    assert len(traced) == 1
