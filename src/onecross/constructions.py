@@ -155,8 +155,7 @@ class _Builder:
         """
         graph = BipartiteGraph(frozenset(self.black), frozenset(self.white),
                                frozenset(self.edge_paths))
-        return OnePlanarDrawing(graph, frozenset(self.false_vertices.values()), self.map.finish(),
-                                self.edge_paths, self.false_vertices)
+        return OnePlanarDrawing(graph, self.map.finish(), self.edge_paths, self.false_vertices)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """One-crossing-per-edge drawings: the certified data model and its surgery.
 
-A drawing couples an abstract simple graph with a set of crossing pairs and a
-*planified* combinatorial map in which every crossing appears as a degree-4
-false vertex whose rotation alternates between the two crossed edges.  The
-validator re-derives every invariant from scratch, so a drawing object that
-passes :func:`validate` is a self-contained certificate of a plane drawing
-with at most one crossing per edge.
+A drawing couples an abstract simple graph with a *planified* combinatorial
+map in which every crossing is a degree-4 false vertex that names the two
+crossed edges and whose rotation alternates between them.  The validator
+re-derives every invariant from scratch, so a drawing object that passes
+:func:`validate` is a self-contained certificate of a plane drawing with at
+most one crossing per edge.
 
 Drawings are immutable; operations return new certified drawings.  Internal
 construction steps may pass an uncertified *draft*, a drawing built
@@ -92,18 +92,22 @@ class BipartiteGraph(NamedTuple):
 
 
 class OnePlanarDrawing(NamedTuple):
-    """An abstract graph, its crossing pairs, and the planified map.
+    """An abstract graph, the planified map, and where each crossing lies.
 
     ``edge_paths`` realizes every graph edge as one map edge or as two map
-    edges through one false vertex; ``false_vertices`` names the map vertex
-    standing for each crossing.
+    edges through one false vertex; ``false_vertices`` maps each false
+    vertex to the pair of edges crossing there, and ``crossings`` is read
+    from it.
     """
 
     graph: BipartiteGraph | Graph
-    crossings: frozenset[Crossing]
     planified: PlaneMap
     edge_paths: dict[Edge, tuple[int, ...]]
     false_vertices: dict[int, Crossing]
+
+    @property
+    def crossings(self) -> frozenset[Crossing]:
+        return frozenset(self.false_vertices.values())
 
     @property
     def x(self) -> int | None:
@@ -167,15 +171,15 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     except DrawingError as exc:
         failures.append(str(exc))
 
-    seen: dict[Edge, int] = {}
-    for e, f in d.crossings:
+    crossed: dict[Edge, int] = {}  # each crossed edge -> how many false vertices name it
+    for e, f in d.false_vertices.values():
         for edge in (e, f):
-            seen[edge] = seen.get(edge, 0) + 1
+            crossed[edge] = crossed.get(edge, 0) + 1
             if edge not in g.edges:
                 failures.append(f"path/edge mismatch: crossing names unknown edge {edge}")
         if len({*e, *f}) != 4:
             failures.append(f"adjacent crossing pair: {e} x {f}")
-    doubly = sorted(e for e, k in seen.items() if k > 1)
+    doubly = sorted(e for e, k in crossed.items() if k > 1)
     for edge in doubly:
         failures.append(f"doubly-crossed edge: {edge}")
 
@@ -187,13 +191,9 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
         failures.append("path/edge mismatch: graph vertex missing from planified map")
     if map_vertices - true_vertices != false_set or false_set & true_vertices:
         failures.append("path/edge mismatch: false vertex set does not match planified map")
-    if sorted(d.false_vertices.values()) != sorted(d.crossings) or \
-            len(d.false_vertices) != len(d.crossings):
-        failures.append("path/edge mismatch: false vertices do not enumerate crossings")
 
     # Edge paths partition the map edges: one per uncrossed edge, two per
     # crossed edge through its false vertex.
-    crossed = {e for pair in d.crossings for e in pair}
     used: dict[int, Edge] = {}
     path_ok = set(d.edge_paths) == set(g.edges)
     if not path_ok:
@@ -295,17 +295,18 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
 
 def assemble_drawing(graph: BipartiteGraph | Graph,
-                     crossings: Iterable[Crossing],
                      planified: PlaneMap,
                      edge_paths: Mapping[Edge, tuple[int, ...]],
                      false_vertices: Mapping[int, Crossing]) -> OnePlanarDrawing:
-    """Construct a drawing and certify it, raising on the first failure."""
+    """Construct a drawing and certify it, raising on the first failure.
+
+    Each false vertex's pair is stored in :func:`crossing_key` order.
+    """
     d = OnePlanarDrawing(
         graph=graph,
-        crossings=frozenset(crossing_key(*c) for c in crossings),
         planified=planified,
         edge_paths={edge_key(*e): tuple(p) for e, p in edge_paths.items()},
-        false_vertices=dict(false_vertices),
+        false_vertices={w: crossing_key(*c) for w, c in false_vertices.items()},
     )
     report = validate(d)
     if not report.passed:
@@ -315,8 +316,7 @@ def assemble_drawing(graph: BipartiteGraph | Graph,
 
 def certify(draft: OnePlanarDrawing) -> OnePlanarDrawing:
     """The drawing ``draft`` describes, certified by :func:`assemble_drawing`."""
-    return assemble_drawing(draft.graph, draft.crossings, draft.planified,
-                            draft.edge_paths, draft.false_vertices)
+    return assemble_drawing(*draft)
 
 
 def crossing_count(d: OnePlanarDrawing) -> int:
@@ -358,7 +358,7 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
         ed.insert_darts(p, ed.rotations[p].index(m.opposite[t_p]), [at_p])  # just before the segment
         ed.insert_darts(q, ed.rotations[q].index(m.opposite[t_q]) + 1, [at_q])  # just after it
     m = ed.finish()
-    if len(m.edge_darts) != len(d.planified.edge_darts) + len(d.crossings):
+    if len(m.edge_darts) != len(d.planified.edge_darts) + len(d.false_vertices):
         raise DrawingError("black extension produced a wrong edge count")
     if not pm.euler_check(m).planar:
         raise DrawingError("black extension broke planarity")
@@ -417,7 +417,7 @@ def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
     for side, pos in enumerate((i, j)):
         ed.insert_at_corner(walk[pos - 1], walk[pos], spokes[side])
     new_graph = BipartiteGraph(g.black, g.white | frozenset(new), frozenset(edge_paths))
-    return assemble_drawing(new_graph, d.crossings, ed.finish(), edge_paths, d.false_vertices)
+    return assemble_drawing(new_graph, ed.finish(), edge_paths, d.false_vertices)
 
 
 def remove_graph_edge(d: OnePlanarDrawing, u: int, v: int) -> OnePlanarDrawing:
@@ -460,5 +460,4 @@ def _remove(d: OnePlanarDrawing, edges: set[Edge], vertices: set[int]) -> OnePla
             g.black - vertices, g.white - vertices, g.edges - edges)
     else:
         new_graph = Graph(g.vertices - vertices, g.edges - edges)
-    return assemble_drawing(new_graph, false_vertices.values(), ed.finish(), edge_paths,
-                            false_vertices)
+    return assemble_drawing(new_graph, ed.finish(), edge_paths, false_vertices)

@@ -39,12 +39,12 @@ def drawing_to_document(d: OnePlanarDrawing,
     """Serialize a drawing; false vertices are keyed by crossing index."""
     edges = sorted(d.graph.edges)
     eidx = {e: i for i, e in enumerate(edges)}
-    crossings = sorted(tuple(sorted((eidx[e], eidx[f]))) for e, f in d.crossings)
+    false_to_cross = {w: tuple(sorted((eidx[e], eidx[f])))
+                      for w, (e, f) in d.false_vertices.items()}
+    crossings = sorted(false_to_cross.values())
     cidx = {c: i for i, c in enumerate(crossings)}
 
     m = d.planified
-    false_to_cross = {w: tuple(sorted((eidx[e], eidx[f])))
-                      for w, (e, f) in d.false_vertices.items()}
     # Each dart's rotation entry [edge index, half].  An uncrossed edge's
     # dart names the end it points to.  Both darts of a segment of a crossed
     # edge name the segment's true end: seen from the crossing that is the
@@ -130,7 +130,7 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     try:
-        if doc.get("format_version") != FORMAT_VERSION:
+        if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
             raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
         edges = _edge_list(doc["edges"])
         if len(set(edges)) != len(edges):
@@ -144,10 +144,10 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         crossing_list = [tuple(_ints(c, "a crossing", 2)) for c in doc["crossings"]]
         if any(not 0 <= i < len(edges) for c in crossing_list for i in c):
             raise FormatError("crossing names an edge index out of range")
-        crossings = [crossing_key(edges[i], edges[j]) for i, j in crossing_list]
 
-        base = max(graph.vertices, default=-1) + 1
-        false_ids = {ci: base + k for k, ci in enumerate(range(len(crossing_list)))}
+        base = max(graph.vertices, default=-1) + 1  # crossing k is false vertex base + k
+        false_vertices = {base + k: crossing_key(edges[i], edges[j])
+                          for k, (i, j) in enumerate(crossing_list)}
         crossed_at: dict[int, int] = {}
         for k, (i, j) in enumerate(crossing_list):
             for e in (i, j):
@@ -170,7 +170,7 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         for ei, e in enumerate(edges):
             me = len(map_edges)
             if ei in crossed_at:
-                w = false_ids[crossed_at[ei]]
+                w = base + crossed_at[ei]
                 for half in (0, 1):
                     seg_id[(ei, half)] = me + half
                     map_edges.append((e[half], w))
@@ -234,13 +234,13 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         for v in graph.vertices:
             rotations.setdefault(v, [])
         for key, entries in false_rot.items():
-            w = false_ids[_vertex_key(key)]
+            w = base + _vertex_key(key)
+            if w not in false_vertices:
+                raise FormatError(f"false rotation key {key} names no crossing")
             if w in rotations:
                 raise FormatError(f"duplicate vertex {w}")
             rotations[w] = rotation(w, entries, false_seat, false_dart)
-        false_vertices = {false_ids[k]: crossings[k] for k in range(len(crossings))}
-        return OnePlanarDrawing(graph, frozenset(crossings),
-                                pm.map_from_paired_darts(rotations, len(map_edges)),
+        return OnePlanarDrawing(graph, pm.map_from_paired_darts(rotations, len(map_edges)),
                                 edge_paths, false_vertices)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):

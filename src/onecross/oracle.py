@@ -414,7 +414,7 @@ def _witness(graph: Graph | BipartiteGraph,
     colored = _two_color(graph)
     if colored is not None and not isinstance(graph, BipartiteGraph):
         graph = BipartiteGraph.make(colored[0], colored[1], graph.edges)
-    return assemble_drawing(graph, hubs.values(), ed.finish(), paths, hubs)
+    return assemble_drawing(graph, ed.finish(), paths, hubs)
 
 
 # Recorded in every checkpoint: a checkpoint written under another rule set

@@ -6,8 +6,10 @@ Each criterion is one test that prints a single PASS line on success; run
 
 import json
 import math
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from onecross.bounds import conjecture_gap, lower_bound, upper_bound
@@ -30,7 +32,7 @@ from onecross.drawing import (
     validate,
 )
 from onecross.oracle import is_one_planar, min_crossings
-from onecross.plane_map import euler_check
+from onecross.plane_map import _make, euler_check
 
 
 def _classes(d):
@@ -192,6 +194,57 @@ def test_criterion_08_crossing_ceiling(w3_grid, b_grid, balanced_grid, near_grid
             assert crossing_count(d) <= 6 * x - 12, x
             total += 1
     print(f"\nACCEPTANCE 8 PASS: crossing ceiling respected by {total} drawings")
+
+
+def _networkx_planar(m):
+    """networkx's verdict on the embedding of the simple map ``m``."""
+    owner, opp = m.dart_vertex, m.opposite
+    embedding = nx.PlanarEmbedding()
+    embedding.set_data({v: [owner[opp[dart]] for dart in rot] for v, rot in m.rotations.items()})
+    assert all(len(embedding[v]) == len(rot) for v, rot in m.rotations.items() if rot), \
+        "map is not simple"
+    try:
+        embedding.check_structure()
+    except nx.NetworkXException:
+        return False
+    return True
+
+
+def test_euler_check_agrees_with_networkx_on_family_drawings(w3_grid, b_grid, balanced_grid,
+                                                             near_grid):
+    # The certifier's planarity verdict against an implementation it shares
+    # no code with, on every drawing of the four grids.
+    drawings = [d for grid in (w3_grid, b_grid, balanced_grid, near_grid)
+                for d in grid.values()]
+    assert len(drawings) == 1022
+    for d in drawings:
+        m = d.planified
+        assert (euler_check(m).planar, _networkx_planar(m)) == (True, True), (d.x, d.y)
+
+
+def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_grid,
+                                                                     balanced_grid, near_grid):
+    # Swap two darts in the rotation of one true or false vertex of degree at
+    # least 3.  Both checks must give the same verdict on the mutant, and
+    # the mutant drawing may pass validate only if networkx calls it planar.
+    rng = random.Random(2015)
+    sources = [w3_grid[(4, 14)], b_grid[(5, 13)], balanced_grid[5], balanced_grid[8],
+               near_grid[(4, 6)], near_grid[(6, 12)]]
+    at_false = 0
+    for k in range(300):
+        d = sources[k % len(sources)]
+        m = d.planified
+        v = rng.choice([u for u, rot in m.rotations.items() if len(rot) >= 3])
+        rot = list(m.rotations[v])
+        i, j = rng.sample(range(len(rot)), 2)
+        rot[i], rot[j] = rot[j], rot[i]
+        mutant = _make({**m.rotations, v: rot}, m.opposite, m.dart_edge)
+        planar = _networkx_planar(mutant)
+        assert euler_check(mutant).planar is planar, (k, v, i, j)
+        if validate(d._replace(planified=mutant)).passed:
+            assert planar, (k, v, i, j)
+        at_false += v in d.false_vertices
+    assert 0 < at_false < 300
 
 
 def test_criterion_09_black_extension(w3_grid):

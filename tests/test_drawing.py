@@ -30,7 +30,7 @@ def four_cycle_drawing():
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
     paths = {(0, 1): (0,), (1, 2): (1,), (2, 3): (2,), (0, 3): (3,)}
-    return assemble_drawing(g, [], m, paths, {})
+    return assemble_drawing(g, m, paths, {})
 
 
 def one_crossing_drawing():
@@ -42,7 +42,7 @@ def one_crossing_drawing():
     )
     # rotation at 4 alternates: 0-segment, 2-segment, 1-segment, 3-segment
     paths = {(0, 1): (0, 1), (2, 3): (2, 3)}
-    return assemble_drawing(g, [((0, 1), (2, 3))], m, paths, {4: ((0, 1), (2, 3))})
+    return assemble_drawing(g, m, paths, {4: ((0, 1), (2, 3))})
 
 
 def test_four_cycle_certifies():
@@ -66,32 +66,43 @@ def test_non_alternating_rotation_rejected():
     )
     paths = {(0, 1): (0, 1), (2, 3): (2, 3)}
     with pytest.raises(DrawingError, match="non-alternating|non-planar"):
-        assemble_drawing(g, [((0, 1), (2, 3))], m, paths, {4: ((0, 1), (2, 3))})
+        assemble_drawing(g, m, paths, {4: ((0, 1), (2, 3))})
 
 
 def test_doubly_crossed_edge_reported():
     d = one_crossing_drawing()
     corrupt = OnePlanarDrawing(
         graph=BipartiteGraph.make([0, 2, 4], [1, 3, 5], [(0, 1), (2, 3), (4, 5)]),
-        crossings=frozenset({((0, 1), (2, 3)), ((0, 1), (4, 5))}),
         planified=d.planified,
         edge_paths=d.edge_paths,
-        false_vertices=d.false_vertices,
+        false_vertices={4: ((0, 1), (2, 3)), 6: ((0, 1), (4, 5))},
     )
     rep = validate(corrupt)
     assert not rep.passed
-    assert any("doubly-crossed edge" in f for f in rep.failures)
+    assert "doubly-crossed edge: (0, 1)" in rep.failures
+
+
+def test_pair_named_by_two_false_vertices_is_a_doubly_crossed_edge():
+    # With the crossings read from the false vertices, a pair recorded at two
+    # of them counts each of its edges twice.
+    d = one_crossing_drawing()
+    corrupt = d._replace(false_vertices={4: ((0, 1), (2, 3)), 5: ((0, 1), (2, 3))})
+    rep = validate(corrupt)
+    assert not rep.passed
+    assert [f for f in rep.failures if f.startswith("doubly-crossed edge")] == \
+        ["doubly-crossed edge: (0, 1)", "doubly-crossed edge: (2, 3)"]
+
+
+def test_assemble_drawing_stores_pairs_in_crossing_key_order():
+    d = one_crossing_drawing()
+    flipped = assemble_drawing(d.graph, d.planified, d.edge_paths, {4: ((2, 3), (0, 1))})
+    assert flipped.false_vertices == {4: ((0, 1), (2, 3))}
+    assert flipped.crossings == frozenset({((0, 1), (2, 3))}) == d.crossings
 
 
 def test_adjacent_crossing_pair_reported():
     d = one_crossing_drawing()
-    corrupt = OnePlanarDrawing(
-        graph=d.graph,
-        crossings=frozenset({((0, 1), (0, 3))}),
-        planified=d.planified,
-        edge_paths=d.edge_paths,
-        false_vertices={4: ((0, 1), (0, 3))},
-    )
+    corrupt = d._replace(false_vertices={4: ((0, 1), (0, 3))})
     rep = validate(corrupt)
     assert not rep.passed
     assert any("adjacent crossing pair" in f for f in rep.failures)
@@ -227,10 +238,6 @@ def _field_mutations():
     g = d.graph
     cases = {}
 
-    cases["crossing dropped while the false vertex stays"] = (
-        d._replace(crossings=frozenset()),
-        ("path/edge mismatch: false vertices do not enumerate crossings",))
-
     rot = dict(d.planified.rotations)
     rot[4] = (rot[4][1], rot[4][0], rot[4][2], rot[4][3])
     cases["non-alternating rotation at the false vertex"] = (
@@ -271,8 +278,7 @@ def _field_mutations():
     digon = build_map({0: [0, 4], 1: [2], 3: [6], 4: [1, 5, 3, 7]},
                       {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6})
     cases["digon at a false vertex"] = (
-        OnePlanarDrawing(BipartiteGraph.make([0], [1, 3], [(0, 1), (0, 3)]),
-                         frozenset({((0, 1), (0, 3))}), digon,
+        OnePlanarDrawing(BipartiteGraph.make([0], [1, 3], [(0, 1), (0, 3)]), digon,
                          {(0, 1): (0, 1), (0, 3): (2, 3)}, {4: ((0, 1), (0, 3))}),
         ("adjacent crossing pair: (0, 1) x (0, 3)",
          "face of size < 3 at a false vertex"))
@@ -290,8 +296,7 @@ def _field_mutations():
     rotations[9] = [9, 7, 10, 14]
     adjacent = build_map(rotations, {d: d ^ 1 for d in range(16)})
     cases["two adjacent false vertices"] = (
-        OnePlanarDrawing(BipartiteGraph.make(black, white, edges),
-                         frozenset({((0, 1), (2, 3)), ((4, 5), (6, 7))}), adjacent,
+        OnePlanarDrawing(BipartiteGraph.make(black, white, edges), adjacent,
                          {e: (2 * i, 2 * i + 1) for i, e in enumerate(edges)},
                          {8: ((0, 1), (2, 3)), 9: ((4, 5), (6, 7))}),
         ("path/edge mismatch: segments of (2, 3) do not chain",
@@ -322,7 +327,7 @@ def test_validator_catches_field_mutations():
 def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
     message = "non-bipartite or non-simple graph: edge (0, 1, 2) is not a vertex pair"
     m = build_map({0: [0], 1: [1], 2: []}, {0: 1, 1: 0})
-    rep = validate(OnePlanarDrawing(graph, frozenset(), m, {(0, 1, 2): (0,)}, {}))
+    rep = validate(OnePlanarDrawing(graph, m, {(0, 1, 2): (0,)}, {}))
     assert not rep.passed
     assert rep.failures[0] == message
     with pytest.raises(DrawingError, match=re.escape(message)):

@@ -277,10 +277,13 @@ def test_cli_unloadable_json_is_an_input_error(tmp_path, capsys, content):
         assert message in capsys.readouterr().err
 
 
-# (balanced size, path to one id, replacement).  Each replacement equals the
-# id in Python (True == 1, 0.0 == 0, int("00") == 0) but is not a JSON integer
-# or a canonical rotation key; a string replaces the last key on the path.
+# (balanced size, path to one id or the version, replacement).  Each
+# replacement equals the value in Python (True == 1, 0.0 == 0, int("00") == 0)
+# but is not a JSON integer or a canonical rotation key; a string replaces
+# the last key on the path.
 _ID_EDITS = {
+    "version-bool": (2, ["format_version"], True),
+    "version-float": (2, ["format_version"], 1.0),
     "black-bool": (2, ["black", 1], True),
     "black-float": (2, ["black", 0], 0.0),
     "edge-float": (2, ["edges", 0, 1], 2.0),
@@ -331,8 +334,9 @@ def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
 # (path to the edited node, replacement, the error) in a balanced(4) document.
 # Entry 1 at vertex 0 is [0, 1], naming the far end 1 of the uncrossed edge
 # (0, 1); entry 0 at crossing point 0 is [2, 0], on the crossed edge (0, 5);
-# edge 9 is the crossed edge (2, 7) and edge 4 the uncrossed edge (1, 2).  A
-# string replaces the last key on the path.
+# edge 9 is the crossed edge (2, 7) and edge 4 the uncrossed edge (1, 2).  Its
+# four crossings are keyed 0 to 3 under rotations.false.  A string replaces
+# the last key on the path.
 _ENTRY_EDITS = {
     "bool-edge-index": (["rotations", "true", "0", 1], [True, 1],
                         "a rotation entry must be two integers, got [True, 1]"),
@@ -353,6 +357,10 @@ _ENTRY_EDITS = {
                                 "malformed document: 16"),
     "key-not-an-integer": (["rotations", "true", "0"], "a",
                            "malformed document: invalid literal for int() with base 10: 'a'"),
+    "false-key-past-the-crossings": (["rotations", "false", "0"], "4",
+                                     "false rotation key 4 names no crossing"),
+    "false-key-negative": (["rotations", "false", "0"], "-1",
+                           "false rotation key -1 names no crossing"),
 }
 
 
