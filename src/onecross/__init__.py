@@ -37,8 +37,6 @@ from .drawing import (
     augment_degree2,
     black_extension,
     certify,
-    crossing_count,
-    recover_graph,
     validate,
 )
 
@@ -58,8 +56,7 @@ __all__ = [
     "EulerReport", "MapError", "PlaneMap", "build_map", "euler_check",
     "insert_vertex_in_face", "smooth_degree2", "trace_faces",
     "BipartiteGraph", "DrawingError", "Graph", "OnePlanarDrawing", "ValidationReport",
-    "assemble_drawing", "augment_degree2", "black_extension", "certify",
-    "crossing_count", "recover_graph", "validate",
+    "assemble_drawing", "augment_degree2", "black_extension", "certify", "validate",
     *_LAZY,
 ]
 

@@ -16,9 +16,9 @@ single standalone sketch each: the one-crossing drawing of the complete
 A compiled sketch holds local integer ids
 (:class:`~onecross.sketch.CompiledSketch`), so a splice takes the map
 edges it adds in one block, and its darts, edges and vertices are offsets
-from the first new ids.  Each draft's graph is made of the edge keys the
-splices and the host already hold, and its crossings are those of its
-false vertices, unchecked until the one certification.
+from the first new ids.  A draft is a drawing's three parts: the graph of
+the edge keys the splices and the host hold, the edited map and the false
+vertices, unchecked until the one certification.
 
 All generators are pure functions of their parameters and cache no
 drawing; each compiled sketch, the two standalone ones included, is
@@ -114,7 +114,7 @@ class _Builder:
         self.map = pm.MapEditor(base)
         self.black = set(black)
         self.white = set(white)
-        self.edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.edges: set[tuple[int, int]] = set()
         self.false_vertices: dict[int, tuple] = {}
 
     def splice(self, sk: CompiledSketch, classes: Mapping[str, str],
@@ -130,7 +130,7 @@ class _Builder:
         if None in kinds:
             raise DrawingError(f"sketch vertex {sk.names[kinds.index(None)]} has no class")
         ed = self.map
-        dart0, edge0 = ed.new_edges(sk.edges)
+        dart0, _ = ed.new_edges(sk.edges)
         host = [ed.add_vertex([dart0 + d for d in rot]) for rot in sk.rotations]
         for vid, kind in zip(host, kinds):
             if kind == "black":
@@ -139,11 +139,8 @@ class _Builder:
                 self.white.add(vid)
         host += [ed.insert_at_corner(walk[i - 1], walk[i], [dart0 + d for d in wedge])
                  for i, wedge in enumerate(sk.wedges)]
-        keys = []
-        for u, v, path in sk.graph_edges:
-            e = edge_key(host[u], host[v])
-            keys.append(e)
-            self.edge_paths[e] = tuple([edge0 + j for j in path])
+        keys = [edge_key(host[u], host[v]) for u, v in sk.graph_edges]
+        self.edges.update(keys)
         for w, a, b in sk.crossings:
             self.false_vertices[host[w]] = crossing_key(keys[a], keys[b])
 
@@ -154,8 +151,8 @@ class _Builder:
         the graph, as it checks everything else.
         """
         graph = BipartiteGraph(frozenset(self.black), frozenset(self.white),
-                               frozenset(self.edge_paths))
-        return OnePlanarDrawing(graph, self.map.finish(), self.edge_paths, self.false_vertices)
+                               frozenset(self.edges))
+        return OnePlanarDrawing(graph, self.map.finish(), self.false_vertices)
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +211,7 @@ def _fill(host: PlaneMap, white: Iterable[int], patterns: Iterable[_Pattern]) ->
         if (u in white) == (v in white):
             builder.map.delete_edge(e)
         else:
-            builder.edge_paths[edge_key(u, v)] = (e,)
+            builder.edges.add(edge_key(u, v))
     return builder
 
 

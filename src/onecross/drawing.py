@@ -2,10 +2,11 @@
 
 A drawing couples an abstract simple graph with a *planified* combinatorial
 map in which every crossing is a degree-4 false vertex that names the two
-crossed edges and whose rotation alternates between them.  The validator
-re-derives every invariant from scratch, so a drawing object that passes
-:func:`validate` is a self-contained certificate of a plane drawing with at
-most one crossing per edge.
+crossed edges and whose rotation alternates between them.  These three
+parts are the whole record: the ends of each map edge say which graph edge
+it draws.  The validator re-derives every invariant from scratch, so a
+drawing object that passes :func:`validate` is a self-contained
+certificate of a plane drawing with at most one crossing per edge.
 
 Drawings are immutable; operations return new certified drawings.  Internal
 construction steps may pass an uncertified *draft*, a drawing built
@@ -39,15 +40,24 @@ def crossing_key(e: Edge, f: Edge) -> Crossing:
     return (e, f) if e <= f else (f, e)
 
 
+def _is_vertex_pair(e: object) -> bool:
+    """Whether ``e`` is a tuple of two ends that compare, as :func:`edge_key` needs."""
+    try:
+        return isinstance(e, tuple) and len(sorted(e)) == 2
+    except TypeError:
+        return False
+
+
 def _edge_keys(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
     """The :func:`edge_key` of every edge; ``edges`` is read again to name a non-pair."""
     try:
         return frozenset(edge_key(u, v) for u, v in edges)
     except DrawingError:
         raise
-    except ValueError:
-        bad = next(e for e in edges if len(e) != 2)
-        raise DrawingError(f"non-bipartite or non-simple graph: edge {bad} is not a vertex pair")
+    except (TypeError, ValueError):
+        bad = next(e for e in edges if not _is_vertex_pair(e))
+        raise DrawingError(
+            f"non-bipartite or non-simple graph: edge {bad} is not a vertex pair") from None
 
 
 class Graph(NamedTuple):
@@ -92,22 +102,35 @@ class BipartiteGraph(NamedTuple):
 
 
 class OnePlanarDrawing(NamedTuple):
-    """An abstract graph, the planified map, and where each crossing lies.
+    """An abstract graph, the planified map, and the pair crossing at each false vertex.
 
-    ``edge_paths`` realizes every graph edge as one map edge or as two map
-    edges through one false vertex; ``false_vertices`` maps each false
-    vertex to the pair of edges crossing there, and ``crossings`` is read
-    from it.
+    A map edge between two true vertices is the graph edge joining them; one
+    from a true vertex t to a false vertex w is the half at t of the edge of
+    w's pair that ends at t.  ``crossings`` and ``edge_paths`` are read
+    from the three parts.
     """
 
     graph: BipartiteGraph | Graph
     planified: PlaneMap
-    edge_paths: dict[Edge, tuple[int, ...]]
     false_vertices: dict[int, Crossing]
 
     @property
     def crossings(self) -> frozenset[Crossing]:
         return frozenset(self.false_vertices.values())
+
+    @property
+    def edge_paths(self) -> dict[Edge, tuple[int, ...]]:
+        """Each graph edge's map edges in increasing order, read from a certified drawing."""
+        false_vertices, owner = self.false_vertices, self.planified.dart_vertex
+        paths: dict[Edge, tuple[int, ...]] = {}
+        for me, (a, b) in sorted(self.planified.edge_darts.items()):
+            t, w = owner[a], owner[b]
+            if t in false_vertices:
+                t, w = w, t
+            pair = false_vertices.get(w)
+            key = edge_key(t, w) if pair is None else pair[0] if t in pair[0] else pair[1]
+            paths[key] = paths.get(key, ()) + (me,)
+        return paths
 
     @property
     def x(self) -> int | None:
@@ -153,100 +176,82 @@ def crossing_ceiling(x: int) -> int:
 def validate(d: OnePlanarDrawing) -> ValidationReport:
     """Check every drawing invariant; failures are report entries, not errors.
 
-    The ``6x - 12`` crossing ceiling applies only to crossing-minimal
-    drawings, so exceeding it is reported as an advisory flag, never as a
-    failure.  Every check runs on every call; the only thing shared with
-    other calls is the planified map's derived views (dart owners, edge
-    darts, faces), which the map builds once from its own data.
+    Each map edge must draw one part of the graph, an uncrossed edge or a
+    crossed edge's half at one end (see :class:`OnePlanarDrawing`), and
+    each part must be drawn once.  The ``6x - 12`` crossing ceiling applies
+    only to crossing-minimal drawings, so exceeding it is an advisory flag,
+    never a failure.  Every check runs on every call; the only thing shared
+    with other calls is the planified map's derived views (dart owners,
+    edge darts, faces), which the map builds once from its own data.
     """
     failures: list[str] = []
     g = d.graph
     bip = isinstance(g, BipartiteGraph)
 
+    edges = g.edges
     try:
         if bip:
-            BipartiteGraph.make(g.black, g.white, g.edges)
+            BipartiteGraph.make(g.black, g.white, edges)
         else:
-            Graph.make(g.vertices, g.edges)
+            Graph.make(g.vertices, edges)
     except DrawingError as exc:
         failures.append(str(exc))
+        edges = frozenset(filter(_is_vertex_pair, edges))  # the checks below sort edges
 
-    crossed: dict[Edge, int] = {}  # each crossed edge -> how many false vertices name it
-    for e, f in d.false_vertices.values():
-        for edge in (e, f):
-            crossed[edge] = crossed.get(edge, 0) + 1
-            if edge not in g.edges:
+    false_vertices = d.false_vertices
+    crossed: dict[Edge, int] = {}  # each crossed graph edge -> how many false vertices name it
+    spokes: dict[tuple[int, int], Edge] = {}  # (w, t) -> the edge of w's pair that ends at t
+    for w, pair in false_vertices.items():
+        try:
+            e, f = (e0, e1), (f0, f1) = pair
+            spokes[w, e0] = spokes[w, e1] = e
+            spokes[w, f0] = spokes[w, f1] = f
+        except (TypeError, ValueError):
+            failures.append(f"false vertex {w} does not name a pair of edges: {pair}")
+            continue
+        for edge in pair:
+            if edge in edges:
+                crossed[edge] = crossed.get(edge, 0) + 1
+            else:
                 failures.append(f"path/edge mismatch: crossing names unknown edge {edge}")
-        if len({*e, *f}) != 4:
+        if len({e0, e1, f0, f1}) != 4:
             failures.append(f"adjacent crossing pair: {e} x {f}")
-    doubly = sorted(e for e, k in crossed.items() if k > 1)
-    for edge in doubly:
+    for edge in sorted(e for e, k in crossed.items() if k > 1):
         failures.append(f"doubly-crossed edge: {edge}")
 
     m = d.planified
     true_vertices = set(g.vertices)
     map_vertices = set(m.rotations)
-    false_set = set(d.false_vertices)
+    false_set = set(false_vertices)
     if not true_vertices <= map_vertices:
         failures.append("path/edge mismatch: graph vertex missing from planified map")
     if map_vertices - true_vertices != false_set or false_set & true_vertices:
         failures.append("path/edge mismatch: false vertex set does not match planified map")
 
-    # Edge paths partition the map edges: one per uncrossed edge, two per
-    # crossed edge through its false vertex.
-    used: dict[int, Edge] = {}
-    path_ok = set(d.edge_paths) == set(g.edges)
-    if not path_ok:
-        failures.append("path/edge mismatch: edge_paths keys differ from graph edges")
-    edge_darts, owner, paths, false_vertices = m.edge_darts, m.dart_vertex, d.edge_paths, \
-        d.false_vertices
-    for e in sorted(paths):
-        path = paths[e]
-        if len(path) == 1:
-            me = path[0]
-            if me not in edge_darts:
-                failures.append(f"path/edge mismatch: unknown map edge in path of {e}")
-                continue
-            if me in used:
-                failures.append(f"path/edge mismatch: map edge {me} reused")
-            used[me] = e
-            a, b = edge_darts[me]
-            ends = (owner[a], owner[b])
-            if ends != e and ends[::-1] != e and set(ends) != set(e):
-                failures.append(f"path/edge mismatch: wrong endpoints for {e}")
-            if e in crossed:
-                failures.append(f"path/edge mismatch: crossed edge {e} has a direct path")
+    # Each map edge takes an undrawn uncrossed edge or an undrawn spoke, the
+    # half from a false vertex w to an end t of the edge of w's pair at t.
+    owner = m.dart_vertex
+    plain: set[Edge] = set()  # the uncrossed edges drawn
+    half: dict[int, Edge] = {}  # each map edge at a false vertex -> the crossed edge it halves
+    for me, (a, b) in m.edge_darts.items():
+        t, w = owner[a], owner[b]
+        if t in false_vertices:
+            t, w = w, t
+        if w in false_vertices:
+            half[me] = edge = spokes.pop((w, t), None)
+            if edge is None:
+                failures.append(f"path/edge mismatch: map edge {me} is no undrawn spoke of {w}")
             continue
-        if not all(map(edge_darts.__contains__, path)):
-            failures.append(f"path/edge mismatch: unknown map edge in path of {e}")
-            continue
-        for me in path:
-            if me in used:
-                failures.append(f"path/edge mismatch: map edge {me} reused")
-            used[me] = e
-        if len(path) != 2:
-            failures.append(f"path/edge mismatch: path of {e} has length {len(path)}")
-            continue
-        # The segments must share exactly one end w; their far ends are e's.
-        a, b = edge_darts[path[0]]
-        a0, b0 = owner[a], owner[b]
-        a, b = edge_darts[path[1]]
-        a1, b1 = owner[a], owner[b]
-        if a0 == a1 or a0 == b1:
-            w, far0 = a0, b0
-        elif b0 == a1 or b0 == b1:
-            w, far0 = b0, a0
+        edge = (t, w) if t < w else (w, t)
+        if edge in plain or edge in crossed or edge not in edges:
+            failures.append(f"path/edge mismatch: map edge {me} is no undrawn uncrossed edge")
         else:
-            failures.append(f"path/edge mismatch: segments of {e} do not chain")
-            continue
-        far1 = b1 if a1 == w else a1
-        if far0 == far1 or \
-                (far0, far1) != e and (far1, far0) != e and {far0, far1} != set(e):
-            failures.append(f"path/edge mismatch: segments of {e} do not chain")
-        elif w not in false_vertices or e not in false_vertices.get(w, ()):
-            failures.append(f"path/edge mismatch: edge {e} routed through foreign vertex {w}")
-    if len(used) != len(edge_darts):
-        failures.append("path/edge mismatch: planified map has unused edges")
+            plain.add(edge)
+    for (w, t), edge in spokes.items():
+        failures.append(f"path/edge mismatch: edge {edge} has no half from {w} to {t}")
+    if len(plain) + len(crossed) != len(edges):
+        for edge in sorted(edges - plain - crossed.keys()):
+            failures.append(f"path/edge mismatch: edge {edge} is not drawn")
 
     rotations, dart_edge = m.rotations, m.dart_edge
     false_darts: set[int] = set()
@@ -256,7 +261,7 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
         if len(rot) != 4:
             failures.append(f"false vertex degree != 4: vertex {w}")
             continue
-        owners = [used.get(dart_edge[dart]) for dart in rot]
+        owners = [half.get(dart_edge[dart]) for dart in rot]
         if None in owners or owners[0] != owners[2] or owners[1] != owners[3] \
                 or owners[0] == owners[1]:
             failures.append(f"non-alternating rotation at false vertex {w}")
@@ -296,36 +301,21 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
 def assemble_drawing(graph: BipartiteGraph | Graph,
                      planified: PlaneMap,
-                     edge_paths: Mapping[Edge, tuple[int, ...]],
                      false_vertices: Mapping[int, Crossing]) -> OnePlanarDrawing:
     """Construct a drawing and certify it, raising on the first failure.
 
     Each false vertex's pair is stored in :func:`crossing_key` order.
     """
-    d = OnePlanarDrawing(
-        graph=graph,
-        planified=planified,
-        edge_paths={edge_key(*e): tuple(p) for e, p in edge_paths.items()},
-        false_vertices={w: crossing_key(*c) for w, c in false_vertices.items()},
-    )
-    report = validate(d)
+    report = validate(OnePlanarDrawing(graph, planified, false_vertices))
     if not report.passed:
         raise DrawingError(report.failures[0])
-    return d
+    return OnePlanarDrawing(graph, planified,
+                            {w: crossing_key(*c) for w, c in false_vertices.items()})
 
 
 def certify(draft: OnePlanarDrawing) -> OnePlanarDrawing:
     """The drawing ``draft`` describes, certified by :func:`assemble_drawing`."""
     return assemble_drawing(*draft)
-
-
-def crossing_count(d: OnePlanarDrawing) -> int:
-    return len(d.crossings)
-
-
-def recover_graph(d: OnePlanarDrawing) -> BipartiteGraph | Graph:
-    """The abstract graph of the drawing (round-trip identity)."""
-    return d.graph
 
 
 def black_extension(d: OnePlanarDrawing) -> PlaneMap:
@@ -402,22 +392,20 @@ def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
     walk, i, j = _anchor_corners(m, g.black)
     anchors = (m.dart_vertex[walk[i]], m.dart_vertex[walk[j]])
     ed = pm.MapEditor(m)
-    # New vertex k joins anchors[0] by edge e + 2k and anchors[1] by edge
-    # e + 2k + 1; the first dart of each lies at its anchor.
-    dart, e = ed.new_edges(2 * count)
+    # New vertex k joins anchors[0] by the edge of darts dart + 4k and
+    # dart + 4k + 1, and anchors[1] by the next edge; the first dart of each
+    # lies at its anchor.
+    dart, _ = ed.new_edges(2 * count)
     new = [ed.add_vertex(darts=[dart + 4 * k + 3, dart + 4 * k + 1]) for k in range(count)]
-    edge_paths = dict(d.edge_paths)
-    for k, v in enumerate(new):
-        edge_paths[edge_key(v, anchors[0])] = (e + 2 * k,)
-        edge_paths[edge_key(v, anchors[1])] = (e + 2 * k + 1,)
     spokes = [list(range(dart + 2 * side, dart + 4 * count, 4)) for side in (0, 1)]
     # Later vertices nest toward walk[0], which reverses the order at
     # anchors[0] unless it is the walk's first corner, else at anchors[1].
     spokes[0 if i else 1].reverse()
     for side, pos in enumerate((i, j)):
         ed.insert_at_corner(walk[pos - 1], walk[pos], spokes[side])
-    new_graph = BipartiteGraph(g.black, g.white | frozenset(new), frozenset(edge_paths))
-    return assemble_drawing(new_graph, ed.finish(), edge_paths, d.false_vertices)
+    new_graph = BipartiteGraph(g.black, g.white | frozenset(new),
+                               g.edges | {edge_key(v, a) for v in new for a in anchors})
+    return assemble_drawing(new_graph, ed.finish(), d.false_vertices)
 
 
 def remove_graph_edge(d: OnePlanarDrawing, u: int, v: int) -> OnePlanarDrawing:
@@ -438,18 +426,19 @@ def remove_graph_vertex(d: OnePlanarDrawing, v: int) -> OnePlanarDrawing:
 def _remove(d: OnePlanarDrawing, edges: set[Edge], vertices: set[int]) -> OnePlanarDrawing:
     """``d`` without ``edges``, then ``vertices``, in one map edit and one certification.
 
-    Each crossing that loses an edge is smoothed into its partner's new path;
-    adjacent edges never cross in the certified ``d``, so none loses both.
+    Each crossing that loses an edge is smoothed, which leaves its partner
+    one map edge; adjacent edges never cross in the certified ``d``, so none
+    loses both.
     """
     ed = pm.MapEditor(d.planified)
-    edge_paths = dict(d.edge_paths)
+    paths = d.edge_paths
     for e in edges:
-        for me in edge_paths.pop(e):
+        for me in paths[e]:
             ed.delete_edge(me)
     false_vertices = {}
     for w, (e, f) in d.false_vertices.items():
         if e in edges or f in edges:
-            edge_paths[f if e in edges else e] = (ed.smooth(w),)
+            ed.smooth(w)
         else:
             false_vertices[w] = (e, f)
     for v in vertices:
@@ -460,4 +449,4 @@ def _remove(d: OnePlanarDrawing, edges: set[Edge], vertices: set[int]) -> OnePla
             g.black - vertices, g.white - vertices, g.edges - edges)
     else:
         new_graph = Graph(g.vertices - vertices, g.edges - edges)
-    return assemble_drawing(new_graph, ed.finish(), edge_paths, false_vertices)
+    return assemble_drawing(new_graph, ed.finish(), false_vertices)

@@ -46,23 +46,21 @@ def drawing_to_document(d: OnePlanarDrawing,
 
     m = d.planified
     # Each dart's rotation entry [edge index, half].  An uncrossed edge's
-    # dart names the end it points to.  Both darts of a segment of a crossed
-    # edge name the segment's true end: seen from the crossing that is the
-    # end it points to, and at the true endpoint it is the vertex itself.
-    owner, edge_darts = m.dart_vertex, m.edge_darts
+    # dart names the end it points to; both darts of a crossed edge's half
+    # share one entry, which names the half's true end.
+    owner, false_vertices = m.dart_vertex, d.false_vertices
     entry: dict[int, list[int]] = {}
-    for e, path in d.edge_paths.items():
-        ei = eidx[e]
-        if len(path) == 1:
-            d0, d1 = edge_darts[path[0]]
-            entry[d0] = [ei, e.index(owner[d1])]
-            entry[d1] = [ei, e.index(owner[d0])]
+    for a, b in m.edge_darts.values():
+        t, w = owner[a], owner[b]
+        if t in false_vertices:
+            t, w = w, t
+        pair = false_vertices.get(w)
+        if pair:
+            e = pair[0] if t in pair[0] else pair[1]
+            entry[a] = entry[b] = [eidx[e], 0 if t == e[0] else 1]
         else:
-            for me in path:
-                d0, d1 = edge_darts[me]
-                half = e.index(owner[d0] if owner[d0] in e else owner[d1])
-                entry[d0] = [ei, half]
-                entry[d1] = [ei, half]
+            i = eidx[(t, w) if t < w else (w, t)]
+            entry[a], entry[b] = ([i, 1], [i, 0]) if t < w else ([i, 0], [i, 1])
 
     def rotation_entries(v: int) -> list[list[int]]:
         return [entry[dart] for dart in m.rotations[v]]
@@ -163,7 +161,6 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         map_edges: list[tuple[int, int]] = []
         seg_id: dict[tuple[int, int], int] = {}  # (edge index, half) -> map edge
         plain_id: dict[int, int] = {}
-        edge_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         true_seat: list[int | None] = [None] * (2 * len(edges))
         false_seat = true_seat.copy()
         true_dart, false_dart = [0] * len(true_seat), [0] * len(true_seat)
@@ -176,11 +173,9 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
                     map_edges.append((e[half], w))
                     true_seat[2 * ei + half], true_dart[2 * ei + half] = e[half], 2 * (me + half)
                     false_seat[2 * ei + half], false_dart[2 * ei + half] = w, 2 * (me + half) + 1
-                edge_paths[e] = (me, me + 1)
             else:
                 plain_id[ei] = me
                 map_edges.append(e)
-                edge_paths[e] = (me,)
                 true_seat[2 * ei], true_dart[2 * ei] = e[1], 2 * me + 1
                 true_seat[2 * ei + 1], true_dart[2 * ei + 1] = e[0], 2 * me
 
@@ -241,7 +236,7 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
                 raise FormatError(f"duplicate vertex {w}")
             rotations[w] = rotation(w, entries, false_seat, false_dart)
         return OnePlanarDrawing(graph, pm.map_from_paired_darts(rotations, len(map_edges)),
-                                edge_paths, false_vertices)
+                                false_vertices)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
@@ -484,14 +479,10 @@ def export_svg(d: OnePlanarDrawing) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
     ]
+    crossed_at = {e: w for w, pair in false.items() for e in pair}
     for e in sorted(d.graph.edges):
-        path = d.edge_paths[e]
-        if len(path) == 1:
-            through = [e[0], e[1]]
-        else:
-            ends0 = set(m.edge_endpoints(path[0]))
-            w = (ends0 - set(e)).pop()
-            through = [e[0], w, e[1]]
+        w = crossed_at.get(e)
+        through = [e[0], e[1]] if w is None else [e[0], w, e[1]]
         points = " ".join([pt[v] for v in through])
         cls = "crossed" if len(through) == 3 else "plain"
         lines.append(f'  <polyline class="edge {cls}" points="{points}" '

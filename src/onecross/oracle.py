@@ -402,19 +402,13 @@ def _witness(graph: Graph | BipartiteGraph,
     hubs = gadget.false_nodes
     crossed = {e for pair in hubs.values() for e in pair}
     ed = pm.MapEditor(witness)
-    paths: dict[Edge, list[int]] = {}
-    for i, (u, v) in enumerate(gadget.edges):
-        if v in hubs:  # hubs are named above every vertex, and u < v
-            e, f = hubs[v]
-            paths.setdefault(e if u in e else f, []).append(i)
-        elif (u, v) in graph.edges and (u, v) not in crossed:
-            paths[u, v] = [i]
-        else:
+    for i, (u, v) in enumerate(gadget.edges):  # hubs are named above every vertex, and u < v
+        if v not in hubs and ((u, v) not in graph.edges or (u, v) in crossed):
             ed.delete_edge(i)
     colored = _two_color(graph)
     if colored is not None and not isinstance(graph, BipartiteGraph):
         graph = BipartiteGraph.make(colored[0], colored[1], graph.edges)
-    return assemble_drawing(graph, ed.finish(), paths, hubs)
+    return assemble_drawing(graph, ed.finish(), hubs)
 
 
 # Recorded in every checkpoint: a checkpoint written under another rule set

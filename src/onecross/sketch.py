@@ -82,15 +82,17 @@ class CompiledSketch(NamedTuple):
     each map edge at its first end met, which takes the even dart; a splice
     adds the host's next free ids to these numbers.  The compiler numbers
     the boundary edges last, from ``edges`` up, and no splice adds them.
-    Splice order runs clockwise round the corner polygon, whichever way the
-    corners are given: the sign of its area decides.
+    A graph edge is the slots of its two ends: which map edges draw it
+    follows from the spliced map and the false vertices.  Splice order runs
+    clockwise round the corner polygon, whichever way the corners are
+    given: the sign of its area decides.
     """
 
     edges: int
     names: tuple[Name, ...]  # the true interior vertices, at slots 0, 1, ...
     rotations: tuple[tuple[int, ...], ...]  # local darts around each interior slot
     wedges: tuple[tuple[int, ...], ...]  # local darts going into each corner
-    graph_edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # slots and local map-edge path
+    graph_edges: tuple[tuple[int, int], ...]  # the slots of each graph edge's ends
     crossings: tuple[tuple[int, int, int], ...]  # false vertex slot, two graph edge indices
 
 
@@ -142,12 +144,10 @@ def compile_sketch(points: Mapping[Name, Point],
 
     # Each map edge is a whole segment or the half of a crossed one; every
     # edge end points at the neighbour it leads to.
-    paths: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
     incident: dict[Name, list[tuple[float, Name]]] = {n: [] for n in coords}
     for u, v in keys:
         w = crossed_at.get((u, v))
-        paths[(u, v)] = ((u, v),) if w is None else (_ekey(u, w), _ekey(w, v))
-        for a, b in paths[(u, v)]:
+        for a, b in ((u, v),) if w is None else ((u, w), (w, v)):
             for here, there in ((a, b), (b, a)):
                 (x0, y0), (x1, y1) = coords[here], coords[there]
                 incident[here].append((math.atan2(y1 - y0, x1 - x0), there))
@@ -218,7 +218,6 @@ def compile_sketch(points: Mapping[Name, Point],
         names=names,
         rotations=local_rotations,
         wedges=tuple(local_wedges),
-        graph_edges=tuple([(slot[u], slot[v], tuple([darts[p] >> 1 for p in paths[(u, v)]]))
-                           for u, v in graph_edges]),
+        graph_edges=tuple([(slot[u], slot[v]) for u, v in graph_edges]),
         crossings=tuple([(slot[w], index[e], index[f]) for w, (e, f) in false_of.items()]),
     )

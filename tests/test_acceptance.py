@@ -27,12 +27,11 @@ from onecross.drawing import (
     BipartiteGraph,
     Graph,
     black_extension,
-    crossing_count,
-    recover_graph,
     validate,
 )
+from onecross.formats import drawing_to_document, parse_document
 from onecross.oracle import is_one_planar, min_crossings
-from onecross.plane_map import _make, euler_check
+from onecross.plane_map import MapError, _make, euler_check
 
 
 def _classes(d):
@@ -79,7 +78,7 @@ def test_criterion_01_w3_family_exactness(w3_grid):
         assert validate(d).passed, (x, y)
         assert _classes(d) == (x, y)
         assert d.edge_count == 2 * (x + y) + 4 * x - 12, (x, y)
-        assert crossing_count(d) == 6 * x - 12, (x, y)
+        assert len(d.crossings) == 6 * x - 12, (x, y)
     print(f"\nACCEPTANCE 1 PASS: w3 family exact on {len(w3_grid)} grid points")
 
 
@@ -187,11 +186,11 @@ def test_criterion_08_crossing_ceiling(w3_grid, b_grid, balanced_grid, near_grid
     for grid in (w3_grid, b_grid, near_grid):
         for (x, _), d in grid.items():
             if x >= 2:
-                assert crossing_count(d) <= 6 * x - 12, (x, d.edge_count)
+                assert len(d.crossings) <= 6 * x - 12, (x, d.edge_count)
                 total += 1
     for x, d in balanced_grid.items():
         if x >= 2:
-            assert crossing_count(d) <= 6 * x - 12, x
+            assert len(d.crossings) <= 6 * x - 12, x
             total += 1
     print(f"\nACCEPTANCE 8 PASS: crossing ceiling respected by {total} drawings")
 
@@ -247,10 +246,70 @@ def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_
     assert 0 < at_false < 300
 
 
+def _spokes_match_pairs(d):
+    """Whether each false vertex's four neighbours are the ends of its pair."""
+    m = d.planified
+    return all(sorted(m.dart_vertex[m.opposite[dart]] for dart in m.rotations[w]) == sorted(e + f)
+               for w, (e, f) in d.false_vertices.items())
+
+
+def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, b_grid,
+                                                                       balanced_grid, near_grid):
+    # Two more corruptions of six grid drawings: the partners of two
+    # crossings swapped (w1 gets e1 x f2, w2 gets e2 x f1), and the darts of
+    # two map edges re-paired.  A mutant may pass validate only if networkx
+    # accepts its map and each false vertex still sees the ends of its pair.
+    rng = random.Random(2015)
+    sources = [w3_grid[(4, 14)], b_grid[(5, 13)], balanced_grid[5], balanced_grid[8],
+               near_grid[(4, 6)], near_grid[(6, 12)]]
+    loops = 0
+    for k in range(300):
+        d = sources[k % len(sources)]
+        fv = d.false_vertices
+        w1, w2 = rng.sample(sorted(fv), 2)
+        (e1, f1), (e2, f2) = fv[w1], fv[w2]
+        mutants = [d._replace(false_vertices={**fv, w1: (e1, f2), w2: (e2, f1)})]
+        m = d.planified
+        e, f = rng.sample(sorted(m.edge_darts), 2)
+        (a, b), (c, x) = m.edge_darts[e], m.edge_darts[f]
+        if rng.random() < 0.5:
+            c, x = x, c
+        try:  # edge e now owns darts a and c, edge f darts b and x
+            mutants.append(d._replace(planified=_make(
+                m.rotations, {**m.opposite, a: c, c: a, b: x, x: b},
+                {**m.dart_edge, c: e, b: f})))
+        except MapError:  # a re-pairing that makes a loop is no map
+            loops += 1
+        for mutant in mutants:
+            if validate(mutant).passed:
+                assert _networkx_planar(mutant.planified), k
+                assert _spokes_match_pairs(mutant), k
+    assert 0 < loops < 300
+
+
+def test_edge_paths_read_from_the_map_use_each_map_edge_once(w3_grid, b_grid, balanced_grid,
+                                                             near_grid):
+    # An uncrossed edge is one map edge joining its ends; a crossed edge is
+    # two, one from each of its ends to its own false vertex.  The same
+    # holds for each drawing parsed back from its document.
+    drawings = [d for grid in (w3_grid, b_grid, balanced_grid, near_grid)
+                for d in grid.values()]
+    assert len(drawings) == 1022
+    for d in [*drawings, *(parse_document(drawing_to_document(d)) for d in drawings)]:
+        m, paths = d.planified, d.edge_paths
+        assert paths.keys() == d.graph.edges
+        assert sorted(me for path in paths.values() for me in path) == sorted(m.edge_darts)
+        at = {e: w for w, pair in d.false_vertices.items() for e in pair}
+        for e, path in paths.items():
+            want = {frozenset(e)} if e not in at else {frozenset((t, at[e])) for t in e}
+            assert path == tuple(sorted(path)) and len(path) == len(want), (d.x, d.y, e)
+            assert {frozenset(m.edge_endpoints(me)) for me in path} == want, (d.x, d.y, e)
+
+
 def test_criterion_09_black_extension(w3_grid):
     for (x, y), d in w3_grid.items():
         m = black_extension(d)
-        assert len(m.edge_darts) == len(d.planified.edge_darts) + crossing_count(d)
+        assert len(m.edge_darts) == len(d.planified.edge_darts) + len(d.crossings)
         new_edges = set(m.edge_darts) - set(d.planified.edge_darts)
         black = d.graph.black
         for e in new_edges:

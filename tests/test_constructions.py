@@ -17,7 +17,7 @@ from onecross.constructions import (
     stacked_triangulation,
     w3_family,
 )
-from onecross.drawing import DrawingError, crossing_count, validate
+from onecross.drawing import DrawingError, validate
 from onecross.plane_map import euler_check, trace_faces
 
 
@@ -52,7 +52,7 @@ def test_w3_examples(x, y, edges):
 def test_w3_crossings_saturate_ceiling_on_boundary():
     for x in (3, 4, 6):
         d = w3_family(x, 6 * x - 12)
-        assert crossing_count(d) == 6 * x - 12
+        assert len(d.crossings) == 6 * x - 12
 
 
 def test_w3_parameter_checks():
@@ -142,8 +142,8 @@ def test_balanced_crossing_count(x):
     # degree-2 whites of near_balanced add none.
     k = x // 2
     expected = 4 * k - 4 if x % 2 == 0 else 4 * k - 2
-    assert crossing_count(balanced(x)) == expected
-    assert crossing_count(near_balanced(x, x + 3)) == expected
+    assert len(balanced(x).crossings) == expected
+    assert len(near_balanced(x, x + 3).crossings) == expected
 
 
 def _cycle(k, first_dart):
@@ -179,10 +179,13 @@ def test_template_splice_matches_a_splice_by_name(make, classes, first_dart):
     host_edges = set(host.edge_darts) if host else set()
     builder = _C._Builder(host)
     builder.splice(sk, classes, host.faces[0] if host else ())
-    m = builder.map.finish()
+    d = builder.draft()
+    m = d.planified
     assert euler_check(m).planar
     assert len(m.edge_darts) == len(host_edges) + sk.edges
-    assert sorted(e for path in builder.edge_paths.values() for e in path) == \
+    # The sketch's graph edges, read from the map, draw exactly its map edges.
+    paths = d.edge_paths
+    assert sorted(me for e in builder.edges for me in paths[e]) == \
         sorted(set(m.edge_darts) - host_edges)
 
 

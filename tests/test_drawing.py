@@ -12,9 +12,7 @@ from onecross.drawing import (
     assemble_drawing,
     augment_degree2,
     black_extension,
-    crossing_count,
     edge_key,
-    recover_graph,
     remove_graph_edge,
     remove_graph_vertex,
     validate,
@@ -29,8 +27,7 @@ def four_cycle_drawing():
         {0: [0, 7], 1: [1, 2], 2: [3, 4], 3: [5, 6]},
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
-    paths = {(0, 1): (0,), (1, 2): (1,), (2, 3): (2,), (0, 3): (3,)}
-    return assemble_drawing(g, m, paths, {})
+    return assemble_drawing(g, m, {})
 
 
 def one_crossing_drawing():
@@ -41,8 +38,7 @@ def one_crossing_drawing():
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
     # rotation at 4 alternates: 0-segment, 2-segment, 1-segment, 3-segment
-    paths = {(0, 1): (0, 1), (2, 3): (2, 3)}
-    return assemble_drawing(g, m, paths, {4: ((0, 1), (2, 3))})
+    return assemble_drawing(g, m, {4: ((0, 1), (2, 3))})
 
 
 def test_four_cycle_certifies():
@@ -55,7 +51,7 @@ def test_four_cycle_certifies():
 def test_single_crossing_certifies():
     d = one_crossing_drawing()
     assert validate(d).passed
-    assert crossing_count(d) == 1
+    assert len(d.crossings) == 1
 
 
 def test_non_alternating_rotation_rejected():
@@ -64,9 +60,8 @@ def test_non_alternating_rotation_rejected():
         {0: [0], 1: [2], 2: [4], 3: [6], 4: [1, 3, 5, 7]},
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
-    paths = {(0, 1): (0, 1), (2, 3): (2, 3)}
     with pytest.raises(DrawingError, match="non-alternating|non-planar"):
-        assemble_drawing(g, m, paths, {4: ((0, 1), (2, 3))})
+        assemble_drawing(g, m, {4: ((0, 1), (2, 3))})
 
 
 def test_doubly_crossed_edge_reported():
@@ -74,7 +69,6 @@ def test_doubly_crossed_edge_reported():
     corrupt = OnePlanarDrawing(
         graph=BipartiteGraph.make([0, 2, 4], [1, 3, 5], [(0, 1), (2, 3), (4, 5)]),
         planified=d.planified,
-        edge_paths=d.edge_paths,
         false_vertices={4: ((0, 1), (2, 3)), 6: ((0, 1), (4, 5))},
     )
     rep = validate(corrupt)
@@ -95,7 +89,7 @@ def test_pair_named_by_two_false_vertices_is_a_doubly_crossed_edge():
 
 def test_assemble_drawing_stores_pairs_in_crossing_key_order():
     d = one_crossing_drawing()
-    flipped = assemble_drawing(d.graph, d.planified, d.edge_paths, {4: ((2, 3), (0, 1))})
+    flipped = assemble_drawing(d.graph, d.planified, {4: ((2, 3), (0, 1))})
     assert flipped.false_vertices == {4: ((0, 1), (2, 3))}
     assert flipped.crossings == frozenset({((0, 1), (2, 3))}) == d.crossings
 
@@ -142,7 +136,7 @@ def test_augment_adds_degree2_vertices():
     assert validate(d2).passed
     assert d2.vertex_count == 6
     assert d2.edge_count == 8
-    assert crossing_count(d2) == 0
+    assert len(d2.crossings) == 0
     g = d2.graph
     assert len(g.black) == 2 and len(g.white) == 4
 
@@ -165,17 +159,12 @@ def test_augment_composition_matches_batch():
     assert nx.is_isomorphic(to_nx(batch), to_nx(steps))
 
 
-def test_recover_graph_round_trip():
-    d = four_cycle_drawing()
-    assert recover_graph(d) is d.graph
-
-
 def test_remove_graph_edge_heals_partner():
     d = one_crossing_drawing()
     d2 = remove_graph_edge(d, 0, 1)
     assert validate(d2).passed
     assert d2.edge_count == 1
-    assert crossing_count(d2) == 0
+    assert len(d2.crossings) == 0
     assert len(d2.edge_paths[(2, 3)]) == 1
 
 
@@ -227,7 +216,7 @@ def test_surgery_certifies_once(monkeypatch):
 
 def test_map_edge_budget_invariant():
     for d in (four_cycle_drawing(), one_crossing_drawing()):
-        assert len(d.planified.edge_darts) == d.edge_count + 2 * crossing_count(d)
+        assert len(d.planified.edge_darts) == d.edge_count + 2 * len(d.crossings)
 
 
 def _field_mutations():
@@ -244,34 +233,16 @@ def _field_mutations():
         d._replace(planified=_make(rot, d.planified.opposite, d.planified.dart_edge)),
         ("non-alternating rotation at false vertex 4",))
 
-    paths = dict(d.edge_paths)
-    del paths[(0, 1)]
-    cases["edge path removed"] = (
-        d._replace(edge_paths=paths),
-        ("path/edge mismatch: edge_paths keys differ from graph edges",
-         "path/edge mismatch: planified map has unused edges",
-         "non-alternating rotation at false vertex 4"))
-
-    paths = dict(d.edge_paths)
-    paths[(0, 1)] = (paths[(2, 3)][0], paths[(0, 1)][1])
-    cases["path pointing at the wrong map edge"] = (
-        d._replace(edge_paths=paths),
-        ("path/edge mismatch: segments of (0, 1) do not chain",
-         "path/edge mismatch: map edge 2 reused",
-         "path/edge mismatch: planified map has unused edges",
-         "non-alternating rotation at false vertex 4"))
-
     cases["graph edge missing entirely"] = (
         d._replace(graph=BipartiteGraph(g.black, g.white, g.edges - {(0, 1)})),
-        ("path/edge mismatch: crossing names unknown edge (0, 1)",
-         "path/edge mismatch: edge_paths keys differ from graph edges"))
+        ("path/edge mismatch: crossing names unknown edge (0, 1)",))
 
     ed = MapEditor(d.planified)
     for v, dart in zip((0, 2), ed.new_edge()):
         ed.insert_darts(v, len(ed.rotations[v]), [dart])
     cases["stray planified edge nothing refers to"] = (
         d._replace(planified=ed.finish()),
-        ("path/edge mismatch: planified map has unused edges",))
+        ("path/edge mismatch: map edge 4 is no undrawn uncrossed edge",))
 
     # Edges 0-1 and 0-3 cross at false vertex 4, whose two segments to 0
     # bound a face of two darts.
@@ -279,8 +250,10 @@ def _field_mutations():
                       {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6})
     cases["digon at a false vertex"] = (
         OnePlanarDrawing(BipartiteGraph.make([0], [1, 3], [(0, 1), (0, 3)]), digon,
-                         {(0, 1): (0, 1), (0, 3): (2, 3)}, {4: ((0, 1), (0, 3))}),
+                         {4: ((0, 1), (0, 3))}),
         ("adjacent crossing pair: (0, 1) x (0, 3)",
+         "path/edge mismatch: map edge 2 is no undrawn spoke of 4",
+         "non-alternating rotation at false vertex 4",
          "face of size < 3 at a false vertex"))
 
     # Crossings 0-1 x 2-3 at 8 and 4-5 x 6-7 at 9, with the segments 8-3 and
@@ -297,20 +270,22 @@ def _field_mutations():
     adjacent = build_map(rotations, {d: d ^ 1 for d in range(16)})
     cases["two adjacent false vertices"] = (
         OnePlanarDrawing(BipartiteGraph.make(black, white, edges), adjacent,
-                         {e: (2 * i, 2 * i + 1) for i, e in enumerate(edges)},
                          {8: ((0, 1), (2, 3)), 9: ((4, 5), (6, 7))}),
-        ("path/edge mismatch: segments of (2, 3) do not chain",
-         "path/edge mismatch: segments of (6, 7) do not chain",
+        ("path/edge mismatch: map edge 3 is no undrawn spoke of 8",
+         "path/edge mismatch: map edge 6 is no undrawn uncrossed edge",
+         "path/edge mismatch: edge (2, 3) has no half from 8 to 3",
+         "path/edge mismatch: edge (6, 7) has no half from 9 to 6",
+         "non-alternating rotation at false vertex 8",
          "non-alternating rotation at false vertex 9",
          "consecutive false vertices 8,9 on a face"))
 
     c4 = four_cycle_drawing()
     ed = MapEditor(c4.planified)
     for v, pos, dart in zip((0, 1), (1, 0), ed.new_edge()):
-        ed.insert_darts(v, pos, [dart])  # beside the path edge 0-1, bounding a digon
-    cases["unused map edge parallel to a path"] = (
+        ed.insert_darts(v, pos, [dart])  # beside the map edge of 0-1, bounding a digon
+    cases["unused map edge parallel to an uncrossed edge"] = (
         c4._replace(planified=ed.finish()),
-        ("path/edge mismatch: planified map has unused edges",))
+        ("path/edge mismatch: map edge 4 is no undrawn uncrossed edge",))
     return cases
 
 
@@ -327,7 +302,7 @@ def test_validator_catches_field_mutations():
 def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
     message = "non-bipartite or non-simple graph: edge (0, 1, 2) is not a vertex pair"
     m = build_map({0: [0], 1: [1], 2: []}, {0: 1, 1: 0})
-    rep = validate(OnePlanarDrawing(graph, m, {(0, 1, 2): (0,)}, {}))
+    rep = validate(OnePlanarDrawing(graph, m, {}))
     assert not rep.passed
     assert rep.failures[0] == message
     with pytest.raises(DrawingError, match=re.escape(message)):
@@ -335,3 +310,27 @@ def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
             BipartiteGraph.make(graph.black, graph.white, graph.edges)
         else:
             Graph.make(graph.vertices, graph.edges)
+
+
+_NOT_PAIRS = {
+    "one-edge-pair": ("false_vertices", {4: ((0, 1),)},
+                      "false vertex 4 does not name a pair of edges: ((0, 1),)"),
+    "three-edge-pair": ("false_vertices", {4: ((0, 1), (2, 3), (4, 5))},
+                        "false vertex 4 does not name a pair of edges: ((0, 1), (2, 3), (4, 5))"),
+    "integer-pair": ("false_vertices", {4: 5}, "false vertex 4 does not name a pair of edges: 5"),
+    "integer-edge": ("graph", Graph(frozenset({0, 1, 2, 3}), frozenset({(1, 2), 5})),
+                     "non-bipartite or non-simple graph: edge 5 is not a vertex pair"),
+    "unorderable-edge": ("graph", Graph(frozenset({0, 1}), frozenset({(0, 1), (0, "a")})),
+                         "non-bipartite or non-simple graph: edge (0, 'a') is not a vertex pair"),
+}
+
+
+@pytest.mark.parametrize("field,value,message", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+def test_a_part_that_is_not_a_pair_is_reported(field, value, message):
+    # validate reads each false vertex's entry as two edges and each graph
+    # edge as two ends it can order; when one is not, that is a failure.
+    d = one_crossing_drawing()._replace(**{field: value})
+    rep = validate(d)
+    assert (rep.passed, rep.failures[0]) == (False, message)
+    with pytest.raises(DrawingError, match=re.escape(message)):
+        assemble_drawing(*d)

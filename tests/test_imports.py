@@ -36,7 +36,7 @@ EXPORTS = {
                   "insert_vertex_in_face", "smooth_degree2", "trace_faces"],
     "drawing": ["BipartiteGraph", "DrawingError", "Graph", "OnePlanarDrawing",
                 "ValidationReport", "assemble_drawing", "augment_degree2", "black_extension",
-                "certify", "crossing_count", "recover_graph", "validate"],
+                "certify", "validate"],
     "constructions": ["b_family", "balanced", "best_known", "k36_family", "near_balanced",
                       "stacked_triangulation", "w3_family"],
     "bounds": ["SizeBounds", "conjecture_gap", "lower_bound", "ratio_table", "size_bounds",

@@ -13,10 +13,8 @@ from onecross.constructions import balanced, best_known
 from onecross.drawing import (
     BipartiteGraph,
     Graph,
-    crossing_count,
     crossing_key,
     edge_key,
-    recover_graph,
     validate,
 )
 from onecross.formats import drawing_to_document, dumps_document
@@ -527,9 +525,9 @@ def test_witness_draws_the_balanced5_crossings_without_a_search():
 def test_agreement_with_constructions_small():
     for d in (balanced(2), balanced(3), best_known(1, 5).drawing,
               best_known(2, 6).drawing, best_known(3, 5).drawing, best_known(4, 5).drawing):
-        res = is_one_planar(recover_graph(d), crossing_count(d))
+        res = is_one_planar(d.graph, len(d.crossings))
         assert res.verdict == "yes"
-        assert res.crossings <= crossing_count(d)
+        assert res.crossings <= len(d.crossings)
 
 
 def test_oracle_drawing_is_bipartite_when_input_is():
@@ -959,7 +957,7 @@ def test_pruned_search_agrees_with_plain_search(monkeypatch):
             assert res.verdict == ("no" if want is None else "yes"), name
             if res.verdict == "yes":
                 assert validate(res.drawing).passed, name
-                assert recover_graph(res.drawing).edges == g.edges, name
+                assert res.drawing.graph.edges == g.edges, name
     assert nos >= 3
     # The comparison covers pairs that the rim bound dropped above the leaves.
     assert any(left > 1 and len(kept) < len(allowed) for *_, allowed, left, _, kept in nodes)

@@ -59,7 +59,7 @@ FIELDS = {
     "PlaneMap": ("rotations", "opposite", "dart_edge"),
     "Graph": ("vertices", "edges"),
     "BipartiteGraph": ("black", "white", "edges"),
-    "OnePlanarDrawing": ("graph", "planified", "edge_paths", "false_vertices"),
+    "OnePlanarDrawing": ("graph", "planified", "false_vertices"),
     "ValidationReport": ("passed", "failures", "x", "y", "vertices", "edges", "crossings",
                          "crossing_ceiling", "exceeds_minimal_bound"),
     "CompiledSketch": ("edges", "names", "rotations", "wedges", "graph_edges", "crossings"),

@@ -23,7 +23,7 @@ def test_declared_crossing_found():
                         crossings=[(("a", "b"), ("c", "d"))])
     assert sk.names == ("a", "b", "c", "d")
     assert sk.crossings == ((4, 0, 1),)
-    assert [len(path) for _, _, path in sk.graph_edges] == [2, 2]
+    assert sk.graph_edges == ((0, 1), (2, 3))
     assert euler_check(_standalone_map(sk)).planar
 
 
@@ -56,7 +56,7 @@ def test_fragment_corner_wedges():
     # m sits at slot 0 and the corners at slots 1-3; no boundary edge is a
     # graph edge or a map edge of the splice.
     assert sk.names == ("m",) and sk.edges == 3
-    assert sorted((u, v) for u, v, _ in sk.graph_edges) == [(1, 0), (2, 0), (3, 0)]
+    assert sorted(sk.graph_edges) == [(1, 0), (2, 0), (3, 0)]
     # Each corner's wedge is the one end of its edge to m.
     assert [len(w) for w in sk.wedges] == [1, 1, 1]
     assert sorted(w[0] ^ 1 for w in sk.wedges) == sorted(sk.rotations[0])
@@ -102,7 +102,7 @@ def test_fragment_splice_order_is_clockwise_whichever_way_corners_are_given(corn
     sk = compile_sketch(_PENTAGON, [("b", "e"), ("c", "e")], corners=corners)
     assert sk == CompiledSketch(edges=2, names=(), rotations=(),
                                 wedges=((), (0, 2), (), (3,), (1,)),
-                                graph_edges=((4, 1, (0,)), (3, 1, (1,))), crossings=())
+                                graph_edges=((4, 1), (3, 1)), crossings=())
 
 
 def _cached_patterns():
