@@ -177,19 +177,29 @@ def stacked_triangulation(x: int) -> PlaneMap:
     """Deterministic planar triangulation on ``x`` vertices with 2x-4 faces.
 
     Starts from a triangle and repeatedly inserts a degree-3 vertex into the
-    first face in trace order.
+    face of dart 0, the first face in trace order, in one editor session.
+    After an insertion that face is (dart 0, the new spoke at its second
+    corner, the new vertex's hub toward its first corner), so the walk is
+    known without tracing a face.
     """
     if x < 3:
         raise DrawingError("a triangulation needs at least 3 vertices")
-    m = pm.build_map(
-        {0: [0, 4], 1: [1, 2], 2: [3, 5]},
-        {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
-    )
+    ed = pm.MapEditor()
+    ed.new_edges(3)  # edge i has darts 2i and 2i + 1
+    for rot in ([0, 4], [1, 2], [3, 5]):
+        ed.add_vertex(rot)
+    walk = (0, 2, 5)  # the triangle's face of dart 0
     for _ in range(x - 3):
-        walk = m.faces[0]
-        corners = [m.dart_vertex[d] for d in walk]
-        m, _ = pm.insert_vertex_in_face(m, 0, corners)
-    return m
+        spokes, hubs = [], []
+        for pos in range(3):
+            spoke, hub = ed.new_edge()
+            ed.insert_at_corner(walk[pos - 1], walk[pos], [spoke])
+            spokes.append(spoke)
+            hubs.append(hub)
+        # Reversed order closes each sub-face between consecutive corners.
+        ed.add_vertex(hubs[::-1])
+        walk = (walk[0], spokes[1], hubs[0])
+    return ed.finish()
 
 
 _Pattern = tuple[Sequence[int], CompiledSketch, Mapping[str, str]]

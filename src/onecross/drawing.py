@@ -201,8 +201,10 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     false_vertices = d.false_vertices
     crossed: dict[Edge, int] = {}  # each crossed graph edge -> how many false vertices name it
     spokes: dict[tuple[int, int], Edge] = {}  # (w, t) -> the edge of w's pair that ends at t
+    named: set[Crossing] = set()  # d.crossings, less any entry that cannot be hashed
     for w, pair in false_vertices.items():
         try:
+            named.add(pair)
             e, f = (e0, e1), (f0, f1) = pair
             spokes[w, e0] = spokes[w, e1] = e
             spokes[w, f0] = spokes[w, f1] = f
@@ -293,9 +295,9 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
         y=d.y if bip else None,
         vertices=d.vertex_count,
         edges=d.edge_count,
-        crossings=len(d.crossings),
+        crossings=len(named),
         crossing_ceiling=ceiling,
-        exceeds_minimal_bound=(len(d.crossings) > ceiling) if ceiling is not None else None,
+        exceeds_minimal_bound=(len(named) > ceiling) if ceiling is not None else None,
     )
 
 

@@ -29,7 +29,7 @@ from onecross.drawing import (
     black_extension,
     validate,
 )
-from onecross.formats import drawing_to_document, parse_document
+from onecross.formats import document_to_drawing, drawing_to_document, parse_document
 from onecross.oracle import is_one_planar, min_crossings
 from onecross.plane_map import MapError, _make, euler_check
 
@@ -351,3 +351,17 @@ def test_criterion_11_optional_k37_not_drawable():
     assert res.verdict == "no"
     print(f"\nACCEPTANCE 11 PASS: K3,7 not drawable with 6 crossings "
           f"({res.assignments_tested} assignments tested)")
+
+
+@pytest.mark.parametrize("smaller,ratio", [
+    (math.isqrt, 2.075), (lambda n: n // 8, 2.494), (lambda n: n // 2, 2.997),
+], ids=["sqrt-n", "n/8", "n/2"])
+def test_headline_ratio_at_n_2500(smaller, ratio):
+    # The paper's headline in certified drawings: about 2n edges when the
+    # smaller class is sublinear in n, and not when it is a fixed share.
+    n = 2500
+    x = smaller(n)
+    d = document_to_drawing(drawing_to_document(best_known(x, n - x).drawing))
+    assert _classes(d) == (x, n - x)
+    assert d.edge_count == lower_bound(x, n - x)
+    assert round(d.edge_count / n, 3) == ratio

@@ -354,8 +354,8 @@ def test_construction_params():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count certifications and face traces made through the drawing module."""
-    counts = {"validate": 0, "trace_faces": 0}
+    """Count certifications, face traces and map structure checks."""
+    counts = {"validate": 0, "trace_faces": 0, "_check_structure": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -367,6 +367,8 @@ def calls(monkeypatch):
                         counting("validate", onecross.drawing.validate))
     monkeypatch.setattr(onecross.plane_map, "trace_faces",
                         counting("trace_faces", onecross.plane_map.trace_faces))
+    monkeypatch.setattr(onecross.plane_map, "_check_structure",
+                        counting("_check_structure", onecross.plane_map._check_structure))
     return counts
 
 
@@ -415,6 +417,25 @@ def test_w3_family_certifies_once(calls, make):
         calls["validate"] = 0
         make()
         assert calls["validate"] == 1
+
+
+@pytest.mark.parametrize("make,small,large", [
+    (w3_family, (10, 60), (40, 240)), (b_family, (12, 60), (42, 240)),
+    (balanced, (10,), (40,)), (near_balanced, (10, 14), (40, 44)),
+], ids=["w3", "b", "balanced", "near"])
+def test_map_checks_per_construction_do_not_grow_with_size(calls, make, small, large):
+    # Each derived map is one editor session with one structure check, and a
+    # map traces its faces once; so, with every sketch cache cleared, a
+    # construction makes as many checks and traces at four times the size.
+    def cold_counts(size):
+        for f in vars(onecross.constructions).values():
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+        calls.update(trace_faces=0, _check_structure=0)
+        make(*size)
+        return calls["_check_structure"], calls["trace_faces"]
+
+    assert cold_counts(small) == cold_counts(large)
 
 
 def test_validate_traces_a_fresh_map_once(calls):

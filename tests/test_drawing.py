@@ -334,3 +334,15 @@ def test_a_part_that_is_not_a_pair_is_reported(field, value, message):
     assert (rep.passed, rep.failures[0]) == (False, message)
     with pytest.raises(DrawingError, match=re.escape(message)):
         assemble_drawing(*d)
+
+
+@pytest.mark.parametrize("entry", [[(0, 1), (2, 3)], ((0, 1), [2, 3])], ids=["list-pair", "list-edge"])
+def test_an_unhashable_false_vertex_entry_is_reported(entry):
+    # A list cannot be a crossing: it is reported as a failure and left out
+    # of the report's crossing count, never raised as a bare TypeError.
+    message = f"false vertex 4 does not name a pair of edges: {entry}"
+    d = one_crossing_drawing()._replace(false_vertices={4: entry})
+    rep = validate(d)
+    assert (rep.passed, rep.failures[0], rep.crossings) == (False, message, 0)
+    with pytest.raises(DrawingError, match=re.escape(message)):
+        assemble_drawing(*d)
