@@ -10,7 +10,7 @@ planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
 
-Five pruning rules keep that exhaustive; each is proved where it is coded:
+Six pruning rules keep that exhaustive; each is proved where it is coded:
 
 - counting bound (``_counting_bound``): deleting one edge per crossing
   leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
@@ -43,13 +43,21 @@ Five pruning rules keep that exhaustive; each is proved where it is coded:
   k <= n' - 2, where n' counts the vertices that have an edge, so no size
   above the cap is searched, and a counting bound above the cap answers
   ``no`` for every budget, with no search.  Without a budget the search
-  runs up to the cap and so decides drawability outright.
+  runs up to the cap and so decides drawability outright;
+- face bound (``_Search.viable``): when the graph two-colours, every
+  triangular face of the planarization is a hub corner closed by an
+  uncrossed edge, so Euler's formula asks a planar leaf for at least
+  2|E| - 4n' + 8 corners, and a pair brings at most two.  Beside the rim
+  bound, every node drops each pair after which its leaves could not
+  reach that many, again by whole orbits, and ``_Search.branch`` carries
+  the corner count down with the rim count.
 
 So only leaves are tested, and most subtrees end by counting alone: K3,7
-at budget 6 is a ``no`` after 1,244 nodes and 68 leaf tests.  Those 68
-leaves all sit on the 3N - 6 edge bound, where a planar graph is a
-triangulation: the triangle count (``_short_of_triangles``) rejects 57 of
-them, and only 11 reach the left-right test.
+at budget 6 is a ``no`` after 668 nodes and 52 leaf tests (1,244 and 68
+before the face bound).  Those 52 leaves all sit on the 3N - 6 edge
+bound, where a planar graph is a triangulation: the triangle count
+(``_short_of_triangles``) rejects 41 of them, and only 11 reach the
+left-right test.
 
 One builder, ``_gadget``, makes every gadget graph, simple and on
 integers: a vertex is named by its position in sorted order and the hub
@@ -304,11 +312,11 @@ class SizeStats(_Counters):
     """What the search did at one assignment size."""
 
     __slots__ = _fields = ("size", "skipped", "leaves", "planarity_s", "witnesses", "nodes",
-                           "rim_cuts")
+                           "rim_cuts", "corner_cuts")
 
     def __init__(self, size: int, skipped: bool = False, leaves: int = 0,
                  planarity_s: float = 0.0, witnesses: int = 0, nodes: int = 0,
-                 rim_cuts: int = 0) -> None:
+                 rim_cuts: int = 0, corner_cuts: int = 0) -> None:
         self.size = size
         self.skipped = skipped  # below the counting bound: nothing of this size was tried
         self.leaves = leaves  # full assignments given a verdict, by triangles or left-right
@@ -316,6 +324,7 @@ class SizeStats(_Counters):
         self.witnesses = witnesses  # planar leaves converted into certified drawings
         self.nodes = nodes  # inner nodes expanded, the root included
         self.rim_cuts = rim_cuts  # allowed pairs the rim bound dropped, each a subtree cut
+        self.corner_cuts = corner_cuts  # pairs within the rim bound that the face bound dropped
 
 
 class SearchStats(_Counters):
@@ -413,10 +422,11 @@ def _witness(graph: Graph | BipartiteGraph,
 
 # Recorded in every checkpoint: a checkpoint written under another rule set
 # indexes other subtrees, so it must not be resumed.
-RULES = ("count", "twins", "small-orbits-first", "rims", "pair-swaps", "crossing-cap")
+RULES = ("count", "twins", "small-orbits-first", "rims", "pair-swaps", "crossing-cap",
+         "faces")
 
 
-def _counting_bound(graph: Graph | BipartiteGraph) -> int:
+def _counting_bound(graph: Graph | BipartiteGraph, two_colours: bool | None = None) -> int:
     """Fewest crossings any drawing of ``graph`` can have, by counting edges.
 
     Lemma (counting bound).  Delete one edge from each crossing of a drawing
@@ -425,12 +435,15 @@ def _counting_bound(graph: Graph | BipartiteGraph) -> int:
     vertices change no drawing).  For n >= 3 a simple planar graph has at
     most 3n - 6 edges, and at most 2n - 4 if it is two-coloured, as every
     subgraph of a two-coloured graph is.  So k >= |E| - (2n - 4) when
-    ``graph`` two-colours and k >= |E| - (3n - 6) otherwise.
+    ``graph`` two-colours and k >= |E| - (3n - 6) otherwise.  A caller
+    that has coloured ``graph`` passes whether it ``two_colours``.
     """
     n = len({v for e in graph.edges for v in e})
     if n < 3:
         return 0
-    planar_edges = 2 * n - 4 if _two_color(graph) is not None else 3 * n - 6
+    if two_colours is None:
+        two_colours = _two_color(graph) is not None
+    planar_edges = 2 * n - 4 if two_colours else 3 * n - 6
     return max(0, len(graph.edges) - planar_edges)
 
 
@@ -552,6 +565,13 @@ class _Search:
             self.uncrossed[k] = 1
         self.touched = touched = len({v for e in edges for v in e})  # non-isolated vertices
         self.rim_room = 3 * touched - 6 - len(edges)
+        two_colours = _two_color(graph) is not None
+        self.lower_bound = _counting_bound(graph, two_colours)
+        # The least T of a planar leaf by the face bound (``viable``): when
+        # the graph two-colours, twice the counting bound, which is
+        # 2|E| - 4n' + 8 where that is positive; 0, which every node meets,
+        # when it does not.
+        self.corner_floor = 2 * self.lower_bound if two_colours else 0
 
     def gadget(self, chosen: list[int]) -> KeysView[tuple[int, int]]:
         """``_gadget`` of the graph's edges that no pair of ``chosen`` crosses
@@ -577,13 +597,16 @@ class _Search:
         return planar
 
     def viable(self, chosen: list[int], allowed: Sequence[int], left: int,
-               rims: int) -> Sequence[int]:
+               rims: int, corners: int) -> Sequence[int]:
         """The pairs of ``allowed`` that some planar leaf choosing ``left``
-        more pairs below the node ``chosen`` may contain, by the rim bound.
+        more pairs below the node ``chosen`` may contain, by the rim bound
+        and the face bound.
 
         ``rims`` is the node's R: the number of distinct rims (a-c, c-b,
         b-d and d-a of a chosen pair (ab, cd)) that are not uncrossed
-        edges of the graph.
+        edges of the graph.  ``corners`` is the node's T: the number of
+        (chosen pair, rim) with the rim an uncrossed edge of the graph,
+        each a hub corner that an uncrossed edge can close.
 
         Lemma (rim bound).  Let the graph have |E| edges on n' non-isolated
         vertices, and let a leaf have s >= 1 pairs.
@@ -605,22 +628,61 @@ class _Search:
         A pair p adds to R one for each of its two edges that is a chosen
         rim, and one for each of its rims that is new and not an uncrossed
         edge (none is an edge of p), so at most six.
+
+        Lemma (face bound).  Let the graph two-colour, with |E| >= 2 edges
+        on n' non-isolated vertices, and let a set S of s pairs have a
+        planar gadget graph.  Then T(S) >= 2|E| - 4n' + 8, which is the
+        ``corner_floor`` where it is positive.
+        Proof.  The planarization P, the |E| - 2s uncrossed edges and the
+        4s spokes, is a subgraph of the gadget graph, so it is planar.  It
+        is simple, as each spoke meets its own hub, and it has N = n' + s
+        vertices, none isolated, and E_P = |E| + 2s >= 2 edges.  Embed it
+        with c >= 1 components: Euler gives F = E_P - N + 1 + c >=
+        E_P - N + 2 faces.  With two edges or more, every face has length
+        (the total length of its boundary walks) at least 3, and a face
+        of length 3 is bounded by a triangle.  The graph has no triangle
+        and no two hubs are adjacent, so a triangle of P is a hub and two
+        ends of its pair (ab, cd) joined by an uncrossed edge: neither ab
+        nor cd, so a rim of that pair.  Each such triangle bounds one face
+        at most, since P is no triangle (a hub has degree 4).  So the F3
+        faces of length 3 number at most T(S), and summing face lengths,
+        2E_P >= 3 F3 + 4(F - F3), so T(S) >= F3 >= 4F - 2E_P >=
+        2E_P - 4N + 8 = 2|E| - 4n' + 8.
+        Filter: the ends a, b of ab, and c, d of cd, have unlike colours,
+        so two of a pair's rims join like colours, and each pair adds at
+        most 2 to T.  Choosing p = (e, f) at a node takes from T the
+        chosen pairs with a rim on e or on f, which leave the uncrossed
+        edges, and adds p's rims that are uncrossed edges.  So a pair p
+        with T(chosen + p) + 2(left - 1) below the floor lies in no planar
+        leaf below the node, and is dropped.  The node's group keeps T and
+        the floor, so whole orbits are dropped, as by the rim bound.  A
+        pair loses at most T, since each chosen pair with a rim on e or f
+        counts in T, and gains at least 0: no pair is dropped while
+        T + 2 left - floor >= T + 2, and so none ever on a graph whose
+        floor is 0.
         """
         slack = self.rim_room + len(chosen) + left - rims
+        room = corners + 2 * left - self.corner_floor  # a pair may take T down by this
         self.stats.nodes += 1
-        if slack >= 6:
+        faces = room < corners + 2  # whether the face bound can drop a pair here
+        if slack >= 6 and not faces:
             return allowed
         count, uncrossed = self.rim_count, self.uncrossed
         kept = []
         keys = self.pair_keys
+        rim_cuts = 0
         for p in allowed:
             e, f, k1, k2, k3, k4 = keys[p]
             if ((count[e] > 0) + (count[f] > 0)
                     + (not (count[k1] or uncrossed[k1])) + (not (count[k2] or uncrossed[k2]))
                     + (not (count[k3] or uncrossed[k3])) + (not (count[k4] or uncrossed[k4]))
-                    <= slack):
+                    > slack):
+                rim_cuts += 1
+            elif (not faces or count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
+                  - uncrossed[k3] - uncrossed[k4] <= room):
                 kept.append(p)
-        self.stats.rim_cuts += len(allowed) - len(kept)
+        self.stats.rim_cuts += rim_cuts
+        self.stats.corner_cuts += len(allowed) - len(kept) - rim_cuts
         return kept
 
     def orbits(self, allowed: Sequence[int], cls: list[int],
@@ -702,9 +764,11 @@ class _Search:
         return [number[k] for k in keys], [members[k][0] for k in ranked]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
-               swaps: Sequence[dict[int, int]], left: int, rims: int) -> list[Crossing] | None:
+               swaps: Sequence[dict[int, int]], left: int, rims: int,
+               corners: int) -> list[Crossing] | None:
         """Choose ``left`` more pairs below the node ``chosen``, which has
-        ``rims`` rims and was entered by choosing its last pair at a node
+        ``rims`` rims and ``corners`` corners (see ``viable``) and was
+        entered by choosing its last pair at a node
         whose group is given by ``cls`` and ``swaps``: the pairs of a
         planar leaf, or None.
 
@@ -722,25 +786,25 @@ class _Search:
         induction covers h(S) minus r_j.  h maps the chosen pairs onto
         themselves, so the image is an assignment of the same graph, with a
         planar gadget exactly when S has one.  The group is built only at
-        nodes that the rim bound leaves enough pairs to branch on.
+        nodes that the rim and face bounds leave enough pairs to branch on.
         """
-        allowed = self.viable(chosen, allowed, left, rims)
+        allowed = self.viable(chosen, allowed, left, rims, corners)
         if len(allowed) < left:
             return None
         cls, swaps = self.stabilizer(cls, swaps, chosen[-1])
         labels, reps = self.orbits(allowed, cls, swaps)
         for j, r in enumerate(reps):
-            found = self.branch(chosen, allowed, labels, cls, swaps, j, r, left, rims)
+            found = self.branch(chosen, allowed, labels, cls, swaps, j, r, left, rims, corners)
             if found is not None:
                 return found
         return None
 
     def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
                cls: list[int], swaps: Sequence[dict[int, int]], j: int, r: int, left: int,
-               rims: int) -> list[Crossing] | None:
+               rims: int, corners: int) -> list[Crossing] | None:
         """Choose ``r``, the representative of orbit ``j``, below a node
         whose group is given by ``cls`` and ``swaps`` and whose chosen pairs
-        have ``rims`` rims; search below it."""
+        have ``rims`` rims and ``corners`` corners; search below it."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfTime
         chosen = chosen + [r]
@@ -751,16 +815,19 @@ class _Search:
         below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
         count, uncrossed = self.rim_count, self.uncrossed
         # The two edges r crosses leave the uncrossed edges: a rim on
-        # either starts to count.  Then r's own rims, none of which is e
-        # or f, count where they are new and not uncrossed edges.
+        # either starts to count in R and stops counting in T.  Then r's
+        # own rims, none of which is e or f, count in R where they are new
+        # and not uncrossed edges, and in T where they are uncrossed edges.
         for k in (self.edge_rim[e], self.edge_rim[f]):
             uncrossed[k] = 0
             rims += count[k] > 0
+            corners -= count[k]
         for k in self.pair_rims[r]:
             count[k] += 1
             rims += count[k] == 1 and not uncrossed[k]
+            corners += uncrossed[k]
         try:
-            return self.expand(chosen, below, cls, swaps, left - 1, rims)
+            return self.expand(chosen, below, cls, swaps, left - 1, rims, corners)
         finally:
             for k in self.pair_rims[r]:
                 count[k] -= 1
@@ -861,7 +928,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
     fewest crossings possible; sizes below the counting bound are skipped,
     and none above the crossing cap is searched.
     Within a size, the first level branches on the orbit representatives,
-    under the twin group, of the candidate pairs that the rim bound keeps,
+    under the twin group, of the candidate pairs that the rim and face
+    bounds keep,
     in the order of ``_Search.orbits``.
     ``yes`` returns a certified drawing; ``no`` is exhaustive within the
     budget, and without a budget means that no drawing exists; ``unknown``
@@ -877,7 +945,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
     if timeout is not None and not timeout >= 0:
         raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout}")
     search = _Search(graph, None if timeout is None else time.monotonic() + timeout)
-    stats = SearchStats(_counting_bound(graph), _crossing_cap(search.touched))
+    stats = SearchStats(search.lower_bound, _crossing_cap(search.touched))
     top = stats.cap if max_crossings is None else min(max_crossings, stats.cap)
     # The budget recorded is the largest size searched: budgets above the
     # cap search the same sizes, and so share a checkpoint.
@@ -917,7 +985,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
             if size == 0:
                 found = search.leaf([])
             else:
-                allowed = search.viable([], range(len(search.pairs)), size, 0)
+                allowed = search.viable([], range(len(search.pairs)), size, 0, 0)
                 labels, reps = search.orbits(allowed, search.classes)
                 if root > len(reps):
                     # A finished size records len(reps); more would skip the
@@ -927,7 +995,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
                 found = None
                 while found is None and root < len(reps):
                     found = search.branch([], allowed, labels, search.classes, (),
-                                          root, reps[root], size, 0)
+                                          root, reps[root], size, 0, 0)
                     if found is None:
                         root += 1
                         save_checkpoint(size, root)

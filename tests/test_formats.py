@@ -650,7 +650,7 @@ def test_cli_oracle_searches_up_to_the_crossing_cap_without_a_budget(capsys):
     assert (code, stats["lower_bound"], stats["cap"], len(stats["sizes"])) == (1, 9, 8, 9)
     assert sum(s["nodes"] for s in stats["sizes"]) == 0
     code, out = run(["oracle", "--complete-bipartite", "3", "4"], capsys)
-    assert (code, out) == (0, "yes crossings=2 (assignments tested: 2)\n")
+    assert (code, out) == (0, "yes crossings=2 (assignments tested: 1)\n")
 
 
 def test_cli_oracle_rejects_negative_class_sizes(capsys):
@@ -681,6 +681,7 @@ def test_cli_oracle_json_reports_search_stats(capsys):
     assert report["assignments_tested"] == stats["sizes"][2]["leaves"] > 0
     assert stats["sizes"][2]["witnesses"] == 1
     assert stats["sizes"][2]["nodes"] > 0 and stats["sizes"][2]["rim_cuts"] > 0
+    assert stats["sizes"][2]["corner_cuts"] > 0
 
 
 @pytest.mark.parametrize("content", ["{bad", "[]"], ids=["not-json", "not-an-object"])

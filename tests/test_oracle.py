@@ -4,6 +4,8 @@ import json
 import random
 import time
 from collections import Counter
+from pathlib import Path
+from typing import NamedTuple
 
 import networkx as nx
 import pytest
@@ -65,9 +67,9 @@ def relabel(graph, seed):
 
 def slow_instance():
     """A search far longer than any time limit below: best_known(4, 8), 24
-    edges, at budget SLOW_BUDGET answers "yes, 7" only after about 17 s and
-    1,502,975 nodes on a 2-CPU Xeon host, about 34 times the longest limit
-    (0.5 s)."""
+    edges, at budget SLOW_BUDGET answers "yes, 7" only after about 8 s and
+    933,964 nodes on a 2-CPU Xeon host, about 16 times the longest limit
+    (0.5 s); 16 s and 1,502,975 nodes before the face bound."""
     return best_known(4, 8).drawing.graph
 
 
@@ -149,12 +151,13 @@ def short_of_triangles(n, simple):
 
 def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
     # The gadget graph of every leaf of three searches, run to the end: no
-    # leaf is accepted, and the rim bound is switched off, so the leaves
-    # above the 3N - 6 edge bound are built too.  The search sends the
-    # kernel only those within the bound; the floors count them.  The
-    # triangle count, which the search applies first, rejects only
+    # leaf is accepted, and the rim and face bounds are switched off, so
+    # the leaves above the 3N - 6 edge bound are built too.  The search
+    # sends the kernel only those within the bound; the floors count them.
+    # The triangle count, which the search applies first, rejects only
     # non-planar leaves, and some of them.
-    monkeypatch.setattr(_Search, "viable", lambda self, chosen, allowed, left, rims: allowed)
+    monkeypatch.setattr(_Search, "viable",
+                        lambda self, chosen, allowed, left, rims, corners: allowed)
     graphs = []
     monkeypatch.setattr(_Search, "leaf", lambda self, chosen: graphs.append(
         (self.n + len(chosen), self.gadget(chosen))))
@@ -294,7 +297,7 @@ def test_embedding_equals_networkx(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(onecross.oracle, "planarity_test", lambda edges, nodes:
                   accepted.append((nodes, edges)) or planarity_test(edges, nodes))
-        for graph, budget in OUTPUTS_CORPUS:
+        for graph, budget in OUTPUTS_CORPUS.values():
             is_one_planar(graph, budget)
     assert len(accepted) == 3
     graphs += accepted
@@ -502,7 +505,8 @@ def test_balanced4_graph_needs_exactly_four_crossings():
 
 def test_balanced5_graph_is_one_planar_with_six_crossings():
     # 22 edges need at least 6 crossings; the search finds a witness at
-    # exactly 6 in about 1 s (170,579 nodes, 1 leaf).
+    # exactly 6 in about 0.1 s (29,240 nodes, 1 leaf; 170,579 nodes and
+    # about 1 s before the face bound).
     res = is_one_planar(balanced(5).graph, 6)
     assert (res.verdict, res.crossings) == ("yes", 6)
     assert validate(res.drawing).passed and res.drawing.graph == balanced(5).graph
@@ -635,7 +639,7 @@ def test_timeout_returns_unknown(tmp_path):
 # answer "no" for a planar graph.
 K22_FINGERPRINT = {"edges": [[0, 2], [0, 3], [1, 2], [1, 3]], "budget": 0,
                    "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps",
-                             "crossing-cap"]}
+                             "crossing-cap", "faces"]}
 BAD_CHECKPOINTS = {
     "not-json": "{bad",
     "not-an-object": "[]",
@@ -666,14 +670,17 @@ def test_checkpoint_of_another_rule_set_is_not_resumed(tmp_path):
 
     write({"edges": edges, "budget": 2,
            "rules": ["count", "twins", "small-orbits-first", "rims", "pair-swaps",
-                     "crossing-cap"]})
+                     "crossing-cap", "faces"]})
     assert is_one_planar(k34, 2, checkpoint=ck).verdict == "no"
-    # Written before sizes stopped at the crossing cap, before children kept
-    # the swaps that map their pair onto itself, when inner nodes were also
-    # cut by a forced-uncrossed test, before the rim bound, before orbits
-    # were ordered smallest first (its next_root indexes orbits in another
-    # order), and before the rule set was recorded: each cut other subtrees.
-    for older in (["count", "twins", "small-orbits-first", "rims", "pair-swaps"],
+    # Written before the face bound, before sizes stopped at the crossing
+    # cap, before children kept the swaps that map their pair onto itself,
+    # when inner nodes were also cut by a forced-uncrossed test, before the
+    # rim bound, before orbits were ordered smallest first (its next_root
+    # indexes orbits in another order), and before the rule set was
+    # recorded: each cut other subtrees.
+    for older in (["count", "twins", "small-orbits-first", "rims", "pair-swaps",
+                   "crossing-cap"],
+                  ["count", "twins", "small-orbits-first", "rims", "pair-swaps"],
                   ["count", "twins", "small-orbits-first", "rims"],
                   ["count", "twins", "forced", "small-orbits-first", "rims"],
                   ["count", "twins", "forced", "small-orbits-first"],
@@ -736,31 +743,60 @@ def test_a_leaf_that_planarity_test_rejects_raises(monkeypatch):
 # Each graph is searched as given and relabelled.  The outputs digest holds
 # every verdict, least crossing number, counting bound and witness
 # document: what a caller sees, which no pruning rule may change.  The
-# counters digest holds the per-size search counters (planarity_s aside):
-# they depend on every planarity verdict the search saw, so an unchanged
-# digest means unchanged answers from every planarity test, not just from
-# the final ones, and a new pruning rule changes it by design.
-OUTPUTS_CORPUS = [(complete_bipartite(3, 4), 2), (complete(6), 3), (complete_bipartite(4, 4), 4),
-                  (complete_bipartite(3, 5), 3), (complete_bipartite(3, 7), 6)]
+# counters file holds the search counters of each size (planarity_s
+# aside): they depend on every planarity verdict the search saw, so
+# unchanged counters mean unchanged answers from every planarity test, not
+# just from the final ones, and a new pruning rule changes them by design.
+OUTPUTS_CORPUS = {"K3,4 at 2": (complete_bipartite(3, 4), 2), "K6 at 3": (complete(6), 3),
+                  "K4,4 at 4": (complete_bipartite(4, 4), 4),
+                  "K3,5 at 3": (complete_bipartite(3, 5), 3),
+                  "K3,7 at 6": (complete_bipartite(3, 7), 6)}
 OUTPUTS_DIGEST = "690ac9960e6834cc23e613e10ec7c19788a28c06998c414ffd6b0001adbd3ea1"
-COUNTERS_DIGEST = "377ec9aaa5315c1432035a6ae0eefa6376e1464ef857915508b1c2206e55ef6d"
+COUNTERS = Path(__file__).with_name("oracle_counters.json")
+COUNTER_FIELDS = ("skipped", "nodes", "leaves", "rim_cuts", "corner_cuts", "witnesses")
+
+
+def outputs_corpus_results():
+    """(search, labelling, result) of every search of the outputs corpus."""
+    for name, (graph, budget) in OUTPUTS_CORPUS.items():
+        for labelling, g in (("given", graph), ("relabelled", relabel(graph, 7))):
+            yield name, labelling, is_one_planar(g, budget)
 
 
 def test_oracle_outputs_are_unchanged():
-    outputs, counters = hashlib.sha256(), hashlib.sha256()
-    for graph, budget in OUTPUTS_CORPUS:
-        for g in (graph, relabel(graph, 7)):
-            res = is_one_planar(g, budget)
-            outputs.update(json.dumps([res.verdict, res.crossings,
-                                       res.stats.lower_bound]).encode())
-            if res.drawing is not None:
-                outputs.update(dumps_document(drawing_to_document(res.drawing)).encode())
-            sizes = res.stats.to_json()["sizes"]
-            for size in sizes:
-                del size["planarity_s"]
-            counters.update(json.dumps(sizes).encode())
+    outputs = hashlib.sha256()
+    for _, _, res in outputs_corpus_results():
+        outputs.update(json.dumps([res.verdict, res.crossings, res.stats.lower_bound]).encode())
+        if res.drawing is not None:
+            outputs.update(dumps_document(drawing_to_document(res.drawing)).encode())
     assert outputs.hexdigest() == OUTPUTS_DIGEST
-    assert counters.hexdigest() == COUNTERS_DIGEST
+
+
+def test_oracle_counters_equal_the_pinned_file():
+    # The file maps each search and labelling to one row per size; a
+    # failure names the search, labelling, size and field that moved.
+    pinned = json.loads(COUNTERS.read_text())
+    moved = []
+    searched = set()
+    for name, labelling, res in outputs_corpus_results():
+        searched.add((name, labelling))
+        rows = pinned.get(name, {}).get(labelling)
+        if rows is None:
+            moved.append(f"{name}, {labelling}: not in {COUNTERS.name}")
+            continue
+        sizes = [s.size for s in res.stats.sizes]
+        if sizes != [row["size"] for row in rows]:
+            moved.append(f"{name}, {labelling}: sizes {sizes}, pinned "
+                         f"{[row['size'] for row in rows]}")
+            continue
+        for s, row in zip(res.stats.sizes, rows):
+            assert set(row) == {"size", *COUNTER_FIELDS}, (name, labelling, s.size)
+            for field in COUNTER_FIELDS:
+                if getattr(s, field) != row[field]:
+                    moved.append(f"{name}, {labelling}, size {s.size}: {field} "
+                                 f"{getattr(s, field)}, pinned {row[field]}")
+    assert searched == {(name, labelling) for name in pinned for labelling in pinned[name]}
+    assert not moved, "\n".join(moved)
 
 
 # -- pruning rules -------------------------------------------------------------
@@ -809,6 +845,18 @@ def random_graph(seed):
     return Graph.make(range(n), edges)
 
 
+def random_bipartite(seed):
+    """A plain graph that two-colours: a random subgraph of K_{a,b}, with
+    3 <= a <= b and a + b <= 8, of 2(a + b) - 3 or 2(a + b) - 2 edges, so
+    that its counting bound is 1 or 2 when no vertex is isolated."""
+    rng = random.Random(seed)
+    a = rng.randint(3, 4)
+    b = rng.randint(a, 8 - a)
+    pool = [(u, w) for u in range(a) for w in range(a, a + b)]
+    edges = rng.sample(pool, rng.randint(2 * (a + b) - 3, min(len(pool), 2 * (a + b) - 2)))
+    return Graph.make(range(a + b), edges)
+
+
 DIFFERENTIAL = (
     [(f"K{n}", complete(n), 3) for n in range(3, 7)]
     + [(f"K{a},{b}", complete_bipartite(a, b), 2)
@@ -816,20 +864,38 @@ DIFFERENTIAL = (
     + [("K6-b2", complete(6), 2), ("K3,4-b1", complete_bipartite(3, 4), 1),
        ("K3,3-b0", complete_bipartite(3, 3), 0)]
     + [(f"random{seed}", random_graph(seed), 1 + seed % 3) for seed in range(40)]
+    + [(f"bipartite{seed}", random_bipartite(seed), 2 + seed % 2) for seed in range(10)]
     # Counting bound 1, least size 3: sizes 1 and 2 are searched in full first.
     + [("K6+pendant-b3", Graph.make(range(7), list(complete(6).edges) + [(0, 6)]), 3)]
 )
 
 
+class Node(NamedTuple):
+    """One node a search met: the arguments of its ``viable`` call, the
+    pairs it kept, and the pairs the rim and face bounds dropped."""
+
+    search: _Search
+    chosen: tuple[int, ...]
+    allowed: list[int]
+    left: int
+    rims: int  # R
+    corners: int  # T
+    kept: list[int]
+    rim_cuts: int
+    corner_cuts: int
+
+
 def record_nodes(monkeypatch):
-    """Every node that the searches meet from now on, as (search, chosen,
-    allowed, left, R, kept), recorded by wrapping ``_Search.viable``."""
+    """Every node that the searches meet from now on, as a ``Node``,
+    recorded by wrapping ``_Search.viable``."""
     nodes = []
     viable = _Search.viable
 
-    def recording(self, chosen, allowed, left, rims):
-        kept = viable(self, chosen, allowed, left, rims)
-        nodes.append((self, tuple(chosen), list(allowed), left, rims, list(kept)))
+    def recording(self, chosen, allowed, left, rims, corners):
+        cuts = self.stats.rim_cuts, self.stats.corner_cuts
+        kept = viable(self, chosen, allowed, left, rims, corners)
+        nodes.append(Node(self, tuple(chosen), list(allowed), left, rims, corners, list(kept),
+                          self.stats.rim_cuts - cuts[0], self.stats.corner_cuts - cuts[1]))
         return kept
 
     monkeypatch.setattr(_Search, "viable", recording)
@@ -845,11 +911,11 @@ def record_groups(monkeypatch):
     groups = {}
     expand, orbits = _Search.expand, _Search.orbits
 
-    def expanding(self, chosen, allowed, cls, swaps, left, rims):
-        # The node's group, which expand builds only if the rim bound
-        # leaves it pairs enough; expand's first call records the node.
+    def expanding(self, chosen, allowed, cls, swaps, left, rims, corners):
+        # The node's group, which expand builds only if the rim and face
+        # bounds leave it pairs enough; expand's first call records the node.
         groups[len(nodes)] = [*self.stabilizer(cls, swaps, chosen[-1]), None]
-        return expand(self, chosen, allowed, cls, swaps, left, rims)
+        return expand(self, chosen, allowed, cls, swaps, left, rims, corners)
 
     def numbering(self, allowed, cls, swaps=()):
         labels, reps = orbits(self, allowed, cls, swaps)
@@ -911,7 +977,8 @@ def test_every_node_group_is_a_group_of_the_node(searches, monkeypatch):
         for g in (graph, relabel(graph, 7)):
             is_one_planar(g, budget)
     swapped = Counter()
-    for i, (search, chosen, allowed, left, rims, kept) in enumerate(nodes):
+    for i, node in enumerate(nodes):
+        search, chosen, allowed, kept = node.search, node.chosen, node.allowed, node.kept
         cls, swaps, labels = groups[i]
         fixed = {v for p in chosen for v in search.pair_ends[p]}
         assert cls == [search.n + v if v in fixed else c
@@ -959,8 +1026,10 @@ def test_pruned_search_agrees_with_plain_search(monkeypatch):
                 assert validate(res.drawing).passed, name
                 assert res.drawing.graph.edges == g.edges, name
     assert nos >= 3
-    # The comparison covers pairs that the rim bound dropped above the leaves.
-    assert any(left > 1 and len(kept) < len(allowed) for *_, allowed, left, _, kept in nodes)
+    # The comparison covers pairs that the rim bound and the face bound
+    # dropped above the leaves.
+    assert any(node.left > 1 and node.rim_cuts for node in nodes)
+    assert any(node.left > 1 and node.corner_cuts for node in nodes)
 
 
 def rims_from_scratch(search, chosen):
@@ -972,34 +1041,117 @@ def rims_from_scratch(search, chosen):
     return len(rims - uncrossed)
 
 
-@pytest.mark.parametrize("graph,budget", [(complete_bipartite(3, 7), 6),
-                                          (complete_bipartite(4, 4), 4)], ids=["K3,7", "K4,4"])
+def within_rim_bound(node):
+    """The pairs p of the node's allowed set with R(chosen + p) <=
+    3n' - 6 - |E| + s, by a fresh count."""
+    search, chosen = node.search, node.chosen
+    room = 3 * len({v for e in search.edges for v in e}) - 6 - len(search.edges)
+    return [p for p in node.allowed
+            if rims_from_scratch(search, chosen + (p,)) <= room + len(chosen) + node.left]
+
+
+FILTER_CASES = {"K3,7": (complete_bipartite(3, 7), 6), "K4,4": (complete_bipartite(4, 4), 4)}
+
+
+@pytest.mark.parametrize("graph,budget", FILTER_CASES.values(), ids=FILTER_CASES.keys())
 def test_rim_filter_keeps_exactly_the_pairs_within_the_bound(graph, budget, monkeypatch):
-    # At every node, the kept set is {p : R(chosen + p) <= 3n' - 6 - |E| + s},
-    # by a fresh count, and it is closed under the node's group: the
-    # permutations inside the twin classes that fix the chosen endpoints,
-    # and the node's swaps.
+    # At every node, the rim bound drops exactly the pairs outside
+    # {p : R(chosen + p) <= 3n' - 6 - |E| + s}, by a fresh count (the face
+    # bound may drop more: see the next test), and the kept set is closed
+    # under the node's group: the permutations inside the twin classes that
+    # fix the chosen endpoints, and the node's swaps.
     nodes, groups = record_groups(monkeypatch)
     is_one_planar(graph, budget)
     drops = Counter()
-    for i, (search, chosen, allowed, left, rims, kept) in enumerate(nodes):
-        assert rims == rims_from_scratch(search, chosen), chosen
-        room = 3 * len({v for e in search.edges for v in e}) - 6 - len(search.edges)
-        want = [p for p in allowed
-                if rims_from_scratch(search, chosen + (p,)) <= room + len(chosen) + left]
-        assert kept == want, chosen
-        if left == 1:  # a leaf is kept exactly when its gadget graph is within the edge bound
-            assert kept == [p for p in allowed
-                            if not _over_edge_bound(search.gadget([*chosen, p]))], chosen
+    for i, node in enumerate(nodes):
+        search, chosen, allowed, left, kept = (node.search, node.chosen, node.allowed, node.left,
+                                               node.kept)
+        assert node.rims == rims_from_scratch(search, chosen), chosen
+        within = within_rim_bound(node)
+        assert node.rim_cuts == len(allowed) - len(within), chosen
+        assert set(kept) <= set(within), chosen
+        if left == 1:  # within the rim bound is within the edge bound at a leaf
+            assert within == [p for p in allowed
+                              if not _over_edge_bound(search.gadget([*chosen, p]))], chosen
         for perm in node_generators(search, chosen, groups[i][1]):
             for p in kept:
                 assert pair_image(search, perm, p) in kept, (chosen, p)
-        drops[left == 1] += len(allowed) - len(kept)
+        drops[left == 1] += node.rim_cuts
     assert drops[True] and drops[False]  # at the leaves' parents and above them
-    for search in {node[0] for node in nodes}:  # every count is undone on the way up
+    for search in {node.search for node in nodes}:  # every count is undone on the way up
         assert not any(search.rim_count)
         assert sorted(k for k, flag in enumerate(search.uncrossed) if flag) == \
             sorted(search.edge_rim)
+
+
+def corners_from_scratch(search, chosen):
+    """T of a node by its definition: the (chosen pair, rim) with the rim an
+    edge of the graph that no chosen pair crosses."""
+    pairs = [search.pairs[p] for p in chosen]
+    uncrossed = set(search.edges) - {e for pair in pairs for e in pair}
+    return sum(edge_key(*rim) in uncrossed
+               for (a, b), (c, d) in pairs for rim in ((a, c), (c, b), (b, d), (d, a)))
+
+
+def test_face_filter_keeps_exactly_the_pairs_within_both_bounds(monkeypatch):
+    # At every node of the K3,7 and K4,4 searches, the carried T is a fresh
+    # count, and the kept set is
+    # {p within the rim bound : T(chosen + p) + 2(left - 1) >= 2|E| - 4n' + 8}.
+    nodes = record_nodes(monkeypatch)
+    for graph, budget in FILTER_CASES.values():
+        is_one_planar(graph, budget)
+    drops = Counter()
+    for node in nodes:
+        search, chosen, left = node.search, node.chosen, node.left
+        floor = 2 * len(search.edges) - 4 * search.n + 8  # no vertex is isolated
+        assert node.corners == corners_from_scratch(search, chosen), chosen
+        within = within_rim_bound(node)
+        want = [p for p in within
+                if corners_from_scratch(search, chosen + (p,)) + 2 * (left - 1) >= floor]
+        assert node.kept == want, chosen
+        assert node.corner_cuts == len(within) - len(want), chosen
+        drops[left == 1] += node.corner_cuts
+    assert drops[True] and drops[False]  # at the leaves' parents and above them
+
+
+def test_face_bound_holds_on_every_planar_assignment():
+    # Lemma (face bound), apart from the search: in each graph below, which
+    # two-colours, no assignment of the sizes listed with T < 2|E| - 4n' + 8
+    # has a gadget graph that networkx finds planar, and in most of them
+    # one with T equal to that floor has.  Assignments over the 3N - 6 edge
+    # bound (the gadget graph's edges counted from their definition) are
+    # not planar and are not handed to networkx, nor are those above the
+    # floor, about which the lemma says nothing, nor those at the floor
+    # once one of the graph's is planar.
+    k44 = complete_bipartite(4, 4)
+    cases = [(complete_bipartite(3, 3), (1, 2)), (complete_bipartite(3, 4), (2,)),
+             (complete_bipartite(2, 5), (1, 2)),
+             (BipartiteGraph.make(k44.black, k44.white, k44.edges - {(0, 4)}), (3,))]
+    cases += [(random_bipartite(seed), (1, 2)) for seed in range(3)]
+    tight = below = 0
+    for graph, sizes in cases:
+        touched = len({v for e in graph.edges for v in e})
+        floor = 2 * len(graph.edges) - 4 * touched + 8
+        pairs = candidate_pairs(sorted(graph.edges))
+        found = False  # an assignment at the floor with a planar gadget graph
+        for chosen in itertools.chain.from_iterable(assignments(pairs, s) for s in sizes):
+            uncrossed = graph.edges - {e for pair in chosen for e in pair}
+            rims = [edge_key(*rim) for (a, b), (c, d) in chosen
+                    for rim in ((a, c), (c, b), (b, d), (d, a))]
+            corners = sum(rim in uncrossed for rim in rims)
+            simple = len(uncrossed) + 4 * len(chosen) + len(set(rims) - uncrossed)
+            if (corners > floor or corners == floor and found
+                    or simple > 3 * (touched + len(chosen)) - 6):
+                continue
+            edges = gadget_planarize(graph, chosen).edges
+            assert len(edges) == simple
+            planar = nx.check_planarity(nx.Graph(list(edges)))[0]
+            assert corners == floor or not planar, chosen
+            found |= planar
+            below += corners < floor
+        tight += found
+    # A floor one higher fails, and the lemma rejects many assignments.
+    assert tight >= 5 and below >= 1000
 
 
 def test_the_rim_filter_drops_a_pair_that_adds_six_rims(monkeypatch):
@@ -1016,8 +1168,8 @@ def test_the_rim_filter_drops_a_pair_that_adds_six_rims(monkeypatch):
     assert is_one_planar(graph, 3).verdict == "no"
     q1, q2, p = ((0, 6), (1, 7)), ((2, 4), (3, 5)), ((4, 5), (6, 7))
     [(search, rims, allowed, kept)] = [
-        (search, rims, allowed, kept) for search, chosen, allowed, left, rims, kept in nodes
-        if [search.pairs[q] for q in chosen] == [q1, q2]]
+        (node.search, node.rims, node.allowed, node.kept) for node in nodes
+        if [node.search.pairs[q] for q in node.chosen] == [q1, q2]]
     assert search.rim_room + 3 - rims == 5
     assert rims_from_scratch(search, (search.pairs.index(q1), search.pairs.index(q2),
                                       search.pairs.index(p))) == rims + 6
@@ -1185,10 +1337,12 @@ def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatc
     for s in stats.sizes:
         assert s.skipped == (s.size < stats.lower_bound)
         if s.skipped:
-            assert s.leaves == s.nodes == s.rim_cuts == 0
+            assert s.leaves == s.nodes == s.rim_cuts == s.corner_cuts == 0
     assert sum(s.nodes for s in stats.sizes) == len(nodes)
-    assert sum(s.rim_cuts for s in stats.sizes) == \
-        sum(len(node[2]) - len(node[-1]) for node in nodes)
+    assert sum(s.rim_cuts + s.corner_cuts for s in stats.sizes) == \
+        sum(len(node.allowed) - len(node.kept) for node in nodes)
+    # The face bound cuts these searches of two-coloured graphs, and never K6's.
+    assert (sum(s.corner_cuts for s in stats.sizes) > 0) == (_two_color(graph) is not None)
     assert sum(s.leaves for s in stats.sizes) == len(calls) == res.assignments_tested
     # Only the accepted leaf is embedded: never one during a "no".
     assert len(embeds) == sum(s.witnesses for s in stats.sizes)
@@ -1274,10 +1428,11 @@ def test_k37_search_is_small_for_its_plain_labels(monkeypatch):
     # 2,541 when each size decided its forced-uncrossed verdicts afresh,
     # 1,764 before the rim bound, 635 before it filtered the allowed sets
     # (when inner nodes were tested too), 93 leaves and 1,992 nodes before
-    # children kept their pair's swaps; 68 leaves and 1,244 nodes now.
-    # Every leaf went to the left-right test before the triangle count,
-    # which rejects 57 of the 68; 11 reach it now, also with an isolated
-    # vertex, which the count's N' leaves out.
+    # children kept their pair's swaps, 68 leaves and 1,244 nodes before
+    # the face bound; 52 leaves and 668 nodes now.  Every leaf went to the
+    # left-right test before the triangle count, which rejects 41 of the
+    # 52; 11 reach it now, also with an isolated vertex, which the count's
+    # N' leaves out.
     calls = []
     monkeypatch.setattr(onecross.oracle, "lr_planar", lambda *a: calls.append(1) or lr_planar(*a))
     k37 = complete_bipartite(3, 7)
@@ -1285,34 +1440,47 @@ def test_k37_search_is_small_for_its_plain_labels(monkeypatch):
         calls.clear()
         res = is_one_planar(graph, 6)
         assert res.verdict == "no"
-        assert sum(s.leaves for s in res.stats.sizes) <= 70
-        assert sum(s.nodes for s in res.stats.sizes) <= 1300
+        assert sum(s.leaves for s in res.stats.sizes) <= 55
+        assert sum(s.nodes for s in res.stats.sizes) <= 700
         assert len(calls) <= 11
 
 
 def test_k38_search_is_small():
     # "no" by Zarankiewicz's crossing number 12 of K3,8: 20,223 nodes
-    # before children kept their pair's swaps, 12,695 now.
+    # before children kept their pair's swaps, 12,695 before the face
+    # bound, 9,068 now.
     res = is_one_planar(complete_bipartite(3, 8), 8)
     assert res.verdict == "no"
-    assert sum(s.nodes for s in res.stats.sizes) <= 13000
+    assert sum(s.nodes for s in res.stats.sizes) <= 9500
 
 
 def test_best46_search_is_small():
     # best_known(4, 6): twin classes of sizes 3, 3, 3 and 1 leave the orbit
     # branching with little symmetry.  138,425 planarity calls before the
-    # rim bound, 7,900 before it filtered the allowed sets, 261 now.
+    # rim bound, 7,900 before it filtered the allowed sets, 261 before pair
+    # swaps, 240 (and 10,890 nodes) before the face bound, 66 (and 5,036
+    # nodes) now.
     res = is_one_planar(best_known(4, 6).drawing.graph, 6)
     assert (res.verdict, res.crossings) == ("yes", 6)
-    assert sum(s.leaves for s in res.stats.sizes) <= 300
+    assert sum(s.leaves for s in res.stats.sizes) <= 70
+
+
+def test_k55_less_three_independent_edges_search_is_small():
+    # balanced(5)'s graph: K5,5 less the edges 0-5, 1-6 and 2-7, "yes" at
+    # its counting bound 6.  170,579 nodes before the face bound, 29,240 now.
+    graph = balanced(5).graph
+    assert graph.edges == complete_bipartite(5, 5).edges - {(0, 5), (1, 6), (2, 7)}
+    res = is_one_planar(graph, 6)
+    assert (res.verdict, res.crossings) == ("yes", 6)
+    assert sum(s.nodes for s in res.stats.sizes) <= 30000
 
 
 def test_k46_sharing_a_white_vertex_is_no_through_budget_8():
     # One of the three 22-edge subgraphs of K4,6: the two missing edges
-    # share a white vertex.  The counting bound asks for 6 crossings; 10
-    # leaves are tested at size 6, and the rim bound empties sizes 7 and 8
-    # by counting alone (3,574 / 3,688 / 4,249 planarity calls before the
-    # filter).
+    # share a white vertex.  The counting bound asks for 6 crossings; the
+    # rim and face bounds empty sizes 6 to 8 by counting alone (10 leaves
+    # were tested at size 6 before the face bound; 3,574 / 3,688 / 4,249
+    # planarity calls before the rim filter).
     k46 = complete_bipartite(4, 6)
     graph = BipartiteGraph.make(k46.black, k46.white, k46.edges - {(0, 4), (1, 4)})
     res = is_one_planar(graph, 8)

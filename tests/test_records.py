@@ -72,7 +72,7 @@ FIELDS = {
     "PlanarityResult": ("planar", "witness", "edge_bound"),
     "GadgetGraph": ("edges", "false_nodes"),
     "SizeStats": ("size", "skipped", "leaves", "planarity_s", "witnesses", "nodes",
-                  "rim_cuts"),
+                  "rim_cuts", "corner_cuts"),
     "SearchStats": ("lower_bound", "cap", "sizes"),
     "OneplanarResult": ("verdict", "drawing", "crossings", "stats"),
 }
@@ -116,13 +116,13 @@ def test_search_counters_stay_mutable(name):
 def test_search_counters_keep_their_defaults():
     assert SizeStats(4)._asdict() == {
         "size": 4, "skipped": False, "leaves": 0, "planarity_s": 0.0, "witnesses": 0,
-        "nodes": 0, "rim_cuts": 0}
+        "nodes": 0, "rim_cuts": 0, "corner_cuts": 0}
     assert SearchStats(2, 4)._asdict() == {"lower_bound": 2, "cap": 4, "sizes": []}
     assert SearchStats(2, 4).sizes is not SearchStats(2, 4).sizes
     assert SizeStats(1, leaves=2) == SizeStats(1, leaves=2) != SizeStats(1, leaves=3)
     assert repr(SearchStats(1, 3, [SizeStats(0)])) == (
         "SearchStats(lower_bound=1, cap=3, sizes=[SizeStats(size=0, skipped=False, leaves=0, "
-        "planarity_s=0.0, witnesses=0, nodes=0, rim_cuts=0)])")
+        "planarity_s=0.0, witnesses=0, nodes=0, rim_cuts=0, corner_cuts=0)])")
 
 
 def test_plane_maps_compare_by_fields_and_are_unhashable():
@@ -165,5 +165,6 @@ def test_oracle_json_key_order_is_pinned():
     assert list(doc["stats"]) == ["cap", "lower_bound", "sizes"]
     assert doc["stats"]["cap"] == 5
     assert [list(s) for s in doc["stats"]["sizes"]] == [
-        ["leaves", "nodes", "planarity_s", "rim_cuts", "size", "skipped", "witnesses"]] * 3
-    assert (doc["verdict"], doc["crossings"], doc["assignments_tested"]) == ("yes", 2, 2)
+        ["corner_cuts", "leaves", "nodes", "planarity_s", "rim_cuts", "size", "skipped",
+         "witnesses"]] * 3
+    assert (doc["verdict"], doc["crossings"], doc["assignments_tested"]) == ("yes", 2, 1)
