@@ -73,11 +73,7 @@ def upper_bound(x: int, y: int) -> int:
 
 def lower_bound(x: int, y: int) -> int:
     """Best constructive lower bound; equals ``best_known(x, y).edges``."""
-    _check_domain(x, y)
-    table = family_formulas(x, y)
-    if not table:
-        raise DrawingError(f"no construction known for classes ({x}, {y})")
-    return max(count for _, count in table)
+    return max(count for _, count in family_formulas(x, y))
 
 
 def _conjectured(x: int, y: int) -> int | None:
@@ -133,7 +129,6 @@ def conjecture_gap(x: int, y: int) -> ConjectureGap:
     Only defined for x >= 3 and y >= 6x - 12.  The artifact reports the gap;
     it never asserts the conjecture.
     """
-    _check_domain(x, y)
     conjectured = _conjectured(x, y)
     if conjectured is None:
         raise DrawingError("outside the conjecture regime (x >= 3, y >= 6x - 12)")

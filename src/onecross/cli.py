@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -119,12 +118,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(sb._asdict(), sort_keys=True))
     elif args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         data = sb._asdict()
         writer.writerow(data.keys())
         writer.writerow(data.values())
-        sys.stdout.write(buf.getvalue())
     else:
         for k, v in sb._asdict().items():
             print(f"{k}={v}")

@@ -186,11 +186,9 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     """
     failures: list[str] = []
     g = d.graph
-    bip = isinstance(g, BipartiteGraph)
-
     edges = g.edges
     try:
-        if bip:
+        if isinstance(g, BipartiteGraph):
             BipartiteGraph.make(g.black, g.white, edges)
         else:
             Graph.make(g.vertices, edges)
@@ -286,13 +284,13 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
                 failures.append(f"consecutive false vertices {a},{b} on a face")
                 break
 
-    x = d.x if bip else None
-    ceiling = crossing_ceiling(x) if bip and x is not None and x >= 2 else None
+    x = d.x
+    ceiling = crossing_ceiling(x) if x is not None and x >= 2 else None
     return ValidationReport(
         passed=not failures,
         failures=tuple(dict.fromkeys(failures)),
         x=x,
-        y=d.y if bip else None,
+        y=d.y,
         vertices=d.vertex_count,
         edges=d.edge_count,
         crossings=len(named),

@@ -10,54 +10,26 @@ planar gadget embedding is converted back into a certified drawing, so every
 ``yes`` is independently validated; ``no`` means no assignment up to the
 crossing budget has a planar gadget graph.
 
-Six pruning rules keep that exhaustive; each is proved where it is coded:
+``RULES`` names the pruning rules that keep that search exhaustive while
+it tests far fewer assignments.  Each is proved as a lemma in the
+docstring of the functions named; ``_Search.__init__`` derives every
+rule's input once: |E|, the number n' of vertices that have an edge, the
+colouring, and from them each rule's constant.
 
-- counting bound (``_counting_bound``): deleting one edge per crossing
-  leaves a planar graph, so a drawing needs at least |E| - (2n - 4)
-  crossings when the graph two-colours and |E| - (3n - 6) otherwise; the
-  smaller sizes are skipped, and a bound above the budget answers ``no``
-  without a planarity test;
-- twin symmetry (``_twin_classes``, ``_Search.orbits``, ``_Search.expand``):
-  permuting vertices with equal open or closed neighbourhoods is an
-  automorphism, so each node branches only on one representative pair per
-  orbit of its group: the twin group fixing the chosen endpoints, extended
-  by the pair swaps below.  A node's orbits are branched on smallest
-  first, then by the sorted class sizes of the representative's endpoints,
-  then by least pair: the order depends on the vertex labels only to break
-  ties, and the large orbits, branched last, are left with few pairs below
-  them;
-- rim bound (``_Search.viable``): a leaf's gadget graph has more than
-  3N - 6 edges exactly when its chosen pairs have more than
-  3n' - 6 - |E| + s rims (4-cycle edges of the gadgets that are not
-  uncrossed edges), and that count never falls as pairs are added, so
-  every node drops from its allowed set each pair that would take it over,
-  before its orbits are numbered.  Whole orbits go, and the leaves left
-  are those within the edge bound.  ``_Search.branch`` carries the count
-  down incrementally;
-- pair swaps (``_Search.stabilizer``): a child's group keeps the
-  permutations of the node's group that map its chosen pair (ab, cd) onto
-  itself without fixing its endpoints, such as (a c)(b d) when a, c and
-  b, d are twins, and ``orbits`` merges the twin orbits that they
-  exchange, so the search stops visiting mirrored children;
-- crossing cap (``_crossing_cap``): a drawing with k >= 1 crossings has
-  k <= n' - 2, where n' counts the vertices that have an edge, so no size
-  above the cap is searched, and a counting bound above the cap answers
-  ``no`` for every budget, with no search.  Without a budget the search
-  runs up to the cap and so decides drawability outright;
-- face bound (``_Search.viable``): when the graph two-colours, every
-  triangular face of the planarization is a hub corner closed by an
-  uncrossed edge, so Euler's formula asks a planar leaf for at least
-  2|E| - 4n' + 8 corners, and a pair brings at most two.  Beside the rim
-  bound, every node drops each pair after which its leaves could not
-  reach that many, again by whole orbits, and ``_Search.branch`` carries
-  the corner count down with the rim count.
-
-So only leaves are tested, and most subtrees end by counting alone: K3,7
-at budget 6 is a ``no`` after 668 nodes and 52 leaf tests (1,244 and 68
-before the face bound).  Those 52 leaves all sit on the 3N - 6 edge
-bound, where a planar graph is a triangulation: the triangle count
-(``_short_of_triangles``) rejects 41 of them, and only 11 reach the
-left-right test.
+- count: sizes below the fewest crossings a drawing can have are skipped,
+  and a bound above the budget answers ``no`` (``_counting_bound``);
+- twins: each node branches on one pair per orbit of its twin group
+  (``_twin_classes``, ``_Search.orbits``, ``_Search.expand``);
+- small-orbits-first: a node's orbits are branched on smallest first, an
+  order orbit branching allows (``_Search.expand``);
+- rims: each node drops the pairs that would take its leaves over the
+  3N - 6 edge bound (``_Search.viable``);
+- pair-swaps: a child's group keeps the swaps that map its chosen pair
+  onto itself (``_Search.stabilizer``, ``_Search.orbits``);
+- crossing-cap: no size above n' - 2 is searched (``_crossing_cap``);
+- faces: in a graph that two-colours, each node drops the pairs after
+  which its leaves could not close enough triangular faces
+  (``_Search.viable``).
 
 One builder, ``_gadget``, makes every gadget graph, simple and on
 integers: a vertex is named by its position in sorted order and the hub
@@ -426,25 +398,22 @@ RULES = ("count", "twins", "small-orbits-first", "rims", "pair-swaps", "crossing
          "faces")
 
 
-def _counting_bound(graph: Graph | BipartiteGraph, two_colours: bool | None = None) -> int:
-    """Fewest crossings any drawing of ``graph`` can have, by counting edges.
+def _counting_bound(edges: int, n: int, two_colours: bool) -> int:
+    """Fewest crossings any drawing can have, by counting edges: of a graph
+    with ``edges`` edges on ``n`` vertices that have one, two-coloured when
+    ``two_colours``.
 
     Lemma (counting bound).  Delete one edge from each crossing of a drawing
     with k crossings: what is left is a plane drawing of a simple subgraph
     with at least |E| - k edges on the n vertices that have an edge (isolated
     vertices change no drawing).  For n >= 3 a simple planar graph has at
     most 3n - 6 edges, and at most 2n - 4 if it is two-coloured, as every
-    subgraph of a two-coloured graph is.  So k >= |E| - (2n - 4) when
-    ``graph`` two-colours and k >= |E| - (3n - 6) otherwise.  A caller
-    that has coloured ``graph`` passes whether it ``two_colours``.
+    subgraph of a two-coloured graph is.  So k >= |E| - (2n - 4) when the
+    graph two-colours and k >= |E| - (3n - 6) otherwise.
     """
-    n = len({v for e in graph.edges for v in e})
     if n < 3:
         return 0
-    if two_colours is None:
-        two_colours = _two_color(graph) is not None
-    planar_edges = 2 * n - 4 if two_colours else 3 * n - 6
-    return max(0, len(graph.edges) - planar_edges)
+    return max(0, edges - (2 * n - 4 if two_colours else 3 * n - 6))
 
 
 def _crossing_cap(touched: int) -> int:
@@ -563,10 +532,13 @@ class _Search:
         self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
         for k in edge_rim:
             self.uncrossed[k] = 1
-        self.touched = touched = len({v for e in edges for v in e})  # non-isolated vertices
-        self.rim_room = 3 * touched - 6 - len(edges)
+        # Every rule's input, derived here once: n', the colouring, and
+        # from them and |E| each rule's constant.
+        self.touched = touched = len({v for e in edges for v in e})  # n': non-isolated vertices
         two_colours = _two_color(graph) is not None
-        self.lower_bound = _counting_bound(graph, two_colours)
+        self.lower_bound = _counting_bound(len(edges), touched, two_colours)
+        self.cap = _crossing_cap(touched)
+        self.rim_room = 3 * touched - 6 - len(edges)  # R may reach this plus s (``viable``)
         # The least T of a planar leaf by the face bound (``viable``): when
         # the graph two-colours, twice the counting bound, which is
         # 2|E| - 4n' + 8 where that is positive; 0, which every node meets,
@@ -945,7 +917,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
     if timeout is not None and not timeout >= 0:
         raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout}")
     search = _Search(graph, None if timeout is None else time.monotonic() + timeout)
-    stats = SearchStats(search.lower_bound, _crossing_cap(search.touched))
+    stats = SearchStats(search.lower_bound, search.cap)
     top = stats.cap if max_crossings is None else min(max_crossings, stats.cap)
     # The budget recorded is the largest size searched: budgets above the
     # cap search the same sizes, and so share a checkpoint.

@@ -1377,12 +1377,21 @@ def test_counting_bound_skips_sizes_below_it(monkeypatch):
 def test_counting_bound_ignores_isolated_vertices_and_uses_3n_minus_6():
     from onecross.oracle import _counting_bound
 
+    def bound(graph):
+        return _Search(graph, None).lower_bound
+
     k5 = complete(5)
-    assert _counting_bound(k5) == 10 - 9
-    assert _counting_bound(Graph.make(range(9), k5.edges)) == 1
-    assert _counting_bound(complete(6)) == 15 - 12
-    assert _counting_bound(complete_bipartite(3, 5)) == 15 - 12
-    assert _counting_bound(Graph.make(range(2), [(0, 1)])) == 0
+    assert bound(k5) == 10 - 9
+    assert bound(Graph.make(range(9), k5.edges)) == 1
+    assert bound(complete(6)) == 15 - 12
+    assert bound(complete_bipartite(3, 5)) == 15 - 12
+    assert bound(Graph.make(range(2), [(0, 1)])) == 0
+    # The arithmetic alone: 3n - 6 edges fit otherwise, 2n - 4 when two-coloured.
+    assert _counting_bound(10, 5, False) == 10 - 9
+    assert _counting_bound(15, 8, True) == 15 - 12
+    assert _counting_bound(9, 5, True) == 9 - 6
+    assert _counting_bound(5, 5, True) == 0
+    assert _counting_bound(1, 2, False) == _counting_bound(3, 2, True) == 0
 
 
 @pytest.mark.parametrize("graph", [complete(5), complete_bipartite(3, 4)], ids=["K5", "K3,4"])
