@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound evaluations for one size pair")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--json", action="store_true")
+    layout.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table", help="lower/upper grid, optionally conjecture rows")

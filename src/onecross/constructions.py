@@ -156,19 +156,6 @@ class _Builder:
 
 
 # --------------------------------------------------------------------------
-# Parameter arithmetic shared by generators and the bounds module
-# --------------------------------------------------------------------------
-
-
-def _split(x: int, yy: int) -> tuple[int, int]:
-    """(s, t) with x = yy/6 + 2 + 3s + t, for ``yy`` a multiple of six."""
-    rem = x - (yy // 6 + 2)
-    if rem < 0:
-        raise DrawingError("class sizes outside the intermediate regime")
-    return rem // 3, rem % 3
-
-
-# --------------------------------------------------------------------------
 # Triangulation host
 # --------------------------------------------------------------------------
 
@@ -229,8 +216,6 @@ def _fill_triangulation(x_corners: int, faces: list[tuple[int, int]]) -> _Builde
     """Fill each face ``i`` of a stacked triangulation with the ``faces[i]``
     (extra blacks, whites) pattern; the all-black triangulation edges go."""
     tri = stacked_triangulation(x_corners)
-    if len(faces) != len(tri.faces):
-        raise DrawingError("one pattern kind per face required")
     return _fill(tri, (), [(walk, _face_pattern(extra, whites), _pattern_classes(extra))
                            for walk, (extra, whites) in zip(tri.faces, faces)])
 
@@ -281,12 +266,10 @@ def b_family(x: int, y: int) -> OnePlanarDrawing:
     u = y % 6
     yy = y - u + 6 if u else y
     base = yy // 6 + 2
-    s, t = _split(x, yy)
+    s, t = divmod(x - base, 3)
     faces = [(3, 3)] * s + ([(t, 3)] if t else [])
     trimmed = [(0, max(u - 3, 0)), (0, min(u, 3))] if u else []
     plain = 2 * base - 4 - len(faces)
-    if plain < len(trimmed):
-        raise DrawingError("triangulation too small for the requested split")
     faces += trimmed + [(0, 3)] * (plain - len(trimmed))
     return _exact(certify(_fill_triangulation(base, faces).draft()), "b", count)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import plane_map as pm
 from .drawing import (
@@ -102,9 +102,8 @@ def _vertex_key(key: str) -> int:
 def _edge_list(value: Any) -> list[tuple[int, int]]:
     """The document's edges as :func:`~onecross.drawing.edge_key` pairs.
 
-    The checks of :func:`_ints` and ``edge_key`` run inline; at the first
-    edge that fails one, both run over the whole list, as they did before
-    any of them was inlined, to raise the error they always raised.
+    The first edge that is not a pair of distinct JSON integers goes to
+    :func:`_ints` and ``edge_key``, one of which raises its error.
     """
     edges = []
     for e in value:
@@ -113,7 +112,7 @@ def _edge_list(value: Any) -> list[tuple[int, int]]:
             if type(u) is int and type(v) is int and u != v:
                 edges.append((u, v) if u < v else (v, u))
                 continue
-        return [edge_key(*pair) for pair in [tuple(_ints(e, "an edge", 2)) for e in value]]
+        edge_key(*_ints(e, "an edge", 2))
     return edges
 
 
@@ -123,7 +122,11 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
     Raises :class:`FormatError` when the document cannot describe a drawing
     (wrong shape or types, indices out of range, a self-edge, rotations that
     do not pair up into a map); every other fault is left to
-    :func:`~onecross.drawing.validate`.
+    :func:`~onecross.drawing.validate`.  Each rotation entry is read once,
+    through the seat table of its rotation's kind: ``rotations.true`` seats
+    a segment at its true end, ``rotations.false`` at its crossing point.
+    The first entry not seated at its vertex raises the error that names
+    its fault.
     """
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
@@ -158,66 +161,46 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         # Rotation entry [ei, half] fills slot 2 ei + half; a slot's seat is
         # the one vertex whose rotation may hold it, true or a crossing point,
         # and its dart is the dart the entry names there.
-        map_edges: list[tuple[int, int]] = []
-        seg_id: dict[tuple[int, int], int] = {}  # (edge index, half) -> map edge
-        plain_id: dict[int, int] = {}
         true_seat: list[int | None] = [None] * (2 * len(edges))
         false_seat = true_seat.copy()
         true_dart, false_dart = [0] * len(true_seat), [0] * len(true_seat)
+        me = 0
         for ei, e in enumerate(edges):
-            me = len(map_edges)
             if ei in crossed_at:
                 w = base + crossed_at[ei]
                 for half in (0, 1):
-                    seg_id[(ei, half)] = me + half
-                    map_edges.append((e[half], w))
-                    true_seat[2 * ei + half], true_dart[2 * ei + half] = e[half], 2 * (me + half)
-                    false_seat[2 * ei + half], false_dart[2 * ei + half] = w, 2 * (me + half) + 1
+                    true_seat[2 * ei + half], true_dart[2 * ei + half] = e[half], 2 * me
+                    false_seat[2 * ei + half], false_dart[2 * ei + half] = w, 2 * me + 1
+                    me += 1
             else:
-                plain_id[ei] = me
-                map_edges.append(e)
                 true_seat[2 * ei], true_dart[2 * ei] = e[1], 2 * me + 1
                 true_seat[2 * ei + 1], true_dart[2 * ei + 1] = e[0], 2 * me
+                me += 1
 
-        def dart_for(v: int, entry: list[int]) -> int:
-            """The dart of one entry, or the error that describes it."""
+        def entry_fault(v: int, entry: Any) -> NoReturn:
+            """Raise the error of an entry that is not seated at ``v``."""
             ei, half = entry
             if type(ei) is not int or type(half) is not int:
                 raise FormatError(f"a rotation entry must be two integers, got {entry!r}")
-            if ei in crossed_at:
-                me = seg_id[(ei, half)]
-            else:
-                me = plain_id[ei]
-                if half != (v == edges[ei][0]):  # 1 at edges[ei][0], 0 at edges[ei][1]
-                    raise FormatError(f"rotation entry {entry} at vertex {v} "
-                                      "does not name the far end of its edge")
-            a, b = map_edges[me]
-            if v == a:
-                return 2 * me
-            if v == b:
-                return 2 * me + 1
+            if not 0 <= ei < len(edges):
+                raise FormatError(f"rotation entry {entry} names no edge")
+            if ei not in crossed_at and half != (v == edges[ei][0]):  # 1 at end 0, 0 at end 1
+                raise FormatError(f"rotation entry {entry} at vertex {v} "
+                                  "does not name the far end of its edge")
+            if not 0 <= half <= 1:
+                raise FormatError(f"rotation entry {entry} names no half of its edge")
             raise FormatError(f"rotation entry {entry} not incident to vertex {v}")
 
         def rotation(v: int, entries: Any, seat: list, dart: list) -> list[int]:
-            """The darts of ``v``'s entries: each entry must be seated at ``v``.
-
-            An entry that is not is passed, with all of ``v``'s, to
-            ``dart_for``, which finds its dart or phrases its error.
-            """
-            try:
-                out = []
-                for ei, half in entries:
-                    if type(ei) is not int or type(half) is not int or not 0 <= half <= 1:
-                        break
-                    slot = ei + ei + half
-                    if slot < 0 or seat[slot] != v:
-                        break
-                    out.append(dart[slot])
-                else:
-                    return out
-            except (TypeError, ValueError, IndexError):
-                pass
-            return [dart_for(v, entry) for entry in entries]
+            """The darts of ``v``'s entries; the first not seated at ``v`` raises."""
+            out, n = [], len(edges)
+            for entry in entries:
+                ei, half = entry
+                if type(ei) is not int or type(half) is not int or not 0 <= half <= 1 \
+                        or not 0 <= ei < n or seat[ei + ei + half] != v:
+                    entry_fault(v, entry)
+                out.append(dart[ei + ei + half])
+            return out
 
         true_rot, false_rot = doc["rotations"]["true"], doc["rotations"]["false"]
         if not isinstance(true_rot, dict) or not isinstance(false_rot, dict):
@@ -235,7 +218,7 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
             if w in rotations:
                 raise FormatError(f"duplicate vertex {w}")
             rotations[w] = rotation(w, entries, false_seat, false_dart)
-        return OnePlanarDrawing(graph, pm.map_from_paired_darts(rotations, len(map_edges)),
+        return OnePlanarDrawing(graph, pm.map_from_paired_darts(rotations, me),
                                 false_vertices)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):

@@ -7,7 +7,6 @@ import onecross.drawing
 import onecross.plane_map
 from onecross.constructions import (
     _complete_x3_small,
-    _split,
     b_family,
     balanced,
     best_known,
@@ -346,10 +345,6 @@ def test_generator_rejects_a_count_its_drawing_misses(monkeypatch, family, x, y)
                         lambda *size: [(f, c + (f == family)) for f, c in table(*size)])
     with pytest.raises(DrawingError, match="closed form"):
         onecross.constructions._BUILDERS[family](x, y)
-
-
-def test_construction_params():
-    assert _split(5, 12) == (0, 1)
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from onecross.formats import (
     export_dot,
     export_svg,
     load_drawing,
+    parse_document,
     save_drawing,
 )
 from onecross.oracle import RULES
@@ -348,13 +349,15 @@ _ENTRY_EDITS = {
                          "rotation entry [0, 0] at vertex 0 does not name the far end "
                          "of its edge"),
     "crossed-half-out-of-range": (["rotations", "false", "0", 0], [2, 7],
-                                  "malformed document: (2, 7)"),
+                                  "rotation entry [2, 7] names no half of its edge"),
     "not-incident-crossed": (["rotations", "true", "0", 1], [9, 0],
                              "rotation entry [9, 0] not incident to vertex 0"),
     "not-incident-uncrossed": (["rotations", "true", "0", 1], [4, 0],
                                "rotation entry [4, 0] not incident to vertex 0"),
     "edge-index-out-of-range": (["rotations", "false", "0", 0], [16, 0],
-                                "malformed document: 16"),
+                                "rotation entry [16, 0] names no edge"),
+    "first-fault-named": (["rotations", "true", "0"], [[0, 1], [16, 0], [True, 1]],
+                          "rotation entry [16, 0] names no edge"),
     "key-not-an-integer": (["rotations", "true", "0"], "a",
                            "malformed document: invalid literal for int() with base 10: 'a'"),
     "false-key-past-the-crossings": (["rotations", "false", "0"], "4",
@@ -380,6 +383,26 @@ def test_malformed_rotation_entry_error_text(tmp_path, capsys, path, value, mess
     f.write_text(json.dumps(doc))
     code = main(["verify", str(f)])
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+def test_crossing_rotation_is_read_only_from_rotations_false(tmp_path, capsys):
+    # Crossing point 0 takes the id one above every graph vertex; its
+    # rotation filed under that id in rotations.true is not its rotation.
+    doc = drawing_to_document(balanced(4))
+    w = max(doc["black"] + doc["white"]) + 1
+    doc["rotations"]["true"][str(w)] = doc["rotations"]["false"].pop("0")
+    with pytest.raises(FormatError, match=f"not incident to vertex {w}$"):
+        document_to_drawing(doc)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(doc))
+    assert run(["verify", str(f)], capsys)[0] == 2
+
+
+def test_the_first_faulty_edge_is_the_one_named():
+    doc = drawing_to_document(balanced(2))
+    doc["edges"][1:1] = [[1, 1], [1, "a"]]
+    with pytest.raises(FormatError, match="self-edge at 1$"):
+        parse_document(doc)
 
 
 def test_true_rotation_at_a_crossing_point_id_is_a_duplicate_vertex(tmp_path, capsys):
@@ -618,6 +641,12 @@ def test_cli_bounds_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["upper_final"] == 106 and data["lower_constructive"] == 106
+
+
+def test_cli_bounds_json_and_csv_together_is_a_usage_error(capsys):
+    assert main(["bounds", "--x", "3", "--y", "50", "--json", "--csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_cli_table_rows_ordered(capsys):
