@@ -120,8 +120,9 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
     """The drawing a document describes, not yet certified.
 
     Raises :class:`FormatError` when the document cannot describe a drawing
-    (wrong shape or types, indices out of range, a self-edge, rotations that
-    do not pair up into a map); every other fault is left to
+    (wrong shape or types, indices out of range, a self-edge, a rotation
+    key that names no vertex or no crossing, rotations that do not pair up
+    into a map); every other fault is left to
     :func:`~onecross.drawing.validate`.  Each rotation entry is read once,
     through the seat table of its rotation's kind: ``rotations.true`` seats
     a segment at its true end, ``rotations.false`` at its crossing point.
@@ -142,11 +143,12 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
                 frozenset(_ints(doc["white"], "white")), frozenset(edges))
         else:
             graph = Graph(frozenset(_ints(doc["vertices"], "vertices")), frozenset(edges))
+        vertices = graph.vertices  # read once: a BipartiteGraph makes a new frozenset per read
         crossing_list = [tuple(_ints(c, "a crossing", 2)) for c in doc["crossings"]]
         if any(not 0 <= i < len(edges) for c in crossing_list for i in c):
             raise FormatError("crossing names an edge index out of range")
 
-        base = max(graph.vertices, default=-1) + 1  # crossing k is false vertex base + k
+        base = max(vertices, default=-1) + 1  # crossing k is false vertex base + k
         false_vertices = {base + k: crossing_key(edges[i], edges[j])
                           for k, (i, j) in enumerate(crossing_list)}
         crossed_at: dict[int, int] = {}
@@ -208,15 +210,15 @@ def parse_document(doc: Any) -> OnePlanarDrawing:
         rotations: dict[int, list[int]] = {}
         for key, entries in true_rot.items():
             v = _vertex_key(key)
+            if v not in vertices:
+                raise FormatError(f"rotation key {key} names no vertex")
             rotations[v] = rotation(v, entries, true_seat, true_dart)
-        for v in graph.vertices:
+        for v in vertices:
             rotations.setdefault(v, [])
         for key, entries in false_rot.items():
             w = base + _vertex_key(key)
             if w not in false_vertices:
                 raise FormatError(f"false rotation key {key} names no crossing")
-            if w in rotations:
-                raise FormatError(f"duplicate vertex {w}")
             rotations[w] = rotation(w, entries, false_seat, false_dart)
         return OnePlanarDrawing(graph, pm.map_from_paired_darts(rotations, me),
                                 false_vertices)

@@ -488,7 +488,14 @@ class _Search:
     draw; nothing labelled is built before.  ``rim_count`` and
     ``uncrossed`` describe the chosen pairs of the node being searched
     (``viable``): ``branch`` updates them for the pair it chooses and
-    restores them when it returns.
+    restores them when it returns.  ``pair_facts`` holds, for each pair,
+    what choosing it needs whatever the node: the set of pairs sharing an
+    edge with it, which its children may not choose, and the numbers
+    u * n + v of its two edges.  ``branch`` makes a pair's facts the first
+    time it chooses the pair and reuses them at every later node.  Many
+    pairs are never chosen above a search's last level (K6 at budget 3
+    chooses 2 of its 45, K3,7 at budget 6 63 of 126), and a table made in
+    ``__init__`` would pay for them too.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -544,6 +551,8 @@ class _Search:
         # 2|E| - 4n' + 8 where that is positive; 0, which every node meets,
         # when it does not.
         self.corner_floor = 2 * self.lower_bound if two_colours else 0
+        # Each pair's branching facts, made on its first branch (see the class).
+        self.pair_facts: list[tuple[set[int], int, int] | None] = [None] * len(self.pairs)
 
     def gadget(self, chosen: list[int]) -> KeysView[tuple[int, int]]:
         """``_gadget`` of the graph's edges that no pair of ``chosen`` crosses
@@ -689,6 +698,9 @@ class _Search:
         this one puts the small orbits first, so that the large ones, which
         ``branch`` may only combine with orbits numbered after them, have
         few pairs left below them, and it uses the labels only to break ties.
+        The orbits are sorted as rows (size, class sizes, least pair, key):
+        distinct orbits have disjoint pairs, so no two rows tie before the
+        key, and keys are never compared.
         """
         members: dict[tuple, list[int]] = {}
         keys: list[tuple] = []
@@ -729,11 +741,13 @@ class _Search:
         size = [0] * (2 * len(cls))  # class names run below 2n (see ``stabilizer``)
         for c in cls:
             size[c] += 1
-        ranked = sorted(members, key=lambda k: (
-            len(members[k]), sorted((size[k[0][0]], size[k[0][1]], size[k[1][0]], size[k[1][1]])),
-            members[k][0]))
-        number = {k: j for j, k in enumerate(ranked)}
-        return [number[k] for k in keys], [members[k][0] for k in ranked]
+        rows = []
+        for k, pairs in members.items():
+            (a, b), (c, d) = k
+            rows.append((len(pairs), sorted((size[a], size[b], size[c], size[d])), pairs[0], k))
+        rows.sort()
+        number = {row[3]: j for j, row in enumerate(rows)}
+        return [number[k] for k in keys], [row[2] for row in rows]
 
     def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
                swaps: Sequence[dict[int, int]], left: int, rims: int,
@@ -782,15 +796,19 @@ class _Search:
         chosen = chosen + [r]
         if left == 1:
             return self.leaf(chosen)
-        e, f = self.pair_edges[r]
-        clash = self.meets[e] | self.meets[f]
+        facts = self.pair_facts[r]
+        if facts is None:
+            e, f = self.pair_edges[r]
+            facts = self.pair_facts[r] = (self.meets[e] | self.meets[f],
+                                          self.edge_rim[e], self.edge_rim[f])
+        clash, ke, kf = facts
         below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
         count, uncrossed = self.rim_count, self.uncrossed
         # The two edges r crosses leave the uncrossed edges: a rim on
         # either starts to count in R and stops counting in T.  Then r's
         # own rims, none of which is e or f, count in R where they are new
         # and not uncrossed edges, and in T where they are uncrossed edges.
-        for k in (self.edge_rim[e], self.edge_rim[f]):
+        for k in (ke, kf):
             uncrossed[k] = 0
             rims += count[k] > 0
             corners -= count[k]
@@ -803,7 +821,7 @@ class _Search:
         finally:
             for k in self.pair_rims[r]:
                 count[k] -= 1
-            uncrossed[self.edge_rim[e]] = uncrossed[self.edge_rim[f]] = 1
+            uncrossed[ke] = uncrossed[kf] = 1
 
     def stabilizer(self, cls: list[int], swaps: Sequence[dict[int, int]],
                    r: int) -> tuple[list[int], list[dict[int, int]]]:

@@ -336,8 +336,9 @@ def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
 # Entry 1 at vertex 0 is [0, 1], naming the far end 1 of the uncrossed edge
 # (0, 1); entry 0 at crossing point 0 is [2, 0], on the crossed edge (0, 5);
 # edge 9 is the crossed edge (2, 7) and edge 4 the uncrossed edge (1, 2).  Its
-# four crossings are keyed 0 to 3 under rotations.false.  A string replaces
-# the last key on the path.
+# four crossings are keyed 0 to 3 under rotations.false, and crossing point 0
+# takes the id 8, one above every graph vertex.  A string replaces the last key
+# on the path; any other value is set there, under a new key if need be.
 _ENTRY_EDITS = {
     "bool-edge-index": (["rotations", "true", "0", 1], [True, 1],
                         "a rotation entry must be two integers, got [True, 1]"),
@@ -364,6 +365,12 @@ _ENTRY_EDITS = {
                                      "false rotation key 4 names no crossing"),
     "false-key-negative": (["rotations", "false", "0"], "-1",
                            "false rotation key -1 names no crossing"),
+    "true-key-past-the-vertices": (["rotations", "true", "100"], [],
+                                   "rotation key 100 names no vertex"),
+    "true-key-negative": (["rotations", "true", "-3"], [],
+                          "rotation key -3 names no vertex"),
+    "true-key-at-a-crossing-point": (["rotations", "true", "8"], [],
+                                     "rotation key 8 names no vertex"),
 }
 
 
@@ -391,7 +398,7 @@ def test_crossing_rotation_is_read_only_from_rotations_false(tmp_path, capsys):
     doc = drawing_to_document(balanced(4))
     w = max(doc["black"] + doc["white"]) + 1
     doc["rotations"]["true"][str(w)] = doc["rotations"]["false"].pop("0")
-    with pytest.raises(FormatError, match=f"not incident to vertex {w}$"):
+    with pytest.raises(FormatError, match=f"^rotation key {w} names no vertex$"):
         document_to_drawing(doc)
     f = tmp_path / "d.json"
     f.write_text(json.dumps(doc))
@@ -403,17 +410,6 @@ def test_the_first_faulty_edge_is_the_one_named():
     doc["edges"][1:1] = [[1, 1], [1, "a"]]
     with pytest.raises(FormatError, match="self-edge at 1$"):
         parse_document(doc)
-
-
-def test_true_rotation_at_a_crossing_point_id_is_a_duplicate_vertex(tmp_path, capsys):
-    # Crossing point 0 takes the id one above every graph vertex.
-    doc = drawing_to_document(balanced(4))
-    doc["rotations"]["true"][str(max(doc["black"] + doc["white"]) + 1)] = []
-    with pytest.raises(FormatError, match="duplicate vertex"):
-        document_to_drawing(doc)
-    f = tmp_path / "d.json"
-    f.write_text(json.dumps(doc))
-    assert run(["verify", str(f)], capsys)[0] == 2
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

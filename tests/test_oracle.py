@@ -1492,9 +1492,13 @@ def test_k46_sharing_a_white_vertex_is_no_through_budget_8():
     # planarity calls before the rim filter).
     k46 = complete_bipartite(4, 6)
     graph = BipartiteGraph.make(k46.black, k46.white, k46.edges - {(0, 4), (1, 4)})
+    # Every searched size's nodes, rim cuts, corner cuts and leaves are
+    # pinned, so a change to how the search branches must keep each count.
     res = is_one_planar(graph, 8)
     assert (res.verdict, res.stats.lower_bound) == ("no", 6)
-    assert sum(s.leaves for s in res.stats.sizes) <= 50
+    assert [(s.size, s.nodes, s.rim_cuts, s.corner_cuts, s.leaves)
+            for s in res.stats.sizes if not s.skipped] == [
+        (6, 1019, 2126, 1020, 0), (7, 9228, 40124, 2502, 0), (8, 26938, 140056, 1865, 0)]
 
 
 def root_orbit_shapes(graph):
