@@ -8,8 +8,8 @@ its crossing cap (no larger size is searched), the nodes it expanded, the
 leaves it tested, the nodes at sizes where it tested no leaf ("leafless"),
 the allowed pairs that the rim bound dropped ("rim cuts") and that the
 face bound dropped within the rim bound ("corner cuts"), so that the table
-says which rule did the work, and its wall seconds.  All ten searches take
-about 3 s on a 2-CPU host.
+says which rule did the work, and its wall seconds.  All ten searches took
+3.4 to 4.9 s in all, in two runs on a shared 2-CPU host (Python 3.11).
 The script is opt-in: neither the tests nor the benchmark run it.  The
 last four searches answer "no" by Zarankiewicz's crossing number, so their
 verdicts do not rest on the oracle.

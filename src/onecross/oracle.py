@@ -485,17 +485,23 @@ class _Search:
     n - 1, and the hub of the i-th chosen pair by n + i: a leaf's gadget
     graph is a collection of such pairs (``gadget``).  The search returns the
     labelled pairs of the first leaf that tests planar, for ``_witness`` to
-    draw; nothing labelled is built before.  ``rim_count`` and
-    ``uncrossed`` describe the chosen pairs of the node being searched
-    (``viable``): ``branch`` updates them for the pair it chooses and
-    restores them when it returns.  ``pair_facts`` holds, for each pair,
-    what choosing it needs whatever the node: the set of pairs sharing an
-    edge with it, which its children may not choose, and the numbers
-    u * n + v of its two edges.  ``branch`` makes a pair's facts the first
-    time it chooses the pair and reuses them at every later node.  Many
-    pairs are never chosen above a search's last level (K6 at budget 3
-    chooses 2 of its 45, K3,7 at budget 6 63 of 126), and a table made in
-    ``__init__`` would pay for them too.
+    draw; nothing labelled is built before.  ``rim_count``, ``uncrossed``
+    and ``fresh`` describe the chosen pairs of the node being searched
+    (``viable``), each indexed by the number u * n + v of a vertex pair:
+    how many chosen pairs have it as a rim, whether it is a graph edge
+    that no chosen pair crosses, and whether it is fresh, that is
+    ``fresh[k] == (rim_count[k] == 0 and not uncrossed[k])``, so that a
+    rim of a new pair adds to R exactly where it is fresh.  ``branch``
+    updates all three for the pair it chooses and restores them when it
+    returns.  The pair tables (``make_pairs``) are made only when some size
+    is searched, so a "no" by the counting bound enumerates no pair.
+    ``pair_facts`` holds, for each pair, what choosing it needs whatever
+    the node: the set of pairs sharing an edge with it, which its children
+    may not choose, and the numbers u * n + v of its two edges.  ``branch``
+    makes a pair's facts the first time it chooses the pair and reuses them
+    at every later node.  Many pairs are never chosen above a search's last
+    level (K6 at budget 3 chooses 2 of its 45, K3,7 at budget 6 63 of 126),
+    and a table made with the other pair tables would pay for them too.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -508,6 +514,33 @@ class _Search:
         # For ``viable``, edges and rims are also named by one number:
         # u * n + v for the vertex positions u < v they join.
         self.edge_rim = edge_rim = [u * n + v for u, v in ends]
+        self.classes = _twin_classes(graph)
+        self.stats = SizeStats(0)
+        self.rim_count = [0] * (n * n)     # chosen pairs having each rim
+        self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
+        self.fresh = bytearray(b"\x01") * (n * n)  # 1 where both of the above are 0
+        for k in edge_rim:
+            self.uncrossed[k] = 1
+            self.fresh[k] = 0
+        # Every rule's input, derived here once: n', the colouring, and
+        # from them and |E| each rule's constant.
+        self.touched = touched = len({v for e in edges for v in e})  # n': non-isolated vertices
+        two_colours = _two_color(graph) is not None
+        self.lower_bound = _counting_bound(len(edges), touched, two_colours)
+        self.cap = _crossing_cap(touched)
+        self.rim_room = 3 * touched - 6 - len(edges)  # R may reach this plus s (``viable``)
+        # The least T of a planar leaf by the face bound (``viable``): when
+        # the graph two-colours, twice the counting bound, which is
+        # 2|E| - 4n' + 8 where that is positive; 0, which every node meets,
+        # when it does not.
+        self.corner_floor = 2 * self.lower_bound if two_colours else 0
+
+    def make_pairs(self) -> None:
+        """Make the pair tables: every candidate pair and what the search
+        reads of it.  ``is_one_planar`` calls this once, and only when some
+        size is searched: a graph whose counting bound is above its budget
+        or its crossing cap is answered from ``__init__``'s constants."""
+        edges, ends, edge_rim, n = self.edges, self.edge_ends, self.edge_rim, self.n
         self.pairs: list[tuple[Edge, Edge]] = []  # (e, f), e before f, with no common end
         self.pair_edges: list[tuple[int, int]] = []  # the indices of each pair's edges
         self.pair_ends: list[tuple[int, int, int, int]] = []  # a, b, c, d of each (ab, cd)
@@ -533,24 +566,6 @@ class _Search:
                 self.pair_ends.append((a, b, c, d))
                 self.pair_rims.append(rims)
                 self.pair_keys.append((edge_rim[i], edge_rim[j], *rims))
-        self.classes = _twin_classes(graph)
-        self.stats = SizeStats(0)
-        self.rim_count = [0] * (n * n)     # chosen pairs having each rim
-        self.uncrossed = bytearray(n * n)  # 1 on the graph's edges that no chosen pair crosses
-        for k in edge_rim:
-            self.uncrossed[k] = 1
-        # Every rule's input, derived here once: n', the colouring, and
-        # from them and |E| each rule's constant.
-        self.touched = touched = len({v for e in edges for v in e})  # n': non-isolated vertices
-        two_colours = _two_color(graph) is not None
-        self.lower_bound = _counting_bound(len(edges), touched, two_colours)
-        self.cap = _crossing_cap(touched)
-        self.rim_room = 3 * touched - 6 - len(edges)  # R may reach this plus s (``viable``)
-        # The least T of a planar leaf by the face bound (``viable``): when
-        # the graph two-colours, twice the counting bound, which is
-        # 2|E| - 4n' + 8 where that is positive; 0, which every node meets,
-        # when it does not.
-        self.corner_floor = 2 * self.lower_bound if two_colours else 0
         # Each pair's branching facts, made on its first branch (see the class).
         self.pair_facts: list[tuple[set[int], int, int] | None] = [None] * len(self.pairs)
 
@@ -648,16 +663,14 @@ class _Search:
         faces = room < corners + 2  # whether the face bound can drop a pair here
         if slack >= 6 and not faces:
             return allowed
-        count, uncrossed = self.rim_count, self.uncrossed
+        count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
         kept = []
         keys = self.pair_keys
         rim_cuts = 0
         for p in allowed:
             e, f, k1, k2, k3, k4 = keys[p]
             if ((count[e] > 0) + (count[f] > 0)
-                    + (not (count[k1] or uncrossed[k1])) + (not (count[k2] or uncrossed[k2]))
-                    + (not (count[k3] or uncrossed[k3])) + (not (count[k4] or uncrossed[k4]))
-                    > slack):
+                    + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
                 rim_cuts += 1
             elif (not faces or count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
                   - uncrossed[k3] - uncrossed[k4] <= room):
@@ -701,22 +714,37 @@ class _Search:
         The orbits are sorted as rows (size, class sizes, least pair, key):
         distinct orbits have disjoint pairs, so no two rows tie before the
         key, and keys are never compared.
+
+        A key is one integer.  With m = 2n, above every class name, an
+        edge whose endpoint classes are x <= y is x * m + y, below m², and
+        a pair whose edges are g <= h is g * m² + h; the union-find and
+        the row sort decode it by ``divmod``.  When every class of ``cls``
+        has one vertex and there are no swaps, the node's group is trivial:
+        by the twin orbits above, equal keys then need equal endpoints, so
+        each allowed pair is an orbit of its own.  Every row then has size
+        1 and class sizes 1, 1, 1, 1, and ``allowed`` is increasing, so the
+        orbits are numbered 0 to k - 1 in ``allowed`` order, each its own
+        representative, and no key is built.
         """
-        members: dict[tuple, list[int]] = {}
-        keys: list[tuple] = []
+        if not swaps and len(set(cls)) == len(cls):
+            return list(range(len(allowed))), list(allowed)
+        m = 2 * len(cls)  # class names run below 2n (see ``stabilizer``)
+        mm = m * m
+        members: dict[int, list[int]] = {}
+        keys: list[int] = []
         ends = self.pair_ends
         for p in allowed:
             a, b, c, d = ends[p]
             a, b, c, d = cls[a], cls[b], cls[c], cls[d]
-            e = (a, b) if a <= b else (b, a)
-            f = (c, d) if c <= d else (d, c)
-            key = (e, f) if e <= f else (f, e)
+            e = a * m + b if a <= b else b * m + a
+            f = c * m + d if c <= d else d * m + c
+            key = e * mm + f if e <= f else f * mm + e
             members.setdefault(key, []).append(p)
             keys.append(key)
         if swaps:
             root = {k: k for k in members}
 
-            def find(k: tuple) -> tuple:
+            def find(k: int) -> int:
                 while root[k] != k:
                     k = root[k]
                 return k
@@ -724,26 +752,30 @@ class _Search:
             for swap in swaps:
                 get = swap.get
                 for key in members:
-                    (a, b), (c, d) = key
+                    e, f = divmod(key, mm)
+                    a, b = divmod(e, m)
+                    c, d = divmod(f, m)
                     a, b, c, d = get(a, a), get(b, b), get(c, c), get(d, d)
-                    e = (a, b) if a <= b else (b, a)
-                    f = (c, d) if c <= d else (d, c)
-                    u, v = find(key), find((e, f) if e <= f else (f, e))
+                    e = a * m + b if a <= b else b * m + a
+                    f = c * m + d if c <= d else d * m + c
+                    u, v = find(key), find(e * mm + f if e <= f else f * mm + e)
                     if u != v:
                         root[v] = u
             top = {k: find(k) for k in members}
-            joined: dict[tuple, list[int]] = {}
+            joined: dict[int, list[int]] = {}
             for key, pairs in members.items():
                 joined.setdefault(top[key], []).extend(pairs)
             for pairs in joined.values():
                 pairs.sort()
             members, keys = joined, [top[k] for k in keys]
-        size = [0] * (2 * len(cls))  # class names run below 2n (see ``stabilizer``)
+        size = [0] * m
         for c in cls:
             size[c] += 1
         rows = []
         for k, pairs in members.items():
-            (a, b), (c, d) = k
+            e, f = divmod(k, mm)
+            a, b = divmod(e, m)
+            c, d = divmod(f, m)
             rows.append((len(pairs), sorted((size[a], size[b], size[c], size[d])), pairs[0], k))
         rows.sort()
         number = {row[3]: j for j, row in enumerate(rows)}
@@ -803,25 +835,29 @@ class _Search:
                                           self.edge_rim[e], self.edge_rim[f])
         clash, ke, kf = facts
         below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
-        count, uncrossed = self.rim_count, self.uncrossed
+        count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
         # The two edges r crosses leave the uncrossed edges: a rim on
         # either starts to count in R and stops counting in T.  Then r's
-        # own rims, none of which is e or f, count in R where they are new
-        # and not uncrossed edges, and in T where they are uncrossed edges.
+        # own rims, none of which is e or f, count in R where they are
+        # fresh, and in T where they are uncrossed edges.
         for k in (ke, kf):
             uncrossed[k] = 0
+            fresh[k] = not count[k]
             rims += count[k] > 0
             corners -= count[k]
         for k in self.pair_rims[r]:
-            count[k] += 1
-            rims += count[k] == 1 and not uncrossed[k]
+            rims += fresh[k]
             corners += uncrossed[k]
+            count[k] += 1
+            fresh[k] = 0
         try:
             return self.expand(chosen, below, cls, swaps, left - 1, rims, corners)
         finally:
             for k in self.pair_rims[r]:
                 count[k] -= 1
+                fresh[k] = not (count[k] or uncrossed[k])
             uncrossed[ke] = uncrossed[kf] = 1
+            fresh[ke] = fresh[kf] = 0
 
     def stabilizer(self, cls: list[int], swaps: Sequence[dict[int, int]],
                    r: int) -> tuple[list[int], list[dict[int, int]]]:
@@ -942,6 +978,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
     fingerprint = {"edges": [list(e) for e in search.edges], "budget": top,
                    "rules": list(RULES)}
     resume_size, resume_root = _read_checkpoint(checkpoint, fingerprint)
+    if max(resume_size, stats.lower_bound) <= top:  # some size is searched
+        search.make_pairs()
 
     def save_checkpoint(size: int, next_root: int) -> None:
         if checkpoint is None:

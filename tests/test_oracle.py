@@ -1012,6 +1012,80 @@ def test_every_node_group_is_a_group_of_the_node(searches, monkeypatch):
     assert swapped[True] and swapped[False], swapped
 
 
+def tuple_keyed_orbits(search, allowed, cls, swaps=()):
+    """``_Search.orbits`` with each twin orbit keyed by a tuple, the pair
+    of its two edges' sorted class pairs, and a key built at every node,
+    whatever its group: the reference for the integer-keyed one."""
+    members = {}
+    keys = []
+    ends = search.pair_ends
+    for p in allowed:
+        a, b, c, d = ends[p]
+        a, b, c, d = cls[a], cls[b], cls[c], cls[d]
+        e = (a, b) if a <= b else (b, a)
+        f = (c, d) if c <= d else (d, c)
+        key = (e, f) if e <= f else (f, e)
+        members.setdefault(key, []).append(p)
+        keys.append(key)
+    if swaps:
+        root = {k: k for k in members}
+
+        def find(k):
+            while root[k] != k:
+                k = root[k]
+            return k
+
+        for swap in swaps:
+            get = swap.get
+            for key in members:
+                (a, b), (c, d) = key
+                a, b, c, d = get(a, a), get(b, b), get(c, c), get(d, d)
+                e = (a, b) if a <= b else (b, a)
+                f = (c, d) if c <= d else (d, c)
+                u, v = find(key), find((e, f) if e <= f else (f, e))
+                if u != v:
+                    root[v] = u
+        top = {k: find(k) for k in members}
+        joined = {}
+        for key, pairs in members.items():
+            joined.setdefault(top[key], []).extend(pairs)
+        for pairs in joined.values():
+            pairs.sort()
+        members, keys = joined, [top[k] for k in keys]
+    size = [0] * (2 * len(cls))
+    for c in cls:
+        size[c] += 1
+    rows = []
+    for k, pairs in members.items():
+        (a, b), (c, d) = k
+        rows.append((len(pairs), sorted((size[a], size[b], size[c], size[d])), pairs[0], k))
+    rows.sort()
+    number = {row[3]: j for j, row in enumerate(rows)}
+    return [number[k] for k in keys], [row[2] for row in rows]
+
+
+def test_orbits_equal_the_tuple_keyed_reference(monkeypatch):
+    # At every node of the differential searches, ``orbits`` gives the
+    # reference's labels and representatives: at nodes whose group is
+    # trivial, where it builds no key, at nodes with swaps, where it
+    # decodes its integer keys, and at the others.
+    orbits = _Search.orbits
+    kinds = Counter()
+
+    def comparing(self, allowed, cls, swaps=()):
+        got = orbits(self, allowed, cls, swaps)
+        assert got == tuple_keyed_orbits(self, allowed, cls, swaps), (list(allowed), cls, swaps)
+        trivial = not swaps and len(set(cls)) == len(cls)
+        kinds["trivial" if trivial else "swaps" if swaps else "twins"] += 1
+        return got
+
+    monkeypatch.setattr(_Search, "orbits", comparing)
+    for _, graph, budget in DIFFERENTIAL:
+        for g in (graph, relabel(graph, 7)):
+            is_one_planar(g, budget)
+    assert kinds["trivial"] and kinds["swaps"] and kinds["twins"], kinds
+
+
 def test_pruned_search_agrees_with_plain_search(monkeypatch):
     nodes = record_nodes(monkeypatch)
     nos = 0
@@ -1097,9 +1171,24 @@ def test_face_filter_keeps_exactly_the_pairs_within_both_bounds(monkeypatch):
     # At every node of the K3,7 and K4,4 searches, the carried T is a fresh
     # count, and the kept set is
     # {p within the rim bound : T(chosen + p) + 2(left - 1) >= 2|E| - 4n' + 8}.
+    # The rim test's flags hold at every node: fresh[k] is 1 exactly when
+    # no chosen pair has the rim k and k is no uncrossed edge.  When the
+    # search ends, every flag and count is back at its start.
     nodes = record_nodes(monkeypatch)
+    recording = _Search.viable
+
+    def checking(self, chosen, allowed, left, rims, corners):
+        assert self.fresh == bytearray(not (c or u) for c, u in
+                                       zip(self.rim_count, self.uncrossed)), chosen
+        return recording(self, chosen, allowed, left, rims, corners)
+
+    monkeypatch.setattr(_Search, "viable", checking)
     for graph, budget in FILTER_CASES.values():
         is_one_planar(graph, budget)
+    for search in {node.search for node in nodes}:
+        start = _Search(search.graph, None)
+        assert (search.rim_count, search.uncrossed, search.fresh) == \
+            (start.rim_count, start.uncrossed, start.fresh)
     drops = Counter()
     for node in nodes:
         search, chosen, left = node.search, node.chosen, node.left
@@ -1186,11 +1275,12 @@ def spread(graph):
 
 
 def test_search_tables_equal_their_definitions():
-    # _Search builds its pair tables in one pass over the edge positions;
-    # each equals its definition on the labelled edges.
+    # _Search.make_pairs builds the pair tables in one pass over the edge
+    # positions; each equals its definition on the labelled edges.
     for _, graph, _ in DIFFERENTIAL:
         for g in (graph, relabel(graph, 7), spread(graph)):
             search = _Search(g, None)
+            search.make_pairs()
             edges = sorted(g.edges)
             pairs = candidate_pairs(edges)
             edge_index = {e: i for i, e in enumerate(edges)}
@@ -1360,6 +1450,33 @@ def test_counting_bound_answers_no_without_planarity_calls(monkeypatch):
     assert all(s.skipped and s.leaves == 0 for s in res.stats.sizes)
 
 
+NO_PAIR_CASES = {"K25,25 at 0": (complete_bipartite(25, 25), 0),  # bound 529, cap 48
+                 "K3,7 at 4": (complete_bipartite(3, 7), 4),  # bound 5
+                 "K5,5 at 10": (complete_bipartite(5, 5), 10)}  # bound 9, cap 8
+
+
+@pytest.mark.parametrize("graph,budget", NO_PAIR_CASES.values(), ids=NO_PAIR_CASES.keys())
+def test_a_counting_bound_no_enumerates_no_pair(graph, budget, monkeypatch):
+    # When the counting bound is above the budget or the crossing cap, no
+    # size is searched and the "no" is arithmetic: the search makes no pair
+    # (K25,25 would make 180,000).  A search that does search a size, K3,4
+    # at 2, makes every candidate pair.
+    searches = []
+    init = _Search.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    monkeypatch.setattr(_Search, "__init__", recording)
+    res = is_one_planar(graph, budget)
+    assert res.verdict == "no" and all(s.skipped for s in res.stats.sizes)
+    k34 = complete_bipartite(3, 4)
+    assert is_one_planar(k34, 2).verdict == "yes"
+    assert [len(getattr(search, "pairs", ())) for search in searches] == \
+        [0, len(candidate_pairs(sorted(k34.edges)))]
+
+
 def test_counting_bound_skips_sizes_below_it(monkeypatch):
     k44 = complete_bipartite(4, 4)  # 16 - (2 * 8 - 4) = 4
     sizes = []
@@ -1504,6 +1621,7 @@ def test_k46_sharing_a_white_vertex_is_no_through_budget_8():
 def root_orbit_shapes(graph):
     """(orbit size, sorted endpoint class sizes) of each first-level orbit, in order."""
     search = _Search(graph, None)
+    search.make_pairs()
     labels, reps = search.orbits(range(len(search.pairs)), search.classes)
     sizes = Counter(labels)
     class_size = Counter(search.classes)
