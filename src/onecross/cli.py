@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -279,15 +280,28 @@ def main(argv: list[str] | None = None) -> int:
     Every call parses with the one parser built when this module is
     imported: ``parse_args`` does not change the parser and returns a fresh
     namespace each time, so no call sees another's arguments.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's setting is restored on every exit, an exception included.  No
+    command builds a reference cycle (``tests/test_cli_gc.py``), so
+    reference counting frees all of its garbage, and the collector would
+    only rescan the many small lists and tuples that decoding and map
+    building allocate.  Parsing stays outside the pause: argparse's usage
+    and help output build cycles.
     """
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (DrawingError, FormatError, _CannotWrite) as exc:
         return _error(exc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -985,14 +985,15 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
         if checkpoint is None:
             return
         # Written beside the checkpoint and renamed over it, so a cut write
-        # leaves the previous checkpoint.
+        # leaves the previous checkpoint.  Compact: with an indent, json
+        # encodes in Python through closures that form a reference cycle.
         tmp = Path(checkpoint).with_name(f".{Path(checkpoint).name}.tmp")
         try:
             tmp.write_text(json.dumps({
                 "fingerprint": fingerprint,
                 "size": size,
                 "next_root": next_root,
-            }, indent=1))
+            }))
             os.replace(tmp, checkpoint)
         except BaseException:
             tmp.unlink(missing_ok=True)
