@@ -365,8 +365,8 @@ def _two_color(graph: Graph | BipartiteGraph) -> tuple[frozenset[int], frozenset
     return a, b
 
 
-def _witness(graph: Graph | BipartiteGraph,
-             pairs: Iterable[tuple[Edge, Edge]]) -> OnePlanarDrawing | None:
+def _witness(graph: Graph | BipartiteGraph, pairs: Iterable[tuple[Edge, Edge]],
+             colored: tuple[frozenset[int], frozenset[int]] | None) -> OnePlanarDrawing | None:
     """The certified drawing of ``graph`` whose crossings are ``pairs``, or
     None when their gadget graph is not planar.
 
@@ -374,7 +374,9 @@ def _witness(graph: Graph | BipartiteGraph,
     ``planarity_test`` for the embedding, the rims deleted in one
     ``MapEditor`` session, then ``assemble_drawing``.  A map edge at a hub
     is a spoke of the pair's edge that holds its other end, an uncrossed
-    edge of ``graph`` is kept, and any other edge is a rim.
+    edge of ``graph`` is kept, and any other edge is a rim.  ``colored`` is
+    ``_two_color(graph)``; the drawing's graph is bipartite when it is not
+    None.
     """
     gadget = gadget_planarize(graph, pairs)
     witness = planarity_test(gadget.edges, sorted(graph.vertices)).witness
@@ -386,7 +388,6 @@ def _witness(graph: Graph | BipartiteGraph,
     for i, (u, v) in enumerate(gadget.edges):  # hubs are named above every vertex, and u < v
         if v not in hubs and ((u, v) not in graph.edges or (u, v) in crossed):
             ed.delete_edge(i)
-    colored = _two_color(graph)
     if colored is not None and not isinstance(graph, BipartiteGraph):
         graph = BipartiteGraph.make(colored[0], colored[1], graph.edges)
     return assemble_drawing(graph, ed.finish(), hubs)
@@ -525,7 +526,8 @@ class _Search:
         # Every rule's input, derived here once: n', the colouring, and
         # from them and |E| each rule's constant.
         self.touched = touched = len({v for e in edges for v in e})  # n': non-isolated vertices
-        two_colours = _two_color(graph) is not None
+        self.colored = _two_color(graph)  # for ``_witness``
+        two_colours = self.colored is not None
         self.lower_bound = _counting_bound(len(edges), touched, two_colours)
         self.cap = _crossing_cap(touched)
         self.rim_room = 3 * touched - 6 - len(edges)  # R may reach this plus s (``viable``)
@@ -1032,7 +1034,7 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
             save_checkpoint(size, root)
             return OneplanarResult("unknown", None, None, stats)
         if found is not None:
-            d = _witness(graph, found)
+            d = _witness(graph, found, search.colored)
             if d is None:
                 raise OracleError("the search accepted an assignment whose gadget graph "
                                   "planarity_test rejects")

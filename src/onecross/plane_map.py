@@ -13,11 +13,9 @@ face) certifies that the rotation system describes a plane embedding.
 
 Maps are immutable values; every derived map, surgery included, is edited
 through one :class:`MapEditor` session and checked once.  Maps may contain
-parallel edges but never loops.  The derived views of a map (dart owners,
-edge darts, rotation successors, faces, components) are built at most once
-per map: the dart owners by the structure check that admits the map, the
-edge darts of a map of paired darts by its builder, and the rest on first
-use.
+parallel edges but never loops.  The constructor's structure check finds
+each dart's owner; the other derived views (edge darts, rotation
+successors, faces, components) are built on first use, once per map.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ class PlaneMap:
 
     ``rotations`` maps each vertex id to the cyclic tuple of its darts,
     ``opposite`` pairs the two darts of each edge, and ``dart_edge`` names the
-    edge owning each dart.  Instances should be built via :func:`build_map`
-    or the operations in this module, which validate all invariants.
+    edge owning each dart.  The constructor raises :class:`MapError` unless
+    they form a loopless map, and keeps each dart's owner in ``dart_vertex``.
 
     A plain class rather than a tuple, because the cached views below live
     in the instance ``__dict__``.  Its fields cannot be reassigned, two maps
@@ -57,10 +55,13 @@ class PlaneMap:
     rotations: dict[int, tuple[int, ...]]
     opposite: dict[int, int]
     dart_edge: dict[int, int]
+    dart_vertex: dict[int, int]
 
-    def __init__(self, rotations: dict[int, tuple[int, ...]], opposite: dict[int, int],
+    def __init__(self, rotations: Mapping[int, Sequence[int]], opposite: dict[int, int],
                  dart_edge: dict[int, int]) -> None:
-        vars(self).update(rotations=rotations, opposite=opposite, dart_edge=dart_edge)
+        owner = _check_structure(rotations, opposite)
+        vars(self).update(rotations={v: tuple(rot) for v, rot in rotations.items()},
+                          opposite=opposite, dart_edge=dart_edge, dart_vertex=owner)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable PlaneMap")
@@ -81,14 +82,6 @@ class PlaneMap:
                 f"dart_edge={self.dart_edge!r})")
 
     # -- derived views -----------------------------------------------------
-
-    @cached_property
-    def dart_vertex(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
-        for v, rot in self.rotations.items():
-            for d in rot:
-                owner[d] = v
-        return owner
 
     @cached_property
     def edge_darts(self) -> dict[int, tuple[int, int]]:
@@ -166,33 +159,13 @@ def build_map(vertex_rotations: Mapping[int, Sequence[int]],
     dart id, so construction is reproducible.  Raises :class:`MapError` on a
     duplicate dart, an unpaired dart, a dart in two rotations, or a loop.
     """
-    owner = _check_structure(vertex_rotations, opposite)
     dart_edge: dict[int, int] = {}
     eid = 0
     for d in sorted(opposite):
         if d < opposite[d]:
             dart_edge[d] = dart_edge[opposite[d]] = eid
             eid += 1
-    return _admitted(vertex_rotations, dict(opposite), dart_edge, owner)
-
-
-def _admitted(rotations: Mapping[int, Sequence[int]], opposite: dict[int, int],
-              dart_edge: dict[int, int], owner: dict[int, int]) -> PlaneMap:
-    """The map of fresh dicts whose structure check returned ``owner``.
-
-    ``owner`` becomes the map's ``dart_vertex``, the value that cached
-    property would derive, so the map does not derive it a second time.
-    """
-    m = PlaneMap({v: tuple(rot) for v, rot in rotations.items()}, opposite, dart_edge)
-    m.__dict__["dart_vertex"] = owner
-    return m
-
-
-def _make(rotations: Mapping[int, Sequence[int]], opposite: Mapping[int, int],
-          dart_edge: Mapping[int, int]) -> PlaneMap:
-    """Internal constructor preserving explicit edge ids; still validates."""
-    owner = _check_structure(rotations, opposite)
-    return _admitted(rotations, dict(opposite), dict(dart_edge), owner)
+    return PlaneMap(vertex_rotations, dict(opposite), dart_edge)
 
 
 def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) -> PlaneMap:
@@ -203,10 +176,7 @@ def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) ->
     each in one rotation, or an edge is a loop.
     """
     opposite = {d: d ^ 1 for d in range(2 * edges)}
-    m = _admitted(rotations, opposite, {d: d >> 1 for d in opposite},
-                  _check_structure(rotations, opposite))
-    m.__dict__["edge_darts"] = {e: (2 * e, 2 * e + 1) for e in range(edges)}
-    return m
+    return PlaneMap(rotations, opposite, {d: d >> 1 for d in opposite})
 
 
 def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
@@ -433,7 +403,7 @@ class MapEditor:
 
     def finish(self) -> PlaneMap:
         """The edited map, after one structure check."""
-        return _make(self.rotations, self.opposite, self.dart_edge)
+        return PlaneMap(self.rotations, dict(self.opposite), dict(self.dart_edge))
 
 
 def insert_vertex_in_face(m: PlaneMap, face: int,

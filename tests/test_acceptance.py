@@ -31,7 +31,7 @@ from onecross.drawing import (
 )
 from onecross.formats import document_to_drawing, drawing_to_document, parse_document
 from onecross.oracle import is_one_planar, min_crossings
-from onecross.plane_map import MapError, _make, euler_check
+from onecross.plane_map import MapError, PlaneMap, euler_check
 
 
 def _classes(d):
@@ -237,7 +237,7 @@ def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_
         rot = list(m.rotations[v])
         i, j = rng.sample(range(len(rot)), 2)
         rot[i], rot[j] = rot[j], rot[i]
-        mutant = _make({**m.rotations, v: rot}, m.opposite, m.dart_edge)
+        mutant = PlaneMap({**m.rotations, v: rot}, m.opposite, m.dart_edge)
         planar = _networkx_planar(mutant)
         assert euler_check(mutant).planar is planar, (k, v, i, j)
         if validate(d._replace(planified=mutant)).passed:
@@ -275,7 +275,7 @@ def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, 
         if rng.random() < 0.5:
             c, x = x, c
         try:  # edge e now owns darts a and c, edge f darts b and x
-            mutants.append(d._replace(planified=_make(
+            mutants.append(d._replace(planified=PlaneMap(
                 m.rotations, {**m.opposite, a: c, c: a, b: x, x: b},
                 {**m.dart_edge, c: e, b: f})))
         except MapError:  # a re-pairing that makes a loop is no map

@@ -109,6 +109,16 @@ def test_ratio_sqrt_converges_toward_two():
     assert uppers[-1] - 2 < Fraction(1, 20)
 
 
+@pytest.mark.parametrize("rule, value, message", [
+    ("fixed", None, "fixed rule needs a value for x"),
+    ("alpha", None, "alpha rule needs a coefficient"),
+    ("cube", 2, "unknown rule 'cube'"),
+], ids=["fixed-without-value", "alpha-without-coefficient", "unknown-rule"])
+def test_ratio_table_rejects(rule, value, message):
+    with pytest.raises(DrawingError, match=message):
+        ratio_table(rule, [10], value)
+
+
 def test_ratio_linear_rule_stays_away_from_two():
     rows = ratio_table("alpha", [200, 2000, 20000], value=0.1)
     assert all(row.upper_ratio - 2 > Fraction(1, 10) for row in rows)

@@ -446,8 +446,9 @@ def test_black_extension_is_one_map_edit(monkeypatch):
 
     d = w3_family(4, 12)
     made = []
-    make = onecross.plane_map._make
-    monkeypatch.setattr(onecross.plane_map, "_make", lambda *a: made.append(1) or make(*a))
+    finish = onecross.plane_map.MapEditor.finish
+    monkeypatch.setattr(onecross.plane_map.MapEditor, "finish",
+                        lambda ed: made.append(1) or finish(ed))
     m = black_extension(d)
     assert (len(made), len(d.crossings)) == (1, 12)
     assert len(m.edge_darts) == len(d.planified.edge_darts) + 12

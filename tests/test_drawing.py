@@ -221,7 +221,7 @@ def test_map_edge_budget_invariant():
 
 def _field_mutations():
     """Corruptions of small drawings, each with the failures ``validate`` reports."""
-    from onecross.plane_map import MapEditor, _make
+    from onecross.plane_map import MapEditor, PlaneMap
 
     d = one_crossing_drawing()
     g = d.graph
@@ -230,7 +230,7 @@ def _field_mutations():
     rot = dict(d.planified.rotations)
     rot[4] = (rot[4][1], rot[4][0], rot[4][2], rot[4][3])
     cases["non-alternating rotation at the false vertex"] = (
-        d._replace(planified=_make(rot, d.planified.opposite, d.planified.dart_edge)),
+        d._replace(planified=PlaneMap(rot, d.planified.opposite, d.planified.dart_edge)),
         ("non-alternating rotation at false vertex 4",))
 
     cases["graph edge missing entirely"] = (
@@ -310,6 +310,23 @@ def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
             BipartiteGraph.make(graph.black, graph.white, graph.edges)
         else:
             Graph.make(graph.vertices, graph.edges)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph.make([0, 1], [(0, 1), (1, 1)]),
+     "non-bipartite or non-simple graph: self-edge at 1"),
+    (lambda: Graph.make([0, 1], [(0, 2)]), "edge (0,2) leaves the vertex set"),
+    (lambda: BipartiteGraph.make([0, 1], [1, 2], [(0, 2)]),
+     "non-bipartite or non-simple graph: classes overlap"),
+    (lambda: augment_degree2(four_cycle_drawing(), -1), "negative augmentation count"),
+    (lambda: augment_degree2(
+        one_crossing_drawing()._replace(graph=Graph.make(range(4), [(0, 1), (2, 3)])), 1),
+     "degree-2 augmentation needs a bipartite drawing"),
+], ids=["self-edge", "edge-leaves-vertex-set", "classes-overlap", "negative-count",
+        "augment-plain-graph"])
+def test_graph_and_augmentation_input_errors(call, message):
+    with pytest.raises(DrawingError, match=re.escape(message)):
+        call()
 
 
 _NOT_PAIRS = {

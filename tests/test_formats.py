@@ -337,9 +337,14 @@ def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
 # (0, 1); entry 0 at crossing point 0 is [2, 0], on the crossed edge (0, 5);
 # edge 9 is the crossed edge (2, 7) and edge 4 the uncrossed edge (1, 2).  Its
 # four crossings are keyed 0 to 3 under rotations.false, and crossing point 0
-# takes the id 8, one above every graph vertex.  A string replaces the last key
-# on the path; any other value is set there, under a new key if need be.
+# takes the id 8, one above every graph vertex.  Edge 0 is (0, 1), and crossing
+# 0 joins edges 2 and 5.  A string replaces the last key on the path; any other
+# value is set there, under a new key if need be.
 _ENTRY_EDITS = {
+    "duplicate-edges": (["edges", 1], [1, 0], "duplicate edges in document"),
+    "crossing-edge-index-out-of-range": (["crossings", 0, 0], 16,
+                                         "crossing names an edge index out of range"),
+    "doubly-crossed-edge": (["crossings", 1], [2, 10], "doubly-crossed edge in document"),
     "bool-edge-index": (["rotations", "true", "0", 1], [True, 1],
                         "a rotation entry must be two integers, got [True, 1]"),
     "one-element": (["rotations", "true", "0", 1], [0],

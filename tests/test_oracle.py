@@ -519,7 +519,7 @@ def test_witness_draws_the_balanced5_crossings_without_a_search():
     times = []
     for _ in range(5):
         start = time.perf_counter()
-        w = _witness(d.graph, d.crossings)
+        w = _witness(d.graph, d.crossings, _two_color(d.graph))
         times.append(time.perf_counter() - start)
     assert validate(w).passed
     assert (w.graph, w.crossings) == (d.graph, d.crossings)
@@ -603,6 +603,11 @@ def test_min_crossings_timeout_bounds_whole_search():
 def test_negative_or_nan_timeout_is_rejected(timeout):
     with pytest.raises(OracleError, match="timeout"):
         min_crossings(complete_bipartite(3, 3), 1, timeout=timeout)
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(OracleError, match="budget must be nonnegative"):
+        is_one_planar(complete_bipartite(3, 3), -1)
 
 
 def test_zero_timeout_is_accepted():
@@ -710,9 +715,10 @@ def test_witness_rims_go_in_one_map_edit(monkeypatch):
     k34 = complete_bipartite(3, 4)
     crossings = is_one_planar(k34, 2).drawing.crossings
     made = []
-    make = onecross.plane_map._make
-    monkeypatch.setattr(onecross.plane_map, "_make", lambda *a: made.append(1) or make(*a))
-    d = _witness(k34, crossings)
+    finish = onecross.plane_map.MapEditor.finish
+    monkeypatch.setattr(onecross.plane_map.MapEditor, "finish",
+                        lambda ed: made.append(1) or finish(ed))
+    d = _witness(k34, crossings, _two_color(k34))
     gadget = gadget_planarize(k34, crossings)
     # The crossings are 03 x 14 and 05 x 16: of their eight rims, four are
     # uncrossed edges and 0-1 is shared, so three map edges are rims.
@@ -727,7 +733,7 @@ def test_witness_deletes_a_rim_that_is_a_crossed_edge():
     # through its crossing.
     graph = Graph.make(range(1, 6), [(1, 3), (1, 5), (2, 4), (3, 5), (4, 5)])
     pairs = [((2, 4), (3, 5)), ((1, 3), (4, 5))]
-    d = _witness(graph, pairs)
+    d = _witness(graph, pairs, _two_color(graph))
     assert validate(d).passed and d.crossings == frozenset(pairs)
     assert [len(d.edge_paths[e]) for e in sorted(graph.edges)] == [2, 1, 2, 2, 2]
 

@@ -7,6 +7,7 @@ from onecross.plane_map import (
     EulerReport,
     MapEditor,
     MapError,
+    PlaneMap,
     build_map,
     euler_check,
     insert_vertex_in_face,
@@ -60,6 +61,22 @@ def test_dart_in_two_rotations_rejected():
 def test_loop_rejected():
     with pytest.raises(MapError, match="loop"):
         build_map({0: [0, 1]}, {0: 1, 1: 0})
+
+
+@pytest.mark.parametrize("rotations, opposite, message", [
+    ({0: (0, 1)}, {0: 1, 1: 0}, "loop"),
+    ({0: (0,), 1: (1, 2)}, {0: 1, 1: 0}, "unpaired dart"),
+    ({0: (0, 1), 1: (1,)}, {0: 1, 1: 0}, "duplicate dart"),
+], ids=["loop", "unpaired-dart", "dart-in-two-rotations"])
+def test_constructor_runs_the_structure_check(rotations, opposite, message):
+    with pytest.raises(MapError, match=message):
+        PlaneMap(rotations, opposite, dict.fromkeys(opposite, 0))
+
+
+def test_constructor_keeps_tuple_rotations_and_the_dart_owners():
+    m = PlaneMap({0: [0], 1: [1]}, {0: 1, 1: 0}, {0: 0, 1: 0})
+    assert (m.rotations, m.dart_vertex) == ({0: (0,), 1: (1,)}, {0: 0, 1: 1})
+    assert m == single_edge()
 
 
 def test_paired_darts_map_matches_build_map():
@@ -315,6 +332,23 @@ def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
     for field in ("opposite", "dart_edge", "_edge_darts", "_next_dart", "_next_edge"):
         assert getattr(at_once, field) == getattr(one_by_one, field), field
     assert at_once.new_edge() == one_by_one.new_edge()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: MapEditor(m).insert_darts(0, 3, [9]), "rotation position out of range"),
+    (lambda m: MapEditor(m).insert_darts(0, -1, [9]), "rotation position out of range"),
+    (lambda m: MapEditor(m).delete_edge(7), "missing element: edge 7"),
+    (lambda m: MapEditor(m).delete_vertex(7), "missing element: vertex 7"),
+    (lambda m: insert_vertex_in_face(m, 0, []), "empty attachment list"),
+    (lambda m: insert_vertex_in_face(m, 2, [0]), "no such face index 2"),
+    (lambda m: map_from_rotation_lists({0: [(1, 0)], 1: []}),
+     "edge 0 does not have exactly two darts"),
+], ids=["insert-past-the-end", "insert-before-the-start", "delete-missing-edge",
+        "delete-missing-vertex", "no-attachments", "face-index-out-of-range",
+        "edge-at-one-end"])
+def test_map_edits_reject(edit, message):
+    with pytest.raises(MapError, match=message):
+        edit(triangle())
 
 
 def test_editor_corner_insertion_and_sync_check():

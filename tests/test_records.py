@@ -138,6 +138,17 @@ def test_plane_maps_compare_by_fields_and_are_unhashable():
         del m.rotations
 
 
+def test_plane_map_repr_names_its_three_fields():
+    assert repr(RECORDS["PlaneMap"]) == (
+        "PlaneMap(rotations={0: (0,), 1: (1,)}, opposite={0: 1, 1: 0}, dart_edge={0: 0, 1: 0})")
+
+
+def test_search_counters_are_unequal_to_other_classes():
+    # ``_Counters.__eq__`` leaves another class to the default comparison.
+    assert not SizeStats(0) == (0,)
+    assert SizeStats(0) != (0,) and SearchStats(0, 0) != (0, 0, [])
+
+
 def _cli(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
