@@ -182,7 +182,8 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     only to crossing-minimal drawings, so exceeding it is an advisory flag,
     never a failure.  Every check runs on every call; the only thing shared
     with other calls is the planified map's derived views (dart owners,
-    edge darts, faces), which the map builds once from its own data.
+    edge darts, faces, components), which the map builds once from its own
+    data.
     """
     failures: list[str] = []
     g = d.graph
@@ -261,9 +262,10 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
         if len(rot) != 4:
             failures.append(f"false vertex degree != 4: vertex {w}")
             continue
-        owners = [half.get(dart_edge[dart]) for dart in rot]
-        if None in owners or owners[0] != owners[2] or owners[1] != owners[3] \
-                or owners[0] == owners[1]:
+        d0, d1, d2, d3 = rot
+        h0, h1 = half.get(dart_edge[d0]), half.get(dart_edge[d1])
+        if h0 is None or h1 is None or h0 == h1 or half.get(dart_edge[d2]) != h0 \
+                or half.get(dart_edge[d3]) != h1:
             failures.append(f"non-alternating rotation at false vertex {w}")
 
     if not pm.euler_check(m).planar:

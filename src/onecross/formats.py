@@ -457,7 +457,8 @@ def export_svg(d: OnePlanarDrawing) -> str:
     width = max(xs) - min(xs) + 2 * pad
     height = max(ys) - min(ys) + 2 * pad
 
-    pt = {v: f"{x - minx:.2f},{y - miny:.2f}" for v, (x, y) in pos.items()}
+    cx = {v: f"{x - minx:.2f}" for v, (x, _) in pos.items()}
+    cy = {v: f"{y - miny:.2f}" for v, (_, y) in pos.items()}
     g = d.graph
     black = g.black if isinstance(g, BipartiteGraph) else frozenset()
     lines = [
@@ -465,17 +466,18 @@ def export_svg(d: OnePlanarDrawing) -> str:
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
     ]
     crossed_at = {e: w for w, pair in false.items() for e in pair}
-    for e in sorted(d.graph.edges):
+    for e in sorted(g.edges):
+        a, b = e
         w = crossed_at.get(e)
-        through = [e[0], e[1]] if w is None else [e[0], w, e[1]]
-        points = " ".join([pt[v] for v in through])
-        cls = "crossed" if len(through) == 3 else "plain"
+        if w is None:
+            cls, points = "plain", f"{cx[a]},{cy[a]} {cx[b]},{cy[b]}"
+        else:
+            cls, points = "crossed", f"{cx[a]},{cy[a]} {cx[w]},{cy[w]} {cx[b]},{cy[b]}"
         lines.append(f'  <polyline class="edge {cls}" points="{points}" '
                      'fill="none" stroke="#333" stroke-width="1.2"/>')
-    for v in sorted(d.graph.vertices):
-        x, y = pos[v]
+    for v in sorted(g.vertices):
         fill = "#000" if v in black else "#fff"
-        lines.append(f'  <circle class="vertex" cx="{x - minx:.2f}" cy="{y - miny:.2f}" '
+        lines.append(f'  <circle class="vertex" cx="{cx[v]}" cy="{cy[v]}" '
                      f'r="4" fill="{fill}" stroke="#000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,9 @@ of every edge.  Faces are the orbits of the next-dart permutation
 
 and Euler's formula applied per connected component (V - E + F = 2, where F
 counts face orbits of the component; a component without darts counts one
-face) certifies that the rotation system describes a plane embedding.
+face) certifies that the rotation system describes a plane embedding.  No
+component exceeds 2, so one global count, V - E + F = 2C over all C
+components, decides it (see :func:`euler_check`).
 
 Maps are immutable values; every derived map, surgery included, is edited
 through one :class:`MapEditor` session and checked once.  Maps may contain
@@ -121,24 +123,29 @@ class PlaneMap:
 
 
 def _raise_duplicate_dart(rotations: Mapping[int, Sequence[int]]) -> None:
-    """Raise :class:`MapError` for the first dart met in a second rotation."""
-    seen: set[int] = set()
-    for rot in rotations.values():
+    """Raise :class:`MapError` for the first dart met a second time, naming where."""
+    seen: dict[int, int] = {}  # dart -> the vertex whose rotation holds it
+    for v, rot in rotations.items():
         for d in rot:
-            if d in seen:
-                raise MapError(f"duplicate dart {d} (dart in two rotations)")
-            seen.add(d)
+            u = seen.get(d)
+            if u is not None:
+                where = (f"twice in the rotation of vertex {v}" if u == v
+                         else f"in the rotations of vertices {u} and {v}")
+                raise MapError(f"duplicate dart {d} ({where})")
+            seen[d] = v
 
 
 def _check_structure(rotations: Mapping[int, Sequence[int]],
                      opposite: Mapping[int, int]) -> dict[int, int]:
     """Raise :class:`MapError` unless the data form a loopless map; return its dart owners."""
     owner: dict[int, int] = {}
+    total = 0
     for v, rot in rotations.items():
-        size = len(owner)
-        owner.update(dict.fromkeys(rot, v))
-        if len(owner) != size + len(rot):
-            _raise_duplicate_dart(rotations)
+        total += len(rot)
+        for d in rot:
+            owner[d] = v
+    if len(owner) != total:
+        _raise_duplicate_dart(rotations)
     if opposite.keys() != owner.keys():
         missing = set(owner).symmetric_difference(opposite)
         raise MapError(f"unpaired dart: pairing domain mismatch {sorted(missing)[:4]}")
@@ -231,33 +238,37 @@ def euler_check(m: PlaneMap) -> EulerReport:
 
     The verdict is ``planar`` iff every connected component satisfies
     V - E + F = 2, where F counts the face orbits whose darts lie in the
-    component (a dartless component contributes its single surrounding face).
+    component (a dartless component contributes its single surrounding
+    face).  It is decided by one global count, V - E + F = 2C over the whole
+    map with C components, by this lemma.
+
+    *Lemma.* Each component has V - E + F <= 2: for a connected rotation
+    system the count is 2 - 2g, where g >= 0 is the genus of the surface its
+    face walks bound (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The
+    global count is the sum of the components' counts, so it equals 2C
+    exactly when every component counts 2, that is, is planar.
+
+    *Proof of the bound.* Grow a component from one of its vertices, adding
+    its edges one at a time, each meeting a vertex already present, with
+    each vertex's darts so far in their final cyclic order.  The lone vertex
+    counts V = 1, E = 0 and its one face: 2.  A new edge puts its two darts
+    into two corners, one at each end as the map is loopless, and changes
+    no face walk but those through these corners.  An edge to a new vertex
+    runs out and back inside its corner's walk: V and E grow by one and F
+    is unchanged.  An edge between two present vertices splits the walk
+    through its corners in two when both corners lie on one walk, and joins
+    their two walks into one otherwise: E grows by one and F changes by one.
+    So the count starts at 2 and never grows.
     """
-    roots = m.components
-    rotations, owner = m.rotations, m.dart_vertex
-    comp_v: dict[int, int] = {}
-    comp_d: dict[int, int] = {}
-    comp_f: dict[int, int] = {}
-    for v, r in roots.items():
-        comp_v[r] = comp_v.get(r, 0) + 1
-        comp_d[r] = comp_d.get(r, 0) + len(rotations[v])
-    for walk in m.faces:
-        r = roots[owner[walk[0]]]
-        comp_f[r] = comp_f.get(r, 0) + 1
-    planar = True
-    total_faces = 0
-    for r, nv in comp_v.items():
-        ne = comp_d[r] // 2
-        nf = comp_f.get(r, 0) if ne else 1
-        total_faces += nf
-        if nv - ne + nf != 2:
-            planar = False
+    faces = len(m.faces) + sum(not rot for rot in m.rotations.values())
+    components = len(set(m.components.values()))
+    vertices, edges = len(m.rotations), len(m.edge_darts)
     return EulerReport(
-        planar=planar,
-        vertices=len(m.rotations),
-        edges=len(m.edge_darts),
-        faces=total_faces,
-        components=len(comp_v),
+        planar=vertices - edges + faces == 2 * components,
+        vertices=vertices,
+        edges=edges,
+        faces=faces,
+        components=components,
     )
 
 

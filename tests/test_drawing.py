@@ -237,6 +237,29 @@ def _field_mutations():
         d._replace(graph=BipartiteGraph(g.black, g.white, g.edges - {(0, 1)})),
         ("path/edge mismatch: crossing names unknown edge (0, 1)",))
 
+    # False vertex 4 keeps only its segments to 0 and 2.
+    ed = MapEditor(d.planified)
+    for dart in (3, 7):
+        ed.delete_edge(d.planified.dart_edge[dart])
+    cases["false vertex of degree 2"] = (
+        d._replace(planified=ed.finish()),
+        ("path/edge mismatch: edge (0, 1) has no half from 4 to 1",
+         "path/edge mismatch: edge (2, 3) has no half from 4 to 3",
+         "false vertex degree != 4: vertex 4"))
+
+    # A second segment beside each of 4-1 and 4-3, each bounding a digon.
+    ed = MapEditor(d.planified)
+    for spoke, v in ((3, 1), (7, 3)):
+        a, b = ed.new_edge()
+        ed.insert_darts(4, ed.rotations[4].index(spoke) + 1, [a])
+        ed.insert_darts(v, 0, [b])
+    cases["false vertex of degree 6"] = (
+        d._replace(planified=ed.finish()),
+        ("path/edge mismatch: map edge 4 is no undrawn spoke of 4",
+         "path/edge mismatch: map edge 5 is no undrawn spoke of 4",
+         "false vertex degree != 4: vertex 4",
+         "face of size < 3 at a false vertex"))
+
     ed = MapEditor(d.planified)
     for v, dart in zip((0, 2), ed.new_edge()):
         ed.insert_darts(v, len(ed.rotations[v]), [dart])

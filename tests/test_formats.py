@@ -334,12 +334,13 @@ def test_rotation_entry_half_names_the_far_end(tmp_path, capsys, path, value):
 
 # (path to the edited node, replacement, the error) in a balanced(4) document.
 # Entry 1 at vertex 0 is [0, 1], naming the far end 1 of the uncrossed edge
-# (0, 1); entry 0 at crossing point 0 is [2, 0], on the crossed edge (0, 5);
-# edge 9 is the crossed edge (2, 7) and edge 4 the uncrossed edge (1, 2).  Its
-# four crossings are keyed 0 to 3 under rotations.false, and crossing point 0
-# takes the id 8, one above every graph vertex.  Edge 0 is (0, 1), and crossing
-# 0 joins edges 2 and 5.  A string replaces the last key on the path; any other
-# value is set there, under a new key if need be.
+# (0, 1), and entry 0 there is [2, 0], which takes dart 4; entry 0 at crossing
+# point 0 is [2, 0], on the crossed edge (0, 5); edge 9 is the crossed edge
+# (2, 7) and edge 4 the uncrossed edge (1, 2).  Its four crossings are keyed
+# 0 to 3 under rotations.false, and crossing point 0 takes the id 8, one above
+# every graph vertex.  Edge 0 is (0, 1), and crossing 0 joins edges 2 and 5.
+# A string replaces the last key on the path; any other value is set there,
+# under a new key if need be.
 _ENTRY_EDITS = {
     "duplicate-edges": (["edges", 1], [1, 0], "duplicate edges in document"),
     "crossing-edge-index-out-of-range": (["crossings", 0, 0], 16,
@@ -362,6 +363,8 @@ _ENTRY_EDITS = {
                                "rotation entry [4, 0] not incident to vertex 0"),
     "edge-index-out-of-range": (["rotations", "false", "0", 0], [16, 0],
                                 "rotation entry [16, 0] names no edge"),
+    "repeated-entry": (["rotations", "true", "0", 1], [2, 0],
+                       "malformed document: duplicate dart 4 (twice in the rotation of vertex 0)"),
     "first-fault-named": (["rotations", "true", "0"], [[0, 1], [16, 0], [True, 1]],
                           "rotation entry [16, 0] names no edge"),
     "key-not-an-integer": (["rotations", "true", "0"], "a",

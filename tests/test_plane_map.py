@@ -66,8 +66,11 @@ def test_loop_rejected():
 @pytest.mark.parametrize("rotations, opposite, message", [
     ({0: (0, 1)}, {0: 1, 1: 0}, "loop"),
     ({0: (0,), 1: (1, 2)}, {0: 1, 1: 0}, "unpaired dart"),
-    ({0: (0, 1), 1: (1,)}, {0: 1, 1: 0}, "duplicate dart"),
-], ids=["loop", "unpaired-dart", "dart-in-two-rotations"])
+    ({0: (0, 1), 1: (1,)}, {0: 1, 1: 0},
+     r"^duplicate dart 1 \(in the rotations of vertices 0 and 1\)$"),
+    ({0: (0, 0), 1: (1,)}, {0: 1, 1: 0},
+     r"^duplicate dart 0 \(twice in the rotation of vertex 0\)$"),
+], ids=["loop", "unpaired-dart", "dart-in-two-rotations", "dart-twice-in-one-rotation"])
 def test_constructor_runs_the_structure_check(rotations, opposite, message):
     with pytest.raises(MapError, match=message):
         PlaneMap(rotations, opposite, dict.fromkeys(opposite, 0))
@@ -443,6 +446,7 @@ def _rotation_systems(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(m=_rotation_systems())
 def test_map_kernels_match_plain_references(m):
+    assert m.dart_vertex == {d: v for v, rot in m.rotations.items() for d in rot}
     assert trace_faces(m) == _reference_faces(m)
     assert euler_check(m) == _reference_euler(m)
 

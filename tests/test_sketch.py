@@ -47,6 +47,24 @@ def test_shared_endpoint_edges_may_not_cross():
         compile_sketch(pts, [("a", "b"), ("a", "c")])
 
 
+@pytest.mark.parametrize("pts, edges, crossings, message", [
+    # c lies inside segment a-b, where c-d ends.
+    ({"a": (0, 0), "b": (2, 0), "c": (1, 0), "d": (1, 1)}, [("a", "b"), ("c", "d")], [],
+     "segments touch without crossing cleanly"),
+    # a-b crosses both c-d and e-f, each crossing declared.
+    ({"a": (0, 0), "b": (4, 0), "c": (1, -1), "d": (1, 1), "e": (3, -1), "f": (3, 1)},
+     [("a", "b"), ("c", "d"), ("e", "f")],
+     [(("a", "b"), ("c", "d")), (("a", "b"), ("e", "f"))],
+     "an edge participates in two crossings"),
+    # a-b and a-c leave a 5e-8 radians apart; a-c is too long to count as collinear.
+    ({"a": (0, 0), "b": (1, 0), "c": (1000, 5e-5)}, [("a", "b"), ("a", "c")], [],
+     "ambiguous rotation at a: near-parallel edge ends"),
+], ids=["touching-segments", "edge-in-two-crossings", "near-parallel-ends"])
+def test_sketch_geometry_rejected(pts, edges, crossings, message):
+    with pytest.raises(SketchError, match=f"^{message}$"):
+        compile_sketch(pts, edges, crossings)
+
+
 _TRIANGLE = {"A": (0.0, 2.0), "B": (-1.0, 0.0), "C": (1.0, 0.0)}
 
 
