@@ -177,15 +177,8 @@ def stacked_triangulation(x: int) -> PlaneMap:
         ed.add_vertex(rot)
     walk = (0, 2, 5)  # the triangle's face of dart 0
     for _ in range(x - 3):
-        spokes, hubs = [], []
-        for pos in range(3):
-            spoke, hub = ed.new_edge()
-            ed.insert_at_corner(walk[pos - 1], walk[pos], [spoke])
-            spokes.append(spoke)
-            hubs.append(hub)
-        # Reversed order closes each sub-face between consecutive corners.
-        ed.add_vertex(hubs[::-1])
-        walk = (walk[0], spokes[1], hubs[0])
+        _, d = ed.add_star(walk, range(3))
+        walk = (walk[0], d + 2, d + 1)
     return ed.finish()
 
 
@@ -308,15 +301,6 @@ def _web(k: int, odd: bool) -> PlaneMap:
     return pm.map_from_rotation_lists(lists)
 
 
-def _walk(m: PlaneMap, u: int, v: int) -> tuple[int, ...]:
-    """The face walk that starts with the dart from ``u`` to ``v``."""
-    start = next(d for d in m.rotations[u] if m.dart_vertex[m.opposite[d]] == v)
-    walk = [start]
-    while (d := m.next_dart(walk[-1])) != start:
-        walk.append(d)
-    return tuple(walk)
-
-
 @lru_cache(maxsize=None)
 def _x_tile() -> CompiledSketch:
     """The two diagonals of a 4-face, crossing once."""
@@ -381,16 +365,24 @@ def _balanced_draft(x: int) -> OnePlanarDrawing:
     k, odd = divmod(x, 2)
     host = _web(k, bool(odd))
     v = _ring_vertex
+    at = {d: (face, i) for face in host.faces for i, d in enumerate(face)}
+
+    def walk(a: int, b: int) -> tuple[int, ...]:
+        """The host face walk that starts with the dart from ``a`` to ``b``."""
+        face, i = at[next(d for d in host.rotations[a]
+                          if host.dart_vertex[host.opposite[d]] == b)]
+        return face[i:] + face[:i]
+
     # Every 4-face between two rings gets an X tile; odd sizes skip the
     # (x1, y1) quadrant here and tile its 4-faces between chords below.
-    patterns: list[_Pattern] = [(_walk(host, v(axis, i), v((axis + 1) % 4, i)), _x_tile(), {})
+    patterns: list[_Pattern] = [(walk(v(axis, i), v((axis + 1) % 4, i)), _x_tile(), {})
                                for axis in range(odd, 4) for i in range(1, k)]
     if odd:
-        patterns += [(_walk(host, v(0, i), v(1, i + 2)), _x_tile(), {}) for i in range(1, k - 2)]
+        patterns += [(walk(v(0, i), v(1, i + 2)), _x_tile(), {}) for i in range(1, k - 2)]
         # One cap fits both 6-faces: the inner one from y1_1 with a black u,
         # the outer one from x1_k with a white u.
-        patterns += [(_walk(host, v(1, 1), v(1, 2)), _cap(), {"u": "black"}),
-                     (_walk(host, v(0, k), v(0, k - 1)), _cap(), {"u": "white"})]
+        patterns += [(walk(v(1, 1), v(1, 2)), _cap(), {"u": "black"}),
+                     (walk(v(0, k), v(0, k - 1)), _cap(), {"u": "white"})]
     white = [v(axis, i) for axis in (1, 3) for i in range(1, k + 1)]
     return _fill(host, white, patterns).draft()
 

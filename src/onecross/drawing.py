@@ -332,26 +332,24 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
         raise DrawingError("black extension needs a bipartite drawing")
     black = d.graph.black
     m = d.planified
+    owner, opposite = m.dart_vertex, m.opposite
     ed = pm.MapEditor(m)
     for w in sorted(d.false_vertices):
         rot = m.rotations[w]
-        spoke_to = {dart: (set(m.edge_endpoints(m.dart_edge[dart])) - {w}).pop()
-                    for dart in rot}
-        black_darts = [dart for dart in rot if spoke_to[dart] in black]
-        if len(black_darts) != 2:
+        ends = [owner[opposite[dart]] for dart in rot]
+        black_at = [k for k, end in enumerate(ends) if end in black]
+        if len(black_at) != 2:
             raise DrawingError(f"false vertex {w} lacks two black spokes")
-        t_p, t_q = black_darts
-        if m._successor[t_p] != t_q:
-            t_p, t_q = t_q, t_p
-        if m._successor[t_p] != t_q:
+        i, j = black_at
+        if (i + 1) % len(rot) != j:  # then the spoke at j must come just before the one at i
+            i, j = j, i
+        if (i + 1) % len(rot) != j:
             raise DrawingError(f"black spokes not adjacent at false vertex {w}")
-        p, q = spoke_to[t_p], spoke_to[t_q]
+        p, q = ends[i], ends[j]
         at_p, at_q = ed.new_edge()
-        ed.insert_darts(p, ed.rotations[p].index(m.opposite[t_p]), [at_p])  # just before the segment
-        ed.insert_darts(q, ed.rotations[q].index(m.opposite[t_q]) + 1, [at_q])  # just after it
+        ed.insert_darts(p, ed.rotations[p].index(opposite[rot[i]]), [at_p])  # just before the segment
+        ed.insert_darts(q, ed.rotations[q].index(opposite[rot[j]]) + 1, [at_q])  # just after it
     m = ed.finish()
-    if len(m.edge_darts) != len(d.planified.edge_darts) + len(d.false_vertices):
-        raise DrawingError("black extension produced a wrong edge count")
     if not pm.euler_check(m).planar:
         raise DrawingError("black extension broke planarity")
     return m

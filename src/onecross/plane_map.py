@@ -16,8 +16,8 @@ components, decides it (see :func:`euler_check`).
 Maps are immutable values; every derived map, surgery included, is edited
 through one :class:`MapEditor` session and checked once.  Maps may contain
 parallel edges but never loops.  The constructor's structure check finds
-each dart's owner; the other derived views (edge darts, rotation
-successors, faces, components) are built on first use, once per map.
+each dart's owner; the other derived views (edge darts, faces,
+components) are built on first use, once per map.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ class PlaneMap:
         return pairs
 
     @cached_property
-    def _successor(self) -> dict[int, int]:
-        succ: dict[int, int] = {}
-        for rot in self.rotations.values():
-            n = len(rot)
-            for i, d in enumerate(rot):
-                succ[d] = rot[(i + 1) % n]
-        return succ
-
-    @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The face walks of :func:`trace_faces`, traced once per map."""
         return trace_faces(self)
@@ -116,10 +107,6 @@ class PlaneMap:
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         d, o = self.edge_darts[edge]
         return self.dart_vertex[d], self.dart_vertex[o]
-
-    def next_dart(self, dart: int) -> int:
-        """The face-walk successor: rotation-successor of the opposite dart."""
-        return self._successor[self.opposite[dart]]
 
 
 def _raise_duplicate_dart(rotations: Mapping[int, Sequence[int]]) -> None:
@@ -374,6 +361,20 @@ class MapEditor:
         self.insert_darts(vertex, at, darts)
         return vertex
 
+    def add_star(self, walk: Sequence[int], positions: Sequence[int]) -> tuple[int, int]:
+        """Add a vertex inside the face ``walk``, joined to its corners at ``positions``.
+
+        ``positions`` index ``walk`` in cyclic walk order, and spoke ``k``
+        goes into the corner the walk enters by ``walk[positions[k] - 1]``.
+        The spokes are the next new edges, the first dart of each at its
+        corner.  Returns the new vertex and the first spoke's corner dart.
+        """
+        dart, _ = self.new_edges(len(positions))
+        for k, pos in enumerate(positions):
+            self.insert_at_corner(walk[pos - 1], walk[pos], [dart + 2 * k])
+        # Reversed order closes each sub-face between consecutive corners.
+        return self.add_vertex(range(dart + 2 * len(positions) - 1, dart, -2)), dart
+
     def delete_edge(self, edge: int) -> None:
         """Remove an edge, splicing both rotations; never increases genus."""
         if edge not in self._edge_darts:
@@ -431,15 +432,9 @@ def insert_vertex_in_face(m: PlaneMap, face: int,
     if not 0 <= face < len(m.faces):
         raise MapError(f"no such face index {face}")
     walk = m.faces[face]
-    corners = [m.dart_vertex[d] for d in walk]
+    positions = _resolve_attachments([m.dart_vertex[d] for d in walk], attachments)
     ed = MapEditor(m)
-    hubs: list[int] = []
-    for pos in _resolve_attachments(corners, attachments):
-        spoke, hub = ed.new_edge()
-        ed.insert_at_corner(walk[pos - 1], walk[pos], [spoke])
-        hubs.append(hub)
-    # Reversed order closes each sub-face between consecutive attachments.
-    new_vertex = ed.add_vertex(darts=hubs[::-1])
+    new_vertex, _ = ed.add_star(walk, positions)
     return ed.finish(), new_vertex
 
 

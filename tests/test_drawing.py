@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 
 import pytest
@@ -17,7 +18,9 @@ from onecross.drawing import (
     remove_graph_vertex,
     validate,
 )
-from onecross.plane_map import build_map, euler_check, trace_faces
+from onecross.constructions import best_known
+from onecross.oracle import is_one_planar
+from onecross.plane_map import MapEditor, PlaneMap, build_map, euler_check, trace_faces
 
 
 def four_cycle_drawing():
@@ -335,6 +338,30 @@ def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
             Graph.make(graph.vertices, graph.edges)
 
 
+def _k5_witness():
+    """The oracle's one-crossing drawing of K5, a drawing of a plain graph."""
+    return is_one_planar(Graph.make(range(5), itertools.combinations(range(5), 2)), 1).drawing
+
+
+def _without_map_edge(d, edge):
+    """``d`` with map edge ``edge`` deleted from its map."""
+    ed = MapEditor(d.planified)
+    ed.delete_edge(edge)
+    return d._replace(planified=ed.finish())
+
+
+def _with_rotation(d, v, rot):
+    """``d`` with vertex ``v``'s rotation replaced by ``rot``."""
+    m = d.planified
+    return d._replace(planified=PlaneMap(m.rotations | {v: rot}, m.opposite, m.dart_edge))
+
+
+def _swap_first_two(d, v):
+    """``d`` with the first two darts of vertex ``v``'s rotation swapped."""
+    rot = d.planified.rotations[v]
+    return _with_rotation(d, v, (rot[1], rot[0], *rot[2:]))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Graph.make([0, 1], [(0, 1), (1, 1)]),
      "non-bipartite or non-simple graph: self-edge at 1"),
@@ -345,11 +372,40 @@ def test_edge_that_is_not_a_vertex_pair_is_reported(graph):
     (lambda: augment_degree2(
         one_crossing_drawing()._replace(graph=Graph.make(range(4), [(0, 1), (2, 3)])), 1),
      "degree-2 augmentation needs a bipartite drawing"),
+    (lambda: black_extension(_k5_witness()), "black extension needs a bipartite drawing"),
+    (lambda: black_extension(_without_map_edge(one_crossing_drawing(), 0)),
+     "false vertex 4 lacks two black spokes"),
+    (lambda: black_extension(_with_rotation(one_crossing_drawing(), 4, (1, 3, 5, 7))),
+     "black spokes not adjacent at false vertex 4"),
+    (lambda: black_extension(_swap_first_two(best_known(3, 6).drawing, 0)),
+     "black extension broke planarity"),
+    (lambda: augment_degree2(best_known(1, 3).drawing, 1),
+     "no eligible face for degree-2 augmentation"),
 ], ids=["self-edge", "edge-leaves-vertex-set", "classes-overlap", "negative-count",
-        "augment-plain-graph"])
+        "augment-plain-graph", "extend-plain-graph", "extend-one-black-spoke",
+        "extend-apart-black-spokes", "extend-nonplanar", "augment-one-black"])
 def test_graph_and_augmentation_input_errors(call, message):
     with pytest.raises(DrawingError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: remove_graph_edge(one_crossing_drawing(), 0, 3), "missing element: edge (0, 3)"),
+    (lambda: remove_graph_vertex(one_crossing_drawing(), 9), "missing element: vertex 9"),
+], ids=["edge", "vertex"])
+def test_surgery_rejects_a_missing_element(call, message):
+    with pytest.raises(DrawingError, match=re.escape(message)):
+        call()
+
+
+def test_surgery_on_a_plain_graph_drawing():
+    # The K5 witness's crossed edge (0, 1) goes, and its crossing is smoothed.
+    d = _k5_witness()
+    assert isinstance(d.graph, Graph) and any((0, 1) in c for c in d.crossings)
+    out = remove_graph_edge(d, 0, 1)
+    assert validate(out).passed
+    assert isinstance(out.graph, Graph) and out.graph.edges == d.graph.edges - {(0, 1)}
+    assert not out.false_vertices
 
 
 _NOT_PAIRS = {

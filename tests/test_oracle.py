@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -617,6 +618,20 @@ def test_zero_timeout_is_accepted():
 def test_a_missing_module_is_not_found_at_import():
     with pytest.raises(ModuleNotFoundError):
         onecross.oracle._lazy_module("onecross_no_such_module")
+
+
+def test_a_lazy_module_runs_on_its_first_attribute_read(tmp_path, monkeypatch):
+    name = "onecross_lazy_probe"
+    ran = tmp_path / "ran"
+    (tmp_path / f"{name}.py").write_text(f"open({str(ran)!r}, 'w').close()\nvalue = 7\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        probe = onecross.oracle._lazy_module(name)
+        assert not ran.exists()
+        assert probe.value == 7 and ran.exists()
+        assert onecross.oracle._lazy_module(name) is probe
+    finally:
+        sys.modules.pop(name, None)
 
 
 def test_timeout_is_checked_before_every_planarity_call():

@@ -59,7 +59,20 @@ def test_shared_endpoint_edges_may_not_cross():
     # a-b and a-c leave a 5e-8 radians apart; a-c is too long to count as collinear.
     ({"a": (0, 0), "b": (1, 0), "c": (1000, 5e-5)}, [("a", "b"), ("a", "c")], [],
      "ambiguous rotation at a: near-parallel edge ends"),
-], ids=["touching-segments", "edge-in-two-crossings", "near-parallel-ends"])
+    # c and c2 share a point, where the paths p1-c-p3 and p2-c2-p4 meet with
+    # no segment crossing to find; the map they assemble into is not plane.
+    ({"p1": (1, 0), "p2": (0, 1), "p3": (-1, 0), "p4": (0, -1), "c": (0, 0), "c2": (0, 0)},
+     [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p1"),
+      ("c", "p1"), ("c", "p3"), ("c2", "p2"), ("c2", "p4")], [],
+     "sketch does not assemble into a plane embedding"),
+    # a-b and c-d are nearly parallel and cross next to c: seen from the
+    # rounded crossing point the ends run b, d, c, a, which does not alternate.
+    ({"a": (-54.620795231417304, 146.778370643239), "b": (71.32959641047378, 136.93886763830375),
+      "c": (-8.255290932980976, 143.15620232027788), "d": (-6.209271268701506, 142.99636647351664)},
+     [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))],
+     "crossing point #0 does not alternate"),
+], ids=["touching-segments", "edge-in-two-crossings", "near-parallel-ends", "non-plane-assembly",
+        "non-alternating-crossing"])
 def test_sketch_geometry_rejected(pts, edges, crossings, message):
     with pytest.raises(SketchError, match=f"^{message}$"):
         compile_sketch(pts, edges, crossings)
