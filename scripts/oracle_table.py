@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the oracle searches of ROADMAP.md's "Oracle at HEAD" table.
+"""Run the oracle searches of ROADMAP.md's "Oracle at HEAD" and "Bounds
+against the oracle" tables.
 
     python3 scripts/oracle_table.py
 
@@ -8,11 +9,14 @@ its crossing cap (no larger size is searched), the nodes it expanded, the
 leaves it tested, the nodes at sizes where it tested no leaf ("leafless"),
 the allowed pairs that the rim bound dropped ("rim cuts") and that the
 face bound dropped within the rim bound ("corner cuts"), so that the table
-says which rule did the work, and its wall seconds.  All ten searches took
-3.4 to 4.9 s in all, in two runs on a shared 2-CPU host (Python 3.11).
-The script is opt-in: neither the tests nor the benchmark run it.  The
-last four searches answer "no" by Zarankiewicz's crossing number, so their
-verdicts do not rest on the oracle.
+says which rule did the work, and its wall seconds.  All sixteen searches
+took 5.3 to 5.6 s in all, in two runs on a shared 2-CPU host (Python 3.11).
+The script is opt-in: neither the tests nor the benchmark run it.  Four
+searches (K3,8 at 8 and 11, K5,5 at 10, K3,9 at 11) answer "no" by
+Zarankiewicz's crossing number.  The six without a budget have one edge
+more than ``upper_bound`` allows, one graph per class up to relabelling for
+every cell with x >= 3, x + y <= 10 and ``upper_bound`` < xy, plus K3,8
+less one edge.  The verdicts of these ten do not rest on the oracle alone.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ def complete_bipartite(a: int, b: int, missing: tuple = ()) -> BipartiteGraph:
     return BipartiteGraph.make(range(a), range(a, a + b), edges)
 
 
-def searches() -> list[tuple[str, BipartiteGraph, int]]:
+def searches() -> list[tuple[str, BipartiteGraph, int | None]]:
     return [
         ("K3,7 at budget 6", complete_bipartite(3, 7), 6),
         ("`best_known(4, 6)` at 6", best_known(4, 6).drawing.graph, 6),
@@ -49,6 +53,14 @@ def searches() -> list[tuple[str, BipartiteGraph, int]]:
         ("K5,5 at 10", complete_bipartite(5, 5), 10),
         ("K3,8 at 11", complete_bipartite(3, 8), 11),
         ("K3,9 at 11", complete_bipartite(3, 9), 11),
+        ("K3,7, no budget", complete_bipartite(3, 7), None),
+        ("K4,5 less one edge, no budget", complete_bipartite(4, 5, ((0, 4),)), None),
+        ("K4,6 less one edge, no budget", complete_bipartite(4, 6, ((0, 4),)), None),
+        ("K5,5 less two edges sharing a vertex, no budget",
+         complete_bipartite(5, 5, ((0, 5), (0, 6))), None),
+        ("K5,5 less two disjoint edges, no budget",
+         complete_bipartite(5, 5, ((0, 5), (1, 6))), None),
+        ("K3,8 less one edge, no budget", complete_bipartite(3, 8, ((0, 3),)), None),
     ]
 
 

@@ -289,15 +289,12 @@ def _web(k: int, odd: bool) -> PlaneMap:
         return _ring_vertex(axis % 4, i) if 1 <= i <= k else None
 
     shift = 2 if odd else 0  # the (x1, y1) quadrant joins x1_i to y1_{i + shift}
-    edge_ids: dict[frozenset[int], int] = {}
     lists = {}
     for i in range(1, k + 1):
         for axis in range(4):
-            v = _ring_vertex(axis, i)
             around = [at(axis, i + 1), at(axis + 1, i + shift * (axis == 0)),
                       at(axis, i - 1), at(axis - 1, i - shift * (axis == 1))]
-            lists[v] = [(w, edge_ids.setdefault(frozenset((v, w)), len(edge_ids)))
-                        for w in around if w is not None]
+            lists[_ring_vertex(axis, i)] = [w for w in around if w is not None]
     return pm.map_from_rotation_lists(lists)
 
 
@@ -419,8 +416,7 @@ def _star(y: int) -> OnePlanarDrawing:
     """Star on classes (1, y); planar with y edges."""
     count = _table_edges("star", 1, y)
     whites = range(1, y + 1)
-    host = pm.map_from_rotation_lists({0: [(w, w) for w in whites]}
-                                      | {w: [(0, w)] for w in whites})
+    host = pm.map_from_rotation_lists({0: whites} | {w: [0] for w in whites})
     return _exact(certify(_fill(host, whites, ()).draft()), "star", count)
 
 
@@ -429,9 +425,8 @@ def _double_star(y: int) -> OnePlanarDrawing:
     count = _table_edges("double-star", 2, y)
     whites = range(2, y + 2)
     # Blacks 0 and 1 see the whites in opposite cyclic orders.
-    lists = {0: [(w, 2 * w) for w in whites], 1: [(w, 2 * w + 1) for w in reversed(whites)]}
-    lists |= {w: [(0, 2 * w), (1, 2 * w + 1)] for w in whites}
-    host = pm.map_from_rotation_lists(lists)
+    host = pm.map_from_rotation_lists({0: whites, 1: whites[::-1]}
+                                      | {w: [0, 1] for w in whites})
     return _exact(certify(_fill(host, whites, ()).draft()), "double-star", count)
 
 

@@ -950,7 +950,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
                   timeout: float | None = None,
                   checkpoint: str | Path | None = None) -> OneplanarResult:
     """Decide drawability with at most ``max_crossings`` crossings, or with
-    any number when it is None.
+    any number when it is None; a budget that is not a nonnegative integer
+    raises :class:`OracleError`.
 
     Searches assignment sizes in increasing order, so a ``yes`` uses the
     fewest crossings possible; sizes below the counting bound are skipped,
@@ -968,8 +969,11 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
     checkpoint the search could not have written raises
     :class:`OracleError`.  ``stats`` counts the work at each size.
     """
-    if max_crossings is not None and max_crossings < 0:
-        raise OracleError("budget must be nonnegative")
+    if max_crossings is not None:
+        if not isinstance(max_crossings, int):
+            raise OracleError(f"budget must be an integer or None, got {max_crossings!r}")
+        if max_crossings < 0:
+            raise OracleError("budget must be nonnegative")
     if timeout is not None and not timeout >= 0:
         raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout}")
     search = _Search(graph, None if timeout is None else time.monotonic() + timeout)

@@ -445,29 +445,23 @@ def smooth_degree2(m: PlaneMap, vertex: int) -> PlaneMap:
     return ed.finish()
 
 
-def map_from_rotation_lists(neighbour_orders: Mapping[int, Sequence[tuple[int, int]]]) -> PlaneMap:
-    """Build a map from per-vertex cyclic lists of (neighbour, edge id) pairs.
+def map_from_rotation_lists(neighbour_orders: Mapping[int, Sequence[int]]) -> PlaneMap:
+    """Build a simple map from each vertex's neighbours in rotation order.
 
-    Every edge id must occur exactly once at each endpoint.  Dart ids are
-    dense, in vertex order; the host maps of the constructions (``_web``,
-    ``_star``, ``_double_star``) are built this way.
+    Dart v->w is paired with dart w->v; dart ids are dense, in vertex order,
+    and :func:`build_map` numbers the edges.  The host maps of the
+    constructions (``_web``, ``_star``, ``_double_star``) are built this way.
+    Raises :class:`MapError` when a vertex's neighbour does not list it back;
+    the constructor's structure check rejects a neighbour listed twice (a
+    duplicate dart) or a vertex listing itself (a dart opposite itself).
     """
-    darts_at: dict[tuple[int, int], list[int]] = {}
-    rotations: dict[int, list[int]] = {}
-    nxt = 0
-    for v in sorted(neighbour_orders):
-        rot = []
-        for (_, e) in neighbour_orders[v]:
-            darts_at.setdefault((e, v), []).append(nxt)
-            rot.append(nxt)
-            nxt += 1
-        rotations[v] = rot
+    darts: dict[tuple[int, int], int] = {}  # (v, w) -> the dart v->w
+    rotations = {v: [darts.setdefault((v, w), len(darts)) for w in neighbour_orders[v]]
+                 for v in sorted(neighbour_orders)}
     opposite: dict[int, int] = {}
-    by_edge: dict[int, list[int]] = {}
-    for (e, _), ds in sorted(darts_at.items()):
-        by_edge.setdefault(e, []).extend(ds)
-    for e, ds in by_edge.items():
-        if len(ds) != 2:
-            raise MapError(f"edge {e} does not have exactly two darts")
-        opposite[ds[0]], opposite[ds[1]] = ds[1], ds[0]
+    for (v, w), d in darts.items():
+        o = darts.get((w, v))
+        if o is None:
+            raise MapError(f"vertex {v} lists neighbour {w}, which does not list it back")
+        opposite[d] = o
     return build_map(rotations, opposite)

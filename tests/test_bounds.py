@@ -9,7 +9,8 @@ from onecross.bounds import (
     size_bounds,
     upper_bound,
 )
-from onecross.drawing import DrawingError
+from onecross.drawing import BipartiteGraph, DrawingError
+from onecross.oracle import is_one_planar
 
 
 @pytest.mark.parametrize("x,y,expected", [
@@ -123,3 +124,35 @@ def test_ratio_linear_rule_stays_away_from_two():
     rows = ratio_table("alpha", [200, 2000, 20000], value=0.1)
     assert all(row.upper_ratio - 2 > Fraction(1, 10) for row in rows)
     assert all(row.lower_ratio >= 2 for row in rows)
+
+
+def _complete_less(x, y, missing=()):
+    """K_{x,y} on blacks 0..x-1 and whites x..x+y-1, less the ``missing`` edges."""
+    edges = [(u, w) for u in range(x) for w in range(x, x + y) if (u, w) not in missing]
+    return BipartiteGraph.make(range(x), range(x, x + y), edges)
+
+
+# One graph per class, up to relabelling, of K_{x,y} less xy - upper_bound - 1
+# edges, for each cell with x >= 3, x + y <= 10 and upper_bound < xy.  At
+# (5, 5) two missing edges either share a vertex (a black one or, by the class
+# swap, a white one) or are disjoint.
+ONE_ABOVE_UPPER = {
+    "K3,7": _complete_less(3, 7),
+    "K4,5 less one edge": _complete_less(4, 5, [(0, 4)]),
+    "K4,6 less one edge": _complete_less(4, 6, [(0, 4)]),
+    "K5,5 less two edges sharing a vertex": _complete_less(5, 5, [(0, 5), (0, 6)]),
+    "K5,5 less two disjoint edges": _complete_less(5, 5, [(0, 5), (1, 6)]),
+}
+
+
+def test_the_classes_one_above_upper_cover_every_small_cell_below_complete():
+    cells = [(x, y) for x in range(3, 6) for y in range(x, 11 - x) if upper_bound(x, y) < x * y]
+    assert cells == [(3, 7), (4, 5), (4, 6), (5, 5)]
+    assert sorted({(len(g.black), len(g.white)) for g in ONE_ABOVE_UPPER.values()}) == cells
+
+
+@pytest.mark.parametrize("graph", ONE_ABOVE_UPPER.values(), ids=ONE_ABOVE_UPPER.keys())
+def test_the_oracle_draws_no_graph_one_edge_above_upper(graph):
+    # A "yes" here would come with a certified witness against a proven bound.
+    assert len(graph.edges) == upper_bound(len(graph.black), len(graph.white)) + 1
+    assert is_one_planar(graph, None).verdict == "no"

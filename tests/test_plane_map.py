@@ -138,16 +138,7 @@ def test_k4_euler():
 
 def _k5_map(orders):
     """K5 from a rotation system given as neighbour orders."""
-    pairs = {}
-    eid = 0
-    for u in range(5):
-        for v in range(u + 1, 5):
-            pairs[(u, v)] = eid
-            eid += 1
-    rot = {
-        v: [(w, pairs[(min(v, w), max(v, w))]) for w in orders[v]] for v in range(5)
-    }
-    return map_from_rotation_lists(rot)
+    return map_from_rotation_lists(orders)
 
 
 def test_k5_has_no_planar_rotation():
@@ -344,11 +335,15 @@ def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
     (lambda m: MapEditor(m).delete_vertex(7), "missing element: vertex 7"),
     (lambda m: insert_vertex_in_face(m, 0, []), "empty attachment list"),
     (lambda m: insert_vertex_in_face(m, 2, [0]), "no such face index 2"),
-    (lambda m: map_from_rotation_lists({0: [(1, 0)], 1: []}),
-     "edge 0 does not have exactly two darts"),
+    (lambda m: map_from_rotation_lists({0: [1], 1: []}),
+     "vertex 0 lists neighbour 1, which does not list it back"),
+    (lambda m: map_from_rotation_lists({0: [1, 2, 1], 1: [0], 2: [0]}),
+     r"duplicate dart 0 \(twice in the rotation of vertex 0\)"),
+    (lambda m: map_from_rotation_lists({0: [1, 0], 1: [0]}),
+     "opposite is not a fixed-point-free involution"),
 ], ids=["insert-past-the-end", "insert-before-the-start", "delete-missing-edge",
         "delete-missing-vertex", "no-attachments", "face-index-out-of-range",
-        "edge-at-one-end"])
+        "edge-at-one-end", "neighbour-listed-twice", "vertex-lists-itself"])
 def test_map_edits_reject(edit, message):
     with pytest.raises(MapError, match=message):
         edit(triangle())
