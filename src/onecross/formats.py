@@ -257,7 +257,8 @@ def load_drawing(path: str | Path) -> OnePlanarDrawing:
     return document_to_drawing(read_document(path))
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Documents are trees, so the encoder keeps no record of the containers it is inside.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _layout(value: Any, depth: int, pad: str) -> str:
@@ -287,6 +288,10 @@ def dumps_document(doc: dict[str, Any]) -> str:
     with one line per vertex under ``rotations.true`` and
     ``rotations.false``; every other value (an edge list, a class list, a
     rotation) is one compact line, written by json's C encoder.
+
+    A document is a tree: no list or object in it contains itself.  The
+    encoder does not check that, so a cyclic value raises ``RecursionError``
+    once it nests past the recursion limit, not json's ``ValueError``.
     """
     lines = ",\n".join(f" {_encode(k)}: {_layout(doc[k], 2 if k == 'rotations' else 0, ' ')}"
                         for k in sorted(doc))

@@ -227,7 +227,8 @@ def euler_check(m: PlaneMap) -> EulerReport:
     V - E + F = 2, where F counts the face orbits whose darts lie in the
     component (a dartless component contributes its single surrounding
     face).  It is decided by one global count, V - E + F = 2C over the whole
-    map with C components, by this lemma.
+    map with C components, by this lemma.  E counts the pairs of the
+    ``opposite`` involution, half the darts, so no edge view is built.
 
     *Lemma.* Each component has V - E + F <= 2: for a connected rotation
     system the count is 2 - 2g, where g >= 0 is the genus of the surface its
@@ -249,7 +250,7 @@ def euler_check(m: PlaneMap) -> EulerReport:
     """
     faces = len(m.faces) + sum(not rot for rot in m.rotations.values())
     components = len(set(m.components.values()))
-    vertices, edges = len(m.rotations), len(m.edge_darts)
+    vertices, edges = len(m.rotations), len(m.opposite) // 2
     return EulerReport(
         planar=vertices - edges + faces == 2 * components,
         vertices=vertices,
@@ -315,8 +316,8 @@ class MapEditor:
         """Add a vertex with a new id, rotating ``darts``."""
         vertex = self._next_vertex
         self._next_vertex += 1
-        self.rotations[vertex] = list(darts)
-        self._owner.update(dict.fromkeys(darts, vertex))
+        rot = self.rotations[vertex] = []
+        self._place(vertex, rot, 0, darts)
         return vertex
 
     def new_edge(self) -> tuple[int, int]:
@@ -330,10 +331,14 @@ class MapEditor:
         self._next_dart += 2 * count
         self._next_edge += count
         opposite, dart_edge, edge_darts = self.opposite, self.dart_edge, self._edge_darts
-        for a, e in zip(range(d, d + 2 * count, 2), range(edge, edge + count)):
-            opposite[a], opposite[a + 1] = a + 1, a
-            dart_edge[a] = dart_edge[a + 1] = e
-            edge_darts[e] = (a, a + 1)
+        e = edge
+        for a in range(d, d + 2 * count, 2):
+            b = a + 1
+            opposite[a] = b
+            opposite[b] = a
+            dart_edge[a] = dart_edge[b] = e
+            edge_darts[e] = (a, b)
+            e += 1
         return d, edge
 
     def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
@@ -341,8 +346,17 @@ class MapEditor:
         rot = self.rotations[vertex]
         if not 0 <= pos <= len(rot):
             raise MapError("rotation position out of range")
+        self._place(vertex, rot, pos, darts)
+
+    def _place(self, vertex: int, rot: list[int], pos: int, darts: Sequence[int]) -> None:
+        """Put ``darts`` before index ``pos`` of ``rot``, the rotation of ``vertex``.
+
+        The one place that records the owner of a placed dart.
+        """
         rot[pos:pos] = darts
-        self._owner.update(dict.fromkeys(darts, vertex))
+        owner = self._owner
+        for d in darts:
+            owner[d] = vertex
 
     def insert_at_corner(self, arriving: int, leaving: int, darts: Sequence[int]) -> int:
         """Put ``darts`` into the face corner a walk enters by ``arriving``.
@@ -358,7 +372,7 @@ class MapEditor:
         at = rot.index(anchor) + 1
         if rot[at % len(rot)] != leaving:
             raise MapError("face walk out of sync with rotations")
-        self.insert_darts(vertex, at, darts)
+        self._place(vertex, rot, at, darts)
         return vertex
 
     def add_star(self, walk: Sequence[int], positions: Sequence[int]) -> tuple[int, int]:

@@ -2,11 +2,16 @@
 
 Construction patterns are specified as straight-line sketches: named points,
 edges that are single segments between two of them, and the exact set of
-edge pairs meant to cross.  The compiler intersects every pair of segments,
-verifies that the realized crossing set equals the declared one (any other
-pair of edges must be disjoint except at shared endpoints), places one
-subdivision point per crossing, and reads off every rotation by sorting the
-directions toward each point's neighbours.  The output is purely
+edge pairs meant to cross.  The compiler intersects every pair of segments
+that can meet, verifies that the realized crossing set equals the declared
+one (any other pair of edges must be disjoint except at shared endpoints),
+places one subdivision point per crossing, and reads off every rotation by
+sorting the directions toward each point's neighbours.  It skips two kinds
+of pair, each only where a lemma of :func:`_scanned_pairs` shows that the
+intersection test would find nothing: segments sharing an end point at a
+clear angle, whose parameters along each other come out at their ends, and
+segments whose bounding boxes lie farther apart than every tolerance and
+rounding error of the test.  The output is purely
 combinatorial; coordinates never leave this module.
 
 A sketch that names corner vertices is a fragment meant to be spliced into a
@@ -24,6 +29,7 @@ is offset arithmetic rather than a lookup by name per dart.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .plane_map import euler_check, map_from_paired_darts
@@ -71,6 +77,83 @@ def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
     return None
 
 
+def _scanned_pairs(points: Mapping[Name, Point],
+                   keys: Sequence[EdgeKey]) -> list[tuple[EdgeKey, EdgeKey]]:
+    """The pairs of segments, in scan order, that :func:`_seg_intersection` must test.
+
+    Scan order takes each pair ``(keys[i], keys[j])``, ``i < j``, once,
+    ordered by ``i`` and then ``j``, and gives each segment ``(u, v)`` of
+    ``keys`` as ``points[u]`` to ``points[v]``.  A pair is left out only when
+    one of the lemmas below shows that the test returns None for it.  They
+    speak of the test's computed values: its direction cross product ``D``,
+    its parameters ``t`` and ``s``, and the cross product ``C`` of its
+    collinear branch.  Its tolerances are relative in ``t`` and ``s``
+    (``_EPS`` of a segment) and absolute in ``D`` and ``C`` (``_EPS``).  Let
+    ``R`` be the largest absolute coordinate of the sketch and ``u = 2**-53``
+    the unit roundoff, so that each computed difference of two coordinates
+    is off by at most ``2uR`` and each computed cross product of two such
+    differences by at most ``16uR**2``.
+
+    *Lemma 1 (shared end).*  Let two segments share an end point and have
+    ``|D| >= _EPS``.  If the shared point is the first point of either, or
+    the second point of the first and the first point of the second, the
+    test's ``t`` and ``s`` are exactly 0 or 1, so neither is interior and it
+    returns None.  Proof: the difference it takes between the two start
+    points is then zero, the first direction or the negated second one, bit
+    for bit (floating-point subtraction is antisymmetric and multiplication
+    commutes), so each numerator is 0 or exactly ``D``.  If both segments
+    end at the shared point, the numerators equal ``D`` only up to rounding:
+    each is off from it by at most ``56uR**2``, so ``t`` and ``s`` lie
+    within ``_EPS`` of 1 once ``|D| >= 1e-5 * R**2``, and only then is such
+    a pair left out.
+
+    *Lemma 2 (boxes apart).*  Let ``64uR**2 <= _EPS`` and grow each
+    segment's bounding box by ``pad = slack + 3 * _EPS / length``, where
+    ``slack = 2e-5 * R**3 + 5e-9 * R``.  If the grown boxes of two segments
+    are disjoint, the test returns None.  Proof: it reports a pair only in
+    two ways.  With ``|D| >= _EPS`` it needs ``t`` and ``s`` in
+    ``[-_EPS, 1 + _EPS]``; ``|D|`` is then at least ``3/4 * _EPS`` before
+    rounding, so the exact parameters differ from the computed ones by at
+    most ``43uR**2 / _EPS + 2u``, and the two points they name on the
+    segments' lines, which coincide up to ``2uR``, lie within
+    ``4 * _EPS * R + 172uR**3 / _EPS + 15uR <= slack`` of both boxes in each
+    coordinate.  With ``|D| < _EPS`` it needs ``|C| < _EPS``, which puts both
+    ends of the second segment within ``(2 * _EPS + 32uR**2) / length + 10uR``
+    of the first one's line, ``length`` being the first one's, and the
+    projections of the two onto that line to overlap: the boxes then lie
+    within ``(2 * _EPS + 64uR**2) / length + 12uR <= 3 * _EPS / length +
+    slack`` of each other.  When ``64uR**2 > _EPS`` no box is grown finitely
+    and this lemma leaves out nothing; neither does it for a segment of
+    length 0.
+    """
+    reach = max(map(abs, chain.from_iterable(points.values())), default=0.0)  # R
+    unit = 2.0 ** -53
+    slack = 2e-5 * reach ** 3 + 5e-9 * reach if 64 * unit * reach ** 2 <= _EPS else math.inf
+    end_limit = max(_EPS, 1e-5 * reach ** 2)
+    segments = []  # each segment's grown box, direction and ends
+    for u, v in keys:
+        (x0, y0), (x1, y1) = points[u], points[v]
+        dx, dy = x1 - x0, y1 - y0
+        pad = slack + 3 * _EPS / math.hypot(dx, dy) if dx or dy else math.inf
+        if x0 > x1:
+            x0, x1 = x1, x0
+        if y0 > y1:
+            y0, y1 = y1, y0
+        segments.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad, dx, dy, u, v))
+    pairs = []
+    for i, (x0, x1, y0, y1, dx, dy, u1, v1) in enumerate(segments):
+        for a0, a1, b0, b1, ex, ey, u2, v2 in segments[i + 1:]:
+            if a0 > x1 or a1 < x0 or b0 > y1 or b1 < y0:
+                continue  # Lemma 2
+            if u1 == u2 or u1 == v2 or v1 == u2:
+                if abs(dx * ey - dy * ex) >= _EPS:
+                    continue  # Lemma 1, exact
+            elif v1 == v2 and abs(dx * ey - dy * ex) >= end_limit:
+                continue  # Lemma 1, both ending at the shared point
+            pairs.append(((u1, v1), (u2, v2)))
+    return pairs
+
+
 class CompiledSketch(NamedTuple):
     """A verified sketch in local integer ids, ready to splice into a host map.
 
@@ -105,30 +188,35 @@ def compile_sketch(points: Mapping[Name, Point],
     Each of ``edges`` is one ``(u, v)`` segment.  Given ``corners``, the
     sketch is a fragment: the compiler adds the boundary edges joining
     consecutive corners (last to first), which take part in the geometry but
-    are left out of the emitted graph.
+    are left out of the emitted graph.  The segments are tested pairwise in
+    the order of :func:`_scanned_pairs`, which leaves out only pairs the test
+    provably passes, so the first error found is the one a test of every
+    pair would find first.
     """
     keys: list[EdgeKey] = []
+    seen: set[EdgeKey] = set()
     for u, v in [*zip(corners, [*corners[1:], *corners[:1]]), *edges]:
-        if _ekey(u, v) in keys:
-            raise SketchError(f"duplicate edge {_ekey(u, v)}")
-        keys.append(_ekey(u, v))
+        key = _ekey(u, v)
+        if key in seen:
+            raise SketchError(f"duplicate edge {key}")
+        seen.add(key)
+        keys.append(key)
     boundary_keys = set(keys[:len(corners)])
     keys.sort()
 
     declared = {frozenset((_ekey(*a), _ekey(*b))) for a, b in crossings}
     found: set[frozenset[EdgeKey]] = set()
     at: dict[EdgeKey, Point] = {}  # the crossing point on each crossed edge
-    for i, e1 in enumerate(keys):
-        for e2 in keys[i + 1:]:
-            pt = _seg_intersection(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
-            if pt is None:
-                continue
-            if frozenset((e1, e2)) not in declared:
-                raise SketchError(f"undeclared crossing between {e1} and {e2}")
-            if e1 in at or e2 in at:
-                raise SketchError("an edge participates in two crossings")
-            found.add(frozenset((e1, e2)))
-            at[e1] = at[e2] = pt
+    for e1, e2 in _scanned_pairs(points, keys):
+        pt = _seg_intersection(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
+        if pt is None:
+            continue
+        if frozenset((e1, e2)) not in declared:
+            raise SketchError(f"undeclared crossing between {e1} and {e2}")
+        if e1 in at or e2 in at:
+            raise SketchError("an edge participates in two crossings")
+        found.add(frozenset((e1, e2)))
+        at[e1] = at[e2] = pt
     if found != declared:
         missing = sorted(tuple(sorted(p)) for p in declared - found)
         raise SketchError(f"declared crossings not realized: {missing}")
@@ -148,9 +236,14 @@ def compile_sketch(points: Mapping[Name, Point],
     for u, v in keys:
         w = crossed_at.get((u, v))
         for a, b in ((u, v),) if w is None else ((u, w), (w, v)):
-            for here, there in ((a, b), (b, a)):
-                (x0, y0), (x1, y1) = coords[here], coords[there]
-                incident[here].append((math.atan2(y1 - y0, x1 - x0), there))
+            (x0, y0), (x1, y1) = coords[a], coords[b]
+            angle = math.atan2(y1 - y0, x1 - x0)
+            # The end at b points the other way, at angle -+ pi up to
+            # rounding; at angle 0 the signs of zeros decide between -pi and pi.
+            back = (math.atan2(y0 - y1, x0 - x1) if angle == 0
+                    else angle - math.pi if angle > 0 else angle + math.pi)
+            incident[a].append((angle, b))
+            incident[b].append((back, a))
     rotations: dict[Name, tuple[Name, ...]] = {}
     for n, items in incident.items():
         items.sort()
@@ -159,10 +252,11 @@ def compile_sketch(points: Mapping[Name, Point],
                 raise SketchError(f"ambiguous rotation at {n}: near-parallel edge ends")
         rotations[n] = tuple(t for _, t in items)
 
-    for name, (e1, _) in false_of.items():
+    for name, (e1, e2) in false_of.items():
         if [t in e1 for t in rotations[name]] not in ([True, False, True, False],
                                                       [False, True, False, True]):
-            raise SketchError(f"crossing point {name} does not alternate")
+            raise SketchError(f"crossing of {e1} and {e2} is numerically degenerate: "
+                              "its ends do not alternate round the computed point")
 
     # Splice order runs clockwise round the corner polygon from its first
     # corner, so that each corner's wedge turns counterclockwise from its

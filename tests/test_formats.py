@@ -103,6 +103,14 @@ def test_document_layout():
 """
 
 
+def test_a_cyclic_document_raises_recursion_error():
+    # Documents are trees, so the encoder looks for no cycle: one runs into the recursion limit.
+    provenance = {"generator": "balanced"}
+    provenance["params"] = provenance
+    with pytest.raises(RecursionError):
+        dumps_document(drawing_to_document(balanced(2), provenance))
+
+
 def test_an_indented_document_loads_unchanged(tmp_path):
     # The loader accepts any JSON whitespace: a document written by
     # json.dumps with one-space indents loads to the same drawing.

@@ -1,7 +1,13 @@
-import pytest
+import hashlib
+import math
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import onecross.sketch as sketch
 from onecross.plane_map import build_map, euler_check, trace_faces
-from onecross.sketch import CompiledSketch, SketchError, compile_sketch
+from onecross.sketch import CompiledSketch, SketchError, _ekey, _seg_intersection, compile_sketch
 
 
 def _standalone_map(sk):
@@ -70,7 +76,8 @@ def test_shared_endpoint_edges_may_not_cross():
     ({"a": (-54.620795231417304, 146.778370643239), "b": (71.32959641047378, 136.93886763830375),
       "c": (-8.255290932980976, 143.15620232027788), "d": (-6.209271268701506, 142.99636647351664)},
      [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))],
-     "crossing point #0 does not alternate"),
+     r"crossing of \('a', 'b'\) and \('c', 'd'\) is numerically degenerate: "
+     "its ends do not alternate round the computed point"),
 ], ids=["touching-segments", "edge-in-two-crossings", "near-parallel-ends", "non-plane-assembly",
         "non-alternating-crossing"])
 def test_sketch_geometry_rejected(pts, edges, crossings, message):
@@ -161,3 +168,137 @@ def test_a_cold_compile_traces_faces_once(monkeypatch, build, args):
     monkeypatch.setattr(sketch, "trace_faces", counted)
     build(*args)
     assert len(traced) == 1
+
+
+# The sha256 of repr(sketch) for every pattern the constructions compile, as a
+# scan of every segment pair compiles it: a moved local id names its sketch.
+_COMPILED_SHA256 = {
+    "face_pattern(0,0)": "0db561f00bb8c40b4209877b91538f7fa6969e4715ceb56ed9f5796f9ce2f84e",
+    "face_pattern(0,1)": "873c571a4c66d4a69a33fbd3ad759fae015e396ed9e312042e898cc362131f48",
+    "face_pattern(0,2)": "7a1a6dfe78019fa775fd40d27e2241b3dab17b8c4c78b5e5ba4a3aaf41f15f82",
+    "face_pattern(0,3)": "49d06ddb749b240a84c4e6caa480658518623c078402ff9f389e320c95968c1f",
+    "face_pattern(1,0)": "3b8838cbfec91f8be9801ba5335a7793371690623503d80f83d655978ad914c2",
+    "face_pattern(1,1)": "2ce835edae866ca541b3398e1484bd64418848169d551540c05f343473184049",
+    "face_pattern(1,2)": "0137d1ad5061cb5b9aac0b066ded252edd637dd3473bb529e30ef2a6522052d9",
+    "face_pattern(1,3)": "5be3ec493ae4c3fc44bebee3918e5c80cb9dda2f8a85b195b1bf10dbb7c8b830",
+    "face_pattern(2,0)": "e21dac06a202b0c731b6f33fd800cc69130e96ac93f74eb2a0af0c676a122d87",
+    "face_pattern(2,1)": "7ba70ec61600dc1150d4700ddc488fd17d55e09d3c8e1fee8f05159ea7e4bd34",
+    "face_pattern(2,2)": "3358de19db8252f62daf9baa1ae4d715c9e8e4f578f12098724f24295557c603",
+    "face_pattern(2,3)": "72d0e4fcf6539cb293294b95ac5b9536c18000aa56c042d1d8f5a7ee746d900c",
+    "face_pattern(3,0)": "f2142d9c4d57dfb5e771baa614b4a00b38dad804f3e84e01c4420a5a75e9b477",
+    "face_pattern(3,1)": "a7771d68cd82a71a75f48951da06dfcaf40293d0308fa0c22398e30edfa2fa7a",
+    "face_pattern(3,2)": "bcb2377549b7098e454cc2555bd4153e877d231152a3dd35241f392dbe4cee79",
+    "face_pattern(3,3)": "64ed1f5ebc4225700db0137bc7fdab7212f6470313cd8172ece2473102d1fb2a",
+    "_x_tile": "dba612110a5cf834f78174c5faa64bb10af67536652b8a6a7bea44b6de7ae769",
+    "_cap": "2db061c8325717001c179c8076b14513d1df46cb0ad57b0610bde81962aef80c",
+    "_k33_sketch": "af2b8af62f235512e5ea4f79a8725641634405c3094810a2c7d631ca60c6b736",
+    "_k55_sketch": "037275a59ca6e776c6d28a19b24402b0887444306c1964fe2af11bfab97f3fe8",
+}
+
+
+@pytest.mark.parametrize("build, args", _cached_patterns())
+def test_every_compiled_pattern_is_pinned(request, build, args):
+    compiled = build(*args)
+    if not isinstance(compiled, CompiledSketch):  # a sketch with its classes
+        compiled = compiled[0]
+    digest = hashlib.sha256(repr(compiled).encode()).hexdigest()
+    assert digest == _COMPILED_SHA256[request.node.callspec.id]
+
+
+def _every_pair(points, keys):
+    """The plain scan: each pair of segments, in scan order."""
+    return [(e1, e2) for i, e1 in enumerate(keys) for e2 in keys[i + 1:]]
+
+
+def _outcome(points, edges, crossings, corners):
+    """What compile_sketch returns, or the class and message of what it raises."""
+    try:
+        return compile_sketch(points, edges, crossings, corners)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _realized(points, keys):
+    """The pairs the plain scan finds crossing, passing over those it rejects."""
+    out = []
+    for e1, e2 in _every_pair(points, keys):
+        try:
+            if _seg_intersection(*(points[n] for n in (*e1, *e2))) is not None:
+                out.append((e1, e2))
+        except SketchError:
+            pass
+    return out
+
+
+@st.composite
+def _sketches(draw):
+    """Small sketches with shared, coincident, collinear and nearly touching points."""
+    coordinate = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-3, 3, allow_nan=False, allow_infinity=False))
+    points: list[tuple[float, float]] = []
+    for k in range(draw(st.integers(3, 7))):
+        kind = draw(st.sampled_from(["free", "free", "coincident", "on-line", "near-line",
+                                     "near-line"])) if k > 1 else "free"
+        if kind == "free":
+            points.append((draw(coordinate), draw(coordinate)))
+        elif kind == "coincident":
+            points.append(points[draw(st.integers(0, k - 1))])
+        else:  # on the line through two earlier points, or off it by up to 1e-9 of their distance
+            i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            (ax, ay), (bx, by) = points[i], points[j]
+            along = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-0.5, 1.5))
+            off = draw(st.floats(-1e-9, 1e-9)) if kind == "near-line" else 0.0
+            points.append((ax + along * (bx - ax) - off * (by - ay),
+                           ay + along * (by - ay) + off * (bx - ax)))
+    names = [f"p{k}" for k in range(len(points))]
+    corners = tuple(names[:draw(st.sampled_from([0, 0, 3, 4]))])
+    boundary = {_ekey(u, v) for u, v in zip(corners, corners[1:] + corners[:1])}
+    pairs = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True).map(tuple)
+    edges = draw(st.lists(pairs.filter(lambda e: _ekey(*e) not in boundary),
+                          max_size=9, unique_by=lambda e: _ekey(*e)))
+    points_by_name = dict(zip(names, points))
+    keys = sorted(boundary | {_ekey(u, v) for u, v in edges})
+    realized = _realized(points_by_name, keys)
+    crossings = draw(st.sampled_from([realized, realized[1:], []]))
+    return points_by_name, edges, crossings, corners, keys
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=_sketches())
+def test_pruned_scan_matches_a_test_of_every_pair(case):
+    points, edges, crossings, corners, keys = case
+    kept = set(sketch._scanned_pairs(points, keys))
+    for e1, e2 in _every_pair(points, keys):
+        if (e1, e2) not in kept:  # a pair a lemma leaves out meets nowhere
+            assert _seg_intersection(*(points[n] for n in (*e1, *e2))) is None
+    with mock.patch.object(sketch, "_scanned_pairs", _every_pair):
+        expected = _outcome(points, edges, crossings, corners)
+    assert _outcome(points, edges, crossings, corners) == expected
+
+
+@pytest.mark.parametrize("points, keys, kept", [
+    # Lemma 2: a-b and c-d lie a unit apart.
+    ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (1.0, 1.0)},
+     [("a", "b"), ("c", "d")], []),
+    # Lemma 1: a-b and a-c leave a at a right angle; a-c and b-c both end at c.
+    ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0)},
+     [("a", "b"), ("a", "c"), ("b", "c")], []),
+    # Nearly parallel at a shared first point: the test decides.
+    ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (1.0, 1e-10)},
+     [("a", "b"), ("a", "c")], [(("a", "b"), ("a", "c"))]),
+    # Both ending at c with |D| = 2e-8, at least _EPS but below 1e-5 R**2 = 4e-5.
+    ({"a": (-2.0, 0.0), "b": (-2.0, 1e-8), "c": (0.0, 0.0)},
+     [("a", "c"), ("b", "c")], [(("a", "c"), ("b", "c"))]),
+    # A segment of length 0 keeps an unbounded box.
+    ({"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (5.0, 5.0), "d": (6.0, 5.0)},
+     [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))]),
+], ids=["boxes-apart", "shared-end", "shared-end-near-parallel", "shared-last-end-near-parallel",
+        "zero-length"])
+def test_scan_leaves_out_only_what_a_lemma_covers(points, keys, kept):
+    assert sketch._scanned_pairs(points, keys) == kept
+
+
+def test_boxes_are_not_grown_past_the_rounding_bound():
+    # With R = 400, 64uR**2 exceeds _EPS and Lemma 2 leaves out nothing.
+    points = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (400.0, 400.0)}
+    assert sketch._scanned_pairs(points, [("a", "b"), ("c", "d")]) == [(("a", "b"), ("c", "d"))]
