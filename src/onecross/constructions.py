@@ -51,8 +51,8 @@ from .sketch import CompiledSketch, compile_sketch
 # each).
 # --------------------------------------------------------------------------
 
-_CORNERS = {"A": (0.0, 2.0), "B": (-1.0, 0.0), "C": (1.0, 0.0)}
-_W3_POINTS = {"w1": (0.0, 1.2), "w2": (-0.5, 0.35), "w3": (0.5, 0.35)}
+_CORNERS = {"A": (0, 200), "B": (-100, 0), "C": (100, 0)}
+_W3_POINTS = {"w1": (0, 120), "w2": (-50, 35), "w3": (50, 35)}
 _W3_EDGES = [
     ("w1", "A"), ("w2", "B"), ("w3", "C"),
     ("w1", "B"), ("w2", "A"),
@@ -65,9 +65,9 @@ _W3_CROSSINGS = [
     (("w3", "A"), ("w1", "C")),
 ]
 _EXTRA_BLACKS = {
-    "u1": ((0.0, 0.6), []),
-    "u2": ((-0.28, 0.6), [(("u2", "w3"), ("u1", "w2"))]),
-    "u3": ((-0.15, 0.78), [(("u3", "w2"), ("u2", "w1")),
+    "u1": ((0, 60), []),
+    "u2": ((-28, 60), [(("u2", "w3"), ("u1", "w2"))]),
+    "u3": ((-15, 78), [(("u3", "w2"), ("u2", "w1")),
                            (("u3", "w3"), ("u1", "w1"))]),
 }
 
@@ -301,7 +301,7 @@ def _web(k: int, odd: bool) -> PlaneMap:
 @lru_cache(maxsize=None)
 def _x_tile() -> CompiledSketch:
     """The two diagonals of a 4-face, crossing once."""
-    points = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0), "d": (1.0, 0.0)}
+    points = {"a": (0, 0), "b": (0, 1), "c": (1, 1), "d": (1, 0)}
     return compile_sketch(points, [("a", "c"), ("b", "d")], [(("a", "c"), ("b", "d"))],
                           corners=("a", "b", "c", "d"))
 
@@ -313,8 +313,8 @@ def _cap() -> CompiledSketch:
     Its vertex u joins c0, c1, c2 and c4; u c2 crosses the chord c1 c3 and
     u c4 crosses the chord c0 c3.
     """
-    points = {"c0": (0.0, 2.0), "c1": (2.0, 1.0), "c2": (2.0, -1.0), "c3": (0.0, -2.0),
-              "c4": (-2.0, -1.0), "c5": (-2.0, 1.0), "u": (0.6, 0.4)}
+    points = {"c0": (0, 10), "c1": (10, 5), "c2": (10, -5), "c3": (0, -10),
+              "c4": (-10, -5), "c5": (-10, 5), "u": (3, 2)}
     edges = [("c0", "c3"), ("c1", "c3"), ("u", "c0"), ("u", "c1"), ("u", "c2"), ("u", "c4")]
     crossings = [(("u", "c2"), ("c1", "c3")), (("u", "c4"), ("c0", "c3"))]
     return compile_sketch(points, edges, crossings, corners=tuple(points)[:6])
@@ -324,8 +324,8 @@ def _cap() -> CompiledSketch:
 def _k33_sketch() -> tuple[CompiledSketch, dict[str, str]]:
     """The complete (3, 3) graph drawn with a single crossing."""
     points = {
-        "b1": (0.0, 0.0), "b2": (1.0, 0.0), "b3": (0.5, 1.0),
-        "w_in": (0.5, 0.33), "w_bot": (0.55, -0.5), "w_top": (0.5, 1.8),
+        "b1": (0, 0), "b2": (100, 0), "b3": (50, 100),
+        "w_in": (50, 33), "w_bot": (55, -50), "w_top": (50, 180),
     }
     classes = {n: ("black" if n.startswith("b") else "white") for n in points}
     edges = [(b, w) for b in ("b1", "b2", "b3") for w in ("w_in", "w_bot", "w_top")]

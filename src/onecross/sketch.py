@@ -1,18 +1,17 @@
 """Compile coordinate sketches of drawings into combinatorial form.
 
-Construction patterns are specified as straight-line sketches: named points,
-edges that are single segments between two of them, and the exact set of
-edge pairs meant to cross.  The compiler intersects every pair of segments
-that can meet, verifies that the realized crossing set equals the declared
-one (any other pair of edges must be disjoint except at shared endpoints),
-places one subdivision point per crossing, and reads off every rotation by
-sorting the directions toward each point's neighbours.  It skips two kinds
-of pair, each only where a lemma of :func:`_scanned_pairs` shows that the
-intersection test would find nothing: segments sharing an end point at a
-clear angle, whose parameters along each other come out at their ends, and
-segments whose bounding boxes lie farther apart than every tolerance and
-rounding error of the test.  The output is purely
-combinatorial; coordinates never leave this module.
+Construction patterns are specified as straight-line sketches: named points
+with integer coordinates, edges that are single segments between two of
+them, and the exact set of edge pairs meant to cross.  Every decision is an
+exact integer sign, so no tolerance and no scale enters a verdict.  The
+compiler tests every pair of segments that can meet for a crossing interior
+to both, verifies that the realized crossing set equals the declared one
+(any other pair of edges must be disjoint except at shared endpoints),
+places one false vertex per crossing, and reads off every rotation by
+sorting the directions of the segments at each point.  It skips a pair of
+segments whose closed bounding boxes are disjoint, and a pair that shares an
+end point and is not parallel.  The output is purely combinatorial;
+coordinates never leave this module.
 
 A sketch that names corner vertices is a fragment meant to be spliced into a
 face of a host map.  Consecutive corners (last to first) are joined by
@@ -28,19 +27,15 @@ is offset arithmetic rather than a lookup by name per dart.
 
 from __future__ import annotations
 
-import math
-from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .plane_map import euler_check, map_from_paired_darts
 # No run reads trace_faces here; the benchmark's sketch.trace_faces probe resolves through it.
 from .plane_map import trace_faces
 
-Point = tuple[float, float]
+Point = tuple[int, int]
 Name = str
 EdgeKey = tuple[Name, Name]
-
-_EPS = 1e-9
 
 
 class SketchError(ValueError):
@@ -51,30 +46,30 @@ def _ekey(u: Name, v: Name) -> EdgeKey:
     return (u, v) if u <= v else (v, u)
 
 
-def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
-    """Interior intersection point of two segments, or None."""
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (p4[0] - p3[0], p4[1] - p3[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) < _EPS:
-        cross = d1[0] * (p3[1] - p1[1]) - d1[1] * (p3[0] - p1[0])
-        if abs(cross) < _EPS:  # collinear: refuse any overlap
-            t0 = (p3[0] - p1[0]) * d1[0] + (p3[1] - p1[1]) * d1[1]
-            t1 = (p4[0] - p1[0]) * d1[0] + (p4[1] - p1[1]) * d1[1]
-            length = d1[0] * d1[0] + d1[1] * d1[1]
-            lo, hi = min(t0, t1), max(t0, t1)
-            if hi > _EPS * length and lo < (1 - _EPS) * length:
-                raise SketchError("collinear overlapping segments")
-        return None
-    t = ((p3[0] - p1[0]) * d2[1] - (p3[1] - p1[1]) * d2[0]) / denom
-    s = ((p3[0] - p1[0]) * d1[1] - (p3[1] - p1[1]) * d1[0]) / denom
-    interior_t = _EPS < t < 1 - _EPS
-    interior_s = _EPS < s < 1 - _EPS
-    if interior_t and interior_s:
-        return p1[0] + t * d1[0], p1[1] + t * d1[1]
-    if (interior_t or interior_s) and -_EPS <= t <= 1 + _EPS and -_EPS <= s <= 1 + _EPS:
+def _seg_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
+    """Whether segment p1 p2 crosses segment p3 p4 at a point interior to both.
+
+    They cross exactly when each one's ends lie strictly on both sides of the
+    other's line.  An end of one on the other's line and inside the other is a
+    touch, and two collinear segments may share at most an end point; each of
+    these raises a :class:`SketchError`.
+    """
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, p3, p4
+    dx, dy, ex, ey = x2 - x1, y2 - y1, x4 - x3, y4 - y3
+    sides_of_1 = (ex * (y1 - y3) - ey * (x1 - x3)) * (ex * (y2 - y3) - ey * (x2 - x3))
+    sides_of_3 = (dx * (y3 - y1) - dy * (x3 - x1)) * (dx * (y4 - y1) - dy * (x4 - x1))
+    if sides_of_1 > 0 or sides_of_3 > 0:
+        return False
+    if sides_of_1 < 0 and sides_of_3 < 0:
+        return True
+    if sides_of_1 or sides_of_3:
         raise SketchError("segments touch without crossing cleanly")
-    return None
+    if dx * ey == dy * ex:  # collinear: refuse any overlap
+        t3 = (x3 - x1) * dx + (y3 - y1) * dy
+        t4 = (x4 - x1) * dx + (y4 - y1) * dy
+        if max(t3, t4) > 0 and min(t3, t4) < dx * dx + dy * dy:
+            raise SketchError("collinear overlapping segments")
+    return False
 
 
 def _scanned_pairs(points: Mapping[Name, Point],
@@ -84,72 +79,20 @@ def _scanned_pairs(points: Mapping[Name, Point],
     Scan order takes each pair ``(keys[i], keys[j])``, ``i < j``, once,
     ordered by ``i`` and then ``j``, and gives each segment ``(u, v)`` of
     ``keys`` as ``points[u]`` to ``points[v]``.  A pair is left out only when
-    one of the lemmas below shows that the test returns None for it.  They
-    speak of the test's computed values: its direction cross product ``D``,
-    its parameters ``t`` and ``s``, and the cross product ``C`` of its
-    collinear branch.  Its tolerances are relative in ``t`` and ``s``
-    (``_EPS`` of a segment) and absolute in ``D`` and ``C`` (``_EPS``).  Let
-    ``R`` be the largest absolute coordinate of the sketch and ``u = 2**-53``
-    the unit roundoff, so that each computed difference of two coordinates
-    is off by at most ``2uR`` and each computed cross product of two such
-    differences by at most ``16uR**2``.
-
-    *Lemma 1 (shared end).*  Let two segments share an end point and have
-    ``|D| >= _EPS``.  If the shared point is the first point of either, or
-    the second point of the first and the first point of the second, the
-    test's ``t`` and ``s`` are exactly 0 or 1, so neither is interior and it
-    returns None.  Proof: the difference it takes between the two start
-    points is then zero, the first direction or the negated second one, bit
-    for bit (floating-point subtraction is antisymmetric and multiplication
-    commutes), so each numerator is 0 or exactly ``D``.  If both segments
-    end at the shared point, the numerators equal ``D`` only up to rounding:
-    each is off from it by at most ``56uR**2``, so ``t`` and ``s`` lie
-    within ``_EPS`` of 1 once ``|D| >= 1e-5 * R**2``, and only then is such
-    a pair left out.
-
-    *Lemma 2 (boxes apart).*  Let ``64uR**2 <= _EPS`` and grow each
-    segment's bounding box by ``pad = slack + 3 * _EPS / length``, where
-    ``slack = 2e-5 * R**3 + 5e-9 * R``.  If the grown boxes of two segments
-    are disjoint, the test returns None.  Proof: it reports a pair only in
-    two ways.  With ``|D| >= _EPS`` it needs ``t`` and ``s`` in
-    ``[-_EPS, 1 + _EPS]``; ``|D|`` is then at least ``3/4 * _EPS`` before
-    rounding, so the exact parameters differ from the computed ones by at
-    most ``43uR**2 / _EPS + 2u``, and the two points they name on the
-    segments' lines, which coincide up to ``2uR``, lie within
-    ``4 * _EPS * R + 172uR**3 / _EPS + 15uR <= slack`` of both boxes in each
-    coordinate.  With ``|D| < _EPS`` it needs ``|C| < _EPS``, which puts both
-    ends of the second segment within ``(2 * _EPS + 32uR**2) / length + 10uR``
-    of the first one's line, ``length`` being the first one's, and the
-    projections of the two onto that line to overlap: the boxes then lie
-    within ``(2 * _EPS + 64uR**2) / length + 12uR <= 3 * _EPS / length +
-    slack`` of each other.  When ``64uR**2 > _EPS`` no box is grown finitely
-    and this lemma leaves out nothing; neither does it for a segment of
-    length 0.
+    the test returns False for it, for the reason noted at each skip.
     """
-    reach = max(map(abs, chain.from_iterable(points.values())), default=0.0)  # R
-    unit = 2.0 ** -53
-    slack = 2e-5 * reach ** 3 + 5e-9 * reach if 64 * unit * reach ** 2 <= _EPS else math.inf
-    end_limit = max(_EPS, 1e-5 * reach ** 2)
-    segments = []  # each segment's grown box, direction and ends
+    segments = []  # each segment's closed bounding box, direction and ends
     for u, v in keys:
         (x0, y0), (x1, y1) = points[u], points[v]
-        dx, dy = x1 - x0, y1 - y0
-        pad = slack + 3 * _EPS / math.hypot(dx, dy) if dx or dy else math.inf
-        if x0 > x1:
-            x0, x1 = x1, x0
-        if y0 > y1:
-            y0, y1 = y1, y0
-        segments.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad, dx, dy, u, v))
+        segments.append((min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1),
+                         x1 - x0, y1 - y0, u, v))
     pairs = []
     for i, (x0, x1, y0, y1, dx, dy, u1, v1) in enumerate(segments):
         for a0, a1, b0, b1, ex, ey, u2, v2 in segments[i + 1:]:
             if a0 > x1 or a1 < x0 or b0 > y1 or b1 < y0:
-                continue  # Lemma 2
-            if u1 == u2 or u1 == v2 or v1 == u2:
-                if abs(dx * ey - dy * ex) >= _EPS:
-                    continue  # Lemma 1, exact
-            elif v1 == v2 and abs(dx * ey - dy * ex) >= end_limit:
-                continue  # Lemma 1, both ending at the shared point
+                continue  # disjoint closed boxes: the segments share no point
+            if (u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2) and dx * ey != dy * ex:
+                continue  # lines that are not parallel meet only at the shared end
             pairs.append(((u1, v1), (u2, v2)))
     return pairs
 
@@ -185,20 +128,29 @@ def compile_sketch(points: Mapping[Name, Point],
                    corners: Sequence[Name] = ()) -> CompiledSketch:
     """Verify a straight-line sketch and compile it to local ids.
 
-    Each of ``edges`` is one ``(u, v)`` segment.  Given ``corners``, the
-    sketch is a fragment: the compiler adds the boundary edges joining
-    consecutive corners (last to first), which take part in the geometry but
-    are left out of the emitted graph.  The segments are tested pairwise in
-    the order of :func:`_scanned_pairs`, which leaves out only pairs the test
-    provably passes, so the first error found is the one a test of every
-    pair would find first.
+    Each of ``edges`` is one ``(u, v)`` segment, of positive length, between
+    points whose coordinates are integers.  Given ``corners``, the sketch is
+    a fragment: the compiler adds the boundary edges joining consecutive
+    corners (last to first), which take part in the geometry but are left
+    out of the emitted graph.  The segments are tested pairwise in the order
+    of :func:`_scanned_pairs`, which leaves out only pairs that meet at no
+    point or only at a shared end, so the first error found is the one a
+    test of every pair would find first.
     """
+    reach = 0  # R, the largest absolute coordinate
+    for name, point in points.items():
+        for c in point:
+            if not isinstance(c, int):
+                raise SketchError(f"point {name} has a non-integer coordinate: {point}")
+            reach = max(reach, abs(c))
     keys: list[EdgeKey] = []
     seen: set[EdgeKey] = set()
     for u, v in [*zip(corners, [*corners[1:], *corners[:1]]), *edges]:
         key = _ekey(u, v)
         if key in seen:
             raise SketchError(f"duplicate edge {key}")
+        if points[u] == points[v]:
+            raise SketchError(f"edge {key} has length 0")
         seen.add(key)
         keys.append(key)
     boundary_keys = set(keys[:len(corners)])
@@ -206,57 +158,45 @@ def compile_sketch(points: Mapping[Name, Point],
 
     declared = {frozenset((_ekey(*a), _ekey(*b))) for a, b in crossings}
     found: set[frozenset[EdgeKey]] = set()
-    at: dict[EdgeKey, Point] = {}  # the crossing point on each crossed edge
+    crossed: set[EdgeKey] = set()
     for e1, e2 in _scanned_pairs(points, keys):
-        pt = _seg_intersection(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
-        if pt is None:
+        if not _seg_intersection(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]]):
             continue
         if frozenset((e1, e2)) not in declared:
             raise SketchError(f"undeclared crossing between {e1} and {e2}")
-        if e1 in at or e2 in at:
+        if e1 in crossed or e2 in crossed:
             raise SketchError("an edge participates in two crossings")
         found.add(frozenset((e1, e2)))
-        at[e1] = at[e2] = pt
+        crossed.update((e1, e2))
     if found != declared:
         missing = sorted(tuple(sorted(p)) for p in declared - found)
         raise SketchError(f"declared crossings not realized: {missing}")
 
-    coords: dict[Name, Point] = {n: tuple(p) for n, p in points.items()}
     false_of: dict[Name, tuple[EdgeKey, EdgeKey]] = {}
     crossed_at: dict[EdgeKey, Name] = {}
     for pair in sorted(tuple(sorted(p)) for p in declared):
         name = f"#{len(false_of)}"
         false_of[name] = pair
         crossed_at[pair[0]] = crossed_at[pair[1]] = name
-        coords[name] = at[pair[0]]
 
     # Each map edge is a whole segment or the half of a crossed one; every
-    # edge end points at the neighbour it leads to.
-    incident: dict[Name, list[tuple[float, Name]]] = {n: [] for n in coords}
+    # edge end points at the neighbour it leads to, along its own segment,
+    # since a crossing point lies inside both of its segments.  Ends sort by
+    # angle on (-pi, pi]: by half-plane, then by -dx/dy times m, floored, as
+    # distinct slopes with |dy| <= 2R differ by at least 1/(4R**2).  The pair
+    # tests leave no two ends at one point in the same direction.
+    m = 4 * reach * reach + 1
+    ends: dict[Name, list[tuple[tuple[int, int], Name]]] = {n: [] for n in (*points, *false_of)}
     for u, v in keys:
+        (x0, y0), (x1, y1) = points[u], points[v]
+        dx, dy = x1 - x0, y1 - y0
+        half, cot = (2 if dy > 0 else 0, -dx * m // dy) if dy else (1 if dx > 0 else 3, 0)
+        ahead, back = (half, cot), ((half + 2) % 4, cot)
         w = crossed_at.get((u, v))
         for a, b in ((u, v),) if w is None else ((u, w), (w, v)):
-            (x0, y0), (x1, y1) = coords[a], coords[b]
-            angle = math.atan2(y1 - y0, x1 - x0)
-            # The end at b points the other way, at angle -+ pi up to
-            # rounding; at angle 0 the signs of zeros decide between -pi and pi.
-            back = (math.atan2(y0 - y1, x0 - x1) if angle == 0
-                    else angle - math.pi if angle > 0 else angle + math.pi)
-            incident[a].append((angle, b))
-            incident[b].append((back, a))
-    rotations: dict[Name, tuple[Name, ...]] = {}
-    for n, items in incident.items():
-        items.sort()
-        for (a1, _), (a2, _) in zip(items, items[1:]):
-            if a2 - a1 < 1e-7:
-                raise SketchError(f"ambiguous rotation at {n}: near-parallel edge ends")
-        rotations[n] = tuple(t for _, t in items)
-
-    for name, (e1, e2) in false_of.items():
-        if [t in e1 for t in rotations[name]] not in ([True, False, True, False],
-                                                      [False, True, False, True]):
-            raise SketchError(f"crossing of {e1} and {e2} is numerically degenerate: "
-                              "its ends do not alternate round the computed point")
+            ends[a].append((ahead, b))
+            ends[b].append((back, a))
+    rotations = {n: tuple(t for _, t in sorted(items)) for n, items in ends.items()}
 
     # Splice order runs clockwise round the corner polygon from its first
     # corner, so that each corner's wedge turns counterclockwise from its

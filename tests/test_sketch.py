@@ -62,34 +62,56 @@ def test_shared_endpoint_edges_may_not_cross():
      [("a", "b"), ("c", "d"), ("e", "f")],
      [(("a", "b"), ("c", "d")), (("a", "b"), ("e", "f"))],
      "an edge participates in two crossings"),
-    # a-b and a-c leave a 5e-8 radians apart; a-c is too long to count as collinear.
-    ({"a": (0, 0), "b": (1, 0), "c": (1000, 5e-5)}, [("a", "b"), ("a", "c")], [],
-     "ambiguous rotation at a: near-parallel edge ends"),
+    # a-b has length 0, beside a leftward edge at a.
+    ({"a": (0, 0), "b": (0, 0), "c": (-1, 0)}, [("a", "b"), ("a", "c")], [],
+     r"edge \('a', 'b'\) has length 0"),
+    # Coordinates are integers.
+    ({"a": (0, 0), "b": (1, 0.5)}, [("a", "b")], [],
+     r"point b has a non-integer coordinate: \(1, 0\.5\)"),
     # c and c2 share a point, where the paths p1-c-p3 and p2-c2-p4 meet with
     # no segment crossing to find; the map they assemble into is not plane.
     ({"p1": (1, 0), "p2": (0, 1), "p3": (-1, 0), "p4": (0, -1), "c": (0, 0), "c2": (0, 0)},
      [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p1"),
       ("c", "p1"), ("c", "p3"), ("c2", "p2"), ("c2", "p4")], [],
      "sketch does not assemble into a plane embedding"),
-    # a-b and c-d are nearly parallel and cross next to c: seen from the
-    # rounded crossing point the ends run b, d, c, a, which does not alternate.
-    ({"a": (-54.620795231417304, 146.778370643239), "b": (71.32959641047378, 136.93886763830375),
-      "c": (-8.255290932980976, 143.15620232027788), "d": (-6.209271268701506, 142.99636647351664)},
-     [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))],
-     r"crossing of \('a', 'b'\) and \('c', 'd'\) is numerically degenerate: "
-     "its ends do not alternate round the computed point"),
-], ids=["touching-segments", "edge-in-two-crossings", "near-parallel-ends", "non-plane-assembly",
-        "non-alternating-crossing"])
+], ids=["touching-segments", "edge-in-two-crossings", "zero-length-edge", "float-coordinate",
+        "non-plane-assembly"])
 def test_sketch_geometry_rejected(pts, edges, crossings, message):
     with pytest.raises(SketchError, match=f"^{message}$"):
         compile_sketch(pts, edges, crossings)
 
 
-_TRIANGLE = {"A": (0.0, 2.0), "B": (-1.0, 0.0), "C": (1.0, 0.0)}
+def test_nearly_parallel_ends_are_ordered_exactly():
+    # c leaves a less than 1e-6 radians from b, above b's direction and then
+    # mirrored below it.  Slot 0 is a, and its first end takes dart 0: b's
+    # rotation holds dart 1 when a turns to b first.
+    pts = {"a": (0, 0), "b": (1, 0)}
+    above = compile_sketch(pts | {"c": (10**6, 1)}, [("a", "b"), ("a", "c")])
+    below = compile_sketch(pts | {"c": (10**6, -1)}, [("a", "b"), ("a", "c")])
+    assert above.rotations == ((0, 2), (1,), (3,))
+    assert below.rotations == ((0, 2), (3,), (1,))
+    # a-b and c-d cross at an angle below 1e-6, and round their false vertex
+    # (slot 4) the ends of the two edges alternate.
+    sk = compile_sketch({"a": (0, 0), "b": (4 * 10**6, 1), "c": (0, 1), "d": (4 * 10**6, 0)},
+                        [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))])
+    owner = {d: slot for slot, rot in enumerate(sk.rotations) for d in rot}
+    ends = [owner[d ^ 1] in (0, 1) for d in sk.rotations[4]]
+    assert ends in ([True, False, True, False], [False, True, False, True])
+
+
+@pytest.mark.parametrize("scale", [10**6, 10**12])
+def test_a_clean_x_compiles_alike_at_every_scale(scale):
+    pts = {"a": (0, 0), "b": (1, 1), "c": (0, 1), "d": (1, 0)}
+    args = [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))]
+    scaled = {n: (x * scale, y * scale) for n, (x, y) in pts.items()}
+    assert compile_sketch(scaled, *args) == compile_sketch(pts, *args)
+
+
+_TRIANGLE = {"A": (0, 20), "B": (-10, 0), "C": (10, 0)}
 
 
 def test_fragment_corner_wedges():
-    pts = _TRIANGLE | {"m": (0.0, 0.7)}
+    pts = _TRIANGLE | {"m": (0, 7)}
     sk = compile_sketch(pts, [("m", "A"), ("m", "B"), ("m", "C")], corners=("A", "B", "C"))
     # m sits at slot 0 and the corners at slots 1-3; no boundary edge is a
     # graph edge or a map edge of the splice.
@@ -101,14 +123,14 @@ def test_fragment_corner_wedges():
 
 
 def test_fragment_corners_imply_the_boundary():
-    pts = _TRIANGLE | {"m": (0.0, 0.7)}
+    pts = _TRIANGLE | {"m": (0, 7)}
     with pytest.raises(SketchError, match="duplicate edge"):
         compile_sketch(pts, [("A", "B"), ("m", "A")], corners=("A", "B", "C"))
 
 
 def test_fragment_with_content_outside_its_corners_rejected():
     # o below B-C leaves no face bounded by the corner triangle alone.
-    pts = _TRIANGLE | {"m": (0.0, 0.7), "o": (0.0, -1.0)}
+    pts = _TRIANGLE | {"m": (0, 7), "o": (0, -10)}
     with pytest.raises(SketchError, match="no pure-boundary face"):
         compile_sketch(pts, [("m", "A"), ("m", "B"), ("m", "C"), ("o", "B")],
                        corners=("A", "B", "C"))
@@ -116,7 +138,7 @@ def test_fragment_with_content_outside_its_corners_rejected():
 
 def test_fragment_with_a_crossed_boundary_edge_rejected():
     # m-o crosses B-C, so B and C do not end at each other in any rotation.
-    pts = _TRIANGLE | {"m": (0.0, 0.7), "o": (0.0, -1.0)}
+    pts = _TRIANGLE | {"m": (0, 7), "o": (0, -10)}
     with pytest.raises(SketchError, match="no pure-boundary face"):
         compile_sketch(pts, [("m", "A"), ("m", "o")], [(("m", "o"), ("B", "C"))],
                        corners=("A", "B", "C"))
@@ -125,12 +147,12 @@ def test_fragment_with_a_crossed_boundary_edge_rejected():
 def test_fragment_with_content_outside_all_its_corners_rejected():
     # m above A joins every corner, so the corner triangle bounds a face of
     # the sketch, but every wedge would open outside the triangle.
-    pts = _TRIANGLE | {"m": (0.0, 5.0)}
+    pts = _TRIANGLE | {"m": (0, 50)}
     with pytest.raises(SketchError, match="interior edges on both sides of corner A"):
         compile_sketch(pts, [("m", "A"), ("m", "B"), ("m", "C")], corners=("A", "B", "C"))
 
 
-_PENTAGON = {"a": (0.0, 0.0), "b": (2.0, 0.0), "c": (2.5, 1.5), "d": (1.0, 3.0), "e": (-0.5, 1.5)}
+_PENTAGON = {"a": (0, 0), "b": (4, 0), "c": (5, 3), "d": (2, 6), "e": (-1, 3)}
 
 
 @pytest.mark.parametrize("corners", [("a", "b", "c", "d", "e"), ("a", "e", "d", "c", "b")])
@@ -223,7 +245,7 @@ def _realized(points, keys):
     out = []
     for e1, e2 in _every_pair(points, keys):
         try:
-            if _seg_intersection(*(points[n] for n in (*e1, *e2))) is not None:
+            if _seg_intersection(*(points[n] for n in (*e1, *e2))):
                 out.append((e1, e2))
         except SketchError:
             pass
@@ -232,24 +254,23 @@ def _realized(points, keys):
 
 @st.composite
 def _sketches(draw):
-    """Small sketches with shared, coincident, collinear and nearly touching points."""
-    coordinate = st.one_of(st.integers(-3, 3).map(float),
-                           st.floats(-3, 3, allow_nan=False, allow_infinity=False))
-    points: list[tuple[float, float]] = []
+    """Small integer sketches with shared, coincident, collinear and nearly collinear points."""
+    coordinate = st.integers(-3, 3) | st.integers(-10**4, 10**4)
+    points: list[tuple[int, int]] = []
     for k in range(draw(st.integers(3, 7))):
-        kind = draw(st.sampled_from(["free", "free", "coincident", "on-line", "near-line",
-                                     "near-line"])) if k > 1 else "free"
+        kind = draw(st.sampled_from(["free", "free", "coincident", "on-line", "off-line",
+                                     "off-line"])) if k > 1 else "free"
         if kind == "free":
             points.append((draw(coordinate), draw(coordinate)))
         elif kind == "coincident":
             points.append(points[draw(st.integers(0, k - 1))])
-        else:  # on the line through two earlier points, or off it by up to 1e-9 of their distance
+        else:  # on the line through two earlier points, or one unit off it
             i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
             (ax, ay), (bx, by) = points[i], points[j]
-            along = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-0.5, 1.5))
-            off = draw(st.floats(-1e-9, 1e-9)) if kind == "near-line" else 0.0
-            points.append((ax + along * (bx - ax) - off * (by - ay),
-                           ay + along * (by - ay) + off * (bx - ax)))
+            along = draw(st.integers(-1, 2))
+            ox, oy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])) \
+                if kind == "off-line" else (0, 0)
+            points.append((ax + along * (bx - ax) + ox, ay + along * (by - ay) + oy))
     names = [f"p{k}" for k in range(len(points))]
     corners = tuple(names[:draw(st.sampled_from([0, 0, 3, 4]))])
     boundary = {_ekey(u, v) for u, v in zip(corners, corners[1:] + corners[:1])}
@@ -269,36 +290,33 @@ def test_pruned_scan_matches_a_test_of_every_pair(case):
     points, edges, crossings, corners, keys = case
     kept = set(sketch._scanned_pairs(points, keys))
     for e1, e2 in _every_pair(points, keys):
-        if (e1, e2) not in kept:  # a pair a lemma leaves out meets nowhere
-            assert _seg_intersection(*(points[n] for n in (*e1, *e2))) is None
+        if (e1, e2) not in kept:  # a pair the scan leaves out does not cross
+            assert not _seg_intersection(*(points[n] for n in (*e1, *e2)))
     with mock.patch.object(sketch, "_scanned_pairs", _every_pair):
         expected = _outcome(points, edges, crossings, corners)
     assert _outcome(points, edges, crossings, corners) == expected
 
 
 @pytest.mark.parametrize("points, keys, kept", [
-    # Lemma 2: a-b and c-d lie a unit apart.
-    ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (1.0, 1.0)},
+    # a-b and c-d lie a unit apart.
+    ({"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)},
      [("a", "b"), ("c", "d")], []),
-    # Lemma 1: a-b and a-c leave a at a right angle; a-c and b-c both end at c.
-    ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0)},
+    # a-b and a-c leave a at a right angle; a-c and b-c both end at c.
+    ({"a": (0, 0), "b": (1, 0), "c": (0, 1)},
      [("a", "b"), ("a", "c"), ("b", "c")], []),
-    # Nearly parallel at a shared first point: the test decides.
-    ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (1.0, 1e-10)},
+    # A shared end with direction cross product 1.
+    ({"a": (0, 0), "b": (1, 0), "c": (10**6, 1)},
+     [("a", "b"), ("a", "c")], []),
+    # A shared end on one line: the test decides.
+    ({"a": (0, 0), "b": (1, 0), "c": (-1, 0)},
      [("a", "b"), ("a", "c")], [(("a", "b"), ("a", "c"))]),
-    # Both ending at c with |D| = 2e-8, at least _EPS but below 1e-5 R**2 = 4e-5.
-    ({"a": (-2.0, 0.0), "b": (-2.0, 1e-8), "c": (0.0, 0.0)},
-     [("a", "c"), ("b", "c")], [(("a", "c"), ("b", "c"))]),
-    # A segment of length 0 keeps an unbounded box.
-    ({"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (5.0, 5.0), "d": (6.0, 5.0)},
+    # Closed boxes that touch at one corner.
+    ({"a": (0, 0), "b": (1, 1), "c": (1, 2), "d": (2, 1)},
      [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))]),
-], ids=["boxes-apart", "shared-end", "shared-end-near-parallel", "shared-last-end-near-parallel",
-        "zero-length"])
+    # A segment of length 0 has its point for a box.
+    ({"a": (0, 0), "b": (0, 0), "c": (5, 5), "d": (6, 5)},
+     [("a", "b"), ("c", "d")], []),
+], ids=["boxes-apart", "shared-end", "shared-end-cross-product-1", "shared-end-collinear",
+        "boxes-touch-at-a-corner", "zero-length"])
 def test_scan_leaves_out_only_what_a_lemma_covers(points, keys, kept):
     assert sketch._scanned_pairs(points, keys) == kept
-
-
-def test_boxes_are_not_grown_past_the_rounding_bound():
-    # With R = 400, 64uR**2 exceeds _EPS and Lemma 2 leaves out nothing.
-    points = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (400.0, 400.0)}
-    assert sketch._scanned_pairs(points, [("a", "b"), ("c", "d")]) == [(("a", "b"), ("c", "d"))]
