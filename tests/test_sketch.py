@@ -62,6 +62,12 @@ def test_shared_endpoint_edges_may_not_cross():
      [("a", "b"), ("c", "d"), ("e", "f")],
      [(("a", "b"), ("c", "d")), (("a", "b"), ("e", "f"))],
      "an edge participates in two crossings"),
+    # a-b and a-c leave a 5e-8 radians apart, a sketch once refused as an
+    # ambiguous rotation under rounding; its float coordinate now refuses it
+    # before any angle is compared.  The same ends on an integer grid are
+    # ordered exactly in test_nearly_parallel_ends_are_ordered_exactly.
+    ({"a": (0, 0), "b": (1, 0), "c": (1000, 5e-5)}, [("a", "b"), ("a", "c")], [],
+     r"point c has a non-integer coordinate: \(1000, 5e-05\)"),
     # a-b has length 0, beside a leftward edge at a.
     ({"a": (0, 0), "b": (0, 0), "c": (-1, 0)}, [("a", "b"), ("a", "c")], [],
      r"edge \('a', 'b'\) has length 0"),
@@ -74,8 +80,15 @@ def test_shared_endpoint_edges_may_not_cross():
      [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p1"),
       ("c", "p1"), ("c", "p3"), ("c2", "p2"), ("c2", "p4")], [],
      "sketch does not assemble into a plane embedding"),
-], ids=["touching-segments", "edge-in-two-crossings", "zero-length-edge", "float-coordinate",
-        "non-plane-assembly"])
+    # a-b and c-d are nearly parallel and cross next to c, a crossing once
+    # refused because its ends did not alternate round the rounded crossing
+    # point; its float coordinates now refuse it at the first point, a.
+    ({"a": (-54.620795231417304, 146.778370643239), "b": (71.32959641047378, 136.93886763830375),
+      "c": (-8.255290932980976, 143.15620232027788), "d": (-6.209271268701506, 142.99636647351664)},
+     [("a", "b"), ("c", "d")], [(("a", "b"), ("c", "d"))],
+     r"point a has a non-integer coordinate: \(-54\.620795231417304, 146\.778370643239\)"),
+], ids=["touching-segments", "edge-in-two-crossings", "near-parallel-ends", "zero-length-edge",
+        "float-coordinate", "non-plane-assembly", "non-alternating-crossing"])
 def test_sketch_geometry_rejected(pts, edges, crossings, message):
     with pytest.raises(SketchError, match=f"^{message}$"):
         compile_sketch(pts, edges, crossings)
