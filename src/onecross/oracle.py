@@ -478,7 +478,12 @@ class _Search:
 
     A node is a list of chosen pair indices, in the order chosen (orbit
     order, not index order), the pair indices still allowed below it
-    (increasing), and its group: a twin partition ``cls``, a class number
+    (increasing), and its group.  A child is entered with its parent's
+    allowed pairs and their orbit numbers, the number of the orbit it
+    chose from and the pairs that clash with its pair: ``viable`` makes
+    the child's allowed pairs from them and applies the rim and face
+    bounds in one pass, so no child list is built that the bounds would
+    then empty.  The group is a twin partition ``cls``, a class number
     per vertex, in sorted vertex order, whose permutations inside the
     classes fix every chosen endpoint, and ``swaps``, permutations of the
     chosen endpoints that map every chosen pair onto itself
@@ -494,7 +499,8 @@ class _Search:
     ``fresh[k] == (rim_count[k] == 0 and not uncrossed[k])``, so that a
     rim of a new pair adds to R exactly where it is fresh.  ``branch``
     updates all three for the pair it chooses and restores them when it
-    returns.  The pair tables (``make_pairs``) are made only when some size
+    returns, in straight-line code: a pair has two edges and four rims.
+    The pair tables (``make_pairs``) are made only when some size
     is searched, so a "no" by the counting bound enumerates no pair.
     ``pair_facts`` holds, for each pair, what choosing it needs whatever
     the node: the set of pairs sharing an edge with it, which its children
@@ -594,11 +600,20 @@ class _Search:
         self.stats.planarity_s += time.perf_counter() - t
         return planar
 
-    def viable(self, chosen: list[int], allowed: Sequence[int], left: int,
-               rims: int, corners: int) -> Sequence[int]:
-        """The pairs of ``allowed`` that some planar leaf choosing ``left``
-        more pairs below the node ``chosen`` may contain, by the rim bound
+    def viable(self, chosen: list[int], allowed: Sequence[int], labels: Sequence[int], j: int,
+               clash: Collection[int], left: int, rims: int, corners: int) -> list[int]:
+        """The candidates of the node ``chosen`` that some planar leaf
+        choosing ``left`` more pairs below it may contain, by the rim bound
         and the face bound.
+
+        The node was entered by choosing the representative of orbit ``j``
+        at its parent, whose allowed pairs are ``allowed`` with orbit
+        numbers ``labels``; ``clash`` holds the pairs sharing an edge with
+        the pair chosen.  Its candidates are the parent's allowed pairs
+        numbered ``j`` or above and not in ``clash`` (``expand``); one loop
+        makes them and applies both bounds, and only candidates count as
+        cuts.  The root passes its pairs with labels 0, ``j`` = 0 and no
+        clash.
 
         ``rims`` is the node's R: the number of distinct rims (a-c, c-b,
         b-d and d-a of a chosen pair (ab, cd)) that are not uncrossed
@@ -662,23 +677,40 @@ class _Search:
         slack = self.rim_room + len(chosen) + left - rims
         room = corners + 2 * left - self.corner_floor  # a pair may take T down by this
         self.stats.nodes += 1
-        faces = room < corners + 2  # whether the face bound can drop a pair here
-        if slack >= 6 and not faces:
-            return allowed
+        if room >= corners + 2:  # the face bound drops no pair here
+            if slack >= 6:  # nor does the rim bound
+                return [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
+            count, fresh = self.rim_count, self.fresh
+            keys = self.pair_keys
+            kept = []
+            rim_cuts = 0
+            for p, k in zip(allowed, labels):
+                if k >= j and p not in clash:
+                    e, f, k1, k2, k3, k4 = keys[p]
+                    if ((count[e] > 0) + (count[f] > 0)
+                            + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
+                        rim_cuts += 1
+                    else:
+                        kept.append(p)
+            self.stats.rim_cuts += rim_cuts
+            return kept
         count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
-        kept = []
         keys = self.pair_keys
-        rim_cuts = 0
-        for p in allowed:
-            e, f, k1, k2, k3, k4 = keys[p]
-            if ((count[e] > 0) + (count[f] > 0)
-                    + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
-                rim_cuts += 1
-            elif (not faces or count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
-                  - uncrossed[k3] - uncrossed[k4] <= room):
-                kept.append(p)
+        kept = []
+        rim_cuts = corner_cuts = 0
+        for p, k in zip(allowed, labels):
+            if k >= j and p not in clash:
+                e, f, k1, k2, k3, k4 = keys[p]
+                if ((count[e] > 0) + (count[f] > 0)
+                        + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
+                    rim_cuts += 1
+                elif (count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
+                      - uncrossed[k3] - uncrossed[k4] <= room):
+                    kept.append(p)
+                else:
+                    corner_cuts += 1
         self.stats.rim_cuts += rim_cuts
-        self.stats.corner_cuts += len(allowed) - len(kept) - rim_cuts
+        self.stats.corner_cuts += corner_cuts
         return kept
 
     def orbits(self, allowed: Sequence[int], cls: list[int],
@@ -720,7 +752,9 @@ class _Search:
         A key is one integer.  With m = 2n, above every class name, an
         edge whose endpoint classes are x <= y is x * m + y, below m², and
         a pair whose edges are g <= h is g * m² + h; the union-find and
-        the row sort decode it by ``divmod``.  When every class of ``cls``
+        the row sort decode it by ``divmod``.  Each edge is keyed once per
+        call, and a pair's key is made from its two edges' keys
+        (``pair_edges``).  When every class of ``cls``
         has one vertex and there are no swaps, the node's group is trivial:
         by the twin orbits above, equal keys then need equal endpoints, so
         each allowed pair is an orbit of its own.  Every row then has size
@@ -732,14 +766,16 @@ class _Search:
             return list(range(len(allowed))), list(allowed)
         m = 2 * len(cls)  # class names run below 2n (see ``stabilizer``)
         mm = m * m
+        edge_keys = []
+        for a, b in self.edge_ends:
+            a, b = cls[a], cls[b]
+            edge_keys.append(a * m + b if a <= b else b * m + a)
         members: dict[int, list[int]] = {}
         keys: list[int] = []
-        ends = self.pair_ends
+        pair_edges = self.pair_edges
         for p in allowed:
-            a, b, c, d = ends[p]
-            a, b, c, d = cls[a], cls[b], cls[c], cls[d]
-            e = a * m + b if a <= b else b * m + a
-            f = c * m + d if c <= d else d * m + c
+            g, h = pair_edges[p]
+            e, f = edge_keys[g], edge_keys[h]
             key = e * mm + f if e <= f else f * mm + e
             members.setdefault(key, []).append(p)
             keys.append(key)
@@ -783,14 +819,15 @@ class _Search:
         number = {row[3]: j for j, row in enumerate(rows)}
         return [number[k] for k in keys], [row[2] for row in rows]
 
-    def expand(self, chosen: list[int], allowed: Sequence[int], cls: list[int],
-               swaps: Sequence[dict[int, int]], left: int, rims: int,
-               corners: int) -> list[Crossing] | None:
+    def expand(self, chosen: list[int], allowed: Sequence[int], labels: Sequence[int], j: int,
+               clash: Collection[int], cls: list[int], swaps: Sequence[dict[int, int]],
+               left: int, rims: int, corners: int) -> list[Crossing] | None:
         """Choose ``left`` more pairs below the node ``chosen``, which has
         ``rims`` rims and ``corners`` corners (see ``viable``) and was
-        entered by choosing its last pair at a node
-        whose group is given by ``cls`` and ``swaps``: the pairs of a
-        planar leaf, or None.
+        entered by choosing the representative of orbit ``j``, whose pair
+        shares an edge with the pairs ``clash``, at a node whose allowed
+        pairs are ``allowed``, numbered ``labels``, and whose group is
+        given by ``cls`` and ``swaps``: the pairs of a planar leaf, or None.
 
         Lemma (orbit branching).  Let H, the node's group (``stabilizer``),
         map every chosen pair onto itself and leave ``allowed`` invariant,
@@ -800,7 +837,7 @@ class _Search:
         visits.  Let j be the orbit meeting S that comes first in that
         order, and h in H map S's pair in orbit j onto r_j.  h(S) contains
         r_j, its other pairs lie in orbits numbered >= j and share no edge
-        with r_j, so they are allowed in r_j's child (``branch``); the
+        with r_j, so they are candidates of r_j's child (``viable``); the
         child's group is a subgroup of H that maps r_j and every chosen pair
         onto itself and leaves that set invariant (``stabilizer``); and
         induction covers h(S) minus r_j.  h maps the chosen pairs onto
@@ -808,7 +845,7 @@ class _Search:
         planar gadget exactly when S has one.  The group is built only at
         nodes that the rim and face bounds leave enough pairs to branch on.
         """
-        allowed = self.viable(chosen, allowed, left, rims, corners)
+        allowed = self.viable(chosen, allowed, labels, j, clash, left, rims, corners)
         if len(allowed) < left:
             return None
         cls, swaps = self.stabilizer(cls, swaps, chosen[-1])
@@ -836,28 +873,35 @@ class _Search:
             facts = self.pair_facts[r] = (self.meets[e] | self.meets[f],
                                           self.edge_rim[e], self.edge_rim[f])
         clash, ke, kf = facts
-        below = [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
+        k1, k2, k3, k4 = self.pair_rims[r]
         count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
         # The two edges r crosses leave the uncrossed edges: a rim on
         # either starts to count in R and stops counting in T.  Then r's
-        # own rims, none of which is e or f, count in R where they are
-        # fresh, and in T where they are uncrossed edges.
-        for k in (ke, kf):
-            uncrossed[k] = 0
-            fresh[k] = not count[k]
-            rims += count[k] > 0
-            corners -= count[k]
-        for k in self.pair_rims[r]:
-            rims += fresh[k]
-            corners += uncrossed[k]
-            count[k] += 1
-            fresh[k] = 0
+        # own rims count in R where they are fresh, and in T where they
+        # are uncrossed edges.  The four rims are distinct and none is e
+        # or f (``viable``), so no update below reads another's write.
+        ce, cf = count[ke], count[kf]
+        uncrossed[ke] = uncrossed[kf] = 0
+        fresh[ke], fresh[kf] = not ce, not cf
+        rims += (ce > 0) + (cf > 0) + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4]
+        corners += uncrossed[k1] + uncrossed[k2] + uncrossed[k3] + uncrossed[k4] - ce - cf
+        count[k1] += 1
+        count[k2] += 1
+        count[k3] += 1
+        count[k4] += 1
+        fresh[k1] = fresh[k2] = fresh[k3] = fresh[k4] = 0
         try:
-            return self.expand(chosen, below, cls, swaps, left - 1, rims, corners)
+            return self.expand(chosen, allowed, labels, j, clash, cls, swaps, left - 1, rims,
+                               corners)
         finally:
-            for k in self.pair_rims[r]:
-                count[k] -= 1
-                fresh[k] = not (count[k] or uncrossed[k])
+            count[k1] -= 1
+            count[k2] -= 1
+            count[k3] -= 1
+            count[k4] -= 1
+            fresh[k1] = not (count[k1] or uncrossed[k1])
+            fresh[k2] = not (count[k2] or uncrossed[k2])
+            fresh[k3] = not (count[k3] or uncrossed[k3])
+            fresh[k4] = not (count[k4] or uncrossed[k4])
             uncrossed[ke] = uncrossed[kf] = 1
             fresh[ke] = fresh[kf] = 0
 
@@ -1020,7 +1064,8 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
             if size == 0:
                 found = search.leaf([])
             else:
-                allowed = search.viable([], range(len(search.pairs)), size, 0, 0)
+                allowed = search.viable([], range(len(search.pairs)), [0] * len(search.pairs),
+                                        0, (), size, 0, 0)
                 labels, reps = search.orbits(allowed, search.classes)
                 if root > len(reps):
                     # A finished size records len(reps); more would skip the

@@ -151,8 +151,30 @@ def test_the_classes_one_above_upper_cover_every_small_cell_below_complete():
     assert sorted({(len(g.black), len(g.white)) for g in ONE_ABOVE_UPPER.values()}) == cells
 
 
-@pytest.mark.parametrize("graph", ONE_ABOVE_UPPER.values(), ids=ONE_ABOVE_UPPER.keys())
-def test_the_oracle_draws_no_graph_one_edge_above_upper(graph):
+# What each of those searches does, per size from 0 to its crossing cap:
+# (nodes, leaves, rim cuts, corner cuts).  174,230 nodes in all, so a change
+# to how a node is searched is checked on real searches, not only on the
+# small ones of tests/oracle_counters.json.
+ONE_ABOVE_UPPER_SEARCHES = {
+    "K3,7": [(0, 0, 0, 0)] * 5 + [(54, 40, 145, 154), (614, 12, 2697, 310),
+                                  (1963, 0, 8678, 250), (4222, 0, 18300, 69)],
+    "K4,5 less one edge": [(0, 0, 0, 0)] * 5 + [(248, 4, 580, 274), (1759, 0, 7990, 402),
+                                                (5140, 0, 23253, 226)],
+    "K4,6 less one edge": [(0, 0, 0, 0)] * 7 + [(1142, 0, 4185, 1022),
+                                                (10599, 0, 62701, 2488)],
+    "K5,5 less two edges sharing a vertex": [(0, 0, 0, 0)] * 7 + [(2478, 0, 7054, 1616),
+                                                                  (22520, 0, 129312, 4459)],
+    "K5,5 less two disjoint edges": [(0, 0, 0, 0)] * 7 + [(11736, 0, 36630, 5412),
+                                                          (111755, 0, 665236, 18107)],
+}
+
+
+@pytest.mark.parametrize("graph,searched", zip(ONE_ABOVE_UPPER.values(),
+                                               ONE_ABOVE_UPPER_SEARCHES.values()),
+                         ids=ONE_ABOVE_UPPER.keys())
+def test_the_oracle_draws_no_graph_one_edge_above_upper(graph, searched):
     # A "yes" here would come with a certified witness against a proven bound.
     assert len(graph.edges) == upper_bound(len(graph.black), len(graph.white)) + 1
-    assert is_one_planar(graph, None).verdict == "no"
+    res = is_one_planar(graph, None)
+    assert res.verdict == "no"
+    assert [(s.nodes, s.leaves, s.rim_cuts, s.corner_cuts) for s in res.stats.sizes] == searched

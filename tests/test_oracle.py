@@ -158,7 +158,8 @@ def test_left_right_test_agrees_with_networkx_on_search_graphs(monkeypatch):
     # The triangle count, which the search applies first, rejects only
     # non-planar leaves, and some of them.
     monkeypatch.setattr(_Search, "viable",
-                        lambda self, chosen, allowed, left, rims, corners: allowed)
+                        lambda self, chosen, allowed, labels, j, clash, left, rims, corners:
+                        candidates(allowed, labels, j, clash))
     graphs = []
     monkeypatch.setattr(_Search, "leaf", lambda self, chosen: graphs.append(
         (self.n + len(chosen), self.gadget(chosen))))
@@ -920,9 +921,18 @@ DIFFERENTIAL = (
 )
 
 
+def candidates(allowed, labels, j, clash):
+    """The candidates of a node entered by choosing orbit ``j``'s
+    representative, which shares an edge with the pairs ``clash``, at a
+    parent whose allowed pairs are ``allowed``, numbered ``labels``: the
+    child list that ``_Search.branch`` built before ``viable`` made it."""
+    return [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
+
+
 class Node(NamedTuple):
-    """One node a search met: the arguments of its ``viable`` call, the
-    pairs it kept, and the pairs the rim and face bounds dropped."""
+    """One node a search met: the arguments of its ``viable`` call, with
+    its candidates as ``allowed``, the pairs it kept, and the pairs the rim
+    and face bounds dropped."""
 
     search: _Search
     chosen: tuple[int, ...]
@@ -941,10 +951,11 @@ def record_nodes(monkeypatch):
     nodes = []
     viable = _Search.viable
 
-    def recording(self, chosen, allowed, left, rims, corners):
+    def recording(self, chosen, allowed, labels, j, clash, left, rims, corners):
         cuts = self.stats.rim_cuts, self.stats.corner_cuts
-        kept = viable(self, chosen, allowed, left, rims, corners)
-        nodes.append(Node(self, tuple(chosen), list(allowed), left, rims, corners, list(kept),
+        kept = viable(self, chosen, allowed, labels, j, clash, left, rims, corners)
+        below = candidates(allowed, labels, j, clash)
+        nodes.append(Node(self, tuple(chosen), below, left, rims, corners, list(kept),
                           self.stats.rim_cuts - cuts[0], self.stats.corner_cuts - cuts[1]))
         return kept
 
@@ -961,11 +972,11 @@ def record_groups(monkeypatch):
     groups = {}
     expand, orbits = _Search.expand, _Search.orbits
 
-    def expanding(self, chosen, allowed, cls, swaps, left, rims, corners):
+    def expanding(self, chosen, allowed, labels, j, clash, cls, swaps, left, rims, corners):
         # The node's group, which expand builds only if the rim and face
         # bounds leave it pairs enough; expand's first call records the node.
         groups[len(nodes)] = [*self.stabilizer(cls, swaps, chosen[-1]), None]
-        return expand(self, chosen, allowed, cls, swaps, left, rims, corners)
+        return expand(self, chosen, allowed, labels, j, clash, cls, swaps, left, rims, corners)
 
     def numbering(self, allowed, cls, swaps=()):
         labels, reps = orbits(self, allowed, cls, swaps)
@@ -1232,10 +1243,10 @@ def test_face_filter_keeps_exactly_the_pairs_within_both_bounds(monkeypatch):
     nodes = record_nodes(monkeypatch)
     recording = _Search.viable
 
-    def checking(self, chosen, allowed, left, rims, corners):
+    def checking(self, chosen, allowed, labels, j, clash, left, rims, corners):
         assert self.fresh == bytearray(not (c or u) for c, u in
                                        zip(self.rim_count, self.uncrossed)), chosen
-        return recording(self, chosen, allowed, left, rims, corners)
+        return recording(self, chosen, allowed, labels, j, clash, left, rims, corners)
 
     monkeypatch.setattr(_Search, "viable", checking)
     for graph, budget in FILTER_CASES.values():
@@ -1256,6 +1267,59 @@ def test_face_filter_keeps_exactly_the_pairs_within_both_bounds(monkeypatch):
         assert node.corner_cuts == len(within) - len(want), chosen
         drops[left == 1] += node.corner_cuts
     assert drops[True] and drops[False]  # at the leaves' parents and above them
+
+
+def two_step_viable(search, chosen, allowed, labels, j, clash, left, rims, corners):
+    """Reference: ``_Search.viable`` as it was made in two steps, the child
+    list that ``branch`` built (``candidates``), then the filter pass over
+    it, as (kept pairs, rim cuts, corner cuts); the search is not changed."""
+    below = candidates(allowed, labels, j, clash)
+    slack = search.rim_room + len(chosen) + left - rims
+    room = corners + 2 * left - search.corner_floor
+    faces = room < corners + 2
+    if slack >= 6 and not faces:
+        return below, 0, 0
+    count, uncrossed, fresh = search.rim_count, search.uncrossed, search.fresh
+    kept = []
+    rim_cuts = 0
+    for p in below:
+        e, f, k1, k2, k3, k4 = search.pair_keys[p]
+        if ((count[e] > 0) + (count[f] > 0)
+                + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
+            rim_cuts += 1
+        elif (not faces or count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
+              - uncrossed[k3] - uncrossed[k4] <= room):
+            kept.append(p)
+    return kept, rim_cuts, len(below) - len(kept) - rim_cuts
+
+
+def test_one_pass_filter_equals_the_child_list_then_the_filter(monkeypatch):
+    # At every node of the outputs corpus's searches, as given and
+    # relabelled, ``viable``'s one pass over the parent's allowed pairs
+    # keeps the pairs, and counts the rim and corner cuts, that the child
+    # list and then the filter pass over it gave.  The nodes include some
+    # whose labels or clash set leave out allowed pairs, and some where
+    # each bound cuts.
+    viable = _Search.viable
+    kinds = Counter()
+
+    def comparing(self, chosen, allowed, labels, j, clash, left, rims, corners):
+        want = two_step_viable(self, chosen, allowed, labels, j, clash, left, rims, corners)
+        cuts = self.stats.rim_cuts, self.stats.corner_cuts
+        kept = viable(self, chosen, allowed, labels, j, clash, left, rims, corners)
+        assert (kept, self.stats.rim_cuts - cuts[0], self.stats.corner_cuts - cuts[1]) == want, \
+            chosen
+        kinds["labels"] += any(k < j for k in labels)
+        kinds["clash"] += any(p in clash for p in allowed)
+        kinds["rim cuts"] += want[1] > 0
+        kinds["corner cuts"] += want[2] > 0
+        kinds["uncut"] += want[1] == want[2] == 0
+        return kept
+
+    monkeypatch.setattr(_Search, "viable", comparing)
+    for _ in outputs_corpus_results():
+        pass
+    assert len(kinds) == 5 and all(kinds.values()), kinds
 
 
 def test_face_bound_holds_on_every_planar_assignment():
