@@ -677,13 +677,14 @@ class _Search:
         slack = self.rim_room + len(chosen) + left - rims
         room = corners + 2 * left - self.corner_floor  # a pair may take T down by this
         self.stats.nodes += 1
-        if room >= corners + 2:  # the face bound drops no pair here
-            if slack >= 6:  # nor does the rim bound
-                return [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
-            count, fresh = self.rim_count, self.fresh
-            keys = self.pair_keys
-            kept = []
-            rim_cuts = 0
+        faces = room < corners + 2  # whether the face bound can drop a pair here
+        if slack >= 6 and not faces:
+            return [p for p, k in zip(allowed, labels) if k >= j and p not in clash]
+        count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
+        keys = self.pair_keys
+        kept = []
+        rim_cuts = corner_cuts = 0
+        if not faces:
             for p, k in zip(allowed, labels):
                 if k >= j and p not in clash:
                     e, f, k1, k2, k3, k4 = keys[p]
@@ -692,23 +693,18 @@ class _Search:
                         rim_cuts += 1
                     else:
                         kept.append(p)
-            self.stats.rim_cuts += rim_cuts
-            return kept
-        count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
-        keys = self.pair_keys
-        kept = []
-        rim_cuts = corner_cuts = 0
-        for p, k in zip(allowed, labels):
-            if k >= j and p not in clash:
-                e, f, k1, k2, k3, k4 = keys[p]
-                if ((count[e] > 0) + (count[f] > 0)
-                        + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
-                    rim_cuts += 1
-                elif (count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
-                      - uncrossed[k3] - uncrossed[k4] <= room):
-                    kept.append(p)
-                else:
-                    corner_cuts += 1
+        else:
+            for p, k in zip(allowed, labels):
+                if k >= j and p not in clash:
+                    e, f, k1, k2, k3, k4 = keys[p]
+                    if ((count[e] > 0) + (count[f] > 0)
+                            + fresh[k1] + fresh[k2] + fresh[k3] + fresh[k4] > slack):
+                        rim_cuts += 1
+                    elif (count[e] + count[f] + 2 - uncrossed[k1] - uncrossed[k2]
+                          - uncrossed[k3] - uncrossed[k4] <= room):
+                        kept.append(p)
+                    else:
+                        corner_cuts += 1
         self.stats.rim_cuts += rim_cuts
         self.stats.corner_cuts += corner_cuts
         return kept
