@@ -10,9 +10,9 @@ leaves it tested, the nodes at sizes where it tested no leaf ("leafless"),
 the allowed pairs that the rim bound dropped ("rim cuts") and that the
 face bound dropped within the rim bound ("corner cuts"), so that the table
 says which rule did the work, and its wall seconds.  All sixteen searches
-took 4.7 to 6.7 s in all, in four runs on a shared 2-CPU host (Python
-3.11); alternated with them, four runs of the search that built each
-child's pair list before filtering it took 6.6 to 7.6 s, with the same
+took 5.3 to 6.7 s in all, in three runs on a shared 2-CPU host (Python
+3.11); alternated with them, three runs of the search that built each
+child's pair list before filtering it took 6.7 to 9.2 s, with the same
 counts in every column.
 The script is opt-in: neither the tests nor the benchmark run it.  Four
 searches (K3,8 at 8 and 11, K5,5 at 10, K3,9 at 11) answer "no" by
