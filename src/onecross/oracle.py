@@ -19,9 +19,9 @@ colouring, and from them each rule's constant.
 - count: sizes below the fewest crossings a drawing can have are skipped,
   and a bound above the budget answers ``no`` (``_counting_bound``);
 - twins: each node branches on one pair per orbit of its twin group
-  (``_twin_classes``, ``_Search.orbits``, ``_Search.expand``);
+  (``_twin_classes``, ``_Search.orbits``, ``_Search.branch``);
 - small-orbits-first: a node's orbits are branched on smallest first, an
-  order orbit branching allows (``_Search.expand``);
+  order orbit branching allows (``_Search.branch``);
 - rims: each node drops the pairs that would take its leaves over the
   3N - 6 edge bound (``_Search.viable``);
 - pair-swaps: a child's group keeps the swaps that map its chosen pair
@@ -36,7 +36,7 @@ integers: a vertex is named by its position in sorted order and the hub
 of the i-th chosen pair by n + i.  The search hands a leaf's graph
 (``_Search.gadget``), as it is, to the triangle count and then, unless
 that rejects it, to ``planarity.lr_planar``, which builds no embedding
-(``_Search.planar``); it returns the labelled pairs of the leaf it
+(``_Search.leaf``); it returns the labelled pairs of the leaf it
 accepts.  ``_witness`` is the one route from pairs to a
 drawing: ``gadget_planarize`` (which checks the pairs and names
 ``_gadget``'s graph by labels), ``planarity_test`` (the 3N - 6 edge bound
@@ -502,13 +502,12 @@ class _Search:
     returns, in straight-line code: a pair has two edges and four rims.
     The pair tables (``make_pairs``) are made only when some size
     is searched, so a "no" by the counting bound enumerates no pair.
-    ``pair_facts`` holds, for each pair, what choosing it needs whatever
-    the node: the set of pairs sharing an edge with it, which its children
-    may not choose, and the numbers u * n + v of its two edges.  ``branch``
-    makes a pair's facts the first time it chooses the pair and reuses them
-    at every later node.  Many pairs are never chosen above a search's last
-    level (K6 at budget 3 chooses 2 of its 45, K3,7 at budget 6 63 of 126),
-    and a table made with the other pair tables would pay for them too.
+    ``pair_facts`` holds each pair's clash set: the pairs sharing an edge
+    with it, which its children may not choose.  ``branch`` makes a pair's
+    clash set the first time it chooses the pair above the last level and
+    reuses it at every later node.  Many pairs are never chosen there
+    (K6 at budget 3 chooses 2 of its 45, K3,7 at budget 6 63 of 126), and
+    a table made with the other pair tables would pay for them too.
     """
 
     def __init__(self, graph: Graph | BipartiteGraph, deadline: float | None):
@@ -552,10 +551,8 @@ class _Search:
         self.pairs: list[tuple[Edge, Edge]] = []  # (e, f), e before f, with no common end
         self.pair_edges: list[tuple[int, int]] = []  # the indices of each pair's edges
         self.pair_ends: list[tuple[int, int, int, int]] = []  # a, b, c, d of each (ab, cd)
-        # The rims a-c, c-b, b-d and d-a of each pair (ab, cd), each as the
-        # number u * n + v of its ends u < v.
-        self.pair_rims: list[tuple[int, ...]] = []
-        # What choosing each pair can add to R: its two edges, then its rims.
+        # What choosing each pair (ab, cd) can add to R: its two edges, then
+        # its rims a-c, c-b, b-d and d-a, each as the number u * n + v, u < v.
         self.pair_keys: list[tuple[int, ...]] = []
         self.meets: list[set[int]] = [set() for _ in edges]  # the pairs containing each edge
         # Edges are sorted, so in a pair (ab, cd) of ends with no common
@@ -565,17 +562,16 @@ class _Search:
                 c, d = ends[j]
                 if c == b or d == b or c == a:
                     continue
-                rims = (a * n + c, c * n + b if c < b else b * n + c,
-                        b * n + d if b < d else d * n + b, a * n + d)
                 self.meets[i].add(len(self.pairs))
                 self.meets[j].add(len(self.pairs))
                 self.pairs.append((edges[i], edges[j]))
                 self.pair_edges.append((i, j))
                 self.pair_ends.append((a, b, c, d))
-                self.pair_rims.append(rims)
-                self.pair_keys.append((edge_rim[i], edge_rim[j], *rims))
-        # Each pair's branching facts, made on its first branch (see the class).
-        self.pair_facts: list[tuple[set[int], int, int] | None] = [None] * len(self.pairs)
+                self.pair_keys.append((edge_rim[i], edge_rim[j], a * n + c,
+                                       c * n + b if c < b else b * n + c,
+                                       b * n + d if b < d else d * n + b, a * n + d))
+        # Each pair's clash set, made on its first branch (see the class).
+        self.pair_facts: list[set[int] | None] = [None] * len(self.pairs)
 
     def gadget(self, chosen: list[int]) -> KeysView[tuple[int, int]]:
         """``_gadget`` of the graph's edges that no pair of ``chosen`` crosses
@@ -583,22 +579,6 @@ class _Search:
         crossed = {i for p in chosen for i in self.pair_edges[p]}
         return _gadget(self.n, [e for i, e in enumerate(self.edge_ends) if i not in crossed],
                        [self.pair_ends[p] for p in chosen])
-
-    def planar(self, simple: Collection[tuple[int, int]], hubs: int) -> bool:
-        """The verdict on a gadget graph from ``gadget`` with ``hubs`` hubs,
-        on vertices ``range(n + hubs)``; no embedding is built.  The graph
-        is within the 3N - 6 edge bound: ``viable`` kept no leaf above it,
-        and size 0 is searched only when the counting bound is 0.  At
-        3N - 6 edges a planar graph is a triangulation, so the triangle
-        count (``_short_of_triangles``, on the N' = ``touched`` + ``hubs``
-        non-isolated vertices: every hub has spokes, and every touched
-        vertex keeps an uncrossed edge or a spoke) rejects most such
-        leaves; the left-right test decides the rest."""
-        t = time.perf_counter()
-        planar = (not _short_of_triangles(self.n + hubs, simple, self.touched + hubs)
-                  and lr_planar(self.n + hubs, simple))
-        self.stats.planarity_s += time.perf_counter() - t
-        return planar
 
     def viable(self, chosen: list[int], allowed: Sequence[int], labels: Sequence[int], j: int,
                clash: Collection[int], left: int, rims: int, corners: int) -> list[int]:
@@ -610,7 +590,7 @@ class _Search:
         at its parent, whose allowed pairs are ``allowed`` with orbit
         numbers ``labels``; ``clash`` holds the pairs sharing an edge with
         the pair chosen.  Its candidates are the parent's allowed pairs
-        numbered ``j`` or above and not in ``clash`` (``expand``); one loop
+        numbered ``j`` or above and not in ``clash`` (``branch``); one loop
         makes them and applies both bounds, and only candidates count as
         cuts.  The root passes its pairs with labels 0, ``j`` = 0 and no
         clash.
@@ -815,15 +795,13 @@ class _Search:
         number = {row[3]: j for j, row in enumerate(rows)}
         return [number[k] for k in keys], [row[2] for row in rows]
 
-    def expand(self, chosen: list[int], allowed: Sequence[int], labels: Sequence[int], j: int,
-               clash: Collection[int], cls: list[int], swaps: Sequence[dict[int, int]],
-               left: int, rims: int, corners: int) -> list[Crossing] | None:
-        """Choose ``left`` more pairs below the node ``chosen``, which has
-        ``rims`` rims and ``corners`` corners (see ``viable``) and was
-        entered by choosing the representative of orbit ``j``, whose pair
-        shares an edge with the pairs ``clash``, at a node whose allowed
-        pairs are ``allowed``, numbered ``labels``, and whose group is
-        given by ``cls`` and ``swaps``: the pairs of a planar leaf, or None.
+    def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
+               cls: list[int], swaps: Sequence[dict[int, int]], j: int, r: int, left: int,
+               rims: int, corners: int) -> list[Crossing] | None:
+        """Choose ``r``, the representative of orbit ``j`` at the node
+        ``chosen`` (allowed pairs ``allowed``, numbered ``labels``; group
+        ``cls`` and ``swaps``; R ``rims`` and T ``corners``, see ``viable``),
+        then ``left`` - 1 more pairs below it: a planar leaf's pairs, or None.
 
         Lemma (orbit branching).  Let H, the node's group (``stabilizer``),
         map every chosen pair onto itself and leave ``allowed`` invariant,
@@ -841,35 +819,16 @@ class _Search:
         planar gadget exactly when S has one.  The group is built only at
         nodes that the rim and face bounds leave enough pairs to branch on.
         """
-        allowed = self.viable(chosen, allowed, labels, j, clash, left, rims, corners)
-        if len(allowed) < left:
-            return None
-        cls, swaps = self.stabilizer(cls, swaps, chosen[-1])
-        labels, reps = self.orbits(allowed, cls, swaps)
-        for j, r in enumerate(reps):
-            found = self.branch(chosen, allowed, labels, cls, swaps, j, r, left, rims, corners)
-            if found is not None:
-                return found
-        return None
-
-    def branch(self, chosen: list[int], allowed: Sequence[int], labels: list[int],
-               cls: list[int], swaps: Sequence[dict[int, int]], j: int, r: int, left: int,
-               rims: int, corners: int) -> list[Crossing] | None:
-        """Choose ``r``, the representative of orbit ``j``, below a node
-        whose group is given by ``cls`` and ``swaps`` and whose chosen pairs
-        have ``rims`` rims and ``corners`` corners; search below it."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfTime
         chosen = chosen + [r]
         if left == 1:
             return self.leaf(chosen)
-        facts = self.pair_facts[r]
-        if facts is None:
+        clash = self.pair_facts[r]
+        if clash is None:
             e, f = self.pair_edges[r]
-            facts = self.pair_facts[r] = (self.meets[e] | self.meets[f],
-                                          self.edge_rim[e], self.edge_rim[f])
-        clash, ke, kf = facts
-        k1, k2, k3, k4 = self.pair_rims[r]
+            clash = self.pair_facts[r] = self.meets[e] | self.meets[f]
+        ke, kf, k1, k2, k3, k4 = self.pair_keys[r]
         count, uncrossed, fresh = self.rim_count, self.uncrossed, self.fresh
         # The two edges r crosses leave the uncrossed edges: a rim on
         # either starts to count in R and stops counting in T.  Then r's
@@ -886,9 +845,18 @@ class _Search:
         count[k3] += 1
         count[k4] += 1
         fresh[k1] = fresh[k2] = fresh[k3] = fresh[k4] = 0
+        left -= 1
         try:
-            return self.expand(chosen, allowed, labels, j, clash, cls, swaps, left - 1, rims,
-                               corners)
+            allowed = self.viable(chosen, allowed, labels, j, clash, left, rims, corners)
+            if len(allowed) < left:
+                return None
+            cls, swaps = self.stabilizer(cls, swaps, r)
+            labels, reps = self.orbits(allowed, cls, swaps)
+            for j, r in enumerate(reps):
+                found = self.branch(chosen, allowed, labels, cls, swaps, j, r, left, rims, corners)
+                if found is not None:
+                    return found
+            return None
         finally:
             count[k1] -= 1
             count[k2] -= 1
@@ -916,7 +884,7 @@ class _Search:
         one of its class in ``cls`` (these generate every class-preserving
         permutation of a, b, c and d that maps r onto itself), and each
         swap of the node that maps r onto itself.  K is a child's group as
-        ``expand`` needs it:
+        ``branch`` needs it:
         - K lies in H: a class-preserving permutation is in the group of
           ``cls``, and the carried swaps are H's;
         - K maps r and every earlier chosen pair onto itself: a new swap
@@ -958,8 +926,20 @@ class _Search:
 
     def leaf(self, chosen: list[int]) -> list[Crossing] | None:
         """The labelled pairs of the assignment ``chosen`` if its gadget
-        graph is planar; None otherwise."""
-        planar = self.planar(self.gadget(chosen), len(chosen))
+        graph (``gadget``, with ``hubs`` = ``len(chosen)``, on vertices
+        ``range(n + hubs)``) is planar; None otherwise.  No embedding is
+        built.  The graph is within the 3N - 6 edge bound: ``viable`` kept
+        no leaf above it, and size 0 is searched only when the counting
+        bound is 0.  At 3N - 6 edges a planar graph is a triangulation, so
+        the triangle count (``_short_of_triangles``, on the N' =
+        ``touched`` + ``hubs`` non-isolated vertices: every hub has spokes,
+        and every touched vertex keeps an uncrossed edge or a spoke) rejects
+        most such leaves; the left-right test decides the rest."""
+        simple, hubs = self.gadget(chosen), len(chosen)
+        t = time.perf_counter()
+        planar = (not _short_of_triangles(self.n + hubs, simple, self.touched + hubs)
+                  and lr_planar(self.n + hubs, simple))
+        self.stats.planarity_s += time.perf_counter() - t
         self.stats.leaves += 1
         return [self.pairs[p] for p in chosen] if planar else None
 
@@ -991,31 +971,31 @@ def is_one_planar(graph: Graph | BipartiteGraph, max_crossings: int | None = Non
                   checkpoint: str | Path | None = None) -> OneplanarResult:
     """Decide drawability with at most ``max_crossings`` crossings, or with
     any number when it is None; a budget that is not a nonnegative integer
-    raises :class:`OracleError`.
+    (a bool is not one) raises :class:`OracleError`.
 
     Searches assignment sizes in increasing order, so a ``yes`` uses the
     fewest crossings possible; sizes below the counting bound are skipped,
-    and none above the crossing cap is searched.
-    Within a size, the first level branches on the orbit representatives,
-    under the twin group, of the candidate pairs that the rim and face
-    bounds keep,
-    in the order of ``_Search.orbits``.
+    and none above the crossing cap is searched.  Within a size, the first
+    level branches on the orbit representatives, under the twin group, of
+    the candidate pairs that the rim and face bounds keep, in the order of
+    ``_Search.orbits``.
     ``yes`` returns a certified drawing; ``no`` is exhaustive within the
     budget, and without a budget means that no drawing exists; ``unknown``
     is only returned when ``timeout`` seconds pass before the search enters
-    a node (a negative or NaN ``timeout`` raises :class:`OracleError`), with
-    progress saved to ``checkpoint`` (a JSON file recording the size and the
-    first orbit of the first level not yet fully explored) when given; a
-    checkpoint the search could not have written raises
+    a node, with progress saved to ``checkpoint`` (a JSON file recording
+    the size and the first orbit of the first level not yet fully explored)
+    when given.  A ``timeout`` that is negative, NaN, a bool or no number,
+    and a checkpoint the search could not have written, raise
     :class:`OracleError`.  ``stats`` counts the work at each size.
     """
     if max_crossings is not None:
-        if not isinstance(max_crossings, int):
+        if type(max_crossings) is not int:  # a bool is refused, as in a checkpoint
             raise OracleError(f"budget must be an integer or None, got {max_crossings!r}")
         if max_crossings < 0:
             raise OracleError("budget must be nonnegative")
-    if timeout is not None and not timeout >= 0:
-        raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout}")
+    if timeout is not None and (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+                                or not timeout >= 0):
+        raise OracleError(f"timeout must be a nonnegative number of seconds, got {timeout!r}")
     search = _Search(graph, None if timeout is None else time.monotonic() + timeout)
     stats = SearchStats(search.lower_bound, search.cap)
     top = stats.cap if max_crossings is None else min(max_crossings, stats.cap)

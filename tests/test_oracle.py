@@ -597,8 +597,8 @@ def test_min_crossings_timeout_bounds_whole_search():
         min_crossings(slow_instance(), SLOW_BUDGET, timeout=0.2)
 
 
-@pytest.mark.parametrize("timeout", [-1, -0.5, float("nan")])
-def test_negative_or_nan_timeout_is_rejected(timeout):
+@pytest.mark.parametrize("timeout", [-1, -0.5, float("nan"), "1", True])
+def test_invalid_timeout_is_rejected(timeout):
     with pytest.raises(OracleError, match="timeout"):
         min_crossings(complete_bipartite(3, 3), 1, timeout=timeout)
 
@@ -610,6 +610,8 @@ def test_negative_budget_is_rejected():
         is_one_planar(complete_bipartite(3, 3), 2.5)
     with pytest.raises(OracleError, match="budget must be an integer or None, got '2'"):
         min_crossings(complete_bipartite(3, 3), "2")
+    with pytest.raises(OracleError, match="budget must be an integer or None, got True"):
+        is_one_planar(complete_bipartite(3, 4), True)
 
 
 def test_zero_timeout_is_accepted():
@@ -970,23 +972,25 @@ def record_groups(monkeypatch):
     the node numbered no orbits."""
     nodes = record_nodes(monkeypatch)
     groups = {}
-    expand, orbits = _Search.expand, _Search.orbits
+    branch, orbits = _Search.branch, _Search.orbits
 
-    def expanding(self, chosen, allowed, labels, j, clash, cls, swaps, left, rims, corners):
-        # The node's group, which expand builds only if the rim and face
-        # bounds leave it pairs enough; expand's first call records the node.
-        groups[len(nodes)] = [*self.stabilizer(cls, swaps, chosen[-1]), None]
-        return expand(self, chosen, allowed, labels, j, clash, cls, swaps, left, rims, corners)
+    def branching(self, chosen, allowed, labels, cls, swaps, j, r, left, rims, corners):
+        # The group of the child that chooses r, which branch builds only if
+        # the rim and face bounds leave it pairs enough; the child's viable
+        # call, next, records the child.
+        if left > 1:
+            groups[len(nodes)] = [*self.stabilizer(cls, swaps, r), None]
+        return branch(self, chosen, allowed, labels, cls, swaps, j, r, left, rims, corners)
 
     def numbering(self, allowed, cls, swaps=()):
         labels, reps = orbits(self, allowed, cls, swaps)
-        # Called right after the node's viable; the root has no expand.
+        # Called right after the node's viable; the root is entered by no branch.
         group = groups.setdefault(len(nodes) - 1, [cls, swaps, None])
         assert (group[0], list(group[1])) == (cls, list(swaps))
         group[2] = labels
         return labels, reps
 
-    monkeypatch.setattr(_Search, "expand", expanding)
+    monkeypatch.setattr(_Search, "branch", branching)
     monkeypatch.setattr(_Search, "orbits", numbering)
     return nodes, groups
 
@@ -1416,7 +1420,6 @@ def test_search_tables_equal_their_definitions():
             assert search.pairs == pairs
             assert search.pair_edges == pair_edges
             assert search.pair_ends == pair_ends
-            assert search.pair_rims == pair_rims
             assert search.edge_rim == edge_rim
             assert search.pair_keys == [(edge_rim[e], edge_rim[f], *rims)
                                         for (e, f), rims in zip(pair_edges, pair_rims)]
@@ -1429,21 +1432,21 @@ def test_integer_gadget_graphs_equal_the_labelled_ones(monkeypatch):
     # by its position and the false node of the i-th chosen pair by n + i,
     # and the search's verdict is planarity_test's.
     tested = []
-    gadget, planar = _Search.gadget, _Search.planar
+    gadget, leaf = _Search.gadget, _Search.leaf
 
     def building(self, chosen):
         simple = gadget(self, chosen)
         tested.append([self, list(chosen), simple])
         return simple
 
-    def deciding(self, simple, hubs):
-        verdict = planar(self, simple, hubs)
-        assert simple is tested[-1][2] and hubs == len(tested[-1][1])
-        tested[-1].append(verdict)
-        return verdict
+    def deciding(self, chosen):
+        found = leaf(self, chosen)
+        assert tested[-1][1] == chosen  # the leaf tested the graph it built
+        tested[-1].append(found is not None)
+        return found
 
     monkeypatch.setattr(_Search, "gadget", building)
-    monkeypatch.setattr(_Search, "planar", deciding)
+    monkeypatch.setattr(_Search, "leaf", deciding)
     assert is_one_planar(complete_bipartite(3, 7), 6).verdict == "no"
     assert min_crossings(spread(complete_bipartite(4, 4)), 4) == 4
     for _, graph, budget in DIFFERENTIAL:
@@ -1519,8 +1522,8 @@ def test_edge_bound_agrees_with_networkx_on_gadget_graphs():
                          ids=["K3,4", "K6", "K3,5", "K3,7"])
 def test_search_stats_account_for_every_planarity_call(graph, budget, monkeypatch):
     calls = []
-    planar = _Search.planar
-    monkeypatch.setattr(_Search, "planar", lambda *a: calls.append(1) or planar(*a))
+    leaf = _Search.leaf
+    monkeypatch.setattr(_Search, "leaf", lambda *a: calls.append(1) or leaf(*a))
     nodes = record_nodes(monkeypatch)
     embeds = []
     embed = onecross.oracle.lr_embedding

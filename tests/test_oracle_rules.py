@@ -17,8 +17,8 @@ ORACLE = SRC / "onecross" / "oracle.py"
 LEMMAS = {
     "count": [("_counting_bound", "counting bound")],
     "twins": [("_twin_classes", "twins"), ("_Search.orbits", "twin orbits"),
-              ("_Search.expand", "orbit branching")],
-    "small-orbits-first": [("_Search.expand", "orbit branching")],
+              ("_Search.branch", "orbit branching")],
+    "small-orbits-first": [("_Search.branch", "orbit branching")],
     "rims": [("_Search.viable", "rim bound")],
     "pair-swaps": [("_Search.stabilizer", "pair swaps"), ("_Search.orbits", "swap orbits")],
     "crossing-cap": [("_crossing_cap", "crossing cap")],
