@@ -13,6 +13,11 @@ face) certifies that the rotation system describes a plane embedding.  No
 component exceeds 2, so one global count, V - E + F = 2C over all C
 components, decides it (see :func:`euler_check`).
 
+Dart ids are small non-negative integers, and the per-dart data (opposite,
+owning edge, owning vertex) are dense tables: tuples indexed by dart id,
+with -1 at every id that no dart holds (a *hole*, left by a deleted or
+smoothed edge).  Every per-dart pass indexes a table instead of hashing.
+
 Maps are immutable values; every derived map, surgery included, is edited
 through one :class:`MapEditor` session and checked once.  Maps may contain
 parallel edges but never loops.  The constructor's structure check finds
@@ -23,6 +28,7 @@ components) are built on first use, once per map.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 
@@ -43,24 +49,34 @@ class EulerReport(NamedTuple):
 class PlaneMap:
     """An embedded multigraph given by vertex rotations and a dart pairing.
 
-    ``rotations`` maps each vertex id to the cyclic tuple of its darts,
-    ``opposite`` pairs the two darts of each edge, and ``dart_edge`` names the
-    edge owning each dart.  The constructor raises :class:`MapError` unless
-    they form a loopless map, and keeps each dart's owner in ``dart_vertex``.
+    ``rotations`` maps each vertex id to the cyclic tuple of its darts.
+    ``opposite`` and ``dart_edge`` are tables indexed by dart id, of one
+    length: the dart paired with each dart, and the edge owning it, with -1
+    at the holes, the ids that no rotation holds.  The constructor takes any
+    sequences, keeps them as tuples and raises :class:`MapError` unless they
+    form a loopless map; it keeps each dart's owner, -1 at a hole, in the
+    table ``dart_vertex``.  Holes stay where they are: :meth:`MapEditor.finish`
+    trims none, even at the top of the id range, so ``MapEditor(m).finish()
+    == m``, and two maps that differ only in trailing holes are not equal.
 
     A plain class rather than a tuple, because the cached views below live
-    in the instance ``__dict__``.  Its fields cannot be reassigned, two maps
-    are equal when their fields are, and a map is unhashable.
+    in the instance ``__dict__``.  Its fields cannot be reassigned, nor its
+    tables changed in place, two maps are equal when their fields are, and
+    a map is unhashable.
     """
 
     _fields = ("rotations", "opposite", "dart_edge")
     rotations: dict[int, tuple[int, ...]]
-    opposite: dict[int, int]
-    dart_edge: dict[int, int]
-    dart_vertex: dict[int, int]
+    opposite: tuple[int, ...]
+    dart_edge: tuple[int, ...]
+    dart_vertex: tuple[int, ...]
 
-    def __init__(self, rotations: Mapping[int, Sequence[int]], opposite: dict[int, int],
-                 dart_edge: dict[int, int]) -> None:
+    def __init__(self, rotations: Mapping[int, Sequence[int]], opposite: Sequence[int],
+                 dart_edge: Sequence[int]) -> None:
+        opposite, dart_edge = tuple(opposite), tuple(dart_edge)
+        if len(dart_edge) != len(opposite):
+            raise MapError(f"dart tables of unequal length: {len(opposite)} opposite "
+                           f"and {len(dart_edge)} dart_edge entries")
         owner = _check_structure(rotations, opposite)
         vars(self).update(rotations={v: tuple(rot) for v, rot in rotations.items()},
                           opposite=opposite, dart_edge=dart_edge, dart_vertex=owner)
@@ -87,12 +103,10 @@ class PlaneMap:
 
     @cached_property
     def edge_darts(self) -> dict[int, tuple[int, int]]:
-        pairs: dict[int, tuple[int, int]] = {}
-        for d, e in self.dart_edge.items():
-            o = self.opposite[d]
-            if d < o:
-                pairs[e] = (d, o)
-        return pairs
+        """Each edge's two darts, the smaller first, in increasing order of it."""
+        dart_edge = self.dart_edge
+        # A hole's -1 is below every dart.
+        return {dart_edge[d]: (d, o) for d, o in enumerate(self.opposite) if d < o}
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -109,6 +123,11 @@ class PlaneMap:
         return self.dart_vertex[d], self.dart_vertex[o]
 
 
+def _no_dart(d: int, size: int) -> MapError:
+    """The error for a dart id ``d`` outside dart tables of ``size`` entries."""
+    return MapError(f"unpaired dart {d}: no such id in dart tables of length {size}")
+
+
 def _raise_duplicate_dart(rotations: Mapping[int, Sequence[int]]) -> None:
     """Raise :class:`MapError` for the first dart met a second time, naming where."""
     seen: dict[int, int] = {}  # dart -> the vertex whose rotation holds it
@@ -123,43 +142,64 @@ def _raise_duplicate_dart(rotations: Mapping[int, Sequence[int]]) -> None:
 
 
 def _check_structure(rotations: Mapping[int, Sequence[int]],
-                     opposite: Mapping[int, int]) -> dict[int, int]:
-    """Raise :class:`MapError` unless the data form a loopless map; return its dart owners."""
-    owner: dict[int, int] = {}
+                     opposite: Sequence[int]) -> tuple[int, ...]:
+    """Raise :class:`MapError` unless the data form a loopless map; return its dart owners.
+
+    The owners are a table like ``opposite``, -1 at its holes.
+    """
+    size = len(opposite)
+    owner: list = [None] * size  # None until a rotation holds the dart
     total = 0
-    for v, rot in rotations.items():
-        total += len(rot)
-        for d in rot:
-            owner[d] = v
-    if len(owner) != total:
+    try:
+        for v, rot in rotations.items():
+            total += len(rot)
+            for d in rot:
+                owner[d] = v
+        if total and min(chain.from_iterable(rotations.values())) < 0:
+            raise IndexError  # a negative dart indexed from the end
+    except IndexError:
+        raise _no_dart(next(d for d in chain.from_iterable(rotations.values())
+                            if not 0 <= d < size), size) from None
+    if owner.count(None) != size - total:
         _raise_duplicate_dart(rotations)
-    if opposite.keys() != owner.keys():
-        missing = set(owner).symmetric_difference(opposite)
-        raise MapError(f"unpaired dart: pairing domain mismatch {sorted(missing)[:4]}")
-    partner = opposite.get
-    for d, o in opposite.items():
-        if partner(o) != d or o == d:
+    for d, o in enumerate(opposite):
+        v = owner[d]
+        if o == -1 or v is None:
+            if (o == -1) != (v is None):  # ids below d agree: holes of both or of neither
+                missing = [h for h in range(d, size) if (opposite[h] == -1) != (owner[h] is None)]
+                raise MapError(f"unpaired dart: pairing domain mismatch {missing[:4]}")
+            owner[d] = -1
+            continue
+        if not -1 < o < size or opposite[o] != d or o == d:
             raise MapError(f"unpaired dart {d}: opposite is not a fixed-point-free involution")
-        if owner[o] == owner[d]:
-            raise MapError(f"loop edge at vertex {owner[d]} (darts {d},{o})")
-    return owner
+        if owner[o] == v:
+            raise MapError(f"loop edge at vertex {v} (darts {d},{o})")
+    return tuple(owner)
 
 
 def build_map(vertex_rotations: Mapping[int, Sequence[int]],
               opposite: Mapping[int, int]) -> PlaneMap:
     """Build a structurally valid map from rotations and a dart pairing.
 
-    Edge ids are assigned densely in increasing order of each edge's smaller
-    dart id, so construction is reproducible.  Raises :class:`MapError` on a
-    duplicate dart, an unpaired dart, a dart in two rotations, or a loop.
+    The pairing maps each dart to its opposite; the tables run up to the
+    largest dart, with holes at the ids it leaves out.  Edge ids are
+    assigned densely in increasing order of each edge's smaller dart id, so
+    construction is reproducible.  Raises :class:`MapError` on a duplicate
+    dart, an unpaired dart, a dart in two rotations, or a loop.
     """
-    dart_edge: dict[int, int] = {}
+    size, low = max(opposite, default=-1) + 1, min(opposite, default=0)
+    if low < 0:
+        raise _no_dart(low, size)
+    opp = [-1] * size
+    for d, o in opposite.items():
+        opp[d] = o
+    dart_edge = [-1] * size
     eid = 0
-    for d in sorted(opposite):
-        if d < opposite[d]:
-            dart_edge[d] = dart_edge[opposite[d]] = eid
+    for d, o in enumerate(opp):
+        if d < o < size:  # an opposite past the tables is the structure check's to reject
+            dart_edge[d] = dart_edge[o] = eid
             eid += 1
-    return PlaneMap(vertex_rotations, dict(opposite), dart_edge)
+    return PlaneMap(vertex_rotations, opp, dart_edge)
 
 
 def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) -> PlaneMap:
@@ -169,8 +209,12 @@ def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) ->
     :class:`MapError` when the darts are not exactly those of the edges,
     each in one rotation, or an edge is a loop.
     """
-    opposite = {d: d ^ 1 for d in range(2 * edges)}
-    return PlaneMap(rotations, opposite, {d: d >> 1 for d in opposite})
+    size = 2 * edges
+    opposite, dart_edge = [0] * size, [0] * size
+    opposite[0::2] = range(1, size, 2)
+    opposite[1::2] = range(0, size, 2)
+    dart_edge[0::2] = dart_edge[1::2] = range(edges)
+    return PlaneMap(rotations, opposite, dart_edge)
 
 
 def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
@@ -181,23 +225,23 @@ def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
     increasing order of their smallest dart, each walk starting there.
     """
     opp = m.opposite
-    step: dict[int, int] = {}  # dart -> its face-walk successor, until walked
+    step = [-1] * len(opp)  # dart -> its face-walk successor, until walked; -1 after
     for rot in m.rotations.values():
         if rot:
             prev = rot[-1]
             for d in rot:
                 step[opp[prev]] = d
                 prev = d
-    pop = step.pop
     faces: list[tuple[int, ...]] = []
-    for start in sorted(opp):
-        if start not in step:
+    for start in range(len(step)):
+        d = step[start]
+        if d < 0:  # a hole, or walked
             continue
+        step[start] = -1
         walk = [start]
-        d = pop(start)
         while d != start:
             walk.append(d)
-            d = pop(d)
+            step[d], d = -1, step[d]
         faces.append(tuple(walk))
     return tuple(faces)
 
@@ -227,8 +271,8 @@ def euler_check(m: PlaneMap) -> EulerReport:
     V - E + F = 2, where F counts the face orbits whose darts lie in the
     component (a dartless component contributes its single surrounding
     face).  It is decided by one global count, V - E + F = 2C over the whole
-    map with C components, by this lemma.  E counts the pairs of the
-    ``opposite`` involution, half the darts, so no edge view is built.
+    map with C components, by this lemma.  E is half the darts, the entries
+    of the ``opposite`` table that are not holes, so no edge view is built.
 
     *Lemma.* Each component has V - E + F <= 2: for a connected rotation
     system the count is 2 - 2g, where g >= 0 is the genus of the surface its
@@ -250,7 +294,7 @@ def euler_check(m: PlaneMap) -> EulerReport:
     """
     faces = len(m.faces) + sum(not rot for rot in m.rotations.values())
     components = len(set(m.components.values()))
-    vertices, edges = len(m.rotations), len(m.opposite) // 2
+    vertices, edges = len(m.rotations), (len(m.opposite) - m.opposite.count(-1)) // 2
     return EulerReport(
         planar=vertices - edges + faces == 2 * components,
         vertices=vertices,
@@ -294,22 +338,23 @@ def _resolve_attachments(corners: Sequence[int],
 class MapEditor:
     """A mutable working copy of a map; every derived map is built through one.
 
-    Starts as a copy of ``base``, or empty.  New vertex, dart and edge ids
-    are taken above every id in use, and the two darts of a new edge get
-    consecutive ids; deletion and smoothing hand out none.  Read ``rotations``,
-    ``opposite`` and ``dart_edge`` freely but change them only through the
-    methods.  :meth:`finish` returns the edited map after one structure check.
+    Starts as a copy of ``base``, or empty, with its dart tables as lists.
+    New vertex, dart and edge ids are taken above every id in use, a new
+    dart at the end of the tables, and the two darts of a new edge get
+    consecutive ids; deletion and smoothing hand out none and leave holes.
+    Read ``rotations``, ``opposite`` and ``dart_edge`` freely but change
+    them only through the methods.  :meth:`finish` returns the edited map
+    after one structure check.
     """
 
     def __init__(self, base: PlaneMap | None = None):
-        base = base or PlaneMap({}, {}, {})
+        base = base or PlaneMap({}, (), ())
         self.rotations = {v: list(rot) for v, rot in base.rotations.items()}
-        self.opposite = dict(base.opposite)
-        self.dart_edge = dict(base.dart_edge)
-        self._owner = dict(base.dart_vertex)
+        self.opposite = list(base.opposite)
+        self.dart_edge = list(base.dart_edge)
+        self._owner = list(base.dart_vertex)
         self._edge_darts = dict(base.edge_darts)
         self._next_vertex = max(base.rotations, default=-1) + 1
-        self._next_dart = max(base.dart_edge, default=-1) + 1
         self._next_edge = max(base.edge_darts, default=-1) + 1
 
     def add_vertex(self, darts: Sequence[int] = ()) -> int:
@@ -327,18 +372,18 @@ class MapEditor:
 
     def new_edges(self, count: int) -> tuple[int, int]:
         """The first dart and edge of ``count`` edges made as by :meth:`new_edge` calls."""
-        d, edge = self._next_dart, self._next_edge
-        self._next_dart += 2 * count
+        d, edge = len(self.opposite), self._next_edge
         self._next_edge += count
-        opposite, dart_edge, edge_darts = self.opposite, self.dart_edge, self._edge_darts
-        e = edge
-        for a in range(d, d + 2 * count, 2):
-            b = a + 1
-            opposite[a] = b
-            opposite[b] = a
-            dart_edge[a] = dart_edge[b] = e
-            edge_darts[e] = (a, b)
-            e += 1
+        end = d + 2 * count
+        opposite, dart_edge = [0] * (2 * count), [0] * (2 * count)
+        opposite[0::2] = range(d + 1, end, 2)
+        opposite[1::2] = range(d, end, 2)
+        dart_edge[0::2] = dart_edge[1::2] = range(edge, edge + count)
+        self.opposite += opposite
+        self.dart_edge += dart_edge
+        self._owner += [-1] * (2 * count)
+        self._edge_darts.update(zip(range(edge, edge + count),
+                                    zip(range(d, end, 2), range(d + 1, end, 2))))
         return d, edge
 
     def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
@@ -394,8 +439,8 @@ class MapEditor:
         if edge not in self._edge_darts:
             raise MapError(f"missing element: edge {edge}")
         for d in self._edge_darts.pop(edge):
-            del self.opposite[d], self.dart_edge[d]
-            self.rotations[self._owner.pop(d)].remove(d)
+            self.rotations[self._owner[d]].remove(d)
+            self.opposite[d] = self.dart_edge[d] = self._owner[d] = -1
 
     def delete_vertex(self, vertex: int) -> None:
         """Remove a vertex together with all incident edges."""
@@ -421,7 +466,8 @@ class MapEditor:
             raise MapError("smoothing would create a loop")
         edge = min(self.dart_edge[a], self.dart_edge[b])
         for d in self.rotations.pop(vertex):
-            del self._edge_darts[self.dart_edge.pop(d)], self.opposite[d], self._owner[d]
+            del self._edge_darts[self.dart_edge[d]]
+            self.opposite[d] = self.dart_edge[d] = self._owner[d] = -1
         self.opposite[a], self.opposite[b] = b, a
         self.dart_edge[a] = self.dart_edge[b] = edge
         self._edge_darts[edge] = (a, b)
@@ -429,7 +475,7 @@ class MapEditor:
 
     def finish(self) -> PlaneMap:
         """The edited map, after one structure check."""
-        return PlaneMap(self.rotations, dict(self.opposite), dict(self.dart_edge))
+        return PlaneMap(self.rotations, self.opposite, self.dart_edge)
 
 
 def insert_vertex_in_face(m: PlaneMap, face: int,

@@ -274,10 +274,11 @@ def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, 
         (a, b), (c, x) = m.edge_darts[e], m.edge_darts[f]
         if rng.random() < 0.5:
             c, x = x, c
+        opposite, dart_edge = list(m.opposite), list(m.dart_edge)
+        opposite[a], opposite[c], opposite[b], opposite[x] = c, a, x, b
+        dart_edge[c], dart_edge[b] = e, f
         try:  # edge e now owns darts a and c, edge f darts b and x
-            mutants.append(d._replace(planified=PlaneMap(
-                m.rotations, {**m.opposite, a: c, c: a, b: x, x: b},
-                {**m.dart_edge, c: e, b: f})))
+            mutants.append(d._replace(planified=PlaneMap(m.rotations, opposite, dart_edge)))
         except MapError:  # a re-pairing that makes a loop is no map
             loops += 1
         for mutant in mutants:

@@ -64,21 +64,37 @@ def test_loop_rejected():
 
 
 @pytest.mark.parametrize("rotations, opposite, message", [
-    ({0: (0, 1)}, {0: 1, 1: 0}, "loop"),
-    ({0: (0,), 1: (1, 2)}, {0: 1, 1: 0}, "unpaired dart"),
-    ({0: (0, 1), 1: (1,)}, {0: 1, 1: 0},
+    ({0: (0, 1)}, (1, 0), "loop"),
+    ({0: (0,), 1: (1, 2)}, (1, 0), "unpaired dart"),
+    ({0: (0, 1), 1: (1,)}, (1, 0),
      r"^duplicate dart 1 \(in the rotations of vertices 0 and 1\)$"),
-    ({0: (0, 0), 1: (1,)}, {0: 1, 1: 0},
+    ({0: (0, 0), 1: (1,)}, (1, 0),
      r"^duplicate dart 0 \(twice in the rotation of vertex 0\)$"),
-], ids=["loop", "unpaired-dart", "dart-in-two-rotations", "dart-twice-in-one-rotation"])
+    ({0: (0,), 1: (-1,)}, (1, 0),
+     r"^unpaired dart -1: no such id in dart tables of length 2$"),
+    ({0: (0,), 1: (1,), 2: (4,)}, (1, 0, -1),
+     r"^unpaired dart 4: no such id in dart tables of length 3$"),
+    ({0: (0,), 1: (1, 2)}, (1, 0, -1), r"^unpaired dart: pairing domain mismatch \[2\]$"),
+    ({0: (0,), 1: (1,)}, (1, 0, 3, 2), r"^unpaired dart: pairing domain mismatch \[2, 3\]$"),
+    ({0: (0,), 1: (1,)}, (2, 0), r"^unpaired dart 0: opposite is not a fixed-point-free"),
+    ({0: (0,), 1: (1,)}, (-2, 0), r"^unpaired dart 0: opposite is not a fixed-point-free"),
+], ids=["loop", "unpaired-dart", "dart-in-two-rotations", "dart-twice-in-one-rotation",
+        "negative-dart", "dart-past-the-tables", "dart-at-a-hole", "paired-dart-unplaced",
+        "opposite-past-the-tables", "negative-opposite"])
 def test_constructor_runs_the_structure_check(rotations, opposite, message):
     with pytest.raises(MapError, match=message):
-        PlaneMap(rotations, opposite, dict.fromkeys(opposite, 0))
+        PlaneMap(rotations, opposite, [0] * len(opposite))
+
+
+def test_constructor_checks_the_dart_tables_have_one_length():
+    with pytest.raises(MapError, match="^dart tables of unequal length: 2 opposite and 3 "):
+        PlaneMap({0: [0], 1: [1]}, (1, 0), (0, 0, 0))
 
 
 def test_constructor_keeps_tuple_rotations_and_the_dart_owners():
-    m = PlaneMap({0: [0], 1: [1]}, {0: 1, 1: 0}, {0: 0, 1: 0})
-    assert (m.rotations, m.dart_vertex) == ({0: (0,), 1: (1,)}, {0: 0, 1: 1})
+    m = PlaneMap({0: [0], 1: [1]}, [1, 0], [0, 0])
+    assert (m.rotations, m.opposite, m.dart_edge, m.dart_vertex) == \
+        ({0: (0,), 1: (1,)}, (1, 0), (0, 0), (0, 1))
     assert m == single_edge()
 
 
@@ -315,15 +331,15 @@ def test_editor_allocates_ids_above_every_id_in_use():
                          ids=["empty", "k4", "odd-next-dart"])
 @pytest.mark.parametrize("count", [0, 1, 5])
 def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
-    # The third base's largest dart is 2, so its next dart id, 3, is odd.
+    # The third base's tables run to dart 2, dart 0 a hole, so its next dart id, 3, is odd.
     one_by_one, at_once = MapEditor(base), MapEditor(base)
     ids = [one_by_one.new_edge() for _ in range(count)]
     dart, edge = at_once.new_edges(count)
     if base is not None:
-        assert (dart, edge) == (max(base.dart_edge) + 1, max(base.edge_darts) + 1)
+        assert (dart, edge) == (len(base.dart_edge), max(base.edge_darts) + 1)
     assert ids == [(dart + 2 * j, dart + 2 * j + 1) for j in range(count)]
     assert [one_by_one.dart_edge[d] for d, _ in ids] == list(range(edge, edge + count))
-    for field in ("opposite", "dart_edge", "_edge_darts", "_next_dart", "_next_edge"):
+    for field in ("opposite", "dart_edge", "_owner", "_edge_darts", "_next_edge"):
         assert getattr(at_once, field) == getattr(one_by_one, field), field
     assert at_once.new_edge() == one_by_one.new_edge()
 
@@ -341,9 +357,13 @@ def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
      r"duplicate dart 0 \(twice in the rotation of vertex 0\)"),
     (lambda m: map_from_rotation_lists({0: [1, 0], 1: [0]}),
      "opposite is not a fixed-point-free involution"),
+    (lambda m: build_map({0: [-1], 1: [0]}, {-1: 0, 0: -1}),
+     r"^unpaired dart -1: no such id in dart tables of length 1$"),
+    (lambda m: build_map({0: [0], 1: [1]}, {0: 1, 1: 5}), "unpaired dart 0: opposite is not"),
 ], ids=["insert-past-the-end", "insert-before-the-start", "delete-missing-edge",
         "delete-missing-vertex", "no-attachments", "face-index-out-of-range",
-        "edge-at-one-end", "neighbour-listed-twice", "vertex-lists-itself"])
+        "edge-at-one-end", "neighbour-listed-twice", "vertex-lists-itself",
+        "negative-dart-in-the-pairing", "opposite-outside-the-pairing"])
 def test_map_edits_reject(edit, message):
     with pytest.raises(MapError, match=message):
         edit(triangle())
@@ -370,6 +390,11 @@ def test_editor_corner_insertion_and_sync_check():
 # -- map kernels against plain references -------------------------------------
 
 
+def _reference_owners(m):
+    """Each dart's vertex, read off the rotations."""
+    return {d: v for v, rot in m.rotations.items() for d in rot}
+
+
 def _reference_faces(m):
     """The face walks by definition: each dart's successor is the rotation
     successor of its opposite; walks start at their least dart, in order."""
@@ -378,7 +403,7 @@ def _reference_faces(m):
         for i, d in enumerate(rot):
             succ[d] = rot[(i + 1) % len(rot)]
     faces, seen = [], set()
-    for start in sorted(m.opposite):
+    for start in sorted(_reference_owners(m)):
         if start in seen:
             continue
         walk, d = [], start
@@ -390,12 +415,12 @@ def _reference_faces(m):
     return tuple(faces)
 
 
-def _reference_euler(m):
-    """V - E + F = 2 on every component, components found by breadth-first search."""
-    owner = {d: v for v, rot in m.rotations.items() for d in rot}
+def _reference_components(m):
+    """Each vertex's component root, the first of its vertices in rotation order, by BFS."""
+    owner = _reference_owners(m)
     neighbours = {v: [owner[m.opposite[d]] for d in rot] for v, rot in m.rotations.items()}
     component = {}
-    for s in sorted(m.rotations):
+    for s in m.rotations:
         if s not in component:
             component[s] = s
             queue = [s]
@@ -404,6 +429,13 @@ def _reference_euler(m):
                     if w not in component:
                         component[w] = s
                         queue.append(w)
+    return component
+
+
+def _reference_euler(m):
+    """V - E + F = 2 on every component."""
+    owner = _reference_owners(m)
+    component = _reference_components(m)
     faces = _reference_faces(m)
     planar, total_faces = True, 0
     roots = set(component.values())
@@ -413,7 +445,7 @@ def _reference_euler(m):
         nf = sum(component[owner[w[0]]] == root for w in faces) if darts else 1
         total_faces += nf
         planar &= len(vs) - darts // 2 + nf == 2
-    return EulerReport(planar=planar, vertices=len(m.rotations), edges=len(m.opposite) // 2,
+    return EulerReport(planar=planar, vertices=len(m.rotations), edges=len(owner) // 2,
                        faces=total_faces, components=len(roots))
 
 
@@ -438,12 +470,50 @@ def _rotation_systems(draw):
                      opposite)
 
 
+@st.composite
+def _edited_rotation_systems(draw):
+    """A rotation system from :func:`_rotation_systems` after a ``MapEditor``
+    session that deletes a drawn set of its edges, with the edges left.
+    Holes fall inside the id range, and at its top when the edge of the
+    top dart goes."""
+    base = draw(_rotation_systems())
+    ed = MapEditor(base)
+    deleted = draw(st.sets(st.sampled_from(sorted(base.edge_darts)))) if base.edge_darts \
+        else set()
+    for e in sorted(deleted):
+        ed.delete_edge(e)
+    kept = {e: pair for e, pair in base.edge_darts.items() if e not in deleted}
+    return ed.finish(), kept
+
+
+def _check_kernels(m):
+    """The map's tables and views against their plain references."""
+    owner = _reference_owners(m)
+    holes = [d for d in range(len(m.opposite)) if d not in owner]
+    assert len(m.opposite) == len(m.dart_edge) == len(m.dart_vertex)
+    for table in (m.opposite, m.dart_edge, m.dart_vertex):
+        assert [d for d, x in enumerate(table) if x == -1] == holes
+    assert m.dart_vertex == tuple(owner.get(d, -1) for d in range(len(m.opposite)))
+    assert m.edge_darts == {m.dart_edge[d]: (d, m.opposite[d])
+                            for d in sorted(owner) if d < m.opposite[d]}
+    assert trace_faces(m) == _reference_faces(m)
+    assert m.components == _reference_components(m)
+    assert euler_check(m) == _reference_euler(m)
+    assert MapEditor(m).finish() == m
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(m=_rotation_systems())
 def test_map_kernels_match_plain_references(m):
-    assert m.dart_vertex == {d: v for v, rot in m.rotations.items() for d in rot}
-    assert trace_faces(m) == _reference_faces(m)
-    assert euler_check(m) == _reference_euler(m)
+    _check_kernels(m)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(edited=_edited_rotation_systems())
+def test_map_kernels_match_plain_references_with_holes(edited):
+    m, kept = edited
+    assert m.edge_darts == kept
+    _check_kernels(m)
 
 
 def test_euler_check_on_disconnected_maps():

@@ -19,7 +19,7 @@ from onecross.constructions import best_known
 from onecross.drawing import BipartiteGraph, Graph, validate
 from onecross.oracle import (SearchStats, SizeStats, gadget_planarize, is_one_planar,
                              planarity_test)
-from onecross.plane_map import PlaneMap, build_map, euler_check
+from onecross.plane_map import PlaneMap, build_map, euler_check, trace_faces
 from onecross.sketch import compile_sketch
 
 
@@ -102,6 +102,18 @@ def test_immutable_records_refuse_assignment(name):
         record.no_such_field = 1
 
 
+def test_plane_map_tables_refuse_item_assignment():
+    # An edit in place would leave the faces cached on the map stale.
+    m = RECORDS["PlaneMap"]
+    faces = m.faces
+    for table in (m.opposite, m.dart_edge, m.dart_vertex, m.rotations[0]):
+        before = tuple(table)
+        with pytest.raises(TypeError):
+            table[0] = 1
+        assert tuple(table) == before
+    assert m.faces is faces and trace_faces(m) == faces
+
+
 @pytest.mark.parametrize("name", sorted(MUTABLE))
 def test_search_counters_stay_mutable(name):
     record = RECORDS[name]
@@ -140,7 +152,7 @@ def test_plane_maps_compare_by_fields_and_are_unhashable():
 
 def test_plane_map_repr_names_its_three_fields():
     assert repr(RECORDS["PlaneMap"]) == (
-        "PlaneMap(rotations={0: (0,), 1: (1,)}, opposite={0: 1, 1: 0}, dart_edge={0: 0, 1: 0})")
+        "PlaneMap(rotations={0: (0,), 1: (1,)}, opposite=(1, 0), dart_edge=(0, 0))")
 
 
 def test_search_counters_are_unequal_to_other_classes():
