@@ -15,8 +15,8 @@ single standalone sketch each: the one-crossing drawing of the complete
 (3, 3) graph and the balanced (5, 5) drawing with 22 edges and 6 crossings.
 A compiled sketch holds local integer ids
 (:class:`~onecross.sketch.CompiledSketch`), so a splice takes the map
-edges it adds in one block, and its darts, edges and vertices are offsets
-from the first new ids.  A draft is a drawing's three parts: the graph of
+edges it adds in one block, and its darts and vertices are offsets from
+the first new ids.  A draft is a drawing's three parts: the graph of
 the edge keys the splices and the host hold, the edited map and the false
 vertices, unchecked until the one certification.
 
@@ -123,14 +123,13 @@ class _Builder:
 
         Pattern corner ``i`` is the host vertex at ``walk[i]``, and its wedge
         goes into the corner the walk enters by ``walk[i - 1]``.  The sketch's
-        local darts and map edges get the next free ids, as offsets from the
-        first new ones.
+        local darts get the next free ids, as offsets from the first new one.
         """
         kinds = [classes.get(name) for name in sk.names]
         if None in kinds:
             raise DrawingError(f"sketch vertex {sk.names[kinds.index(None)]} has no class")
         ed = self.map
-        dart0, _ = ed.new_edges(sk.edges)
+        dart0 = ed.new_edges(sk.edges)
         host = [ed.add_vertex([dart0 + d for d in rot]) for rot in sk.rotations]
         for vid, kind in zip(host, kinds):
             if kind == "black":
@@ -172,7 +171,7 @@ def stacked_triangulation(x: int) -> PlaneMap:
     if x < 3:
         raise DrawingError("a triangulation needs at least 3 vertices")
     ed = pm.MapEditor()
-    ed.new_edges(3)  # edge i has darts 2i and 2i + 1
+    ed.new_edges(3)  # darts 2i and 2i + 1 pair, for i < 3
     for rot in ([0, 4], [1, 2], [3, 5]):
         ed.add_vertex(rot)
     walk = (0, 2, 5)  # the triangle's face of dart 0
@@ -196,10 +195,10 @@ def _fill(host: PlaneMap, white: Iterable[int], patterns: Iterable[_Pattern]) ->
     builder = _Builder(host, black=set(host.rotations) - white, white=white)
     for walk, sk, classes in patterns:
         builder.splice(sk, classes, walk)
-    for e, (d, o) in host.edge_darts.items():
+    for d, o in host.edge_darts:
         u, v = host.dart_vertex[d], host.dart_vertex[o]
         if (u in white) == (v in white):
-            builder.map.delete_edge(e)
+            builder.map.delete_edge(d)
         else:
             builder.edges.add(edge_key(u, v))
     return builder

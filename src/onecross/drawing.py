@@ -120,16 +120,19 @@ class OnePlanarDrawing(NamedTuple):
 
     @property
     def edge_paths(self) -> dict[Edge, tuple[int, ...]]:
-        """Each graph edge's map edges in increasing order, read from a certified drawing."""
+        """Each graph edge's map edges in increasing order, read from a certified drawing.
+
+        A map edge is named by its smaller dart.
+        """
         false_vertices, owner = self.false_vertices, self.planified.dart_vertex
         paths: dict[Edge, tuple[int, ...]] = {}
-        for me, (a, b) in sorted(self.planified.edge_darts.items()):
+        for a, b in self.planified.edge_darts:
             t, w = owner[a], owner[b]
             if t in false_vertices:
                 t, w = w, t
             pair = false_vertices.get(w)
             key = edge_key(t, w) if pair is None else pair[0] if t in pair[0] else pair[1]
-            paths[key] = paths.get(key, ()) + (me,)
+            paths[key] = paths.get(key, ()) + (a,)
         return paths
 
     @property
@@ -180,10 +183,10 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     crossed edge's half at one end (see :class:`OnePlanarDrawing`), and
     each part must be drawn once.  The ``6x - 12`` crossing ceiling applies
     only to crossing-minimal drawings, so exceeding it is an advisory flag,
-    never a failure.  Every check runs on every call; the only thing shared
-    with other calls is the planified map's derived views (dart owners,
-    edge darts, faces, components), which the map builds once from its own
-    data.
+    never a failure.  A map edge is named by its smaller dart.  Every check
+    runs on every call; the only thing shared with other calls is the
+    planified map's derived views (dart owners, edge darts, faces,
+    components), which the map builds once from its own data.
     """
     failures: list[str] = []
     g = d.graph
@@ -233,13 +236,13 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
     # half from a false vertex w to an end t of the edge of w's pair at t.
     owner = m.dart_vertex
     plain: set[Edge] = set()  # the uncrossed edges drawn
-    half: dict[int, Edge] = {}  # each map edge at a false vertex -> the crossed edge it halves
-    for me, (a, b) in m.edge_darts.items():
-        t, w = owner[a], owner[b]
+    half: dict[int, Edge] = {}  # each dart at a false vertex -> the crossed edge its edge halves
+    for me, o in m.edge_darts:
+        t, w, at_w = owner[me], owner[o], o
         if t in false_vertices:
-            t, w = w, t
+            t, w, at_w = w, t, me
         if w in false_vertices:
-            half[me] = edge = spokes.pop((w, t), None)
+            half[at_w] = edge = spokes.pop((w, t), None)
             if edge is None:
                 failures.append(f"path/edge mismatch: map edge {me} is no undrawn spoke of {w}")
             continue
@@ -254,7 +257,7 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
         for edge in sorted(edges - plain - crossed.keys()):
             failures.append(f"path/edge mismatch: edge {edge} is not drawn")
 
-    rotations, dart_edge = m.rotations, m.dart_edge
+    rotations = m.rotations
     false_darts: set[int] = set()
     for w in sorted(false_set & map_vertices):
         rot = rotations[w]
@@ -263,9 +266,8 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
             failures.append(f"false vertex degree != 4: vertex {w}")
             continue
         d0, d1, d2, d3 = rot
-        h0, h1 = half.get(dart_edge[d0]), half.get(dart_edge[d1])
-        if h0 is None or h1 is None or h0 == h1 or half.get(dart_edge[d2]) != h0 \
-                or half.get(dart_edge[d3]) != h1:
+        h0, h1 = half.get(d0), half.get(d1)
+        if h0 is None or h1 is None or h0 == h1 or half.get(d2) != h0 or half.get(d3) != h1:
             failures.append(f"non-alternating rotation at false vertex {w}")
 
     if not pm.euler_check(m).planar:
@@ -395,7 +397,7 @@ def augment_degree2(d: OnePlanarDrawing, count: int) -> OnePlanarDrawing:
     # New vertex k joins anchors[0] by the edge of darts dart + 4k and
     # dart + 4k + 1, and anchors[1] by the next edge; the first dart of each
     # lies at its anchor.
-    dart, _ = ed.new_edges(2 * count)
+    dart = ed.new_edges(2 * count)
     new = [ed.add_vertex(darts=[dart + 4 * k + 3, dart + 4 * k + 1]) for k in range(count)]
     spokes = [list(range(dart + 2 * side, dart + 4 * count, 4)) for side in (0, 1)]
     # Later vertices nest toward walk[0], which reverses the order at

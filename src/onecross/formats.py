@@ -50,7 +50,7 @@ def drawing_to_document(d: OnePlanarDrawing,
     # share one entry, which names the half's true end.
     owner, false_vertices = m.dart_vertex, d.false_vertices
     entry: dict[int, list[int]] = {}
-    for a, b in m.edge_darts.values():
+    for a, b in m.edge_darts:
         t, w = owner[a], owner[b]
         if t in false_vertices:
             t, w = w, t
@@ -314,10 +314,10 @@ def export_dot(d: OnePlanarDrawing) -> str:
         lines.append(f'  v{v} [label="{v}" class="{fill}"{color}];')
     for w in sorted(d.false_vertices):
         lines.append(f'  v{w} [shape=point width=0.06 class="false"];')
-    m = d.planified
-    for me in sorted(m.edge_darts):
-        a, b = sorted(m.edge_endpoints(me))
-        lines.append(f"  v{a} -- v{b};")
+    owner = d.planified.dart_vertex
+    for a, b in d.planified.edge_darts:
+        u, v = sorted((owner[a], owner[b]))
+        lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -171,8 +171,8 @@ def planarity_test(edges: Sequence[tuple[int, int]],
     copy them (``nodes`` first, then new endpoints in edge order) and the
     edges node-major, in the order of that copy's edge list, so the
     rotations, and every witness, are the ones networkx gives.  Every
-    witness is audited with the Euler face count; map edge ids equal input
-    indices.
+    witness is audited with the Euler face count; edge i owns darts 2i and
+    2i + 1.
     """
     index: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(edges):
@@ -387,7 +387,7 @@ def _witness(graph: Graph | BipartiteGraph, pairs: Iterable[tuple[Edge, Edge]],
     ed = pm.MapEditor(witness)
     for i, (u, v) in enumerate(gadget.edges):  # hubs are named above every vertex, and u < v
         if v not in hubs and ((u, v) not in graph.edges or (u, v) in crossed):
-            ed.delete_edge(i)
+            ed.delete_edge(2 * i)
     if colored is not None and not isinstance(graph, BipartiteGraph):
         graph = BipartiteGraph.make(colored[0], colored[1], graph.edges)
     return assemble_drawing(graph, ed.finish(), hubs)

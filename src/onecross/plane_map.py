@@ -14,9 +14,11 @@ component exceeds 2, so one global count, V - E + F = 2C over all C
 components, decides it (see :func:`euler_check`).
 
 Dart ids are small non-negative integers, and the per-dart data (opposite,
-owning edge, owning vertex) are dense tables: tuples indexed by dart id,
-with -1 at every id that no dart holds (a *hole*, left by a deleted or
-smoothed edge).  Every per-dart pass indexes a table instead of hashing.
+owning vertex) are dense tables: tuples indexed by dart id, with -1 at
+every id that no dart holds (a *hole*, left by a deleted or smoothed
+edge).  Every per-dart pass indexes a table instead of hashing.  An edge
+is its pair of darts and carries no id of its own: where one edge must be
+named, its smaller dart names it.
 
 Maps are immutable values; every derived map, surgery included, is edited
 through one :class:`MapEditor` session and checked once.  Maps may contain
@@ -50,14 +52,15 @@ class PlaneMap:
     """An embedded multigraph given by vertex rotations and a dart pairing.
 
     ``rotations`` maps each vertex id to the cyclic tuple of its darts.
-    ``opposite`` and ``dart_edge`` are tables indexed by dart id, of one
-    length: the dart paired with each dart, and the edge owning it, with -1
-    at the holes, the ids that no rotation holds.  The constructor takes any
-    sequences, keeps them as tuples and raises :class:`MapError` unless they
-    form a loopless map; it keeps each dart's owner, -1 at a hole, in the
-    table ``dart_vertex``.  Holes stay where they are: :meth:`MapEditor.finish`
-    trims none, even at the top of the id range, so ``MapEditor(m).finish()
-    == m``, and two maps that differ only in trailing holes are not equal.
+    ``opposite`` is a table indexed by dart id: the dart paired with each
+    dart, with -1 at the holes, the ids that no rotation holds.  The two
+    fields are the whole map; an edge is a pair of opposite darts.  The
+    constructor takes any sequences, keeps them as tuples and raises
+    :class:`MapError` unless they form a loopless map; it keeps each dart's
+    owner, -1 at a hole, in the table ``dart_vertex``.  Holes stay where
+    they are: :meth:`MapEditor.finish` trims none, even at the top of the
+    id range, so ``MapEditor(m).finish() == m``, and two maps that differ
+    only in trailing holes are not equal.
 
     A plain class rather than a tuple, because the cached views below live
     in the instance ``__dict__``.  Its fields cannot be reassigned, nor its
@@ -65,21 +68,16 @@ class PlaneMap:
     a map is unhashable.
     """
 
-    _fields = ("rotations", "opposite", "dart_edge")
+    _fields = ("rotations", "opposite")
     rotations: dict[int, tuple[int, ...]]
     opposite: tuple[int, ...]
-    dart_edge: tuple[int, ...]
     dart_vertex: tuple[int, ...]
 
-    def __init__(self, rotations: Mapping[int, Sequence[int]], opposite: Sequence[int],
-                 dart_edge: Sequence[int]) -> None:
-        opposite, dart_edge = tuple(opposite), tuple(dart_edge)
-        if len(dart_edge) != len(opposite):
-            raise MapError(f"dart tables of unequal length: {len(opposite)} opposite "
-                           f"and {len(dart_edge)} dart_edge entries")
+    def __init__(self, rotations: Mapping[int, Sequence[int]], opposite: Sequence[int]) -> None:
+        opposite = tuple(opposite)
         owner = _check_structure(rotations, opposite)
         vars(self).update(rotations={v: tuple(rot) for v, rot in rotations.items()},
-                          opposite=opposite, dart_edge=dart_edge, dart_vertex=owner)
+                          opposite=opposite, dart_vertex=owner)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable PlaneMap")
@@ -90,23 +88,20 @@ class PlaneMap:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rotations == other.rotations and self.opposite == other.opposite
-                and self.dart_edge == other.dart_edge)
+        return self.rotations == other.rotations and self.opposite == other.opposite
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return (f"PlaneMap(rotations={self.rotations!r}, opposite={self.opposite!r}, "
-                f"dart_edge={self.dart_edge!r})")
+        return f"PlaneMap(rotations={self.rotations!r}, opposite={self.opposite!r})"
 
     # -- derived views -----------------------------------------------------
 
     @cached_property
-    def edge_darts(self) -> dict[int, tuple[int, int]]:
+    def edge_darts(self) -> tuple[tuple[int, int], ...]:
         """Each edge's two darts, the smaller first, in increasing order of it."""
-        dart_edge = self.dart_edge
         # A hole's -1 is below every dart.
-        return {dart_edge[d]: (d, o) for d, o in enumerate(self.opposite) if d < o}
+        return tuple((d, o) for d, o in enumerate(self.opposite) if d < o)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -117,10 +112,6 @@ class PlaneMap:
     def components(self) -> dict[int, int]:
         """Each vertex's component root, from :func:`_components`, found once per map."""
         return _components(self)
-
-    def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        d, o = self.edge_darts[edge]
-        return self.dart_vertex[d], self.dart_vertex[o]
 
 
 def _no_dart(d: int, size: int) -> MapError:
@@ -181,11 +172,10 @@ def build_map(vertex_rotations: Mapping[int, Sequence[int]],
               opposite: Mapping[int, int]) -> PlaneMap:
     """Build a structurally valid map from rotations and a dart pairing.
 
-    The pairing maps each dart to its opposite; the tables run up to the
-    largest dart, with holes at the ids it leaves out.  Edge ids are
-    assigned densely in increasing order of each edge's smaller dart id, so
-    construction is reproducible.  Raises :class:`MapError` on a duplicate
-    dart, an unpaired dart, a dart in two rotations, or a loop.
+    The pairing maps each dart to its opposite; the table runs up to the
+    largest dart, with holes at the ids it leaves out.  Raises
+    :class:`MapError` on a duplicate dart, an unpaired dart, a dart in two
+    rotations, or a loop.
     """
     size, low = max(opposite, default=-1) + 1, min(opposite, default=0)
     if low < 0:
@@ -193,13 +183,7 @@ def build_map(vertex_rotations: Mapping[int, Sequence[int]],
     opp = [-1] * size
     for d, o in opposite.items():
         opp[d] = o
-    dart_edge = [-1] * size
-    eid = 0
-    for d, o in enumerate(opp):
-        if d < o < size:  # an opposite past the tables is the structure check's to reject
-            dart_edge[d] = dart_edge[o] = eid
-            eid += 1
-    return PlaneMap(vertex_rotations, opp, dart_edge)
+    return PlaneMap(vertex_rotations, opp)
 
 
 def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) -> PlaneMap:
@@ -210,11 +194,10 @@ def map_from_paired_darts(rotations: Mapping[int, Sequence[int]], edges: int) ->
     each in one rotation, or an edge is a loop.
     """
     size = 2 * edges
-    opposite, dart_edge = [0] * size, [0] * size
+    opposite = [0] * size
     opposite[0::2] = range(1, size, 2)
     opposite[1::2] = range(0, size, 2)
-    dart_edge[0::2] = dart_edge[1::2] = range(edges)
-    return PlaneMap(rotations, opposite, dart_edge)
+    return PlaneMap(rotations, opposite)
 
 
 def trace_faces(m: PlaneMap) -> tuple[tuple[int, ...], ...]:
@@ -339,23 +322,20 @@ class MapEditor:
     """A mutable working copy of a map; every derived map is built through one.
 
     Starts as a copy of ``base``, or empty, with its dart tables as lists.
-    New vertex, dart and edge ids are taken above every id in use, a new
-    dart at the end of the tables, and the two darts of a new edge get
-    consecutive ids; deletion and smoothing hand out none and leave holes.
-    Read ``rotations``, ``opposite`` and ``dart_edge`` freely but change
-    them only through the methods.  :meth:`finish` returns the edited map
-    after one structure check.
+    New vertex and dart ids are taken above every id in use, a new dart at
+    the end of the tables, and the two darts of a new edge get consecutive
+    ids; deletion and smoothing hand out none and leave holes.  A method
+    that takes an edge takes either of its darts.  Read ``rotations`` and
+    ``opposite`` freely but change them only through the methods.
+    :meth:`finish` returns the edited map after one structure check.
     """
 
     def __init__(self, base: PlaneMap | None = None):
-        base = base or PlaneMap({}, (), ())
+        base = base or PlaneMap({}, ())
         self.rotations = {v: list(rot) for v, rot in base.rotations.items()}
         self.opposite = list(base.opposite)
-        self.dart_edge = list(base.dart_edge)
         self._owner = list(base.dart_vertex)
-        self._edge_darts = dict(base.edge_darts)
         self._next_vertex = max(base.rotations, default=-1) + 1
-        self._next_edge = max(base.edge_darts, default=-1) + 1
 
     def add_vertex(self, darts: Sequence[int] = ()) -> int:
         """Add a vertex with a new id, rotating ``darts``."""
@@ -367,24 +347,18 @@ class MapEditor:
 
     def new_edge(self) -> tuple[int, int]:
         """Pair two new darts as a new edge; they are placed separately."""
-        d, _ = self.new_edges(1)
+        d = self.new_edges(1)
         return d, d + 1
 
-    def new_edges(self, count: int) -> tuple[int, int]:
-        """The first dart and edge of ``count`` edges made as by :meth:`new_edge` calls."""
-        d, edge = len(self.opposite), self._next_edge
-        self._next_edge += count
-        end = d + 2 * count
-        opposite, dart_edge = [0] * (2 * count), [0] * (2 * count)
-        opposite[0::2] = range(d + 1, end, 2)
-        opposite[1::2] = range(d, end, 2)
-        dart_edge[0::2] = dart_edge[1::2] = range(edge, edge + count)
+    def new_edges(self, count: int) -> int:
+        """The first dart of ``count`` edges made as by :meth:`new_edge` calls."""
+        d = len(self.opposite)
+        opposite = [0] * (2 * count)
+        opposite[0::2] = range(d + 1, d + 2 * count, 2)
+        opposite[1::2] = range(d, d + 2 * count, 2)
         self.opposite += opposite
-        self.dart_edge += dart_edge
         self._owner += [-1] * (2 * count)
-        self._edge_darts.update(zip(range(edge, edge + count),
-                                    zip(range(d, end, 2), range(d + 1, end, 2))))
-        return d, edge
+        return d
 
     def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
         """Put ``darts``, in order, before index ``pos`` of ``vertex``'s rotation."""
@@ -428,33 +402,33 @@ class MapEditor:
         The spokes are the next new edges, the first dart of each at its
         corner.  Returns the new vertex and the first spoke's corner dart.
         """
-        dart, _ = self.new_edges(len(positions))
+        dart = self.new_edges(len(positions))
         for k, pos in enumerate(positions):
             self.insert_at_corner(walk[pos - 1], walk[pos], [dart + 2 * k])
         # Reversed order closes each sub-face between consecutive corners.
         return self.add_vertex(range(dart + 2 * len(positions) - 1, dart, -2)), dart
 
-    def delete_edge(self, edge: int) -> None:
-        """Remove an edge, splicing both rotations; never increases genus."""
-        if edge not in self._edge_darts:
-            raise MapError(f"missing element: edge {edge}")
-        for d in self._edge_darts.pop(edge):
+    def delete_edge(self, dart: int) -> None:
+        """Remove the edge of ``dart``, splicing both rotations; never increases genus."""
+        if not 0 <= dart < len(self.opposite) or self.opposite[dart] == -1:
+            raise MapError(f"missing element: dart {dart}")
+        for d in (dart, self.opposite[dart]):
             self.rotations[self._owner[d]].remove(d)
-            self.opposite[d] = self.dart_edge[d] = self._owner[d] = -1
+            self.opposite[d] = self._owner[d] = -1
 
     def delete_vertex(self, vertex: int) -> None:
         """Remove a vertex together with all incident edges."""
         if vertex not in self.rotations:
             raise MapError(f"missing element: vertex {vertex}")
-        for e in {self.dart_edge[d] for d in self.rotations[vertex]}:
-            self.delete_edge(e)
+        for d in tuple(self.rotations[vertex]):
+            self.delete_edge(d)
         del self.rotations[vertex]
 
     def smooth(self, vertex: int) -> int:
-        """Replace a degree-2 vertex by one edge joining its neighbours; return its id.
+        """Replace a degree-2 vertex by one edge joining its neighbours; return its smaller dart.
 
-        The far darts keep their ids and rotation positions; the merged edge
-        takes the smaller of the two old edge ids.
+        The far darts keep their ids and rotation positions and become the
+        merged edge's two darts.
         """
         if vertex not in self.rotations:
             raise MapError(f"missing element: vertex {vertex}")
@@ -464,18 +438,14 @@ class MapEditor:
         a, b = (self.opposite[d] for d in rot)  # darts at the two neighbours
         if self._owner[a] == self._owner[b]:
             raise MapError("smoothing would create a loop")
-        edge = min(self.dart_edge[a], self.dart_edge[b])
         for d in self.rotations.pop(vertex):
-            del self._edge_darts[self.dart_edge[d]]
-            self.opposite[d] = self.dart_edge[d] = self._owner[d] = -1
+            self.opposite[d] = self._owner[d] = -1
         self.opposite[a], self.opposite[b] = b, a
-        self.dart_edge[a] = self.dart_edge[b] = edge
-        self._edge_darts[edge] = (a, b)
-        return edge
+        return min(a, b)
 
     def finish(self) -> PlaneMap:
         """The edited map, after one structure check."""
-        return PlaneMap(self.rotations, self.opposite, self.dart_edge)
+        return PlaneMap(self.rotations, self.opposite)
 
 
 def insert_vertex_in_face(m: PlaneMap, face: int,
@@ -508,9 +478,9 @@ def smooth_degree2(m: PlaneMap, vertex: int) -> PlaneMap:
 def map_from_rotation_lists(neighbour_orders: Mapping[int, Sequence[int]]) -> PlaneMap:
     """Build a simple map from each vertex's neighbours in rotation order.
 
-    Dart v->w is paired with dart w->v; dart ids are dense, in vertex order,
-    and :func:`build_map` numbers the edges.  The host maps of the
-    constructions (``_web``, ``_star``, ``_double_star``) are built this way.
+    Dart v->w is paired with dart w->v; dart ids are dense, in vertex order.
+    The host maps of the constructions (``_web``, ``_star``,
+    ``_double_star``) are built this way.
     Raises :class:`MapError` when a vertex's neighbour does not list it back;
     the constructor's structure check rejects a neighbour listed twice (a
     duplicate dart) or a vertex listing itself (a dart opposite itself).

@@ -225,7 +225,8 @@ def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_
                                                                      balanced_grid, near_grid):
     # Swap two darts in the rotation of one true or false vertex of degree at
     # least 3.  Both checks must give the same verdict on the mutant, and
-    # the mutant drawing may pass validate only if networkx calls it planar.
+    # the mutant drawing may pass validate only if networkx calls it planar
+    # and it survives a round trip through its document.
     rng = random.Random(2015)
     sources = [w3_grid[(4, 14)], b_grid[(5, 13)], balanced_grid[5], balanced_grid[8],
                near_grid[(4, 6)], near_grid[(6, 12)]]
@@ -237,13 +238,19 @@ def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_
         rot = list(m.rotations[v])
         i, j = rng.sample(range(len(rot)), 2)
         rot[i], rot[j] = rot[j], rot[i]
-        mutant = PlaneMap({**m.rotations, v: rot}, m.opposite, m.dart_edge)
+        mutant = PlaneMap({**m.rotations, v: rot}, m.opposite)
         planar = _networkx_planar(mutant)
         assert euler_check(mutant).planar is planar, (k, v, i, j)
         if validate(d._replace(planified=mutant)).passed:
             assert planar, (k, v, i, j)
+            assert _round_trips(d._replace(planified=mutant)), (k, v, i, j)
         at_false += v in d.false_vertices
     assert 0 < at_false < 300
+
+
+def _round_trips(d):
+    """Whether ``d`` is written to a document and parsed back as a valid drawing."""
+    return validate(parse_document(drawing_to_document(d))).passed
 
 
 def _spokes_match_pairs(d):
@@ -258,7 +265,8 @@ def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, 
     # Two more corruptions of six grid drawings: the partners of two
     # crossings swapped (w1 gets e1 x f2, w2 gets e2 x f1), and the darts of
     # two map edges re-paired.  A mutant may pass validate only if networkx
-    # accepts its map and each false vertex still sees the ends of its pair.
+    # accepts its map, each false vertex still sees the ends of its pair and
+    # it survives a round trip through its document.
     rng = random.Random(2015)
     sources = [w3_grid[(4, 14)], b_grid[(5, 13)], balanced_grid[5], balanced_grid[8],
                near_grid[(4, 6)], near_grid[(6, 12)]]
@@ -270,21 +278,20 @@ def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, 
         (e1, f1), (e2, f2) = fv[w1], fv[w2]
         mutants = [d._replace(false_vertices={**fv, w1: (e1, f2), w2: (e2, f1)})]
         m = d.planified
-        e, f = rng.sample(sorted(m.edge_darts), 2)
-        (a, b), (c, x) = m.edge_darts[e], m.edge_darts[f]
+        (a, b), (c, x) = rng.sample(m.edge_darts, 2)
         if rng.random() < 0.5:
             c, x = x, c
-        opposite, dart_edge = list(m.opposite), list(m.dart_edge)
+        opposite = list(m.opposite)
         opposite[a], opposite[c], opposite[b], opposite[x] = c, a, x, b
-        dart_edge[c], dart_edge[b] = e, f
-        try:  # edge e now owns darts a and c, edge f darts b and x
-            mutants.append(d._replace(planified=PlaneMap(m.rotations, opposite, dart_edge)))
+        try:  # darts a and c now pair, and so do b and x
+            mutants.append(d._replace(planified=PlaneMap(m.rotations, opposite)))
         except MapError:  # a re-pairing that makes a loop is no map
             loops += 1
         for mutant in mutants:
             if validate(mutant).passed:
                 assert _networkx_planar(mutant.planified), k
                 assert _spokes_match_pairs(mutant), k
+                assert _round_trips(mutant), k
     assert 0 < loops < 300
 
 
@@ -299,12 +306,14 @@ def test_edge_paths_read_from_the_map_use_each_map_edge_once(w3_grid, b_grid, ba
     for d in [*drawings, *(parse_document(drawing_to_document(d)) for d in drawings)]:
         m, paths = d.planified, d.edge_paths
         assert paths.keys() == d.graph.edges
-        assert sorted(me for path in paths.values() for me in path) == sorted(m.edge_darts)
+        assert sorted(me for path in paths.values() for me in path) == \
+            [me for me, _ in m.edge_darts]
         at = {e: w for w, pair in d.false_vertices.items() for e in pair}
         for e, path in paths.items():
             want = {frozenset(e)} if e not in at else {frozenset((t, at[e])) for t in e}
             assert path == tuple(sorted(path)) and len(path) == len(want), (d.x, d.y, e)
-            assert {frozenset(m.edge_endpoints(me)) for me in path} == want, (d.x, d.y, e)
+            ends = {frozenset((m.dart_vertex[me], m.dart_vertex[m.opposite[me]])) for me in path}
+            assert ends == want, (d.x, d.y, e)
 
 
 def test_criterion_09_black_extension(w3_grid):
@@ -313,9 +322,8 @@ def test_criterion_09_black_extension(w3_grid):
         assert len(m.edge_darts) == len(d.planified.edge_darts) + len(d.crossings)
         new_edges = set(m.edge_darts) - set(d.planified.edge_darts)
         black = d.graph.black
-        for e in new_edges:
-            a, b = m.edge_endpoints(e)
-            assert a in black and b in black, (x, y)
+        for a, b in new_edges:
+            assert m.dart_vertex[a] in black and m.dart_vertex[b] in black, (x, y)
         assert euler_check(m).planar, (x, y)
     print(f"\nACCEPTANCE 9 PASS: black extension planar on {len(w3_grid)} drawings")
 

@@ -175,7 +175,7 @@ def test_template_splice_matches_a_splice_by_name(make, classes, first_dart):
     local = sorted(d for darts in (*sk.rotations, *sk.wedges) for d in darts)
     assert local == list(range(2 * sk.edges))
     host = _cycle(len(sk.wedges), first_dart) if sk.wedges else None
-    host_edges = set(host.edge_darts) if host else set()
+    host_edges = {me for me, _ in host.edge_darts} if host else set()
     builder = _C._Builder(host)
     builder.splice(sk, classes, host.faces[0] if host else ())
     d = builder.draft()
@@ -185,7 +185,7 @@ def test_template_splice_matches_a_splice_by_name(make, classes, first_dart):
     # The sketch's graph edges, read from the map, draw exactly its map edges.
     paths = d.edge_paths
     assert sorted(me for e in builder.edges for me in paths[e]) == \
-        sorted(set(m.edge_darts) - host_edges)
+        sorted({me for me, _ in m.edge_darts} - host_edges)
 
 
 def test_splice_refuses_a_sketch_vertex_without_a_class():

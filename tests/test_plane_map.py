@@ -39,7 +39,8 @@ def single_edge():
 def test_triangle_builds_with_three_edges():
     m = triangle()
     assert len(m.edge_darts) == 3
-    assert sorted(m.edge_endpoints(e) for e in m.edge_darts) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted((m.dart_vertex[d], m.dart_vertex[o]) for d, o in m.edge_darts) == \
+        [(0, 1), (0, 2), (1, 2)]
 
 
 def test_single_edge_map():
@@ -83,18 +84,12 @@ def test_loop_rejected():
         "opposite-past-the-tables", "negative-opposite"])
 def test_constructor_runs_the_structure_check(rotations, opposite, message):
     with pytest.raises(MapError, match=message):
-        PlaneMap(rotations, opposite, [0] * len(opposite))
-
-
-def test_constructor_checks_the_dart_tables_have_one_length():
-    with pytest.raises(MapError, match="^dart tables of unequal length: 2 opposite and 3 "):
-        PlaneMap({0: [0], 1: [1]}, (1, 0), (0, 0, 0))
+        PlaneMap(rotations, opposite)
 
 
 def test_constructor_keeps_tuple_rotations_and_the_dart_owners():
-    m = PlaneMap({0: [0], 1: [1]}, [1, 0], [0, 0])
-    assert (m.rotations, m.opposite, m.dart_edge, m.dart_vertex) == \
-        ({0: (0,), 1: (1,)}, (1, 0), (0, 0), (0, 1))
+    m = PlaneMap({0: [0], 1: [1]}, [1, 0])
+    assert (m.rotations, m.opposite, m.dart_vertex) == ({0: (0,), 1: (1,)}, (1, 0), (0, 1))
     assert m == single_edge()
 
 
@@ -243,8 +238,8 @@ def test_delete_hub_of_wheel_gives_cycle():
 
 def test_delete_outer_triangle_of_k4_gives_star():
     ed = MapEditor(k4())
-    for e in (0, 1, 2):
-        ed.delete_edge(e)
+    for dart in (0, 2, 4):
+        ed.delete_edge(dart)
     m = ed.finish()
     assert len(m.edge_darts) == 3
     assert sorted(len(rot) for rot in m.rotations.values()) == [1, 1, 1, 3]
@@ -268,14 +263,14 @@ def test_smooth_degree2_round_trip():
     assert euler_check(m3).planar
 
 
-def test_smooth_keeps_far_darts_in_place_and_the_smaller_edge_id():
-    m = square_with_hat()  # vertex 4 owns dart 9 of edge 4 and dart 11 of edge 5
+def test_smooth_keeps_far_darts_in_place_and_returns_the_smaller():
+    m = square_with_hat()  # vertex 4 owns dart 9 of edge (8, 9) and dart 11 of edge (10, 11)
     ed = MapEditor(m)
-    assert ed.smooth(4) == 4
+    assert ed.smooth(4) == 8
     for s in (ed.finish(), smooth_degree2(m, 4)):
         assert s.rotations == {0: (0, 7, 8), 1: (1, 2), 2: (3, 10, 4), 3: (5, 6)}
-        assert (s.opposite[8], s.dart_edge[8], s.dart_edge[10]) == (10, 4, 4)
-        assert s.edge_darts == {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (6, 7), 4: (8, 10)}
+        assert s.opposite == (1, 0, 3, 2, 5, 4, 7, 6, 10, -1, 8, -1)
+        assert s.edge_darts == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 10))
 
 
 @pytest.mark.parametrize("m, vertex, message", [
@@ -316,13 +311,13 @@ def test_insertion_preserves_planarity_randomized():
 
 
 def test_editor_allocates_ids_above_every_id_in_use():
-    ed = MapEditor(k4())  # vertices 0..3, darts 0..11, edges 0..5
+    ed = MapEditor(k4())  # vertices 0..3, darts 0..11
     assert ed.new_edge() == (12, 13)
-    assert ed.dart_edge[12] == ed.dart_edge[13] == 6
+    assert ed.opposite[12:] == [13, 12]
     assert ed.add_vertex() == 4
     assert ed.add_vertex() == 5
     assert ed.new_edge() == (14, 15)
-    assert ed.dart_edge[14] == 7
+    assert ed.opposite[14:] == [15, 14]
     empty = MapEditor()
     assert (empty.new_edge(), empty.add_vertex(), empty.add_vertex()) == ((0, 1), 0, 1)
 
@@ -334,20 +329,23 @@ def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
     # The third base's tables run to dart 2, dart 0 a hole, so its next dart id, 3, is odd.
     one_by_one, at_once = MapEditor(base), MapEditor(base)
     ids = [one_by_one.new_edge() for _ in range(count)]
-    dart, edge = at_once.new_edges(count)
+    dart = at_once.new_edges(count)
     if base is not None:
-        assert (dart, edge) == (len(base.dart_edge), max(base.edge_darts) + 1)
+        assert dart == len(base.opposite)
     assert ids == [(dart + 2 * j, dart + 2 * j + 1) for j in range(count)]
-    assert [one_by_one.dart_edge[d] for d, _ in ids] == list(range(edge, edge + count))
-    for field in ("opposite", "dart_edge", "_owner", "_edge_darts", "_next_edge"):
-        assert getattr(at_once, field) == getattr(one_by_one, field), field
+    # The editor's whole state: the two tables, the dart owners and the next vertex id.
+    assert vars(at_once).keys() == {"rotations", "opposite", "_owner", "_next_vertex"}
+    assert vars(at_once) == vars(one_by_one)
     assert at_once.new_edge() == one_by_one.new_edge()
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda m: MapEditor(m).insert_darts(0, 3, [9]), "rotation position out of range"),
     (lambda m: MapEditor(m).insert_darts(0, -1, [9]), "rotation position out of range"),
-    (lambda m: MapEditor(m).delete_edge(7), "missing element: edge 7"),
+    (lambda m: MapEditor(m).delete_edge(-1), "^missing element: dart -1$"),
+    (lambda m: MapEditor(m).delete_edge(6), "^missing element: dart 6$"),
+    (lambda m: MapEditor(build_map({0: [1], 1: [2]}, {1: 2, 2: 1})).delete_edge(0),
+     "^missing element: dart 0$"),
     (lambda m: MapEditor(m).delete_vertex(7), "missing element: vertex 7"),
     (lambda m: insert_vertex_in_face(m, 0, []), "empty attachment list"),
     (lambda m: insert_vertex_in_face(m, 2, [0]), "no such face index 2"),
@@ -360,8 +358,8 @@ def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
     (lambda m: build_map({0: [-1], 1: [0]}, {-1: 0, 0: -1}),
      r"^unpaired dart -1: no such id in dart tables of length 1$"),
     (lambda m: build_map({0: [0], 1: [1]}, {0: 1, 1: 5}), "unpaired dart 0: opposite is not"),
-], ids=["insert-past-the-end", "insert-before-the-start", "delete-missing-edge",
-        "delete-missing-vertex", "no-attachments", "face-index-out-of-range",
+], ids=["insert-past-the-end", "insert-before-the-start", "delete-negative-dart",
+        "delete-dart-past-the-tables", "delete-missing-edge", "delete-missing-vertex", "no-attachments", "face-index-out-of-range",
         "edge-at-one-end", "neighbour-listed-twice", "vertex-lists-itself",
         "negative-dart-in-the-pairing", "opposite-outside-the-pairing"])
 def test_map_edits_reject(edit, message):
@@ -478,11 +476,11 @@ def _edited_rotation_systems(draw):
     top dart goes."""
     base = draw(_rotation_systems())
     ed = MapEditor(base)
-    deleted = draw(st.sets(st.sampled_from(sorted(base.edge_darts)))) if base.edge_darts \
-        else set()
-    for e in sorted(deleted):
-        ed.delete_edge(e)
-    kept = {e: pair for e, pair in base.edge_darts.items() if e not in deleted}
+    deleted = draw(st.sets(st.sampled_from([d for d, _ in base.edge_darts]))) \
+        if base.edge_darts else set()
+    for d in sorted(deleted):
+        ed.delete_edge(d)
+    kept = tuple(pair for pair in base.edge_darts if pair[0] not in deleted)
     return ed.finish(), kept
 
 
@@ -490,12 +488,11 @@ def _check_kernels(m):
     """The map's tables and views against their plain references."""
     owner = _reference_owners(m)
     holes = [d for d in range(len(m.opposite)) if d not in owner]
-    assert len(m.opposite) == len(m.dart_edge) == len(m.dart_vertex)
-    for table in (m.opposite, m.dart_edge, m.dart_vertex):
+    assert len(m.opposite) == len(m.dart_vertex)
+    for table in (m.opposite, m.dart_vertex):
         assert [d for d, x in enumerate(table) if x == -1] == holes
     assert m.dart_vertex == tuple(owner.get(d, -1) for d in range(len(m.opposite)))
-    assert m.edge_darts == {m.dart_edge[d]: (d, m.opposite[d])
-                            for d in sorted(owner) if d < m.opposite[d]}
+    assert m.edge_darts == tuple((d, m.opposite[d]) for d in sorted(owner) if d < m.opposite[d])
     assert trace_faces(m) == _reference_faces(m)
     assert m.components == _reference_components(m)
     assert euler_check(m) == _reference_euler(m)

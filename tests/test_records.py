@@ -56,7 +56,7 @@ def _records() -> dict:
 # The field order of each record as it was declared.
 FIELDS = {
     "EulerReport": ("planar", "vertices", "edges", "faces", "components"),
-    "PlaneMap": ("rotations", "opposite", "dart_edge"),
+    "PlaneMap": ("rotations", "opposite"),
     "Graph": ("vertices", "edges"),
     "BipartiteGraph": ("black", "white", "edges"),
     "OnePlanarDrawing": ("graph", "planified", "false_vertices"),
@@ -106,7 +106,7 @@ def test_plane_map_tables_refuse_item_assignment():
     # An edit in place would leave the faces cached on the map stale.
     m = RECORDS["PlaneMap"]
     faces = m.faces
-    for table in (m.opposite, m.dart_edge, m.dart_vertex, m.rotations[0]):
+    for table in (m.opposite, m.dart_vertex, m.rotations[0]):
         before = tuple(table)
         with pytest.raises(TypeError):
             table[0] = 1
@@ -142,17 +142,16 @@ def test_plane_maps_compare_by_fields_and_are_unhashable():
     same = build_map({0: [0], 1: [1]}, {0: 1, 1: 0})
     assert m == same and not m != same
     assert m != build_map({0: [1], 1: [0]}, {0: 1, 1: 0})
-    assert m != (m.rotations, m.opposite, m.dart_edge)
-    assert PlaneMap(m.rotations, m.opposite, m.dart_edge) == m
+    assert m != (m.rotations, m.opposite)
+    assert PlaneMap(m.rotations, m.opposite) == m
     with pytest.raises(TypeError):
         hash(m)
     with pytest.raises(AttributeError):
         del m.rotations
 
 
-def test_plane_map_repr_names_its_three_fields():
-    assert repr(RECORDS["PlaneMap"]) == (
-        "PlaneMap(rotations={0: (0,), 1: (1,)}, opposite=(1, 0), dart_edge=(0, 0))")
+def test_plane_map_repr_names_its_two_fields():
+    assert repr(RECORDS["PlaneMap"]) == "PlaneMap(rotations={0: (0,), 1: (1,)}, opposite=(1, 0))"
 
 
 def test_search_counters_are_unequal_to_other_classes():
