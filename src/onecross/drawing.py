@@ -327,8 +327,10 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
 
     For each false vertex, one new black-black edge is drawn alongside the
     two crossing-edge segments that lead to black vertices, inside the face
-    spanned by the corner between those segments.  The result is a plane
-    multigraph with exactly one extra edge per crossing.
+    spanned by the corner between those segments.  Its ends go beside the
+    segments' darts, not at rotation positions, so two new edges sharing a
+    corner of a black vertex keep their order whichever is drawn first.
+    The result is a plane multigraph with exactly one extra edge per crossing.
     """
     if not isinstance(d.graph, BipartiteGraph):
         raise DrawingError("black extension needs a bipartite drawing")
@@ -347,10 +349,9 @@ def black_extension(d: OnePlanarDrawing) -> PlaneMap:
             i, j = j, i
         if (i + 1) % len(rot) != j:
             raise DrawingError(f"black spokes not adjacent at false vertex {w}")
-        p, q = ends[i], ends[j]
-        at_p, at_q = ed.new_edge()
-        ed.insert_darts(p, ed.rotations[p].index(opposite[rot[i]]), [at_p])  # just before the segment
-        ed.insert_darts(q, ed.rotations[q].index(opposite[rot[j]]) + 1, [at_q])  # just after it
+        dart = ed.new_edges(1)
+        ed.insert_before(opposite[rot[i]], [dart])
+        ed.insert_after(opposite[rot[j]], [dart + 1])
     m = ed.finish()
     if not pm.euler_check(m).planar:
         raise DrawingError("black extension broke planarity")

@@ -287,53 +287,22 @@ def euler_check(m: PlaneMap) -> EulerReport:
     )
 
 
-def _resolve_attachments(corners: Sequence[int],
-                         attachments: Sequence[int]) -> list[int]:
-    """Match attachment vertices to walk positions, in cyclic walk order.
-
-    Tries each occurrence of the first attachment as anchor, then greedily
-    takes the earliest later occurrence of each subsequent vertex.
-    """
-    n = len(corners)
-    for vertex in attachments:
-        if vertex not in corners:
-            raise MapError(f"attachment not on face: vertex {vertex}")
-    anchors = [i for i, v in enumerate(corners) if v == attachments[0]]
-    for a in anchors:
-        positions = [a]
-        ok = True
-        for want in attachments[1:]:
-            nxt = None
-            for off in range(positions[-1] - a + 1, n):
-                i = (a + off) % n
-                if corners[i] == want:
-                    nxt = i
-                    break
-            if nxt is None:
-                ok = False
-                break
-            positions.append(nxt)
-        if ok:
-            return positions
-    raise MapError("order not realizable on the walk")
-
-
 class MapEditor:
     """A mutable working copy of a map; every derived map is built through one.
 
-    Starts as a copy of ``base``, or empty, with its dart tables as lists.
-    New vertex and dart ids are taken above every id in use, a new dart at
-    the end of the tables, and the two darts of a new edge get consecutive
-    ids; deletion and smoothing hand out none and leave holes.  A method
-    that takes an edge takes either of its darts.  Read ``rotations`` and
-    ``opposite`` freely but change them only through the methods.
+    Starts as a copy of ``base``, or empty.  New vertex and dart ids are
+    taken above every id in use, a new dart at the end of the tables, and
+    the two darts of a new edge get consecutive ids; deletion and smoothing
+    hand out none and leave holes.  A method that takes an edge takes
+    either of its darts, and every insertion names its place by a placed
+    dart, never by a position, so no caller reads the editor's storage.
     :meth:`finish` returns the edited map after one structure check.
     """
 
     def __init__(self, base: PlaneMap | None = None):
         base = base or PlaneMap({}, ())
-        self.rotations = {v: list(rot) for v, rot in base.rotations.items()}
-        self.opposite = list(base.opposite)
+        self._rotations = {v: list(rot) for v, rot in base.rotations.items()}
+        self._opposite = list(base.opposite)
         self._owner = list(base.dart_vertex)
         self._next_vertex = max(base.rotations, default=-1) + 1
 
@@ -341,31 +310,35 @@ class MapEditor:
         """Add a vertex with a new id, rotating ``darts``."""
         vertex = self._next_vertex
         self._next_vertex += 1
-        rot = self.rotations[vertex] = []
+        rot = self._rotations[vertex] = []
         self._place(vertex, rot, 0, darts)
         return vertex
 
-    def new_edge(self) -> tuple[int, int]:
-        """Pair two new darts as a new edge; they are placed separately."""
-        d = self.new_edges(1)
-        return d, d + 1
-
     def new_edges(self, count: int) -> int:
-        """The first dart of ``count`` edges made as by :meth:`new_edge` calls."""
-        d = len(self.opposite)
+        """The first dart d of ``count`` new edges; edge k pairs darts d + 2k and d + 2k + 1."""
+        d = len(self._opposite)
         opposite = [0] * (2 * count)
         opposite[0::2] = range(d + 1, d + 2 * count, 2)
         opposite[1::2] = range(d, d + 2 * count, 2)
-        self.opposite += opposite
+        self._opposite += opposite
         self._owner += [-1] * (2 * count)
         return d
 
-    def insert_darts(self, vertex: int, pos: int, darts: Sequence[int]) -> None:
-        """Put ``darts``, in order, before index ``pos`` of ``vertex``'s rotation."""
-        rot = self.rotations[vertex]
-        if not 0 <= pos <= len(rot):
-            raise MapError("rotation position out of range")
-        self._place(vertex, rot, pos, darts)
+    def insert_before(self, anchor: int, darts: Sequence[int]) -> None:
+        """Put ``darts``, in order, just before the placed dart ``anchor`` in its rotation."""
+        self._insert(anchor, 0, darts)
+
+    def insert_after(self, anchor: int, darts: Sequence[int]) -> None:
+        """Put ``darts``, in order, just after the placed dart ``anchor`` in its rotation."""
+        self._insert(anchor, 1, darts)
+
+    def _insert(self, anchor: int, offset: int, darts: Sequence[int]) -> None:
+        """Put ``darts`` beside the placed dart ``anchor``: before at ``offset`` 0, after at 1."""
+        owner = self._owner
+        if not 0 <= anchor < len(owner) or owner[anchor] == -1:
+            raise MapError(f"missing element: dart {anchor}")
+        rot = self._rotations[owner[anchor]]
+        self._place(owner[anchor], rot, rot.index(anchor) + offset, darts)
 
     def _place(self, vertex: int, rot: list[int], pos: int, darts: Sequence[int]) -> None:
         """Put ``darts`` before index ``pos`` of ``rot``, the rotation of ``vertex``.
@@ -385,9 +358,12 @@ class MapEditor:
         walk's next dart; raises :class:`MapError` unless it follows that
         opposite, i.e. when the walk is out of sync with the rotations.
         """
-        anchor = self.opposite[arriving]
+        opposite = self._opposite
+        if not 0 <= arriving < len(opposite) or opposite[arriving] == -1:
+            raise MapError(f"missing element: dart {arriving}")
+        anchor = opposite[arriving]
         vertex = self._owner[anchor]
-        rot = self.rotations[vertex]
+        rot = self._rotations[vertex]
         at = rot.index(anchor) + 1
         if rot[at % len(rot)] != leaving:
             raise MapError("face walk out of sync with rotations")
@@ -410,19 +386,19 @@ class MapEditor:
 
     def delete_edge(self, dart: int) -> None:
         """Remove the edge of ``dart``, splicing both rotations; never increases genus."""
-        if not 0 <= dart < len(self.opposite) or self.opposite[dart] == -1:
+        if not 0 <= dart < len(self._opposite) or self._opposite[dart] == -1:
             raise MapError(f"missing element: dart {dart}")
-        for d in (dart, self.opposite[dart]):
-            self.rotations[self._owner[d]].remove(d)
-            self.opposite[d] = self._owner[d] = -1
+        for d in (dart, self._opposite[dart]):
+            self._rotations[self._owner[d]].remove(d)
+            self._opposite[d] = self._owner[d] = -1
 
     def delete_vertex(self, vertex: int) -> None:
         """Remove a vertex together with all incident edges."""
-        if vertex not in self.rotations:
+        if vertex not in self._rotations:
             raise MapError(f"missing element: vertex {vertex}")
-        for d in tuple(self.rotations[vertex]):
+        for d in tuple(self._rotations[vertex]):
             self.delete_edge(d)
-        del self.rotations[vertex]
+        del self._rotations[vertex]
 
     def smooth(self, vertex: int) -> int:
         """Replace a degree-2 vertex by one edge joining its neighbours; return its smaller dart.
@@ -430,39 +406,43 @@ class MapEditor:
         The far darts keep their ids and rotation positions and become the
         merged edge's two darts.
         """
-        if vertex not in self.rotations:
+        if vertex not in self._rotations:
             raise MapError(f"missing element: vertex {vertex}")
-        rot = self.rotations[vertex]
+        rot = self._rotations[vertex]
         if len(rot) != 2:
             raise MapError(f"vertex {vertex} does not have degree 2")
-        a, b = (self.opposite[d] for d in rot)  # darts at the two neighbours
+        a, b = (self._opposite[d] for d in rot)  # darts at the two neighbours
         if self._owner[a] == self._owner[b]:
             raise MapError("smoothing would create a loop")
-        for d in self.rotations.pop(vertex):
-            self.opposite[d] = self._owner[d] = -1
-        self.opposite[a], self.opposite[b] = b, a
+        for d in self._rotations.pop(vertex):
+            self._opposite[d] = self._owner[d] = -1
+        self._opposite[a], self._opposite[b] = b, a
         return min(a, b)
 
     def finish(self) -> PlaneMap:
         """The edited map, after one structure check."""
-        return PlaneMap(self.rotations, self.opposite)
+        return PlaneMap(self._rotations, self._opposite)
 
 
 def insert_vertex_in_face(m: PlaneMap, face: int,
-                          attachments: Sequence[int]) -> tuple[PlaneMap, int]:
-    """Insert a new vertex inside a face, joined to boundary occurrences.
+                          positions: Sequence[int]) -> tuple[PlaneMap, int]:
+    """Insert a new vertex inside a face, joined to corners of its walk.
 
-    ``face`` indexes the walk list of :func:`trace_faces`; ``attachments``
-    names boundary vertices in cyclic walk order.  All new edges subdivide
-    the chosen face, so a planar map stays planar.  Returns the new map and
-    the id of the inserted vertex.
+    ``face`` indexes the walk list of :func:`trace_faces`; ``positions``
+    index its walk as in :meth:`MapEditor.add_star`, distinct and in cyclic
+    order.  All new edges subdivide the chosen face, so a planar map stays
+    planar.  Returns the new map and the id of the inserted vertex.
     """
-    if not attachments:
-        raise MapError("attachment not on face: empty attachment list")
+    if not positions:
+        raise MapError("empty walk position list")
     if not 0 <= face < len(m.faces):
         raise MapError(f"no such face index {face}")
     walk = m.faces[face]
-    positions = _resolve_attachments([m.dart_vertex[d] for d in walk], attachments)
+    if not 0 <= min(positions) <= max(positions) < len(walk):
+        raise MapError(f"walk positions {list(positions)} out of range for a walk of {len(walk)}")
+    # Positions are distinct and in cyclic order iff one step around the cycle fails to rise.
+    if sum(a >= b for a, b in zip(positions, [*positions[1:], positions[0]])) != 1:
+        raise MapError(f"walk positions {list(positions)} not distinct in cyclic order")
     ed = MapEditor(m)
     new_vertex, _ = ed.add_star(walk, positions)
     return ed.finish(), new_vertex

@@ -224,12 +224,14 @@ def test_euler_check_agrees_with_networkx_on_family_drawings(w3_grid, b_grid, ba
 def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_grid,
                                                                      balanced_grid, near_grid):
     # Swap two darts in the rotation of one true or false vertex of degree at
-    # least 3.  Both checks must give the same verdict on the mutant, and
-    # the mutant drawing may pass validate only if networkx calls it planar
-    # and it survives a round trip through its document.
+    # least 3, or mirror the whole drawing.  Both checks must give the same
+    # verdict on the mutant, and the mutant drawing may pass validate only
+    # if networkx calls it planar and it survives a round trip through its
+    # document.
     rng = random.Random(2015)
     sources = [w3_grid[(4, 14)], b_grid[(5, 13)], balanced_grid[5], balanced_grid[8],
                near_grid[(4, 6)], near_grid[(6, 12)]]
+    mutants = [_mirror(d) for d in sources]
     at_false = 0
     for k in range(300):
         d = sources[k % len(sources)]
@@ -238,14 +240,25 @@ def test_euler_check_agrees_with_networkx_on_rotation_transpositions(w3_grid, b_
         rot = list(m.rotations[v])
         i, j = rng.sample(range(len(rot)), 2)
         rot[i], rot[j] = rot[j], rot[i]
-        mutant = PlaneMap({**m.rotations, v: rot}, m.opposite)
-        planar = _networkx_planar(mutant)
-        assert euler_check(mutant).planar is planar, (k, v, i, j)
-        if validate(d._replace(planified=mutant)).passed:
-            assert planar, (k, v, i, j)
-            assert _round_trips(d._replace(planified=mutant)), (k, v, i, j)
+        mutants.append(d._replace(planified=PlaneMap({**m.rotations, v: rot}, m.opposite)))
         at_false += v in d.false_vertices
     assert 0 < at_false < 300
+    passed = 0
+    for k, mutant in enumerate(mutants):
+        planar = _networkx_planar(mutant.planified)
+        assert euler_check(mutant.planified).planar is planar, k
+        if validate(mutant).passed:
+            assert planar, k
+            assert _round_trips(mutant), k
+            passed += 1
+    assert passed == len(sources)  # the mirror images; no transposition passes
+
+
+def _mirror(d):
+    """``d`` with every rotation reversed: the mirror image, another drawing of its graph."""
+    m = d.planified
+    return d._replace(planified=PlaneMap({v: rot[::-1] for v, rot in m.rotations.items()},
+                                         m.opposite))
 
 
 def _round_trips(d):
@@ -266,17 +279,19 @@ def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, 
     # crossings swapped (w1 gets e1 x f2, w2 gets e2 x f1), and the darts of
     # two map edges re-paired.  A mutant may pass validate only if networkx
     # accepts its map, each false vertex still sees the ends of its pair and
-    # it survives a round trip through its document.
+    # it survives a round trip through its document.  Each source's mirror
+    # image is one more mutant, one that must pass.
     rng = random.Random(2015)
     sources = [w3_grid[(4, 14)], b_grid[(5, 13)], balanced_grid[5], balanced_grid[8],
                near_grid[(4, 6)], near_grid[(6, 12)]]
+    mutants = [_mirror(d) for d in sources]
     loops = 0
     for k in range(300):
         d = sources[k % len(sources)]
         fv = d.false_vertices
         w1, w2 = rng.sample(sorted(fv), 2)
         (e1, f1), (e2, f2) = fv[w1], fv[w2]
-        mutants = [d._replace(false_vertices={**fv, w1: (e1, f2), w2: (e2, f1)})]
+        mutants.append(d._replace(false_vertices={**fv, w1: (e1, f2), w2: (e2, f1)}))
         m = d.planified
         (a, b), (c, x) = rng.sample(m.edge_darts, 2)
         if rng.random() < 0.5:
@@ -287,12 +302,15 @@ def test_partner_swaps_and_dart_repairings_pass_only_as_valid_drawings(w3_grid, 
             mutants.append(d._replace(planified=PlaneMap(m.rotations, opposite)))
         except MapError:  # a re-pairing that makes a loop is no map
             loops += 1
-        for mutant in mutants:
-            if validate(mutant).passed:
-                assert _networkx_planar(mutant.planified), k
-                assert _spokes_match_pairs(mutant), k
-                assert _round_trips(mutant), k
     assert 0 < loops < 300
+    passed = 0
+    for k, mutant in enumerate(mutants):
+        if validate(mutant).passed:
+            assert _networkx_planar(mutant.planified), k
+            assert _spokes_match_pairs(mutant), k
+            assert _round_trips(mutant), k
+            passed += 1
+    assert passed == len(sources)  # the mirror images; no swap or re-pairing passes
 
 
 def test_edge_paths_read_from_the_map_use_each_map_edge_once(w3_grid, b_grid, balanced_grid,

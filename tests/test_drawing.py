@@ -252,10 +252,10 @@ def _field_mutations():
 
     # A second segment beside each of 4-1 and 4-3, each bounding a digon.
     ed = MapEditor(d.planified)
-    for spoke, v in ((3, 1), (7, 3)):
-        a, b = ed.new_edge()
-        ed.insert_darts(4, ed.rotations[4].index(spoke) + 1, [a])
-        ed.insert_darts(v, 0, [b])
+    for spoke in (3, 7):
+        dart = ed.new_edges(1)
+        ed.insert_after(spoke, [dart])
+        ed.insert_before(spoke ^ 1, [dart + 1])  # the segment's far end, of degree 1
     cases["false vertex of degree 6"] = (
         d._replace(planified=ed.finish()),
         ("path/edge mismatch: map edge 8 is no undrawn spoke of 4",
@@ -264,8 +264,9 @@ def _field_mutations():
          "face of size < 3 at a false vertex"))
 
     ed = MapEditor(d.planified)
-    for v, dart in zip((0, 2), ed.new_edge()):
-        ed.insert_darts(v, len(ed.rotations[v]), [dart])
+    dart = ed.new_edges(1)
+    ed.insert_after(0, [dart])  # at 0, whose rotation is dart 0 alone
+    ed.insert_after(4, [dart + 1])  # at 2, whose rotation is dart 4 alone
     cases["stray planified edge nothing refers to"] = (
         d._replace(planified=ed.finish()),
         ("path/edge mismatch: map edge 8 is no undrawn uncrossed edge",))
@@ -307,8 +308,9 @@ def _field_mutations():
 
     c4 = four_cycle_drawing()
     ed = MapEditor(c4.planified)
-    for v, pos, dart in zip((0, 1), (1, 0), ed.new_edge()):
-        ed.insert_darts(v, pos, [dart])  # beside the map edge of 0-1, bounding a digon
+    dart = ed.new_edges(1)
+    ed.insert_after(0, [dart])  # beside the map edge of 0-1, on darts 0 and 1,
+    ed.insert_before(1, [dart + 1])  # bounding a digon
     cases["unused map edge parallel to an uncrossed edge"] = (
         c4._replace(planified=ed.finish()),
         ("path/edge mismatch: map edge 8 is no undrawn uncrossed edge",))

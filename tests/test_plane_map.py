@@ -197,27 +197,9 @@ def test_insert_degree4_vertex_in_outer_face():
         {0: [0, 7], 1: [1, 2], 2: [3, 4], 3: [5, 6]},
         {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
-    m2, _ = insert_vertex_in_face(m, 1, [0, 1, 2, 3][::-1])
-    # attachments must be given in that face's walk order; try both
+    m2, _ = insert_vertex_in_face(m, 1, [2, 3, 0, 1])  # cyclic walk order, wrapping past the end
     assert euler_check(m2).planar
     assert len(m2.edge_darts) == 8
-
-
-def test_insert_attachment_not_on_face():
-    m = triangle()
-    with pytest.raises(MapError, match="attachment not on face"):
-        insert_vertex_in_face(m, 0, [0, 99])
-
-
-def test_insert_order_not_realizable():
-    m = build_map(
-        {0: [0, 7], 1: [1, 2], 2: [3, 4], 3: [5, 6]},
-        {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
-    )
-    walk_order = [m.dart_vertex[d] for d in trace_faces(m)[0]]
-    bad = [walk_order[0], walk_order[2], walk_order[1]]
-    with pytest.raises(MapError, match="order not realizable"):
-        insert_vertex_in_face(m, 0, bad)
 
 
 def test_delete_edge_of_triangle_gives_path():
@@ -293,33 +275,24 @@ def test_insertion_preserves_planarity_randomized():
     for _ in range(40):
         faces = trace_faces(m)
         f = rng.randrange(len(faces))
-        walk = faces[f]
-        corners = [m.dart_vertex[d] for d in walk]
-        k = rng.randint(1, min(3, len(corners)))
-        start = rng.randrange(len(corners))
-        picks = []
-        seen = set()
-        for off in range(len(corners)):
-            c = corners[(start + off) % len(corners)]
-            if c not in seen:
-                picks.append(c)
-                seen.add(c)
-            if len(picks) == k:
-                break
-        m, _ = insert_vertex_in_face(m, f, picks)
+        n = len(faces[f])
+        picks = sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
+        cut = rng.randrange(len(picks))  # start the cyclic order anywhere
+        m, _ = insert_vertex_in_face(m, f, picks[cut:] + picks[:cut])
         assert euler_check(m).planar
 
 
 def test_editor_allocates_ids_above_every_id_in_use():
     ed = MapEditor(k4())  # vertices 0..3, darts 0..11
-    assert ed.new_edge() == (12, 13)
-    assert ed.opposite[12:] == [13, 12]
-    assert ed.add_vertex() == 4
-    assert ed.add_vertex() == 5
-    assert ed.new_edge() == (14, 15)
-    assert ed.opposite[14:] == [15, 14]
+    assert ed.new_edges(1) == 12
+    assert ed.add_vertex([12]) == 4
+    assert ed.add_vertex([13]) == 5
+    assert ed.new_edges(1) == 14
+    ed.insert_after(12, [14])
+    ed.insert_before(13, [15])
+    assert ed.finish().opposite[12:] == (13, 12, 15, 14)
     empty = MapEditor()
-    assert (empty.new_edge(), empty.add_vertex(), empty.add_vertex()) == ((0, 1), 0, 1)
+    assert (empty.new_edges(1), empty.add_vertex(), empty.add_vertex()) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("base", [None, k4(), build_map({0: [1], 1: [2]}, {1: 2, 2: 1})],
@@ -328,27 +301,48 @@ def test_editor_allocates_ids_above_every_id_in_use():
 def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
     # The third base's tables run to dart 2, dart 0 a hole, so its next dart id, 3, is odd.
     one_by_one, at_once = MapEditor(base), MapEditor(base)
-    ids = [one_by_one.new_edge() for _ in range(count)]
+    ids = [one_by_one.new_edges(1) for _ in range(count)]
     dart = at_once.new_edges(count)
-    if base is not None:
-        assert dart == len(base.opposite)
-    assert ids == [(dart + 2 * j, dart + 2 * j + 1) for j in range(count)]
-    # The editor's whole state: the two tables, the dart owners and the next vertex id.
-    assert vars(at_once).keys() == {"rotations", "opposite", "_owner", "_next_vertex"}
+    assert dart == (0 if base is None else len(base.opposite))
+    assert ids == list(range(dart, dart + 2 * count, 2))
+    # Edge j pairs darts dart + 2j and dart + 2j + 1, both unplaced.
+    assert at_once._opposite[dart:] == [o for d in ids for o in (d + 1, d)]
+    assert at_once._owner[dart:] == [-1] * (2 * count)
+    # The editor's whole state: the rotations, the two dart tables and the next vertex id.
+    assert vars(at_once).keys() == {"_rotations", "_opposite", "_owner", "_next_vertex"}
     assert vars(at_once) == vars(one_by_one)
-    assert at_once.new_edge() == one_by_one.new_edge()
+    assert at_once.new_edges(1) == one_by_one.new_edges(1)
+
+
+def _without_edge(m, dart):
+    """An editor of ``m`` that has deleted the edge of ``dart``."""
+    ed = MapEditor(m)
+    ed.delete_edge(dart)
+    return ed
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m: MapEditor(m).insert_darts(0, 3, [9]), "rotation position out of range"),
-    (lambda m: MapEditor(m).insert_darts(0, -1, [9]), "rotation position out of range"),
+    (lambda m: MapEditor(build_map({0: [1], 1: [2]}, {1: 2, 2: 1})).insert_before(0, [9]),
+     "^missing element: dart 0$"),
+    (lambda m: MapEditor(m).insert_after(6, [9]), "^missing element: dart 6$"),
+    (lambda m: _without_edge(m, 4).insert_at_corner(4, 0, [9]), "^missing element: dart 4$"),
+    (lambda m: MapEditor(m).insert_at_corner(6, 0, [9]), "^missing element: dart 6$"),
+    (lambda m: MapEditor(m).insert_at_corner(-1, 0, [9]), "^missing element: dart -1$"),
     (lambda m: MapEditor(m).delete_edge(-1), "^missing element: dart -1$"),
     (lambda m: MapEditor(m).delete_edge(6), "^missing element: dart 6$"),
     (lambda m: MapEditor(build_map({0: [1], 1: [2]}, {1: 2, 2: 1})).delete_edge(0),
      "^missing element: dart 0$"),
     (lambda m: MapEditor(m).delete_vertex(7), "missing element: vertex 7"),
-    (lambda m: insert_vertex_in_face(m, 0, []), "empty attachment list"),
+    (lambda m: insert_vertex_in_face(m, 0, []), "^empty walk position list$"),
     (lambda m: insert_vertex_in_face(m, 2, [0]), "no such face index 2"),
+    (lambda m: insert_vertex_in_face(m, 0, [0, 3]),
+     r"^walk positions \[0, 3\] out of range for a walk of 3$"),
+    (lambda m: insert_vertex_in_face(m, 0, [-1]),
+     r"^walk positions \[-1\] out of range for a walk of 3$"),
+    (lambda m: insert_vertex_in_face(m, 0, [1, 1]),
+     r"^walk positions \[1, 1\] not distinct in cyclic order$"),
+    (lambda m: insert_vertex_in_face(m, 0, [0, 2, 1]),
+     r"^walk positions \[0, 2, 1\] not distinct in cyclic order$"),
     (lambda m: map_from_rotation_lists({0: [1], 1: []}),
      "vertex 0 lists neighbour 1, which does not list it back"),
     (lambda m: map_from_rotation_lists({0: [1, 2, 1], 1: [0], 2: [0]}),
@@ -358,8 +352,12 @@ def test_new_edges_hands_out_the_ids_of_repeated_new_edge(base, count):
     (lambda m: build_map({0: [-1], 1: [0]}, {-1: 0, 0: -1}),
      r"^unpaired dart -1: no such id in dart tables of length 1$"),
     (lambda m: build_map({0: [0], 1: [1]}, {0: 1, 1: 5}), "unpaired dart 0: opposite is not"),
-], ids=["insert-past-the-end", "insert-before-the-start", "delete-negative-dart",
-        "delete-dart-past-the-tables", "delete-missing-edge", "delete-missing-vertex", "no-attachments", "face-index-out-of-range",
+], ids=["insert-before-a-hole", "insert-after-a-dart-past-the-tables",
+        "corner-after-a-deleted-dart", "corner-after-a-dart-past-the-tables",
+        "corner-after-dart-minus-one", "delete-negative-dart",
+        "delete-dart-past-the-tables", "delete-missing-edge", "delete-missing-vertex",
+        "no-walk-positions", "face-index-out-of-range", "walk-position-past-the-walk",
+        "negative-walk-position", "repeated-walk-position", "walk-positions-out-of-cyclic-order",
         "edge-at-one-end", "neighbour-listed-twice", "vertex-lists-itself",
         "negative-dart-in-the-pairing", "opposite-outside-the-pairing"])
 def test_map_edits_reject(edit, message):
@@ -371,14 +369,15 @@ def test_editor_corner_insertion_and_sync_check():
     m = triangle()
     walk = trace_faces(m)[0]
     ed = MapEditor(m)
-    spoke, hub = ed.new_edge()
+    spoke = ed.new_edges(1)
     corner = m.dart_vertex[walk[1]]
     assert ed.insert_at_corner(walk[0], walk[1], [spoke]) == corner
-    rot = ed.rotations[corner]
+    ed.add_vertex(darts=[spoke + 1])
+    star = ed.finish()
+    rot = star.rotations[corner]
     assert rot[(rot.index(spoke) + 1) % len(rot)] == walk[1]
-    ed.add_vertex(darts=[hub])
-    assert euler_check(ed.finish()).planar
-    stale, _ = ed.new_edge()
+    assert euler_check(star).planar
+    stale = ed.new_edges(1)
     with pytest.raises(MapError, match="out of sync"):
         ed.insert_at_corner(walk[0], walk[1], [stale])  # the corner now holds the spoke
     with pytest.raises(MapError, match="out of sync"):
@@ -525,12 +524,11 @@ def test_euler_check_on_disconnected_maps():
     # One toroidal K5 beside a planar triangle: only the K5 breaks Euler.
     toroidal = _k5_map({v: [(v + k) % 5 for k in range(1, 5)] for v in range(5)})
     ed = MapEditor(toroidal)
-    a, b, c = (ed.add_vertex() for _ in range(3))
-    for u, v in ((a, b), (b, c), (c, a)):
-        du, dv = ed.new_edge()
-        ed.insert_darts(u, 0, [du])
-        ed.insert_darts(v, 0, [dv])
-    report = euler_check(ed.finish())
+    d = ed.new_edges(3)  # the triangle's edges: d, d + 1 and d + 2, d + 3 and d + 4, d + 5
+    for darts in ((d, d + 5), (d + 1, d + 2), (d + 3, d + 4)):
+        ed.add_vertex(darts)
+    m = ed.finish()
+    report = euler_check(m)
     assert (report.planar, report.vertices, report.edges, report.components) == \
         (False, 8, 13, 2)
-    assert report == _reference_euler(ed.finish())
+    assert report == _reference_euler(m)
